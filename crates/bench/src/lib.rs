@@ -279,13 +279,15 @@ pub fn log_fanin_workload(workers: u64, logs: u64) -> Io<i64> {
 /// reduction on. Stage `i` takes from its input MVar, adds one, and
 /// puts to its output; the main thread feeds the head, kills the first
 /// stage mid-flight (the §5.3 cancellation pattern), and takes from the
-/// tail. A killed stage forwards `-1` from its handler so the pipeline
-/// always drains: every schedule terminates, but *where* the kill lands
-/// decides which value comes out the far end.
+/// tail. A stage killed once its handler is installed forwards `-1`, so
+/// the pipeline drains and *where* the kill lands decides which value
+/// comes out the far end. A kill that lands earlier — before the first
+/// stage has run far enough to install its `catch` — kills the stage
+/// outright, nothing is ever forwarded, and `tail.take()` deadlocks:
+/// not every schedule terminates, and an exhaustive exploration must
+/// count the wedged runs as outcomes (the repo benchmark's
+/// `explore_dpor` accepts the deadlock for the same program).
 pub fn pipeline_workload(stages: u64) -> Io<i64> {
-    // One stage: take the value, do private scratch work on the
-    // stage's own MVar (independent of every other thread — free for
-    // DPOR, a combinatorial liability for the plain DFS), hand off.
     // One stage: take the value, do private scratch work on the
     // stage's own pre-allocated MVar (independent of every other
     // thread — free for DPOR, a combinatorial liability for the plain
@@ -613,9 +615,10 @@ pub fn serve_n_good_pooled(n: u64) -> Io<StatsSnapshot> {
                 .and_then(move |codes| {
                     assert!(codes.iter().all(|c| *c == 200));
                     server
+                        .plane
                         .shutdown_sync()
-                        .then(server.drain())
-                        .then(server.stats.snapshot())
+                        .then(server.plane.drain())
+                        .then(server.plane.stats.snapshot())
                         .and_then(move |snap| server.stop_sync().map(move |_| snap))
                 })
             })

@@ -113,8 +113,10 @@ pub(crate) struct RaceAnalysis {
 }
 
 /// A dense vector clock: one component per thread index.
+#[cfg(any(test, debug_assertions))]
 type Clock = Vec<u32>;
 
+#[cfg(any(test, debug_assertions))]
 fn join(into: &mut Clock, other: &Clock) {
     if into.len() < other.len() {
         into.resize(other.len(), 0);
@@ -189,12 +191,16 @@ fn events_dependent(
     }
 }
 
-/// Detect every race of one executed run.
+/// Detect every race of one executed run, recomputing everything from
+/// the log — the *reference* the incremental [`RaceState`] is checked
+/// against (in every debug-build DPOR run and by the unit-test fuzzer),
+/// not a mode anyone can select.
 ///
 /// This is a deterministic function of the log alone — the cornerstone
 /// of the parallel determinism argument in `DESIGN.md`: two workers
 /// replaying the same choice prefix produce the same log, hence the
 /// same flags, for any interleaving of workers.
+#[cfg(any(test, debug_assertions))]
 pub(crate) fn analyze(events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
     let mut analysis = RaceAnalysis::default();
     if events.len() < 2 {
@@ -354,7 +360,7 @@ pub(crate) fn analyze(events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
 /// index, zero components absent. A DPOR run only ever orders the few
 /// threads that actually communicated on its path, so sparse clocks
 /// stay tiny and joins touch only the communicating entries, where the
-/// legacy analyzer's dense `Vec<u32>` clones scale with the total
+/// reference analyzer's dense `Vec<u32>` clones scale with the total
 /// thread count.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct SparseClock {
@@ -446,15 +452,14 @@ fn truncate_list(list: &mut Vec<u32>, limit: u32) {
 /// The incremental race analyzer: vector-clock state for the *current*
 /// event log, updated per executed step and rolled back to the common
 /// prefix when the search backtracks, instead of recomputed from
-/// scratch on every run ([`analyze`], kept as the
-/// `legacy_race_analysis` reference path).
+/// scratch on every run (the reference [`analyze`]).
 ///
 /// # Why rollback is sound
 ///
 /// Everything stored here about events `0..k` is a pure function of
 /// those events (plus the births of the threads appearing in them,
 /// which the driver fixes before a thread's first logged step) — the
-/// same guarantee the legacy analyzer's determinism rests on. Two runs
+/// same guarantee the reference analyzer's determinism rests on. Two runs
 /// sharing an event-log prefix therefore share every per-event
 /// artifact over it: post clocks, sequence numbers, race pairs, and
 /// the candidate indices. So on a new run the state is truncated to
@@ -465,7 +470,7 @@ fn truncate_list(list: &mut Vec<u32>, limit: u32) {
 /// # Why the candidate indices lose no race
 ///
 /// For a new event `e` the analyzer walks candidate earlier events
-/// newest-first exactly like the legacy full scan, but gathers the
+/// newest-first exactly like the reference full scan, but gathers the
 /// candidates from per-object lists instead of the whole prefix: the
 /// same-resource list of `e`'s footprint class, the throws aimed at
 /// `e`'s thread, (for a throw) the target's events, its other throwers
@@ -478,11 +483,10 @@ fn truncate_list(list: &mut Vec<u32>, limit: u32) {
 /// *superset* of every possibly-dependent event; each candidate is
 /// then re-checked with `events_dependent` itself, so the dependent
 /// subsequence — and with it the accumulator walk, the race count,
-/// the flags and their witness sets — is bit-identical to the legacy
-/// analyzer's.
+/// the flags and their witness sets — is bit-identical to the
+/// reference analyzer's.
+#[derive(Default)]
 pub(crate) struct RaceState {
-    /// Ignore all incremental state and run [`analyze`] per run.
-    legacy: bool,
     events: Vec<ExecEvent>,
     wait_res: Vec<Option<StepFootprint>>,
     /// Dense thread indices, in order of first appearance.
@@ -514,37 +518,9 @@ pub(crate) struct RaceState {
 }
 
 impl RaceState {
-    pub fn new(legacy: bool) -> Self {
-        RaceState {
-            legacy,
-            events: Vec::new(),
-            wait_res: Vec::new(),
-            tids: Vec::new(),
-            introduced: Vec::new(),
-            post: Vec::new(),
-            seq: Vec::new(),
-            prev_clock: Vec::new(),
-            thread_clock: Vec::new(),
-            thread_seq: Vec::new(),
-            cum_races: Vec::new(),
-            race_pairs: Vec::new(),
-            by_thread: Vec::new(),
-            res_lists: std::collections::HashMap::new(),
-            throws_at: std::collections::HashMap::new(),
-            throws_all: Vec::new(),
-            terminals: Vec::new(),
-            blocked: Vec::new(),
-            always: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-
     /// Analyze one run's event log, reusing the shared-prefix state of
     /// the previous call. Returns exactly what [`analyze`] would.
     pub fn analyze(&mut self, events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
-        if self.legacy {
-            return analyze(events, births);
-        }
         let keep = self
             .events
             .iter()
@@ -556,7 +532,14 @@ impl RaceState {
         for e in &events[keep..] {
             self.push_event(*e, births, main);
         }
-        self.build_analysis()
+        let analysis = self.build_analysis();
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            analysis,
+            analyze(events, births),
+            "incremental race analysis diverged from the full recompute"
+        );
+        analysis
     }
 
     /// Truncate the state to the first `keep` events, undoing each
@@ -608,7 +591,7 @@ impl RaceState {
     }
 
     /// The wait resource a blocked-target throw may cancel — the
-    /// legacy analyzer's backwards log scan, answered from the
+    /// reference analyzer's backwards log scan, answered from the
     /// per-thread index instead.
     fn wait_res_of(&self, e: &ExecEvent) -> Option<StepFootprint> {
         if !e.blocked_target {
@@ -1044,13 +1027,13 @@ mod tests {
         }
     }
 
-    /// The incremental analyzer against the legacy full recompute, over
+    /// The incremental analyzer against the reference full recompute, over
     /// DFS-shaped log sequences: each run keeps a random prefix of the
     /// previous run (exercising [`RaceState::rollback`] at every depth,
     /// including 0 and full length) and appends a fresh random suffix.
     /// The two must agree exactly — race count, flags, witnesses.
     #[test]
-    fn incremental_matches_legacy_on_backtracking_log_sequences() {
+    fn incremental_matches_reference_on_backtracking_log_sequences() {
         for seed in 0..20_u64 {
             // Wrapping: the seed spread deliberately overflows u64 (it
             // always wrapped in release; debug builds must agree).
@@ -1067,7 +1050,7 @@ mod tests {
                     parent_event: (t > 0).then(|| (t - 1) as u32),
                 })
                 .collect();
-            let mut incremental = RaceState::new(false);
+            let mut incremental = RaceState::default();
             let mut log: Vec<ExecEvent> = Vec::new();
             for _run in 0..60 {
                 let keep = if log.is_empty() {
@@ -1110,7 +1093,7 @@ mod tests {
             ev(1, StepFootprint::Time, Some(0)),
             ev(0, StepFootprint::Time, None),
         ];
-        let mut st = RaceState::new(false);
+        let mut st = RaceState::default();
         assert_eq!(st.analyze(&long, &births), analyze(&long, &births));
         // Disjoint first event: common prefix is empty.
         assert_eq!(st.analyze(&short, &births), analyze(&short, &births));

@@ -97,7 +97,7 @@ where
     let mut stack: Vec<Node> = Vec::new();
     let mut script: Vec<Choice> = Vec::new();
     let mut local_stats = Stats::default();
-    let mut races = RaceState::new(config.legacy_race_analysis);
+    let mut races = RaceState::default();
     let mut replay_ns = 0u64;
     let mut analysis_ns = 0u64;
 

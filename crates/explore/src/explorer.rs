@@ -186,12 +186,6 @@ pub struct ExploreConfig {
     /// [`Reduction`], or seeded sampling (default
     /// `Exhaustive(Reduction::SleepSets)`).
     pub strategy: Strategy,
-    /// Use the legacy full-recompute race analyzer instead of the
-    /// incremental one (DPOR only). The two are bit-equivalent —
-    /// `tests/dpor_equiv.rs` proves it over the corpus — and the flag
-    /// exists so that proof stays executable; leave it `false`
-    /// everywhere else.
-    pub legacy_race_analysis: bool,
 }
 
 impl Default for ExploreConfig {
@@ -205,7 +199,6 @@ impl Default for ExploreConfig {
             max_shrink_runs: 512,
             max_total_steps: None,
             strategy: Strategy::default(),
-            legacy_race_analysis: false,
         }
     }
 }
@@ -1109,7 +1102,7 @@ mod tests {
             assert!(!report.complete, "samples are draws, not an enumeration");
             let distinct = report.stats.distinct_schedules;
             assert!(
-                distinct >= 1 && distinct <= 32,
+                (1..=32).contains(&distinct),
                 "distinct_schedules out of range: {distinct}"
             );
             assert_eq!(report.pruned, 0, "sampling never prunes");

@@ -187,9 +187,10 @@ fn pooled_probe_and_snapshot(
                     ClientOutcome::Garbled => -2,
                 };
                 server
+                    .plane
                     .shutdown_sync()
-                    .then(server.drain())
-                    .then(server.stats.snapshot())
+                    .then(server.plane.drain())
+                    .then(server.plane.stats.snapshot())
                     .and_then(move |snap| {
                         server
                             .stop_sync()

@@ -57,7 +57,7 @@ pub fn kill_storm(server: &Server, inj: &Injector) -> Io<i64> {
 pub fn kill_storm_pooled(server: &PooledServer, inj: &Injector) -> Io<i64> {
     let inj = inj.clone();
     let server = *server;
-    server.worker_ids().and_then(move |mut tids| {
+    server.plane.worker_ids().and_then(move |mut tids| {
         server.pool_supervisor_ids().and_then(move |sups| {
             tids.extend(sups);
             kill_storm_targets(tids, &inj, true)
@@ -189,9 +189,10 @@ mod tests {
                                         l.inject(probe).then(probe.read_response()).and_then(
                                             move |resp| {
                                                 server
+                                                    .plane
                                                     .shutdown_sync()
-                                                    .then(server.drain())
-                                                    .then(server.stats.snapshot())
+                                                    .then(server.plane.drain())
+                                                    .then(server.plane.stats.snapshot())
                                                     .and_then(move |snap| {
                                                         server
                                                             .stop_sync()

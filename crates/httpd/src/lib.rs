@@ -10,15 +10,26 @@
 //! * [`net`] — `MVar`-channel connections and listeners; blocking reads
 //!   and accepts are interruptible operations (§5.3), which is what makes
 //!   the timeouts and the graceful shutdown possible.
-//! * [`server`] — the accept loop, per-connection workers, read/handler
-//!   timeouts, crash-to-500 conversion, counters, graceful shutdown.
-//! * [`pool`] — the same serving contract on a supervised worker pool
-//!   (`conch-actors`): a bounded accept queue feeds a fixed set of
-//!   worker actors under a self-healing two-level supervision tree.
-//! * [`shard`] — the production-scale plane: N accept shards with
-//!   per-shard bounded queues and stats cells, keep-alive/pipelined
-//!   [`net::FrameConnection`]s with per-request accounting, batched
-//!   response flushes, and the quiescent-aggregate conservation law.
+//! * [`core`] — what every serving plane shares, written once: the
+//!   counters and their conservation law (one `MVar` cell, three §7.4
+//!   masked mutators), the §9 handler guard, the worker registry, and
+//!   the [`core::Server`] handle with the quiescent audit protocol
+//!   (`shutdown_sync` → `drain` → `snapshot`).
+//! * Three accept policies over it, on two wires:
+//!   [`server`] — fork a worker per connection, shed on `max_active`
+//!   (char wire: one request per [`net::Connection`]);
+//!   [`pool`] — a bounded accept queue feeding a fixed set of worker
+//!   actors under a self-healing two-level supervision tree
+//!   (`conch-actors`; char wire);
+//!   [`shard`] — N accept shards with per-shard bounded queues and
+//!   stats cells over keep-alive/pipelined [`net::FrameConnection`]s
+//!   with per-request accounting and batched response flushes (frame
+//!   wire), plus the synthetic load driver.
+//! * [`parallel`] — the sharded plane re-homed onto `MultiRuntime`: one
+//!   scheduler per shard, pinned to its own OS thread.
+//! * [`router`] — method/path routing with fallbacks, as a
+//!   [`core::Handler`].
+//! * [`log`] — an in-`MVar` access log and a logging handler wrapper.
 //! * [`client`] — load-generating clients: well-behaved, stalling,
 //!   trickling and garbage.
 //!
@@ -45,6 +56,7 @@
 //! ```
 
 pub mod client;
+pub mod core;
 pub mod http;
 pub mod log;
 pub mod net;

@@ -29,7 +29,7 @@ use conch_runtime::parallel::{MultiConfig, MultiRuntime, ShardCtx, ShardProgram}
 use conch_runtime::value::{FromValue, IntoValue, Value};
 use conch_runtime::{Io, RuntimeConfig};
 
-use crate::server::{Handler, StatsSnapshot};
+use crate::core::{Handler, StatsSnapshot};
 use crate::shard::{per_shard, sharded_load, LoadConfig, ShardConfig};
 
 /// Shape of a wall-parallel load run.
@@ -97,9 +97,7 @@ impl WallReport {
     /// [`merged`](Self::merged) (which travelled through the channel
     /// plane) is the end-to-end determinism check the bench asserts.
     pub fn host_merged(&self) -> StatsSnapshot {
-        self.per_shard
-            .iter()
-            .fold(StatsSnapshot::default(), |acc, s| acc.merge(s))
+        self.per_shard.iter().sum()
     }
 }
 

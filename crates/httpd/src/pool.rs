@@ -1,13 +1,13 @@
-//! A supervised worker pool behind the accept loop.
+//! The supervised-pool plane: a fixed set of worker actors behind a
+//! bounded accept queue, on the char wire.
 //!
-//! The classic server ([`crate::server::start`]) forks one worker per
-//! connection and sheds load with an ad-hoc `active`-slot check inside
-//! the accept transaction. This module rebuilds the serving side on
-//! `conch-actors`:
+//! Where the fork plane ([`crate::server::start`]) forks one worker per
+//! connection and sheds on an `active` threshold, this plane serves
+//! from `conch-actors`:
 //!
 //! * a bounded [`Mailbox<Connection>`] is the accept queue — its
 //!   capacity *is* the load-shedding bound, enforced by the mailbox's
-//!   own kill-safe transactions instead of bespoke slot bookkeeping;
+//!   own kill-safe transactions;
 //! * a fixed set of worker actors shares that mailbox
 //!   ([`spawn_actor_on`]), each serving connections in a loop;
 //! * the workers sit under a **two-level supervision tree**: a
@@ -18,16 +18,14 @@
 //!   supervisor (see `conch-faults`); the root is the trusted base that
 //!   makes the tree self-healing.
 //!
-//! The counters and the conservation law are unchanged — the same
-//! [`ServerStats`] cell, the same [`finish`] commit point — so the
-//! audit protocol (`shutdown_sync` → `drain` → `snapshot`) and the
-//! invariant `accepted == outcomes` carry over verbatim. The one new
-//! subtlety is the acceptor's two-resource commit: enqueueing into the
-//! mailbox and accounting in the stats cell are different `MVar`s, so
-//! after the enqueue commits the accounting step is guarded by a
-//! commit-then-rethrow `catch` — a `KillThread` landing between the
-//! two commits still accounts the queued connection before the
-//! acceptor dies, keeping `active` and the queue in agreement.
+//! Counters, guard and audit are the shared [`crate::core`]. The one
+//! subtlety of this accept policy is the acceptor's two-resource
+//! commit: enqueueing into the mailbox and accounting in the stats cell
+//! are different `MVar`s, so after the enqueue commits the accounting
+//! step is guarded by a commit-then-rethrow `catch` — a `KillThread`
+//! landing between the two commits still accounts the queued connection
+//! before the acceptor dies, keeping `active` and the queue in
+//! agreement.
 
 use std::rc::Rc;
 
@@ -35,18 +33,15 @@ use conch_actors::{
     child_spec, spawn_actor_on, spawn_supervisor, supervisor_child, ChildSpec, Mailbox, Strategy,
     Supervisor, SupervisorSpec,
 };
-use conch_combinators::kill_thread;
-use conch_runtime::exception::Exception;
 use conch_runtime::ids::ThreadId;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::{FromValue, IntoValue, Value};
 
+use crate::core::{finish, register_worker, Handler, Outcome, Server, ServerStats};
 use crate::http::Response;
 use crate::net::{Connection, Listener};
-use crate::server::{
-    finish, register_worker, serve_one, Handler, Outcome, ServerConfig, ServerStats,
-};
+use crate::server::{serve_one, ServerConfig};
 
 /// Pool sizing and restart budget, on top of the per-request
 /// [`ServerConfig`] knobs.
@@ -80,60 +75,28 @@ impl Default for PoolConfig {
     }
 }
 
-/// A running pooled server: the acceptor thread, the shared counters,
-/// the accept queue and the supervision tree's root.
+/// A running pooled server: the plane handle (acceptor, counters,
+/// every worker incarnation ever (re)started), the accept queue and
+/// the supervision tree's root.
 #[derive(Debug, Clone, Copy)]
 pub struct PooledServer {
-    /// The acceptor thread (kill it to stop accepting).
-    pub acceptor: ThreadId,
-    /// Shared counters — same cell, same conservation law as the
-    /// classic server.
-    pub stats: ServerStats,
+    /// Acceptor, counters and worker registry — shut down, drained and
+    /// audited exactly like the fork plane's. The workers outlive the
+    /// acceptor, so queued connections still finish after a shutdown.
+    pub plane: Server,
     /// The accept queue the workers consume.
     pub queue: Mailbox<Connection>,
     /// Root of the supervision tree. Its single child is the pool
     /// supervisor; the workers are the pool supervisor's children.
     pub root: Supervisor,
-    /// Every worker thread ever (re)started, in start order — the
-    /// registry kill storms aim at. Ids are never removed; throwing to
-    /// a finished worker is a no-op.
-    pub workers: MVar<Value>,
 }
 
 impl PooledServer {
-    /// Stops accepting new connections (queued and in-flight requests
-    /// still finish — the workers outlive the acceptor).
-    pub fn shutdown(&self) -> Io<()> {
-        kill_thread(self.acceptor)
-    }
-
-    /// Stops accepting with the §9 synchronous `throwTo` — the
-    /// audit-grade shutdown: once it returns, `accepted` is final.
-    pub fn shutdown_sync(&self) -> Io<()> {
-        Io::throw_to_sync(self.acceptor, Exception::kill_thread())
-    }
-
     /// Tears the whole tree down: acceptor first (synchronously), then
     /// the root supervisor, whose exit guard reaps the pool supervisor,
     /// whose guard reaps every worker — no orphans.
     pub fn stop_sync(&self) -> Io<()> {
-        self.shutdown_sync().then(self.root.shutdown_sync())
-    }
-
-    /// Waits (by polling) until no connection is queued or in flight.
-    /// A worker's outcome commits in the same transaction as its
-    /// `active` decrement, so returning means every outcome is visible.
-    pub fn drain(&self) -> Io<()> {
-        crate::server::wait_active_zero(self.stats)
-    }
-
-    /// Every worker thread id ever started, in start order (restarted
-    /// incarnations append).
-    pub fn worker_ids(&self) -> Io<Vec<ThreadId>> {
-        conch_combinators::with_mvar(self.workers, Io::pure).map(|v| match v {
-            Value::List(xs) => xs.into_iter().filter_map(|x| x.as_thread_id()).collect(),
-            _ => Vec::new(),
-        })
+        self.plane.shutdown_sync().then(self.root.shutdown_sync())
     }
 
     /// The *current* pool-supervisor incarnation's thread ids — the
@@ -148,31 +111,14 @@ impl PooledServer {
 
 impl IntoValue for PooledServer {
     fn into_value(self) -> Value {
-        Value::List(vec![
-            Value::ThreadId(self.acceptor),
-            self.stats.into_value(),
-            self.queue.into_value(),
-            self.root.into_value(),
-            self.workers.into_value(),
-        ])
+        (self.plane, self.queue, self.root).into_value()
     }
 }
 
 impl FromValue for PooledServer {
     fn from_value(v: Value) -> Option<Self> {
-        match v {
-            Value::List(xs) if xs.len() == 5 => {
-                let mut it = xs.into_iter();
-                Some(PooledServer {
-                    acceptor: it.next()?.as_thread_id()?,
-                    stats: ServerStats::from_value(it.next()?)?,
-                    queue: Mailbox::from_value(it.next()?)?,
-                    root: Supervisor::from_value(it.next()?)?,
-                    workers: MVar::from_value(it.next()?)?,
-                })
-            }
-            _ => None,
-        }
+        <(Server, Mailbox<Connection>, Supervisor)>::from_value(v)
+            .map(|(plane, queue, root)| PooledServer { plane, queue, root })
     }
 }
 
@@ -199,11 +145,13 @@ pub fn start_pooled(listener: Listener, h: Handler, config: PoolConfig) -> Io<Po
                 spawn_supervisor(root).and_then(move |root| {
                     Io::fork(pool_accept_loop(listener, queue, config.server, stats)).map(
                         move |acceptor| PooledServer {
-                            acceptor,
-                            stats,
+                            plane: Server {
+                                acceptor,
+                                stats,
+                                workers,
+                            },
                             queue,
                             root,
-                            workers,
                         },
                     )
                 })
@@ -252,9 +200,9 @@ fn worker_loop(
 /// or a supervisor sweep — records the in-flight connection as
 /// `Killed` *before* re-raising, so the worker dies with its books
 /// balanced and the supervisor's replacement starts from a clean
-/// queue. Compare [`crate::server::handle_connection`], which absorbs
-/// the kill: a pool worker must re-raise so its shell reports the true
-/// exit reason and the restart machinery engages.
+/// queue. The fork plane's worker absorbs the kill instead; a pool
+/// worker must re-raise so its shell reports the true exit reason and
+/// the restart machinery engages.
 fn serve_guarded(conn: Connection, h: Handler, config: ServerConfig, stats: ServerStats) -> Io<()> {
     Io::unblock(serve_one(conn, h, config))
         .and_then(move |outcome| finish(stats, outcome))
@@ -262,8 +210,8 @@ fn serve_guarded(conn: Connection, h: Handler, config: ServerConfig, stats: Serv
 }
 
 /// The pooled acceptor: accept, try to enqueue, account, answer `503`
-/// on overflow, loop. Runs masked like the classic acceptor; the
-/// commit-then-rethrow guard around `account` covers the window
+/// on overflow, loop. Runs masked like the fork plane's acceptor; the
+/// commit-then-rethrow guard around the accounting covers the window
 /// between the queue commit and the stats commit (two cells cannot
 /// change in one transaction).
 fn pool_accept_loop(
@@ -274,9 +222,10 @@ fn pool_accept_loop(
 ) -> Io<()> {
     Io::block(listener.accept().and_then(move |conn| {
         queue.try_send(conn).and_then(move |queued| {
-            account(stats, queued)
-                .catch(move |e| account(stats, queued).then(Io::throw(e)))
-                .and_then(move |_| {
+            stats
+                .accept_or_shed(move |_| queued)
+                .catch(move |e| stats.accept_or_shed(move |_| queued).then(Io::throw(e)))
+                .and_then(move |queued| {
                     if queued {
                         Io::unit()
                     } else {
@@ -289,20 +238,6 @@ fn pool_accept_loop(
         })
     }))
     .and_then(move |_| pool_accept_loop(listener, queue, config, stats))
-}
-
-/// The acceptor's single stats commit: `accepted` rises, and in the
-/// same transaction either `active` (queued — a worker will serve it)
-/// or `shed` does.
-fn account(stats: ServerStats, queued: bool) -> Io<()> {
-    stats.txn(move |s| {
-        s.accepted += 1;
-        if queued {
-            s.active += 1;
-        } else {
-            s.shed += 1;
-        }
-    })
 }
 
 #[cfg(test)]
@@ -322,31 +257,6 @@ mod tests {
             queue_capacity: 4,
             ..PoolConfig::default()
         }
-    }
-
-    #[test]
-    fn pooled_server_serves_requests() {
-        let mut rt = Runtime::new();
-        let prog = Listener::bind().and_then(move |l| {
-            start_pooled(l, hello(), small_pool()).and_then(move |server| {
-                l.connect().and_then(move |conn| {
-                    conn.send_text(Request::get("/pool").render())
-                        .then(conn.read_response())
-                        .and_then(move |resp| {
-                            server
-                                .shutdown_sync()
-                                .then(server.drain())
-                                .then(server.stats.snapshot())
-                                .and_then(move |snap| server.stop_sync().map(move |_| (resp, snap)))
-                        })
-                })
-            })
-        });
-        let (resp, snap) = rt.run(prog).unwrap();
-        assert!(resp.contains("200 OK"), "got {resp}");
-        assert!(resp.ends_with("hello /pool"));
-        assert_eq!(snap.served, 1);
-        assert!(snap.conserved(), "unbalanced counters: {snap:?}");
     }
 
     #[test]
@@ -370,10 +280,10 @@ mod tests {
                     });
                     Io::fork(client)
                 })
-                .then(wait_served(server.stats, n))
-                .then(server.shutdown_sync())
-                .then(server.drain())
-                .then(server.stats.snapshot())
+                .then(wait_served(server.plane.stats, n))
+                .then(server.plane.shutdown_sync())
+                .then(server.plane.drain())
+                .then(server.plane.stats.snapshot())
                 .and_then(move |snap| server.stop_sync().map(move |_| snap))
             })
         });
@@ -389,51 +299,6 @@ mod tests {
         let snap = rt.run(prog).unwrap();
         assert_eq!(snap.served, n);
         assert!(snap.conserved(), "unbalanced counters: {snap:?}");
-    }
-
-    #[test]
-    fn full_queue_sheds_with_503() {
-        // One worker wedged on a stalled client; queue of 1 absorbs one
-        // more; the third connection must be shed.
-        let cfg = PoolConfig {
-            workers: 1,
-            queue_capacity: 1,
-            server: ServerConfig {
-                read_timeout: 1_000_000,
-                ..ServerConfig::default()
-            },
-            ..PoolConfig::default()
-        };
-        let mut rt = Runtime::new();
-        let prog = Listener::bind().and_then(move |l| {
-            start_pooled(l, hello(), cfg).and_then(move |server| {
-                // First conn: worker picks it up and parks in the read.
-                l.connect().and_then(move |stall1| {
-                    Io::sleep(200)
-                        // Second conn: sits in the queue.
-                        .then(l.connect())
-                        .and_then(move |_stall2| {
-                            Io::sleep(200)
-                                // Third conn: queue full -> 503.
-                                .then(l.connect())
-                                .and_then(move |conn| {
-                                    conn.send_text(Request::get("/x").render())
-                                        .then(conn.read_response())
-                                        .and_then(move |resp| {
-                                            stall1
-                                                .close()
-                                                .then(server.stats.snapshot())
-                                                .map(move |snap| (resp, snap))
-                                        })
-                                })
-                        })
-                })
-            })
-        });
-        let (resp, snap) = rt.run(prog).unwrap();
-        assert!(resp.contains("503"), "got {resp}");
-        assert_eq!(snap.shed, 1);
-        assert_eq!(snap.accepted, 3);
     }
 
     #[test]
@@ -455,7 +320,7 @@ mod tests {
                 l.connect().and_then(move |c1| {
                     c1.send_text(Request::get("/a").render())
                         .then(c1.read_response())
-                        .then(server.worker_ids())
+                        .then(server.plane.worker_ids())
                         .and_then(move |tids| {
                             Io::throw_to_sync(tids[0], Exception::kill_thread())
                                 .then(wait_workers(server, 2))
@@ -465,9 +330,10 @@ mod tests {
                                         .then(c2.read_response())
                                         .and_then(move |resp| {
                                             server
+                                                .plane
                                                 .shutdown_sync()
-                                                .then(server.drain())
-                                                .then(server.stats.snapshot())
+                                                .then(server.plane.drain())
+                                                .then(server.plane.stats.snapshot())
                                                 .and_then(move |snap| {
                                                     server.stop_sync().map(move |_| (resp, snap))
                                                 })
@@ -478,7 +344,7 @@ mod tests {
             })
         });
         fn wait_workers(server: PooledServer, n: usize) -> Io<()> {
-            server.worker_ids().and_then(move |tids| {
+            server.plane.worker_ids().and_then(move |tids| {
                 if tids.len() >= n {
                     Io::unit()
                 } else {
@@ -513,9 +379,10 @@ mod tests {
                                         .then(c2.read_response())
                                         .and_then(move |resp| {
                                             server
+                                                .plane
                                                 .shutdown_sync()
-                                                .then(server.drain())
-                                                .then(server.stats.snapshot())
+                                                .then(server.plane.drain())
+                                                .then(server.plane.stats.snapshot())
                                                 .and_then(move |snap| {
                                                     server.stop_sync().map(move |_| (resp, snap))
                                                 })

@@ -1,60 +1,51 @@
 //! The production-scale serving plane: N accept shards over keep-alive
 //! [`FrameConnection`]s.
 //!
-//! The classic server accounts per *connection* through one stats cell
+//! The fork plane accounts per *connection* through one stats cell
 //! behind one accept loop; at 100k+ concurrent simulated clients that
-//! single transactional `MVar<StatsSnapshot>` is the measured
-//! bottleneck (every accept and every outcome serializes on it), and a
-//! one-request-per-connection wire model pays a channel handoff per
-//! byte. This module scales both axes:
+//! single transactional cell is the measured bottleneck (every accept
+//! and every outcome serializes on it), and a one-request-per-connection
+//! wire model pays a channel handoff per byte. This module scales both
+//! axes:
 //!
 //! * **Sharding** — [`ShardedListener`] carries one bounded
 //!   `Mailbox<FrameConnection>` accept queue *per shard*, and
-//!   [`start_sharded`] forks one accept loop and one [`ServerStats`]
-//!   cell per shard. Connections on different shards never contend on
-//!   a stats cell or an accept queue.
+//!   [`start_sharded`] launches one [`Server`] (accept loop, stats
+//!   cell, worker registry) per shard. Connections on different shards
+//!   never contend on a stats cell or an accept queue.
 //! * **Keep-alive + pipelining** — a connection carries many requests
 //!   ([`FrameConnection`] frames concatenate into one byte stream);
 //!   accounting moves from per-connection to **per-request**: a request
 //!   enters the law when its final `\r\n\r\n` has been parsed out of
-//!   the stream (`accepted += 1, active += 1` in one masked
-//!   transaction) and leaves it through the same [`finish`] commit
-//!   point the classic server uses.
+//!   the stream and leaves it through the same `finish` commit point
+//!   the char-wire planes use.
 //! * **Bounded per-connection allocation** — each connection reuses one
 //!   read buffer (drained in place per parsed request) and one response
 //!   buffer (flushed whenever the parse buffer holds no further
 //!   complete request, so `k` pipelined requests cost one outbound
 //!   channel send — a batched wakeup for the waiting client, not `k`).
 //!
-//! ## The quiescent-aggregate conservation law
-//!
-//! Per shard the law is the classic one: once `active == 0`, every
-//! accepted request recorded exactly one outcome. The sharded audit
-//! runs the classic protocol *per shard* and then sums:
-//! [`ShardedServer::shutdown_sync`] kills every acceptor with the §9
-//! synchronous throw (no shard can account another request),
-//! [`ShardedServer::drain`] waits for every shard's `active` to reach
-//! zero, and [`ShardedServer::aggregate`] sums the per-shard snapshots
-//! with [`StatsSnapshot::merge`]. Each snapshot is taken from a
-//! quiesced, no-longer-written cell, so the *sum* obeys the same law —
-//! `aggregate.conserved()` — without ever needing a cross-shard atomic
-//! read. The `sharded_pipeline` explorer space in `conch-faults`
-//! certifies this on every schedule of a kill×schedule product,
-//! including a `KillThread` landing between two pipelined requests.
+//! The audit is [`crate::core`]'s protocol run over every shard:
+//! [`ShardedServer::shutdown_sync`] → [`ShardedServer::drain`] →
+//! [`ShardedServer::aggregate`], the sum of the quiesced per-shard
+//! snapshots. The `sharded_pipeline` explorer space in `conch-faults`
+//! certifies it on every schedule of a kill×schedule product, including
+//! a `KillThread` landing between two pipelined requests.
 
 use std::rc::Rc;
 
 use conch_actors::Mailbox;
-use conch_combinators::{timeout, Chan, Either};
-use conch_runtime::exception::Exception;
+use conch_combinators::{timeout, Chan};
 use conch_runtime::ids::ThreadId;
-use conch_runtime::io::{for_each, Io};
+use conch_runtime::io::{for_each, sequence, Io};
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::{FromValue, IntoValue, Value};
 
-use crate::http::{parse_request, Request, Response};
+use crate::core::{
+    finish, register_worker, serve_request, Handler, Outcome, Server, ServerStats, StatsSnapshot,
+};
+use crate::http::{Request, Response};
 use crate::net::FrameConnection;
-use crate::server::{finish, wait_active_zero, Handler, Outcome, ServerStats, StatsSnapshot};
 
 /// Per-request budgets for the sharded plane (virtual microseconds).
 /// Queue capacity is a property of the [`ShardedListener`]; shard count
@@ -144,46 +135,11 @@ impl FromValue for ShardedListener {
     }
 }
 
-/// One shard of a running [`ShardedServer`]: its acceptor thread, its
-/// private stats cell, and its worker registry (every connection
-/// handler the acceptor ever forked — kill-storm targets).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardHandle {
-    pub acceptor: ThreadId,
-    pub stats: ServerStats,
-    pub workers: MVar<Value>,
-}
-
-impl IntoValue for ShardHandle {
-    fn into_value(self) -> Value {
-        Value::List(vec![
-            Value::ThreadId(self.acceptor),
-            self.stats.into_value(),
-            self.workers.into_value(),
-        ])
-    }
-}
-
-impl FromValue for ShardHandle {
-    fn from_value(v: Value) -> Option<Self> {
-        match v {
-            Value::List(xs) if xs.len() == 3 => {
-                let mut it = xs.into_iter();
-                Some(ShardHandle {
-                    acceptor: it.next()?.as_thread_id()?,
-                    stats: ServerStats::from_value(it.next()?)?,
-                    workers: MVar::from_value(it.next()?)?,
-                })
-            }
-            _ => None,
-        }
-    }
-}
-
-/// A running sharded server: one [`ShardHandle`] per accept shard.
+/// A running sharded server: one [`Server`] handle per accept shard,
+/// each with its private stats cell and worker registry.
 #[derive(Debug, Clone)]
 pub struct ShardedServer {
-    pub shards: Vec<ShardHandle>,
+    pub shards: Vec<Server>,
 }
 
 impl IntoValue for ShardedServer {
@@ -194,132 +150,63 @@ impl IntoValue for ShardedServer {
 
 impl FromValue for ShardedServer {
     fn from_value(v: Value) -> Option<Self> {
-        Some(ShardedServer {
-            shards: Vec::<ShardHandle>::from_value(v)?,
-        })
+        Vec::from_value(v).map(|shards| ShardedServer { shards })
     }
 }
 
 impl ShardedServer {
-    /// Stops every shard's acceptor with the §9 *synchronous* throw, in
-    /// shard order — the audit-grade shutdown: once this returns, no
-    /// shard can account another connection, so each shard's `accepted`
-    /// is final (in-flight requests still run to their outcome).
+    /// [`Server::shutdown_sync`] on every shard, in shard order: once
+    /// this returns, no shard can account another request, so each
+    /// shard's `accepted` is final (in-flight requests still run to
+    /// their outcome).
     pub fn shutdown_sync(&self) -> Io<()> {
-        let mut io = Io::unit();
-        for sh in &self.shards {
-            io = io.then(Io::throw_to_sync(sh.acceptor, Exception::kill_thread()));
-        }
-        io
+        let stop = |io: Io<()>, sh: &Server| io.then(sh.shutdown_sync());
+        self.shards.iter().fold(Io::unit(), stop)
     }
 
-    /// Waits until every shard has `active == 0`. Shards quiesce
-    /// independently; polling them in order is fine because `active`
-    /// never rises again after [`shutdown_sync`](Self::shutdown_sync)
-    /// has returned and the shard's own queue has drained.
+    /// [`Server::drain`] on every shard. Shards quiesce independently;
+    /// polling them in order is fine because `active` never rises again
+    /// after [`shutdown_sync`](Self::shutdown_sync) has returned and
+    /// the shard's own queue has drained.
     pub fn drain(&self) -> Io<()> {
-        let mut io = Io::unit();
-        for sh in &self.shards {
-            io = io.then(wait_active_zero(sh.stats));
-        }
-        io
+        let drain = |io: Io<()>, sh: &Server| io.then(sh.drain());
+        self.shards.iter().fold(Io::unit(), drain)
     }
 
-    /// The quiescent aggregate: per-shard snapshots summed with
-    /// [`StatsSnapshot::merge`]. Meaningful as a conservation-law
-    /// witness only after `shutdown_sync` + `drain` (each cell must be
-    /// final); the explorer space certifies exactly that protocol.
-    pub fn aggregate(&self) -> Io<StatsSnapshot> {
-        let mut io = Io::pure(StatsSnapshot::default());
-        for sh in &self.shards {
-            let stats = sh.stats;
-            io = io.and_then(move |acc| stats.snapshot().map(move |s| acc.merge(&s)));
-        }
-        io
-    }
-
-    /// The per-shard quiescent snapshots, in shard order — the
-    /// imbalance probe behind the skewed-arrival bench row. Same
-    /// quiescence caveat as [`aggregate`](Self::aggregate).
+    /// The per-shard snapshots, in shard order. Meaningful as
+    /// conservation-law witnesses only after `shutdown_sync` + `drain`
+    /// (each cell must be final).
     pub fn aggregate_per_shard(&self) -> Io<Vec<StatsSnapshot>> {
-        let mut io: Io<Vec<StatsSnapshot>> = Io::pure(Vec::new());
-        for sh in &self.shards {
-            let stats = sh.stats;
-            io = io.and_then(move |mut acc| {
-                stats.snapshot().map(move |s| {
-                    acc.push(s);
-                    acc
-                })
-            });
-        }
-        io
+        sequence(self.shards.iter().map(|sh| sh.stats.snapshot()).collect())
+    }
+
+    /// The quiescent aggregate: the per-shard snapshots summed. Same
+    /// quiescence caveat as
+    /// [`aggregate_per_shard`](Self::aggregate_per_shard).
+    pub fn aggregate(&self) -> Io<StatsSnapshot> {
+        self.aggregate_per_shard().map(|per| per.iter().sum())
     }
 
     /// Every connection-handler thread id ever forked, across all
     /// shards in shard order — the kill-storm target list.
     pub fn worker_ids(&self) -> Io<Vec<ThreadId>> {
-        let mut io: Io<Vec<ThreadId>> = Io::pure(Vec::new());
-        for sh in &self.shards {
-            let workers = sh.workers;
-            io = io.and_then(move |mut acc| {
-                conch_combinators::with_mvar(workers, Io::pure).map(move |v| {
-                    if let Value::List(xs) = v {
-                        acc.extend(xs.into_iter().filter_map(|x| x.as_thread_id()));
-                    }
-                    acc
-                })
-            });
-        }
-        io
+        sequence(self.shards.iter().map(Server::worker_ids).collect()).map(|per| per.concat())
     }
 }
 
-/// Starts one accept loop + stats cell per listener shard.
+/// Launches one accept loop + stats cell + registry per listener shard.
 pub fn start_sharded(l: &ShardedListener, h: Handler, cfg: ShardConfig) -> Io<ShardedServer> {
-    let mut io: Io<Vec<ShardHandle>> = Io::pure(Vec::new());
-    for q in l.queues.iter().copied() {
+    let launches = l.queues.iter().map(|&q| {
         let h = Rc::clone(&h);
-        io = io.and_then(move |mut shards| {
-            ServerStats::new().and_then(move |stats| {
-                Io::new_mvar(Value::List(Vec::new())).and_then(move |workers| {
-                    Io::fork(shard_accept_loop(q, h, cfg, stats, workers)).map(move |acceptor| {
-                        shards.push(ShardHandle {
-                            acceptor,
-                            stats,
-                            workers,
-                        });
-                        shards
-                    })
-                })
-            })
-        });
-    }
-    io.map(|shards| ShardedServer { shards })
-}
-
-/// Appends a worker to the shard's registry without the rollback clone
-/// the classic plane's `register_worker` pays. The combinators restore
-/// the taken value if the update throws, which costs a full copy of the
-/// accumulated list *per accept* — O(n²) over a shard's lifetime, and
-/// the measured dominant cost at 100k connections per shard. Here the
-/// update is a pure push running entirely masked between `take` and
-/// `put`: it cannot throw, so there is nothing to roll back. A kill can
-/// only land while `take` still waits, before the value is held.
-fn register_worker(workers: MVar<Value>, tid: ThreadId) -> Io<()> {
-    Io::block(workers.take().and_then(move |v| {
-        let mut xs = match v {
-            Value::List(xs) => xs,
-            _ => Vec::new(),
-        };
-        xs.push(Value::ThreadId(tid));
-        workers.put(Value::List(xs))
-    }))
+        Server::launch(move |stats, workers| shard_accept_loop(q, h, cfg, stats, workers))
+    });
+    sequence(launches.collect()).map(|shards| ShardedServer { shards })
 }
 
 /// One shard's acceptor: pop a connection, fork its handler, loop.
 /// Runs masked so a shutdown `KillThread` can only land while the
-/// `recv` *waits* (an interruptible operation). Unlike the classic
-/// acceptor there is no accounting here at all — requests, not
+/// `recv` *waits* (an interruptible operation). Unlike the char-wire
+/// acceptors there is no accounting here at all — requests, not
 /// connections, enter the law, and they do so inside the handler when
 /// parsed. A kill between `recv` and `fork` therefore cannot strand
 /// anything: an unforked connection simply has no requests in the law.
@@ -347,7 +234,7 @@ fn shard_accept_loop(
 /// never accepted) — tearing the connection down without touching the
 /// conservation law. A kill *during* a request is handled inside
 /// [`conn_loop`]: the catch there records `Killed` through [`finish`].
-pub fn handle_frame_connection(
+fn handle_frame_connection(
     conn: FrameConnection,
     h: Handler,
     cfg: ShardConfig,
@@ -371,22 +258,17 @@ fn conn_loop(
     respbuf: String,
 ) -> Io<()> {
     if let Some(pos) = buf.find("\r\n\r\n") {
-        // A complete request is buffered: it enters the conservation
-        // law now, in one masked transaction. From here exactly one
-        // outcome is guaranteed: the unblocked serve either returns one
-        // (possibly timeout/500-shaped) or a kill lands and the catch
-        // turns it into `Killed`; either way `finish` commits the
-        // outcome with the active decrement.
+        // A complete request is buffered: it enters the law now (never
+        // shed — backpressure is the bounded accept queue). From here
+        // exactly one outcome is guaranteed: the unblocked serve either
+        // returns one (possibly timeout/500-shaped) or a kill lands and
+        // the catch turns it into `Killed`; either way `finish` commits
+        // the outcome with the active decrement.
         let rest = buf.split_off(pos + 4);
-        let req_text = buf;
-        let h2 = Rc::clone(&h);
         return stats
-            .txn(|s| {
-                s.accepted += 1;
-                s.active += 1;
-            })
+            .accept_or_shed(|_| true)
             .then(
-                Io::unblock(serve_request(req_text, h, cfg))
+                Io::unblock(serve_request(&buf, &h, cfg.handler_timeout))
                     .catch(|_| Io::pure((Outcome::Killed, String::new()))),
             )
             .and_then(move |(outcome, resp)| {
@@ -397,7 +279,7 @@ fn conn_loop(
                 } else {
                     let mut respbuf = respbuf;
                     respbuf.push_str(&resp);
-                    conn_loop(conn, h2, cfg, stats, rest, fin, respbuf)
+                    conn_loop(conn, h, cfg, stats, rest, fin, respbuf)
                 })
             });
     }
@@ -414,12 +296,8 @@ fn conn_loop(
             Io::unit()
         } else {
             // Trailing partial request, then FIN: the peer hung up
-            // mid-request. Accept-and-conclude in one transaction —
-            // `active` never rises, so nothing can tear.
-            stats.txn(|s| {
-                s.accepted += 1;
-                s.aborted += 1;
-            })
+            // mid-request.
+            stats.accept_concluded(Outcome::Aborted)
         });
     }
     // Read exactly one frame per iteration, so the timeout budget is
@@ -436,51 +314,16 @@ fn conn_loop(
                 buf.push_str(&frame);
                 conn_loop(conn, h, cfg, stats, buf, fin, String::new())
             }
-            None if had_partial => {
-                // Stalled mid-request: answer 408 and account the
-                // partial request, again in one accept-and-conclude
-                // transaction.
-                stats
-                    .txn(|s| {
-                        s.accepted += 1;
-                        s.read_timeouts += 1;
-                    })
-                    .then(conn.send_response_frame(Response::status(408).render()))
-            }
+            // Stalled mid-request: answer 408 and account the partial
+            // request.
+            None if had_partial => stats
+                .accept_concluded(Outcome::ReadTimeout)
+                .then(conn.send_response_frame(Response::status(408).render())),
             // Idle keep-alive expiry: no bytes buffered, no request in
             // the law — close silently.
             None => Io::unit(),
         }),
     )
-}
-
-/// Serves one already-parsed-out request text, unmasked. Mirrors the
-/// classic `serve_one` guard choreography (§9: re-throw the timeout
-/// mechanism's `KillThread`, convert genuine handler failures to 500s)
-/// but returns the rendered response instead of sending it — the
-/// masked loop owns the response buffer and the flush policy.
-fn serve_request(text: String, h: Handler, cfg: ShardConfig) -> Io<(Outcome, String)> {
-    match parse_request(&text) {
-        Err(_) => Io::pure((Outcome::ParseError, Response::status(400).render())),
-        Ok(req) => {
-            let guarded = h(req).map(Either::<Response, Response>::Right).catch(|e| {
-                if e.is_kill_thread() {
-                    Io::throw(e)
-                } else {
-                    Io::pure(Either::Left(Response {
-                        status: 500,
-                        body: format!("handler failed: {e}"),
-                        retry_after: None,
-                    }))
-                }
-            });
-            timeout(cfg.handler_timeout, guarded).map(|resp| match resp {
-                None => (Outcome::HandlerTimeout, Response::status(504).render()),
-                Some(Either::Right(r)) => (Outcome::Served, r.render()),
-                Some(Either::Left(r)) => (Outcome::HandlerError, r.render()),
-            })
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -518,38 +361,12 @@ impl Default for LoadConfig {
 
 /// Runs the full load against `h` and returns `(oks, aggregate)`:
 /// the number of `200` responses every client collected, and the
-/// quiescent-aggregate snapshot after the audit protocol. Per shard
-/// one feeder thread paces connections in and one collector thread
-/// reads each connection's single batched response frame; the whole
-/// run quiesces before the aggregate is taken, so
-/// `aggregate.conserved()` is the conservation-law verdict.
+/// quiescent-aggregate snapshot after the audit protocol, so
+/// `aggregate.conserved()` is the conservation-law verdict. Clients
+/// split evenly over the shards.
 pub fn sharded_load(h: Handler, cfg: LoadConfig) -> Io<(i64, StatsSnapshot)> {
-    assert!(cfg.shards >= 1 && cfg.requests_per_conn >= 1);
-    ShardedListener::bind(cfg.shards, cfg.queue_capacity).and_then(move |l| {
-        start_sharded(&l, h, cfg.server).and_then(move |server| {
-            Chan::<i64>::new().and_then(move |report| {
-                let mut forks = Io::unit();
-                for shard in 0..cfg.shards {
-                    let conns = per_shard(cfg.clients, cfg.shards, shard) as u64;
-                    let q = l.queue(shard);
-                    forks = forks.then(Chan::<FrameConnection>::new().and_then(move |pipe| {
-                        Io::fork(feeder(q, pipe, conns, cfg))
-                            .then(Io::fork(collector(pipe, conns, report)))
-                            .map(|_| ())
-                    }));
-                }
-                forks
-                    .then(sum_reports(report, cfg.shards as u64, 0))
-                    .and_then(move |oks| {
-                        server
-                            .shutdown_sync()
-                            .then(server.drain())
-                            .then(server.aggregate())
-                            .map(move |agg| (oks, agg))
-                    })
-            })
-        })
-    })
+    let split = (0..cfg.shards).map(|i| per_shard(cfg.clients, cfg.shards, i));
+    run_load(h, cfg, split.collect()).map(|(oks, per_shard)| (oks, per_shard.iter().sum()))
 }
 
 /// Connections shard `i` carries: an even split, remainder to the
@@ -584,14 +401,23 @@ pub fn sharded_load_skewed(
     cfg: LoadConfig,
     hot_percent: usize,
 ) -> Io<(i64, StatsSnapshot, Vec<StatsSnapshot>)> {
+    let split = (0..cfg.shards).map(|i| per_shard_skewed(cfg.clients, cfg.shards, i, hot_percent));
+    run_load(h, cfg, split.collect())
+        .map(|(oks, per_shard)| (oks, per_shard.iter().sum(), per_shard))
+}
+
+/// The load driver: per shard one feeder thread paces `split[shard]`
+/// connections in and one collector thread reads each connection's
+/// single batched response frame; the whole run quiesces (the audit
+/// protocol) before the per-shard snapshots are taken.
+fn run_load(h: Handler, cfg: LoadConfig, split: Vec<usize>) -> Io<(i64, Vec<StatsSnapshot>)> {
     assert!(cfg.shards >= 1 && cfg.requests_per_conn >= 1);
     ShardedListener::bind(cfg.shards, cfg.queue_capacity).and_then(move |l| {
         start_sharded(&l, h, cfg.server).and_then(move |server| {
             Chan::<i64>::new().and_then(move |report| {
                 let mut forks = Io::unit();
-                for shard in 0..cfg.shards {
-                    let conns =
-                        per_shard_skewed(cfg.clients, cfg.shards, shard, hot_percent) as u64;
+                for (shard, conns) in split.into_iter().enumerate() {
+                    let conns = conns as u64;
                     let q = l.queue(shard);
                     forks = forks.then(Chan::<FrameConnection>::new().and_then(move |pipe| {
                         Io::fork(feeder(q, pipe, conns, cfg))
@@ -606,12 +432,7 @@ pub fn sharded_load_skewed(
                             .shutdown_sync()
                             .then(server.drain())
                             .then(server.aggregate_per_shard())
-                            .map(move |per_shard| {
-                                let agg = per_shard
-                                    .iter()
-                                    .fold(StatsSnapshot::default(), |acc, s| acc.merge(s));
-                                (oks, agg, per_shard)
-                            })
+                            .map(move |per_shard| (oks, per_shard))
                     })
             })
         })
@@ -748,48 +569,6 @@ mod tests {
         let (resp, agg) = rt.run(prog).unwrap();
         assert!(resp.contains("hello /split"), "got {resp}");
         assert_eq!(agg.accepted, 1);
-        assert!(agg.conserved(), "{agg:?}");
-    }
-
-    #[test]
-    fn partial_request_then_fin_counts_as_aborted() {
-        let mut rt = Runtime::new();
-        let prog = start_one_shard().and_then(|(l, server)| {
-            l.connect(0).and_then(move |conn| {
-                // The abort is an accept-and-conclude transaction that
-                // never raises `active`, so `drain` cannot wait for it;
-                // park briefly so the handler reaches the FIN branch
-                // before the audit reads the cell.
-                conn.send_frame_fin("GET /half HT")
-                    .then(Io::sleep(100))
-                    .then(audit(server))
-            })
-        });
-        let agg = rt.run(prog).unwrap();
-        assert_eq!(agg.accepted, 1);
-        assert_eq!(agg.aborted, 1);
-        assert!(agg.conserved(), "{agg:?}");
-    }
-
-    #[test]
-    fn stalled_partial_request_times_out_with_408() {
-        let mut rt = Runtime::new();
-        let prog = ShardedListener::bind(1, 16).and_then(|l| {
-            let cfg = ShardConfig {
-                read_timeout: 1_000,
-                ..ShardConfig::default()
-            };
-            start_sharded(&l, hello(), cfg).and_then(move |server| {
-                l.connect(0).and_then(move |conn| {
-                    conn.send_frame("GET /slow HT")
-                        .then(conn.read_response_frame())
-                        .and_then(move |resp| audit(server).map(move |agg| (resp, agg)))
-                })
-            })
-        });
-        let (resp, agg) = rt.run(prog).unwrap();
-        assert!(resp.contains("408"), "got {resp}");
-        assert_eq!(agg.read_timeouts, 1);
         assert!(agg.conserved(), "{agg:?}");
     }
 

@@ -23,6 +23,13 @@ pub enum RunError {
         /// The configured limit.
         limit: u64,
     },
+    /// A `fork` needed a thread slot while `limit` threads were already
+    /// alive (thread ids name their slot in 16 bits). Finished threads
+    /// free their slots, so only *concurrent* threads count.
+    ThreadLimitExceeded {
+        /// The most threads that can be alive at once.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -41,6 +48,9 @@ impl fmt::Display for RunError {
             }
             RunError::StepLimitExceeded { limit } => {
                 write!(f, "step limit of {limit} exceeded")
+            }
+            RunError::ThreadLimitExceeded { limit } => {
+                write!(f, "fork failed: {limit} threads are already alive")
             }
         }
     }

@@ -84,7 +84,9 @@ pub struct Runtime {
     rng: Option<StdRng>,
     trace: Vec<IoEvent>,
     main_tid: Option<ThreadId>,
-    main_result: Option<Result<Value, Exception>>,
+    /// The run's outcome, once decided: the main thread's result, or
+    /// the error that ends the run early ([`RunError::ThreadLimitExceeded`]).
+    main_result: Option<Result<Value, RunError>>,
     yielded: bool,
     /// The thread scheduled by the previous `pick_next`, for
     /// context-switch accounting. A field (not a `run_value` local) so
@@ -127,6 +129,10 @@ struct Slot {
 
 /// Cap on recycled thread boxes kept for reuse.
 const THREAD_POOL_MAX: usize = 256;
+
+/// Most threads that can be alive at once: a [`ThreadId`] names its
+/// slot in 16 bits.
+const MAX_THREAD_SLOTS: usize = u16::MAX as usize + 1;
 
 /// Why a capped [`Runtime::pump`] handed control back to its driver.
 #[derive(Debug)]
@@ -273,8 +279,9 @@ impl Runtime {
     ///
     /// Returns [`RunError::Uncaught`] if the main thread dies with an
     /// uncaught exception, [`RunError::Deadlock`] if every live thread is
-    /// stuck forever, or [`RunError::StepLimitExceeded`] if the configured
-    /// step budget runs out.
+    /// stuck forever, [`RunError::StepLimitExceeded`] if the configured
+    /// step budget runs out, or [`RunError::ThreadLimitExceeded`] if a
+    /// `fork` finds every thread slot occupied.
     pub fn run<T: FromValue>(&mut self, io: Io<T>) -> Result<T, RunError> {
         self.run_value(io.action).map(T::from_value_or_panic)
     }
@@ -309,7 +316,7 @@ impl Runtime {
         self.last_scheduled = None;
 
         let main = self.spawn(action, MaskState::Unblocked);
-        self.main_tid = Some(main);
+        self.main_tid = Some(main.expect("an empty thread table has a free slot"));
     }
 
     /// Runs the program started by [`Runtime::begin_run`] until it
@@ -342,7 +349,7 @@ impl Runtime {
                 self.sleepers.clear();
                 self.stale_sleepers = 0;
                 self.console_waiters.clear();
-                return PumpOutcome::Finished(res.map_err(RunError::Uncaught));
+                return PumpOutcome::Finished(res);
             }
             if let Some(limit) = self.config.max_steps {
                 if self.stats.steps >= limit {
@@ -516,24 +523,22 @@ impl Runtime {
         }
     }
 
-    fn spawn(&mut self, action: Action, mask: MaskState) -> ThreadId {
+    /// Starts a thread, or returns `None` when all [`MAX_THREAD_SLOTS`]
+    /// slots hold live threads.
+    fn spawn(&mut self, action: Action, mask: MaskState) -> Option<ThreadId> {
+        let (slot, generation) = match self.free_slots.pop() {
+            Some(slot) => (slot, self.threads[slot as usize].generation),
+            None if self.threads.len() == MAX_THREAD_SLOTS => return None,
+            None => {
+                self.threads.push(Slot::default());
+                ((self.threads.len() - 1) as u16, 0)
+            }
+        };
         let seq = self.next_seq;
         self.next_seq = self
             .next_seq
             .checked_add(1)
             .expect("more than u32::MAX threads spawned in one run");
-        let (slot, generation) = match self.free_slots.pop() {
-            Some(slot) => (slot, self.threads[slot as usize].generation),
-            None => {
-                assert!(
-                    self.threads.len() <= u16::MAX as usize,
-                    "more than {} concurrent threads",
-                    u16::MAX
-                );
-                self.threads.push(Slot::default());
-                ((self.threads.len() - 1) as u16, 0)
-            }
-        };
         let tid = ThreadId::fresh(seq, slot, generation);
         let mut th = match self.thread_pool.pop() {
             Some(mut b) => {
@@ -554,7 +559,7 @@ impl Runtime {
             self.stats.max_thread_slots = self.threads.len();
         }
         self.enqueue_runnable(tid);
-        tid
+        Some(tid)
     }
 
     /// Enqueues a runnable thread, refreshing its cached next-step
@@ -1012,7 +1017,7 @@ impl Runtime {
             self.stats.exit_signal_deaths += 1;
         }
         if Some(tid) == self.main_tid {
-            self.main_result = Some(Err(exc));
+            self.main_result = Some(Err(RunError::Uncaught(exc)));
         }
         self.stats.died_threads += 1;
         self.retire_thread(th);
@@ -1240,7 +1245,14 @@ impl Runtime {
                 } else {
                     MaskState::Unblocked
                 };
-                let child = self.spawn(*body, mask);
+                let Some(child) = self.spawn(*body, mask) else {
+                    // The run loop stops at `main_result`; this thread
+                    // never takes another step.
+                    self.main_result = Some(Err(RunError::ThreadLimitExceeded {
+                        limit: MAX_THREAD_SLOTS,
+                    }));
+                    return;
+                };
                 self.stats.forks += 1;
                 if self.config.record_sched_events {
                     self.trace.push(IoEvent::Fork {

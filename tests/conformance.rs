@@ -255,7 +255,9 @@ fn assert_conformance(prog: &Prog, input: &str, seeds: std::ops::Range<u64>) {
                     "seed {seed}: runtime trace {trace:?} not admitted (terminating) for {prog:?}"
                 );
             }
-            Err(RunError::Deadlock { .. }) | Err(RunError::StepLimitExceeded { .. }) => {
+            Err(RunError::Deadlock { .. })
+            | Err(RunError::StepLimitExceeded { .. })
+            | Err(RunError::ThreadLimitExceeded { .. }) => {
                 // Wedged or truncated: the trace must be an admissible prefix.
                 assert!(
                     admits_trace(&init, &trace, false, &explore),

@@ -11,11 +11,11 @@
 //!   traces agree on both, so dropping redundant interleavings must
 //!   not lose (or invent) behaviours;
 //! * DPOR explores no more schedules than sleep sets;
-//! * the incremental sparse-clock race analysis (the default) and the
-//!   legacy full-recompute analysis
-//!   ([`ExploreConfig::legacy_race_analysis`]) agree bit-for-bit on
-//!   every coverage counter — explored, pruned, races detected,
-//!   backtracks installed — at workers 1 and 4.
+//! * every coverage counter — explored, pruned, races detected,
+//!   backtracks installed — is bit-identical at workers 1 and 4. (In
+//!   this debug build every DPOR run here also asserts the incremental
+//!   race analysis equal to the full-recompute reference, inside
+//!   `RaceState::analyze`.)
 //!
 //! The corpus covers the paper's load-bearing cases: the §5.3
 //! `block(takeMVar)` atomicity argument, §7.1 `bracket` (plus a
@@ -100,15 +100,13 @@ fn run_mode<T: FromValue + Debug + 'static>(
     }
 }
 
-/// One DPOR exploration's coverage counters under an explicit analysis
-/// path (legacy full recompute vs incremental) and worker count.
-/// Worker counts above 1 go through [`Explorer::check_parallel_exact`]
+/// One DPOR exploration's coverage counters at an explicit worker
+/// count. Worker counts above 1 go through [`Explorer::check_parallel_exact`]
 /// so the test genuinely exercises that many OS threads even on a
 /// small CI box (the public `check_parallel` clamps to the machine).
 fn dpor_counters<T: FromValue + Debug + 'static>(
     max_schedules: usize,
     preemption_bound: Option<usize>,
-    legacy_race_analysis: bool,
     workers: usize,
     program: fn() -> Io<T>,
     fail_if: fn(&RunOutcome<T>) -> Option<String>,
@@ -119,7 +117,6 @@ fn dpor_counters<T: FromValue + Debug + 'static>(
         step_budget: 100_000,
         preemption_bound,
         strategy: Strategy::Exhaustive(Reduction::Dpor),
-        legacy_race_analysis,
         ..ExploreConfig::default()
     };
     let explorer = Explorer::with_config(cfg);
@@ -211,23 +208,18 @@ fn assert_equiv_bounded<T: FromValue + Debug + 'static>(
             sleep.explored
         );
     }
-    // The incremental sparse-clock analysis must be indistinguishable
-    // from the legacy full recompute, and both must be independent of
-    // the worker count: every coverage counter bit-identical across the
-    // four (analysis path × workers) combinations.
-    let reference = (
+    // Every coverage counter must be independent of the worker count.
+    let sequential = (
         dpor.explored,
         dpor.pruned,
         dpor.races_detected,
         dpor.backtracks_installed,
     );
-    for (legacy, workers) in [(true, 1), (true, 4), (false, 4)] {
-        let got = dpor_counters(max_schedules, bound, legacy, workers, program, fail_if);
-        assert_eq!(
-            got, reference,
-            "{name}: DPOR counters diverged (legacy={legacy}, workers={workers})"
-        );
-    }
+    let parallel = dpor_counters(max_schedules, bound, 4, program, fail_if);
+    assert_eq!(
+        parallel, sequential,
+        "{name}: DPOR counters diverged at workers=4"
+    );
 }
 
 fn no_failure<T>(_: &RunOutcome<T>) -> Option<String> {

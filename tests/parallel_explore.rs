@@ -227,24 +227,18 @@ fn oversized_worker_request_is_clamped_and_deterministic() {
 // ---------------------------------------------------------------------
 
 fn dpor_explorer() -> Explorer {
-    dpor_explorer_with(false)
-}
-
-fn dpor_explorer_with(legacy_race_analysis: bool) -> Explorer {
     Explorer::with_config(ExploreConfig {
         max_schedules: 100_000,
         strategy: Strategy::Exhaustive(Reduction::Dpor),
-        legacy_race_analysis,
         ..ExploreConfig::default()
     })
 }
 
 #[test]
-fn dpor_counts_identical_for_every_worker_count_and_analysis_path() {
+fn dpor_counts_identical_for_every_worker_count() {
     for program in [three_way_race as fn() -> Io<i64>, independent_pairs] {
-        // The sequential incremental-analysis engine is the reference;
-        // the legacy full-recompute path and every worker count must
-        // reproduce its report bit for bit (`Report` is `Eq`; the
+        // The sequential engine is the reference; every worker count
+        // must reproduce its report bit for bit (`Report` is `Eq`; the
         // wall-clock `timing` field is excluded from equality).
         let sequential = dpor_explorer()
             .check(|| {
@@ -256,22 +250,20 @@ fn dpor_counts_identical_for_every_worker_count_and_analysis_path() {
             .expect_pass()
             .clone();
         assert!(sequential.complete);
-        for legacy in [false, true] {
-            for workers in WORKER_COUNTS {
-                let parallel = dpor_explorer_with(legacy)
-                    .check_parallel_exact(workers, || {
-                        TestCase::new(program(), |out: &RunOutcome<i64>| match out.result {
-                            Ok(_) => Ok(()),
-                            Err(ref e) => Err(e.to_string()),
-                        })
+        for workers in WORKER_COUNTS {
+            let parallel = dpor_explorer()
+                .check_parallel_exact(workers, || {
+                    TestCase::new(program(), |out: &RunOutcome<i64>| match out.result {
+                        Ok(_) => Ok(()),
+                        Err(ref e) => Err(e.to_string()),
                     })
-                    .expect_pass()
-                    .clone();
-                assert_eq!(
-                    parallel, sequential,
-                    "DPOR report diverged at workers={workers} legacy={legacy}"
-                );
-            }
+                })
+                .expect_pass()
+                .clone();
+            assert_eq!(
+                parallel, sequential,
+                "DPOR report diverged at workers={workers}"
+            );
         }
     }
 }

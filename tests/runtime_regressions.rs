@@ -14,6 +14,8 @@
 //!   a live thread (generation-tagged `ThreadId`s must not let the old
 //!   id alias the new occupant). The synchronous variant returns `()`
 //!   without blocking in the same situations.
+//! * A `fork` that finds all 65 536 thread slots occupied ends the run
+//!   with `RunError::ThreadLimitExceeded` instead of panicking.
 //! * §9's special case: a thread throwing *synchronously to itself*
 //!   raises immediately, even inside `block`, and the raise carries the
 //!   asynchronous origin.
@@ -339,5 +341,28 @@ fn cross_shard_throw_to_a_dead_and_reused_slot_spares_the_new_occupant() {
         report.drain_log.iter().any(|l| l.contains("throw")),
         "{:?}",
         report.drain_log
+    );
+}
+
+// ---------------------------------------------------------------------
+// Thread-slot exhaustion is a typed error, not a panic
+// ---------------------------------------------------------------------
+
+/// Forks `n` threads that park forever on an empty `MVar`, then
+/// returns `n` from the main thread.
+fn park_threads(n: u64) -> Result<i64, RunError> {
+    let prog = Io::new_empty_mvar::<i64>()
+        .and_then(move |gate| for_each(n, move |_| Io::fork(gate.take())).map(move |_| n as i64));
+    Runtime::new().run(prog)
+}
+
+#[test]
+fn forking_past_the_thread_slot_limit_is_a_typed_error() {
+    // Thread ids name their slot in 16 bits: 65 536 threads can be
+    // alive at once, the main thread among them.
+    assert_eq!(park_threads(65_535), Ok(65_535));
+    assert_eq!(
+        park_threads(65_536),
+        Err(RunError::ThreadLimitExceeded { limit: 65_536 })
     );
 }
