@@ -45,15 +45,20 @@ impl Connection {
     }
 
     /// Client side: send raw request text, one character at a time.
+    ///
+    /// Unfolded lazily, like [`Connection::send_text_slowly`]: one live
+    /// node at a time, so dropping a half-sent (or never-run) action
+    /// does not recurse once per character.
     pub fn send_text(&self, text: impl Into<String>) -> Io<()> {
-        let text: String = text.into();
-        let inbound = self.inbound;
-        let mut io = Io::unit();
-        for c in text.chars().rev() {
-            let rest = io;
-            io = inbound.send(c).then(rest);
+        fn go(inbound: Chan<char>, text: String, at: usize) -> Io<()> {
+            match text[at..].chars().next() {
+                None => Io::unit(),
+                Some(c) => inbound
+                    .send(c)
+                    .and_then(move |_| go(inbound, text, at + c.len_utf8())),
+            }
         }
-        io
+        go(self.inbound, text.into(), 0)
     }
 
     /// Client side: send text slowly — `gap` virtual microseconds between

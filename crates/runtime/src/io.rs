@@ -32,8 +32,44 @@ use crate::ids::{MVarId, ThreadId};
 use crate::mvar::MVar;
 use crate::value::{FromValue, IntoValue, Value};
 
-/// A continuation: the right-hand side of `>>=`.
-pub(crate) type Kont = Box<dyn FnOnce(Value) -> Action>;
+/// `m >>= k` as one heap object: the left action and the continuation
+/// live in the same box. The interpreter first moves the left action out
+/// to run it ([`BindNode::take_left`]), then parks the very same box on
+/// the frame stack as [`Frame::Bind`](crate::thread::Frame), and finally
+/// consumes it when the left action's result comes back
+/// ([`BindNode::resume`]) — so a bind costs one allocation, not one for
+/// the action and one for the closure.
+pub(crate) trait BindNode {
+    /// Moves the left action out, leaving a spent `Pure(())` in its slot.
+    fn take_left(&mut self) -> Action;
+    /// Runs the continuation on the left action's result.
+    fn resume(self: Box<Self>, v: Value) -> Action;
+}
+
+/// The one implementor of [`BindNode`]; generic so the continuation is
+/// stored inline rather than behind a second box.
+struct Bind<K> {
+    left: Action,
+    k: K,
+}
+
+impl<K: FnOnce(Value) -> Action> BindNode for Bind<K> {
+    fn take_left(&mut self) -> Action {
+        std::mem::replace(&mut self.left, Action::Pure(Value::Unit))
+    }
+
+    fn resume(self: Box<Self>, v: Value) -> Action {
+        (self.k)(v)
+    }
+}
+
+/// Builds the node for `left >>= k`.
+pub(crate) fn bind_node(
+    left: Action,
+    k: impl FnOnce(Value) -> Action + 'static,
+) -> Box<dyn BindNode> {
+    Box::new(Bind { left, k })
+}
 
 /// An exception handler: the second argument of `catch`. Receives the
 /// exception together with how it was raised (see
@@ -49,7 +85,7 @@ pub(crate) enum Action {
     /// `return v`.
     Pure(Value),
     /// `m >>= k`.
-    Bind(Box<Action>, Kont),
+    Bind(Box<dyn BindNode>),
     /// `catch m h`.
     Catch(Box<Action>, Handler),
     /// `throw e` — raise a synchronous exception.
@@ -119,7 +155,7 @@ impl std::fmt::Debug for Action {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
             Action::Pure(v) => return write!(f, "Pure({v})"),
-            Action::Bind(_, _) => "Bind",
+            Action::Bind(_) => "Bind",
             Action::Catch(_, _) => "Catch",
             Action::Throw(e) => return write!(f, "Throw({e})"),
             Action::Rethrow(e, o) => return write!(f, "Rethrow({e}, {o:?})"),
@@ -209,14 +245,19 @@ impl Io<()> {
     }
 
     /// Writes a whole string, one `putChar` at a time.
+    ///
+    /// Unfolded lazily — each character's continuation builds the next
+    /// character's action — so only one node is ever live and dropping
+    /// the action part-way (an unrun program, a killed writer) frees a
+    /// constant amount instead of recursing once per character.
     pub fn put_str(s: impl Into<String>) -> Io<()> {
-        let s: String = s.into();
-        let mut act = Io::unit();
-        for c in s.chars().rev() {
-            let rest = act;
-            act = Io::put_char(c).then(rest);
+        fn go(s: String, at: usize) -> Io<()> {
+            match s[at..].chars().next() {
+                None => Io::unit(),
+                Some(c) => Io::put_char(c).and_then(move |_| go(s, at + c.len_utf8())),
+            }
         }
-        act
+        go(s.into(), 0)
     }
 
     /// Writes a string followed by a newline.
@@ -353,10 +394,9 @@ impl<T: FromValue + 'static> Io<T> {
     where
         F: FnOnce(T) -> Io<U> + 'static,
     {
-        Io::from_action(Action::Bind(
-            Box::new(self.action),
-            Box::new(move |v| k(T::from_value_or_panic(v)).action),
-        ))
+        Io::from_action(Action::Bind(bind_node(self.action, move |v| {
+            k(T::from_value_or_panic(v)).action
+        })))
     }
 
     /// `m >> n` — sequencing that discards the first result.
@@ -529,6 +569,8 @@ where
 mod tests {
     use super::*;
     use crate::scheduler::Runtime;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     #[test]
     fn pure_and_map() {
@@ -591,6 +633,125 @@ mod tests {
     fn debug_render_is_nonempty() {
         let io = Io::pure(1_i64);
         assert!(!format!("{io:?}").is_empty());
+    }
+
+    /// Counts how often it is dropped; moved into a closure, it counts
+    /// how often the closure is.
+    struct DropCount(Rc<Cell<u32>>);
+
+    impl Drop for DropCount {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    /// A continuation that bumps `ran` when called and `dropped` when its
+    /// captures are released, whether or not it ever ran.
+    fn counted(ran: &Rc<Cell<u32>>, dropped: &Rc<Cell<u32>>) -> impl FnOnce(i64) -> Io<i64> {
+        let ran = Rc::clone(ran);
+        let guard = DropCount(Rc::clone(dropped));
+        move |n| {
+            let _guard = guard;
+            ran.set(ran.get() + 1);
+            Io::pure(n + 1)
+        }
+    }
+
+    fn counters() -> (Rc<Cell<u32>>, Rc<Cell<u32>>) {
+        (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)))
+    }
+
+    #[test]
+    fn bind_node_runs_and_drops_its_continuation_once() {
+        let (ran, dropped) = counters();
+        let k = counted(&ran, &dropped);
+        let mut node = bind_node(Action::Pure(Value::Int(1)), move |v| {
+            k(i64::from_value_or_panic(v)).action
+        });
+        assert_eq!(format!("{:?}", node.take_left()), "Pure(1)");
+        // The slot the left action came out of is spent, not duplicated.
+        assert_eq!(format!("{:?}", node.take_left()), "Pure(())");
+        assert_eq!((ran.get(), dropped.get()), (0, 0));
+        assert_eq!(format!("{:?}", node.resume(Value::Int(4))), "Pure(5)");
+        assert_eq!((ran.get(), dropped.get()), (1, 1));
+    }
+
+    #[test]
+    fn continuations_run_once_and_drop_once() {
+        let (ran, dropped) = counters();
+        let prog = Io::pure(0_i64)
+            .and_then(counted(&ran, &dropped))
+            .and_then(counted(&ran, &dropped))
+            .and_then(counted(&ran, &dropped));
+        let mut rt = Runtime::new();
+        assert_eq!(rt.run(prog).unwrap(), 3);
+        assert_eq!((ran.get(), dropped.get()), (3, 3));
+    }
+
+    #[test]
+    fn killed_under_three_binds_drops_each_continuation_once_unrun() {
+        let (ran, dropped) = counters();
+        let (r, d) = (Rc::clone(&ran), Rc::clone(&dropped));
+        let prog = Io::new_empty_mvar::<i64>().and_then(move |hole| {
+            let victim = hole
+                .take()
+                .and_then(counted(&r, &d))
+                .and_then(counted(&r, &d))
+                .and_then(counted(&r, &d));
+            // The victim parks in `take` with three bind frames stacked;
+            // the kill unwinds all three without returning into any.
+            Io::fork(victim).and_then(|v| {
+                Io::sleep(1)
+                    .then(Io::throw_to(v, Exception::kill_thread()))
+                    .then(Io::sleep(1))
+            })
+        });
+        let mut rt = Runtime::new();
+        rt.run(prog).unwrap();
+        assert_eq!(rt.stats().kill_thread_deaths, 1);
+        assert_eq!((ran.get(), dropped.get()), (0, 3));
+    }
+
+    #[test]
+    fn bind_frame_overflow_drops_left_action_and_continuation() {
+        use crate::config::RuntimeConfig;
+        use crate::error::RunError;
+        use crate::exception::ExceptionKind;
+
+        let (ran, dropped) = counters();
+        let left_ran = Rc::clone(&ran);
+        let left_guard = DropCount(Rc::clone(&dropped));
+        let left = Io::effect(move || {
+            let _guard = &left_guard;
+            left_ran.set(left_ran.get() + 1);
+            0_i64
+        });
+        // The outer bind takes the only frame; pushing the inner one
+        // overflows with its left action and continuation still aboard.
+        let prog = left
+            .and_then(counted(&ran, &dropped))
+            .and_then(counted(&ran, &dropped));
+        let mut rt = Runtime::with_config(RuntimeConfig::new().stack_limit(1));
+        match rt.run(prog) {
+            Err(RunError::Uncaught(e)) => assert_eq!(e.kind(), &ExceptionKind::StackOverflow),
+            other => panic!("expected an uncaught StackOverflow, got {other:?}"),
+        }
+        assert_eq!((ran.get(), dropped.get()), (0, 3));
+    }
+
+    #[test]
+    fn action_debug_output_is_stable() {
+        // Failure certificates print these.
+        let bind = Io::pure(1_i64).and_then(|n| Io::pure(n + 1));
+        assert_eq!(format!("{bind:?}"), "Io(Bind)");
+        assert_eq!(format!("{:?}", Io::pure(1_i64).map(|n| n + 1)), "Io(Bind)");
+        assert_eq!(format!("{:?}", Io::unit().then(Io::unit())), "Io(Bind)");
+        assert_eq!(format!("{:?}", Io::pure(7_i64)), "Io(Pure(7))");
+        assert_eq!(
+            format!("{:?}", Io::pure(7_i64).catch(|_| Io::pure(0))),
+            "Io(Catch)"
+        );
+        assert_eq!(format!("{:?}", Io::compute(3)), "Io(Compute(3))");
     }
 
     #[test]

@@ -120,10 +120,9 @@ pub struct Runtime {
 struct Slot {
     generation: u16,
     /// Boxed so scheduling a thread moves 8 bytes, not the whole
-    /// 160-byte `Thread`: [`Runtime::step`] takes the thread out of the
-    /// table for the duration of the step (so helpers may touch other
-    /// threads) and puts it back — twice per interpreter step on the
-    /// hot path.
+    /// 160-byte `Thread`: the scheduler loop takes the running thread
+    /// out of the table for its whole quantum (so helpers may touch
+    /// other threads) and puts it back once when the quantum ends.
     thread: Option<Box<Thread>>,
 }
 
@@ -339,7 +338,7 @@ impl Runtime {
         local_deadlock: bool,
     ) -> PumpOutcome {
         let budget_end = step_budget.map(|b| self.stats.steps.saturating_add(b));
-        loop {
+        'sched: loop {
             if let Some(res) = self.main_result.take() {
                 // (Proc GC): once the main thread is finished, all other
                 // threads die.
@@ -351,11 +350,17 @@ impl Runtime {
                 self.console_waiters.clear();
                 return PumpOutcome::Finished(res);
             }
-            if let Some(limit) = self.config.max_steps {
-                if self.stats.steps >= limit {
+            // The one `max_steps` test: no quantum is granted more steps
+            // than the limit leaves, so a thread that reaches it ends its
+            // quantum the ordinary way (back in its slot and the run
+            // queue) and the run stops here, on exactly `limit` steps.
+            let allowance = match self.config.max_steps {
+                Some(limit) if self.stats.steps >= limit => {
                     return PumpOutcome::Finished(Err(RunError::StepLimitExceeded { limit }));
                 }
-            }
+                Some(limit) => limit - self.stats.steps,
+                None => u64::MAX,
+            };
             if let Some(end) = budget_end {
                 if self.stats.steps >= end {
                     return PumpOutcome::Budget;
@@ -390,27 +395,37 @@ impl Runtime {
                 self.stats.context_switches += 1;
                 self.last_scheduled = Some(tid);
             }
-            let quantum = self.quantum_for();
+            let mut steps_left = self.quantum_for().min(allowance);
             self.yielded = false;
-            let mut requeue = false;
-            for _ in 0..quantum {
-                if self.main_result.is_some() {
-                    break;
-                }
-                if let Some(limit) = self.config.max_steps {
-                    if self.stats.steps >= limit {
-                        return PumpOutcome::Finished(Err(RunError::StepLimitExceeded { limit }));
+            // The running thread lives outside the table for its whole
+            // quantum, so the helpers a step calls on *other* threads
+            // never alias it. Every way out of the quantum either
+            // retires the thread or falls through to the put-back below.
+            let slot = tid.slot as usize;
+            let mut th = self.threads[slot]
+                .thread
+                .take()
+                .expect("scheduled thread exists");
+            debug_assert_eq!(th.status, Status::Runnable);
+            let requeue = loop {
+                if let Step::Ended = self.step(&mut th) {
+                    match take_code(&mut th) {
+                        Code::ReturnVal(v) => self.finish_thread(th, v),
+                        Code::Raise(e, _) => self.die_thread(th, e),
+                        Code::Run(_) => unreachable!("only a return or a raise ends a thread"),
                     }
+                    continue 'sched;
                 }
-                self.step(tid);
-                requeue = self
-                    .thread(tid)
-                    .map(|t| t.status == Status::Runnable)
-                    .unwrap_or(false);
-                if !requeue || self.yielded {
-                    break;
+                steps_left -= 1;
+                if th.is_stuck() {
+                    break false;
                 }
-            }
+                // `main_result` mid-quantum is a failed fork ending the run.
+                if steps_left == 0 || self.yielded || self.main_result.is_some() {
+                    break true;
+                }
+            };
+            self.threads[slot].thread = Some(th);
             if requeue {
                 self.enqueue_runnable(tid);
             }
@@ -1084,13 +1099,14 @@ impl Runtime {
         true
     }
 
-    /// Executes one small step of thread `tid`.
-    fn step(&mut self, tid: ThreadId) {
-        let mut th = self.threads[tid.slot as usize]
-            .thread
-            .take()
-            .expect("scheduled thread exists");
-        debug_assert_eq!(th.status, Status::Runnable);
+    /// Executes one small step of the running thread `th`, which the
+    /// scheduler loop holds outside the thread table.
+    ///
+    /// `th.code` is stepped where it sits: an arm moves the node out only
+    /// when it has an owned payload to consume, so the steps that merely
+    /// count down, pop a mask frame or read a `Copy` operand touch a few
+    /// bytes instead of rewriting the whole 48-byte `Code`.
+    fn step(&mut self, th: &mut Thread) -> Step {
         self.stats.steps += 1;
 
         // (Receive): asynchronous delivery at any program point, for
@@ -1102,17 +1118,17 @@ impl Runtime {
         // leaves the exception queued and the thread takes its ordinary
         // step, so the decider sees the same choice again at the thread's
         // next unmasked step.
-        if self.config.delivery == DeliveryMode::FullyAsync
+        if !th.pending.is_empty()
             && th.mask == MaskState::Unblocked
+            && self.config.delivery == DeliveryMode::FullyAsync
             && !matches!(th.code, Code::Raise(_, _))
-            && !th.pending.is_empty()
         {
             let deliver = match self.decider.take() {
                 None => true,
                 Some(mut decider) => {
                     let view = ThreadView {
-                        tid,
-                        footprint: footprint_of(&th),
+                        tid: th.tid,
+                        footprint: footprint_of(th),
                         pending: th.pending.len(),
                         masked: false,
                     };
@@ -1128,63 +1144,70 @@ impl Runtime {
                     self.wake_sync_notifier(n);
                 }
                 th.code = Code::Raise(p.exc, RaiseOrigin::Async);
-                self.threads[tid.slot as usize].thread = Some(th);
-                return;
+                return Step::Ran;
             }
         }
 
-        let code = std::mem::replace(&mut th.code, Code::ReturnVal(Value::Unit));
-        match code {
-            Code::ReturnVal(v) => match th.pop_frame() {
-                None => {
-                    self.finish_thread(th, v);
-                    return;
+        match th.code {
+            Code::ReturnVal(_) => match th.pop_frame() {
+                None => return Step::Ended,
+                Some(Frame::Bind(node)) => {
+                    let Code::ReturnVal(v) = &mut th.code else {
+                        unreachable!("matched ReturnVal above");
+                    };
+                    let v = std::mem::take(v);
+                    th.code = Code::Run(node.resume(v));
                 }
-                Some(Frame::Bind(k)) => th.code = Code::Run(k(v)),
-                Some(Frame::Catch { .. }) => th.code = Code::ReturnVal(v),
-                Some(Frame::Restore(s)) => {
-                    th.mask = s;
-                    th.code = Code::ReturnVal(v);
-                }
+                Some(Frame::Catch { .. }) => {}
+                Some(Frame::Restore(s)) => th.mask = s,
             },
-            Code::Raise(e, origin) => match th.pop_frame() {
-                None => {
-                    self.die_thread(th, e);
-                    return;
-                }
-                Some(Frame::Bind(_)) => th.code = Code::Raise(e, origin),
-                Some(Frame::Restore(s)) => {
-                    th.mask = s;
-                    th.code = Code::Raise(e, origin);
-                }
+            Code::Raise(_, _) => match th.pop_frame() {
+                None => return Step::Ended,
+                Some(Frame::Bind(_)) => {}
+                Some(Frame::Restore(s)) => th.mask = s,
                 Some(Frame::Catch {
                     handler,
                     saved_mask,
                 }) => {
                     th.mask = saved_mask;
                     self.stats.catches += 1;
+                    let Code::Raise(e, origin) = take_code(th) else {
+                        unreachable!("matched Raise above");
+                    };
                     th.code = Code::Run(handler(e, origin));
                 }
             },
-            Code::Run(action) => self.run_action(&mut th, action),
+            Code::Run(_) => self.run_action(th),
         }
-
-        self.threads[tid.slot as usize].thread = Some(th);
+        Step::Ran
     }
 
-    /// Interprets one action node in thread `th`.
+    /// Interprets the action node `th` is about to run.
     ///
-    /// `th` has been removed from the thread table for the duration, so
-    /// helper methods that touch *other* threads are safe to call.
-    fn run_action(&mut self, th: &mut Thread, action: Action) {
-        match action {
-            Action::Pure(v) => th.code = Code::ReturnVal(v),
-            Action::Bind(m, k) => {
-                if self.push_frame_checked(th, Frame::Bind(k)) {
-                    th.code = Code::Run(*m);
+    /// `th` is outside the thread table for the duration, so helper
+    /// methods that touch *other* threads are safe to call.
+    fn run_action(&mut self, th: &mut Thread) {
+        let Code::Run(action) = &mut th.code else {
+            unreachable!("run_action on a thread that is returning or raising");
+        };
+        // `Copy` operands are bound by value and `Value`s are taken through
+        // the reference; only the arms that own a box or an exception move
+        // the node out (`take_action`).
+        match *action {
+            Action::Pure(ref mut v) => th.code = Code::ReturnVal(std::mem::take(v)),
+            Action::Bind(_) => {
+                let Action::Bind(mut node) = take_action(th) else {
+                    unreachable!("matched Bind above");
+                };
+                let left = node.take_left();
+                if self.push_frame_checked(th, Frame::Bind(node)) {
+                    th.code = Code::Run(left);
                 }
             }
-            Action::Catch(m, handler) => {
+            Action::Catch(_, _) => {
+                let Action::Catch(m, handler) = take_action(th) else {
+                    unreachable!("matched Catch above");
+                };
                 let saved_mask = th.mask;
                 if self.push_frame_checked(
                     th,
@@ -1196,15 +1219,24 @@ impl Runtime {
                     th.code = Code::Run(*m);
                 }
             }
-            Action::Throw(e) => {
+            Action::Throw(_) => {
+                let Action::Throw(e) = take_action(th) else {
+                    unreachable!("matched Throw above");
+                };
                 self.stats.sync_throws += 1;
                 th.code = Code::Raise(e, RaiseOrigin::Sync);
             }
-            Action::Rethrow(e, origin) => {
+            Action::Rethrow(_, _) => {
+                let Action::Rethrow(e, origin) = take_action(th) else {
+                    unreachable!("matched Rethrow above");
+                };
                 self.stats.sync_throws += 1;
                 th.code = Code::Raise(e, origin);
             }
-            Action::Block(m) => {
+            Action::Block(_) => {
+                let Action::Block(m) = take_action(th) else {
+                    unreachable!("matched Block above");
+                };
                 if self.config.record_sched_events {
                     self.trace.push(IoEvent::Mask(th.tid));
                 }
@@ -1220,7 +1252,10 @@ impl Runtime {
                 }
                 th.code = Code::Run(*m);
             }
-            Action::Unblock(m) => {
+            Action::Unblock(_) => {
+                let Action::Unblock(m) = take_action(th) else {
+                    unreachable!("matched Unblock above");
+                };
                 if self.config.record_sched_events {
                     self.trace.push(IoEvent::Unmask(th.tid));
                 }
@@ -1239,15 +1274,18 @@ impl Runtime {
             Action::GetMaskingState => {
                 th.code = Code::ReturnVal(Value::Bool(th.mask == MaskState::Blocked));
             }
-            Action::Fork(body) => {
+            Action::Fork(_) => {
+                let Action::Fork(body) = take_action(th) else {
+                    unreachable!("matched Fork above");
+                };
                 let mask = if self.config.fork_inherits_mask {
                     th.mask
                 } else {
                     MaskState::Unblocked
                 };
                 let Some(child) = self.spawn(*body, mask) else {
-                    // The run loop stops at `main_result`; this thread
-                    // never takes another step.
+                    // The scheduler loop ends the quantum at `main_result`;
+                    // this thread never takes another step.
                     self.main_result = Some(Err(RunError::ThreadLimitExceeded {
                         limit: MAX_THREAD_SLOTS,
                     }));
@@ -1263,16 +1301,19 @@ impl Runtime {
                 th.code = Code::ReturnVal(Value::ThreadId(child));
             }
             Action::MyThreadId => th.code = Code::ReturnVal(Value::ThreadId(th.tid)),
-            Action::NewMVar(contents) => {
+            Action::NewMVar(ref mut contents) => {
                 let id = MVarId(self.mvars.len() as u64);
-                self.mvars.push(match contents {
+                self.mvars.push(match contents.take() {
                     None => MVarCell::empty(),
                     Some(v) => MVarCell::full(v),
                 });
                 th.code = Code::ReturnVal(Value::MVar(id));
             }
             Action::TakeMVar(m) => self.do_take_mvar(th, m),
-            Action::PutMVar(m, v) => self.do_put_mvar(th, m, v),
+            Action::PutMVar(m, ref mut v) => {
+                let v = std::mem::take(v);
+                self.do_put_mvar(th, m, v);
+            }
             Action::TryTakeMVar(m) => {
                 let cell = &mut self.mvars[m.0 as usize];
                 match cell.contents.take() {
@@ -1284,11 +1325,12 @@ impl Runtime {
                     }
                 }
             }
-            Action::TryPutMVar(m, v) => {
+            Action::TryPutMVar(m, ref mut v) => {
                 let cell = &mut self.mvars[m.0 as usize];
                 if cell.contents.is_some() {
                     th.code = Code::ReturnVal(Value::Bool(false));
                 } else {
+                    let v = std::mem::take(v);
                     self.fill_or_handoff(m, v);
                     self.stats.mvar_ops += 1;
                     th.code = Code::ReturnVal(Value::Bool(true));
@@ -1341,14 +1383,14 @@ impl Runtime {
                 self.trace.push(IoEvent::Put(c));
                 th.code = Code::ReturnVal(Value::Unit);
             }
-            Action::Compute { steps, result } => {
-                if steps <= 1 {
-                    th.code = Code::ReturnVal(result);
+            Action::Compute {
+                ref mut steps,
+                ref mut result,
+            } => {
+                if *steps <= 1 {
+                    th.code = Code::ReturnVal(std::mem::take(result));
                 } else {
-                    th.code = Code::Run(Action::Compute {
-                        steps: steps - 1,
-                        result,
-                    });
+                    *steps -= 1;
                 }
             }
             Action::PollSafePoint => {
@@ -1369,7 +1411,12 @@ impl Runtime {
                 th.code = Code::ReturnVal(Value::Unit);
             }
             Action::Now => th.code = Code::ReturnVal(Value::Int(self.clock as i64)),
-            Action::Effect(f) => th.code = Code::ReturnVal(f()),
+            Action::Effect(_) => {
+                let Action::Effect(f) = take_action(th) else {
+                    unreachable!("matched Effect above");
+                };
+                th.code = Code::ReturnVal(f());
+            }
             Action::Choose(arms) => {
                 // A scheduler-visible oracle: the installed decider picks
                 // the arm (the explorer records it as a branch point);
@@ -1394,7 +1441,10 @@ impl Runtime {
                 );
                 th.code = Code::ReturnVal(Value::Int(arm as i64));
             }
-            Action::ThrowTo(target, e) => {
+            Action::ThrowTo(_, _) => {
+                let Action::ThrowTo(target, e) = take_action(th) else {
+                    unreachable!("matched ThrowTo above");
+                };
                 self.stats.throwtos += 1;
                 if self.config.record_sched_events {
                     self.trace.push(IoEvent::ThrowTo {
@@ -1417,7 +1467,10 @@ impl Runtime {
                 }
                 th.code = Code::ReturnVal(Value::Unit);
             }
-            Action::ThrowToSync(target, e) => {
+            Action::ThrowToSync(_, _) => {
+                let Action::ThrowToSync(target, e) = take_action(th) else {
+                    unreachable!("matched ThrowToSync above");
+                };
                 self.stats.throwtos += 1;
                 if self.config.record_sched_events {
                     self.trace.push(IoEvent::ThrowTo {
@@ -1548,6 +1601,29 @@ impl Runtime {
     }
 }
 
+/// What one [`Runtime::step`] did to the thread it stepped.
+enum Step {
+    /// The thread took a step and is still in the scheduler's hands
+    /// (runnable, stuck or yielded — its `status` says which).
+    Ran,
+    /// The thread returned or raised with an empty stack: its `code`
+    /// holds the final value or the uncaught exception.
+    Ended,
+}
+
+/// Moves `th`'s code out, leaving `return ()` in its place.
+fn take_code(th: &mut Thread) -> Code {
+    std::mem::replace(&mut th.code, Code::ReturnVal(Value::Unit))
+}
+
+/// Moves the action `th` is about to run out of its code.
+fn take_action(th: &mut Thread) -> Action {
+    match take_code(th) {
+        Code::Run(action) => action,
+        code => unreachable!("take_action on {code:?}"),
+    }
+}
+
 /// Classifies what `th`'s next step will touch (see [`StepFootprint`]).
 ///
 /// Conservative in the required direction: anything not provably local to
@@ -1570,7 +1646,7 @@ fn footprint_of(th: &Thread) -> StepFootprint {
         }
         Code::Run(action) => match action {
             Action::Pure(_)
-            | Action::Bind(_, _)
+            | Action::Bind(_)
             | Action::GetMaskingState
             | Action::MyThreadId
             | Action::Compute { .. }
@@ -2186,6 +2262,111 @@ mod tests {
             without > with,
             "collapse should bound mask frames: with={with}, without={without}"
         );
+    }
+}
+
+#[cfg(test)]
+mod slice_tests {
+    //! The quantum-resident loop must be invisible to a driver that
+    //! slices a run into capped pumps: same program, same everything.
+
+    use super::*;
+    use crate::io::for_each;
+
+    /// A program that leaves its quantum every way a thread can: quantum
+    /// exhausted (compute chunks, bind chains), finished and died (fork +
+    /// exit, an uncaught exception in a child), blocked (`take`, `sleep`),
+    /// yielded, and receiving a masked and an unmasked `throwTo`.
+    fn every_exit() -> Io<i64> {
+        Io::new_empty_mvar::<i64>().and_then(|m| {
+            let worker = for_each(5, |i| Io::compute(7 + i))
+                .then(Io::sleep(30))
+                .then(m.put(5));
+            let yielder = for_each(4, |_| Io::put_char('y').then(Io::yield_now()));
+            let crasher = Io::compute(5).then(Io::<()>::throw(Exception::error_call("child")));
+            let unmasked = Io::compute(u64::MAX);
+            // Forked under `block`, so the kill below waits for the
+            // `unblock` window: the 'm' is always written.
+            let masked = Io::compute(40)
+                .then(Io::put_char('m'))
+                .then(Io::<()>::unblock(Io::compute(u64::MAX)));
+            // The virtual clock only moves when nothing is runnable, so
+            // both immortal computations are killed before anyone relies
+            // on a sleeper waking.
+            Io::fork(worker)
+                .then(Io::fork(yielder))
+                .then(Io::fork(crasher))
+                .then(Io::fork(unmasked))
+                .and_then(move |victim| {
+                    Io::<ThreadId>::block(Io::fork(masked)).and_then(move |shielded| {
+                        Io::throw_to(shielded, Exception::kill_thread())
+                            .then(Io::throw_to(victim, Exception::kill_thread()))
+                            .then(m.take())
+                            .and_then(|v| Io::sleep(10).then(Io::put_char('.')).then(Io::pure(v)))
+                    })
+                })
+        })
+    }
+
+    fn config(quantum: u64) -> RuntimeConfig {
+        RuntimeConfig::new()
+            .quantum(quantum)
+            .record_sched_events(true)
+    }
+
+    /// Live threads are exactly the table's occupants: nothing a pump
+    /// returns from may leave the running thread outside its slot.
+    fn assert_live_threads_resolve(rt: &Runtime) {
+        let occupants = rt.threads.iter().filter(|s| s.thread.is_some()).count() as u64;
+        let live = u64::from(rt.next_seq) - rt.stats.finished_threads - rt.stats.died_threads;
+        assert_eq!(occupants, live, "a live thread is missing from the table");
+    }
+
+    #[test]
+    fn a_sliced_run_equals_an_uncapped_run() {
+        for quantum in [1, 3, 11] {
+            let mut whole = Runtime::with_config(config(quantum));
+            let expected = whole.run(every_exit());
+            assert_eq!(expected, Ok(5));
+            assert_eq!(whole.output(), "yyyym.");
+            for budget in [1, 3, 11, 64] {
+                let mut rt = Runtime::with_config(config(quantum));
+                rt.begin_run(every_exit().action);
+                let result = loop {
+                    match rt.pump(u64::MAX, Some(budget)) {
+                        PumpOutcome::Finished(res) => break res,
+                        PumpOutcome::Budget => assert_live_threads_resolve(&rt),
+                        PumpOutcome::Idle { .. } => panic!("idle with the clock uncapped"),
+                    }
+                };
+                let label = format!("quantum {quantum}, budget {budget}");
+                assert_eq!(result.map(i64::from_value_or_panic), expected, "{label}");
+                assert_eq!(rt.output(), whole.output(), "{label}");
+                assert_eq!(rt.io_trace(), whole.io_trace(), "{label}");
+                assert_eq!(rt.stats(), whole.stats(), "{label}");
+                assert_eq!(rt.clock(), whole.clock(), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn host_throw_at_a_slice_boundary_reaches_the_thread_that_was_running() {
+        for quantum in [1, 3, 11] {
+            let mut rt = Runtime::with_config(config(quantum));
+            let prog = Io::compute_returning(1_000, 0_i64).catch(|e| {
+                assert!(e.is_kill_thread());
+                Io::pure(1_i64)
+            });
+            rt.begin_run(prog.action);
+            assert!(matches!(rt.pump(u64::MAX, Some(7)), PumpOutcome::Budget));
+            // The main thread was mid-compute when the budget ran out.
+            rt.host_throw_to(rt.main_thread_id(), Exception::kill_thread());
+            let PumpOutcome::Finished(result) = rt.pump(u64::MAX, None) else {
+                panic!("an unbudgeted pump of a live program must finish");
+            };
+            assert_eq!(result, Ok(Value::Int(1)), "quantum {quantum}");
+            assert_eq!(rt.stats().async_deliveries, 1);
+        }
     }
 }
 

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use crate::decide::StepFootprint;
 use crate::exception::Exception;
 use crate::ids::{MVarId, ThreadId};
-use crate::io::{Action, Handler, Kont};
+use crate::io::{Action, BindNode, Handler};
 use crate::value::Value;
 
 /// The asynchronous-exception masking state of a thread (§5.2).
@@ -36,8 +36,9 @@ pub enum MaskState {
 
 /// A frame on a thread's control stack (§8).
 pub(crate) enum Frame {
-    /// The continuation of `>>=`.
-    Bind(Kont),
+    /// The continuation of `>>=`: the bind's own node, its left action
+    /// already moved out and running.
+    Bind(Box<dyn BindNode>),
     /// A `catch` frame: handler plus the masking state when pushed, which
     /// is restored before the handler runs (§8, "Extend the catch frame to
     /// include the state ... of asynchronous exceptions").
@@ -294,6 +295,7 @@ impl std::fmt::Debug for Thread {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::bind_node;
 
     fn fresh() -> Thread {
         Thread::new(crate::ids::tid(0), Action::Pure(Value::Unit))
@@ -350,7 +352,10 @@ mod tests {
         // collapse cannot fire and a block-frame is pushed.
         let mut t = fresh();
         t.enter_block(true);
-        t.push_frame(Frame::Bind(Box::new(Action::Pure)));
+        t.push_frame(Frame::Bind(bind_node(
+            Action::Pure(Value::Unit),
+            Action::Pure,
+        )));
         let collapsed = t.enter_unblock(true);
         assert!(!collapsed);
         assert_eq!(t.mask, MaskState::Unblocked);
@@ -407,6 +412,20 @@ mod tests {
             t.enter_block(false);
         }
         assert_eq!(t.stack.len(), 201);
+    }
+
+    #[test]
+    fn frame_debug_output_is_stable() {
+        // Failure certificates print these.
+        let bind = Frame::Bind(bind_node(Action::Pure(Value::Unit), Action::Pure));
+        assert_eq!(format!("{bind:?}"), "Bind");
+        let catch = Frame::Catch {
+            handler: Box::new(|e, _| Action::Throw(e)),
+            saved_mask: MaskState::Blocked,
+        };
+        assert_eq!(format!("{catch:?}"), "Catch(saved=Blocked)");
+        let restore = Frame::Restore(MaskState::Unblocked);
+        assert_eq!(format!("{restore:?}"), "Restore(Unblocked)");
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //! * §9's special case: a thread throwing *synchronously to itself*
 //!   raises immediately, even inside `block`, and the raise carries the
 //!   asynchronous origin.
+//! * `max_steps` tripping in the middle of a quantum leaves the thread
+//!   that was running in `Runtime::runnable()`, the post-mortem view.
+//! * A million-character `put_str` / `send_text` can be dropped unrun,
+//!   reaped by (Proc GC) or killed mid-string without overflowing the
+//!   host stack: the action unfolds one character at a time.
 
 use conch_runtime::io::for_each;
 use conch_runtime::prelude::*;
@@ -365,4 +370,74 @@ fn forking_past_the_thread_slot_limit_is_a_typed_error() {
         park_threads(65_536),
         Err(RunError::ThreadLimitExceeded { limit: 65_536 })
     );
+}
+
+// ---------------------------------------------------------------------
+// A step limit that falls mid-quantum keeps the running thread queued
+// ---------------------------------------------------------------------
+
+#[test]
+fn step_limit_mid_quantum_leaves_the_interrupted_thread_runnable() {
+    // Main spends steps 1-11 (bind, fork, return, compute...), the child
+    // 12-22, and main is 8 steps into its second quantum of 11 when step
+    // 30 trips the limit.
+    let config = RuntimeConfig::new().quantum(11).max_steps(30);
+    let mut rt = Runtime::with_config(config);
+    let prog = Io::fork(Io::compute(u64::MAX)).then(Io::compute(u64::MAX));
+    assert_eq!(rt.run(prog), Err(RunError::StepLimitExceeded { limit: 30 }));
+    assert_eq!(rt.stats().steps, 30);
+    let runnable: Vec<ThreadId> = rt.runnable().iter().map(|v| v.tid).collect();
+    assert_eq!(runnable.len(), 2, "{runnable:?}");
+    let main = rt.main_thread_id();
+    assert!(
+        runnable.contains(&main),
+        "the thread the limit interrupted ({main}) is missing from {runnable:?}"
+    );
+    assert!(runnable.iter().any(|&t| t != main), "{runnable:?}");
+}
+
+// ---------------------------------------------------------------------
+// Long writes unfold lazily: dropping one is O(1) deep
+// ---------------------------------------------------------------------
+
+const LONG: usize = 1_000_000;
+
+/// Drops `write` unrun, then lets (Proc GC) reap a thread that is part-way
+/// through it, then kills one part-way through it.
+fn drop_reap_and_kill_mid_string(write: impl Fn() -> Io<()>) -> Runtime {
+    drop(write());
+
+    let mut rt = Runtime::new();
+    rt.run(Io::fork(write()).then(Io::unit())).unwrap();
+
+    let killed = Io::fork(write()).and_then(|writer| {
+        Io::yield_now()
+            .then(Io::throw_to(writer, Exception::kill_thread()))
+            .then(Io::yield_now())
+    });
+    rt.run(killed).unwrap();
+    assert_eq!(rt.stats().kill_thread_deaths, 1);
+    rt
+}
+
+#[test]
+fn a_million_character_put_str_can_be_dropped_reaped_and_killed() {
+    let rt = drop_reap_and_kill_mid_string(|| Io::put_str("x".repeat(LONG)));
+    let written = rt.output().len();
+    assert!(0 < written && written < LONG, "{written}");
+}
+
+#[test]
+fn a_million_character_send_text_can_be_dropped_reaped_and_killed() {
+    use conch::httpd::net::Connection;
+
+    // Unrun: `send_text` needs a connection, which takes a run to open.
+    let conn = Runtime::new().run(Connection::open()).unwrap();
+    drop(conn.send_text("x".repeat(LONG)));
+
+    // A writer cut off mid-`send` leaves its channel half-updated, so
+    // each doomed writer gets a connection of its own.
+    drop_reap_and_kill_mid_string(|| {
+        Connection::open().and_then(|conn| conn.send_text("x".repeat(LONG)))
+    });
 }
