@@ -61,7 +61,7 @@ use crate::clocks::{RaceFlag, RaceState};
 use crate::driver::DriverState;
 use crate::explorer::{Explorer, TestCase};
 use crate::frontier::{dfs_key, Frontier, Node};
-use crate::pool::ItemGuard;
+use crate::pool::{backtrack, donate, load_script, ItemGuard};
 use crate::schedule::Choice;
 
 /// Run one worker of one DPOR round to completion: pull items, DFS
@@ -119,12 +119,13 @@ where
                 // backtrack sets have not changed since the round that
                 // drained it: replaying it would register nothing, so
                 // skip the whole subtree.
-                if !backtrack_stack(&mut stack) {
+                if !backtrack(&mut stack) {
                     break 'dfs;
                 }
                 continue 'dfs;
             }
-            load_script(&state, &item, &stack);
+            // Sleep entries are always on under DPOR.
+            load_script(&state, &item, &stack, true);
             let t0 = std::time::Instant::now();
             let (run, schedule) = explorer.run_once(&mut rt, factory(), &state);
             replay_ns += t0.elapsed().as_nanos() as u64;
@@ -194,7 +195,7 @@ where
             if frontier.hungry() {
                 donate(frontier, &item, &mut stack);
             }
-            if !backtrack_stack(&mut stack) {
+            if !backtrack(&mut stack) {
                 break 'dfs;
             }
             if frontier.explored() >= config.max_schedules {
@@ -270,75 +271,4 @@ fn plan_inserts(st: &DriverState, flags: &[RaceFlag]) -> Vec<(usize, u64)> {
         }
     }
     inserts
-}
-
-/// Refill the driver's script and sleep entries for the schedule the
-/// item prefix + stack currently denote (the DPOR twin of
-/// [`crate::pool`]'s `load_script`; sleep entries are always on).
-fn load_script(state: &Rc<RefCell<DriverState>>, item: &crate::frontier::WorkItem, stack: &[Node]) {
-    let mut st = state.borrow_mut();
-    st.reset();
-    st.script.extend_from_slice(&item.prefix);
-    st.extra_sleep.extend_from_slice(&item.base_sleep);
-    let base = item.prefix.len();
-    for (i, node) in stack.iter().enumerate() {
-        st.script.push(node.choice());
-        node.each_explored(|entry| st.extra_sleep.push((base + i, entry)));
-    }
-}
-
-/// Advance the deepest advanceable node; `false` when the item's
-/// subtree is exhausted.
-fn backtrack_stack(stack: &mut Vec<Node>) -> bool {
-    loop {
-        match stack.last_mut() {
-            None => return false,
-            Some(node) => {
-                if node.advance() {
-                    return true;
-                }
-                stack.pop();
-            }
-        }
-    }
-}
-
-/// Split the shallowest unexhausted branch points of the stack into
-/// [`WorkItem`](crate::frontier::WorkItem)s covering their remaining
-/// alternatives, and seal them locally (the DPOR twin of
-/// [`crate::pool`]'s `donate` — restricted nodes donate their
-/// remaining backtrack children). Donates up to one item per currently
-/// starving thief, pushed as one batch.
-fn donate(frontier: &Frontier, item: &crate::frontier::WorkItem, stack: &mut [Node]) {
-    let want = frontier.starving().max(1);
-    let mut batch: Vec<crate::frontier::WorkItem> = Vec::new();
-    for i in 0..stack.len() {
-        if batch.len() >= want {
-            break;
-        }
-        if stack[i].sealed {
-            continue;
-        }
-        let mut remainder = stack[i].clone();
-        if !remainder.advance() {
-            continue;
-        }
-        let base = item.prefix.len();
-        let mut prefix = item.prefix.clone();
-        let mut base_sleep = item.base_sleep.clone();
-        let mut base_key = item.base_key.clone();
-        for (j, node) in stack[..i].iter().enumerate() {
-            prefix.push(node.choice());
-            node.each_explored(|entry| base_sleep.push((base + j, entry)));
-            base_key.push(node.key_index());
-        }
-        batch.push(crate::frontier::WorkItem {
-            prefix,
-            base_sleep,
-            base_key,
-            node: Some(remainder),
-        });
-        stack[i].sealed = true;
-    }
-    frontier.push_batch(batch);
 }

@@ -137,7 +137,12 @@ where
 
 /// Refill the driver's script and sleep entries for the schedule the
 /// item prefix + stack currently denote.
-fn load_script(state: &Rc<RefCell<DriverState>>, item: &WorkItem, stack: &[Node], use_sleep: bool) {
+pub(crate) fn load_script(
+    state: &Rc<RefCell<DriverState>>,
+    item: &WorkItem,
+    stack: &[Node],
+    use_sleep: bool,
+) {
     let mut st = state.borrow_mut();
     st.reset();
     st.script.extend_from_slice(&item.prefix);
@@ -162,7 +167,7 @@ fn prefix_key(item: &WorkItem, stack: &[Node]) -> Vec<u32> {
 
 /// Advance the deepest advanceable node; `false` when the item's
 /// subtree is exhausted.
-fn backtrack(stack: &mut Vec<Node>) -> bool {
+pub(crate) fn backtrack(stack: &mut Vec<Node>) -> bool {
     loop {
         match stack.last_mut() {
             None => return false,
@@ -184,7 +189,7 @@ fn backtrack(stack: &mut Vec<Node>) -> bool {
 /// thief, pushed as a single batch: every thief wakes to its own
 /// multi-schedule chunk instead of the whole pool contending for one
 /// split per executed run.
-fn donate(frontier: &Frontier, item: &WorkItem, stack: &mut [Node]) {
+pub(crate) fn donate(frontier: &Frontier, item: &WorkItem, stack: &mut [Node]) {
     let want = frontier.starving().max(1);
     let mut batch: Vec<WorkItem> = Vec::new();
     for i in 0..stack.len() {

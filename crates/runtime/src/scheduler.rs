@@ -7,19 +7,26 @@
 //! take effect at *any* step boundary of the target — truly asynchronous
 //! delivery, including in the middle of a pure computation.
 //!
-//! Delivery discipline (matching §5 and Figure 5):
+//! Delivery discipline (matching §5 and Figure 5) — each rule is one
+//! function, and every site that needs the rule calls it:
 //!
 //! * **(Receive)** — a runnable, *unblocked* thread receives the first
 //!   pending exception at its next step (in
-//!   [`DeliveryMode::FullyAsync`]; the polling baseline defers this to
-//!   explicit safe points).
+//!   [`FullyAsync`](crate::config::DeliveryMode::FullyAsync) mode; the
+//!   polling baseline defers this to explicit safe points):
+//!   `Runtime::step` → `Runtime::raise_async`.
 //! * **(Interrupt)** — a *stuck* thread (blocked `takeMVar`/`putMVar`,
 //!   `sleep`, `getChar`, sync-`throwTo`) is interruptible regardless of its
-//!   masking state, and becomes runnable with the exception raised.
+//!   masking state, and becomes runnable with the exception raised:
+//!   `Runtime::enqueue_exception` → `Runtime::raise_async`.
 //! * **Interruptible operations** (§5.3) — a blocked-mask thread that is
 //!   *about to block* on an unavailable resource receives its pending
 //!   exception instead of blocking; if the resource is available the
-//!   operation completes atomically without a delivery point.
+//!   operation completes atomically without a delivery point:
+//!   `Runtime::block_on`.
+//! * **(Block)/(Unblock)** — `Runtime::enter_mask_scope` over
+//!   `Thread::enter_mask`.
+//! * **(Proc GC)** — `Runtime::clear_run_state`.
 
 use std::collections::VecDeque;
 
@@ -38,7 +45,7 @@ use crate::runq::RunQueue;
 use crate::stats::Stats;
 use crate::thread::{Code, Frame, MaskState, PendingExc, RaiseOrigin, Status, StuckReason, Thread};
 use crate::timer::{TimerEntry, TimerWheel};
-use crate::trace::{BlockSite, IoEvent};
+use crate::trace::IoEvent;
 use crate::value::{FromValue, Value};
 
 /// The runtime: scheduler, thread table, `MVar` store, clock and console.
@@ -148,23 +155,40 @@ pub(crate) enum PumpOutcome {
     Idle { next_wake: Option<u64> },
 }
 
-/// Is `tid` still genuinely asleep until exactly `wake_at`?
-///
-/// Wheel entries are invalidated lazily: an interrupted sleeper keeps
-/// its entry, which this check skips. A free function over the thread
-/// table (rather than a method) so compaction can filter the wheel in
-/// place while borrowing `threads` alongside the `&mut` wheel borrow.
-fn sleeper_entry_is_valid(threads: &[Slot], tid: ThreadId, wake_at: u64) -> bool {
-    let t = match threads.get(tid.slot as usize) {
-        Some(s) if s.generation == tid.generation => s.thread.as_deref(),
-        _ => None,
-    };
-    match t {
-        Some(t) => matches!(
-            t.status,
-            Status::Stuck(StuckReason::Sleep { wake_at: w }) if w == wake_at
-        ),
-        None => false,
+/// The table index `tid` names, if the slot's generation is still the
+/// one in the handle — the one place a stale [`ThreadId`] is told from
+/// a live one. Free functions over the table (rather than methods) so a
+/// caller can hold the result alongside a borrow of another field.
+fn slot_index(threads: &[Slot], tid: ThreadId) -> Option<usize> {
+    let i = tid.slot as usize;
+    (threads.get(i)?.generation == tid.generation).then_some(i)
+}
+
+/// The live thread `tid` names, unless it is the one running (which is
+/// outside the table for its quantum).
+fn lookup(threads: &[Slot], tid: ThreadId) -> Option<&Thread> {
+    threads[slot_index(threads, tid)?].thread.as_deref()
+}
+
+fn lookup_mut(threads: &mut [Slot], tid: ThreadId) -> Option<&mut Thread> {
+    threads[slot_index(threads, tid)?].thread.as_deref_mut()
+}
+
+/// Enqueues a runnable thread, refreshing its cached next-step
+/// footprint — the single choke point every path to the run queue
+/// goes through, so a queued thread's `footprint` field is always
+/// current (nothing mutates a thread while it waits in the queue).
+fn enqueue_runnable(run_queue: &mut RunQueue, th: &mut Thread) {
+    debug_assert_eq!(th.status, Status::Runnable);
+    th.footprint = footprint_of(th);
+    run_queue.push_back(th.tid);
+}
+
+/// The scheduling RNG `config` asks for.
+fn rng_for(config: &RuntimeConfig) -> Option<StdRng> {
+    match config.scheduling {
+        SchedulingPolicy::Random { seed } => Some(StdRng::seed_from_u64(seed)),
+        SchedulingPolicy::RoundRobin | SchedulingPolicy::External => None,
     }
 }
 
@@ -209,11 +233,8 @@ impl Runtime {
             "RuntimeConfig.quantum must be at least 1 interpreter step, got 0 \
              (a zero quantum would never execute any thread)"
         );
-        let rng = match config.scheduling {
-            SchedulingPolicy::Random { seed } => Some(StdRng::seed_from_u64(seed)),
-            SchedulingPolicy::RoundRobin | SchedulingPolicy::External => None,
-        };
         Runtime {
+            rng: rng_for(&config),
             config,
             threads: Vec::new(),
             free_slots: Vec::new(),
@@ -228,7 +249,6 @@ impl Runtime {
             console_waiters: VecDeque::new(),
             console: BufferConsole::new(),
             stats: Stats::default(),
-            rng,
             trace: Vec::new(),
             main_tid: None,
             main_result: None,
@@ -249,26 +269,39 @@ impl Runtime {
     /// calls it between schedules instead of building a new `Runtime`
     /// per run.
     pub fn reset(&mut self) {
-        self.recycle_all_threads();
-        self.free_slots.clear();
-        self.next_seq = 0;
-        self.run_queue.clear();
+        self.clear_run_state();
+        self.stats = Stats::default();
+        self.trace.clear();
         self.mvars.clear();
         self.clock = 0;
         self.sleep_seq = 0;
+        self.console = BufferConsole::new();
+        self.rng = rng_for(&self.config);
+        self.main_tid = None;
+        self.yielded = false;
+    }
+
+    /// Forgets every thread: empties the table (recycling the occupants)
+    /// and every structure that names a thread — free list and spawn
+    /// counter, run queue, sleepers, console waiters, the last-scheduled
+    /// marker, an uncollected result. Rule (Proc GC) at the end of a run
+    /// and the per-run reset at the start of the next are both this;
+    /// what a run *produced* (statistics, trace, `MVar`s, console,
+    /// clock) is not touched.
+    fn clear_run_state(&mut self) {
+        for i in 0..self.threads.len() {
+            if let Some(th) = self.threads[i].thread.take() {
+                self.recycle(th);
+            }
+        }
+        self.threads.clear();
+        self.free_slots.clear();
+        self.next_seq = 0;
+        self.run_queue.clear();
         self.sleepers.clear();
         self.stale_sleepers = 0;
         self.console_waiters.clear();
-        self.console = BufferConsole::new();
-        self.stats = Stats::default();
-        self.rng = match self.config.scheduling {
-            SchedulingPolicy::Random { seed } => Some(StdRng::seed_from_u64(seed)),
-            SchedulingPolicy::RoundRobin | SchedulingPolicy::External => None,
-        };
-        self.trace.clear();
-        self.main_tid = None;
         self.main_result = None;
-        self.yielded = false;
         self.last_scheduled = None;
     }
 
@@ -301,19 +334,9 @@ impl Runtime {
     /// console and the clock persist, so host-allocated mailboxes stay
     /// valid across `begin_run`.
     pub(crate) fn begin_run(&mut self, action: Action) {
-        // Reset per-run state; keep mvars, console, clock.
-        self.recycle_all_threads();
-        self.free_slots.clear();
-        self.next_seq = 0;
-        self.run_queue.clear();
-        self.sleepers.clear();
-        self.stale_sleepers = 0;
-        self.console_waiters.clear();
+        self.clear_run_state();
         self.stats = Stats::default();
         self.trace.clear();
-        self.main_result = None;
-        self.last_scheduled = None;
-
         let main = self.spawn(action, MaskState::Unblocked);
         self.main_tid = Some(main.expect("an empty thread table has a free slot"));
     }
@@ -342,12 +365,7 @@ impl Runtime {
             if let Some(res) = self.main_result.take() {
                 // (Proc GC): once the main thread is finished, all other
                 // threads die.
-                self.recycle_all_threads();
-                self.free_slots.clear();
-                self.run_queue.clear();
-                self.sleepers.clear();
-                self.stale_sleepers = 0;
-                self.console_waiters.clear();
+                self.clear_run_state();
                 return PumpOutcome::Finished(res);
             }
             // The one `max_steps` test: no quantum is granted more steps
@@ -367,7 +385,7 @@ impl Runtime {
                 }
             }
             if self.run_queue.is_empty() {
-                if self.advance_clock_capped(clock_cap) {
+                if self.advance_clock(clock_cap) {
                     continue;
                 }
                 if local_deadlock {
@@ -409,11 +427,7 @@ impl Runtime {
             debug_assert_eq!(th.status, Status::Runnable);
             let requeue = loop {
                 if let Step::Ended = self.step(&mut th) {
-                    match take_code(&mut th) {
-                        Code::ReturnVal(v) => self.finish_thread(th, v),
-                        Code::Raise(e, _) => self.die_thread(th, e),
-                        Code::Run(_) => unreachable!("only a return or a raise ends a thread"),
-                    }
+                    self.retire_thread(th);
                     continue 'sched;
                 }
                 steps_left -= 1;
@@ -425,10 +439,10 @@ impl Runtime {
                     break true;
                 }
             };
-            self.threads[slot].thread = Some(th);
             if requeue {
-                self.enqueue_runnable(tid);
+                enqueue_runnable(&mut self.run_queue, &mut th);
             }
+            self.threads[slot].thread = Some(th);
         }
     }
 
@@ -497,6 +511,19 @@ impl Runtime {
         self.decider.take()
     }
 
+    /// Consults the installed decider, if any: it is moved out for the
+    /// call, so `ask` may use the rest of the runtime, and put back.
+    /// `None` means no decider is installed and the caller's default
+    /// applies. A decider is only ever installed by
+    /// [`Runtime::set_decider`], which also switches the policy to
+    /// [`SchedulingPolicy::External`].
+    fn with_decider<R>(&mut self, ask: impl FnOnce(&mut Self, &mut dyn Decider) -> R) -> Option<R> {
+        let mut decider = self.decider.take()?;
+        let answer = ask(self, decider.as_mut());
+        self.decider = Some(decider);
+        Some(answer)
+    }
+
     /// The currently-runnable threads, in run-queue order, each with the
     /// conservative footprint of its next step. Useful to exploration
     /// drivers and for post-mortem debugging (after a deadlock, this is
@@ -506,37 +533,18 @@ impl Runtime {
     }
 
     fn view_of(&self, tid: ThreadId) -> ThreadView {
-        let th = self.thread(tid).expect("runnable thread exists");
+        let th = lookup(&self.threads, tid).expect("runnable thread exists");
         debug_assert_eq!(
             th.footprint,
             footprint_of(th),
             "cached footprint went stale for {tid}"
         );
-        ThreadView {
-            tid,
-            footprint: th.footprint,
-            pending: th.pending.len(),
-            masked: th.mask == MaskState::Blocked,
-        }
+        view(th, th.footprint)
     }
 
     // ------------------------------------------------------------------
     // Thread table helpers
     // ------------------------------------------------------------------
-
-    fn thread(&self, tid: ThreadId) -> Option<&Thread> {
-        match self.threads.get(tid.slot as usize) {
-            Some(s) if s.generation == tid.generation => s.thread.as_deref(),
-            _ => None,
-        }
-    }
-
-    fn thread_mut(&mut self, tid: ThreadId) -> Option<&mut Thread> {
-        match self.threads.get_mut(tid.slot as usize) {
-            Some(s) if s.generation == tid.generation => s.thread.as_deref_mut(),
-            _ => None,
-        }
-    }
 
     /// Starts a thread, or returns `None` when all [`MAX_THREAD_SLOTS`]
     /// slots hold live threads.
@@ -568,24 +576,13 @@ impl Runtime {
             )),
         };
         th.mask = mask;
+        enqueue_runnable(&mut self.run_queue, &mut th);
         debug_assert!(self.threads[slot as usize].thread.is_none());
         self.threads[slot as usize].thread = Some(th);
         if self.threads.len() > self.stats.max_thread_slots {
             self.stats.max_thread_slots = self.threads.len();
         }
-        self.enqueue_runnable(tid);
         Some(tid)
-    }
-
-    /// Enqueues a runnable thread, refreshing its cached next-step
-    /// footprint — the single choke point every path to the run queue
-    /// goes through, so a queued thread's `footprint` field is always
-    /// current (nothing mutates a thread while it waits in the queue).
-    fn enqueue_runnable(&mut self, tid: ThreadId) {
-        let th = self.thread_mut(tid).expect("enqueued thread exists");
-        debug_assert_eq!(th.status, Status::Runnable);
-        th.footprint = footprint_of(th);
-        self.run_queue.push_back(tid);
     }
 
     fn quantum_for(&mut self) -> u64 {
@@ -601,49 +598,11 @@ impl Runtime {
     }
 
     fn pick_next(&mut self, previous: Option<ThreadId>) -> ThreadId {
-        if self.config.scheduling == SchedulingPolicy::External {
-            if let Some(mut decider) = self.decider.take() {
-                // Forced move: one runnable thread. The decider is still
-                // consulted (it keeps sleep-set bookkeeping per step),
-                // but the scratch buffers and position list are skipped.
-                if self.run_queue.len() == 1 {
-                    let tid = self.run_queue.pop_front().expect("non-empty run queue");
-                    let view = self.view_of(tid);
-                    let i = decider.choose_thread(std::slice::from_ref(&view), previous);
-                    self.decider = Some(decider);
-                    assert!(
-                        i == 0,
-                        "Decider::choose_thread returned index {i} for 1 runnable thread"
-                    );
-                    return tid;
-                }
-                // Build the decision's view list into the reusable
-                // scratch buffers: no allocation after warm-up, and the
-                // footprints come from the per-thread cache instead of
-                // being recomputed for every queued thread.
-                let mut views = std::mem::take(&mut self.view_scratch);
-                let mut positions = std::mem::take(&mut self.pos_scratch);
-                views.clear();
-                positions.clear();
-                for (pos, tid) in self.run_queue.iter_with_pos() {
-                    views.push(self.view_of(tid));
-                    positions.push(pos);
-                }
-                let i = decider.choose_thread(&views, previous);
-                self.decider = Some(decider);
-                assert!(
-                    i < views.len(),
-                    "Decider::choose_thread returned index {i} for {} runnable threads",
-                    views.len()
-                );
-                let tid = self.run_queue.take_at(positions[i]);
-                self.view_scratch = views;
-                self.pos_scratch = positions;
-                return tid;
-            }
-            // No decider installed: degrade to round-robin.
-            return self.run_queue.pop_front().expect("non-empty run queue");
+        if let Some(tid) = self.with_decider(|rt, d| rt.pick_with(d, previous)) {
+            return tid;
         }
+        // Round-robin, which external scheduling without a decider
+        // degrades to, or a seeded random pick.
         match &mut self.rng {
             None => self.run_queue.pop_front().expect("non-empty run queue"),
             Some(rng) => {
@@ -653,168 +612,43 @@ impl Runtime {
         }
     }
 
-    /// Advances the virtual clock to the earliest sleeper and wakes all
-    /// sleepers that are due. Returns `false` if there are no sleepers.
-    ///
-    /// The wheel hands over one virtual tick at a time, already in
-    /// `(wake_at, seq)` order, so the whole batch is woken through one
-    /// reserved run-queue extension before the next scheduling decision
-    /// — the same observable order the old heap's pop-one-at-a-time
-    /// drain loop produced, without n log n queue churn on a mass wake.
-    fn advance_clock(&mut self) -> bool {
-        loop {
-            let mut due = std::mem::take(&mut self.due_scratch);
-            let Some(wake_at) = self.sleepers.pop_earliest_into(&mut due) else {
-                self.due_scratch = due;
-                return false;
-            };
-            // Drop lazily-invalidated entries (interrupted sleepers),
-            // balancing the stale accounting per entry like the heap did.
-            let threads = &self.threads;
-            let before = due.len();
-            self.stats.timer_ops += before as u64;
-            due.retain(|e| sleeper_entry_is_valid(threads, e.payload, wake_at));
-            for _ in due.len()..before {
-                self.note_stale_sleeper_popped();
-            }
-            if due.is_empty() {
-                // The whole tick was stale; keep scanning forward.
-                self.due_scratch = due;
-                continue;
-            }
-            if wake_at > self.clock {
-                self.trace.push(IoEvent::TimeAdvance(wake_at - self.clock));
-                self.clock = wake_at;
-            }
-            self.run_queue.reserve(due.len());
-            for e in &due {
-                let th = self.thread_mut(e.payload).expect("sleeper exists");
-                th.status = Status::Runnable;
-                th.code = Code::ReturnVal(Value::Unit);
-                self.enqueue_runnable(e.payload);
-            }
-            due.clear();
-            self.due_scratch = due;
-            return true;
+    /// Lets `decider` choose among the runnable threads.
+    fn pick_with(&mut self, decider: &mut dyn Decider, previous: Option<ThreadId>) -> ThreadId {
+        // Forced move: one runnable thread. The decider is still
+        // consulted (it keeps sleep-set bookkeeping per step), but the
+        // scratch buffers and position list are skipped.
+        if self.run_queue.len() == 1 {
+            let tid = self.run_queue.pop_front().expect("non-empty run queue");
+            let view = self.view_of(tid);
+            let i = decider.choose_thread(std::slice::from_ref(&view), previous);
+            assert!(
+                i == 0,
+                "Decider::choose_thread returned index {i} for 1 runnable thread"
+            );
+            return tid;
         }
-    }
-
-    /// [`Runtime::advance_clock`] with an optional inclusive cap: wakes
-    /// the earliest due tick only if it is at or before `cap`. With
-    /// `cap == None` this is byte-for-byte `advance_clock` (the peek is
-    /// skipped), so the uncapped path's traces are untouched.
-    ///
-    /// One capped-only subtlety: a tick whose sleepers were all
-    /// interrupted still advances the wheel's cursor when popped, and a
-    /// capped caller may then return to its driver and run threads that
-    /// insert new timers — so the clock advances to the stale tick too
-    /// (with a `TimeAdvance` event, keeping the trace's advance sum
-    /// equal to the clock delta) to preserve `clock >= cursor` for
-    /// [`TimerWheel::insert`]. The uncapped path never needs this
-    /// because no thread runs between a stale pop and the next live
-    /// wake, so it folds the whole delta into the next live advance.
-    fn advance_clock_capped(&mut self, cap: Option<u64>) -> bool {
-        let Some(cap) = cap else {
-            return self.advance_clock();
-        };
-        loop {
-            match self.sleepers.peek_earliest_wake() {
-                None => return false,
-                Some(w) if w > cap => return false,
-                Some(_) => {}
-            }
-            let mut due = std::mem::take(&mut self.due_scratch);
-            let wake_at = self
-                .sleepers
-                .pop_earliest_into(&mut due)
-                .expect("peek saw an entry");
-            let threads = &self.threads;
-            let before = due.len();
-            self.stats.timer_ops += before as u64;
-            due.retain(|e| sleeper_entry_is_valid(threads, e.payload, wake_at));
-            for _ in due.len()..before {
-                self.note_stale_sleeper_popped();
-            }
-            if due.is_empty() {
-                if wake_at > self.clock {
-                    self.trace.push(IoEvent::TimeAdvance(wake_at - self.clock));
-                    self.clock = wake_at;
-                }
-                self.due_scratch = due;
-                continue;
-            }
-            if wake_at > self.clock {
-                self.trace.push(IoEvent::TimeAdvance(wake_at - self.clock));
-                self.clock = wake_at;
-            }
-            self.run_queue.reserve(due.len());
-            for e in &due {
-                let th = self.thread_mut(e.payload).expect("sleeper exists");
-                th.status = Status::Runnable;
-                th.code = Code::ReturnVal(Value::Unit);
-                self.enqueue_runnable(e.payload);
-            }
-            due.clear();
-            self.due_scratch = due;
-            return true;
+        // Build the decision's view list into the reusable scratch
+        // buffers: no allocation after warm-up, and the footprints come
+        // from the per-thread cache instead of being recomputed for
+        // every queued thread.
+        let mut views = std::mem::take(&mut self.view_scratch);
+        let mut positions = std::mem::take(&mut self.pos_scratch);
+        views.clear();
+        positions.clear();
+        for (pos, tid) in self.run_queue.iter_with_pos() {
+            views.push(self.view_of(tid));
+            positions.push(pos);
         }
-    }
-
-    /// Fast-forwards the clock to `t` if it lags — the epoch-barrier
-    /// clock sync, recorded as an ordinary `TimeAdvance` so the trace's
-    /// advance sum still equals the clock delta. Safe at a barrier
-    /// because the shard is quiescent there: every live sleeper's wake
-    /// time is past the epoch being synced to (the epoch only advances
-    /// when all shards report `Idle` with wakes beyond the old cap), so
-    /// no due sleeper is skipped.
-    pub(crate) fn sync_clock_forward(&mut self, t: u64) {
-        if t > self.clock {
-            self.trace.push(IoEvent::TimeAdvance(t - self.clock));
-            self.clock = t;
-        }
-    }
-
-    /// Balances [`Runtime::stale_sleepers`] when a stale wheel entry is
-    /// popped. Every stale entry is counted exactly once at the moment
-    /// its sleeper is invalidated, so the counter can never underflow;
-    /// the assert catches a double-decrement accounting bug in debug
-    /// builds, while release builds saturate rather than wrap.
-    fn note_stale_sleeper_popped(&mut self) {
-        debug_assert!(
-            self.stale_sleepers > 0,
-            "stale-sleeper accounting: popped a stale entry that was never counted"
+        let i = decider.choose_thread(&views, previous);
+        assert!(
+            i < views.len(),
+            "Decider::choose_thread returned index {i} for {} runnable threads",
+            views.len()
         );
-        self.stale_sleepers = self.stale_sleepers.saturating_sub(1);
-    }
-
-    /// Compacts the timer wheel once stale entries outnumber the live
-    /// ones. Interrupted sleepers invalidate their wheel entry in place
-    /// (the status check in [`sleeper_entry_is_valid`] fails), which is
-    /// O(1) — but under sustained `timeout`-and-kill churn the dead
-    /// entries would pile up until their original `wake_at`. Compacting
-    /// at the >half-stale threshold keeps the wheel proportional to the
-    /// number of *live* sleepers at amortized O(1) per interruption, and
-    /// cannot change wake order: [`TimerWheel::retain`] removes entries
-    /// in place, so survivors keep their `(wake_at, seq)` keys and slots.
-    fn maybe_compact_sleepers(&mut self) {
-        if self.stale_sleepers * 2 <= self.sleepers.len() {
-            return;
-        }
-        let threads = &self.threads;
-        self.sleepers
-            .retain(|e| sleeper_entry_is_valid(threads, e.payload, e.wake_at));
-        self.stale_sleepers = 0;
-        debug_assert!(
-            self.sleepers.check_consistent(),
-            "timer wheel inconsistent after stale-sleeper compaction"
-        );
-    }
-
-    /// Number of entries (live or stale) in the sleeper timer wheel.
-    /// Exposed for leak regression tests: after a quiesced run the wheel
-    /// must be empty.
-    pub fn sleeper_queue_len(&self) -> usize {
-        self.sleepers.len()
+        let tid = self.run_queue.take_at(positions[i]);
+        self.view_scratch = views;
+        self.pos_scratch = positions;
+        tid
     }
 
     pub(crate) fn deadlock_error(&self) -> RunError {
@@ -898,157 +732,47 @@ impl Runtime {
     }
 
     // ------------------------------------------------------------------
-    // Exception delivery
-    // ------------------------------------------------------------------
-
-    /// Appends an exception to `target`'s pending queue and, if the target
-    /// is stuck, interrupts it immediately (rule (Interrupt)).
-    ///
-    /// Does nothing if the target no longer exists (`throwTo` to a dead
-    /// thread trivially succeeds) — except waking `notify`, since the
-    /// trivial success still counts as delivered for the §9 sync design.
-    fn enqueue_exception(&mut self, target: ThreadId, exc: Exception, notify: Option<ThreadId>) {
-        let step = self.stats.steps;
-        let stuck = match self.thread_mut(target) {
-            None => {
-                if let Some(n) = notify {
-                    self.wake_sync_notifier(n);
-                }
-                return;
-            }
-            Some(th) => {
-                th.pending.push_back(PendingExc {
-                    exc,
-                    notify,
-                    enqueued_step: step,
-                });
-                th.is_stuck()
-            }
-        };
-        if stuck {
-            self.interrupt_stuck_thread(target);
-        }
-    }
-
-    /// Delivers the first pending exception to a stuck thread, waking it.
-    fn interrupt_stuck_thread(&mut self, tid: ThreadId) {
-        let (reason, notify, enqueued_step) = {
-            let Some(th) = self.thread_mut(tid) else {
-                return;
-            };
-            if !th.is_stuck() {
-                return;
-            }
-            let Some(p) = th.take_pending() else {
-                return;
-            };
-            let Status::Stuck(reason) = std::mem::replace(&mut th.status, Status::Runnable) else {
-                unreachable!("is_stuck checked above");
-            };
-            let notify = p.notify;
-            let enqueued_step = p.enqueued_step;
-            th.code = Code::Raise(p.exc, RaiseOrigin::Async);
-            (reason, notify, enqueued_step)
-        };
-        // Remove the thread from whatever wait structure held it.
-        match reason {
-            StuckReason::TakeMVar(m) | StuckReason::PutMVar(m) => {
-                self.mvars[m.0 as usize].forget_waiter(tid);
-            }
-            StuckReason::Sleep { .. } => {
-                // The wheel entry is invalidated by the status change and
-                // skipped when popped; count it so compaction can evict
-                // piles of dead entries before their wake_at arrives.
-                self.stale_sleepers += 1;
-                self.maybe_compact_sleepers();
-            }
-            StuckReason::GetChar => {
-                self.console_waiters.retain(|&t| t != tid);
-            }
-            StuckReason::SyncThrow { .. } => {
-                // The exception we sent stays queued at the target; the
-                // paper notes this wart of the synchronous design (§9).
-            }
-        }
-        self.enqueue_runnable(tid);
-        self.stats.interrupted_blocked += 1;
-        self.stats.delivery_latency_total += self.stats.steps - enqueued_step;
-        self.stats.delivery_latency_samples += 1;
-        if let Some(n) = notify {
-            self.wake_sync_notifier(n);
-        }
-    }
-
-    /// Wakes a thread waiting in a synchronous `throwTo` (§9).
-    fn wake_sync_notifier(&mut self, tid: ThreadId) {
-        let Some(th) = self.thread_mut(tid) else {
-            return;
-        };
-        if matches!(th.status, Status::Stuck(StuckReason::SyncThrow { .. })) {
-            th.status = Status::Runnable;
-            th.code = Code::ReturnVal(Value::Unit);
-            self.enqueue_runnable(tid);
-        }
-    }
-
-    /// Records a (Receive)-path delivery in the statistics.
-    fn record_receive(&mut self, p: &PendingExc) {
-        self.stats.async_deliveries += 1;
-        self.stats.delivery_latency_total += self.stats.steps - p.enqueued_step;
-        self.stats.delivery_latency_samples += 1;
-    }
-
-    // ------------------------------------------------------------------
     // Thread termination
     // ------------------------------------------------------------------
 
-    /// Wakes sync-throw waiters whose exceptions will now never be
-    /// received: delivery to a dead thread trivially succeeds.
-    fn drain_pending_notifiers(&mut self, th: &mut Thread) {
-        while let Some(p) = th.take_pending() {
-            if let Some(n) = p.notify {
-                self.wake_sync_notifier(n);
-            }
-        }
-    }
-
-    fn finish_thread(&mut self, th: Box<Thread>, value: Value) {
-        let tid = th.tid;
-        if Some(tid) == self.main_tid {
-            self.main_result = Some(Ok(value));
-        }
-        self.stats.finished_threads += 1;
-        self.retire_thread(th);
-    }
-
-    fn die_thread(&mut self, th: Box<Thread>, exc: Exception) {
-        let tid = th.tid;
-        // Exit-reason classification (the actor layer's `ExitReason`
-        // mirrors this split): a death is a kill, a link-cascade exit
-        // signal, or an ordinary crash.
-        if exc.is_kill_thread() {
-            self.stats.kill_thread_deaths += 1;
-        } else if exc.is_exit_signal() {
-            self.stats.exit_signal_deaths += 1;
-        }
-        if Some(tid) == self.main_tid {
-            self.main_result = Some(Err(RunError::Uncaught(exc)));
-        }
-        self.stats.died_threads += 1;
-        self.retire_thread(th);
-    }
-
-    /// Returns a finished/dead thread's slot to the free list and its
-    /// buffers to the allocation pool. Bumping the slot's generation makes
-    /// every outstanding `ThreadId` for the old occupant a stale handle:
-    /// `thread()`/`thread_mut()` miss, so a late `throwTo` at the reused
-    /// slot stays a no-op instead of killing the new occupant.
+    /// Retires a thread whose code returned or raised with an empty
+    /// stack: records how it ended (a death is a kill, a link-cascade
+    /// exit signal, or an ordinary crash — the actor layer's
+    /// `ExitReason` mirrors this split), returns its slot to the free
+    /// list and its box to the spawn pool. Bumping the slot's generation
+    /// makes every outstanding `ThreadId` for it a stale handle: lookups
+    /// miss, so a late `throwTo` at the reused slot stays a no-op
+    /// instead of killing the new occupant.
     fn retire_thread(&mut self, mut th: Box<Thread>) {
+        let outcome = match take_code(&mut th) {
+            Code::ReturnVal(v) => {
+                self.stats.finished_threads += 1;
+                Ok(v)
+            }
+            Code::Raise(exc, _) => {
+                if exc.is_kill_thread() {
+                    self.stats.kill_thread_deaths += 1;
+                } else if exc.is_exit_signal() {
+                    self.stats.exit_signal_deaths += 1;
+                }
+                self.stats.died_threads += 1;
+                Err(RunError::Uncaught(exc))
+            }
+            Code::Run(_) => unreachable!("only a return or a raise ends a thread"),
+        };
+        if Some(th.tid) == self.main_tid {
+            self.main_result = Some(outcome);
+        }
         let slot = th.tid.slot as usize;
         debug_assert!(self.threads[slot].thread.is_none(), "thread was taken");
         self.threads[slot].generation = self.threads[slot].generation.wrapping_add(1);
         self.free_slots.push(th.tid.slot);
-        self.drain_pending_notifiers(&mut th);
+        // Exceptions still queued will now never be received: delivery
+        // to a dead thread trivially succeeds, so their sync throwers
+        // (§9) go on.
+        while let Some(p) = th.take_pending() {
+            self.wake_sync_thrower(p.notify, th.tid, p.enqueued_step);
+        }
         self.recycle(th);
     }
 
@@ -1061,21 +785,409 @@ impl Runtime {
             self.thread_pool.push(th);
         }
     }
+}
 
-    /// Empties the thread table, recycling every remaining occupant —
-    /// the (Proc GC) rule and the per-run reset both end this way.
-    fn recycle_all_threads(&mut self) {
-        for i in 0..self.threads.len() {
-            if let Some(th) = self.threads[i].thread.take() {
-                self.recycle(th);
+/// The decider's view of `th`, about to take a step with `footprint`.
+fn view(th: &Thread, footprint: StepFootprint) -> ThreadView {
+    ThreadView {
+        tid: th.tid,
+        footprint,
+        pending: th.pending.len(),
+        masked: th.mask == MaskState::Blocked,
+    }
+}
+
+// ----------------------------------------------------------------------
+// The clock: sleepers and virtual time
+// ----------------------------------------------------------------------
+
+/// Is `tid` still genuinely asleep until exactly `wake_at`?
+///
+/// Wheel entries are invalidated lazily: an interrupted sleeper keeps
+/// its entry, which this check skips. A free function over the thread
+/// table (rather than a method) so compaction can filter the wheel in
+/// place while borrowing `threads` alongside the `&mut` wheel borrow.
+fn sleeper_entry_is_valid(threads: &[Slot], tid: ThreadId, wake_at: u64) -> bool {
+    lookup(threads, tid).is_some_and(|t| t.status == Status::Stuck(StuckReason::Sleep { wake_at }))
+}
+
+impl Runtime {
+    /// Advances the virtual clock to the earliest tick with a live
+    /// sleeper — at or before the inclusive `cap`, if one is given — and
+    /// wakes that tick's sleepers. Returns `false` if there is none.
+    ///
+    /// The wheel hands over one virtual tick at a time, already in
+    /// `(wake_at, seq)` order, so the whole batch is woken through one
+    /// reserved run-queue extension before the next scheduling decision
+    /// — the same observable order the old heap's pop-one-at-a-time
+    /// drain loop produced, without n log n queue churn on a mass wake.
+    ///
+    /// The cap makes one difference besides the peek. A tick whose
+    /// sleepers were all interrupted still advances the wheel's cursor
+    /// when popped, and a capped caller may then return to its driver
+    /// and run threads that insert new timers — so under a cap the clock
+    /// advances to the stale tick too (with its own `TimeAdvance`,
+    /// keeping the trace's advance sum equal to the clock delta) to
+    /// preserve `clock >= cursor` for [`TimerWheel::insert`]. Uncapped,
+    /// no thread runs between a stale pop and the next live wake, so the
+    /// whole delta is folded into the next live advance and the traces
+    /// of [`Runtime::run`] carry no split advances.
+    pub(super) fn advance_clock(&mut self, cap: Option<u64>) -> bool {
+        let mut due = std::mem::take(&mut self.due_scratch);
+        let woke = loop {
+            if cap.is_some_and(|cap| self.sleepers.peek_earliest_wake().is_none_or(|w| w > cap)) {
+                break false;
             }
-        }
-        self.threads.clear();
+            let Some(wake_at) = self.sleepers.pop_earliest_into(&mut due) else {
+                break false;
+            };
+            // Drop lazily-invalidated entries (interrupted sleepers),
+            // balancing the stale accounting per entry like the heap did.
+            let threads = &self.threads;
+            let before = due.len();
+            self.stats.timer_ops += before as u64;
+            due.retain(|e| sleeper_entry_is_valid(threads, e.payload, wake_at));
+            for _ in due.len()..before {
+                self.note_stale_sleeper_popped();
+            }
+            if cap.is_some() || !due.is_empty() {
+                self.sync_clock_forward(wake_at);
+            }
+            if due.is_empty() {
+                // The whole tick was stale; keep scanning forward.
+                continue;
+            }
+            self.run_queue.reserve(due.len());
+            for e in due.drain(..) {
+                self.wake(e.payload, Value::Unit);
+            }
+            break true;
+        };
+        self.due_scratch = due;
+        woke
     }
 
-    // ------------------------------------------------------------------
-    // The interpreter
-    // ------------------------------------------------------------------
+    /// Fast-forwards the clock to `t` if it lags, recorded as a
+    /// `TimeAdvance` so the trace's advance sum equals the clock delta.
+    /// Also the epoch-barrier clock sync, safe there because the shard
+    /// is quiescent: every live sleeper's wake time is past the epoch
+    /// being synced to (the epoch only advances when all shards report
+    /// `Idle` with wakes beyond the old cap), so no due sleeper is
+    /// skipped.
+    pub(crate) fn sync_clock_forward(&mut self, t: u64) {
+        if t > self.clock {
+            self.trace.push(IoEvent::TimeAdvance(t - self.clock));
+            self.clock = t;
+        }
+    }
+
+    /// Balances [`Runtime::stale_sleepers`] when a stale wheel entry is
+    /// popped. Every stale entry is counted exactly once at the moment
+    /// its sleeper is invalidated, so the counter can never underflow;
+    /// the assert catches a double-decrement accounting bug in debug
+    /// builds, while release builds saturate rather than wrap.
+    fn note_stale_sleeper_popped(&mut self) {
+        debug_assert!(
+            self.stale_sleepers > 0,
+            "stale-sleeper accounting: popped a stale entry that was never counted"
+        );
+        self.stale_sleepers = self.stale_sleepers.saturating_sub(1);
+    }
+
+    /// Compacts the timer wheel once stale entries outnumber the live
+    /// ones. Interrupted sleepers invalidate their wheel entry in place
+    /// (the status check in [`sleeper_entry_is_valid`] fails), which is
+    /// O(1) — but under sustained `timeout`-and-kill churn the dead
+    /// entries would pile up until their original `wake_at`. Compacting
+    /// at the >half-stale threshold keeps the wheel proportional to the
+    /// number of *live* sleepers at amortized O(1) per interruption, and
+    /// cannot change wake order: [`TimerWheel::retain`] removes entries
+    /// in place, so survivors keep their `(wake_at, seq)` keys and slots.
+    pub(super) fn maybe_compact_sleepers(&mut self) {
+        if self.stale_sleepers * 2 <= self.sleepers.len() {
+            return;
+        }
+        let threads = &self.threads;
+        self.sleepers
+            .retain(|e| sleeper_entry_is_valid(threads, e.payload, e.wake_at));
+        self.stale_sleepers = 0;
+        debug_assert!(
+            self.sleepers.check_consistent(),
+            "timer wheel inconsistent after stale-sleeper compaction"
+        );
+    }
+
+    /// Number of entries (live or stale) in the sleeper timer wheel.
+    /// Exposed for leak regression tests: after a quiesced run the wheel
+    /// must be empty.
+    pub fn sleeper_queue_len(&self) -> usize {
+        self.sleepers.len()
+    }
+}
+
+// ----------------------------------------------------------------------
+// Exception delivery: (Receive), (Interrupt), §9
+// ----------------------------------------------------------------------
+
+/// Which rule delivers an exception — what [`Stats`] tells apart.
+pub(super) enum Delivery {
+    /// (Receive): an unblocked thread, at a step or a polling safe point.
+    Receive,
+    /// (Interrupt): a stuck thread, or (§5.3) one about to block.
+    Interrupt,
+}
+
+impl Runtime {
+    /// `throwTo`'s effect on `target`: rule (Interrupt) at once if it is
+    /// stuck (whatever its mask), else the exception joins its pending
+    /// queue to await (Receive) or a block point. `notify` is the §9
+    /// synchronous thrower to wake on receipt.
+    ///
+    /// Does nothing if the target no longer exists: `throwTo` to a dead
+    /// thread trivially succeeds.
+    pub(super) fn enqueue_exception(
+        &mut self,
+        target: ThreadId,
+        exc: Exception,
+        notify: Option<ThreadId>,
+    ) {
+        let Some(slot) = slot_index(&self.threads, target) else {
+            return;
+        };
+        // Out of the table for the delivery, like a running thread.
+        let Some(mut th) = self.threads[slot].thread.take() else {
+            return;
+        };
+        let p = PendingExc {
+            exc,
+            notify,
+            enqueued_step: self.stats.steps,
+        };
+        if th.is_stuck() {
+            // A thread only blocks with an empty queue (`block_on`) and
+            // is interrupted by the first exception to arrive.
+            debug_assert!(th.pending.is_empty());
+            self.raise_async(&mut th, p, Delivery::Interrupt);
+        } else {
+            th.pending.push_back(p);
+        }
+        self.threads[slot].thread = Some(th);
+    }
+
+    /// Delivers `p` to `th`, which is outside the thread table (running,
+    /// or taken out by [`Runtime::enqueue_exception`]): the one place an
+    /// asynchronous exception becomes a raise, with its accounting. A
+    /// stuck thread also leaves its wait structure and rejoins the run
+    /// queue — ahead of the §9 thrower that the receipt wakes.
+    pub(super) fn raise_async(&mut self, th: &mut Thread, p: PendingExc, rule: Delivery) {
+        match rule {
+            Delivery::Receive => self.stats.async_deliveries += 1,
+            Delivery::Interrupt => self.stats.interrupted_blocked += 1,
+        }
+        self.stats.delivery_latency_total += self.stats.steps - p.enqueued_step;
+        self.stats.delivery_latency_samples += 1;
+        th.code = Code::Raise(p.exc, RaiseOrigin::Async);
+        if let Status::Stuck(reason) = std::mem::replace(&mut th.status, Status::Runnable) {
+            self.leave_wait(th.tid, &reason);
+            enqueue_runnable(&mut self.run_queue, th);
+        }
+        self.wake_sync_thrower(p.notify, th.tid, p.enqueued_step);
+    }
+
+    /// §9: `receiver` has received (or died holding) an exception queued
+    /// at step `since_step`; if it came from a synchronous `throwTo`
+    /// whose thrower is still waiting *for that very exception*, the
+    /// thrower goes on. The thrower may have been interrupted out of
+    /// that wait since, leaving the exception behind (the wart §9
+    /// notes), and be waiting again — on another target, or on a later
+    /// throw to this one — so a wait is identified by its target and
+    /// issuing step (a thread issues one `throwTo` per step at most),
+    /// not merely by being a sync-throw wait.
+    pub(super) fn wake_sync_thrower(
+        &mut self,
+        notify: Option<ThreadId>,
+        receiver: ThreadId,
+        since_step: u64,
+    ) {
+        let Some(thrower) = notify else {
+            return;
+        };
+        let waiting_for_it = Status::Stuck(StuckReason::SyncThrow {
+            target: receiver,
+            since_step,
+        });
+        if lookup(&self.threads, thrower).is_some_and(|t| t.status == waiting_for_it) {
+            self.wake(thrower, Value::Unit);
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Blocking and waking: §5.3, MVars
+// ----------------------------------------------------------------------
+
+impl Runtime {
+    /// §5.3, the one place a thread blocks: an interruptible operation
+    /// that finds its resource unavailable receives a pending exception
+    /// at that moment, whatever the mask, and only otherwise becomes
+    /// stuck for `reason`. Returns whether it blocked; a caller whose
+    /// wait carries a payload (`putMVar`'s value, §9's exception) files
+    /// it then.
+    pub(super) fn block_on(&mut self, th: &mut Thread, reason: StuckReason) -> bool {
+        if let Some(p) = th.take_pending() {
+            self.raise_async(th, p, Delivery::Interrupt);
+            return false;
+        }
+        self.enter_wait(th.tid, &reason);
+        self.stats.blocks += 1;
+        if self.config.record_sched_events {
+            self.trace.push(IoEvent::BlockedOn {
+                tid: th.tid,
+                site: reason.site(),
+            });
+        }
+        th.status = Status::Stuck(reason);
+        true
+    }
+
+    /// Files `tid` in the structure that will wake it from `reason`.
+    fn enter_wait(&mut self, tid: ThreadId, reason: &StuckReason) {
+        match *reason {
+            StuckReason::TakeMVar(m) => self.mvars[m.0 as usize].take_queue.push_back(tid),
+            StuckReason::Sleep { wake_at } => {
+                self.sleep_seq += 1;
+                self.sleepers.insert(
+                    self.clock,
+                    TimerEntry {
+                        wake_at,
+                        seq: self.sleep_seq,
+                        payload: tid,
+                    },
+                );
+                if self.sleepers.len() > self.stats.max_sleeper_heap {
+                    self.stats.max_sleeper_heap = self.sleepers.len();
+                }
+                self.stats.timer_ops += 1;
+            }
+            StuckReason::GetChar => self.console_waiters.push_back(tid),
+            // Filed by the caller, with the payload: the put queue
+            // entry holds the value, the target's pending entry the
+            // exception.
+            StuckReason::PutMVar(_) | StuckReason::SyncThrow { .. } => {}
+        }
+    }
+
+    /// (Interrupt): removes `tid` from the structure [`Runtime::enter_wait`]
+    /// (or its caller) filed it in.
+    pub(super) fn leave_wait(&mut self, tid: ThreadId, reason: &StuckReason) {
+        match *reason {
+            StuckReason::TakeMVar(m) | StuckReason::PutMVar(m) => {
+                self.mvars[m.0 as usize].forget_waiter(tid);
+            }
+            StuckReason::Sleep { .. } => {
+                // The wheel entry is invalidated by the status change and
+                // skipped when popped; count it so compaction can evict
+                // piles of dead entries before their wake_at arrives.
+                self.stale_sleepers += 1;
+                self.maybe_compact_sleepers();
+            }
+            StuckReason::GetChar => self.console_waiters.retain(|&t| t != tid),
+            // The exception we sent stays queued at the target (the wart
+            // of the synchronous design, §9); `wake_sync_thrower` tells
+            // its eventual receipt from the wait of a later throw.
+            StuckReason::SyncThrow { .. } => {}
+        }
+    }
+
+    /// Makes the stuck thread `tid` runnable again, the operation it was
+    /// blocked in returning `v`.
+    pub(super) fn wake(&mut self, tid: ThreadId, v: Value) {
+        let th = lookup_mut(&mut self.threads, tid).expect("a waiting thread exists");
+        debug_assert!(th.is_stuck());
+        th.status = Status::Runnable;
+        th.code = Code::ReturnVal(v);
+        enqueue_runnable(&mut self.run_queue, th);
+    }
+
+    pub(super) fn do_take_mvar(&mut self, th: &mut Thread, m: MVarId) {
+        match self.mvars[m.0 as usize].contents.take() {
+            Some(v) => {
+                // Full: take succeeds atomically — *not* a delivery point,
+                // even with pending exceptions (§5.3: "an interruptible
+                // operation cannot be interrupted if the resource ... is
+                // available").
+                self.refill_from_put_queue(m);
+                self.stats.mvar_ops += 1;
+                th.code = Code::ReturnVal(v);
+            }
+            None => {
+                self.block_on(th, StuckReason::TakeMVar(m));
+            }
+        }
+    }
+
+    pub(super) fn do_put_mvar(&mut self, th: &mut Thread, m: MVarId, v: Value) {
+        if self.mvars[m.0 as usize].contents.is_none() {
+            self.fill_or_handoff(m, v);
+            self.stats.mvar_ops += 1;
+            th.code = Code::ReturnVal(Value::Unit);
+        } else if self.block_on(th, StuckReason::PutMVar(m)) {
+            self.mvars[m.0 as usize].put_queue.push_back((th.tid, v));
+        }
+    }
+
+    /// Puts `v` into the empty `MVar` `m`, or hands it directly to the
+    /// first waiting taker (FIFO hand-off, so no woken thread retries).
+    pub(super) fn fill_or_handoff(&mut self, m: MVarId, v: Value) {
+        match self.mvars[m.0 as usize].take_queue.pop_front() {
+            None => self.mvars[m.0 as usize].contents = Some(v),
+            Some(taker) => {
+                self.wake(taker, v);
+                self.stats.mvar_ops += 1;
+            }
+        }
+    }
+
+    /// After a take empties `m`, admits the first queued putter (if any):
+    /// its value fills the cell and the putter wakes with `()`.
+    pub(super) fn refill_from_put_queue(&mut self, m: MVarId) {
+        if let Some((putter, v)) = self.mvars[m.0 as usize].put_queue.pop_front() {
+            self.mvars[m.0 as usize].contents = Some(v);
+            self.wake(putter, Value::Unit);
+            self.stats.mvar_ops += 1;
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The interpreter
+// ----------------------------------------------------------------------
+
+/// What one [`Runtime::step`] did to the thread it stepped.
+pub(super) enum Step {
+    /// The thread took a step and is still in the scheduler's hands
+    /// (runnable, stuck or yielded — its `status` says which).
+    Ran,
+    /// The thread returned or raised with an empty stack: its `code`
+    /// holds the final value or the uncaught exception.
+    Ended,
+}
+
+/// Moves `th`'s code out, leaving `return ()` in its place.
+pub(super) fn take_code(th: &mut Thread) -> Code {
+    std::mem::replace(&mut th.code, Code::ReturnVal(Value::Unit))
+}
+
+impl Runtime {
+    /// Records new high-water marks of `th`'s stack.
+    fn note_stack_growth(&mut self, th: &Thread) {
+        if th.stack.len() > self.stats.max_stack_depth {
+            self.stats.max_stack_depth = th.stack.len();
+        }
+        if th.mask_frames > self.stats.max_mask_frames {
+            self.stats.max_mask_frames = th.mask_frames;
+        }
+    }
 
     /// Pushes a frame, enforcing the stack limit; on overflow the thread's
     /// code becomes `Raise(StackOverflow)` and `false` is returned.
@@ -1090,13 +1202,32 @@ impl Runtime {
             }
         }
         th.push_frame(frame);
-        if th.stack.len() > self.stats.max_stack_depth {
-            self.stats.max_stack_depth = th.stack.len();
-        }
-        if th.mask_frames > self.stats.max_mask_frames {
-            self.stats.max_mask_frames = th.mask_frames;
-        }
+        self.note_stack_growth(th);
         true
+    }
+
+    /// (Block)/(Unblock): runs `body` with the mask set to `to`, by the
+    /// §8.1 frame algorithm ([`Thread::enter_mask`]).
+    fn enter_mask_scope(&mut self, th: &mut Thread, to: MaskState, body: Action) {
+        if self.config.record_sched_events {
+            self.trace.push(match to {
+                MaskState::Blocked => IoEvent::Mask(th.tid),
+                MaskState::Unblocked => IoEvent::Unmask(th.tid),
+            });
+        }
+        if th.enter_mask(to, self.config.collapse_mask_frames) {
+            self.stats.mask_frames_collapsed += 1;
+        }
+        self.note_stack_growth(th);
+        th.code = Code::Run(body);
+    }
+
+    /// The accounting every `throwTo`, of either design, starts with.
+    fn note_throw_to(&mut self, from: ThreadId, to: ThreadId) {
+        self.stats.throwtos += 1;
+        if self.config.record_sched_events {
+            self.trace.push(IoEvent::ThrowTo { from, to });
+        }
     }
 
     /// Executes one small step of the running thread `th`, which the
@@ -1106,7 +1237,7 @@ impl Runtime {
     /// when it has an owned payload to consume, so the steps that merely
     /// count down, pop a mask frame or read a `Copy` operand touch a few
     /// bytes instead of rewriting the whole 48-byte `Code`.
-    fn step(&mut self, th: &mut Thread) -> Step {
+    pub(super) fn step(&mut self, th: &mut Thread) -> Step {
         self.stats.steps += 1;
 
         // (Receive): asynchronous delivery at any program point, for
@@ -1122,62 +1253,45 @@ impl Runtime {
             && th.mask == MaskState::Unblocked
             && self.config.delivery == DeliveryMode::FullyAsync
             && !matches!(th.code, Code::Raise(_, _))
+            && self
+                .with_decider(|_, d| d.deliver_now(view(th, footprint_of(th))))
+                .unwrap_or(true)
         {
-            let deliver = match self.decider.take() {
-                None => true,
-                Some(mut decider) => {
-                    let view = ThreadView {
-                        tid: th.tid,
-                        footprint: footprint_of(th),
-                        pending: th.pending.len(),
-                        masked: false,
-                    };
-                    let answer = decider.deliver_now(view);
-                    self.decider = Some(decider);
-                    answer
-                }
-            };
-            if deliver {
-                let p = th.take_pending().expect("pending checked non-empty");
-                self.record_receive(&p);
-                if let Some(n) = p.notify {
-                    self.wake_sync_notifier(n);
-                }
-                th.code = Code::Raise(p.exc, RaiseOrigin::Async);
-                return Step::Ran;
-            }
+            let p = th.take_pending().expect("pending checked non-empty");
+            self.raise_async(th, p, Delivery::Receive);
+            return Step::Ran;
         }
 
-        match th.code {
-            Code::ReturnVal(_) => match th.pop_frame() {
-                None => return Step::Ended,
-                Some(Frame::Bind(node)) => {
-                    let Code::ReturnVal(v) = &mut th.code else {
-                        unreachable!("matched ReturnVal above");
-                    };
+        if let Code::Run(_) = th.code {
+            self.run_action(th);
+            return Step::Ran;
+        }
+        // Returning or raising: control reaches the top frame.
+        let Some(frame) = th.pop_frame() else {
+            return Step::Ended;
+        };
+        match frame {
+            Frame::Restore(s) => th.mask = s,
+            // A raise drops the continuations it unwinds past.
+            Frame::Bind(node) => {
+                if let Code::ReturnVal(v) = &mut th.code {
                     let v = std::mem::take(v);
                     th.code = Code::Run(node.resume(v));
                 }
-                Some(Frame::Catch { .. }) => {}
-                Some(Frame::Restore(s)) => th.mask = s,
-            },
-            Code::Raise(_, _) => match th.pop_frame() {
-                None => return Step::Ended,
-                Some(Frame::Bind(_)) => {}
-                Some(Frame::Restore(s)) => th.mask = s,
-                Some(Frame::Catch {
-                    handler,
-                    saved_mask,
-                }) => {
-                    th.mask = saved_mask;
-                    self.stats.catches += 1;
-                    let Code::Raise(e, origin) = take_code(th) else {
-                        unreachable!("matched Raise above");
-                    };
-                    th.code = Code::Run(handler(e, origin));
+            }
+            // A return drops the handler it leaves the scope of.
+            Frame::Catch { .. } if !matches!(th.code, Code::Raise(_, _)) => {}
+            Frame::Catch {
+                handler,
+                saved_mask,
+            } => {
+                th.mask = saved_mask;
+                self.stats.catches += 1;
+                match take_code(th) {
+                    Code::Raise(e, origin) => th.code = Code::Run(handler(e, origin)),
+                    code => unreachable!("{code:?} is not a raise"),
                 }
-            },
-            Code::Run(_) => self.run_action(th),
+            }
         }
         Step::Ran
     }
@@ -1191,23 +1305,125 @@ impl Runtime {
             unreachable!("run_action on a thread that is returning or raising");
         };
         // `Copy` operands are bound by value and `Value`s are taken through
-        // the reference; only the arms that own a box or an exception move
-        // the node out (`take_action`).
+        // the reference; the arms that own a box or an exception move the
+        // node out, all in `run_owned_action`.
         match *action {
             Action::Pure(ref mut v) => th.code = Code::ReturnVal(std::mem::take(v)),
-            Action::Bind(_) => {
-                let Action::Bind(mut node) = take_action(th) else {
-                    unreachable!("matched Bind above");
+            Action::Bind(_)
+            | Action::Catch(_, _)
+            | Action::Throw(_)
+            | Action::Rethrow(_, _)
+            | Action::Block(_)
+            | Action::Unblock(_)
+            | Action::Fork(_)
+            | Action::Effect(_)
+            | Action::ThrowTo(_, _)
+            | Action::ThrowToSync(_, _) => self.run_owned_action(th),
+            Action::GetMaskingState => {
+                th.code = Code::ReturnVal(Value::Bool(th.mask == MaskState::Blocked));
+            }
+            Action::MyThreadId => th.code = Code::ReturnVal(Value::ThreadId(th.tid)),
+            Action::NewMVar(ref mut contents) => {
+                let id = MVarId(self.mvars.len() as u64);
+                self.mvars.push(match contents.take() {
+                    None => MVarCell::empty(),
+                    Some(v) => MVarCell::full(v),
+                });
+                th.code = Code::ReturnVal(Value::MVar(id));
+            }
+            Action::TakeMVar(m) => self.do_take_mvar(th, m),
+            Action::PutMVar(m, ref mut v) => {
+                let v = std::mem::take(v);
+                self.do_put_mvar(th, m, v);
+            }
+            Action::TryTakeMVar(m) => match self.mvars[m.0 as usize].contents.take() {
+                None => th.code = Code::ReturnVal(Value::Nothing),
+                Some(v) => {
+                    self.refill_from_put_queue(m);
+                    self.stats.mvar_ops += 1;
+                    th.code = Code::ReturnVal(Value::Just(Box::new(v)));
+                }
+            },
+            Action::TryPutMVar(m, ref mut v) => {
+                let stored = self.mvars[m.0 as usize].contents.is_none();
+                if stored {
+                    let v = std::mem::take(v);
+                    self.fill_or_handoff(m, v);
+                    self.stats.mvar_ops += 1;
+                }
+                th.code = Code::ReturnVal(Value::Bool(stored));
+            }
+            Action::Sleep(0) => th.code = Code::ReturnVal(Value::Unit),
+            Action::Sleep(d) => {
+                let wake_at = self.clock + d;
+                self.block_on(th, StuckReason::Sleep { wake_at });
+            }
+            Action::GetChar => match self.console.try_read() {
+                Some(c) => {
+                    self.trace.push(IoEvent::Get(c));
+                    th.code = Code::ReturnVal(Value::Char(c));
+                }
+                None => {
+                    self.block_on(th, StuckReason::GetChar);
+                }
+            },
+            Action::PutChar(c) => {
+                self.console.write(c);
+                self.trace.push(IoEvent::Put(c));
+                th.code = Code::ReturnVal(Value::Unit);
+            }
+            Action::Compute {
+                ref mut steps,
+                ref mut result,
+            } => {
+                if *steps <= 1 {
+                    th.code = Code::ReturnVal(std::mem::take(result));
+                } else {
+                    *steps -= 1;
+                }
+            }
+            Action::PollSafePoint => {
+                let p = match th.mask {
+                    MaskState::Unblocked => th.take_pending(),
+                    MaskState::Blocked => None,
                 };
+                match p {
+                    Some(p) => self.raise_async(th, p, Delivery::Receive),
+                    None => th.code = Code::ReturnVal(Value::Unit),
+                }
+            }
+            Action::Yield => {
+                self.yielded = true;
+                th.code = Code::ReturnVal(Value::Unit);
+            }
+            Action::Now => th.code = Code::ReturnVal(Value::Int(self.clock as i64)),
+            Action::Choose(arms) => {
+                // A scheduler-visible oracle: the installed decider picks
+                // the arm (the explorer records it as a branch point);
+                // without a decider the choice collapses to arm 0.
+                let arm = self
+                    .with_decider(|_, d| d.choose_arm(view(th, StepFootprint::Oracle), arms))
+                    .unwrap_or(0);
+                assert!(
+                    arm < arms,
+                    "Decider::choose_arm returned arm {arm} for {arms} arms"
+                );
+                th.code = Code::ReturnVal(Value::Int(arm as i64));
+            }
+        }
+    }
+
+    /// The actions that own a box or an exception: the node is moved out
+    /// of `th.code` once, here, and consumed.
+    fn run_owned_action(&mut self, th: &mut Thread) {
+        match take_code(th) {
+            Code::Run(Action::Bind(mut node)) => {
                 let left = node.take_left();
                 if self.push_frame_checked(th, Frame::Bind(node)) {
                     th.code = Code::Run(left);
                 }
             }
-            Action::Catch(_, _) => {
-                let Action::Catch(m, handler) = take_action(th) else {
-                    unreachable!("matched Catch above");
-                };
+            Code::Run(Action::Catch(body, handler)) => {
                 let saved_mask = th.mask;
                 if self.push_frame_checked(
                     th,
@@ -1216,68 +1432,22 @@ impl Runtime {
                         saved_mask,
                     },
                 ) {
-                    th.code = Code::Run(*m);
+                    th.code = Code::Run(*body);
                 }
             }
-            Action::Throw(_) => {
-                let Action::Throw(e) = take_action(th) else {
-                    unreachable!("matched Throw above");
-                };
+            Code::Run(Action::Throw(e)) => {
                 self.stats.sync_throws += 1;
                 th.code = Code::Raise(e, RaiseOrigin::Sync);
             }
-            Action::Rethrow(_, _) => {
-                let Action::Rethrow(e, origin) = take_action(th) else {
-                    unreachable!("matched Rethrow above");
-                };
+            Code::Run(Action::Rethrow(e, origin)) => {
                 self.stats.sync_throws += 1;
                 th.code = Code::Raise(e, origin);
             }
-            Action::Block(_) => {
-                let Action::Block(m) = take_action(th) else {
-                    unreachable!("matched Block above");
-                };
-                if self.config.record_sched_events {
-                    self.trace.push(IoEvent::Mask(th.tid));
-                }
-                let collapsed = th.enter_block(self.config.collapse_mask_frames);
-                if collapsed {
-                    self.stats.mask_frames_collapsed += 1;
-                }
-                if th.mask_frames > self.stats.max_mask_frames {
-                    self.stats.max_mask_frames = th.mask_frames;
-                }
-                if th.stack.len() > self.stats.max_stack_depth {
-                    self.stats.max_stack_depth = th.stack.len();
-                }
-                th.code = Code::Run(*m);
+            Code::Run(Action::Block(body)) => self.enter_mask_scope(th, MaskState::Blocked, *body),
+            Code::Run(Action::Unblock(body)) => {
+                self.enter_mask_scope(th, MaskState::Unblocked, *body);
             }
-            Action::Unblock(_) => {
-                let Action::Unblock(m) = take_action(th) else {
-                    unreachable!("matched Unblock above");
-                };
-                if self.config.record_sched_events {
-                    self.trace.push(IoEvent::Unmask(th.tid));
-                }
-                let collapsed = th.enter_unblock(self.config.collapse_mask_frames);
-                if collapsed {
-                    self.stats.mask_frames_collapsed += 1;
-                }
-                if th.mask_frames > self.stats.max_mask_frames {
-                    self.stats.max_mask_frames = th.mask_frames;
-                }
-                if th.stack.len() > self.stats.max_stack_depth {
-                    self.stats.max_stack_depth = th.stack.len();
-                }
-                th.code = Code::Run(*m);
-            }
-            Action::GetMaskingState => {
-                th.code = Code::ReturnVal(Value::Bool(th.mask == MaskState::Blocked));
-            }
-            Action::Fork(_) => {
-                let Action::Fork(body) = take_action(th) else {
-                    unreachable!("matched Fork above");
-                };
+            Code::Run(Action::Fork(body)) => {
                 let mask = if self.config.fork_inherits_mask {
                     th.mask
                 } else {
@@ -1300,327 +1470,54 @@ impl Runtime {
                 }
                 th.code = Code::ReturnVal(Value::ThreadId(child));
             }
-            Action::MyThreadId => th.code = Code::ReturnVal(Value::ThreadId(th.tid)),
-            Action::NewMVar(ref mut contents) => {
-                let id = MVarId(self.mvars.len() as u64);
-                self.mvars.push(match contents.take() {
-                    None => MVarCell::empty(),
-                    Some(v) => MVarCell::full(v),
-                });
-                th.code = Code::ReturnVal(Value::MVar(id));
-            }
-            Action::TakeMVar(m) => self.do_take_mvar(th, m),
-            Action::PutMVar(m, ref mut v) => {
-                let v = std::mem::take(v);
-                self.do_put_mvar(th, m, v);
-            }
-            Action::TryTakeMVar(m) => {
-                let cell = &mut self.mvars[m.0 as usize];
-                match cell.contents.take() {
-                    None => th.code = Code::ReturnVal(Value::Nothing),
-                    Some(v) => {
-                        self.refill_from_put_queue(m);
-                        self.stats.mvar_ops += 1;
-                        th.code = Code::ReturnVal(Value::Just(Box::new(v)));
-                    }
-                }
-            }
-            Action::TryPutMVar(m, ref mut v) => {
-                let cell = &mut self.mvars[m.0 as usize];
-                if cell.contents.is_some() {
-                    th.code = Code::ReturnVal(Value::Bool(false));
-                } else {
-                    let v = std::mem::take(v);
-                    self.fill_or_handoff(m, v);
-                    self.stats.mvar_ops += 1;
-                    th.code = Code::ReturnVal(Value::Bool(true));
-                }
-            }
-            Action::Sleep(d) => {
-                if d == 0 {
-                    th.code = Code::ReturnVal(Value::Unit);
-                } else if let Some(p) = th.take_pending() {
-                    // Interruptible at the moment of blocking (§5.3).
-                    self.deliver_at_block_point(th, p);
-                } else {
-                    let wake_at = self.clock + d;
-                    th.status = Status::Stuck(StuckReason::Sleep { wake_at });
-                    self.sleep_seq += 1;
-                    self.sleepers.insert(
-                        self.clock,
-                        TimerEntry {
-                            wake_at,
-                            seq: self.sleep_seq,
-                            payload: th.tid,
-                        },
-                    );
-                    if self.sleepers.len() > self.stats.max_sleeper_heap {
-                        self.stats.max_sleeper_heap = self.sleepers.len();
-                    }
-                    self.stats.timer_ops += 1;
-                    self.stats.blocks += 1;
-                    self.note_blocked(th.tid, BlockSite::Sleep);
-                }
-            }
-            Action::GetChar => match self.console.try_read() {
-                Some(c) => {
-                    self.trace.push(IoEvent::Get(c));
-                    th.code = Code::ReturnVal(Value::Char(c));
-                }
-                None => {
-                    if let Some(p) = th.take_pending() {
-                        self.deliver_at_block_point(th, p);
-                    } else {
-                        th.status = Status::Stuck(StuckReason::GetChar);
-                        self.console_waiters.push_back(th.tid);
-                        self.stats.blocks += 1;
-                        self.note_blocked(th.tid, BlockSite::GetChar);
-                    }
-                }
-            },
-            Action::PutChar(c) => {
-                self.console.write(c);
-                self.trace.push(IoEvent::Put(c));
-                th.code = Code::ReturnVal(Value::Unit);
-            }
-            Action::Compute {
-                ref mut steps,
-                ref mut result,
-            } => {
-                if *steps <= 1 {
-                    th.code = Code::ReturnVal(std::mem::take(result));
-                } else {
-                    *steps -= 1;
-                }
-            }
-            Action::PollSafePoint => {
-                if th.mask == MaskState::Unblocked {
-                    if let Some(p) = th.take_pending() {
-                        self.record_receive(&p);
-                        if let Some(n) = p.notify {
-                            self.wake_sync_notifier(n);
-                        }
-                        th.code = Code::Raise(p.exc, RaiseOrigin::Async);
-                        return;
-                    }
-                }
-                th.code = Code::ReturnVal(Value::Unit);
-            }
-            Action::Yield => {
-                self.yielded = true;
-                th.code = Code::ReturnVal(Value::Unit);
-            }
-            Action::Now => th.code = Code::ReturnVal(Value::Int(self.clock as i64)),
-            Action::Effect(_) => {
-                let Action::Effect(f) = take_action(th) else {
-                    unreachable!("matched Effect above");
-                };
-                th.code = Code::ReturnVal(f());
-            }
-            Action::Choose(arms) => {
-                // A scheduler-visible oracle: the installed decider picks
-                // the arm (the explorer records it as a branch point);
-                // without a decider the choice collapses to arm 0.
-                let arm = match self.decider.take() {
-                    None => 0,
-                    Some(mut decider) => {
-                        let view = ThreadView {
-                            tid: th.tid,
-                            footprint: StepFootprint::Oracle,
-                            pending: th.pending.len(),
-                            masked: th.mask == MaskState::Blocked,
-                        };
-                        let answer = decider.choose_arm(view, arms);
-                        self.decider = Some(decider);
-                        answer
-                    }
-                };
-                assert!(
-                    arm < arms,
-                    "Decider::choose_arm returned arm {arm} for {arms} arms"
-                );
-                th.code = Code::ReturnVal(Value::Int(arm as i64));
-            }
-            Action::ThrowTo(_, _) => {
-                let Action::ThrowTo(target, e) = take_action(th) else {
-                    unreachable!("matched ThrowTo above");
-                };
-                self.stats.throwtos += 1;
-                if self.config.record_sched_events {
-                    self.trace.push(IoEvent::ThrowTo {
-                        from: th.tid,
-                        to: target,
-                    });
-                }
+            Code::Run(Action::Effect(f)) => th.code = Code::ReturnVal(f()),
+            Code::Run(Action::ThrowTo(target, e)) => {
+                self.note_throw_to(th.tid, target);
                 if target == th.tid {
                     // Self-throw: queue it; it is delivered at the next
                     // delivery point if unmasked, like any other pending
                     // asynchronous exception.
-                    let step = self.stats.steps;
                     th.pending.push_back(PendingExc {
                         exc: e,
                         notify: None,
-                        enqueued_step: step,
+                        enqueued_step: self.stats.steps,
                     });
                 } else {
                     self.enqueue_exception(target, e, None);
                 }
                 th.code = Code::ReturnVal(Value::Unit);
             }
-            Action::ThrowToSync(_, _) => {
-                let Action::ThrowToSync(target, e) = take_action(th) else {
-                    unreachable!("matched ThrowToSync above");
-                };
-                self.stats.throwtos += 1;
-                if self.config.record_sched_events {
-                    self.trace.push(IoEvent::ThrowTo {
-                        from: th.tid,
-                        to: target,
-                    });
-                }
+            Code::Run(Action::ThrowToSync(target, e)) => {
+                self.note_throw_to(th.tid, target);
                 if target == th.tid {
                     // §9: special case — a thread throwing to itself raises
                     // the exception immediately.
                     th.code = Code::Raise(e, RaiseOrigin::Async);
-                } else if self.thread(target).is_none() {
-                    th.code = Code::ReturnVal(Value::Unit);
-                } else if let Some(p) = th.take_pending() {
-                    // Synchronous throwTo is interruptible (§9): if we
-                    // already have a pending exception, receive it instead
-                    // of starting to wait.
-                    self.deliver_at_block_point(th, p);
-                } else if self.thread(target).is_some_and(Thread::is_stuck) {
+                    return;
+                }
+                match lookup(&self.threads, target).map(Thread::is_stuck) {
+                    None => {}
                     // A stuck target receives via (Interrupt) the moment the
                     // exception is enqueued, so the thrower has nothing to
                     // wait for. Waiting would in fact deadlock: the wake
                     // happens during this very step, while the thrower is
                     // detached from the thread table and not yet suspended.
-                    self.enqueue_exception(target, e, None);
-                    th.code = Code::ReturnVal(Value::Unit);
-                } else {
-                    self.enqueue_exception(target, e, Some(th.tid));
-                    th.status = Status::Stuck(StuckReason::SyncThrow { target });
-                    self.stats.blocks += 1;
-                    self.note_blocked(th.tid, BlockSite::SyncThrow);
+                    // (With an exception of its own pending the thrower
+                    // receives that instead, below: §9 makes the
+                    // synchronous throwTo interruptible.)
+                    Some(true) if th.pending.is_empty() => self.enqueue_exception(target, e, None),
+                    Some(_) => {
+                        let since_step = self.stats.steps;
+                        if self.block_on(th, StuckReason::SyncThrow { target, since_step }) {
+                            self.enqueue_exception(target, e, Some(th.tid));
+                        }
+                        return;
+                    }
                 }
+                th.code = Code::ReturnVal(Value::Unit);
             }
+            code => unreachable!("{code:?} does not own its payload"),
         }
-    }
-
-    /// Records a [`IoEvent::BlockedOn`] scheduler event, if enabled.
-    fn note_blocked(&mut self, tid: ThreadId, site: BlockSite) {
-        if self.config.record_sched_events {
-            self.trace.push(IoEvent::BlockedOn { tid, site });
-        }
-    }
-
-    /// §5.3: an interruptible operation receives a pending exception at
-    /// the moment it would otherwise block, regardless of the mask.
-    fn deliver_at_block_point(&mut self, th: &mut Thread, p: PendingExc) {
-        self.stats.interrupted_blocked += 1;
-        self.stats.delivery_latency_total += self.stats.steps - p.enqueued_step;
-        self.stats.delivery_latency_samples += 1;
-        if let Some(n) = p.notify {
-            self.wake_sync_notifier(n);
-        }
-        th.code = Code::Raise(p.exc, RaiseOrigin::Async);
-    }
-
-    fn do_take_mvar(&mut self, th: &mut Thread, m: MVarId) {
-        let cell = &mut self.mvars[m.0 as usize];
-        match cell.contents.take() {
-            Some(v) => {
-                // Full: take succeeds atomically — *not* a delivery point,
-                // even with pending exceptions (§5.3: "an interruptible
-                // operation cannot be interrupted if the resource ... is
-                // available").
-                self.refill_from_put_queue(m);
-                self.stats.mvar_ops += 1;
-                th.code = Code::ReturnVal(v);
-            }
-            None => {
-                if let Some(p) = th.take_pending() {
-                    self.deliver_at_block_point(th, p);
-                } else {
-                    th.status = Status::Stuck(StuckReason::TakeMVar(m));
-                    self.mvars[m.0 as usize].take_queue.push_back(th.tid);
-                    self.stats.blocks += 1;
-                    self.note_blocked(th.tid, BlockSite::TakeMVar);
-                }
-            }
-        }
-    }
-
-    fn do_put_mvar(&mut self, th: &mut Thread, m: MVarId, v: Value) {
-        let full = self.mvars[m.0 as usize].contents.is_some();
-        if full {
-            if let Some(p) = th.take_pending() {
-                self.deliver_at_block_point(th, p);
-            } else {
-                th.status = Status::Stuck(StuckReason::PutMVar(m));
-                self.mvars[m.0 as usize].put_queue.push_back((th.tid, v));
-                self.stats.blocks += 1;
-                self.note_blocked(th.tid, BlockSite::PutMVar);
-            }
-        } else {
-            self.fill_or_handoff(m, v);
-            self.stats.mvar_ops += 1;
-            th.code = Code::ReturnVal(Value::Unit);
-        }
-    }
-
-    /// Puts `v` into the empty `MVar` `m`, or hands it directly to the
-    /// first waiting taker (FIFO hand-off, so no woken thread retries).
-    fn fill_or_handoff(&mut self, m: MVarId, v: Value) {
-        let taker = self.mvars[m.0 as usize].take_queue.pop_front();
-        match taker {
-            None => self.mvars[m.0 as usize].contents = Some(v),
-            Some(t) => {
-                let th = self.thread_mut(t).expect("waiting taker exists");
-                debug_assert!(matches!(th.status, Status::Stuck(StuckReason::TakeMVar(_))));
-                th.status = Status::Runnable;
-                th.code = Code::ReturnVal(v);
-                self.enqueue_runnable(t);
-                self.stats.mvar_ops += 1;
-            }
-        }
-    }
-
-    /// After a take empties `m`, admits the first queued putter (if any):
-    /// its value fills the cell and the putter wakes with `()`.
-    fn refill_from_put_queue(&mut self, m: MVarId) {
-        if let Some((t, v)) = self.mvars[m.0 as usize].put_queue.pop_front() {
-            self.mvars[m.0 as usize].contents = Some(v);
-            let th = self.thread_mut(t).expect("waiting putter exists");
-            debug_assert!(matches!(th.status, Status::Stuck(StuckReason::PutMVar(_))));
-            th.status = Status::Runnable;
-            th.code = Code::ReturnVal(Value::Unit);
-            self.enqueue_runnable(t);
-            self.stats.mvar_ops += 1;
-        }
-    }
-}
-
-/// What one [`Runtime::step`] did to the thread it stepped.
-enum Step {
-    /// The thread took a step and is still in the scheduler's hands
-    /// (runnable, stuck or yielded — its `status` says which).
-    Ran,
-    /// The thread returned or raised with an empty stack: its `code`
-    /// holds the final value or the uncaught exception.
-    Ended,
-}
-
-/// Moves `th`'s code out, leaving `return ()` in its place.
-fn take_code(th: &mut Thread) -> Code {
-    std::mem::replace(&mut th.code, Code::ReturnVal(Value::Unit))
-}
-
-/// Moves the action `th` is about to run out of its code.
-fn take_action(th: &mut Thread) -> Action {
-    match take_code(th) {
-        Code::Run(action) => action,
-        code => unreachable!("take_action on {code:?}"),
     }
 }
 
@@ -1628,7 +1525,7 @@ fn take_action(th: &mut Thread) -> Action {
 ///
 /// Conservative in the required direction: anything not provably local to
 /// the thread maps to a variant that conflicts with more, never less.
-fn footprint_of(th: &Thread) -> StepFootprint {
+pub(super) fn footprint_of(th: &Thread) -> StepFootprint {
     match &th.code {
         Code::ReturnVal(_) => {
             if th.stack.is_empty() {
@@ -2367,6 +2264,107 @@ mod slice_tests {
             assert_eq!(result, Ok(Value::Int(1)), "quantum {quantum}");
             assert_eq!(rt.stats().async_deliveries, 1);
         }
+    }
+
+    /// A timeout that does not fire: main kills the timer thread at t=10,
+    /// before its tick at t=50, which stays in the wheel with nobody to
+    /// wake (the bystander keeps the wheel too full for compaction to
+    /// evict it), and sleeps on to t=100. The handler runs only if the
+    /// host interrupts that sleep.
+    fn unfired_timeout() -> Io<()> {
+        Io::fork(Io::sleep(1_000))
+            .then(Io::fork(Io::sleep(50).then(Io::put_char('t'))))
+            .and_then(|timer| {
+                Io::sleep(10)
+                    .then(Io::throw_to(timer, Exception::kill_thread()))
+                    .then(Io::sleep(90).catch(|_| Io::sleep(5)))
+                    .then(Io::put_char('.'))
+            })
+    }
+
+    /// The trace with every run of `TimeAdvance`s summed into one.
+    fn advances_merged(trace: &[IoEvent]) -> Vec<IoEvent> {
+        let mut merged: Vec<IoEvent> = Vec::new();
+        for &event in trace {
+            match (merged.last_mut(), event) {
+                (Some(IoEvent::TimeAdvance(sum)), IoEvent::TimeAdvance(d)) => *sum += d,
+                _ => merged.push(event),
+            }
+        }
+        merged
+    }
+
+    fn advance_sum(rt: &Runtime) -> u64 {
+        let advances = rt.io_trace().iter().map(|e| match e {
+            IoEvent::TimeAdvance(d) => *d,
+            _ => 0,
+        });
+        advances.sum()
+    }
+
+    /// Runs [`unfired_timeout`] up to an epoch ending at t=60, between
+    /// the stale tick and the live one.
+    fn pumped_to_the_stale_tick() -> Runtime {
+        let mut rt = Runtime::with_config(config(11));
+        rt.begin_run(unfired_timeout().action);
+        let idle = rt.pump(60, None);
+        assert!(
+            matches!(
+                idle,
+                PumpOutcome::Idle {
+                    next_wake: Some(100)
+                }
+            ),
+            "{idle:?}"
+        );
+        // The capped advance stopped *at* the stale tick, where the
+        // wheel's cursor now is.
+        assert_eq!((rt.clock(), advance_sum(&rt)), (50, 50));
+        rt
+    }
+
+    #[test]
+    fn an_all_stale_tick_splits_a_capped_advance_and_nothing_else() {
+        let mut whole = Runtime::with_config(config(11));
+        assert_eq!(whole.run(unfired_timeout()), Ok(()));
+        assert_eq!(
+            (whole.output(), whole.clock(), advance_sum(&whole)),
+            (".", 100, 100)
+        );
+
+        let mut rt = pumped_to_the_stale_tick();
+        let rest = rt.pump(u64::MAX, None);
+        assert!(
+            matches!(rest, PumpOutcome::Finished(Ok(Value::Unit))),
+            "{rest:?}"
+        );
+        assert_eq!(rt.output(), whole.output());
+        assert_eq!(rt.stats(), whole.stats());
+        assert_eq!((rt.clock(), advance_sum(&rt)), (100, 100));
+        // Uncapped, the stale tick's 40 µs are folded into the next live
+        // advance; capped, they are an advance of their own.
+        assert_ne!(rt.io_trace(), whole.io_trace());
+        assert_eq!(
+            advances_merged(rt.io_trace()),
+            advances_merged(whole.io_trace())
+        );
+    }
+
+    #[test]
+    fn a_timer_filed_right_after_a_capped_stale_pop_is_not_behind_the_cursor() {
+        let mut rt = pumped_to_the_stale_tick();
+        // Main's handler sleeps: a timer filed at the current clock, with
+        // the wheel (bystander, main's dead entry) not empty, so its
+        // cursor does not rebase — `TimerWheel::insert` asserts the clock
+        // has kept up with it.
+        rt.host_throw_to(rt.main_thread_id(), Exception::custom("host"));
+        let rest = rt.pump(u64::MAX, None);
+        assert!(
+            matches!(rest, PumpOutcome::Finished(Ok(Value::Unit))),
+            "{rest:?}"
+        );
+        assert_eq!(rt.output(), ".");
+        assert_eq!((rt.clock(), advance_sum(&rt)), (55, 55));
     }
 }
 

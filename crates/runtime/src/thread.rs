@@ -10,8 +10,8 @@
 //! * a FIFO **queue of pending asynchronous exceptions** waiting to be
 //!   delivered.
 //!
-//! `Thread::enter_block`/`Thread::enter_unblock` implement the 4-step
-//! algorithm of §8.1 including the adjacent-frame collapse (step 3) that
+//! `Thread::enter_mask` implements the 4-step algorithm of §8.1, for
+//! `block` and `unblock` alike, including the adjacent-frame collapse (step 3) that
 //! lets mask-recursive functions run in constant stack space. The collapse
 //! can be disabled ([`crate::config::RuntimeConfig::collapse_mask_frames`])
 //! for the ablation benchmark.
@@ -22,6 +22,7 @@ use crate::decide::StepFootprint;
 use crate::exception::Exception;
 use crate::ids::{MVarId, ThreadId};
 use crate::io::{Action, BindNode, Handler};
+use crate::trace::BlockSite;
 use crate::value::Value;
 
 /// The asynchronous-exception masking state of a thread (§5.2).
@@ -109,6 +110,10 @@ pub(crate) enum StuckReason {
     SyncThrow {
         /// The thread we threw to.
         target: ThreadId,
+        /// The step the throw was issued at — the `enqueued_step` of the
+        /// [`PendingExc`] whose receipt ends this wait, which tells it
+        /// from one an earlier, interrupted wait left behind.
+        since_step: u64,
     },
 }
 
@@ -120,9 +125,21 @@ impl StuckReason {
             StuckReason::PutMVar(m) => format!("blocked in putMVar on {m}"),
             StuckReason::Sleep { wake_at } => format!("sleeping until t={wake_at}"),
             StuckReason::GetChar => "blocked in getChar".to_owned(),
-            StuckReason::SyncThrow { target } => {
+            StuckReason::SyncThrow { target, .. } => {
                 format!("waiting for synchronous throwTo to {target}")
             }
+        }
+    }
+
+    /// The kind of resource, as [`IoEvent::BlockedOn`](crate::trace::IoEvent)
+    /// reports it.
+    pub fn site(&self) -> BlockSite {
+        match self {
+            StuckReason::TakeMVar(_) => BlockSite::TakeMVar,
+            StuckReason::PutMVar(_) => BlockSite::PutMVar,
+            StuckReason::Sleep { .. } => BlockSite::Sleep,
+            StuckReason::GetChar => BlockSite::GetChar,
+            StuckReason::SyncThrow { .. } => BlockSite::SyncThrow,
         }
     }
 }
@@ -227,44 +244,26 @@ impl Thread {
         f
     }
 
-    /// Enters a `block` scope: the §8.1 algorithm.
+    /// Enters a `block` (`to == Blocked`) or `unblock` scope: the §8.1
+    /// algorithm, which is its own mirror image.
     ///
     /// Returns `true` if an adjacent frame was collapsed (step 3's removal)
     /// — the quantity the ablation bench counts.
-    pub fn enter_block(&mut self, collapse: bool) -> bool {
-        // Step 1: already blocked => nothing to do.
-        if self.mask == MaskState::Blocked {
+    pub fn enter_mask(&mut self, to: MaskState, collapse: bool) -> bool {
+        // Step 1: already in that state => nothing to do.
+        if self.mask == to {
             return false;
         }
         // Step 2: set the state.
-        self.mask = MaskState::Blocked;
-        // Step 3: collapse an adjacent "block frame" (Restore(Blocked))
-        // instead of pushing an "unblock frame" (Restore(Unblocked)).
-        if collapse && matches!(self.stack.last(), Some(Frame::Restore(MaskState::Blocked))) {
+        let from = std::mem::replace(&mut self.mask, to);
+        // Step 3: right under a frame that would restore `to` (entering
+        // `block`, the paper's "block frame"), remove that frame instead
+        // of pushing the one that restores `from` (an "unblock frame").
+        if collapse && matches!(self.stack.last(), Some(Frame::Restore(s)) if *s == to) {
             self.pop_frame();
             true
         } else {
-            self.push_frame(Frame::Restore(MaskState::Unblocked));
-            false
-        }
-    }
-
-    /// Enters an `unblock` scope: the dual of [`Thread::enter_block`].
-    pub fn enter_unblock(&mut self, collapse: bool) -> bool {
-        if self.mask == MaskState::Unblocked {
-            return false;
-        }
-        self.mask = MaskState::Unblocked;
-        if collapse
-            && matches!(
-                self.stack.last(),
-                Some(Frame::Restore(MaskState::Unblocked))
-            )
-        {
-            self.pop_frame();
-            true
-        } else {
-            self.push_frame(Frame::Restore(MaskState::Blocked));
+            self.push_frame(Frame::Restore(from));
             false
         }
     }
@@ -312,7 +311,7 @@ mod tests {
     #[test]
     fn block_pushes_unblock_frame() {
         let mut t = fresh();
-        let collapsed = t.enter_block(true);
+        let collapsed = t.enter_mask(MaskState::Blocked, true);
         assert!(!collapsed);
         assert_eq!(t.mask, MaskState::Blocked);
         assert!(matches!(
@@ -325,9 +324,9 @@ mod tests {
     #[test]
     fn nested_block_is_noop() {
         let mut t = fresh();
-        t.enter_block(true);
+        t.enter_mask(MaskState::Blocked, true);
         let depth = t.stack.len();
-        t.enter_block(true);
+        t.enter_mask(MaskState::Blocked, true);
         // §5.2: no counting of scopes — second block changes nothing.
         assert_eq!(t.stack.len(), depth);
         assert_eq!(t.mask, MaskState::Blocked);
@@ -338,8 +337,8 @@ mod tests {
         // §8.1 reversed step 3: an unblock whose stack top is the enclosing
         // block's unblock-frame removes it instead of pushing.
         let mut t = fresh();
-        t.enter_block(true);
-        let collapsed = t.enter_unblock(true);
+        t.enter_mask(MaskState::Blocked, true);
+        let collapsed = t.enter_mask(MaskState::Unblocked, true);
         assert!(collapsed);
         assert_eq!(t.mask, MaskState::Unblocked);
         assert!(t.stack.is_empty());
@@ -351,12 +350,12 @@ mod tests {
         // With an intervening frame (a pending `>>=` continuation), the
         // collapse cannot fire and a block-frame is pushed.
         let mut t = fresh();
-        t.enter_block(true);
+        t.enter_mask(MaskState::Blocked, true);
         t.push_frame(Frame::Bind(bind_node(
             Action::Pure(Value::Unit),
             Action::Pure,
         )));
-        let collapsed = t.enter_unblock(true);
+        let collapsed = t.enter_mask(MaskState::Unblocked, true);
         assert!(!collapsed);
         assert_eq!(t.mask, MaskState::Unblocked);
         assert!(matches!(
@@ -372,9 +371,9 @@ mod tests {
         // block-frame), a tail-position block removes that frame.
         let mut t = fresh();
         t.mask = MaskState::Blocked;
-        t.enter_unblock(true); // pushes Restore(Blocked)
+        t.enter_mask(MaskState::Unblocked, true); // pushes Restore(Blocked)
         assert_eq!(t.stack.len(), 1);
-        let collapsed = t.enter_block(true);
+        let collapsed = t.enter_mask(MaskState::Blocked, true);
         assert!(collapsed);
         assert!(t.stack.is_empty());
         assert_eq!(t.mask_frames, 0);
@@ -384,9 +383,9 @@ mod tests {
     #[test]
     fn no_collapse_grows_stack() {
         let mut t = fresh();
-        t.enter_block(false);
-        t.enter_unblock(false);
-        let collapsed = t.enter_block(false);
+        t.enter_mask(MaskState::Blocked, false);
+        t.enter_mask(MaskState::Unblocked, false);
+        let collapsed = t.enter_mask(MaskState::Blocked, false);
         assert!(!collapsed);
         assert_eq!(t.stack.len(), 3);
         assert_eq!(t.mask_frames, 3);
@@ -395,10 +394,10 @@ mod tests {
     #[test]
     fn collapse_keeps_recursion_constant_space() {
         let mut t = fresh();
-        t.enter_block(true);
+        t.enter_mask(MaskState::Blocked, true);
         for _ in 0..1000 {
-            t.enter_unblock(true);
-            t.enter_block(true);
+            t.enter_mask(MaskState::Unblocked, true);
+            t.enter_mask(MaskState::Blocked, true);
         }
         assert_eq!(t.stack.len(), 1);
     }
@@ -406,10 +405,10 @@ mod tests {
     #[test]
     fn without_collapse_recursion_grows_linearly() {
         let mut t = fresh();
-        t.enter_block(false);
+        t.enter_mask(MaskState::Blocked, false);
         for _ in 0..100 {
-            t.enter_unblock(false);
-            t.enter_block(false);
+            t.enter_mask(MaskState::Unblocked, false);
+            t.enter_mask(MaskState::Blocked, false);
         }
         assert_eq!(t.stack.len(), 201);
     }

@@ -197,3 +197,74 @@ fn multiple_sync_throwers_all_complete() {
     });
     assert_eq!(rt.run(prog).unwrap(), 3);
 }
+
+/// The program behind the two stale-notifier tests. `A` starts a sync
+/// throw of `e1` at masked `B`, is interrupted out of that wait by
+/// `poke` (leaving `e1` — and its request to notify `A` — queued at
+/// `B`), and starts a second sync throw, of `e2`, at `second_target`.
+/// `B` then unmasks and receives `e1`. Only the receipt of `e2` may let
+/// `A` go on to write "returned".
+fn interrupted_then_rethrown(
+    b_body: Io<()>,
+    second_target: impl FnOnce(ThreadId, ThreadId) -> ThreadId + 'static,
+) -> Result<String, RunError> {
+    let mut rt = Runtime::with_config(RuntimeConfig::new().max_steps(400_000));
+    let prog = Io::new_empty_mvar::<String>().and_then(move |out| {
+        // Masked and spinning: never receives anything.
+        let d_body = Io::<()>::block(Io::compute(u64::MAX));
+        Io::fork(b_body).and_then(move |b| {
+            Io::fork(d_body).and_then(move |d| {
+                let a_body = Io::throw_to_sync(b, Exception::custom("e1"))
+                    .catch(|_| Io::unit())
+                    .then(Io::throw_to_sync(
+                        second_target(b, d),
+                        Exception::custom("e2"),
+                    ))
+                    .then(out.put("returned".to_owned()));
+                Io::fork(a_body).and_then(move |a| {
+                    Io::compute(2_000)
+                        .then(Io::throw_to(a, Exception::custom("poke")))
+                        .then(out.take())
+                })
+            })
+        })
+    });
+    rt.run(prog)
+}
+
+/// Claim 1 again: `throw_to_sync(D, e2)` must not return because some
+/// *other* exception the thrower once sent was received. (It used to:
+/// any thread in a sync-throw wait was woken by any notifier.)
+#[test]
+fn stale_notifier_does_not_end_a_wait_on_another_target() {
+    let b_body = Io::<()>::block(Io::compute(20_000))
+        .then(Io::<()>::unblock(Io::compute(1_000)))
+        .catch(|_| Io::unit());
+    assert_eq!(
+        interrupted_then_rethrown(b_body, |_b, d| d),
+        Err(RunError::StepLimitExceeded { limit: 400_000 })
+    );
+}
+
+/// The same with the second throw aimed at `B` again: the receipt of
+/// `e1` is not the receipt of `e2`. `B` handles `e1` masked; if it never
+/// unmasks again `A` waits forever, and if it does, `A` returns then.
+#[test]
+fn stale_notifier_does_not_end_a_later_wait_on_the_same_target() {
+    let b_body = |after_e1: Io<()>| {
+        Io::<()>::block(
+            Io::compute(20_000)
+                .then(Io::<()>::unblock(Io::compute(1_000)).catch(move |_| after_e1)),
+        )
+    };
+    assert_eq!(
+        interrupted_then_rethrown(b_body(Io::compute(u64::MAX)), |b, _d| b),
+        Err(RunError::StepLimitExceeded { limit: 400_000 })
+    );
+    let receptive =
+        Io::compute(5_000).then(Io::<()>::unblock(Io::compute(1_000)).catch(|_| Io::unit()));
+    assert_eq!(
+        interrupted_then_rethrown(b_body(receptive), |b, _d| b),
+        Ok("returned".to_owned())
+    );
+}
