@@ -1,0 +1,144 @@
+//! Blocking and waking: §5.3's block-or-receive, the wait structures a
+//! stuck thread sits in, the one stuck → runnable transition, and the
+//! `MVar` operations built on them.
+
+use super::deliver::Delivery;
+use super::{enqueue_runnable, lookup_mut, Runtime};
+use crate::ids::{MVarId, ThreadId};
+use crate::thread::{Code, Status, StuckReason, Thread};
+use crate::timer::TimerEntry;
+use crate::trace::IoEvent;
+use crate::value::Value;
+
+impl Runtime {
+    /// §5.3, the one place a thread blocks: an interruptible operation
+    /// that finds its resource unavailable receives a pending exception
+    /// at that moment, whatever the mask, and only otherwise becomes
+    /// stuck for `reason`. Returns whether it blocked; a caller whose
+    /// wait carries a payload (`putMVar`'s value, §9's exception) files
+    /// it then.
+    pub(super) fn block_on(&mut self, th: &mut Thread, reason: StuckReason) -> bool {
+        if let Some(p) = th.take_pending() {
+            self.raise_async(th, p, Delivery::Interrupt);
+            return false;
+        }
+        self.enter_wait(th.tid, &reason);
+        self.stats.blocks += 1;
+        if self.config.record_sched_events {
+            self.trace.push(IoEvent::BlockedOn {
+                tid: th.tid,
+                site: reason.site(),
+            });
+        }
+        th.status = Status::Stuck(reason);
+        true
+    }
+
+    /// Files `tid` in the structure that will wake it from `reason`.
+    fn enter_wait(&mut self, tid: ThreadId, reason: &StuckReason) {
+        match *reason {
+            StuckReason::TakeMVar(m) => self.mvars[m.0 as usize].take_queue.push_back(tid),
+            StuckReason::Sleep { wake_at } => {
+                self.sleep_seq += 1;
+                self.sleepers.insert(
+                    self.clock,
+                    TimerEntry {
+                        wake_at,
+                        seq: self.sleep_seq,
+                        payload: tid,
+                    },
+                );
+                if self.sleepers.len() > self.stats.max_sleeper_heap {
+                    self.stats.max_sleeper_heap = self.sleepers.len();
+                }
+                self.stats.timer_ops += 1;
+            }
+            StuckReason::GetChar => self.console_waiters.push_back(tid),
+            // Filed by the caller, with the payload: the put queue
+            // entry holds the value, the target's pending entry the
+            // exception.
+            StuckReason::PutMVar(_) | StuckReason::SyncThrow { .. } => {}
+        }
+    }
+
+    /// (Interrupt): removes `tid` from the structure [`Runtime::enter_wait`]
+    /// (or its caller) filed it in.
+    pub(super) fn leave_wait(&mut self, tid: ThreadId, reason: &StuckReason) {
+        match *reason {
+            StuckReason::TakeMVar(m) | StuckReason::PutMVar(m) => {
+                self.mvars[m.0 as usize].forget_waiter(tid);
+            }
+            StuckReason::Sleep { .. } => {
+                // The wheel entry is invalidated by the status change and
+                // skipped when popped; count it so compaction can evict
+                // piles of dead entries before their wake_at arrives.
+                self.stale_sleepers += 1;
+                self.maybe_compact_sleepers();
+            }
+            StuckReason::GetChar => self.console_waiters.retain(|&t| t != tid),
+            // The exception we sent stays queued at the target (the wart
+            // of the synchronous design, §9); `wake_sync_thrower` tells
+            // its eventual receipt from the wait of a later throw.
+            StuckReason::SyncThrow { .. } => {}
+        }
+    }
+
+    /// Makes the stuck thread `tid` runnable again, the operation it was
+    /// blocked in returning `v`.
+    pub(super) fn wake(&mut self, tid: ThreadId, v: Value) {
+        let th = lookup_mut(&mut self.threads, tid).expect("a waiting thread exists");
+        debug_assert!(th.is_stuck());
+        th.status = Status::Runnable;
+        th.code = Code::ReturnVal(v);
+        enqueue_runnable(&mut self.run_queue, th);
+    }
+
+    pub(super) fn do_take_mvar(&mut self, th: &mut Thread, m: MVarId) {
+        match self.mvars[m.0 as usize].contents.take() {
+            Some(v) => {
+                // Full: take succeeds atomically — *not* a delivery point,
+                // even with pending exceptions (§5.3: "an interruptible
+                // operation cannot be interrupted if the resource ... is
+                // available").
+                self.refill_from_put_queue(m);
+                self.stats.mvar_ops += 1;
+                th.code = Code::ReturnVal(v);
+            }
+            None => {
+                self.block_on(th, StuckReason::TakeMVar(m));
+            }
+        }
+    }
+
+    pub(super) fn do_put_mvar(&mut self, th: &mut Thread, m: MVarId, v: Value) {
+        if self.mvars[m.0 as usize].contents.is_none() {
+            self.fill_or_handoff(m, v);
+            self.stats.mvar_ops += 1;
+            th.code = Code::ReturnVal(Value::Unit);
+        } else if self.block_on(th, StuckReason::PutMVar(m)) {
+            self.mvars[m.0 as usize].put_queue.push_back((th.tid, v));
+        }
+    }
+
+    /// Puts `v` into the empty `MVar` `m`, or hands it directly to the
+    /// first waiting taker (FIFO hand-off, so no woken thread retries).
+    pub(super) fn fill_or_handoff(&mut self, m: MVarId, v: Value) {
+        match self.mvars[m.0 as usize].take_queue.pop_front() {
+            None => self.mvars[m.0 as usize].contents = Some(v),
+            Some(taker) => {
+                self.wake(taker, v);
+                self.stats.mvar_ops += 1;
+            }
+        }
+    }
+
+    /// After a take empties `m`, admits the first queued putter (if any):
+    /// its value fills the cell and the putter wakes with `()`.
+    pub(super) fn refill_from_put_queue(&mut self, m: MVarId) {
+        if let Some((putter, v)) = self.mvars[m.0 as usize].put_queue.pop_front() {
+            self.mvars[m.0 as usize].contents = Some(v);
+            self.wake(putter, Value::Unit);
+            self.stats.mvar_ops += 1;
+        }
+    }
+}

@@ -1,0 +1,136 @@
+//! The virtual clock: the sleeper wheel, the one clock advance, and
+//! the bookkeeping of lazily-invalidated (stale) wheel entries.
+
+use super::{lookup, Runtime, Slot};
+use crate::ids::ThreadId;
+use crate::thread::{Status, StuckReason};
+use crate::trace::IoEvent;
+use crate::value::Value;
+
+/// Is `tid` still genuinely asleep until exactly `wake_at`?
+///
+/// Wheel entries are invalidated lazily: an interrupted sleeper keeps
+/// its entry, which this check skips. A free function over the thread
+/// table (rather than a method) so compaction can filter the wheel in
+/// place while borrowing `threads` alongside the `&mut` wheel borrow.
+fn sleeper_entry_is_valid(threads: &[Slot], tid: ThreadId, wake_at: u64) -> bool {
+    lookup(threads, tid).is_some_and(|t| t.status == Status::Stuck(StuckReason::Sleep { wake_at }))
+}
+
+impl Runtime {
+    /// Advances the virtual clock to the earliest tick with a live
+    /// sleeper — at or before the inclusive `cap`, if one is given — and
+    /// wakes that tick's sleepers. Returns `false` if there is none.
+    ///
+    /// The wheel hands over one virtual tick at a time, already in
+    /// `(wake_at, seq)` order, so the whole batch is woken through one
+    /// reserved run-queue extension before the next scheduling decision
+    /// — the same observable order the old heap's pop-one-at-a-time
+    /// drain loop produced, without n log n queue churn on a mass wake.
+    ///
+    /// The cap makes one difference besides the peek. A tick whose
+    /// sleepers were all interrupted still advances the wheel's cursor
+    /// when popped, and a capped caller may then return to its driver
+    /// and run threads that insert new timers — so under a cap the clock
+    /// advances to the stale tick too (with its own `TimeAdvance`,
+    /// keeping the trace's advance sum equal to the clock delta) to
+    /// preserve `clock >= cursor` for [`TimerWheel::insert`]. Uncapped,
+    /// no thread runs between a stale pop and the next live wake, so the
+    /// whole delta is folded into the next live advance and the traces
+    /// of [`Runtime::run`] carry no split advances.
+    ///
+    /// [`TimerWheel::insert`]: crate::timer::TimerWheel::insert
+    pub(super) fn advance_clock(&mut self, cap: Option<u64>) -> bool {
+        let mut due = std::mem::take(&mut self.due_scratch);
+        let woke = loop {
+            if cap.is_some_and(|cap| self.sleepers.peek_earliest_wake().is_none_or(|w| w > cap)) {
+                break false;
+            }
+            let Some(wake_at) = self.sleepers.pop_earliest_into(&mut due) else {
+                break false;
+            };
+            // Drop lazily-invalidated entries (interrupted sleepers),
+            // balancing the stale accounting per entry like the heap did.
+            let threads = &self.threads;
+            let before = due.len();
+            self.stats.timer_ops += before as u64;
+            due.retain(|e| sleeper_entry_is_valid(threads, e.payload, wake_at));
+            for _ in due.len()..before {
+                self.note_stale_sleeper_popped();
+            }
+            if cap.is_some() || !due.is_empty() {
+                self.sync_clock_forward(wake_at);
+            }
+            if due.is_empty() {
+                // The whole tick was stale; keep scanning forward.
+                continue;
+            }
+            self.run_queue.reserve(due.len());
+            for e in due.drain(..) {
+                self.wake(e.payload, Value::Unit);
+            }
+            break true;
+        };
+        self.due_scratch = due;
+        woke
+    }
+
+    /// Fast-forwards the clock to `t` if it lags, recorded as a
+    /// `TimeAdvance` so the trace's advance sum equals the clock delta.
+    /// Also the epoch-barrier clock sync, safe there because the shard
+    /// is quiescent: every live sleeper's wake time is past the epoch
+    /// being synced to (the epoch only advances when all shards report
+    /// `Idle` with wakes beyond the old cap), so no due sleeper is
+    /// skipped.
+    pub(crate) fn sync_clock_forward(&mut self, t: u64) {
+        if t > self.clock {
+            self.trace.push(IoEvent::TimeAdvance(t - self.clock));
+            self.clock = t;
+        }
+    }
+
+    /// Balances [`Runtime::stale_sleepers`] when a stale wheel entry is
+    /// popped. Every stale entry is counted exactly once at the moment
+    /// its sleeper is invalidated, so the counter can never underflow;
+    /// the assert catches a double-decrement accounting bug in debug
+    /// builds, while release builds saturate rather than wrap.
+    fn note_stale_sleeper_popped(&mut self) {
+        debug_assert!(
+            self.stale_sleepers > 0,
+            "stale-sleeper accounting: popped a stale entry that was never counted"
+        );
+        self.stale_sleepers = self.stale_sleepers.saturating_sub(1);
+    }
+
+    /// Compacts the timer wheel once stale entries outnumber the live
+    /// ones. Interrupted sleepers invalidate their wheel entry in place
+    /// (the status check in [`sleeper_entry_is_valid`] fails), which is
+    /// O(1) — but under sustained `timeout`-and-kill churn the dead
+    /// entries would pile up until their original `wake_at`. Compacting
+    /// at the >half-stale threshold keeps the wheel proportional to the
+    /// number of *live* sleepers at amortized O(1) per interruption, and
+    /// cannot change wake order: [`TimerWheel::retain`] removes entries
+    /// in place, so survivors keep their `(wake_at, seq)` keys and slots.
+    ///
+    /// [`TimerWheel::retain`]: crate::timer::TimerWheel::retain
+    pub(super) fn maybe_compact_sleepers(&mut self) {
+        if self.stale_sleepers * 2 <= self.sleepers.len() {
+            return;
+        }
+        let threads = &self.threads;
+        self.sleepers
+            .retain(|e| sleeper_entry_is_valid(threads, e.payload, e.wake_at));
+        self.stale_sleepers = 0;
+        debug_assert!(
+            self.sleepers.check_consistent(),
+            "timer wheel inconsistent after stale-sleeper compaction"
+        );
+    }
+
+    /// Number of entries (live or stale) in the sleeper timer wheel.
+    /// Exposed for leak regression tests: after a quiesced run the wheel
+    /// must be empty.
+    pub fn sleeper_queue_len(&self) -> usize {
+        self.sleepers.len()
+    }
+}

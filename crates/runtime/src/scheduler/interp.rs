@@ -1,0 +1,424 @@
+//! The small-step interpreter: one [`Action`] node, frame pop or
+//! delivery per step of the running thread.
+
+use super::deliver::Delivery;
+use super::{lookup, view, Runtime, MAX_THREAD_SLOTS};
+use crate::config::DeliveryMode;
+use crate::console::Console;
+use crate::decide::StepFootprint;
+use crate::error::RunError;
+use crate::exception::Exception;
+use crate::ids::{MVarId, ThreadId};
+use crate::io::Action;
+use crate::mvar::MVarCell;
+use crate::thread::{Code, Frame, MaskState, PendingExc, RaiseOrigin, StuckReason, Thread};
+use crate::trace::IoEvent;
+use crate::value::Value;
+
+/// What one [`Runtime::step`] did to the thread it stepped.
+pub(super) enum Step {
+    /// The thread took a step and is still in the scheduler's hands
+    /// (runnable, stuck or yielded — its `status` says which).
+    Ran,
+    /// The thread returned or raised with an empty stack: its `code`
+    /// holds the final value or the uncaught exception.
+    Ended,
+}
+
+/// Moves `th`'s code out, leaving `return ()` in its place.
+pub(super) fn take_code(th: &mut Thread) -> Code {
+    std::mem::replace(&mut th.code, Code::ReturnVal(Value::Unit))
+}
+
+impl Runtime {
+    /// Records new high-water marks of `th`'s stack.
+    fn note_stack_growth(&mut self, th: &Thread) {
+        if th.stack.len() > self.stats.max_stack_depth {
+            self.stats.max_stack_depth = th.stack.len();
+        }
+        if th.mask_frames > self.stats.max_mask_frames {
+            self.stats.max_mask_frames = th.mask_frames;
+        }
+    }
+
+    /// Pushes a frame, enforcing the stack limit; on overflow the thread's
+    /// code becomes `Raise(StackOverflow)` and `false` is returned.
+    fn push_frame_checked(&mut self, th: &mut Thread, frame: Frame) -> bool {
+        if let Some(limit) = self.config.stack_limit {
+            if th.stack.len() >= limit {
+                th.code = Code::Raise(
+                    Exception::new(crate::exception::ExceptionKind::StackOverflow),
+                    RaiseOrigin::Sync,
+                );
+                return false;
+            }
+        }
+        th.push_frame(frame);
+        self.note_stack_growth(th);
+        true
+    }
+
+    /// (Block)/(Unblock): runs `body` with the mask set to `to`, by the
+    /// §8.1 frame algorithm ([`Thread::enter_mask`]).
+    fn enter_mask_scope(&mut self, th: &mut Thread, to: MaskState, body: Action) {
+        if self.config.record_sched_events {
+            self.trace.push(match to {
+                MaskState::Blocked => IoEvent::Mask(th.tid),
+                MaskState::Unblocked => IoEvent::Unmask(th.tid),
+            });
+        }
+        if th.enter_mask(to, self.config.collapse_mask_frames) {
+            self.stats.mask_frames_collapsed += 1;
+        }
+        self.note_stack_growth(th);
+        th.code = Code::Run(body);
+    }
+
+    /// The accounting every `throwTo`, of either design, starts with.
+    fn note_throw_to(&mut self, from: ThreadId, to: ThreadId) {
+        self.stats.throwtos += 1;
+        if self.config.record_sched_events {
+            self.trace.push(IoEvent::ThrowTo { from, to });
+        }
+    }
+
+    /// Executes one small step of the running thread `th`, which the
+    /// scheduler loop holds outside the thread table.
+    ///
+    /// `th.code` is stepped where it sits: an arm moves the node out only
+    /// when it has an owned payload to consume, so the steps that merely
+    /// count down, pop a mask frame or read a `Copy` operand touch a few
+    /// bytes instead of rewriting the whole 48-byte `Code`.
+    pub(super) fn step(&mut self, th: &mut Thread) -> Step {
+        self.stats.steps += 1;
+
+        // (Receive): asynchronous delivery at any program point, for
+        // unblocked threads, in fully-asynchronous mode. Delivery does not
+        // preempt an exception already being raised: §8 treats raising as
+        // atomic (the stack is truncated to the handler in one go), so a
+        // mid-unwind thread is not a delivery point. Under external
+        // scheduling the decider picks the delivery step: deferring here
+        // leaves the exception queued and the thread takes its ordinary
+        // step, so the decider sees the same choice again at the thread's
+        // next unmasked step.
+        if !th.pending.is_empty()
+            && th.mask == MaskState::Unblocked
+            && self.config.delivery == DeliveryMode::FullyAsync
+            && !matches!(th.code, Code::Raise(_, _))
+            && self
+                .with_decider(|_, d| d.deliver_now(view(th, footprint_of(th))))
+                .unwrap_or(true)
+        {
+            let p = th.take_pending().expect("pending checked non-empty");
+            self.raise_async(th, p, Delivery::Receive);
+            return Step::Ran;
+        }
+
+        if let Code::Run(_) = th.code {
+            self.run_action(th);
+            return Step::Ran;
+        }
+        // Returning or raising: control reaches the top frame.
+        let Some(frame) = th.pop_frame() else {
+            return Step::Ended;
+        };
+        match frame {
+            Frame::Restore(s) => th.mask = s,
+            // A raise drops the continuations it unwinds past.
+            Frame::Bind(node) => {
+                if let Code::ReturnVal(v) = &mut th.code {
+                    let v = std::mem::take(v);
+                    th.code = Code::Run(node.resume(v));
+                }
+            }
+            // A return drops the handler it leaves the scope of.
+            Frame::Catch { .. } if !matches!(th.code, Code::Raise(_, _)) => {}
+            Frame::Catch {
+                handler,
+                saved_mask,
+            } => {
+                th.mask = saved_mask;
+                self.stats.catches += 1;
+                match take_code(th) {
+                    Code::Raise(e, origin) => th.code = Code::Run(handler(e, origin)),
+                    code => unreachable!("{code:?} is not a raise"),
+                }
+            }
+        }
+        Step::Ran
+    }
+
+    /// Interprets the action node `th` is about to run.
+    ///
+    /// `th` is outside the thread table for the duration, so helper
+    /// methods that touch *other* threads are safe to call.
+    fn run_action(&mut self, th: &mut Thread) {
+        let Code::Run(action) = &mut th.code else {
+            unreachable!("run_action on a thread that is returning or raising");
+        };
+        // `Copy` operands are bound by value and `Value`s are taken through
+        // the reference; the arms that own a box or an exception move the
+        // node out, all in `run_owned_action`.
+        match *action {
+            Action::Pure(ref mut v) => th.code = Code::ReturnVal(std::mem::take(v)),
+            Action::Bind(_)
+            | Action::Catch(_, _)
+            | Action::Throw(_)
+            | Action::Rethrow(_, _)
+            | Action::Block(_)
+            | Action::Unblock(_)
+            | Action::Fork(_)
+            | Action::Effect(_)
+            | Action::ThrowTo(_, _)
+            | Action::ThrowToSync(_, _) => self.run_owned_action(th),
+            Action::GetMaskingState => {
+                th.code = Code::ReturnVal(Value::Bool(th.mask == MaskState::Blocked));
+            }
+            Action::MyThreadId => th.code = Code::ReturnVal(Value::ThreadId(th.tid)),
+            Action::NewMVar(ref mut contents) => {
+                let id = MVarId(self.mvars.len() as u64);
+                self.mvars.push(match contents.take() {
+                    None => MVarCell::empty(),
+                    Some(v) => MVarCell::full(v),
+                });
+                th.code = Code::ReturnVal(Value::MVar(id));
+            }
+            Action::TakeMVar(m) => self.do_take_mvar(th, m),
+            Action::PutMVar(m, ref mut v) => {
+                let v = std::mem::take(v);
+                self.do_put_mvar(th, m, v);
+            }
+            Action::TryTakeMVar(m) => match self.mvars[m.0 as usize].contents.take() {
+                None => th.code = Code::ReturnVal(Value::Nothing),
+                Some(v) => {
+                    self.refill_from_put_queue(m);
+                    self.stats.mvar_ops += 1;
+                    th.code = Code::ReturnVal(Value::Just(Box::new(v)));
+                }
+            },
+            Action::TryPutMVar(m, ref mut v) => {
+                let stored = self.mvars[m.0 as usize].contents.is_none();
+                if stored {
+                    let v = std::mem::take(v);
+                    self.fill_or_handoff(m, v);
+                    self.stats.mvar_ops += 1;
+                }
+                th.code = Code::ReturnVal(Value::Bool(stored));
+            }
+            Action::Sleep(0) => th.code = Code::ReturnVal(Value::Unit),
+            Action::Sleep(d) => {
+                let wake_at = self.clock + d;
+                self.block_on(th, StuckReason::Sleep { wake_at });
+            }
+            Action::GetChar => match self.console.try_read() {
+                Some(c) => {
+                    self.trace.push(IoEvent::Get(c));
+                    th.code = Code::ReturnVal(Value::Char(c));
+                }
+                None => {
+                    self.block_on(th, StuckReason::GetChar);
+                }
+            },
+            Action::PutChar(c) => {
+                self.console.write(c);
+                self.trace.push(IoEvent::Put(c));
+                th.code = Code::ReturnVal(Value::Unit);
+            }
+            Action::Compute {
+                ref mut steps,
+                ref mut result,
+            } => {
+                if *steps <= 1 {
+                    th.code = Code::ReturnVal(std::mem::take(result));
+                } else {
+                    *steps -= 1;
+                }
+            }
+            Action::PollSafePoint => {
+                let p = match th.mask {
+                    MaskState::Unblocked => th.take_pending(),
+                    MaskState::Blocked => None,
+                };
+                match p {
+                    Some(p) => self.raise_async(th, p, Delivery::Receive),
+                    None => th.code = Code::ReturnVal(Value::Unit),
+                }
+            }
+            Action::Yield => {
+                self.yielded = true;
+                th.code = Code::ReturnVal(Value::Unit);
+            }
+            Action::Now => th.code = Code::ReturnVal(Value::Int(self.clock as i64)),
+            Action::Choose(arms) => {
+                // A scheduler-visible oracle: the installed decider picks
+                // the arm (the explorer records it as a branch point);
+                // without a decider the choice collapses to arm 0.
+                let arm = self
+                    .with_decider(|_, d| d.choose_arm(view(th, StepFootprint::Oracle), arms))
+                    .unwrap_or(0);
+                assert!(
+                    arm < arms,
+                    "Decider::choose_arm returned arm {arm} for {arms} arms"
+                );
+                th.code = Code::ReturnVal(Value::Int(arm as i64));
+            }
+        }
+    }
+
+    /// The actions that own a box or an exception: the node is moved out
+    /// of `th.code` once, here, and consumed.
+    fn run_owned_action(&mut self, th: &mut Thread) {
+        match take_code(th) {
+            Code::Run(Action::Bind(mut node)) => {
+                let left = node.take_left();
+                if self.push_frame_checked(th, Frame::Bind(node)) {
+                    th.code = Code::Run(left);
+                }
+            }
+            Code::Run(Action::Catch(body, handler)) => {
+                let saved_mask = th.mask;
+                if self.push_frame_checked(
+                    th,
+                    Frame::Catch {
+                        handler,
+                        saved_mask,
+                    },
+                ) {
+                    th.code = Code::Run(*body);
+                }
+            }
+            Code::Run(Action::Throw(e)) => {
+                self.stats.sync_throws += 1;
+                th.code = Code::Raise(e, RaiseOrigin::Sync);
+            }
+            Code::Run(Action::Rethrow(e, origin)) => {
+                self.stats.sync_throws += 1;
+                th.code = Code::Raise(e, origin);
+            }
+            Code::Run(Action::Block(body)) => self.enter_mask_scope(th, MaskState::Blocked, *body),
+            Code::Run(Action::Unblock(body)) => {
+                self.enter_mask_scope(th, MaskState::Unblocked, *body);
+            }
+            Code::Run(Action::Fork(body)) => {
+                let mask = if self.config.fork_inherits_mask {
+                    th.mask
+                } else {
+                    MaskState::Unblocked
+                };
+                let Some(child) = self.spawn(*body, mask) else {
+                    // The scheduler loop ends the quantum at `main_result`;
+                    // this thread never takes another step.
+                    self.main_result = Some(Err(RunError::ThreadLimitExceeded {
+                        limit: MAX_THREAD_SLOTS,
+                    }));
+                    return;
+                };
+                self.stats.forks += 1;
+                if self.config.record_sched_events {
+                    self.trace.push(IoEvent::Fork {
+                        parent: th.tid,
+                        child,
+                    });
+                }
+                th.code = Code::ReturnVal(Value::ThreadId(child));
+            }
+            Code::Run(Action::Effect(f)) => th.code = Code::ReturnVal(f()),
+            Code::Run(Action::ThrowTo(target, e)) => {
+                self.note_throw_to(th.tid, target);
+                if target == th.tid {
+                    // Self-throw: queue it; it is delivered at the next
+                    // delivery point if unmasked, like any other pending
+                    // asynchronous exception.
+                    th.pending.push_back(PendingExc {
+                        exc: e,
+                        notify: None,
+                        enqueued_step: self.stats.steps,
+                    });
+                } else {
+                    self.enqueue_exception(target, e, None);
+                }
+                th.code = Code::ReturnVal(Value::Unit);
+            }
+            Code::Run(Action::ThrowToSync(target, e)) => {
+                self.note_throw_to(th.tid, target);
+                if target == th.tid {
+                    // §9: special case — a thread throwing to itself raises
+                    // the exception immediately.
+                    th.code = Code::Raise(e, RaiseOrigin::Async);
+                    return;
+                }
+                match lookup(&self.threads, target).map(Thread::is_stuck) {
+                    None => {}
+                    // A stuck target receives via (Interrupt) the moment the
+                    // exception is enqueued, so the thrower has nothing to
+                    // wait for. Waiting would in fact deadlock: the wake
+                    // happens during this very step, while the thrower is
+                    // detached from the thread table and not yet suspended.
+                    // (With an exception of its own pending the thrower
+                    // receives that instead, below: §9 makes the
+                    // synchronous throwTo interruptible.)
+                    Some(true) if th.pending.is_empty() => self.enqueue_exception(target, e, None),
+                    Some(_) => {
+                        let since_step = self.stats.steps;
+                        if self.block_on(th, StuckReason::SyncThrow { target, since_step }) {
+                            self.enqueue_exception(target, e, Some(th.tid));
+                        }
+                        return;
+                    }
+                }
+                th.code = Code::ReturnVal(Value::Unit);
+            }
+            code => unreachable!("{code:?} does not own its payload"),
+        }
+    }
+}
+
+/// Classifies what `th`'s next step will touch (see [`StepFootprint`]).
+///
+/// Conservative in the required direction: anything not provably local to
+/// the thread maps to a variant that conflicts with more, never less.
+pub(super) fn footprint_of(th: &Thread) -> StepFootprint {
+    match &th.code {
+        Code::ReturnVal(_) => {
+            if th.stack.is_empty() {
+                StepFootprint::Terminal
+            } else {
+                StepFootprint::Local
+            }
+        }
+        Code::Raise(_, _) => {
+            if th.stack.is_empty() {
+                StepFootprint::Terminal
+            } else {
+                StepFootprint::Raise
+            }
+        }
+        Code::Run(action) => match action {
+            Action::Pure(_)
+            | Action::Bind(_)
+            | Action::GetMaskingState
+            | Action::MyThreadId
+            | Action::Compute { .. }
+            | Action::Yield => StepFootprint::Local,
+            // Catch installs a handler: an exception delivered before vs
+            // after the push lands differently, so this is not a plain
+            // local step (it must not be fast-forwarded past a throw).
+            Action::Catch(_, _) => StepFootprint::Raise,
+            Action::Throw(_) | Action::Rethrow(_, _) => StepFootprint::Raise,
+            // Under polling delivery this is itself a delivery point.
+            Action::PollSafePoint => StepFootprint::Effect,
+            Action::Block(_) | Action::Unblock(_) => StepFootprint::Mask,
+            Action::NewMVar(_) => StepFootprint::Alloc,
+            Action::TakeMVar(m)
+            | Action::PutMVar(m, _)
+            | Action::TryTakeMVar(m)
+            | Action::TryPutMVar(m, _) => StepFootprint::MVar(*m),
+            Action::Sleep(_) | Action::Now => StepFootprint::Time,
+            Action::GetChar | Action::PutChar(_) => StepFootprint::Console,
+            Action::Fork(_) => StepFootprint::Fork,
+            Action::ThrowTo(t, _) | Action::ThrowToSync(t, _) => StepFootprint::Throw(*t),
+            Action::Effect(_) => StepFootprint::Effect,
+            Action::Choose(_) => StepFootprint::Oracle,
+        },
+    }
+}
