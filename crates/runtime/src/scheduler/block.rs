@@ -48,9 +48,7 @@ impl Runtime {
                         payload: tid,
                     },
                 );
-                if self.sleepers.len() > self.stats.max_sleeper_heap {
-                    self.stats.max_sleeper_heap = self.sleepers.len();
-                }
+                self.stats.max_sleeper_heap = self.stats.max_sleeper_heap.max(self.sleepers.len());
                 self.stats.timer_ops += 1;
             }
             StuckReason::GetChar => self.console_waiters.push_back(tid),
@@ -93,52 +91,37 @@ impl Runtime {
         enqueue_runnable(&mut self.run_queue, th);
     }
 
-    pub(super) fn do_take_mvar(&mut self, th: &mut Thread, m: MVarId) {
-        match self.mvars[m.0 as usize].contents.take() {
-            Some(v) => {
-                // Full: take succeeds atomically — *not* a delivery point,
-                // even with pending exceptions (§5.3: "an interruptible
-                // operation cannot be interrupted if the resource ... is
-                // available").
-                self.refill_from_put_queue(m);
-                self.stats.mvar_ops += 1;
-                th.code = Code::ReturnVal(v);
-            }
-            None => {
-                self.block_on(th, StuckReason::TakeMVar(m));
-            }
-        }
-    }
-
-    pub(super) fn do_put_mvar(&mut self, th: &mut Thread, m: MVarId, v: Value) {
-        if self.mvars[m.0 as usize].contents.is_none() {
-            self.fill_or_handoff(m, v);
+    /// The non-blocking half of `takeMVar`: empties a full `m`, admitting
+    /// the first queued putter (if any) — its value refills the cell and
+    /// it wakes with `()`. `None` if `m` is empty.
+    pub(super) fn try_take(&mut self, m: MVarId) -> Option<Value> {
+        let cell = &mut self.mvars[m.0 as usize];
+        let v = cell.contents.take()?;
+        self.stats.mvar_ops += 1;
+        if let Some((putter, next)) = cell.put_queue.pop_front() {
+            cell.contents = Some(next);
+            self.wake(putter, Value::Unit);
             self.stats.mvar_ops += 1;
-            th.code = Code::ReturnVal(Value::Unit);
-        } else if self.block_on(th, StuckReason::PutMVar(m)) {
-            self.mvars[m.0 as usize].put_queue.push_back((th.tid, v));
         }
+        Some(v)
     }
 
-    /// Puts `v` into the empty `MVar` `m`, or hands it directly to the
-    /// first waiting taker (FIFO hand-off, so no woken thread retries).
-    pub(super) fn fill_or_handoff(&mut self, m: MVarId, v: Value) {
-        match self.mvars[m.0 as usize].take_queue.pop_front() {
-            None => self.mvars[m.0 as usize].contents = Some(v),
+    /// The non-blocking half of `putMVar`: fills an empty `m`, or hands
+    /// `v` directly to the first waiting taker (FIFO hand-off, so no
+    /// woken thread retries). Gives `v` back if `m` is full.
+    pub(super) fn try_put(&mut self, m: MVarId, v: Value) -> Result<(), Value> {
+        let cell = &mut self.mvars[m.0 as usize];
+        if cell.contents.is_some() {
+            return Err(v);
+        }
+        self.stats.mvar_ops += 1;
+        match cell.take_queue.pop_front() {
+            None => cell.contents = Some(v),
             Some(taker) => {
                 self.wake(taker, v);
                 self.stats.mvar_ops += 1;
             }
         }
-    }
-
-    /// After a take empties `m`, admits the first queued putter (if any):
-    /// its value fills the cell and the putter wakes with `()`.
-    pub(super) fn refill_from_put_queue(&mut self, m: MVarId) {
-        if let Some((putter, v)) = self.mvars[m.0 as usize].put_queue.pop_front() {
-            self.mvars[m.0 as usize].contents = Some(v);
-            self.wake(putter, Value::Unit);
-            self.stats.mvar_ops += 1;
-        }
+        Ok(())
     }
 }

@@ -49,15 +49,21 @@ impl Runtime {
             let Some(wake_at) = self.sleepers.pop_earliest_into(&mut due) else {
                 break false;
             };
-            // Drop lazily-invalidated entries (interrupted sleepers),
-            // balancing the stale accounting per entry like the heap did.
+            // Drop lazily-invalidated entries (interrupted sleepers) and
+            // balance the stale accounting: every stale entry was counted
+            // exactly once, when its sleeper was invalidated, so the
+            // counter cannot underflow — the assert catches a double
+            // decrement in debug builds, release builds saturate.
             let threads = &self.threads;
             let before = due.len();
             self.stats.timer_ops += before as u64;
             due.retain(|e| sleeper_entry_is_valid(threads, e.payload, wake_at));
-            for _ in due.len()..before {
-                self.note_stale_sleeper_popped();
-            }
+            let stale = before - due.len();
+            debug_assert!(
+                self.stale_sleepers >= stale,
+                "stale-sleeper accounting: popped a stale entry that was never counted"
+            );
+            self.stale_sleepers = self.stale_sleepers.saturating_sub(stale);
             if cap.is_some() || !due.is_empty() {
                 self.sync_clock_forward(wake_at);
             }
@@ -87,19 +93,6 @@ impl Runtime {
             self.trace.push(IoEvent::TimeAdvance(t - self.clock));
             self.clock = t;
         }
-    }
-
-    /// Balances [`Runtime::stale_sleepers`] when a stale wheel entry is
-    /// popped. Every stale entry is counted exactly once at the moment
-    /// its sleeper is invalidated, so the counter can never underflow;
-    /// the assert catches a double-decrement accounting bug in debug
-    /// builds, while release builds saturate rather than wrap.
-    fn note_stale_sleeper_popped(&mut self) {
-        debug_assert!(
-            self.stale_sleepers > 0,
-            "stale-sleeper accounting: popped a stale entry that was never counted"
-        );
-        self.stale_sleepers = self.stale_sleepers.saturating_sub(1);
     }
 
     /// Compacts the timer wheel once stale entries outnumber the live

@@ -33,12 +33,8 @@ pub(super) fn take_code(th: &mut Thread) -> Code {
 impl Runtime {
     /// Records new high-water marks of `th`'s stack.
     fn note_stack_growth(&mut self, th: &Thread) {
-        if th.stack.len() > self.stats.max_stack_depth {
-            self.stats.max_stack_depth = th.stack.len();
-        }
-        if th.mask_frames > self.stats.max_mask_frames {
-            self.stats.max_mask_frames = th.mask_frames;
-        }
+        self.stats.max_stack_depth = self.stats.max_stack_depth.max(th.stack.len());
+        self.stats.max_mask_frames = self.stats.max_mask_frames.max(th.mask_frames);
     }
 
     /// Pushes a frame, enforcing the stack limit; on overflow the thread's
@@ -183,26 +179,32 @@ impl Runtime {
                 });
                 th.code = Code::ReturnVal(Value::MVar(id));
             }
-            Action::TakeMVar(m) => self.do_take_mvar(th, m),
-            Action::PutMVar(m, ref mut v) => {
-                let v = std::mem::take(v);
-                self.do_put_mvar(th, m, v);
-            }
-            Action::TryTakeMVar(m) => match self.mvars[m.0 as usize].contents.take() {
-                None => th.code = Code::ReturnVal(Value::Nothing),
-                Some(v) => {
-                    self.refill_from_put_queue(m);
-                    self.stats.mvar_ops += 1;
-                    th.code = Code::ReturnVal(Value::Just(Box::new(v)));
+            Action::TakeMVar(m) => match self.try_take(m) {
+                // Full: take succeeds atomically — *not* a delivery point,
+                // even with pending exceptions (§5.3: "an interruptible
+                // operation cannot be interrupted if the resource ... is
+                // available").
+                Some(v) => th.code = Code::ReturnVal(v),
+                None => {
+                    self.block_on(th, StuckReason::TakeMVar(m));
                 }
             },
-            Action::TryPutMVar(m, ref mut v) => {
-                let stored = self.mvars[m.0 as usize].contents.is_none();
-                if stored {
-                    let v = std::mem::take(v);
-                    self.fill_or_handoff(m, v);
-                    self.stats.mvar_ops += 1;
+            Action::PutMVar(m, ref mut v) => match self.try_put(m, std::mem::take(v)) {
+                Ok(()) => th.code = Code::ReturnVal(Value::Unit),
+                Err(v) => {
+                    if self.block_on(th, StuckReason::PutMVar(m)) {
+                        self.mvars[m.0 as usize].put_queue.push_back((th.tid, v));
+                    }
                 }
+            },
+            Action::TryTakeMVar(m) => {
+                th.code = Code::ReturnVal(match self.try_take(m) {
+                    None => Value::Nothing,
+                    Some(v) => Value::Just(Box::new(v)),
+                });
+            }
+            Action::TryPutMVar(m, ref mut v) => {
+                let stored = self.try_put(m, std::mem::take(v)).is_ok();
                 th.code = Code::ReturnVal(Value::Bool(stored));
             }
             Action::Sleep(0) => th.code = Code::ReturnVal(Value::Unit),

@@ -581,9 +581,7 @@ impl Runtime {
         enqueue_runnable(&mut self.run_queue, &mut th);
         debug_assert!(self.threads[slot as usize].thread.is_none());
         self.threads[slot as usize].thread = Some(th);
-        if self.threads.len() > self.stats.max_thread_slots {
-            self.stats.max_thread_slots = self.threads.len();
-        }
+        self.stats.max_thread_slots = self.stats.max_thread_slots.max(self.threads.len());
         Some(tid)
     }
 
@@ -713,12 +711,7 @@ impl Runtime {
     /// it is already full — the same non-blocking semantics as
     /// `Action::TryPutMVar`, minus a thread to return the bool to.
     pub(crate) fn host_try_put_mvar(&mut self, m: MVarId, v: Value) -> bool {
-        if self.mvars[m.0 as usize].contents.is_some() {
-            return false;
-        }
-        self.fill_or_handoff(m, v);
-        self.stats.mvar_ops += 1;
-        true
+        self.try_put(m, v).is_ok()
     }
 
     /// `throwTo` from outside any thread: enqueues `exc` for `target`,
