@@ -72,7 +72,7 @@ impl Runtime {
                 continue;
             }
             self.run_queue.reserve(due.len());
-            for e in due.drain(..) {
+            for e in &due {
                 self.wake(e.payload, Value::Unit);
             }
             break true;

@@ -78,6 +78,33 @@ impl Runtime {
         }
     }
 
+    /// (Receive): asynchronous delivery at any program point, for
+    /// unblocked threads, in fully-asynchronous mode — tried at every
+    /// step that starts with an exception pending; returns whether one
+    /// was delivered. Delivery does not preempt an exception already
+    /// being raised: §8 treats raising as atomic (the stack is truncated
+    /// to the handler in one go), so a mid-unwind thread is not a
+    /// delivery point. Under external scheduling the decider picks the
+    /// delivery step: deferring leaves the exception queued and the
+    /// thread takes its ordinary step, so the decider sees the same
+    /// choice again at the thread's next unmasked step.
+    ///
+    /// Cold and out of line: the step loop tests only the queue length.
+    #[cold]
+    fn receive(&mut self, th: &mut Thread) -> bool {
+        let deliver = th.mask == MaskState::Unblocked
+            && self.config.delivery == DeliveryMode::FullyAsync
+            && !matches!(th.code, Code::Raise(_, _))
+            && self
+                .with_decider(|_, d| d.deliver_now(view(th, footprint_of(th))))
+                .unwrap_or(true);
+        if deliver {
+            let p = th.take_pending().expect("tried with one pending");
+            self.raise_async(th, p, Delivery::Receive);
+        }
+        deliver
+    }
+
     /// Executes one small step of the running thread `th`, which the
     /// scheduler loop holds outside the thread table.
     ///
@@ -87,29 +114,9 @@ impl Runtime {
     /// bytes instead of rewriting the whole 48-byte `Code`.
     pub(super) fn step(&mut self, th: &mut Thread) -> Step {
         self.stats.steps += 1;
-
-        // (Receive): asynchronous delivery at any program point, for
-        // unblocked threads, in fully-asynchronous mode. Delivery does not
-        // preempt an exception already being raised: §8 treats raising as
-        // atomic (the stack is truncated to the handler in one go), so a
-        // mid-unwind thread is not a delivery point. Under external
-        // scheduling the decider picks the delivery step: deferring here
-        // leaves the exception queued and the thread takes its ordinary
-        // step, so the decider sees the same choice again at the thread's
-        // next unmasked step.
-        if !th.pending.is_empty()
-            && th.mask == MaskState::Unblocked
-            && self.config.delivery == DeliveryMode::FullyAsync
-            && !matches!(th.code, Code::Raise(_, _))
-            && self
-                .with_decider(|_, d| d.deliver_now(view(th, footprint_of(th))))
-                .unwrap_or(true)
-        {
-            let p = th.take_pending().expect("pending checked non-empty");
-            self.raise_async(th, p, Delivery::Receive);
+        if !th.pending.is_empty() && self.receive(th) {
             return Step::Ran;
         }
-
         if let Code::Run(_) = th.code {
             self.run_action(th);
             return Step::Ran;
