@@ -14,7 +14,7 @@
 //!   pending exception at its next step (in
 //!   [`FullyAsync`](crate::config::DeliveryMode::FullyAsync) mode; the
 //!   polling baseline defers this to explicit safe points):
-//!   `Runtime::step` → `Runtime::raise_async`.
+//!   `Runtime::receive` → `Runtime::raise_async`.
 //! * **(Interrupt)** — a *stuck* thread (blocked `takeMVar`/`putMVar`,
 //!   `sleep`, `getChar`, sync-`throwTo`) is interruptible regardless of its
 //!   masking state, and becomes runnable with the exception raised:
