@@ -3,10 +3,11 @@
 //! The trick that keeps fault exploration tractable: the client does
 //! not *run* concurrently with the server at all. Its entire wire
 //! history — full request, truncated request, garbage, bare close — is
-//! written into the connection's channels first (channel sends never
-//! block, and the acceptor is still parked on an empty accept queue,
-//! so no other thread is runnable and the writes introduce **zero
-//! branch points**), and only then handed to the server with
+//! written into the connection's channels first, as one chunk of bytes
+//! and at most one close (channel sends never block, and the acceptor
+//! is still parked on an empty accept queue, so no other thread is
+//! runnable and the writes introduce **zero branch points**), and only
+//! then handed to the server with
 //! [`Listener::inject`]. The explorer's work stays proportional to the
 //! real nondeterminism: which fault was chosen, and how the server's
 //! own threads interleave while serving it.

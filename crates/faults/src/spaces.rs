@@ -32,7 +32,7 @@ use conch_actors::{
 };
 use conch_httpd::client::{status_of, ClientOutcome};
 use conch_httpd::http::{Request, Response};
-use conch_httpd::net::{Connection, FrameConnection, Listener};
+use conch_httpd::net::{Connection, Listener};
 use conch_httpd::pool::{start_pooled, PoolConfig, PooledServer};
 use conch_httpd::server::{handler, start, Server, ServerConfig, StatsSnapshot};
 use conch_httpd::shard::{start_sharded, ShardConfig, ShardedListener, ShardedServer};
@@ -236,7 +236,7 @@ pub fn sharded_pipeline_space() -> Io<(i64, i64, StatsSnapshot)> {
             cfg,
         )
         .and_then(move |server| {
-            FrameConnection::open().and_then(move |conn| {
+            Connection::open().and_then(move |conn| {
                 conn.send_frame_fin(Request::get("/a").render().repeat(2))
                     .then(l.inject(0, conn))
                     // Park main so the shard-0 handler is forked and
@@ -266,11 +266,11 @@ fn sharded_probe_and_snapshot(
     server: ShardedServer,
     fault_code: i64,
 ) -> Io<(i64, i64, StatsSnapshot)> {
-    FrameConnection::open().and_then(move |probe| {
+    Connection::open().and_then(move |probe| {
         probe
             .send_frame_fin(Request::get("/probe").render())
             .then(l.inject(1, probe))
-            .then(probe.read_response_frame())
+            .then(probe.read_response())
             .and_then(move |resp| {
                 let probe_code = match status_of(&resp) {
                     ClientOutcome::Status(code) => i64::from(code),

@@ -2,15 +2,16 @@
 //! conservation law, the §9 handler guard, the worker registry, and the
 //! handle + audit protocol of a running plane.
 //!
-//! A *plane* is an accept policy over a wire: fork-per-connection on the
-//! char wire ([`crate::server`]), a supervised pool on the char wire
-//! ([`crate::pool`]), keep-alive frames behind sharded accept queues
-//! ([`crate::shard`]). Planes differ in *when* a unit of work enters the
+//! A *plane* is an accept policy over the wire: fork-per-connection
+//! ([`crate::server`]) and a supervised pool ([`crate::pool`]), each
+//! reading one request per connection, and keep-alive pipelining behind
+//! sharded accept queues ([`crate::shard`]). Planes differ in *when* a unit of work enters the
 //! law and who serves it; everything that makes the server safe under
 //! `throwTo` is written here, once:
 //!
-//! * **The law.** Every accepted unit (a connection on the char wire, a
-//!   request on the frame wire) records exactly one outcome:
+//! * **The law.** Every accepted unit (a connection on the
+//!   one-request planes, a request on the keep-alive plane) records
+//!   exactly one outcome:
 //!   `accepted == outcomes` whenever `active == 0`. The counters live in
 //!   one `MVar` cell and change only through three mutators —
 //!   `ServerStats::accept_or_shed`, `ServerStats::accept_concluded`
@@ -284,7 +285,7 @@ impl ServerStats {
             }
             // `txn` spelled out so the result needs no capture: a
             // capture-free continuation is not heap-allocated, and this
-            // runs once per request on the frame wire.
+            // runs once per request on the keep-alive plane.
             let commit = cell.put(s);
             if admitted {
                 commit.map(|_| true)
@@ -294,9 +295,9 @@ impl ServerStats {
         }))
     }
 
-    /// A unit enters the law already concluded (the frame wire's
-    /// abort and 408 paths: the partial request never reached a
-    /// handler). `active` never rises, so nothing can tear.
+    /// A unit enters the law already concluded (the keep-alive
+    /// plane's abort, 408 and oversize paths: the partial request never
+    /// reached a handler). `active` never rises, so nothing can tear.
     pub(crate) fn accept_concluded(&self, outcome: Outcome) -> Io<()> {
         self.txn(move |s| {
             s.accepted += 1;

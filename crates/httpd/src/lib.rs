@@ -7,24 +7,25 @@
 //! substitution).
 //!
 //! * [`http`] — an HTTP/1.0-subset parser and response renderer.
-//! * [`net`] — `MVar`-channel connections and listeners; blocking reads
-//!   and accepts are interruptible operations (§5.3), which is what makes
-//!   the timeouts and the graceful shutdown possible.
+//! * [`net`] — `MVar`-channel connections (one wire: a byte stream moved
+//!   in chunks) and listeners; blocking reads and accepts are
+//!   interruptible operations (§5.3), which is what makes the timeouts
+//!   and the graceful shutdown possible.
 //! * [`core`] — what every serving plane shares, written once: the
 //!   counters and their conservation law (one `MVar` cell, three §7.4
 //!   masked mutators), the §9 handler guard, the worker registry, and
 //!   the [`core::Server`] handle with the quiescent audit protocol
 //!   (`shutdown_sync` → `drain` → `snapshot`).
-//! * Three accept policies over it, on two wires:
+//! * Three accept policies over it:
 //!   [`server`] — fork a worker per connection, shed on `max_active`
-//!   (char wire: one request per [`net::Connection`]);
+//!   (one request per [`net::Connection`]);
 //!   [`pool`] — a bounded accept queue feeding a fixed set of worker
 //!   actors under a self-healing two-level supervision tree
-//!   (`conch-actors`; char wire);
+//!   (`conch-actors`; one request per connection);
 //!   [`shard`] — N accept shards with per-shard bounded queues and
-//!   stats cells over keep-alive/pipelined [`net::FrameConnection`]s
-//!   with per-request accounting and batched response flushes (frame
-//!   wire), plus the synthetic load driver.
+//!   stats cells over keep-alive/pipelined connections with
+//!   per-request accounting and batched response flushes, plus the
+//!   synthetic load driver.
 //! * [`parallel`] — the sharded plane re-homed onto `MultiRuntime`: one
 //!   scheduler per shard, pinned to its own OS thread.
 //! * [`router`] — method/path routing with fallbacks, as a

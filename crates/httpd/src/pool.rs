@@ -1,5 +1,5 @@
 //! The supervised-pool plane: a fixed set of worker actors behind a
-//! bounded accept queue, on the char wire.
+//! bounded accept queue, one request per connection.
 //!
 //! Where the fork plane ([`crate::server::start`]) forks one worker per
 //! connection and sheds on an `active` threshold, this plane serves

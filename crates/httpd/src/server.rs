@@ -1,5 +1,5 @@
 //! The fork-per-connection plane (§11, after \[8\]): one worker thread
-//! per connection on the char wire.
+//! per connection, one request per connection.
 //!
 //! Per connection the server makes "heavy use of time-outs,
 //! multithreading and exceptions", all via the paper's combinators:
@@ -14,7 +14,7 @@
 //!
 //! The counters, the handler guard and the audit protocol are the
 //! shared [`crate::core`]; this module is the accept policy (shed on
-//! `max_active`, else fork) and the char-wire request loop.
+//! `max_active`, else fork) and the one-request connection body.
 
 use std::rc::Rc;
 
@@ -26,7 +26,7 @@ use conch_runtime::value::Value;
 use crate::core::{finish, register_worker, serve_request, Outcome};
 pub use crate::core::{handler, Handler, Server, ServerStats, StatsSnapshot};
 use crate::http::Response;
-use crate::net::{Connection, Listener};
+use crate::net::{connection_closed, request_too_large, Connection, Listener};
 
 /// Server tuning knobs (virtual microseconds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,19 +113,23 @@ fn handle_connection(
         .and_then(move |outcome| finish(stats, outcome))
 }
 
-/// The char-wire request: read with a timeout, serve, send.
+/// The one-request connection: read with a timeout, serve, send.
 pub(crate) fn serve_one(conn: Connection, h: Handler, config: ServerConfig) -> Io<Outcome> {
+    let answer = move |(outcome, resp)| conn.send_response(resp).map(move |_| outcome);
     timeout(config.read_timeout, conn.read_request_text())
         .and_then(move |text| match text {
             None => Io::pure((Outcome::ReadTimeout, Response::status(408).render())),
             Some(text) => serve_request(&text, &h, config.handler_timeout),
         })
-        .and_then(move |(outcome, resp)| conn.send_response(resp).map(move |_| outcome))
-        // A peer that closes mid-request is an aborted connection, not a
-        // server failure: account it and send nothing (nobody is reading).
+        .and_then(answer)
         .catch(move |e| {
-            if e == crate::net::connection_closed() {
+            if e == connection_closed() {
+                // A peer that closes mid-request is an aborted
+                // connection, not a server failure: account it and send
+                // nothing (nobody is reading).
                 Io::pure(Outcome::Aborted)
+            } else if e == request_too_large() {
+                answer((Outcome::ParseError, Response::status(400).render()))
             } else {
                 Io::throw(e)
             }

@@ -1,24 +1,24 @@
 //! The production-scale serving plane: N accept shards over keep-alive
-//! [`FrameConnection`]s.
+//! [`Connection`]s.
 //!
 //! The fork plane accounts per *connection* through one stats cell
 //! behind one accept loop; at 100k+ concurrent simulated clients that
 //! single transactional cell is the measured bottleneck (every accept
-//! and every outcome serializes on it), and a one-request-per-connection
-//! wire model pays a channel handoff per byte. This module scales both
-//! axes:
+//! and every outcome serializes on it), and one request per connection
+//! pays a connection's set-up and a worker per request. This module
+//! scales both axes:
 //!
 //! * **Sharding** — [`ShardedListener`] carries one bounded
-//!   `Mailbox<FrameConnection>` accept queue *per shard*, and
+//!   `Mailbox<Connection>` accept queue *per shard*, and
 //!   [`start_sharded`] launches one [`Server`] (accept loop, stats
 //!   cell, worker registry) per shard. Connections on different shards
 //!   never contend on a stats cell or an accept queue.
 //! * **Keep-alive + pipelining** — a connection carries many requests
-//!   ([`FrameConnection`] frames concatenate into one byte stream);
+//!   ([`Connection`] chunks concatenate into one byte stream);
 //!   accounting moves from per-connection to **per-request**: a request
 //!   enters the law when its final `\r\n\r\n` has been parsed out of
 //!   the stream and leaves it through the same `finish` commit point
-//!   the char-wire planes use.
+//!   the one-request planes use.
 //! * **Bounded per-connection allocation** — each connection reuses one
 //!   read buffer (drained in place per parsed request) and one response
 //!   buffer (flushed whenever the parse buffer holds no further
@@ -45,7 +45,7 @@ use crate::core::{
     finish, register_worker, serve_request, Handler, Outcome, Server, ServerStats, StatsSnapshot,
 };
 use crate::http::{Request, Response};
-use crate::net::FrameConnection;
+use crate::net::{request_end, Connection};
 
 /// Per-request budgets for the sharded plane (virtual microseconds).
 /// Queue capacity is a property of the [`ShardedListener`]; shard count
@@ -77,17 +77,17 @@ impl Default for ShardConfig {
 /// shard's queue is full.
 #[derive(Debug, Clone)]
 pub struct ShardedListener {
-    queues: Vec<Mailbox<FrameConnection>>,
+    queues: Vec<Mailbox<Connection>>,
 }
 
 impl ShardedListener {
     /// Binds `shards` accept queues of `queue_capacity` connections each.
     pub fn bind(shards: usize, queue_capacity: i64) -> Io<ShardedListener> {
         assert!(shards >= 1, "a sharded listener needs at least one shard");
-        let mut io: Io<Vec<Mailbox<FrameConnection>>> = Io::pure(Vec::new());
+        let mut io: Io<Vec<Mailbox<Connection>>> = Io::pure(Vec::new());
         for _ in 0..shards {
             io = io.and_then(move |mut qs| {
-                Mailbox::<FrameConnection>::new(queue_capacity).map(move |q| {
+                Mailbox::<Connection>::new(queue_capacity).map(move |q| {
                     qs.push(q);
                     qs
                 })
@@ -101,22 +101,22 @@ impl ShardedListener {
     }
 
     /// The shard's accept queue (for feeders that cache the handle).
-    pub fn queue(&self, shard: usize) -> Mailbox<FrameConnection> {
+    pub fn queue(&self, shard: usize) -> Mailbox<Connection> {
         self.queues[shard]
     }
 
     /// Client side: open a connection on the given shard. Blocks while
     /// the shard's queue is full (backpressure, not shedding).
-    pub fn connect(&self, shard: usize) -> Io<FrameConnection> {
+    pub fn connect(&self, shard: usize) -> Io<Connection> {
         let q = self.queue(shard);
-        FrameConnection::open().and_then(move |conn| q.send(conn).map(move |_| conn))
+        Connection::open().and_then(move |conn| q.send(conn).map(move |_| conn))
     }
 
     /// Hands an already-open connection to a shard's queue — the
     /// fault-injection entry point, mirroring `Listener::inject`: the
     /// connection's whole wire history can be composed before the
     /// server ever sees it.
-    pub fn inject(&self, shard: usize, conn: FrameConnection) -> Io<()> {
+    pub fn inject(&self, shard: usize, conn: Connection) -> Io<()> {
         self.queue(shard).send(conn)
     }
 }
@@ -130,7 +130,7 @@ impl IntoValue for ShardedListener {
 impl FromValue for ShardedListener {
     fn from_value(v: Value) -> Option<Self> {
         Some(ShardedListener {
-            queues: Vec::<Mailbox<FrameConnection>>::from_value(v)?,
+            queues: Vec::<Mailbox<Connection>>::from_value(v)?,
         })
     }
 }
@@ -205,13 +205,13 @@ pub fn start_sharded(l: &ShardedListener, h: Handler, cfg: ShardConfig) -> Io<Sh
 
 /// One shard's acceptor: pop a connection, fork its handler, loop.
 /// Runs masked so a shutdown `KillThread` can only land while the
-/// `recv` *waits* (an interruptible operation). Unlike the char-wire
+/// `recv` *waits* (an interruptible operation). Unlike the one-request
 /// acceptors there is no accounting here at all — requests, not
 /// connections, enter the law, and they do so inside the handler when
 /// parsed. A kill between `recv` and `fork` therefore cannot strand
 /// anything: an unforked connection simply has no requests in the law.
 fn shard_accept_loop(
-    q: Mailbox<FrameConnection>,
+    q: Mailbox<Connection>,
     h: Handler,
     cfg: ShardConfig,
     stats: ServerStats,
@@ -235,7 +235,7 @@ fn shard_accept_loop(
 /// conservation law. A kill *during* a request is handled inside
 /// [`conn_loop`]: the catch there records `Killed` through [`finish`].
 fn handle_frame_connection(
-    conn: FrameConnection,
+    conn: Connection,
     h: Handler,
     cfg: ShardConfig,
     stats: ServerStats,
@@ -249,7 +249,7 @@ fn handle_frame_connection(
 /// batches rendered responses until no complete request remains
 /// buffered, then flushes once.
 fn conn_loop(
-    conn: FrameConnection,
+    conn: Connection,
     h: Handler,
     cfg: ShardConfig,
     stats: ServerStats,
@@ -257,14 +257,24 @@ fn conn_loop(
     fin: bool,
     respbuf: String,
 ) -> Io<()> {
-    if let Some(pos) = buf.find("\r\n\r\n") {
+    let Ok(complete) = request_end(&buf, 0) else {
+        // The next request (terminated or not) has outgrown the buffer
+        // cap: answer 400 behind whatever is already batched, account
+        // it as a parse error and close — the stream cannot be resynced.
+        let mut respbuf = respbuf;
+        respbuf.push_str(&Response::status(400).render());
+        return stats
+            .accept_concluded(Outcome::ParseError)
+            .then(conn.send_response(respbuf));
+    };
+    if let Some(end) = complete {
         // A complete request is buffered: it enters the law now (never
         // shed — backpressure is the bounded accept queue). From here
         // exactly one outcome is guaranteed: the unblocked serve either
         // returns one (possibly timeout/500-shaped) or a kill lands and
         // the catch turns it into `Killed`; either way `finish` commits
         // the outcome with the active decrement.
-        let rest = buf.split_off(pos + 4);
+        let rest = buf.split_off(end);
         return stats
             .accept_or_shed(|_| true)
             .then(
@@ -289,7 +299,7 @@ fn conn_loop(
     let flush = if respbuf.is_empty() {
         Io::unit()
     } else {
-        conn.send_response_frame(respbuf)
+        conn.send_response(respbuf)
     };
     if fin {
         return flush.then(if buf.is_empty() {
@@ -318,7 +328,7 @@ fn conn_loop(
             // request.
             None if had_partial => stats
                 .accept_concluded(Outcome::ReadTimeout)
-                .then(conn.send_response_frame(Response::status(408).render())),
+                .then(conn.send_response(Response::status(408).render())),
             // Idle keep-alive expiry: no bytes buffered, no request in
             // the law — close silently.
             None => Io::unit(),
@@ -419,7 +429,7 @@ fn run_load(h: Handler, cfg: LoadConfig, split: Vec<usize>) -> Io<(i64, Vec<Stat
                 for (shard, conns) in split.into_iter().enumerate() {
                     let conns = conns as u64;
                     let q = l.queue(shard);
-                    forks = forks.then(Chan::<FrameConnection>::new().and_then(move |pipe| {
+                    forks = forks.then(Chan::<Connection>::new().and_then(move |pipe| {
                         Io::fork(feeder(q, pipe, conns, cfg))
                             .then(Io::fork(collector(pipe, conns, report)))
                             .map(|_| ())
@@ -444,17 +454,12 @@ fn run_load(h: Handler, cfg: LoadConfig, split: Vec<usize>) -> Io<(i64, Vec<Stat
 /// (channel sends never block, so composing the wire history costs no
 /// interleaving), enqueue it on the shard, and pass the handle to the
 /// collector.
-fn feeder(
-    q: Mailbox<FrameConnection>,
-    pipe: Chan<FrameConnection>,
-    conns: u64,
-    cfg: LoadConfig,
-) -> Io<()> {
+fn feeder(q: Mailbox<Connection>, pipe: Chan<Connection>, conns: u64, cfg: LoadConfig) -> Io<()> {
     let one = Request::get("/bench").render();
     let frame = one.repeat(cfg.requests_per_conn);
     for_each(conns, move |_| {
         let frame = frame.clone();
-        Io::sleep(cfg.arrival_gap).then(FrameConnection::open().and_then(move |conn| {
+        Io::sleep(cfg.arrival_gap).then(Connection::open().and_then(move |conn| {
             conn.send_frame_fin(frame)
                 .then(q.send(conn))
                 .then(pipe.send(conn))
@@ -465,13 +470,13 @@ fn feeder(
 /// One shard's collector: for each connection the feeder opened, read
 /// its single batched response frame and count the `200`s, then report
 /// the shard total.
-fn collector(pipe: Chan<FrameConnection>, conns: u64, report: Chan<i64>) -> Io<()> {
-    fn go(pipe: Chan<FrameConnection>, left: u64, acc: i64, report: Chan<i64>) -> Io<()> {
+fn collector(pipe: Chan<Connection>, conns: u64, report: Chan<i64>) -> Io<()> {
+    fn go(pipe: Chan<Connection>, left: u64, acc: i64, report: Chan<i64>) -> Io<()> {
         if left == 0 {
             return report.send(acc);
         }
         pipe.recv().and_then(move |conn| {
-            conn.read_response_frame().and_then(move |resp| {
+            conn.read_response().and_then(move |resp| {
                 let got = resp.matches("HTTP/1.0 200").count() as i64;
                 go(pipe, left - 1, acc + got, report)
             })
@@ -518,7 +523,7 @@ mod tests {
             let frame = Request::get("/a").render().repeat(3);
             l.connect(0).and_then(move |conn| {
                 conn.send_frame_fin(frame)
-                    .then(conn.read_response_frame())
+                    .then(conn.read_response())
                     .and_then(move |resp| audit(server).map(move |agg| (resp, agg)))
             })
         });
@@ -534,11 +539,11 @@ mod tests {
         let mut rt = Runtime::new();
         let prog = start_one_shard().and_then(|(l, server)| {
             l.connect(0).and_then(move |conn| {
-                conn.send_frame(Request::get("/one").render())
-                    .then(conn.read_response_frame())
+                conn.send_text(Request::get("/one").render())
+                    .then(conn.read_response())
                     .and_then(move |first| {
                         conn.send_frame_fin(Request::get("/two").render())
-                            .then(conn.read_response_frame())
+                            .then(conn.read_response())
                             .and_then(move |second| {
                                 audit(server).map(move |agg| (first, second, agg))
                             })
@@ -560,9 +565,9 @@ mod tests {
             let (a, b) = text.split_at(7);
             let (a, b) = (a.to_owned(), b.to_owned());
             l.connect(0).and_then(move |conn| {
-                conn.send_frame(a)
+                conn.send_text(a)
                     .then(conn.send_frame_fin(b))
-                    .then(conn.read_response_frame())
+                    .then(conn.read_response())
                     .and_then(move |resp| audit(server).map(move |agg| (resp, agg)))
             })
         });

@@ -1,5 +1,5 @@
-//! One plane × misbehaviour table: every accept policy, on its wire,
-//! against every way a client or handler can misbehave. Per cell the
+//! One plane × misbehaviour table: every accept policy against every
+//! way a client or handler can misbehave. Per cell the
 //! test checks the status the client saw, the exact counters the
 //! episode left behind, and the conservation law after the audit
 //! protocol (`shutdown_sync → drain → snapshot`).
@@ -8,7 +8,7 @@ use conch_combinators::timeout;
 use conch_httpd::client::{status_of, ClientOutcome};
 use conch_httpd::core::{handler, Handler, Server, StatsSnapshot};
 use conch_httpd::http::{Request, Response};
-use conch_httpd::net::{Connection, FrameConnection, Listener};
+use conch_httpd::net::{Connection, Listener};
 use conch_httpd::pool::{start_pooled, PoolConfig, PooledServer};
 use conch_httpd::server::{start, ServerConfig};
 use conch_httpd::shard::{start_sharded, ShardConfig, ShardedListener, ShardedServer};
@@ -26,6 +26,7 @@ const CLIENT_PATIENCE: u64 = 20_000;
 enum Case {
     Good,
     Garbage,
+    Oversized,
     Stalled,
     CrashingHandler,
     SlowHandler,
@@ -34,9 +35,10 @@ enum Case {
     Overload,
 }
 
-const CASES: [Case; 8] = [
+const CASES: [Case; 9] = [
     Case::Good,
     Case::Garbage,
+    Case::Oversized,
     Case::Stalled,
     Case::CrashingHandler,
     Case::SlowHandler,
@@ -71,7 +73,7 @@ impl Case {
         };
         match self {
             Case::Good => (Some(200), StatsSnapshot { served: 1, ..one }),
-            Case::Garbage => (
+            Case::Garbage | Case::Oversized => (
                 Some(400),
                 StatsSnapshot {
                     parse_errors: 1,
@@ -116,37 +118,6 @@ impl Case {
     }
 }
 
-/// The client's end of a connection, on either wire.
-trait Wire: Copy + FromValue + IntoValue + 'static {
-    fn send(self, text: String) -> Io<()>;
-    fn close(self) -> Io<()>;
-    fn read(self) -> Io<String>;
-}
-
-impl Wire for Connection {
-    fn send(self, text: String) -> Io<()> {
-        self.send_text(text)
-    }
-    fn close(self) -> Io<()> {
-        Connection::close(&self)
-    }
-    fn read(self) -> Io<String> {
-        self.read_response()
-    }
-}
-
-impl Wire for FrameConnection {
-    fn send(self, text: String) -> Io<()> {
-        self.send_frame(text)
-    }
-    fn close(self) -> Io<()> {
-        FrameConnection::close(&self)
-    }
-    fn read(self) -> Io<String> {
-        self.read_response_frame()
-    }
-}
-
 /// What the table needs from a plane — a `(listener, handle)` pair:
 /// start it with capacity for exactly two connections, connect to it,
 /// find its workers, audit it.
@@ -155,10 +126,9 @@ trait Plane: Clone + FromValue + IntoValue + 'static {
     /// Whether the accept policy sheds at all (the sharded plane
     /// applies backpressure instead).
     const SHEDS: bool;
-    type Conn: Wire;
 
     fn start(h: Handler) -> Io<Self>;
-    fn connect(&self) -> Io<Self::Conn>;
+    fn connect(&self) -> Io<Connection>;
     fn worker_ids(&self) -> Io<Vec<ThreadId>>;
     fn audit(&self) -> Io<StatsSnapshot>;
 }
@@ -184,7 +154,6 @@ type Fork = (Listener, Server);
 impl Plane for Fork {
     const NAME: &'static str = "fork";
     const SHEDS: bool = true;
-    type Conn = Connection;
 
     fn start(h: Handler) -> Io<Self> {
         Listener::bind().and_then(|l| start(l, h, server_config()).map(move |s| (l, s)))
@@ -205,7 +174,6 @@ type Pool = (Listener, PooledServer);
 impl Plane for Pool {
     const NAME: &'static str = "pool";
     const SHEDS: bool = true;
-    type Conn = Connection;
 
     fn start(h: Handler) -> Io<Self> {
         // One worker plus one queue slot: capacity two.
@@ -234,7 +202,6 @@ type Shard = (ShardedListener, ShardedServer);
 impl Plane for Shard {
     const NAME: &'static str = "shard";
     const SHEDS: bool = false;
-    type Conn = FrameConnection;
 
     fn start(h: Handler) -> Io<Self> {
         let cfg = ShardConfig {
@@ -244,7 +211,7 @@ impl Plane for Shard {
         ShardedListener::bind(2, 2)
             .and_then(move |l| start_sharded(&l, h, cfg).map(move |s| (l, s)))
     }
-    fn connect(&self) -> Io<FrameConnection> {
+    fn connect(&self) -> Io<Connection> {
         self.0.connect(1)
     }
     fn worker_ids(&self) -> Io<Vec<ThreadId>> {
@@ -260,8 +227,8 @@ impl Plane for Shard {
 }
 
 /// The status a client sees, or `None` once its patience runs out.
-fn status(conn: impl Wire) -> Io<Option<i64>> {
-    timeout(CLIENT_PATIENCE, conn.read()).map(|resp| {
+fn status(conn: Connection) -> Io<Option<i64>> {
+    timeout(CLIENT_PATIENCE, conn.read_response()).map(|resp| {
         resp.map(|r| match status_of(&r) {
             ClientOutcome::Status(code) => i64::from(code),
             ClientOutcome::Garbled => panic!("garbled response {r:?}"),
@@ -276,11 +243,14 @@ fn episode<P: Plane>(plane: P, case: Case) -> Io<Option<i64>> {
     let send = move |text: String| {
         plane
             .connect()
-            .and_then(move |conn| conn.send(text).map(move |_| conn))
+            .and_then(move |conn| conn.send_text(text).map(move |_| conn))
     };
     match case {
         Case::Good | Case::CrashingHandler | Case::SlowHandler => send(request).and_then(status),
         Case::Garbage => send("NONSENSE\r\n\r\n".into()).and_then(status),
+        // Terminator-free bytes well inside the read budget: the server
+        // must cut the peer off, not buffer without limit.
+        Case::Oversized => send("x".repeat(64 * 1024)).and_then(status),
         Case::Stalled => send("GET / HT".into()).and_then(status),
         Case::MidRequestClose => {
             send("GET / HT".into()).and_then(|conn| conn.close().then(status(conn)))

@@ -22,8 +22,9 @@
 //! * `max_steps` tripping in the middle of a quantum leaves the thread
 //!   that was running in `Runtime::runnable()`, the post-mortem view.
 //! * A million-character `put_str` / `send_text` can be dropped unrun,
-//!   reaped by (Proc GC) or killed mid-string without overflowing the
-//!   host stack: the action unfolds one character at a time.
+//!   reaped by (Proc GC) or killed mid-write without overflowing the
+//!   host stack: `put_str` unfolds one character at a time, and
+//!   `send_text` is one chunk, so neither builds an n-deep action.
 
 use conch_runtime::io::for_each;
 use conch_runtime::prelude::*;
@@ -435,8 +436,11 @@ fn a_million_character_send_text_can_be_dropped_reaped_and_killed() {
     let conn = Runtime::new().run(Connection::open()).unwrap();
     drop(conn.send_text("x".repeat(LONG)));
 
-    // A writer cut off mid-`send` leaves its channel half-updated, so
-    // each doomed writer gets a connection of its own.
+    // The text travels as one chunk, so there is no per-character
+    // action left to recurse on; what is reaped or killed part-way is
+    // the open-then-send itself. A writer cut off mid-`send` leaves its
+    // channel half-updated, so each doomed writer gets a connection of
+    // its own.
     drop_reap_and_kill_mid_string(|| {
         Connection::open().and_then(|conn| conn.send_text("x".repeat(LONG)))
     });
