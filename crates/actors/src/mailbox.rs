@@ -119,21 +119,21 @@ where
     }))
 }
 
+/// Pushes `v` if there is room; a full mailbox hands it back.
+fn offer(queue: &mut Vec<Value>, capacity: i64, v: Value) -> Option<Value> {
+    if (queue.len() as i64) < capacity {
+        queue.push(v);
+        None
+    } else {
+        Some(v)
+    }
+}
+
 fn send_loop(state: MVar<Value>, v: Value) -> Io<()> {
-    let again = v.clone();
-    txn(state, move |queue, capacity| {
-        if (queue.len() as i64) < capacity {
-            queue.push(v);
-            true
-        } else {
-            false
-        }
-    })
-    .and_then(move |sent| {
-        if sent {
-            Io::unit()
-        } else {
-            Io::sleep(POLL_INTERVAL).then(send_loop(state, again))
+    txn(state, move |queue, capacity| offer(queue, capacity, v)).and_then(move |rejected| {
+        match rejected {
+            None => Io::unit(),
+            Some(v) => Io::sleep(POLL_INTERVAL).then(send_loop(state, v)),
         }
     })
 }
@@ -182,12 +182,7 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     pub fn try_send(&self, m: M) -> Io<bool> {
         let v = m.into_value();
         txn(self.state, move |queue, capacity| {
-            if (queue.len() as i64) < capacity {
-                queue.push(v);
-                true
-            } else {
-                false
-            }
+            offer(queue, capacity, v).is_none()
         })
     }
 

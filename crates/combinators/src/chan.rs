@@ -6,18 +6,33 @@
 //! a linked list of stream cells, with one `MVar` holding the read end
 //! and one the write end.
 //!
-//! Reads and writes take the end-pointer `MVar` with the §5.1 safe
-//! pattern ([`crate::modify_mvar_with`]), so an asynchronous exception
-//! arriving while a reader waits for data leaves the channel intact —
-//! exactly the exception-safety the paper's combinators exist to provide.
-
-use std::marker::PhantomData;
+//! Each end is one `block`ed take→mutate→put with no `unblock` — the §7.4
+//! shape for a structure that must never be seen mid-mutation
+//! ([`crate::modify_mvar`] remains the §5.1 pattern for *user* code run
+//! under a lock). Two sentences of §5.3 make that kill-safe:
+//!
+//! * Interruptible operations "may receive asynchronous exceptions even
+//!   within an enclosing block, but only while the resource is
+//!   unavailable". The first take of an end waits while another thread
+//!   holds it; a kill landing there finds nothing taken. In
+//!   [`Chan::recv`] the take of an unfilled stream cell waits too, with
+//!   the read end held: that one operation carries a handler, which puts
+//!   the read end back and re-throws.
+//! * "An interruptible operation cannot be interrupted if the resource
+//!   ... is available": every `putMVar` here fills a cell only its own
+//!   thread can fill — the end it just took, or the hole that only the
+//!   holder of the write end can reach — so none can wait, none is a
+//!   delivery point, and [`Chan::send`], [`Chan::try_recv`] and `recv`'s
+//!   handler have nothing to undo.
 
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::{FromValue, IntoValue, Value};
 
-use crate::locking::modify_mvar_with;
+/// A stream cell: empty until a sender fills it with an item and the
+/// next cell (an `MVar<Value>` to be [`cast`](MVar::cast) — the type is
+/// recursive).
+type Cell<T> = MVar<(T, MVar<Value>)>;
 
 /// An unbounded multi-producer multi-consumer FIFO channel.
 ///
@@ -37,10 +52,9 @@ use crate::locking::modify_mvar_with;
 /// ```
 pub struct Chan<T> {
     /// Holds the stream cell the next read will consume.
-    read_end: MVar<Value>,
+    read_end: MVar<Cell<T>>,
     /// Holds the (empty) stream cell the next write will fill.
-    write_end: MVar<Value>,
-    marker: PhantomData<fn(T) -> T>,
+    write_end: MVar<Cell<T>>,
 }
 
 impl<T> Clone for Chan<T> {
@@ -65,14 +79,11 @@ impl<T: FromValue + IntoValue + 'static> Chan<T> {
     /// Creates an empty channel.
     pub fn new() -> Io<Chan<T>> {
         // hole <- newEmptyMVar; read <- newMVar hole; write <- newMVar hole
-        Io::new_empty_mvar::<Value>().and_then(|hole| {
-            let hole_v = Value::MVar(hole.id());
-            let hole_v2 = hole_v.clone();
-            Io::new_mvar::<Value>(hole_v).and_then(move |read_end| {
-                Io::new_mvar::<Value>(hole_v2).map(move |write_end| Chan {
+        Io::new_empty_mvar().and_then(|hole: Cell<T>| {
+            Io::new_mvar(hole).and_then(move |read_end| {
+                Io::new_mvar(hole).map(move |write_end| Chan {
                     read_end,
                     write_end,
-                    marker: PhantomData,
                 })
             })
         })
@@ -81,23 +92,16 @@ impl<T: FromValue + IntoValue + 'static> Chan<T> {
     /// Appends a value to the channel. Never blocks indefinitely (the
     /// write-end `MVar` is only held for the duration of a write).
     pub fn send(&self, v: T) -> Io<()> {
-        let item_payload = v.into_value();
-        modify_mvar_with(self.write_end, move |old_hole: Value| {
-            let old_hole: MVar<Value> = MVar::from_id(
+        let write_end = self.write_end;
+        Io::new_empty_mvar().and_then(move |new_hole: Cell<T>| {
+            // Only the take can wait. The hole must be filled before the
+            // write end reappears: the next sender fills `new_hole`, and
+            // a reader must find this item in front of that one.
+            Io::block(write_end.take().and_then(move |old_hole| {
                 old_hole
-                    .as_mvar_id()
-                    .expect("write end holds a stream cell"),
-            );
-            Io::new_empty_mvar::<Value>().and_then(move |new_hole| {
-                let item =
-                    Value::Pair(Box::new(item_payload), Box::new(Value::MVar(new_hole.id())));
-                // Fill the old hole with (v, new_hole); the new write end
-                // is new_hole. putMVar here is non-interruptible: the old
-                // hole is empty by construction (§5.3).
-                old_hole
-                    .put(item)
-                    .map(move |_| (Value::MVar(new_hole.id()), ()))
-            })
+                    .put((v, new_hole.cast()))
+                    .then(write_end.put(new_hole))
+            }))
         })
     }
 
@@ -108,31 +112,27 @@ impl<T: FromValue + IntoValue + 'static> Chan<T> {
     /// interruptible (§5.3); if an asynchronous exception arrives while
     /// waiting, the read end is restored and the channel stays usable.
     pub fn recv(&self) -> Io<T> {
-        modify_mvar_with(self.read_end, move |stream: Value| {
-            let stream: MVar<Value> =
-                MVar::from_id(stream.as_mvar_id().expect("read end holds a stream cell"));
-            stream.take().map(move |item| match item {
-                Value::Pair(v, next) => (*next, T::from_value_or_panic(*v)),
-                other => panic!("malformed stream cell: {other}"),
-            })
-        })
+        let read_end = self.read_end;
+        Io::block(read_end.take().and_then(move |cell| {
+            cell.take()
+                .catch(move |e| read_end.put(cell).then(Io::throw(e)))
+                .and_then(move |(v, next)| read_end.put(next.cast()).map(move |_| v))
+        }))
     }
 
     /// Non-blocking receive: `Some(v)` if a value is ready.
     ///
-    /// Restores both the stream cell and the read end if the channel is
-    /// empty, so it composes with concurrent senders.
+    /// Puts the same stream cell back in the read end if the channel is
+    /// empty, so it composes with concurrent senders. (Like `recv` it
+    /// queues behind a reader that holds the read end.)
     pub fn try_recv(&self) -> Io<Option<T>> {
-        modify_mvar_with(self.read_end, move |stream_v: Value| {
-            let stream: MVar<Value> =
-                MVar::from_id(stream_v.as_mvar_id().expect("read end holds a stream cell"));
-            let stream_v2 = stream_v.clone();
-            stream.try_take().map(move |item| match item {
-                None => (stream_v2, None),
-                Some(Value::Pair(v, next)) => (*next, Some(T::from_value_or_panic(*v))),
-                Some(other) => panic!("malformed stream cell: {other}"),
+        let read_end = self.read_end;
+        Io::block(read_end.take().and_then(move |cell| {
+            cell.try_take().and_then(move |item| match item {
+                None => read_end.put(cell).map(|_| None),
+                Some((v, next)) => read_end.put(next.cast()).map(move |_| Some(v)),
             })
-        })
+        }))
     }
 }
 
@@ -142,7 +142,6 @@ impl<T: FromValue + IntoValue + 'static> FromValue for Chan<T> {
             Value::Pair(r, w) => Some(Chan {
                 read_end: MVar::from_id(r.as_mvar_id()?),
                 write_end: MVar::from_id(w.as_mvar_id()?),
-                marker: PhantomData,
             }),
             _ => None,
         }
@@ -161,8 +160,10 @@ impl<T: FromValue + IntoValue + 'static> IntoValue for Chan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::locking::modify_mvar_with;
     use crate::timeout;
     use conch_runtime::prelude::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fifo_order() {
@@ -270,5 +271,152 @@ mod tests {
             })
         });
         assert_eq!(rt.run(prog).unwrap(), 5);
+    }
+
+    // Differential check against the channel this module used to be:
+    // the same linked list with each end under `modify_mvar_with`.
+
+    /// One implementation of the three operations over a [`Chan`]'s cells.
+    trait Ends: 'static {
+        fn send(ch: Chan<i64>, v: i64) -> Io<()>;
+        fn recv(ch: Chan<i64>) -> Io<i64>;
+        fn try_recv(ch: Chan<i64>) -> Io<Option<i64>>;
+    }
+
+    /// The module's own.
+    struct Masked;
+
+    impl Ends for Masked {
+        fn send(ch: Chan<i64>, v: i64) -> Io<()> {
+            ch.send(v)
+        }
+        fn recv(ch: Chan<i64>) -> Io<i64> {
+            ch.recv()
+        }
+        fn try_recv(ch: Chan<i64>) -> Io<Option<i64>> {
+            ch.try_recv()
+        }
+    }
+
+    /// The reference: `unblock` around each end's body and a handler
+    /// that rolls the end back. Sound only where this test takes it — a
+    /// kill that finds the reader *waiting*; one landing just after the
+    /// body's take or put rolls back an end whose cell has changed,
+    /// which is why it was replaced.
+    struct Reference;
+
+    impl Ends for Reference {
+        fn send(ch: Chan<i64>, v: i64) -> Io<()> {
+            modify_mvar_with(ch.write_end, move |old_hole| {
+                Io::new_empty_mvar().and_then(move |new_hole: Cell<i64>| {
+                    old_hole
+                        .put((v, new_hole.cast()))
+                        .map(move |_| (new_hole, ()))
+                })
+            })
+        }
+        fn recv(ch: Chan<i64>) -> Io<i64> {
+            modify_mvar_with(ch.read_end, |cell| {
+                cell.take().map(|(v, next)| (next.cast(), v))
+            })
+        }
+        fn try_recv(ch: Chan<i64>) -> Io<Option<i64>> {
+            modify_mvar_with(ch.read_end, |cell| {
+                cell.try_take().map(move |item| match item {
+                    None => (cell, None),
+                    Some((v, next)) => (next.cast(), Some(v)),
+                })
+            })
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Send,
+        /// A `recv` that could wait for ever runs under a `timeout`.
+        Recv {
+            budget: u64,
+        },
+        TryRecv,
+        /// Fork a reader, let it take an item or settle into its wait,
+        /// kill it, and carry on with the same channel.
+        KilledReader,
+    }
+
+    /// Runs `script` (main thread, item values 1, 2, …) and returns one
+    /// entry per receive — `Some(v)` or `None`, a killed reader's in
+    /// arrival order — followed by the channel's final contents.
+    fn observe<E: Ends>(script: Vec<Op>, seed: u64) -> Vec<Option<i64>> {
+        fn step<E: Ends>(ch: Chan<i64>, log: MVar<Vec<Option<i64>>>, op: Op, sent: i64) -> Io<()> {
+            let note = move |r: Option<i64>| {
+                log.take().and_then(move |mut seen| {
+                    seen.push(r);
+                    log.put(seen)
+                })
+            };
+            match op {
+                Op::Send => E::send(ch, sent),
+                Op::Recv { budget } => timeout(budget, E::recv(ch)).and_then(note),
+                Op::TryRecv => E::try_recv(ch).and_then(note),
+                Op::KilledReader => {
+                    let reader = Io::block(E::recv(ch).and_then(move |v| note(Some(v))));
+                    Io::fork(reader.catch(|_| Io::unit())).and_then(|reader| {
+                        Io::sleep(1)
+                            .then(Io::throw_to(reader, Exception::kill_thread()))
+                            .then(Io::sleep(1))
+                    })
+                }
+            }
+        }
+        fn drain<E: Ends>(ch: Chan<i64>, mut seen: Vec<Option<i64>>) -> Io<Vec<Option<i64>>> {
+            E::try_recv(ch).and_then(move |item| match item {
+                None => Io::pure(seen),
+                Some(v) => {
+                    seen.push(Some(v));
+                    drain::<E>(ch, seen)
+                }
+            })
+        }
+        let prog = Chan::new().and_then(move |ch| {
+            Io::new_mvar(Vec::new()).and_then(move |log| {
+                let (mut run, mut sent) = (Io::unit(), 0);
+                for op in script {
+                    sent += i64::from(matches!(op, Op::Send));
+                    run = run.then(step::<E>(ch, log, op, sent));
+                }
+                run.then(log.take())
+                    .and_then(move |seen| drain::<E>(ch, seen))
+            })
+        });
+        let cfg = RuntimeConfig::new().random_scheduling(seed).quantum(3);
+        Runtime::with_config(cfg)
+            .run(prog)
+            .expect("a script never leaves main waiting for ever")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        #[test]
+        fn agrees_with_the_modify_mvar_channel(
+            script in prop::collection::vec(
+                prop_oneof![
+                    Just(Op::Send),
+                    Just(Op::Send),
+                    (1u64..40).prop_map(|budget| Op::Recv { budget }),
+                    Just(Op::TryRecv),
+                    Just(Op::KilledReader),
+                ],
+                0..24,
+            ),
+            seed in any::<u64>(),
+        ) {
+            let sent = script.iter().filter(|op| matches!(op, Op::Send)).count();
+            let new = observe::<Masked>(script.clone(), seed);
+            prop_assert_eq!(&new, &observe::<Reference>(script.clone(), seed), "{:?}", script);
+            // And both are a FIFO: every item, once, in the order sent.
+            let items: Vec<i64> = new.into_iter().flatten().collect();
+            prop_assert_eq!(items, (1..=sent as i64).collect::<Vec<_>>(), "{:?}", script);
+        }
     }
 }

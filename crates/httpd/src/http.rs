@@ -5,7 +5,7 @@
 //! paper's case-study workloads — request line, headers, no bodies.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// An HTTP request method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -175,18 +175,17 @@ impl Response {
 
     /// Renders the response as wire text.
     pub fn render(&self) -> String {
-        let retry = match self.retry_after {
-            Some(secs) => format!("Retry-After: {secs}\r\n"),
-            None => String::new(),
-        };
-        format!(
-            "HTTP/1.0 {} {}\r\n{}Content-Length: {}\r\n\r\n{}",
-            self.status,
-            reason(self.status),
-            retry,
-            self.body.len(),
-            self.body
-        )
+        let reason = reason(self.status);
+        // One allocation: 96 bytes cover the fixed text and both
+        // headers at their longest (two 20-digit numbers).
+        let mut s = String::with_capacity(96 + reason.len() + self.body.len());
+        let _ = write!(s, "HTTP/1.0 {} {reason}\r\n", self.status);
+        if let Some(secs) = self.retry_after {
+            let _ = write!(s, "Retry-After: {secs}\r\n");
+        }
+        let _ = write!(s, "Content-Length: {}\r\n\r\n", self.body.len());
+        s.push_str(&self.body);
+        s
     }
 }
 

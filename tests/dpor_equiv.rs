@@ -31,7 +31,7 @@ use std::fmt::Debug;
 use std::rc::Rc;
 
 use conch_actors::{link, monitor, spawn_actor, ActorRef, Down, Mailbox};
-use conch_combinators::{both, bracket, race, timeout, Either};
+use conch_combinators::{both, bracket, race, timeout, Chan, Either};
 use conch_explore::{ExploreConfig, Explorer, Reduction, RunOutcome, Strategy, TestCase};
 use conch_runtime::exception::ExitReason;
 use conch_runtime::prelude::*;
@@ -141,14 +141,15 @@ fn dpor_counters<T: FromValue + Debug + 'static>(
 }
 
 /// Explore `program` under both reductions and assert DPOR changed
-/// nothing but the schedule count.
+/// nothing but the schedule count. Returns the shared verdict: the
+/// failure message, if `fail_if` fired on some schedule.
 fn assert_equiv<T: FromValue + Debug + 'static>(
     name: &str,
     max_schedules: usize,
     program: fn() -> Io<T>,
     fail_if: fn(&RunOutcome<T>) -> Option<String>,
-) {
-    assert_equiv_bounded(name, max_schedules, None, program, fail_if);
+) -> Option<String> {
+    assert_equiv_bounded(name, max_schedules, None, program, fail_if)
 }
 
 /// Like [`assert_equiv`], but compares the two reductions under an
@@ -164,7 +165,7 @@ fn assert_equiv_bounded<T: FromValue + Debug + 'static>(
     bound: Option<usize>,
     program: fn() -> Io<T>,
     fail_if: fn(&RunOutcome<T>) -> Option<String>,
-) {
+) -> Option<String> {
     let sleep = run_mode(Reduction::SleepSets, max_schedules, bound, program, fail_if);
     let dpor = run_mode(Reduction::Dpor, max_schedules, bound, program, fail_if);
     // A failing exploration is never `complete` (it reports coverage up
@@ -220,6 +221,7 @@ fn assert_equiv_bounded<T: FromValue + Debug + 'static>(
         parallel, sequential,
         "{name}: DPOR counters diverged at workers=4"
     );
+    sleep.failure.map(|(message, _, _)| message)
 }
 
 fn no_failure<T>(_: &RunOutcome<T>) -> Option<String> {
@@ -741,4 +743,138 @@ fn corpus_actor_link_cascade() {
             )),
         },
     );
+}
+
+// ------------------------------------------------------------ Chan corpus
+//
+// Each end of a `Chan` is one masked take→mutate→put with no `unblock`,
+// and the only handler sits around `recv`'s stream-cell take. These two
+// programs are that design's proof obligations; each fails on one
+// deliberately broken variant (no handler in `recv`; `send` releasing
+// the write end before it fills the hole). The first is compared under
+// preemption bound 2 like the other three-thread programs — kill
+// delivery still branches at every step.
+
+/// Receives until `last` arrives, returning everything before it.
+fn drain_until(ch: Chan<i64>, last: i64, mut acc: Vec<i64>) -> Io<Vec<i64>> {
+    ch.recv().and_then(move |v| {
+        if v == last {
+            Io::pure(acc)
+        } else {
+            acc.push(v);
+            drain_until(ch, last, acc)
+        }
+    })
+}
+
+/// Sends `v` and, once the send has returned, prints it as a digit.
+fn send_and_tell(ch: Chan<i64>, v: u8) -> Io<()> {
+    ch.send(i64::from(v)).then(Io::put_char((b'0' + v) as char))
+}
+
+/// 18. Main kills a sender (items 1 then 2, each announced once its
+///     `send` returns) and a receiver (two items, each logged under the
+///     same mask as its `recv`, so the receiver cannot die holding one)
+///     at every step of both; when all is quiet it sends 99 and reads
+///     the channel dry. Returns `(receiver's log, main's drain)`.
+fn chan_ends_under_kill() -> Io<(Vec<i64>, Vec<i64>)> {
+    Chan::<i64>::new().and_then(|ch| {
+        Io::new_mvar(Vec::<i64>::new()).and_then(move |got| {
+            let recv = move || {
+                Io::block(ch.recv().and_then(move |v| {
+                    got.take().and_then(move |mut log| {
+                        log.push(v);
+                        got.put(log)
+                    })
+                }))
+            };
+            let sender = send_and_tell(ch, 1).then(send_and_tell(ch, 2));
+            let receiver = recv().then(recv());
+            Io::fork(sender.catch(|_| Io::unit())).and_then(move |s| {
+                Io::fork(receiver.catch(|_| Io::unit())).and_then(move |r| {
+                    Io::throw_to(s, Exception::kill_thread())
+                        .then(Io::throw_to(r, Exception::kill_thread()))
+                        .then(Io::sleep(1))
+                        .then(ch.send(99))
+                        .then(drain_until(ch, 99, Vec::new()))
+                        .and_then(move |rest| got.take().map(move |got| (got, rest)))
+                })
+            })
+        })
+    })
+}
+
+#[test]
+fn corpus_chan_ends_under_kill() {
+    let verdict = assert_equiv_bounded(
+        "chan_ends_under_kill",
+        500_000,
+        Some(2),
+        chan_ends_under_kill,
+        |out| match &out.result {
+            Ok((got, rest)) => {
+                // FIFO and nothing duplicated: what came out, in order,
+                // is a prefix of what the sender put in. Nothing lost:
+                // the prefix covers every send that returned.
+                let all: Vec<i64> = got.iter().chain(rest).copied().collect();
+                let ok = all.len() <= 2 && all == [1, 2][..all.len()];
+                (!ok || all.len() < out.output.len()).then(|| {
+                    format!(
+                        "sends {:?} returned; received {got:?}, then {rest:?}",
+                        out.output
+                    )
+                })
+            }
+            // A lost end leaves main stuck in its own send or drain.
+            Err(e) => Some(e.to_string()),
+        },
+    );
+    assert_eq!(verdict, None);
+}
+
+/// 19. Two senders and nobody else receiving: a forked one (item 1,
+///     killed by main at every step) races main (item 2). The moment
+///     main's own `send` has returned, a `try_recv` must find an item —
+///     whatever the other sender is in the middle of. Returns that
+///     first item and the rest of the channel.
+fn chan_send_is_visible_on_return() -> Io<(Option<i64>, Vec<i64>)> {
+    Chan::<i64>::new().and_then(|ch| {
+        Io::fork(send_and_tell(ch, 1).catch(|_| Io::unit())).and_then(move |s| {
+            Io::throw_to(s, Exception::kill_thread())
+                .then(ch.send(2))
+                .then(ch.try_recv())
+                .and_then(move |first| {
+                    Io::sleep(1)
+                        .then(ch.send(99))
+                        .then(drain_until(ch, 99, Vec::new()))
+                        .map(move |rest| (first, rest))
+                })
+        })
+    })
+}
+
+#[test]
+fn corpus_chan_send_is_visible_on_return() {
+    let verdict = assert_equiv(
+        "chan_send_is_visible_on_return",
+        500_000,
+        chan_send_is_visible_on_return,
+        |out| match &out.result {
+            Ok((first, rest)) => {
+                let mut all: Vec<i64> = first.iter().chain(rest).copied().collect();
+                all.sort_unstable();
+                // Main's item exactly once; the other sender's exactly
+                // once if its send returned, at most once if it died.
+                let ok = first.is_some() && (all == [2] && out.output.is_empty() || all == [1, 2]);
+                (!ok).then(|| {
+                    format!(
+                        "sends {:?} and main's returned; try_recv {first:?}, then {rest:?}",
+                        out.output
+                    )
+                })
+            }
+            Err(e) => Some(e.to_string()),
+        },
+    );
+    assert_eq!(verdict, None);
 }
