@@ -27,6 +27,7 @@
 //! receives with [`Mailbox::recv_trapping`], which converts an
 //! `ExitSignal` landing at the wait into a [`Signal::Exit`] message.
 
+use conch_combinators::modify_mvar_pure;
 use conch_runtime::exception::{Exception, ExitReason};
 use conch_runtime::ids::ThreadId;
 use conch_runtime::io::Io;
@@ -171,66 +172,99 @@ impl<M> FromValue for ActorRef<M> {
 }
 
 // -- control-cell encodings ------------------------------------------------
+//
+// The control cell is private to this module, which is the only code
+// that encodes it: `Left(List(entries))` while alive, `Right(reason)`
+// once dead, an entry `Pair(Int(0), peer)` for a link and `Pair(Int(1),
+// Pair(mref, watcher))` for a monitor. A value of any other shape is a
+// bug here, and every decoder below panics on one rather than guess.
 
-fn alive(entries: Vec<Value>) -> Value {
-    Value::Left(Box::new(Value::List(entries)))
+/// The control cell, decoded.
+enum Ctl {
+    Alive(Vec<Value>),
+    Dead(ExitReason),
 }
 
-fn dead(reason: ExitReason) -> Value {
-    Value::Right(Box::new(reason.into_value()))
+impl Ctl {
+    fn decode(v: Value) -> Ctl {
+        let shape = v.shape();
+        let decoded = match v {
+            Value::Left(entries) => match *entries {
+                Value::List(xs) => Some(Ctl::Alive(xs)),
+                _ => None,
+            },
+            Value::Right(reason) => ExitReason::from_value(*reason).map(Ctl::Dead),
+            _ => None,
+        };
+        decoded.unwrap_or_else(|| panic!("actor control cell is malformed (a {shape})"))
+    }
+
+    fn encode(self) -> Value {
+        match self {
+            Ctl::Alive(entries) => Value::Left(Box::new(Value::List(entries))),
+            Ctl::Dead(reason) => Value::Right(Box::new(reason.into_value())),
+        }
+    }
 }
 
-fn link_entry(peer: ThreadId) -> Value {
-    Value::Pair(Box::new(Value::Int(0)), Box::new(Value::ThreadId(peer)))
+/// One registered peer of an actor.
+#[derive(Clone, Copy)]
+enum Entry {
+    Link(ThreadId),
+    Monitor { mref: i64, watcher: Mailbox<Down> },
 }
 
-fn monitor_entry(mref: i64, watcher: Mailbox<Down>) -> Value {
-    Value::Pair(
-        Box::new(Value::Int(1)),
-        Box::new(Value::Pair(
-            Box::new(Value::Int(mref)),
-            Box::new(watcher.into_value()),
-        )),
-    )
+impl Entry {
+    fn decode(v: Value) -> Entry {
+        let shape = v.shape();
+        let decoded = match v {
+            Value::Pair(tag, payload) => match (*tag, *payload) {
+                (Value::Int(0), Value::ThreadId(peer)) => Some(Entry::Link(peer)),
+                (Value::Int(1), Value::Pair(mref, watcher)) => mref
+                    .as_int()
+                    .zip(Mailbox::from_value(*watcher))
+                    .map(|(mref, watcher)| Entry::Monitor { mref, watcher }),
+                _ => None,
+            },
+            _ => None,
+        };
+        decoded.unwrap_or_else(|| panic!("actor control entry is malformed (a {shape})"))
+    }
+
+    fn encode(self) -> Value {
+        let (tag, payload) = match self {
+            Entry::Link(peer) => (0, Value::ThreadId(peer)),
+            Entry::Monitor { mref, watcher } => (
+                1,
+                Value::Pair(Box::new(Value::Int(mref)), Box::new(watcher.into_value())),
+            ),
+        };
+        Value::Pair(Box::new(Value::Int(tag)), Box::new(payload))
+    }
 }
 
 /// Registers `entry` in `ctl` if the actor is alive; otherwise returns
 /// the recorded exit reason so the caller can deliver immediately.
 /// Registered-or-immediate is exclusive, which is where "monitors fire
 /// exactly once" comes from even when registration races death.
-fn add_entry(ctl: MVar<Value>, entry: Value) -> Io<Option<ExitReason>> {
-    Io::block(ctl.take().and_then(move |v| match v {
-        Value::Left(entries) => {
-            let mut xs = match *entries {
-                Value::List(xs) => xs,
-                _ => Vec::new(),
-            };
-            xs.push(entry);
-            ctl.put(alive(xs)).map(|_| None)
+fn add_entry(ctl: MVar<Value>, entry: Entry) -> Io<Option<ExitReason>> {
+    modify_mvar_pure(ctl, move |v| match Ctl::decode(v) {
+        Ctl::Alive(mut entries) => {
+            entries.push(entry.encode());
+            (Ctl::Alive(entries).encode(), None)
         }
-        Value::Right(reason) => {
-            let r = ExitReason::from_value((*reason).clone());
-            ctl.put(Value::Right(reason)).map(move |_| r)
-        }
-        other => panic!("actor control cell has shape {}", other.shape()),
-    }))
+        Ctl::Dead(reason) => (Ctl::Dead(reason.clone()).encode(), Some(reason)),
+    })
 }
 
 /// Marks the actor dead and returns the peers to notify — or `None`
 /// if some earlier exit already claimed them. The single transaction
 /// is the exactly-once source for every notification.
 fn claim_entries(ctl: MVar<Value>, reason: ExitReason) -> Io<Option<Vec<Value>>> {
-    Io::block(ctl.take().and_then(move |v| match v {
-        Value::Left(entries) => {
-            let xs = match *entries {
-                Value::List(xs) => xs,
-                _ => Vec::new(),
-            };
-            ctl.put(dead(reason)).map(move |_| Some(xs))
-        }
-        already @ Value::Right(_) => ctl.put(already).map(|_| None),
-        other => panic!("actor control cell has shape {}", other.shape()),
-    }))
+    modify_mvar_pure(ctl, move |v| match Ctl::decode(v) {
+        Ctl::Alive(entries) => (Ctl::Dead(reason).encode(), Some(entries)),
+        already @ Ctl::Dead(_) => (already.encode(), None),
+    })
 }
 
 /// Delivers one death notice, retrying on interruption. The commit
@@ -239,34 +273,21 @@ fn claim_entries(ctl: MVar<Value>, reason: ExitReason) -> Io<Option<Vec<Value>>>
 /// commit, so the retry never double-delivers. A dying actor absorbs
 /// further kills here — killing the already-dying is a no-op, as in
 /// Erlang.
-fn deliver_one(entry: Value, me: u64, reason: ExitReason) -> Io<()> {
-    let (entry2, reason2) = (entry.clone(), reason.clone());
+fn deliver_one(entry: Entry, me: u64, reason: ExitReason) -> Io<()> {
+    let retry = reason.clone();
     let attempt = match entry {
-        Value::Pair(tag, payload) => match (*tag, *payload) {
-            (Value::Int(0), Value::ThreadId(peer)) => {
-                if reason.is_abnormal() {
-                    Io::throw_to(peer, Exception::exit_signal(me, reason))
-                } else {
-                    // Erlang: 'normal' exit signals do not disturb links.
-                    Io::unit()
-                }
-            }
-            (Value::Int(1), Value::Pair(mref, watcher)) => {
-                let mref = mref.as_int().unwrap_or(0);
-                match Mailbox::<Down>::from_value(*watcher) {
-                    Some(mb) => mb.send(Down {
-                        mref,
-                        from: me,
-                        reason,
-                    }),
-                    None => Io::unit(),
-                }
-            }
-            _ => Io::unit(),
-        },
-        _ => Io::unit(),
+        Entry::Link(peer) if reason.is_abnormal() => {
+            Io::throw_to(peer, Exception::exit_signal(me, reason))
+        }
+        // Erlang: 'normal' exit signals do not disturb links.
+        Entry::Link(_) => Io::unit(),
+        Entry::Monitor { mref, watcher } => watcher.send(Down {
+            mref,
+            from: me,
+            reason,
+        }),
     };
-    attempt.catch(move |_| deliver_one(entry2, me, reason2))
+    attempt.catch(move |_| deliver_one(entry, me, retry))
 }
 
 fn deliver_all(mut entries: Vec<Value>, me: u64, reason: ExitReason) -> Io<()> {
@@ -274,7 +295,7 @@ fn deliver_all(mut entries: Vec<Value>, me: u64, reason: ExitReason) -> Io<()> {
         None => Io::unit(),
         Some(e) => {
             let r = reason.clone();
-            deliver_one(e, me, r).then(deliver_all(entries, me, reason))
+            deliver_one(Entry::decode(e), me, r).then(deliver_all(entries, me, reason))
         }
     }
 }
@@ -339,7 +360,7 @@ where
     M: FromValue + IntoValue + 'static,
     F: FnOnce(Mailbox<M>) -> Io<()> + 'static,
 {
-    Io::new_mvar(alive(Vec::new())).and_then(move |ctl| {
+    Io::new_mvar(Ctl::Alive(Vec::new()).encode()).and_then(move |ctl| {
         // Fork under `block` so the child *inherits* the mask: a kill
         // aimed at a freshly spawned actor is deferred until the body's
         // first interruptible point, by which time the shell's exit
@@ -361,8 +382,8 @@ where
 pub fn link<A, B>(a: &ActorRef<A>, b: &ActorRef<B>) -> Io<()> {
     let (ta, tb) = (a.tid, b.tid);
     let (ca, cb) = (a.ctl, b.ctl);
-    add_entry(ca, link_entry(tb)).and_then(move |a_dead| {
-        add_entry(cb, link_entry(ta)).and_then(move |b_dead| {
+    add_entry(ca, Entry::Link(tb)).and_then(move |a_dead| {
+        add_entry(cb, Entry::Link(ta)).and_then(move |b_dead| {
             let signal_b = match a_dead {
                 Some(r) if r.is_abnormal() => {
                     Io::throw_to(tb, Exception::exit_signal(ta.index(), r))
@@ -386,9 +407,10 @@ pub fn link<A, B>(a: &ActorRef<A>, b: &ActorRef<B>) -> Io<()> {
 /// race through the same control-cell transaction.
 pub fn monitor<A>(target: &ActorRef<A>, watcher: Mailbox<Down>, mref: i64) -> Io<()> {
     let (tid, ctl) = (target.tid, target.ctl);
-    add_entry(ctl, monitor_entry(mref, watcher)).and_then(move |already| match already {
+    let entry = Entry::Monitor { mref, watcher };
+    add_entry(ctl, entry).and_then(move |already| match already {
         None => Io::unit(),
-        Some(reason) => deliver_one(monitor_entry(mref, watcher), tid.index(), reason),
+        Some(reason) => deliver_one(entry, tid.index(), reason),
     })
 }
 
@@ -396,11 +418,6 @@ impl<M: FromValue + IntoValue + 'static> ActorRef<M> {
     /// The actor's thread id.
     pub fn tid(&self) -> ThreadId {
         self.tid
-    }
-
-    /// The actor's mailbox.
-    pub fn mailbox(&self) -> Mailbox<M> {
-        self.mailbox
     }
 
     /// Enqueues a message for this actor (blocking backpressure).
@@ -412,23 +429,15 @@ impl<M: FromValue + IntoValue + 'static> ActorRef<M> {
     /// "Dead" here means the shell has *committed* its exit — the
     /// strongest fact the no-orphan audits poll for.
     pub fn exit_reason(&self) -> Io<Option<ExitReason>> {
-        let ctl = self.ctl;
-        Io::block(ctl.take().and_then(move |v| {
-            let r = match &v {
-                Value::Right(reason) => ExitReason::from_value((**reason).clone()),
-                _ => None,
-            };
-            ctl.put(v).map(move |_| r)
-        }))
+        modify_mvar_pure(self.ctl, |v| match Ctl::decode(v) {
+            alive @ Ctl::Alive(_) => (alive.encode(), None),
+            Ctl::Dead(reason) => (Ctl::Dead(reason.clone()).encode(), Some(reason)),
+        })
     }
 
-    /// Sends the untrappable `KillThread` (asynchronous).
-    pub fn kill(&self) -> Io<()> {
-        Io::throw_to(self.tid, Exception::kill_thread())
-    }
-
-    /// Sends `KillThread` with the §9 synchronous `throwTo`: returns
-    /// once the exception is delivered (or the actor is already gone).
+    /// Sends the untrappable `KillThread` with the §9 synchronous
+    /// `throwTo`: returns once the exception is delivered (or the actor
+    /// is already gone).
     pub fn kill_sync(&self) -> Io<()> {
         Io::throw_to_sync(self.tid, Exception::kill_thread())
     }

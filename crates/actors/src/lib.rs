@@ -28,6 +28,10 @@
 //! schedule in `tests/explore_actors.rs` and under fault injection in
 //! `conch-faults`.
 
+// `pub` means reachable from another crate: an item used only in here is
+// `pub(crate)`, and `dead_code` then names what nothing uses at all.
+#![warn(unreachable_pub)]
+
 pub mod actor;
 pub mod mailbox;
 pub mod supervisor;

@@ -3,16 +3,15 @@
 //! A [`Mailbox<M>`] is the actor layer's message queue: a bounded FIFO
 //! whose *entire* state — queue contents and capacity — lives in one
 //! `MVar`, manipulated only by §7.4 masked take→mutate→put
-//! transactions. That single-cell design is what makes the mailbox
-//! kill-safe:
+//! transactions ([`modify_mvar_pure`]). That single-cell design is what
+//! makes the mailbox kill-safe:
 //!
 //! * **No separate capacity tokens.** A semaphore-based bound would
 //!   leak a slot whenever an asynchronous exception tears down a
-//!   sender between "token taken" and "message enqueued" (or a signal
-//!   lands in an abandoned waiter cell, the documented `Sem`
-//!   weakness). Here free space *is* `capacity - queue.len()`, so a
-//!   killed sender or receiver cannot strand capacity: either its
-//!   transaction committed or the state is untouched.
+//!   sender between "token taken" and "message enqueued". Here free
+//!   space *is* `capacity - queue.len()`, so a killed sender or
+//!   receiver cannot strand capacity: either its transaction committed
+//!   or the state is untouched.
 //! * **The masked take→deliver window.** [`Mailbox::recv`] wraps the
 //!   dequeue transaction *and* the continuation that hands the message
 //!   to the caller in one `block` section. Once the transaction pops
@@ -34,6 +33,7 @@
 
 use std::marker::PhantomData;
 
+use conch_combinators::modify_mvar_pure;
 use conch_runtime::exception::ExceptionKind;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
@@ -102,21 +102,18 @@ fn unpack(v: Value) -> (Vec<Value>, i64) {
     }
 }
 
-/// One masked transaction over the mailbox state: take, mutate with
-/// pure code, put back. The put into the just-emptied cell cannot
-/// block, so once the take returns the commit is certain; an
-/// asynchronous exception either lands while the take still waits
-/// (nothing taken, mailbox untouched) or after the transaction is
-/// whole.
+/// One [`modify_mvar_pure`] transaction over the mailbox state; the
+/// queue moves through `unpack` / `pack` in O(1). Whole or not at all,
+/// so a kill leaves the mailbox either untouched or committed.
 fn txn<R>(state: MVar<Value>, f: impl FnOnce(&mut Vec<Value>, i64) -> R + 'static) -> Io<R>
 where
     R: FromValue + IntoValue + 'static,
 {
-    Io::block(state.take().and_then(move |st| {
+    modify_mvar_pure(state, move |st| {
         let (mut queue, capacity) = unpack(st);
         let r = f(&mut queue, capacity);
-        state.put(pack(queue, capacity)).map(move |_| r)
-    }))
+        (pack(queue, capacity), r)
+    })
 }
 
 /// Pushes `v` if there is room; a full mailbox hands it back.
@@ -264,28 +261,17 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
         txn(self.state, |queue, _| queue.len() as i64)
     }
 
-    /// `true` if no messages are queued.
-    pub fn is_empty(&self) -> Io<bool> {
-        self.len().map(|n| n == 0)
-    }
-
-    /// Remaining room: `capacity - len`. The mailbox-slot conservation
-    /// invariant the fault spaces check is `len + free_slots ==
-    /// capacity` — which this representation makes unfalsifiable by
-    /// kills, exactly the point.
+    /// Remaining room: `capacity - len`. Mailbox-slot conservation is
+    /// `len + free_slots == capacity` — which this representation makes
+    /// unfalsifiable by kills, exactly the point.
     pub fn free_slots(&self) -> Io<i64> {
         txn(self.state, |queue, capacity| capacity - queue.len() as i64)
-    }
-
-    /// The fixed capacity this mailbox was created with.
-    pub fn capacity(&self) -> Io<i64> {
-        txn(self.state, |_, capacity| capacity)
     }
 
     /// Reinterprets the message type. The queue is dynamically typed
     /// underneath; use for erasing to `Mailbox<Value>` or for shared
     /// work queues consumed by actors of a narrower type.
-    pub fn cast<U: FromValue + IntoValue + 'static>(&self) -> Mailbox<U> {
+    pub(crate) fn cast<U: FromValue + IntoValue + 'static>(&self) -> Mailbox<U> {
         Mailbox {
             state: self.state,
             marker: PhantomData,
@@ -370,14 +356,12 @@ mod tests {
     #[test]
     fn conservation_across_operations() {
         let got = run(Mailbox::<i64>::new(3).and_then(|mb| {
-            mb.send(1)
-                .then(mb.send(2))
-                .then(mb.len().and_then(move |n| {
-                    mb.free_slots()
-                        .and_then(move |f| mb.capacity().map(move |c| (n, f, c)))
-                }))
+            mb.send(1).then(mb.send(2)).then(
+                mb.len()
+                    .and_then(move |n| mb.free_slots().map(move |f| (n, f))),
+            )
         }));
-        assert_eq!(got.0 + got.1, got.2);
+        assert_eq!(got.0 + got.1, 3);
     }
 
     #[test]

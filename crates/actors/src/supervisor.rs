@@ -31,6 +31,7 @@
 
 use std::rc::Rc;
 
+use conch_combinators::modify_mvar_pure;
 use conch_runtime::exception::Exception;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
@@ -104,36 +105,26 @@ impl SupervisorSpec {
 
 /// A running supervisor: the supervisor actor plus the cell naming
 /// the *current* child incarnations (`List` of `Pair(Int(index),
-/// child-ref)`), exposed so audits and kill storms can aim at live
-/// children and at the supervisor itself.
+/// child-ref)`), which [`child_refs`](Supervisor::child_refs) reads so
+/// audits and kill storms can aim at live children.
 #[derive(Debug, Clone, Copy)]
 pub struct Supervisor {
     /// The supervisor actor (its mailbox carries `Down` notices).
-    pub actor: ActorRef<Down>,
+    actor: ActorRef<Down>,
     /// Current children, updated by the restart loop.
-    pub children_cell: MVar<Value>,
+    children_cell: MVar<Value>,
 }
 
 impl Supervisor {
     /// The current child incarnations, in spec-index order.
     pub fn child_refs(&self) -> Io<Vec<ActorRef<Value>>> {
-        let cell = self.children_cell;
-        Io::block(cell.take().and_then(move |v| {
-            let refs = decode_children(&v)
-                .into_iter()
-                .map(|(_, c)| c)
-                .collect::<Vec<_>>();
-            cell.put(v).map(move |_| refs)
-        }))
+        children_txn(self.children_cell, |kids| {
+            kids.iter().map(|(_, c)| *c).collect()
+        })
     }
 
-    /// Kills the supervisor (asynchronously); its exit guard kills
-    /// every child, so no orphan survives.
-    pub fn shutdown(&self) -> Io<()> {
-        self.actor.kill()
-    }
-
-    /// Kills the supervisor with the §9 synchronous `throwTo`.
+    /// Kills the supervisor with the §9 synchronous `throwTo`; its exit
+    /// guard kills every child, so no orphan survives.
     pub fn shutdown_sync(&self) -> Io<()> {
         self.actor.kill_sync()
     }
@@ -160,19 +151,20 @@ impl FromValue for Supervisor {
     }
 }
 
-fn decode_children(v: &Value) -> Vec<(usize, ActorRef<Value>)> {
-    match v {
-        Value::List(xs) => xs
-            .iter()
-            .filter_map(|x| match x {
-                Value::Pair(i, c) => {
-                    Some((i.as_int()? as usize, ActorRef::from_value((**c).clone())?))
-                }
-                _ => None,
-            })
-            .collect(),
-        _ => Vec::new(),
-    }
+/// The children cell is private to this module, which is the only
+/// code that encodes it; anything [`encode_children`] did not write is a
+/// bug here, so decoding panics on it rather than drop a child.
+fn decode_children(v: Value) -> Vec<(usize, ActorRef<Value>)> {
+    let shape = v.shape();
+    let child = |x| match x {
+        Value::Pair(i, c) => Some((i.as_int()? as usize, ActorRef::from_value(*c)?)),
+        _ => None,
+    };
+    let decoded = match v {
+        Value::List(xs) => xs.into_iter().map(child).collect(),
+        _ => None,
+    };
+    decoded.unwrap_or_else(|| panic!("supervisor children cell is malformed (a {shape})"))
 }
 
 fn encode_children(children: Vec<(usize, ActorRef<Value>)>) -> Value {
@@ -184,7 +176,7 @@ fn encode_children(children: Vec<(usize, ActorRef<Value>)>) -> Value {
     )
 }
 
-/// One masked transaction over the children cell.
+/// One [`modify_mvar_pure`] transaction over the children cell.
 fn children_txn<R>(
     cell: MVar<Value>,
     f: impl FnOnce(&mut Vec<(usize, ActorRef<Value>)>) -> R + 'static,
@@ -192,11 +184,11 @@ fn children_txn<R>(
 where
     R: FromValue + IntoValue + 'static,
 {
-    Io::block(cell.take().and_then(move |v| {
-        let mut kids = decode_children(&v);
+    modify_mvar_pure(cell, move |v| {
+        let mut kids = decode_children(v);
         let r = f(&mut kids);
-        cell.put(encode_children(kids)).map(move |_| r)
-    }))
+        (encode_children(kids), r)
+    })
 }
 
 /// Starts child `idx`, monitors it into the supervisor's mailbox
@@ -238,10 +230,10 @@ fn start_range(
 /// targets are no-ops) and drops them from the cell.
 fn kill_indices(cell: MVar<Value>, indices: Vec<usize>) -> Io<()> {
     children_txn(cell, move |kids| {
-        let doomed: Vec<Value> = kids
+        let doomed = kids
             .iter()
             .filter(|(i, _)| indices.contains(i))
-            .map(|(_, c)| c.into_value())
+            .map(|(_, c)| *c)
             .collect();
         kids.retain(|(i, _)| !indices.contains(i));
         doomed
@@ -249,13 +241,10 @@ fn kill_indices(cell: MVar<Value>, indices: Vec<usize>) -> Io<()> {
     .and_then(kill_refs)
 }
 
-fn kill_refs(mut doomed: Vec<Value>) -> Io<()> {
+fn kill_refs(mut doomed: Vec<ActorRef<Value>>) -> Io<()> {
     match doomed.pop() {
         None => Io::unit(),
-        Some(v) => match ActorRef::<Value>::from_value(v) {
-            Some(c) => c.kill_sync().then(kill_refs(doomed)),
-            None => kill_refs(doomed),
-        },
+        Some(c) => c.kill_sync().then(kill_refs(doomed)),
     }
 }
 
@@ -265,13 +254,9 @@ fn kill_refs(mut doomed: Vec<Value>) -> Io<()> {
 /// retrying from the top cannot over-kill, and any finite storm lets
 /// the sweep complete. This is the no-orphan guarantee.
 fn kill_all_children(cell: MVar<Value>) -> Io<()> {
-    children_txn(cell, move |kids| {
-        let doomed: Vec<Value> = kids.iter().map(|(_, c)| c.into_value()).collect();
-        kids.clear();
-        doomed
-    })
-    .and_then(kill_refs)
-    .catch(move |_| kill_all_children(cell))
+    children_txn(cell, |kids| kids.drain(..).map(|(_, c)| c).collect())
+        .and_then(kill_refs)
+        .catch(move |_| kill_all_children(cell))
 }
 
 /// Slides the intensity window and decides: `None` = give up,
@@ -424,7 +409,7 @@ mod tests {
                         .then(inbox.send(-1)) // crash
                         .then(inbox.send(1)) // +2, served by the restart
                         .then(wait_counter(state, 4))
-                        .and_then(move |n| sup.shutdown().map(move |_| n))
+                        .and_then(move |n| sup.shutdown_sync().map(move |_| n))
                 })
             })
         }));
@@ -588,7 +573,7 @@ mod tests {
                                 inbox
                                     .send(1)
                                     .then(wait_counter(state, 4))
-                                    .and_then(move |n| root.shutdown().map(move |_| n)),
+                                    .and_then(move |n| root.shutdown_sync().map(move |_| n)),
                             )
                         }),
                     )

@@ -9,7 +9,9 @@
 //! Each end is one `block`ed take→mutate→put with no `unblock` — the §7.4
 //! shape for a structure that must never be seen mid-mutation
 //! ([`crate::modify_mvar`] remains the §5.1 pattern for *user* code run
-//! under a lock). Two sentences of §5.3 make that kill-safe:
+//! under a lock). An end's body fills or empties a second cell, so it is
+//! spelled out here and not written as [`crate::modify_mvar_pure`], whose
+//! body is pure. Two sentences of §5.3 make that kill-safe:
 //!
 //! * Interruptible operations "may receive asynchronous exceptions even
 //!   within an enclosing block, but only while the resource is

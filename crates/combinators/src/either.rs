@@ -16,7 +16,7 @@ use conch_runtime::value::{FromValue, IntoValue, Value};
 ///
 /// let l: Either<i64, char> = Either::Left(3);
 /// assert!(l.is_left());
-/// assert_eq!(l.left(), Some(3));
+/// assert_eq!(l.fold(|n| n + 1, |c| c as i64), 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Either<A, B> {
@@ -30,27 +30,6 @@ impl<A, B> Either<A, B> {
     /// Returns `true` for `Left`.
     pub fn is_left(&self) -> bool {
         matches!(self, Either::Left(_))
-    }
-
-    /// Returns `true` for `Right`.
-    pub fn is_right(&self) -> bool {
-        matches!(self, Either::Right(_))
-    }
-
-    /// The `Left` payload, if any.
-    pub fn left(self) -> Option<A> {
-        match self {
-            Either::Left(a) => Some(a),
-            Either::Right(_) => None,
-        }
-    }
-
-    /// The `Right` payload, if any.
-    pub fn right(self) -> Option<B> {
-        match self {
-            Either::Left(_) => None,
-            Either::Right(b) => Some(b),
-        }
     }
 
     /// Applies one of two functions, collapsing to a single type.
@@ -89,11 +68,8 @@ mod tests {
     fn predicates_and_accessors() {
         let l: Either<i64, char> = Either::Left(1);
         let r: Either<i64, char> = Either::Right('x');
-        assert!(l.is_left() && !l.is_right());
-        assert!(r.is_right() && !r.is_left());
-        assert_eq!(l.left(), Some(1));
-        assert_eq!(l.right(), None);
-        assert_eq!(r.right(), Some('x'));
+        assert!(l.is_left());
+        assert!(!r.is_left());
     }
 
     #[test]

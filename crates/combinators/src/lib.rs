@@ -12,17 +12,14 @@
 //! * safe points (§7.4): [`safe_point`];
 //! * the safe-locking patterns of §5.1–§5.3: [`modify_mvar`],
 //!   [`with_mvar`], [`modify_mvar_masked`], plus the deliberately racy
-//!   [`modify_mvar_naive`] baseline;
+//!   [`modify_mvar_naive`] baseline, and [`modify_mvar_pure`] — the
+//!   §7.4 masked transaction with a pure body that the layers above
+//!   build their single-cell structures from;
 //! * the datatypes §4 says are buildable from MVars: [`Chan`] and
 //!   [`Sem`];
-//! * n-ary speculative combinators in the spirit of §10's parallel-or:
-//!   [`race_many`], [`map_concurrently`];
 //! * paper-adjacent extensions: [`Thunk`] (§8's thunk treatment),
 //!   [`catch_sync`]/[`catch_alert`] (§9's exceptions-vs-alerts),
-//!   [`mask`]/[`Restore`] (the successor to `block`/`unblock`),
-//!   [`supervise`] (§11's fault-tolerance idiom);
-//! * recovery: [`retry_backoff`] (bounded, virtual-clock exponential
-//!   backoff) and [`Breaker`] (a load-shedding circuit breaker).
+//!   [`supervise`] (§11's fault-tolerance idiom).
 //!
 //! The paper's point is that these can be built *as a library*, with no
 //! further runtime support than `throwTo`, `block`/`unblock` and
@@ -45,15 +42,16 @@
 //! assert_eq!(winner, Some(Either::Left("breadth-first".to_owned())));
 //! ```
 
+// `pub` means reachable from another crate: an item used only in here is
+// `pub(crate)`, and `dead_code` then names what nothing uses at all.
+#![warn(unreachable_pub)]
+
 mod alerts;
 mod bracket;
 mod chan;
 mod either;
 mod locking;
-mod many;
-mod mask;
 mod race;
-mod retry;
 mod sem;
 mod supervise;
 mod thunk;
@@ -65,12 +63,10 @@ pub use crate::bracket::{
 pub use crate::chan::Chan;
 pub use crate::either::Either;
 pub use crate::locking::{
-    modify_mvar, modify_mvar_masked, modify_mvar_naive, modify_mvar_with, with_mvar,
+    modify_mvar, modify_mvar_masked, modify_mvar_naive, modify_mvar_pure, modify_mvar_with,
+    with_mvar,
 };
-pub use crate::many::{map_concurrently, race_many};
-pub use crate::mask::{mask, modify_mvar_restoring, Restore};
 pub use crate::race::{both, race, timeout};
-pub use crate::retry::{retry_backoff, Breaker, BreakerOutcome};
 pub use crate::sem::Sem;
 pub use crate::supervise::{supervise, Supervised};
 pub use crate::thunk::Thunk;

@@ -15,6 +15,10 @@
 //! 3. [`modify_mvar_masked`] — the §7.4 variant for directly-mutable
 //!    structures, which omits `unblock` around the user function entirely
 //!    (use [`crate::safe_point`] inside long computations).
+//! 4. [`modify_mvar_pure`] — §7.4 with a *pure* state function: the one
+//!    transaction every single-cell structure in the stack (mailbox,
+//!    server counters, actor control cell, supervisor's child list,
+//!    semaphore count) is built from.
 
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
@@ -121,6 +125,36 @@ where
         compute(a)
             .catch(move |e| m.put(saved).then(Io::throw(e)))
             .and_then(move |b| m.put(b))
+    }))
+}
+
+/// §7.4 with a pure body — one masked transaction over one cell:
+///
+/// ```haskell
+/// block (do s <- takeMVar m
+///           let (s', r) = f s
+///           putMVar m s'
+///           return r)
+/// ```
+///
+/// Nothing in it needs undoing, so there is no `unblock`, no rollback
+/// copy of the state and no handler. By §5.3 a masked thread receives an
+/// asynchronous exception only at an operation that is *waiting*: the
+/// `takeMVar` waits while another thread holds the cell, and a kill
+/// landing there finds nothing taken; the `putMVar` refills the cell this
+/// thread just emptied, so it cannot wait and is not a delivery point.
+/// The transaction therefore happens entirely or not at all — which is
+/// all a caller's conservation argument needs. `f` is by-value, so a
+/// large state (a queue, a registry) moves through in O(1).
+pub fn modify_mvar_pure<T, R, F>(m: MVar<T>, f: F) -> Io<R>
+where
+    T: FromValue + IntoValue + 'static,
+    R: FromValue + IntoValue + 'static,
+    F: FnOnce(T) -> (T, R) + 'static,
+{
+    Io::block(m.take().and_then(move |s| {
+        let (s, r) = f(s);
+        m.put(s).map(move |_| r)
     }))
 }
 

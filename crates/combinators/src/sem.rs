@@ -4,17 +4,30 @@
 //!
 //! The representation is the classic Concurrent Haskell `QSem`: an
 //! `MVar` holding `(available, wakeup-queue)` where the queue carries
-//! one empty `MVar` per blocked waiter. `wait` and `signal` manipulate
-//! the state with the §5.1-safe pattern, and the blocking `takeMVar` on
-//! a waiter's wakeup cell is interruptible per §5.3 — so a thread
-//! blocked on a semaphore can be timed out or killed without corrupting
-//! the count, provided acquisitions are bracketed ([`Sem::with`]).
+//! one empty `MVar` per blocked waiter. Every operation is one masked
+//! section over that cell with no `unblock` (§7.4), so by §5.3 an
+//! asynchronous exception can land only where a section *waits*:
+//!
+//! * on the first take of the state cell, held by another thread — and
+//!   then nothing was taken, the operation did not happen;
+//! * in [`Sem::wait`], on the take of the waiter's own wakeup cell,
+//!   with the state cell already released. That take carries the
+//!   module's one handler, which leaves the queue — or, if a `signal`
+//!   got to the cell first, passes the unit it granted on to the next
+//!   waiter — and re-throws.
+//!
+//! [`Sem::signal`]'s put into the cell it de-queued happens *inside*
+//! its section: the cell is empty by construction, so the put cannot
+//! wait, and no kill can separate the de-queue from the wake-up. Hence
+//! a waiter that is timed out or killed loses no unit, and a killed
+//! signaller strands no waiter (`tests/dpor_equiv.rs`,
+//! `corpus_sem_under_kill`, kills both at every step).
 
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::{FromValue, IntoValue, Value};
 
-use crate::locking::modify_mvar_with;
+use crate::locking::modify_mvar_pure;
 
 /// A counting semaphore.
 ///
@@ -53,87 +66,59 @@ impl Sem {
     }
 
     /// Acquires one unit, blocking while none are available.
+    ///
+    /// Interrupted while it waits, it acquires nothing: the unit stays
+    /// with — or goes back to — the semaphore.
     pub fn wait(&self) -> Io<()> {
         let state = self.state;
-        // Phase 1 (atomic via the state MVar): either take a unit, or
-        // enqueue a fresh wakeup cell.
-        modify_mvar_with(state, move |st: Value| {
+        Io::block(state.take().and_then(move |st| {
             let (avail, mut waiters) = split(st);
             if avail > 0 {
-                Io::pure((join(avail - 1, waiters), Value::Nothing))
-            } else {
-                Io::new_empty_mvar::<Value>().map(move |cell| {
-                    waiters.push(Value::MVar(cell.id()));
-                    (
-                        join(0, waiters),
-                        Value::Just(Box::new(Value::MVar(cell.id()))),
-                    )
-                })
+                return state.put(join(avail - 1, waiters));
             }
-        })
-        .and_then(move |ticket: Value| match ticket {
-            Value::Nothing => Io::unit(),
-            Value::Just(cell) => {
-                // Phase 2: block (interruptibly) until signalled.
-                let cell: MVar<Value> =
-                    MVar::from_id(cell.as_mvar_id().expect("ticket is an mvar"));
-                cell.take().map(|_| ())
-            }
-            other => panic!("malformed semaphore ticket: {other}"),
-        })
+            Io::new_empty_mvar::<Value>().and_then(move |cell| {
+                waiters.push(Value::MVar(cell.id()));
+                state.put(join(0, waiters)).then(
+                    cell.take()
+                        .map(|_| ())
+                        .catch(move |e| abandon(state, cell).then(Io::throw(e))),
+                )
+            })
+        }))
     }
 
     /// Releases one unit, waking the longest-waiting blocked thread.
     ///
-    /// Never blocks; safe to call from exception handlers and
-    /// finalizers (the state `MVar` is only ever held momentarily).
+    /// Waits only for the state cell, which is held momentarily; once
+    /// it has that, the release is certain.
     pub fn signal(&self) -> Io<()> {
         let state = self.state;
-        modify_mvar_with(state, move |st: Value| {
-            let (avail, mut waiters) = split(st);
-            if waiters.is_empty() {
-                Io::pure((join(avail + 1, waiters), Value::Nothing))
-            } else {
-                let cell = waiters.remove(0);
-                Io::pure((join(avail, waiters), Value::Just(Box::new(cell))))
-            }
-        })
-        .and_then(|woken: Value| match woken {
-            Value::Nothing => Io::unit(),
-            Value::Just(cell) => {
-                let cell: MVar<Value> =
-                    MVar::from_id(cell.as_mvar_id().expect("waiter is an mvar"));
-                // The waiter's cell is empty by construction: this put is
-                // non-interruptible (§5.3).
-                cell.put(Value::Unit)
-            }
-            other => panic!("malformed semaphore wake: {other}"),
-        })
+        Io::block(state.take().and_then(move |st| {
+            let (avail, waiters) = split(st);
+            grant(state, avail, waiters)
+        }))
     }
 
     /// Non-blocking acquire: `true` if a unit was taken.
     pub fn try_wait(&self) -> Io<bool> {
-        modify_mvar_with(self.state, move |st: Value| {
+        modify_mvar_pure(self.state, |st| {
             let (avail, waiters) = split(st);
-            if avail > 0 {
-                Io::pure((join(avail - 1, waiters), true))
-            } else {
-                Io::pure((join(avail, waiters), false))
-            }
+            let taken = avail > 0;
+            (join(avail - i64::from(taken), waiters), taken)
         })
     }
 
     /// The currently available units (momentary snapshot).
     pub fn available(&self) -> Io<i64> {
-        crate::locking::with_mvar(self.state, |st: Value| {
-            let (avail, _) = split(st);
-            Io::pure(avail)
+        modify_mvar_pure(self.state, |st| {
+            let (avail, waiters) = split(st);
+            (join(avail, waiters), avail)
         })
     }
 
-    /// Runs `body` holding one unit, releasing it on every exit path —
-    /// `bracket`-style (§7.1), so an asynchronous exception cannot leak
-    /// a unit.
+    /// Runs `body` holding one unit and releases it however `body`
+    /// exits — `bracket`-style (§7.1), so an asynchronous exception in
+    /// `wait` or in `body` cannot leak a unit.
     pub fn with<T, F>(&self, body: F) -> Io<T>
     where
         T: FromValue + IntoValue + 'static,
@@ -146,6 +131,47 @@ impl Sem {
             move |_| body(),
         )
     }
+}
+
+/// With the state cell taken: gives one unit to the longest waiter, or
+/// banks it, and puts the state back. Neither put can wait — a queued
+/// cell is empty until its one grant, the state cell was just emptied.
+fn grant(state: MVar<Value>, avail: i64, mut waiters: Vec<Value>) -> Io<()> {
+    if waiters.is_empty() {
+        return state.put(join(avail + 1, waiters));
+    }
+    let cell: MVar<Value> = MVar::from_id(
+        waiters
+            .remove(0)
+            .as_mvar_id()
+            .expect("malformed semaphore state: a waiter is an MVar"),
+    );
+    cell.put(Value::Unit).then(state.put(join(avail, waiters)))
+}
+
+/// `wait`'s handler (so it runs masked): an interrupted waiter leaves
+/// the queue. If its cell is no longer queued a `signal` has already
+/// granted it a unit, which goes to the next in line instead. The state
+/// cell may be held, so this take can be interrupted in turn — with
+/// nothing taken, so it starts over; each further exception costs one
+/// retry and is absorbed, the first is the one `wait` re-throws.
+fn abandon(state: MVar<Value>, cell: MVar<Value>) -> Io<()> {
+    state
+        .take()
+        .and_then(move |st| {
+            let (avail, mut waiters) = split(st);
+            let queued = waiters
+                .iter()
+                .position(|w| w.as_mvar_id() == Some(cell.id()));
+            match queued {
+                Some(i) => {
+                    waiters.remove(i);
+                    state.put(join(avail, waiters))
+                }
+                None => grant(state, avail, waiters),
+            }
+        })
+        .catch(move |_| abandon(state, cell))
 }
 
 fn split(st: Value) -> (i64, Vec<Value>) {
@@ -251,19 +277,17 @@ mod tests {
     #[test]
     fn timed_out_waiter_does_not_corrupt_sem() {
         let mut rt = Runtime::new();
-        // A waiter times out while blocked; the unit later granted is
-        // still usable by someone else.
+        // A waiter times out while blocked; a unit released later is
+        // still there for someone else.
         let prog = Sem::new(0).and_then(|s| {
             timeout(100, s.wait()).and_then(move |r| {
                 assert_eq!(r, None);
                 s.signal().then(s.available())
             })
         });
-        // NOTE: the timed-out waiter's wakeup cell is still queued; the
-        // signal "wakes" the dead waiter's cell first. This mirrors real
-        // QSem's documented weakness before GHC's QSem was rewritten —
-        // the unit lands in the abandoned cell.
-        assert_eq!(rt.run(prog).unwrap(), 0);
+        // The timed-out waiter left the queue, so the unit is banked
+        // rather than poured into its abandoned cell.
+        assert_eq!(rt.run(prog).unwrap(), 1);
     }
 
     #[test]

@@ -58,31 +58,31 @@ use conch_runtime::decide::StepFootprint;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ExecEvent {
     /// The thread that took the step.
-    pub tid: u64,
+    pub(crate) tid: u64,
     /// The step's footprint.
-    pub fp: StepFootprint,
+    pub(crate) fp: StepFootprint,
     /// Index into the run's branch-point record when this step was
     /// chosen at a branch point; `None` for forced steps (sole runnable
     /// thread, preemption-bound or depth-budget forcing).
-    pub point: Option<u32>,
+    pub(crate) point: Option<u32>,
     /// For a `throwTo` step only: the target was not runnable when the
     /// throw executed. The eager (Interrupt) rule may then cancel the
     /// target's wait — an effect on whatever resource it was blocked
     /// on, which the analyzer recovers from the target's last logged
     /// event (the blocking operation itself, since blocking operations
     /// are never local).
-    pub blocked_target: bool,
+    pub(crate) blocked_target: bool,
 }
 
 /// A thread observed for the first time, with the event that created it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Birth {
-    pub tid: u64,
+    pub(crate) tid: u64,
     /// Index into the event log of the parent's `fork` step, when the
     /// step executed immediately before the thread first appeared was a
     /// fork. `None` (no creation edge, which only *over*-approximates
     /// concurrency and so over-explores, never under-explores) otherwise.
-    pub parent_event: Option<u32>,
+    pub(crate) parent_event: Option<u32>,
 }
 
 /// A reversible race: the branch point of the earlier step, and the
@@ -90,26 +90,26 @@ pub(crate) struct Birth {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RaceFlag {
     /// Index into the run's branch-point record.
-    pub point: u32,
+    pub(crate) point: u32,
     /// The thread of the later step of the race.
-    pub later_tid: u64,
+    pub(crate) later_tid: u64,
     /// Flanagan–Godefroid's E set: threads whose *first* event after
     /// the branch point already happens-before the later step of the
     /// race (always includes `later_tid` itself). When `later_tid` is
     /// not enabled at the branch point, forcing any one enabled witness
     /// makes progress toward the reversal — a far narrower fallback
     /// than flagging every untried sibling.
-    pub witnesses: Vec<u64>,
+    pub(crate) witnesses: Vec<u64>,
 }
 
 /// The result of analyzing one run.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct RaceAnalysis {
     /// Backtrack requests, in log order (deduplicated).
-    pub flags: Vec<RaceFlag>,
+    pub(crate) flags: Vec<RaceFlag>,
     /// Total dependent-but-unordered pairs found, including those at
     /// forced (unbranchable) steps — the `races_detected` telemetry.
-    pub races: u64,
+    pub(crate) races: u64,
 }
 
 /// A dense vector clock: one component per thread index.
@@ -520,7 +520,7 @@ pub(crate) struct RaceState {
 impl RaceState {
     /// Analyze one run's event log, reusing the shared-prefix state of
     /// the previous call. Returns exactly what [`analyze`] would.
-    pub fn analyze(&mut self, events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
+    pub(crate) fn analyze(&mut self, events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
         let keep = self
             .events
             .iter()

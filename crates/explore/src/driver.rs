@@ -60,14 +60,14 @@ pub(crate) enum Alts {
 }
 
 impl Alts {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Alts::Inline {
             len: 0,
             buf: [(0, StepFootprint::Local); ALTS_INLINE],
         }
     }
 
-    pub fn push(&mut self, entry: SleepEntry) {
+    pub(crate) fn push(&mut self, entry: SleepEntry) {
         match self {
             Alts::Inline { len, buf } => {
                 if (*len as usize) < ALTS_INLINE {
@@ -100,25 +100,25 @@ pub(crate) struct Point {
     /// For scheduling points: the full candidate list (thread id and
     /// next-step footprint, in run-queue order). Empty for delivery
     /// points.
-    pub alts: Alts,
+    pub(crate) alts: Alts,
     /// Thread ids among `alts` that were asleep when this point was
     /// first created (candidates the DFS will skip).
-    pub sleeping: Vec<u64>,
+    pub(crate) sleeping: Vec<u64>,
     /// The choice taken this run.
-    pub chosen: Choice,
+    pub(crate) chosen: Choice,
     /// For oracle points ([`Io::choose`](conch_runtime::io::Io::choose)):
     /// the number of arms. Zero for scheduling and delivery points.
-    pub arms: u8,
+    pub(crate) arms: u8,
 }
 
 impl Point {
     /// Is this a delivery (rather than scheduling) point?
-    pub fn is_delivery(&self) -> bool {
+    pub(crate) fn is_delivery(&self) -> bool {
         matches!(self.chosen, Choice::Deliver(_))
     }
 
     /// Is this an oracle-arm point?
-    pub fn is_arm(&self) -> bool {
+    pub(crate) fn is_arm(&self) -> bool {
         matches!(self.chosen, Choice::Arm(_))
     }
 }
@@ -132,18 +132,18 @@ impl Point {
 /// instead of being reallocated tens of thousands of times.
 pub(crate) struct DriverState {
     /// Choices to replay, one per branch point, in order.
-    pub script: Vec<Choice>,
+    pub(crate) script: Vec<Choice>,
     /// Sibling alternatives already explored at scripted points, to be
     /// added to the sleep set there: `(script position, entry)` pairs in
     /// ascending position order (a flat list, not one `Vec` per point,
     /// so refilling it between runs allocates nothing once warm).
-    pub extra_sleep: Vec<(usize, SleepEntry)>,
+    pub(crate) extra_sleep: Vec<(usize, SleepEntry)>,
     /// Cursor into `extra_sleep`.
     extra_pos: usize,
     /// Next script position.
     pos: usize,
     /// Every branch point passed this run (scripted and frontier).
-    pub record: Vec<Point>,
+    pub(crate) record: Vec<Point>,
     /// The current sleep set.
     sleep: Vec<SleepEntry>,
     /// Preemptions used so far this run.
@@ -153,18 +153,18 @@ pub(crate) struct DriverState {
     max_points: usize,
     /// Whether the branch-point budget was hit (the run is truncated:
     /// schedules below this point were not enumerated).
-    pub depth_hit: bool,
+    pub(crate) depth_hit: bool,
     /// When set, every executed non-invisible step is appended to
     /// `exec_log` (with thread births in `births`) for the DPOR race
     /// analysis. Off for sleep-set exploration and replay, where the
     /// log would be pure overhead.
-    pub trace_exec: bool,
+    pub(crate) trace_exec: bool,
     /// The executed-step log (see [`crate::clocks`]). Thread-local
     /// steps are omitted — they can never participate in a race.
-    pub exec_log: Vec<ExecEvent>,
+    pub(crate) exec_log: Vec<ExecEvent>,
     /// Creation edges: each thread's first appearance, with the fork
     /// event that created it when identifiable.
-    pub births: Vec<Birth>,
+    pub(crate) births: Vec<Birth>,
     /// Every thread id ever observed in a runnable view this run.
     known_tids: Vec<u64>,
     /// Whether the scheduling decision of the current step boundary
@@ -183,11 +183,11 @@ pub(crate) struct DriverState {
     /// is the same function of the executed path under sampling as
     /// under enumeration. That is what makes a sampled certificate
     /// byte-compatible with an exhaustive one.
-    pub policy: Option<SamplePolicy>,
+    pub(crate) policy: Option<SamplePolicy>,
 }
 
 impl DriverState {
-    pub fn new(
+    pub(crate) fn new(
         script: Vec<Choice>,
         extra_sleep: Vec<(usize, SleepEntry)>,
         preemption_bound: Option<usize>,
@@ -216,7 +216,7 @@ impl DriverState {
     /// Clears all per-run state (keeping buffer capacity) so the same
     /// `DriverState` can drive the next run. The caller refills `script`
     /// and `extra_sleep` afterwards.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.script.clear();
         self.extra_sleep.clear();
         self.extra_pos = 0;

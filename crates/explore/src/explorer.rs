@@ -10,7 +10,6 @@ use conch_runtime::error::RunError;
 use conch_runtime::io::Io;
 use conch_runtime::scheduler::Runtime;
 use conch_runtime::stats::Stats;
-use conch_runtime::trace::IoEvent;
 use conch_runtime::value::FromValue;
 
 use crate::dpor::dpor_round_loop;
@@ -117,16 +116,14 @@ pub struct RunOutcome<T> {
     /// Everything the program printed.
     pub output: String,
     /// Step counters for the run.
-    pub stats: Stats,
-    /// The I/O (and, if enabled, scheduler) trace.
-    pub trace: Vec<IoEvent>,
+    pub(crate) stats: Stats,
     /// The complete schedule of the run — replaying it reproduces this
     /// outcome exactly.
-    pub schedule: Schedule,
+    pub(crate) schedule: Schedule,
 }
 
 /// A boxed property over one execution: `Err(reason)` fails the check.
-pub type Property<T> = Box<dyn FnOnce(&RunOutcome<T>) -> Result<(), String>>;
+pub(crate) type Property<T> = Box<dyn FnOnce(&RunOutcome<T>) -> Result<(), String>>;
 
 /// A program plus the property its executions must satisfy.
 ///
@@ -135,9 +132,9 @@ pub type Property<T> = Box<dyn FnOnce(&RunOutcome<T>) -> Result<(), String>>;
 /// schedule.
 pub struct TestCase<T> {
     /// The program to run.
-    pub program: Io<T>,
+    pub(crate) program: Io<T>,
     /// The property: `Err(reason)` fails the check for this schedule.
-    pub check: Property<T>,
+    pub(crate) check: Property<T>,
 }
 
 impl<T> TestCase<T> {
@@ -425,7 +422,7 @@ impl Explorer {
     }
 
     /// The active configuration.
-    pub fn config(&self) -> &ExploreConfig {
+    pub(crate) fn config(&self) -> &ExploreConfig {
         &self.config
     }
 
@@ -731,7 +728,6 @@ impl Explorer {
             result,
             output: rt.output().to_owned(),
             stats: rt.stats().clone(),
-            trace: rt.io_trace().to_vec(),
             schedule,
         }
     }

@@ -54,7 +54,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// reusing the whole DFS machinery — sleep entries, donation, keys.
 #[derive(Debug, Clone)]
 pub(crate) struct Node {
-    pub point: Point,
+    pub(crate) point: Point,
     /// For scheduling nodes: index into `point.alts` of the current
     /// choice. Unused for delivery nodes. Maintained even under a
     /// restriction, so [`key_index`](Node::key_index) always ranks by
@@ -66,11 +66,11 @@ pub(crate) struct Node {
     restrict: Option<(Vec<u64>, usize)>,
     /// The node's remaining alternatives were donated to another worker
     /// as a [`WorkItem`]; locally it is exhausted.
-    pub sealed: bool,
+    pub(crate) sealed: bool,
 }
 
 impl Node {
-    pub fn from_point(point: Point) -> Self {
+    pub(crate) fn from_point(point: Point) -> Self {
         let chosen_idx = match point.chosen {
             Choice::Thread(t) => point
                 .alts
@@ -92,7 +92,7 @@ impl Node {
     /// A scheduling node restricted to `order` (the executed default
     /// choice first, then the backtrack entries in canonical order).
     /// Every entry must name a thread in `point.alts`.
-    pub fn restricted(point: Point, order: Vec<u64>) -> Self {
+    pub(crate) fn restricted(point: Point, order: Vec<u64>) -> Self {
         debug_assert!(!point.is_delivery() && !point.is_arm());
         debug_assert_eq!(
             Some(order[0]),
@@ -114,7 +114,7 @@ impl Node {
         }
     }
 
-    pub fn choice(&self) -> Choice {
+    pub(crate) fn choice(&self) -> Choice {
         if self.point.is_delivery() || self.point.is_arm() {
             self.point.chosen
         } else {
@@ -125,7 +125,7 @@ impl Node {
     /// Visit the alternatives already explored at this node (to be
     /// slept in sibling subtrees). Delivery and arm alternatives are
     /// not threads, so they contribute no sleep entries.
-    pub fn each_explored(&self, mut f: impl FnMut(SleepEntry)) {
+    pub(crate) fn each_explored(&self, mut f: impl FnMut(SleepEntry)) {
         if self.point.is_delivery() || self.point.is_arm() {
             return;
         }
@@ -149,7 +149,7 @@ impl Node {
     /// order: the DFS visits smaller key indices first, so
     /// concatenating them along a path yields a key that orders whole
     /// runs by sequential visit order (see [`dfs_key`]).
-    pub fn key_index(&self) -> u32 {
+    pub(crate) fn key_index(&self) -> u32 {
         match self.point.chosen {
             Choice::Deliver(true) => 0,
             Choice::Deliver(false) => 1,
@@ -160,7 +160,7 @@ impl Node {
 
     /// Move to the next unexplored alternative. Returns `false` when the
     /// node is exhausted (or its remainder was donated away).
-    pub fn advance(&mut self) -> bool {
+    pub(crate) fn advance(&mut self) -> bool {
         if self.sealed {
             return false;
         }
@@ -240,19 +240,19 @@ pub(crate) fn point_key(p: &Point) -> u32 {
 /// Only plain data — no `Rc`, no program values.
 pub(crate) struct WorkItem {
     /// Choices leading to the region's root, replayed verbatim.
-    pub prefix: Vec<Choice>,
+    pub(crate) prefix: Vec<Choice>,
     /// Sleep-set entries accumulated along the prefix
     /// (`(script position, entry)` pairs, ascending).
-    pub base_sleep: Vec<(usize, SleepEntry)>,
+    pub(crate) base_sleep: Vec<(usize, SleepEntry)>,
     /// DFS key of the prefix (one entry per prefix choice).
-    pub base_key: Vec<u32>,
+    pub(crate) base_key: Vec<u32>,
     /// The branch point whose remaining alternatives this item covers;
     /// `None` for the root item (the whole tree).
-    pub node: Option<Node>,
+    pub(crate) node: Option<Node>,
 }
 
 impl WorkItem {
-    pub fn root() -> Self {
+    pub(crate) fn root() -> Self {
         WorkItem {
             prefix: Vec::new(),
             base_sleep: Vec::new(),
@@ -264,7 +264,7 @@ impl WorkItem {
 
 /// The DFS-earliest property failure seen so far.
 pub(crate) struct FailureCandidate {
-    pub key: Vec<u32>,
+    pub(crate) key: Vec<u32>,
     /// The full (unshrunk) schedule of the failing run.
     pub schedule: Schedule,
     /// The property's message on that run.
@@ -377,7 +377,7 @@ pub(crate) struct Frontier {
 
 impl Frontier {
     /// A frontier holding just the root item.
-    pub fn new(workers: usize) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         Frontier {
             workers,
             queue: Mutex::new(QueueState {
@@ -414,7 +414,7 @@ impl Frontier {
     /// of [`next_item`](Frontier::next_item): workers race on the
     /// counter, but since sample `i` behaves identically whoever runs
     /// it, the race is coverage-invisible.
-    pub fn claim_sample(&self, total: usize) -> Option<usize> {
+    pub(crate) fn claim_sample(&self, total: usize) -> Option<usize> {
         if self.is_stopped() {
             return None;
         }
@@ -427,12 +427,12 @@ impl Frontier {
     }
 
     /// Record one sampled schedule's hash for the distinctness counter.
-    pub fn note_schedule_hash(&self, hash: u64) {
+    pub(crate) fn note_schedule_hash(&self, hash: u64) {
         lock(&self.sampled_hashes).insert(hash);
     }
 
     /// Distinct schedules among the sampled ones.
-    pub fn distinct_schedules(&self) -> usize {
+    pub(crate) fn distinct_schedules(&self) -> usize {
         lock(&self.sampled_hashes).len()
     }
 
@@ -440,7 +440,7 @@ impl Frontier {
     /// the search is over: stop requested, or queue empty with no busy
     /// worker left to donate. A returned item MUST be paired with a
     /// later [`finish_item`](Frontier::finish_item).
-    pub fn next_item(&self) -> Option<WorkItem> {
+    pub(crate) fn next_item(&self) -> Option<WorkItem> {
         let mut q = lock(&self.queue);
         loop {
             if self.stopped.load(Ordering::Acquire) {
@@ -461,7 +461,7 @@ impl Frontier {
 
     /// Declare the item from the matching [`next_item`](Frontier::next_item)
     /// done (fully explored, donated away, or abandoned on stop).
-    pub fn finish_item(&self) {
+    pub(crate) fn finish_item(&self) {
         let mut q = lock(&self.queue);
         q.busy -= 1;
         if q.busy == 0 {
@@ -474,7 +474,7 @@ impl Frontier {
     /// for multiple starving thieves batches its chunks so each thief
     /// wakes to a multi-schedule region instead of contending for
     /// single splits.
-    pub fn push_batch(&self, items: Vec<WorkItem>) {
+    pub(crate) fn push_batch(&self, items: Vec<WorkItem>) {
         if items.is_empty() {
             return;
         }
@@ -492,13 +492,13 @@ impl Frontier {
     /// Fold a worker's accumulated wall-clock telemetry into the
     /// totals (`replay` = schedule execution, `analysis` = race
     /// analysis; both in nanoseconds).
-    pub fn add_timing(&self, replay_ns: u64, analysis_ns: u64) {
+    pub(crate) fn add_timing(&self, replay_ns: u64, analysis_ns: u64) {
         self.replay_ns.fetch_add(replay_ns, Ordering::Relaxed);
         self.analysis_ns.fetch_add(analysis_ns, Ordering::Relaxed);
     }
 
     /// Accumulated (replay, analysis) wall-clock seconds.
-    pub fn timing(&self) -> (f64, f64) {
+    pub(crate) fn timing(&self) -> (f64, f64) {
         (
             self.replay_ns.load(Ordering::Relaxed) as f64 / 1e9,
             self.analysis_ns.load(Ordering::Relaxed) as f64 / 1e9,
@@ -508,14 +508,14 @@ impl Frontier {
     /// Should busy workers split their subtrees? True when some worker
     /// is starving; always false for a single-worker search, so the
     /// `workers = 1` engine is the sequential DFS, bit for bit.
-    pub fn hungry(&self) -> bool {
+    pub(crate) fn hungry(&self) -> bool {
         self.workers > 1 && self.starving.load(Ordering::Relaxed) > 0
     }
 
     /// How many workers are blocked waiting for an item right now — the
     /// batch size a donor should aim for when splitting its stack, so
     /// one donation pass feeds every thief at once.
-    pub fn starving(&self) -> usize {
+    pub(crate) fn starving(&self) -> usize {
         if self.workers > 1 {
             self.starving.load(Ordering::Relaxed)
         } else {
@@ -524,20 +524,20 @@ impl Frontier {
     }
 
     /// Abort the search (a global cap was hit, or a worker panicked).
-    pub fn request_stop(&self) {
+    pub(crate) fn request_stop(&self) {
         self.stopped.store(true, Ordering::Release);
         drop(lock(&self.queue));
         self.available.notify_all();
     }
 
-    pub fn is_stopped(&self) -> bool {
+    pub(crate) fn is_stopped(&self) -> bool {
         self.stopped.load(Ordering::Acquire)
     }
 
     /// Record one executed run. `choices` is the run's full schedule,
     /// from which the injected-fault count (non-default oracle arms) is
     /// tallied.
-    pub fn note_run(&self, depth_hit: bool, run_steps: u64, choices: &[Choice]) {
+    pub(crate) fn note_run(&self, depth_hit: bool, run_steps: u64, choices: &[Choice]) {
         self.explored.fetch_add(1, Ordering::Relaxed);
         if depth_hit {
             self.truncated.fetch_add(1, Ordering::Relaxed);
@@ -552,35 +552,35 @@ impl Frontier {
         }
     }
 
-    pub fn add_pruned(&self, n: usize) {
+    pub(crate) fn add_pruned(&self, n: usize) {
         if n > 0 {
             self.pruned.fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    pub fn explored(&self) -> usize {
+    pub(crate) fn explored(&self) -> usize {
         self.explored.load(Ordering::Relaxed)
     }
 
-    pub fn pruned(&self) -> usize {
+    pub(crate) fn pruned(&self) -> usize {
         self.pruned.load(Ordering::Relaxed)
     }
 
-    pub fn truncated(&self) -> usize {
+    pub(crate) fn truncated(&self) -> usize {
         self.truncated.load(Ordering::Relaxed)
     }
 
-    pub fn steps(&self) -> u64 {
+    pub(crate) fn steps(&self) -> u64 {
         self.steps.load(Ordering::Relaxed)
     }
 
-    pub fn faults(&self) -> u64 {
+    pub(crate) fn faults(&self) -> u64 {
         self.faults.load(Ordering::Relaxed)
     }
 
     /// Offer a failing run; kept only if DFS-earlier than the current
     /// candidate.
-    pub fn offer_failure(&self, key: Vec<u32>, schedule: Schedule, message: String) {
+    pub(crate) fn offer_failure(&self, key: Vec<u32>, schedule: Schedule, message: String) {
         let mut slot = lock(&self.failure);
         let earlier = match slot.as_ref() {
             None => true,
@@ -596,7 +596,7 @@ impl Frontier {
         }
     }
 
-    pub fn has_failure(&self) -> bool {
+    pub(crate) fn has_failure(&self) -> bool {
         self.has_failure.load(Ordering::Acquire)
     }
 
@@ -606,14 +606,14 @@ impl Frontier {
     /// the candidate's key compares smaller, so the path to the
     /// candidate itself is never pruned and DFS-earlier failures can
     /// still be found and take over.)
-    pub fn prune_later(&self, prefix_key: &[u32]) -> bool {
+    pub(crate) fn prune_later(&self, prefix_key: &[u32]) -> bool {
         match lock(&self.failure).as_ref() {
             Some(best) => prefix_key > best.key.as_slice(),
             None => false,
         }
     }
 
-    pub fn take_failure(&self) -> Option<FailureCandidate> {
+    pub(crate) fn take_failure(&self) -> Option<FailureCandidate> {
         lock(&self.failure).take()
     }
 
@@ -622,7 +622,7 @@ impl Frontier {
     /// branch point. Returns `true` iff the path was not registered
     /// before — only then may the caller count the run, analyze it, and
     /// install its flags; a duplicate execution must contribute nothing.
-    pub fn dpor_register_run(&self, choices: &[Choice], candidates: &[u32]) -> bool {
+    pub(crate) fn dpor_register_run(&self, choices: &[Choice], candidates: &[u32]) -> bool {
         debug_assert_eq!(choices.len(), candidates.len());
         let mut d = lock(&self.dpor);
         let mut node = 0usize;
@@ -659,7 +659,7 @@ impl Frontier {
     /// the index refers to a position along `choices` (the run's path).
     /// The requests are buffered; they take effect only at the round
     /// barrier ([`dpor_apply_pending`](Frontier::dpor_apply_pending)).
-    pub fn dpor_request_inserts(&self, choices: &[Choice], inserts: &[(usize, u64)]) {
+    pub(crate) fn dpor_request_inserts(&self, choices: &[Choice], inserts: &[(usize, u64)]) {
         if inserts.is_empty() {
             return;
         }
@@ -695,7 +695,7 @@ impl Frontier {
     /// the next round's DFS can skip any registered subtree with
     /// `dirty_below == false` — its tree is unchanged since the round
     /// that drained it.
-    pub fn dpor_apply_pending(&self) -> bool {
+    pub(crate) fn dpor_apply_pending(&self) -> bool {
         let mut d = lock(&self.dpor);
         let mut pending = std::mem::take(&mut d.pending);
         pending.sort_unstable();
@@ -749,7 +749,7 @@ impl Frontier {
     /// registers, and never re-generates a script afterwards — so a
     /// successful walk always lands on a node some earlier round
     /// drained completely.
-    pub fn dpor_subtree_clean(&self, script: &[Choice]) -> bool {
+    pub(crate) fn dpor_subtree_clean(&self, script: &[Choice]) -> bool {
         let d = lock(&self.dpor);
         let mut node = 0usize;
         for c in script {
@@ -766,7 +766,7 @@ impl Frontier {
     /// `from + i` of `choices`. Missing trie nodes (the path's new
     /// suffix, not yet registered when expansion happens first) yield
     /// empty lists.
-    pub fn dpor_backtrack_lists(&self, choices: &[Choice], from: usize) -> Vec<Vec<u64>> {
+    pub(crate) fn dpor_backtrack_lists(&self, choices: &[Choice], from: usize) -> Vec<Vec<u64>> {
         let d = lock(&self.dpor);
         let mut lists = Vec::with_capacity(choices.len().saturating_sub(from));
         let mut node = Some(0u32);
@@ -791,7 +791,7 @@ impl Frontier {
     /// Reset the work queue for the next DPOR round: the whole
     /// (grown) tree is re-walked from the root. Counters, the trie,
     /// the failure candidate, and the stop flag all persist.
-    pub fn start_round(&self) {
+    pub(crate) fn start_round(&self) {
         let mut q = lock(&self.queue);
         debug_assert_eq!(q.busy, 0, "a round must be fully drained first");
         q.items = vec![WorkItem::root()];
@@ -802,7 +802,7 @@ impl Frontier {
     /// Schedules pruned under DPOR: over every branch node of the run
     /// trie, the alternatives no run ever took. A deterministic
     /// function of the final trie, computed once at finalization.
-    pub fn dpor_pruned(&self) -> usize {
+    pub(crate) fn dpor_pruned(&self) -> usize {
         let d = lock(&self.dpor);
         d.nodes
             .iter()
@@ -812,7 +812,7 @@ impl Frontier {
 
     /// Total backtrack-set entries installed by the race analysis —
     /// the `backtracks_installed` telemetry.
-    pub fn dpor_backtracks(&self) -> u64 {
+    pub(crate) fn dpor_backtracks(&self) -> u64 {
         lock(&self.dpor)
             .nodes
             .iter()
@@ -821,11 +821,11 @@ impl Frontier {
     }
 
     /// Fold a worker's accumulated runtime statistics into the total.
-    pub fn merge_stats(&self, local: &Stats) {
+    pub(crate) fn merge_stats(&self, local: &Stats) {
         lock(&self.stats).merge(local);
     }
 
-    pub fn total_stats(&self) -> Stats {
+    pub(crate) fn total_stats(&self) -> Stats {
         lock(&self.stats).clone()
     }
 }

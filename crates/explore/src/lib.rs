@@ -73,6 +73,10 @@
 //! assert_eq!(outcome.output, "ba");
 //! ```
 
+// `pub` means reachable from another crate: an item used only in here is
+// `pub(crate)`, and `dead_code` then names what nothing uses at all.
+#![warn(unreachable_pub)]
+
 mod clocks;
 mod dpor;
 mod driver;

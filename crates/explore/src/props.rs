@@ -5,16 +5,10 @@
 //!
 //! * [`terminates`] — "terminates without deadlock": the run must not
 //!   end in [`RunError::Deadlock`].
-//! * [`no_uncaught`] — no exception escapes the main thread, i.e. every
-//!   asynchronous exception is caught somewhere ("no lost exception"
-//!   when the program under test installs handlers that account for
-//!   every `throwTo`).
 //! * [`returns`] — the main thread computes exactly the expected value.
 //! * [`releases_balanced`] — "bracket releases on every path": if the
 //!   program prints a marker on acquire and another on release, every
 //!   explored schedule must balance them.
-//! * [`output_satisfies`] — an arbitrary predicate over the console
-//!   output.
 
 use std::fmt::Debug;
 
@@ -27,14 +21,6 @@ use crate::explorer::RunOutcome;
 pub fn terminates<T>(out: &RunOutcome<T>) -> Result<(), String> {
     match &out.result {
         Err(e @ RunError::Deadlock { .. }) => Err(e.to_string()),
-        _ => Ok(()),
-    }
-}
-
-/// No exception may escape the main thread.
-pub fn no_uncaught<T>(out: &RunOutcome<T>) -> Result<(), String> {
-    match &out.result {
-        Err(e @ RunError::Uncaught(_)) => Err(e.to_string()),
         _ => Ok(()),
     }
 }
@@ -67,32 +53,6 @@ pub fn releases_balanced<T>(
                 out.output
             ))
         }
-    }
-}
-
-/// The console output must satisfy `pred`; `desc` names the property in
-/// the failure message.
-pub fn output_satisfies<T>(
-    desc: &'static str,
-    pred: impl FnOnce(&str) -> bool + 'static,
-) -> impl FnOnce(&RunOutcome<T>) -> Result<(), String> {
-    move |out| {
-        if pred(&out.output) {
-            Ok(())
-        } else {
-            Err(format!("output {:?} violates: {desc}", out.output))
-        }
-    }
-}
-
-/// Conjunction of two properties.
-pub fn all_of<T>(
-    first: impl FnOnce(&RunOutcome<T>) -> Result<(), String> + 'static,
-    second: impl FnOnce(&RunOutcome<T>) -> Result<(), String> + 'static,
-) -> impl FnOnce(&RunOutcome<T>) -> Result<(), String> {
-    move |out| {
-        first(out)?;
-        second(out)
     }
 }
 

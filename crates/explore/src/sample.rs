@@ -53,11 +53,11 @@ use crate::schedule::Choice;
 pub(crate) struct Rng(u64);
 
 impl Rng {
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Rng(seed)
     }
 
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -67,12 +67,12 @@ impl Rng {
 
     /// Uniform draw in `0..n`. The modulo bias is below 2⁻⁵⁰ for the
     /// candidate-list sizes that occur here (≤ a few hundred).
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
         self.next_u64() % n
     }
 
-    pub fn coin(&mut self) -> bool {
+    pub(crate) fn coin(&mut self) -> bool {
         self.next_u64() & 1 == 1
     }
 }
@@ -114,7 +114,7 @@ pub(crate) struct PctState {
 }
 
 impl SamplePolicy {
-    pub fn pct(depth: usize, seed: u64, horizon: usize) -> Self {
+    pub(crate) fn pct(depth: usize, seed: u64, horizon: usize) -> Self {
         let mut rng = Rng::new(seed);
         let horizon = horizon.max(1) as u64;
         let change_points = (1..depth).map(|_| rng.below(horizon) as u32 + 1).collect();
@@ -127,7 +127,7 @@ impl SamplePolicy {
         })
     }
 
-    pub fn uniform(seed: u64) -> Self {
+    pub(crate) fn uniform(seed: u64) -> Self {
         SamplePolicy::Uniform(Rng::new(seed))
     }
 
@@ -136,7 +136,7 @@ impl SamplePolicy {
     /// subset the sleep-set rule would skip (always empty for sampled
     /// runs, which carry no DFS context; honored anyway so the policy
     /// composes with scripted prefixes). Returns an index into `alts`.
-    pub fn pick_thread(&mut self, alts: &[SleepEntry], sleeping: &[u64]) -> usize {
+    pub(crate) fn pick_thread(&mut self, alts: &[SleepEntry], sleeping: &[u64]) -> usize {
         let eligible = |i: &usize| !sleeping.contains(&alts[*i].0);
         match self {
             SamplePolicy::Uniform(rng) => {
@@ -188,7 +188,7 @@ impl SamplePolicy {
     /// extra nondeterminism, §5), so both policies flip a fair coin —
     /// each landing site of a pending exception keeps probability
     /// ≥ 2^-(sites).
-    pub fn pick_deliver(&mut self) -> bool {
+    pub(crate) fn pick_deliver(&mut self) -> bool {
         match self {
             SamplePolicy::Uniform(rng) => rng.coin(),
             SamplePolicy::Pct(st) => st.rng.coin(),
@@ -198,7 +198,7 @@ impl SamplePolicy {
     /// The arm decision at an unscripted oracle point: uniform over the
     /// arms, so every fault arm of an `Io::choose` site keeps
     /// probability `1/arms` per visit.
-    pub fn pick_arm(&mut self, arms: u8) -> u8 {
+    pub(crate) fn pick_arm(&mut self, arms: u8) -> u8 {
         let rng = match self {
             SamplePolicy::Uniform(rng) => rng,
             SamplePolicy::Pct(st) => &mut st.rng,
@@ -216,7 +216,7 @@ pub(crate) enum SamplePlan {
 
 impl SamplePlan {
     /// `None` for exhaustive strategies (which the DFS engines handle).
-    pub fn from_strategy(strategy: &Strategy) -> Option<SamplePlan> {
+    pub(crate) fn from_strategy(strategy: &Strategy) -> Option<SamplePlan> {
         match strategy {
             Strategy::Exhaustive(_) => None,
             Strategy::Pct { depth, seed } => Some(SamplePlan::Pct {
@@ -232,7 +232,7 @@ impl SamplePlan {
 
     /// The policy driving sample `index`. A pure function of
     /// `(plan, index, horizon)` — see the module docs on determinism.
-    pub fn policy_for(&self, index: u64, horizon: usize) -> SamplePolicy {
+    pub(crate) fn policy_for(&self, index: u64, horizon: usize) -> SamplePolicy {
         match self {
             SamplePlan::Pct { depth, seed } => {
                 SamplePolicy::pct(*depth, stream_seed(*seed, index), horizon)

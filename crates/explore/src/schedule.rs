@@ -51,7 +51,7 @@ pub struct Schedule {
 
 impl Schedule {
     /// An empty schedule (replays as "always the default choice").
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Schedule::default()
     }
 
@@ -88,7 +88,7 @@ impl fmt::Display for Schedule {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseScheduleError {
     /// The token that failed to parse.
-    pub token: String,
+    pub(crate) token: String,
 }
 
 impl fmt::Display for ParseScheduleError {

@@ -30,10 +30,10 @@ pub enum ConnFault {
 
 impl ConnFault {
     /// Number of arms in this menu, for [`Io::choose`](conch_runtime::io::Io::choose).
-    pub const ARMS: u8 = 5;
+    pub(crate) const ARMS: u8 = 5;
 
     /// Decodes a chosen arm; out-of-range arms mean no fault.
-    pub fn from_arm(arm: i64) -> ConnFault {
+    pub(crate) fn from_arm(arm: i64) -> ConnFault {
         match arm {
             1 => ConnFault::Drop,
             2 => ConnFault::Stall,
@@ -44,7 +44,7 @@ impl ConnFault {
     }
 
     /// This fault's arm number.
-    pub fn arm(self) -> u8 {
+    pub(crate) fn arm(self) -> u8 {
         match self {
             ConnFault::None => 0,
             ConnFault::Drop => 1,
@@ -61,7 +61,7 @@ impl ConnFault {
     /// stalling forever needs no live sender thread, just bytes that
     /// stop coming; the virtual clock then runs straight to the
     /// server's read timeout.
-    pub fn wire(self, path: &str) -> (String, bool) {
+    pub(crate) fn wire(self, path: &str) -> (String, bool) {
         match self {
             ConnFault::None => (Request::get(path).render(), false),
             ConnFault::Drop => (String::new(), true),
@@ -99,10 +99,10 @@ pub enum HandlerFault {
 
 impl HandlerFault {
     /// Number of arms in this menu.
-    pub const ARMS: u8 = 3;
+    pub(crate) const ARMS: u8 = 3;
 
     /// Decodes a chosen arm; out-of-range arms mean no fault.
-    pub fn from_arm(arm: i64) -> HandlerFault {
+    pub(crate) fn from_arm(arm: i64) -> HandlerFault {
         match arm {
             1 => HandlerFault::Crash,
             2 => HandlerFault::Wedge,
@@ -111,7 +111,7 @@ impl HandlerFault {
     }
 
     /// This fault's arm number.
-    pub fn arm(self) -> u8 {
+    pub(crate) fn arm(self) -> u8 {
         match self {
             HandlerFault::None => 0,
             HandlerFault::Crash => 1,

@@ -8,7 +8,7 @@ use crate::fault::HandlerFault;
 use crate::inject::Injector;
 
 /// The exception an injected [`HandlerFault::Crash`] raises.
-pub fn handler_crash() -> Exception {
+pub(crate) fn handler_crash() -> Exception {
     Exception::custom("InjectedHandlerCrash")
 }
 

@@ -79,7 +79,7 @@ impl Injector {
     }
 
     /// The raw arm decision for a site with `arms` alternatives.
-    pub fn arm(&self, arms: u8) -> Io<i64> {
+    pub(crate) fn arm(&self, arms: u8) -> Io<i64> {
         match self {
             Injector::Explore => Io::choose(arms),
             Injector::Scripted(plan) => plan.next_arm(arms),
@@ -87,18 +87,18 @@ impl Injector {
     }
 
     /// Decides the connection fault for one incoming connection.
-    pub fn conn_fault(&self) -> Io<ConnFault> {
+    pub(crate) fn conn_fault(&self) -> Io<ConnFault> {
         self.arm(ConnFault::ARMS).map(ConnFault::from_arm)
     }
 
     /// Decides the handler fault for one request.
-    pub fn handler_fault(&self) -> Io<HandlerFault> {
+    pub(crate) fn handler_fault(&self) -> Io<HandlerFault> {
         self.arm(HandlerFault::ARMS).map(HandlerFault::from_arm)
     }
 
     /// Decides whether a storm strike hits (`true`) or spares its
     /// target.
-    pub fn strike(&self) -> Io<bool> {
+    pub(crate) fn strike(&self) -> Io<bool> {
         self.arm(2).map(|a| a == 1)
     }
 }

@@ -35,6 +35,10 @@
 //! Arm `0` of every choice is "no fault", so a program under injection
 //! is, by construction, a superset of the healthy program.
 
+// `pub` means reachable from another crate: an item used only in here is
+// `pub(crate)`, and `dead_code` then names what nothing uses at all.
+#![warn(unreachable_pub)]
+
 mod client;
 mod fault;
 mod handler;

@@ -15,9 +15,9 @@
 //!   `accepted == outcomes` whenever `active == 0`. The counters live in
 //!   one `MVar` cell and change only through three mutators —
 //!   `ServerStats::accept_or_shed`, `ServerStats::accept_concluded`
-//!   and `finish` — each a single §7.4 masked take→mutate→put. The
-//!   transaction primitive itself is private to this module, so no
-//!   plane can restate (or mis-state) the law.
+//!   and `finish` — each a single §7.4 masked take→mutate→put
+//!   ([`modify_mvar_pure`]). The cell itself is private to this module,
+//!   so no plane can restate (or mis-state) the law.
 //! * **The guard.** `serve_request` runs the handler under a timeout
 //!   and a `catch` that re-throws the timeout's own `KillThread` (§9).
 //! * **The audit.** [`Server::shutdown_sync`] → [`Server::drain`] →
@@ -30,7 +30,7 @@
 
 use std::rc::Rc;
 
-use conch_combinators::{kill_thread, timeout, with_mvar, Either};
+use conch_combinators::{kill_thread, modify_mvar_pure, timeout, with_mvar, Either};
 use conch_runtime::exception::Exception;
 use conch_runtime::ids::ThreadId;
 use conch_runtime::io::Io;
@@ -101,7 +101,7 @@ impl StatsSnapshot {
     }
 
     /// Field-wise sum, for aggregating quiesced cells.
-    pub fn merge(mut self, other: &StatsSnapshot) -> StatsSnapshot {
+    pub(crate) fn merge(mut self, other: &StatsSnapshot) -> StatsSnapshot {
         self.served += other.served;
         self.read_timeouts += other.read_timeouts;
         self.handler_timeouts += other.handler_timeouts;
@@ -227,9 +227,9 @@ impl FromValue for Outcome {
 /// each failure mode (see the `conch-faults` test-suite docs).
 ///
 /// One cell fixes all three: the whole snapshot is taken, mutated by
-/// pure Rust code, and put back, fully masked. The only interruptible
-/// point is the `take` while it *blocks* — at which moment nothing has
-/// been taken and nothing can tear.
+/// pure Rust code, and put back, fully masked ([`modify_mvar_pure`]).
+/// The only interruptible point is the `take` while it *blocks* — at
+/// which moment nothing has been taken and nothing can tear.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerStats {
     cell: MVar<StatsSnapshot>,
@@ -243,26 +243,7 @@ impl ServerStats {
     /// Reads all counters in one atomic, masked transaction — a
     /// snapshot can never observe a half-committed update.
     pub fn snapshot(&self) -> Io<StatsSnapshot> {
-        self.txn(|s| *s)
-    }
-
-    /// One §7.4 masked transaction over the counters: take, mutate with
-    /// pure code, put back. No `unblock` anywhere, so once the `take`
-    /// returns the commit is certain — the `put` back into the
-    /// now-empty cell cannot block, and a masked thread is only ever
-    /// interrupted at *blocking* operations. An asynchronous exception
-    /// therefore either lands while the `take` still waits (nothing
-    /// taken, nothing changed) or after the transaction is whole.
-    fn txn<R, F>(&self, f: F) -> Io<R>
-    where
-        R: FromValue + IntoValue + Copy + 'static,
-        F: FnOnce(&mut StatsSnapshot) -> R + 'static,
-    {
-        let cell = self.cell;
-        Io::block(cell.take().and_then(move |mut s| {
-            let r = f(&mut s);
-            cell.put(s).map(move |_| r)
-        }))
+        modify_mvar_pure(self.cell, |s| (s, s))
     }
 
     /// A unit enters the law: `accepted` rises and, *in the same
@@ -283,9 +264,9 @@ impl ServerStats {
             } else {
                 s.shed += 1;
             }
-            // `txn` spelled out so the result needs no capture: a
-            // capture-free continuation is not heap-allocated, and this
-            // runs once per request on the keep-alive plane.
+            // `modify_mvar_pure` spelled out so the result needs no
+            // capture: a capture-free continuation is not heap-allocated,
+            // and this runs once per request on the keep-alive plane.
             let commit = cell.put(s);
             if admitted {
                 commit.map(|_| true)
@@ -299,9 +280,10 @@ impl ServerStats {
     /// plane's abort, 408 and oversize paths: the partial request never
     /// reached a handler). `active` never rises, so nothing can tear.
     pub(crate) fn accept_concluded(&self, outcome: Outcome) -> Io<()> {
-        self.txn(move |s| {
+        modify_mvar_pure(self.cell, move |mut s| {
             s.accepted += 1;
-            outcome.record(s);
+            outcome.record(&mut s);
+            (s, ())
         })
     }
 }
@@ -325,13 +307,13 @@ impl FromValue for ServerStats {
 /// the *same* outcome. Each storm strike can force at most one retry,
 /// so any finite storm terminates.
 pub(crate) fn finish(stats: ServerStats, outcome: Outcome) -> Io<()> {
-    stats
-        .txn(move |s| {
-            debug_assert!(s.active > 0, "active underflow recording {outcome:?}");
-            outcome.record(s);
-            s.active -= 1;
-        })
-        .catch(move |_| finish(stats, outcome))
+    modify_mvar_pure(stats.cell, move |mut s| {
+        debug_assert!(s.active > 0, "active underflow recording {outcome:?}");
+        outcome.record(&mut s);
+        s.active -= 1;
+        (s, ())
+    })
+    .catch(move |_| finish(stats, outcome))
 }
 
 /// Serves one complete request text, unmasked: parse, run the handler
@@ -375,14 +357,14 @@ pub(crate) fn serve_request(
 #[derive(Debug, Clone, Copy)]
 pub struct Server {
     /// The acceptor thread (kill it to stop accepting).
-    pub acceptor: ThreadId,
+    pub(crate) acceptor: ThreadId,
     /// The plane's counters.
     pub stats: ServerStats,
     /// Every worker thread ever started (a `Value::List` of
     /// `ThreadId`s) — the registry a fault injector aims its
     /// `KillThread` storms at. Ids are never removed: throwing to a
     /// finished worker is a no-op thanks to generation-tagged ids.
-    pub workers: MVar<Value>,
+    pub(crate) workers: MVar<Value>,
 }
 
 impl IntoValue for Server {
@@ -472,10 +454,20 @@ impl Server {
 
     /// Every worker thread id ever registered, in start order.
     pub fn worker_ids(&self) -> Io<Vec<ThreadId>> {
-        with_mvar(self.workers, Io::pure).map(|v| match v {
-            Value::List(xs) => xs.into_iter().filter_map(|x| x.as_thread_id()).collect(),
-            _ => Vec::new(),
+        with_mvar(self.workers, Io::pure).map(|v| {
+            let tid = |id: Value| id.as_thread_id().expect("worker registry holds thread ids");
+            registry(v).into_iter().map(tid).collect()
         })
+    }
+}
+
+/// The registry cell is written only by [`register_worker`]; anything
+/// but its list of thread ids is a bug in this crate, and reading it
+/// panics rather than drop a worker.
+fn registry(v: Value) -> Vec<Value> {
+    match v {
+        Value::List(ids) => ids,
+        other => panic!("worker registry has shape {}", other.shape()),
     }
 }
 
@@ -488,12 +480,11 @@ impl Server {
 /// the worker is already forked and accounted — it merely goes
 /// unregistered, which only makes it invisible to kill storms.
 pub(crate) fn register_worker(workers: MVar<Value>, tid: ThreadId) -> Io<()> {
+    // `modify_mvar_pure` without a result: the `put` is the last step,
+    // so there is no `map` after it — one step fewer per accept.
     Io::block(workers.take().and_then(move |v| {
-        let mut xs = match v {
-            Value::List(xs) => xs,
-            _ => Vec::new(),
-        };
-        xs.push(Value::ThreadId(tid));
-        workers.put(Value::List(xs))
+        let mut ids = registry(v);
+        ids.push(Value::ThreadId(tid));
+        workers.put(Value::List(ids))
     }))
 }

@@ -9,7 +9,7 @@ use std::fmt::{self, Write as _};
 
 /// An HTTP request method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Method {
+pub(crate) enum Method {
     /// `GET`.
     Get,
     /// `HEAD`.
@@ -43,11 +43,11 @@ impl fmt::Display for Method {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// The request method.
-    pub method: Method,
+    pub(crate) method: Method,
     /// The request path, e.g. `/index.html`.
     pub path: String,
     /// Headers, lower-cased names.
-    pub headers: BTreeMap<String, String>,
+    pub(crate) headers: BTreeMap<String, String>,
 }
 
 impl Request {
@@ -136,12 +136,12 @@ pub fn parse_request(text: &str) -> Result<Request, ParseRequestError> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// The status code.
-    pub status: u16,
+    pub(crate) status: u16,
     /// The body text.
-    pub body: String,
+    pub(crate) body: String,
     /// Optional `Retry-After` header value (virtual seconds) — the
     /// load-shedding 503 path uses it to tell clients when to come back.
-    pub retry_after: Option<u64>,
+    pub(crate) retry_after: Option<u64>,
 }
 
 impl Response {
@@ -165,7 +165,7 @@ impl Response {
 
     /// A `503 Service Unavailable` carrying a `Retry-After` hint — the
     /// graceful-degradation answer an overloaded server sheds load with.
-    pub fn unavailable(retry_after: u64) -> Response {
+    pub(crate) fn unavailable(retry_after: u64) -> Response {
         Response {
             status: 503,
             body: reason(503).to_owned(),
@@ -227,7 +227,7 @@ impl conch_runtime::value::FromValue for Response {
 }
 
 /// The standard reason phrase for the status codes the server uses.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

@@ -28,9 +28,6 @@
 //!   synthetic load driver.
 //! * [`parallel`] — the sharded plane re-homed onto `MultiRuntime`: one
 //!   scheduler per shard, pinned to its own OS thread.
-//! * [`router`] — method/path routing with fallbacks, as a
-//!   [`core::Handler`].
-//! * [`log`] — an in-`MVar` access log and a logging handler wrapper.
 //! * [`client`] — load-generating clients: well-behaved, stalling,
 //!   trickling and garbage.
 //!
@@ -56,13 +53,15 @@
 //! assert!(resp.contains("200 OK"));
 //! ```
 
+// `pub` means reachable from another crate: an item used only in here is
+// `pub(crate)`, and `dead_code` then names what nothing uses at all.
+#![warn(unreachable_pub)]
+
 pub mod client;
 pub mod core;
 pub mod http;
-pub mod log;
 pub mod net;
 pub mod parallel;
 pub mod pool;
-pub mod router;
 pub mod server;
 pub mod shard;

@@ -26,13 +26,13 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
 /// The exception [`Connection::read_request_text`] raises when the
 /// peer closed the connection mid-request.
-pub fn connection_closed() -> Exception {
+pub(crate) fn connection_closed() -> Exception {
     Exception::custom("ConnectionClosed")
 }
 
 /// The exception [`Connection::read_request_text`] raises when the
 /// request outgrows the 8 KiB cap (`MAX_REQUEST_BYTES`).
-pub fn request_too_large() -> Exception {
+pub(crate) fn request_too_large() -> Exception {
     Exception::custom("RequestTooLarge")
 }
 
@@ -68,10 +68,10 @@ pub(crate) fn request_end(buf: &str, from: usize) -> Result<Option<usize>, Excep
 #[derive(Debug, Clone, Copy)]
 pub struct Connection {
     /// Client → server request chunks.
-    pub inbound: Chan<String>,
+    pub(crate) inbound: Chan<String>,
     /// Server → client response chunks (one per flushed batch of
     /// responses).
-    pub outbound: Chan<String>,
+    pub(crate) outbound: Chan<String>,
 }
 
 impl Connection {
@@ -112,7 +112,7 @@ impl Connection {
     /// immediately, so `n` characters take `(n - 1) * gap` microseconds
     /// (an earlier version slept before the first character too, adding
     /// a spurious `gap` of latency to every request).
-    pub fn send_text_slowly(&self, text: impl Into<String>, gap: u64) -> Io<()> {
+    pub(crate) fn send_text_slowly(&self, text: impl Into<String>, gap: u64) -> Io<()> {
         fn go(conn: Connection, text: String, at: usize, gap: u64) -> Io<()> {
             match text[at..].chars().next() {
                 None => Io::unit(),
@@ -164,7 +164,7 @@ impl Connection {
     /// not) exceeds the 8 KiB cap, and [`connection_closed`] if
     /// the peer [`close`](Self::close)s the connection before the
     /// request is complete.
-    pub fn read_request_text(&self) -> Io<String> {
+    pub(crate) fn read_request_text(&self) -> Io<String> {
         fn go(conn: Connection, mut acc: String) -> Io<String> {
             conn.recv_frame().and_then(move |(chunk, fin)| {
                 // A terminator straddling chunks has at most its first
@@ -188,7 +188,7 @@ impl Connection {
 
     /// Server side: send one chunk of response bytes. Channel sends
     /// never block, so a masked server loop can flush safely.
-    pub fn send_response(&self, text: impl Into<String>) -> Io<()> {
+    pub(crate) fn send_response(&self, text: impl Into<String>) -> Io<()> {
         self.outbound.send(text.into())
     }
 }
@@ -257,7 +257,7 @@ impl Listener {
     }
 
     /// Server side: wait for the next connection.
-    pub fn accept(&self) -> Io<Connection> {
+    pub(crate) fn accept(&self) -> Io<Connection> {
         self.accept_queue.recv()
     }
 

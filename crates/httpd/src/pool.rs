@@ -85,10 +85,10 @@ pub struct PooledServer {
     /// acceptor, so queued connections still finish after a shutdown.
     pub plane: Server,
     /// The accept queue the workers consume.
-    pub queue: Mailbox<Connection>,
+    pub(crate) queue: Mailbox<Connection>,
     /// Root of the supervision tree. Its single child is the pool
     /// supervisor; the workers are the pool supervisor's children.
-    pub root: Supervisor,
+    pub(crate) root: Supervisor,
 }
 
 impl PooledServer {

@@ -96,12 +96,8 @@ impl ShardedListener {
         io.map(|queues| ShardedListener { queues })
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.queues.len()
-    }
-
     /// The shard's accept queue (for feeders that cache the handle).
-    pub fn queue(&self, shard: usize) -> Mailbox<Connection> {
+    pub(crate) fn queue(&self, shard: usize) -> Mailbox<Connection> {
         self.queues[shard]
     }
 
@@ -139,7 +135,7 @@ impl FromValue for ShardedListener {
 /// each with its private stats cell and worker registry.
 #[derive(Debug, Clone)]
 pub struct ShardedServer {
-    pub shards: Vec<Server>,
+    pub(crate) shards: Vec<Server>,
 }
 
 impl IntoValue for ShardedServer {
@@ -176,7 +172,7 @@ impl ShardedServer {
     /// The per-shard snapshots, in shard order. Meaningful as
     /// conservation-law witnesses only after `shutdown_sync` + `drain`
     /// (each cell must be final).
-    pub fn aggregate_per_shard(&self) -> Io<Vec<StatsSnapshot>> {
+    pub(crate) fn aggregate_per_shard(&self) -> Io<Vec<StatsSnapshot>> {
         sequence(self.shards.iter().map(|sh| sh.stats.snapshot()).collect())
     }
 
@@ -396,7 +392,12 @@ pub(crate) fn per_shard(clients: usize, shards: usize, i: usize) -> usize {
 /// 0 is the hot shard taking `hot_percent`% of all clients, the rest
 /// split the remainder evenly (remainder-of-the-remainder to the
 /// lowest-numbered cold shards). With one shard the skew is vacuous.
-pub fn per_shard_skewed(clients: usize, shards: usize, i: usize, hot_percent: usize) -> usize {
+pub(crate) fn per_shard_skewed(
+    clients: usize,
+    shards: usize,
+    i: usize,
+    hot_percent: usize,
+) -> usize {
     assert!(hot_percent <= 100);
     if shards == 1 {
         return clients;

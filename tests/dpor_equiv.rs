@@ -31,7 +31,7 @@ use std::fmt::Debug;
 use std::rc::Rc;
 
 use conch_actors::{link, monitor, spawn_actor, ActorRef, Down, Mailbox};
-use conch_combinators::{both, bracket, race, timeout, Chan, Either};
+use conch_combinators::{both, bracket, race, timeout, Chan, Either, Sem};
 use conch_explore::{ExploreConfig, Explorer, Reduction, RunOutcome, Strategy, TestCase};
 use conch_runtime::exception::ExitReason;
 use conch_runtime::prelude::*;
@@ -876,5 +876,89 @@ fn corpus_chan_send_is_visible_on_return() {
             Err(e) => Some(e.to_string()),
         },
     );
+    assert_eq!(verdict, None);
+}
+
+// ------------------------------------------------------------- Sem corpus
+//
+// `Sem`'s operations are masked sections over one `(available, waiters)`
+// cell; the only handler sits around the take of a waiter's own wake-up
+// cell. The program below is that design's proof obligation, compared
+// under preemption bound 2 like the Chan program above.
+
+/// 20. Main is the holder: it takes the one unit of `Sem::new(1)` before
+///     anyone else runs. A waiter queues for it and a signaller hands it
+///     back on main's behalf; each notes success in a cell of its own
+///     under the same mask as the operation, so neither can die between
+///     the two. Main kills both at every step of both. When all is quiet
+///     it reads `available`, gives back what is still out — its own unit
+///     if the `signal` never happened, the waiter's if its `wait`
+///     returned — and tries a fresh `wait` under a `timeout`. Returns
+///     `(available at quiet, waiter got the unit, signal happened, fresh
+///     wait succeeded)`.
+fn sem_under_kill() -> Io<(i64, bool, bool, bool)> {
+    fn give_back(sem: Sem, out: bool) -> Io<()> {
+        if out {
+            sem.signal()
+        } else {
+            Io::unit()
+        }
+    }
+    Sem::new(1).and_then(|sem| {
+        Io::new_empty_mvar::<()>().and_then(move |got| {
+            Io::new_empty_mvar::<()>().and_then(move |given| {
+                let waiter = Io::block(sem.wait().then(got.put(())));
+                let signaller = Io::block(sem.signal().then(given.put(())));
+                sem.wait()
+                    .then(Io::fork(waiter.catch(|_| Io::unit())))
+                    .and_then(move |w| {
+                        Io::fork(signaller.catch(|_| Io::unit())).and_then(move |s| {
+                            Io::throw_to(w, Exception::kill_thread())
+                                .then(Io::throw_to(s, Exception::kill_thread()))
+                                .then(Io::sleep(1))
+                                .then(sem.available())
+                                .and_then(move |available| {
+                                    got.try_take().and_then(move |got| {
+                                        given.try_take().and_then(move |given| {
+                                            let (got, given) = (got.is_some(), given.is_some());
+                                            give_back(sem, !given)
+                                                .then(give_back(sem, got))
+                                                .then(timeout(1, sem.wait()))
+                                                .map(move |fresh| {
+                                                    (available, got, given, fresh.is_some())
+                                                })
+                                        })
+                                    })
+                                })
+                        })
+                    })
+            })
+        })
+    })
+}
+
+#[test]
+fn corpus_sem_under_kill() {
+    let verdict =
+        assert_equiv_bounded(
+            "sem_under_kill",
+            500_000,
+            Some(2),
+            sem_under_kill,
+            |out| match out.result {
+                // One unit, wherever it is — banked, with the waiter, or
+                // still with the holder — and it can be had again.
+                Ok((available, got, given, fresh)) => {
+                    let held = i64::from(got) + i64::from(!given);
+                    (available + held != 1 || !fresh).then(|| {
+                        format!(
+                            "available {available}, waiter holds {got}, signal happened {given}, \
+                         fresh wait succeeded {fresh}"
+                        )
+                    })
+                }
+                Err(ref e) => Some(e.to_string()),
+            },
+        );
     assert_eq!(verdict, None);
 }
