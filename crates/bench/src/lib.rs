@@ -229,16 +229,16 @@ pub fn explore_once(preemption_bound: Option<usize>) -> Report {
 /// B9 explored with the work-stealing parallel engine at the given
 /// worker count. Coverage counters are bit-identical to
 /// [`explore_once`] for any `workers` (the determinism contract of
-/// [`Explorer::check_parallel`]); only wall-clock time changes. Uses
-/// the unclamped `check_parallel_exact` so a `workers: N` bench row
-/// really ran N OS threads even on a machine with fewer cores.
+/// [`Explorer::check_parallel`]); only wall-clock time changes. A
+/// `workers: N` bench row really ran N OS threads, even on a machine
+/// with fewer cores.
 pub fn explore_once_parallel(preemption_bound: Option<usize>, workers: usize) -> Report {
     let cfg = ExploreConfig {
         max_schedules: 100_000,
         preemption_bound,
         ..ExploreConfig::default()
     };
-    let result = Explorer::with_config(cfg).check_parallel_exact(workers, || {
+    let result = Explorer::with_config(cfg).check_parallel(workers, || {
         TestCase::new(explore_workload(), |_: &RunOutcome<i64>| Ok(()))
     });
     result.report().clone()
@@ -357,8 +357,8 @@ pub fn accept_loop_workload(clients: u64) -> Io<i64> {
 
 /// One full exploration of an arbitrary workload under an explicit
 /// reduction mode and worker count (`workers = 1` uses the sequential
-/// engine; more go through the unclamped `check_parallel_exact`, so
-/// bench rows measure exactly the worker count they claim). The common
+/// engine; more spawn exactly that many threads, so bench rows
+/// measure the worker count they claim). The common
 /// core of the X1 reduction benchmarks.
 pub fn explore_reduced<G>(
     reduction: Reduction,
@@ -379,7 +379,7 @@ where
     let result = if workers == 1 {
         explorer.check(|| TestCase::new(workload(), |_: &RunOutcome<i64>| Ok(())))
     } else {
-        explorer.check_parallel_exact(workers, || {
+        explorer.check_parallel(workers, || {
             TestCase::new(workload(), |_: &RunOutcome<i64>| Ok(()))
         })
     };
@@ -413,7 +413,7 @@ pub fn explore_fault_space(space: fn() -> Io<(i64, i64, StatsSnapshot)>, workers
     let result = if workers == 1 {
         explorer.check(|| TestCase::new(space(), check))
     } else {
-        explorer.check_parallel_exact(workers, move || TestCase::new(space(), check))
+        explorer.check_parallel(workers, move || TestCase::new(space(), check))
     };
     match result {
         conch_explore::CheckResult::Passed(report) => *report,
@@ -471,7 +471,7 @@ pub fn pct_sample_bug(
         let result = if workers == 1 {
             explorer.check(factory)
         } else {
-            explorer.check_parallel_exact(workers, factory)
+            explorer.check_parallel(workers, factory)
         };
         let report = result.report().clone();
         let first = report.first_failing_sample;
@@ -579,7 +579,7 @@ pub fn explore_actor_ring(workers: usize) -> Report {
     let result = if workers == 1 {
         explorer.check(|| TestCase::new(actor_ring_workload(ACTORS, LAPS), check))
     } else {
-        explorer.check_parallel_exact(workers, || {
+        explorer.check_parallel(workers, || {
             TestCase::new(actor_ring_workload(ACTORS, LAPS), check)
         })
     };

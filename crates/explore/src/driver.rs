@@ -4,7 +4,7 @@
 //! One `DriverState` drives one run. It replays a *script* — the choice
 //! at every branch point of some prefix — and past the end of the
 //! script makes default choices, recording every branch point it passes
-//! so the DFS in [`crate::explorer`] can backtrack.
+//! so the DFS in [`crate::dfs`] can backtrack.
 //!
 //! Three reductions keep the branch-point count down:
 //!
@@ -112,14 +112,14 @@ pub(crate) struct Point {
 }
 
 impl Point {
-    /// Is this a delivery (rather than scheduling) point?
-    pub(crate) fn is_delivery(&self) -> bool {
-        matches!(self.chosen, Choice::Deliver(_))
-    }
-
-    /// Is this an oracle-arm point?
-    pub(crate) fn is_arm(&self) -> bool {
-        matches!(self.chosen, Choice::Arm(_))
+    /// How many alternatives the search may take here: both delivery
+    /// arms, every oracle arm, every candidate thread.
+    pub(crate) fn candidates(&self) -> u32 {
+        match self.chosen {
+            Choice::Deliver(_) => 2,
+            Choice::Arm(_) => self.arms as u32,
+            Choice::Thread(_) => self.alts.len() as u32,
+        }
     }
 }
 
@@ -187,15 +187,12 @@ pub(crate) struct DriverState {
 }
 
 impl DriverState {
-    pub(crate) fn new(
-        script: Vec<Choice>,
-        extra_sleep: Vec<(usize, SleepEntry)>,
-        preemption_bound: Option<usize>,
-        max_points: usize,
-    ) -> Self {
+    /// An empty script under the given bounds; the caller fills
+    /// `script` (and `extra_sleep`, `policy`) before each run.
+    pub(crate) fn new(preemption_bound: Option<usize>, max_points: usize) -> Self {
         DriverState {
-            script,
-            extra_sleep,
+            script: Vec::new(),
+            extra_sleep: Vec::new(),
             extra_pos: 0,
             pos: 0,
             record: Vec::new(),

@@ -1,23 +1,23 @@
-//! The bounded schedule explorer: DFS over scheduling and delivery
-//! choices, with sleep-set pruning, preemption bounding, replay and
-//! greedy schedule shrinking.
+//! The bounded schedule explorer's public face: configuration, reports
+//! and the [`Explorer`] itself — the one search that turns a
+//! [`Strategy`] into an engine ([`crate::dfs`], [`crate::dpor`],
+//! [`crate::sample`]) on one or many [workers](crate::worker), then
+//! replay and greedy schedule shrinking.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::Mutex;
 
 use conch_runtime::config::RuntimeConfig;
 use conch_runtime::error::RunError;
 use conch_runtime::io::Io;
-use conch_runtime::scheduler::Runtime;
 use conch_runtime::stats::Stats;
 use conch_runtime::value::FromValue;
 
-use crate::dpor::dpor_round_loop;
-use crate::driver::{DriverState, ScriptedDecider};
-use crate::frontier::Frontier;
-use crate::pool::worker_loop;
-use crate::sample::{sample_loop, SamplePlan};
+use crate::dfs::sleep_set_worker;
+use crate::dpor::{round_worker, Trie};
+use crate::frontier::{lock, Frontier};
+use crate::sample::{sample_index, sample_worker, Samples};
 use crate::schedule::Schedule;
+use crate::worker::{Runner, Worker};
 
 /// Which schedule-space reduction the explorer applies.
 ///
@@ -355,30 +355,10 @@ impl CheckResult {
     }
 }
 
-/// The worker count [`Explorer::check_parallel`] actually uses for a
-/// request of `requested` workers on a host with `available` CPUs:
-/// `0` asks for the host default, anything else is clamped to
-/// `available` (oversubscription only adds contention — never
-/// coverage, which is worker-count-independent).
-pub fn effective_workers(requested: usize, available: usize) -> usize {
-    let available = available.max(1);
-    if requested == 0 {
-        available
-    } else {
-        requested.min(available)
-    }
-}
-
 /// The exploration engine. See the crate docs for the model.
 #[derive(Debug, Clone, Default)]
 pub struct Explorer {
     config: ExploreConfig,
-}
-
-pub(crate) struct RunRecord {
-    pub(crate) depth_hit: bool,
-    pub(crate) check_result: Result<(), String>,
-    pub(crate) stats: Stats,
 }
 
 impl Explorer {
@@ -421,11 +401,6 @@ impl Explorer {
         Explorer { config }
     }
 
-    /// The active configuration.
-    pub(crate) fn config(&self) -> &ExploreConfig {
-        &self.config
-    }
-
     /// Explore the schedule space of the program produced by `factory`,
     /// checking each execution's property. On failure the schedule is
     /// shrunk to a minimal failing certificate.
@@ -434,45 +409,18 @@ impl Explorer {
         T: FromValue,
         F: FnMut() -> TestCase<T>,
     {
-        // The single-worker instance of the shared engine: with one
-        // worker the frontier never requests work splitting, so this is
-        // the plain sequential search (same runs, in the same order,
-        // with the same counters and certificates as ever).
-        let frontier = Frontier::new(1);
-        match &self.config.strategy {
-            Strategy::Exhaustive(Reduction::Dpor) => loop {
-                dpor_round_loop(self, &frontier, &mut factory);
-                if frontier.is_stopped() || !frontier.dpor_apply_pending() {
-                    break;
-                }
-                frontier.start_round();
-            },
-            Strategy::Exhaustive(Reduction::Off | Reduction::SleepSets) => {
-                worker_loop(self, &frontier, &mut factory)
-            }
-            sampling => {
-                let plan = SamplePlan::from_strategy(sampling)
-                    .expect("non-exhaustive strategies always have a plan");
-                sample_loop(self, &frontier, &mut factory, &plan);
-            }
-        }
-        self.finalize(&frontier, &mut factory)
+        self.search(1, &mut factory, None)
     }
 
-    /// [`Explorer::check`] fanned out over OS threads with prefix-based
-    /// work stealing (see `DESIGN.md`). `workers = 0` means
+    /// [`Explorer::check`] fanned out over `workers` OS threads with
+    /// prefix-based work stealing (see `DESIGN.md`). `workers = 0` means
     /// [`std::thread::available_parallelism`]; `workers = 1` is exactly
-    /// [`Explorer::check`]. A request *above* the machine's available
-    /// parallelism is clamped down to it — oversubscribed workers only
-    /// contend for the same cores and slow the search (0.85x at 8
-    /// workers on 1 CPU, per BENCH_explore.json before the clamp).
-    /// Counters and certificates are worker-count-independent, so the
-    /// clamp never changes a result; use
-    /// [`check_parallel_exact`](Explorer::check_parallel_exact) to
-    /// force a genuine thread count (the determinism tests do, to
-    /// actually exercise cross-thread interleavings on small hosts).
+    /// [`Explorer::check`]; any other count is the number of threads
+    /// spawned, whatever the host — counters and certificates are
+    /// worker-count-independent, so oversubscribing a small machine
+    /// costs wall-clock time, never a result.
     ///
-    /// Each worker owns its own [`Runtime`] and driver and builds fresh
+    /// Each worker owns its own runtime and driver and builds fresh
     /// `TestCase`s from `factory` (which is why, unlike `check`, the
     /// factory must be `Fn + Sync`) — programs and runtimes never cross
     /// threads; only plain-data schedule prefixes, counters and failure
@@ -497,146 +445,118 @@ impl Explorer {
         T: FromValue,
         F: Fn() -> TestCase<T> + Sync,
     {
-        let available = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.check_parallel_exact(effective_workers(workers, available), factory)
-    }
-
-    /// [`Explorer::check_parallel`] without the available-parallelism
-    /// clamp: spawn exactly `workers` threads (`0` still means
-    /// [`std::thread::available_parallelism`]). The explicit override
-    /// for callers that need a genuine thread count regardless of the
-    /// host — the w1==w4 determinism tests, chiefly.
-    pub fn check_parallel_exact<T, F>(&self, workers: usize, factory: F) -> CheckResult
-    where
-        T: FromValue,
-        F: Fn() -> TestCase<T> + Sync,
-    {
-        let workers = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            workers
+        let workers = match workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         };
-        if workers == 1 {
-            return self.check(&factory);
-        }
-        let frontier = Frontier::new(workers);
-        match &self.config.strategy {
-            Strategy::Exhaustive(Reduction::Dpor) => loop {
-                // One scope per round: the round barrier needs every
-                // worker drained before the backtrack sets may change.
-                std::thread::scope(|s| {
-                    for _ in 0..workers {
-                        let frontier = &frontier;
-                        let factory = &factory;
-                        s.spawn(move || dpor_round_loop(self, frontier, factory));
-                    }
-                });
-                if frontier.is_stopped() || !frontier.dpor_apply_pending() {
-                    break;
-                }
-                frontier.start_round();
-            },
-            Strategy::Exhaustive(Reduction::Off | Reduction::SleepSets) => {
-                std::thread::scope(|s| {
-                    for _ in 0..workers {
-                        let frontier = &frontier;
-                        let factory = &factory;
-                        s.spawn(move || worker_loop(self, frontier, factory));
-                    }
-                });
-            }
-            sampling => {
-                // Workers claim sample indices from the frontier's
-                // shared counter; each sample's behaviour is a pure
-                // function of (strategy, index), so the partition of
-                // indices across workers cannot change the run set.
-                let plan = SamplePlan::from_strategy(sampling)
-                    .expect("non-exhaustive strategies always have a plan");
-                std::thread::scope(|s| {
-                    for _ in 0..workers {
-                        let frontier = &frontier;
-                        let factory = &factory;
-                        let plan = &plan;
-                        s.spawn(move || sample_loop(self, frontier, factory, plan));
-                    }
-                });
-            }
-        }
-        self.finalize(&frontier, &mut || factory())
+        self.search(workers, &mut || factory(), Some(&factory))
     }
 
-    /// Turn a finished frontier into a [`CheckResult`], shrinking the
-    /// surviving failure candidate if there is one.
-    fn finalize<T, F>(&self, frontier: &Frontier, factory: &mut F) -> CheckResult
-    where
-        T: FromValue,
-        F: FnMut() -> TestCase<T>,
-    {
-        let sampling = self.config.strategy.is_sampling();
-        let mut report = Report {
-            explored: frontier.explored(),
-            pruned: frontier.pruned(),
-            truncated: frontier.truncated(),
-            shrink_runs: 0,
-            shrink_steps: 0,
-            shrink_truncated: false,
-            first_failing_sample: None,
-            steps: frontier.steps(),
-            stats: frontier.total_stats(),
-            faults_injected: frontier.faults(),
-            complete: false,
-            timing: {
-                let (replay_seconds, analysis_seconds) = frontier.timing();
-                Timing {
-                    replay_seconds,
-                    analysis_seconds,
+    /// The one search: turn the configured [`Strategy`] into an engine,
+    /// run it on `workers` workers, and settle the verdict. A single
+    /// worker runs inline on `factory` — the plain sequential search,
+    /// with the same runs in the same order as ever, and no `Sync`
+    /// asked of anything; more run on scoped threads, each building its
+    /// cases from `shared`.
+    fn search<T: FromValue>(
+        &self,
+        workers: usize,
+        factory: &mut dyn FnMut() -> TestCase<T>,
+        shared: Option<&(dyn Fn() -> TestCase<T> + Sync)>,
+    ) -> CheckResult {
+        type Engine<'e, T> = dyn Fn(&mut Worker<'_>, &mut dyn FnMut() -> TestCase<T>) + Sync + 'e;
+        let frontier = Frontier::new(workers);
+        let mut fan_out = |engine: &Engine<'_, T>| {
+            let work = |factory: &mut dyn FnMut() -> TestCase<T>| {
+                let mut worker = Worker::new(&self.config, &frontier);
+                engine(&mut worker, factory);
+                worker.finish();
+            };
+            match shared {
+                Some(shared) if workers > 1 => std::thread::scope(|s| {
+                    let spawned: Vec<_> = (0..workers)
+                        .map(|_| s.spawn(|| work(&mut || shared())))
+                        .collect();
+                    // Re-raise a worker's own panic (its peers have been
+                    // told to stop) rather than the scope's generic one.
+                    for handle in spawned {
+                        if let Err(panic) = handle.join() {
+                            std::panic::resume_unwind(panic);
+                        }
+                    }
+                }),
+                _ => work(&mut *factory),
+            }
+        };
+        let report = match &self.config.strategy {
+            Strategy::Exhaustive(Reduction::Dpor) => {
+                let trie = Mutex::new(Trie::default());
+                // One fan-out per round: the round barrier needs every
+                // worker drained before the backtrack sets may change.
+                loop {
+                    fan_out(&|w, factory| round_worker(w, factory, &trie));
+                    if frontier.is_stopped() || !lock(&trie).apply_pending() {
+                        break;
+                    }
+                    frontier.start_round();
                 }
-            },
+                // Under DPOR "pruned" is read off the final run trie
+                // (the alternatives no registered run took) and the
+                // backtrack count is the total size of the final
+                // backtrack sets — both deterministic functions of the
+                // fixpoint.
+                let trie = lock(&trie);
+                let mut report = frontier.report();
+                report.pruned = trie.pruned();
+                report.stats.backtracks_installed = trie.backtracks();
+                report
+            }
+            Strategy::Exhaustive(reduction) => {
+                let use_sleep = *reduction != Reduction::Off;
+                fan_out(&|w, factory| sleep_set_worker(w, factory, use_sleep));
+                frontier.report()
+            }
+            Strategy::Pct { .. } | Strategy::UniformRandom { .. } | Strategy::Swarm { .. } => {
+                let samples = Samples::default();
+                fan_out(&|w, factory| sample_worker(w, factory, &samples));
+                // Distinctness is read off the shared hash set, not
+                // summed per worker — the same sampled schedule counted
+                // once.
+                let mut report = frontier.report();
+                report.stats.distinct_schedules = samples.distinct();
+                report
+            }
+        };
+        self.finalize(&frontier, report, factory)
+    }
+
+    /// Turn a finished search into a [`CheckResult`], shrinking the
+    /// surviving failure candidate if there is one.
+    fn finalize<T: FromValue>(
+        &self,
+        frontier: &Frontier,
+        mut report: Report,
+        factory: &mut dyn FnMut() -> TestCase<T>,
+    ) -> CheckResult {
+        let sampling = self.config.strategy.is_sampling();
+        let Some(candidate) = frontier.take_failure() else {
+            // A sampled pass never certifies the space: samples are
+            // draws, not an enumeration.
+            report.complete = !sampling && !frontier.is_stopped() && report.truncated == 0;
+            return CheckResult::Passed(Box::new(report));
         };
         if sampling {
-            // Distinctness is read off the shared hash set, not summed
-            // per worker — the same sampled schedule counted once.
-            report.stats.distinct_schedules = frontier.distinct_schedules() as u64;
+            report.first_failing_sample = Some(sample_index(&candidate.key));
         }
-        if self.config.strategy == Strategy::Exhaustive(Reduction::Dpor) {
-            // Under DPOR "pruned" is read off the final run trie (the
-            // alternatives no registered run took) and the backtrack
-            // count is the total size of the final backtrack sets —
-            // both deterministic functions of the fixpoint.
-            report.pruned = frontier.dpor_pruned();
-            report.stats.backtracks_installed = frontier.dpor_backtracks();
-        }
-        if let Some(candidate) = frontier.take_failure() {
-            if sampling {
-                // The sampler's failure key is the sample index split
-                // into two big-endian u32 limbs (see crate::sample).
-                report.first_failing_sample =
-                    Some(((candidate.key[0] as u64) << 32) | candidate.key[1] as u64);
-            }
-            let mut rt = self.make_runtime();
-            let original = candidate.schedule;
-            let (schedule, message) = self.shrink(
-                &mut rt,
-                factory,
-                original.clone(),
-                candidate.message,
-                &mut report,
-            );
-            return CheckResult::Failed(Box::new(Failure {
-                message,
-                schedule,
-                original,
-                report,
-            }));
-        }
-        // A sampled pass never certifies the space: samples are draws,
-        // not an enumeration.
-        report.complete = !sampling && !frontier.is_stopped() && report.truncated == 0;
-        CheckResult::Passed(Box::new(report))
+        let original = candidate.schedule;
+        let (schedule, message) =
+            self.shrink(factory, original.clone(), candidate.message, &mut report);
+        CheckResult::Failed(Box::new(Failure {
+            message,
+            schedule,
+            original,
+            report,
+        }))
     }
 
     /// Replay a schedule byte-for-byte in a fresh `Runtime` and apply the
@@ -648,105 +568,22 @@ impl Explorer {
         case: TestCase<T>,
         schedule: &Schedule,
     ) -> (RunOutcome<T>, Result<(), String>) {
-        let mut rt = self.make_runtime();
-        self.replay_in(&mut rt, case, schedule)
-    }
-
-    /// [`Explorer::replay`] against a caller-provided (reused) runtime.
-    fn replay_in<T: FromValue>(
-        &self,
-        rt: &mut Runtime,
-        case: TestCase<T>,
-        schedule: &Schedule,
-    ) -> (RunOutcome<T>, Result<(), String>) {
-        let state = Rc::new(RefCell::new(DriverState::new(
-            schedule.choices.clone(),
-            Vec::new(),
-            self.config.preemption_bound,
-            self.config.max_depth,
-        )));
-        let outcome = self.drive(rt, case.program, &state);
-        let check_result = (case.check)(&outcome);
-        (outcome, check_result)
-    }
-
-    /// One driven execution with the script already loaded into `state`.
-    pub(crate) fn run_once<T: FromValue>(
-        &self,
-        rt: &mut Runtime,
-        case: TestCase<T>,
-        state: &Rc<RefCell<DriverState>>,
-    ) -> (RunRecord, Schedule) {
-        let outcome = self.drive(rt, case.program, state);
-        let check_result = (case.check)(&outcome);
-        let truncated_by_steps = matches!(outcome.result, Err(RunError::StepLimitExceeded { .. }));
-        let schedule = outcome.schedule;
-        let depth_hit = state.borrow().depth_hit || truncated_by_steps;
-        (
-            RunRecord {
-                depth_hit,
-                check_result,
-                stats: outcome.stats,
-            },
-            schedule,
-        )
-    }
-
-    /// A runtime configured for driven exploration.
-    pub(crate) fn make_runtime(&self) -> Runtime {
-        let config = self
-            .config
-            .runtime
-            .clone()
-            .external_scheduling()
-            .max_steps(self.config.step_budget);
-        Runtime::with_config(config)
-    }
-
-    /// Run `program` on `rt` (reset to pristine) under the scripted
-    /// decider. The decider is removed again before returning, so the
-    /// caller holds the only strong reference to `state` afterwards.
-    fn drive<T: FromValue>(
-        &self,
-        rt: &mut Runtime,
-        program: Io<T>,
-        state: &Rc<RefCell<DriverState>>,
-    ) -> RunOutcome<T> {
-        rt.reset();
-        rt.set_decider(Box::new(ScriptedDecider(Rc::clone(state))));
-        let result = rt.run(program);
-        rt.clear_decider();
-        let schedule = Schedule::from(
-            state
-                .borrow()
-                .record
-                .iter()
-                .map(|p| p.chosen)
-                .collect::<Vec<_>>(),
-        );
-        RunOutcome {
-            result,
-            output: rt.output().to_owned(),
-            stats: rt.stats().clone(),
-            schedule,
-        }
+        let mut runner = Runner::new(&self.config);
+        runner.load(schedule);
+        runner.run(case)
     }
 
     /// Greedily shrink a failing schedule: first the shortest failing
     /// prefix, then repeated single-choice deletion, each candidate
     /// validated by a full replay.
-    fn shrink<T, F>(
+    fn shrink<T: FromValue>(
         &self,
-        rt: &mut Runtime,
-        factory: &mut F,
+        factory: &mut dyn FnMut() -> TestCase<T>,
         original: Schedule,
         original_message: String,
         report: &mut Report,
-    ) -> (Schedule, String)
-    where
-        T: FromValue,
-        F: FnMut() -> TestCase<T>,
-    {
+    ) -> (Schedule, String) {
+        let mut runner = Runner::new(&self.config);
         let mut best = original;
         let mut best_message = original_message;
         let budget = self.config.max_shrink_runs;
@@ -759,13 +596,13 @@ impl Explorer {
             None => false,
         };
 
-        let mut fails =
-            |rt: &mut Runtime, sched: &Schedule, report: &mut Report| -> Option<String> {
-                report.shrink_runs += 1;
-                let (outcome, check) = self.replay_in(rt, factory(), sched);
-                report.shrink_steps += outcome.stats.steps;
-                check.err()
-            };
+        let mut fails = |sched: &Schedule, report: &mut Report| -> Option<String> {
+            report.shrink_runs += 1;
+            runner.load(sched);
+            let (outcome, verdict) = runner.run(factory());
+            report.shrink_steps += outcome.stats.steps;
+            verdict.err()
+        };
 
         if out_of_steps(report) {
             report.shrink_truncated = true;
@@ -782,7 +619,7 @@ impl Explorer {
                 return (best, best_message);
             }
             let prefix = Schedule::from(best.choices[..len].to_vec());
-            if let Some(msg) = fails(rt, &prefix, report) {
+            if let Some(msg) = fails(&prefix, report) {
                 best = prefix;
                 best_message = msg;
                 break;
@@ -803,7 +640,7 @@ impl Explorer {
                 }
                 let mut candidate = best.clone();
                 candidate.choices.remove(i);
-                match fails(rt, &candidate, report) {
+                match fails(&candidate, report) {
                     Some(msg) => {
                         best = candidate;
                         best_message = msg;
@@ -823,7 +660,9 @@ impl Explorer {
 mod tests {
     use super::*;
     use conch_runtime::exception::Exception;
+    use std::cell::RefCell;
     use std::collections::BTreeSet;
+    use std::rc::Rc;
 
     /// fork (putChar 'b'); putChar 'a'; sleep 1 — the classic two-way
     /// output race.

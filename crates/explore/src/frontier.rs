@@ -27,24 +27,24 @@
 //! that are strictly later, so the surviving candidate is exactly the
 //! run the sequential DFS would have failed on first.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use conch_runtime::stats::Stats;
 
 use crate::driver::{Point, SleepEntry};
+use crate::explorer::{Report, Timing};
 use crate::schedule::{Choice, Schedule};
 
-/// Poison-tolerant lock: a worker that panicked mid-item has already
-/// flagged the search as stopped (see [`Frontier::request_stop`]), and
-/// the data under each mutex stays structurally sound, so survivors
-/// take the lock anyway, observe the stop flag, and drain out.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Poison-tolerant lock: a worker that panicked has already flagged the
+/// search as stopped (see [`Frontier::request_stop`]), and the data
+/// under each mutex stays structurally sound, so survivors take the
+/// lock anyway, observe the stop flag, and drain out.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One node of a DFS stack: a branch point plus the index of the
+/// One node of a DFS stack: a branch point whose `chosen` is the
 /// alternative currently being explored below it.
 ///
 /// A node may carry a *restriction*: an explicit child order (the
@@ -55,12 +55,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug, Clone)]
 pub(crate) struct Node {
     pub(crate) point: Point,
-    /// For scheduling nodes: index into `point.alts` of the current
-    /// choice. Unused for delivery nodes. Maintained even under a
-    /// restriction, so [`key_index`](Node::key_index) always ranks by
-    /// full-`alts` position and failure keys stay comparable across
-    /// reduction modes.
-    chosen_idx: usize,
     /// The explicit child order (thread ids) and the position of the
     /// current child in it; `None` explores all of `alts`.
     restrict: Option<(Vec<u64>, usize)>,
@@ -71,19 +65,8 @@ pub(crate) struct Node {
 
 impl Node {
     pub(crate) fn from_point(point: Point) -> Self {
-        let chosen_idx = match point.chosen {
-            Choice::Thread(t) => point
-                .alts
-                .iter()
-                .position(|&(a, _)| a == t)
-                .expect("recorded choice must be among its alternatives"),
-            // Delivery and arm nodes track their current alternative in
-            // `point.chosen` itself.
-            Choice::Deliver(_) | Choice::Arm(_) => 0,
-        };
         Node {
             point,
-            chosen_idx,
             restrict: None,
             sealed: false,
         }
@@ -91,34 +74,12 @@ impl Node {
 
     /// A scheduling node restricted to `order` (the executed default
     /// choice first, then the backtrack entries in canonical order).
-    /// Every entry must name a thread in `point.alts`.
     pub(crate) fn restricted(point: Point, order: Vec<u64>) -> Self {
-        debug_assert!(!point.is_delivery() && !point.is_arm());
-        debug_assert_eq!(
-            Some(order[0]),
-            match point.chosen {
-                Choice::Thread(t) => Some(t),
-                _ => None,
-            }
-        );
-        let chosen_idx = point
-            .alts
-            .iter()
-            .position(|&(a, _)| a == order[0])
-            .expect("restricted choice must be among the point's alternatives");
+        debug_assert_eq!(point.chosen, Choice::Thread(order[0]));
         Node {
             point,
-            chosen_idx,
             restrict: Some((order, 0)),
             sealed: false,
-        }
-    }
-
-    pub(crate) fn choice(&self) -> Choice {
-        if self.point.is_delivery() || self.point.is_arm() {
-            self.point.chosen
-        } else {
-            Choice::Thread(self.point.alts[self.chosen_idx].0)
         }
     }
 
@@ -126,35 +87,22 @@ impl Node {
     /// slept in sibling subtrees). Delivery and arm alternatives are
     /// not threads, so they contribute no sleep entries.
     pub(crate) fn each_explored(&self, mut f: impl FnMut(SleepEntry)) {
-        if self.point.is_delivery() || self.point.is_arm() {
+        let Choice::Thread(_) = self.point.chosen else {
             return;
-        }
+        };
         match &self.restrict {
             None => {
-                for &entry in &self.point.alts[..self.chosen_idx] {
+                for &entry in &self.point.alts[..point_key(&self.point) as usize] {
                     f(entry);
                 }
             }
             Some((order, pos)) => {
                 for &tid in &order[..*pos] {
-                    if let Some(&entry) = self.point.alts.iter().find(|&&(a, _)| a == tid) {
-                        f(entry);
+                    if let Some(i) = alt_index(&self.point, tid) {
+                        f(self.point.alts[i]);
                     }
                 }
             }
-        }
-    }
-
-    /// Position of the current alternative in this node's exploration
-    /// order: the DFS visits smaller key indices first, so
-    /// concatenating them along a path yields a key that orders whole
-    /// runs by sequential visit order (see [`dfs_key`]).
-    pub(crate) fn key_index(&self) -> u32 {
-        match self.point.chosen {
-            Choice::Deliver(true) => 0,
-            Choice::Deliver(false) => 1,
-            Choice::Arm(a) => a as u32,
-            Choice::Thread(_) => self.chosen_idx as u32,
         }
     }
 
@@ -164,80 +112,71 @@ impl Node {
         if self.sealed {
             return false;
         }
-        if self.point.is_delivery() {
+        let point = &mut self.point;
+        let next = match (point.chosen, &mut self.restrict) {
             // Deliver-now is explored first; defer second; then done.
-            if self.point.chosen == Choice::Deliver(true) {
-                self.point.chosen = Choice::Deliver(false);
-                true
-            } else {
-                false
-            }
-        } else if let Choice::Arm(a) = self.point.chosen {
+            (Choice::Deliver(now), _) => now.then_some(Choice::Deliver(false)),
             // Arms are explored in ascending order, 0 first.
-            if a + 1 < self.point.arms {
-                self.point.chosen = Choice::Arm(a + 1);
-                true
-            } else {
-                false
-            }
-        } else if let Some((order, pos)) = &mut self.restrict {
-            loop {
+            (Choice::Arm(a), _) => (a + 1 < point.arms).then_some(Choice::Arm(a + 1)),
+            // A backtrack member that is asleep here, or was never a
+            // candidate, is skipped at exploration time.
+            (Choice::Thread(_), Some((order, pos))) => loop {
                 *pos += 1;
-                let Some(&tid) = order.get(*pos) else {
-                    return false;
-                };
-                if self.point.sleeping.contains(&tid) {
-                    continue;
+                match order.get(*pos) {
+                    None => break None,
+                    Some(&tid)
+                        if !point.sleeping.contains(&tid) && alt_index(point, tid).is_some() =>
+                    {
+                        break Some(Choice::Thread(tid));
+                    }
+                    Some(_) => {}
                 }
-                let Some(i) = self.point.alts.iter().position(|&(a, _)| a == tid) else {
-                    continue;
-                };
-                self.chosen_idx = i;
-                return true;
+            },
+            (Choice::Thread(_), None) => point.alts[point_key(point) as usize + 1..]
+                .iter()
+                .find(|(tid, _)| !point.sleeping.contains(tid))
+                .map(|&(tid, _)| Choice::Thread(tid)),
+        };
+        match next {
+            Some(choice) => {
+                point.chosen = choice;
+                true
             }
-        } else {
-            match (self.chosen_idx + 1..self.point.alts.len())
-                .find(|&i| !self.point.sleeping.contains(&self.point.alts[i].0))
-            {
-                Some(i) => {
-                    self.chosen_idx = i;
-                    true
-                }
-                None => false,
-            }
+            None => false,
         }
     }
 }
 
-/// The DFS key of a recorded path: one entry per branch point — the
-/// position of the taken alternative in that point's exploration order.
+/// Position of thread `tid` among the candidates of `point`.
+pub(crate) fn alt_index(point: &Point, tid: u64) -> Option<usize> {
+    point.alts.iter().position(|&(a, _)| a == tid)
+}
+
+/// Position of the taken alternative in `p`'s exploration order. The
+/// DFS visits smaller positions first, so concatenating them along a
+/// path yields a key that orders whole runs by sequential visit order
+/// (see [`dfs_key`]) — by full-`alts` position even under a DPOR
+/// restriction, so failure keys stay comparable across reductions.
+pub(crate) fn point_key(p: &Point) -> u32 {
+    match p.chosen {
+        Choice::Deliver(now) => !now as u32,
+        Choice::Arm(a) => a as u32,
+        Choice::Thread(t) => {
+            alt_index(p, t).expect("a thread choice must be among its point's alternatives") as u32
+        }
+    }
+}
+
+/// The DFS key of a recorded path: one [`point_key`] per branch point.
 /// The sequential DFS visits runs in lexicographic key order, so
 /// "found earlier sequentially" is exactly "lexicographically smaller".
 pub(crate) fn dfs_key(record: &[Point]) -> Vec<u32> {
     record.iter().map(point_key).collect()
 }
 
-pub(crate) fn point_key(p: &Point) -> u32 {
-    match p.chosen {
-        Choice::Deliver(now) => {
-            if now {
-                0
-            } else {
-                1
-            }
-        }
-        Choice::Arm(a) => a as u32,
-        Choice::Thread(t) => {
-            p.alts
-                .iter()
-                .position(|&(a, _)| a == t)
-                .expect("recorded choice must be among its alternatives") as u32
-        }
-    }
-}
-
 /// A replayable region of the schedule tree, handed between workers.
 /// Only plain data — no `Rc`, no program values.
+#[derive(Default)]
 pub(crate) struct WorkItem {
     /// Choices leading to the region's root, replayed verbatim.
     pub(crate) prefix: Vec<Choice>,
@@ -253,12 +192,7 @@ pub(crate) struct WorkItem {
 
 impl WorkItem {
     pub(crate) fn root() -> Self {
-        WorkItem {
-            prefix: Vec::new(),
-            base_sleep: Vec::new(),
-            base_key: Vec::new(),
-            node: None,
-        }
+        WorkItem::default()
     }
 }
 
@@ -266,9 +200,9 @@ impl WorkItem {
 pub(crate) struct FailureCandidate {
     pub(crate) key: Vec<u32>,
     /// The full (unshrunk) schedule of the failing run.
-    pub schedule: Schedule,
+    pub(crate) schedule: Schedule,
     /// The property's message on that run.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 struct QueueState {
@@ -279,64 +213,10 @@ struct QueueState {
     busy: usize,
 }
 
-/// One node of the DPOR run-path trie.
-#[derive(Default)]
-struct TrieNode {
-    /// Outgoing edges: the choices actually taken from this node by
-    /// registered runs.
-    edges: Vec<(Choice, u32)>,
-    /// Number of alternatives available at this node's branch point —
-    /// `alts.len()` for scheduling points, 2 for delivery points; 0
-    /// until some registered run passes through and reports it. Every
-    /// run through a given choice prefix sees the same branch point
-    /// there (branch-point structure is a function of the path), so
-    /// the value is well-defined.
-    candidates: u32,
-    /// A registered run's choice path ends exactly here.
-    run_end: bool,
-    /// The node's backtrack set: thread ids some race analysis asked to
-    /// force here, in canonical order (appended round by round, sorted
-    /// within each round). Append-only, so the exploration order of
-    /// already-present children never changes between rounds.
-    backtrack: Vec<u64>,
-    /// `true` iff the last round barrier grew the backtrack set of this
-    /// node *or of some node below it* — i.e. the current round's tree
-    /// differs from the previous round's somewhere in this subtree.
-    /// Subtrees with `dirty_below == false` were walked to completion
-    /// by an earlier round and have not changed since, so re-executing
-    /// them contributes nothing; the round DFS skips them wholesale
-    /// ([`Frontier::dpor_subtree_clean`]). The root starts dirty so the
-    /// first round explores.
-    dirty_below: bool,
-}
-
-/// Shared state specific to dynamic partial-order reduction
-/// ([`Reduction::Dpor`](crate::explorer::Reduction)): the registry of
-/// executed run paths, per-node backtrack sets, and the insertions
-/// requested during the current round.
-///
-/// # Determinism
-///
-/// The search proceeds in *rounds*. Within a round the backtrack sets
-/// are frozen, so the round's tree is fixed and the work-stealing DFS
-/// over it is deterministic (the [`Frontier`] queue discipline). The
-/// insertions a run requests are a pure function of its choice path,
-/// and only the *first* registration of a path emits them, so the set
-/// of pending insertions at the end of a round is a set union —
-/// independent of worker count and timing. The barrier
-/// ([`Frontier::dpor_apply_pending`]) folds that set in canonically
-/// (grouped per node, new tids sorted ascending, appended), so the next
-/// round's tree is again a deterministic function of the previous one.
-/// By induction every counter and the DFS-earliest failure certificate
-/// are bit-identical for any worker count.
-struct DporShared {
-    nodes: Vec<TrieNode>,
-    /// Backtrack insertions requested during the current round:
-    /// `(trie node, thread id)` pairs, applied at the round barrier.
-    pending: Vec<(u32, u64)>,
-}
-
-/// Shared state of one (possibly parallel) exploration.
+/// Shared state of one (possibly parallel) exploration — what every
+/// engine needs: the work queue, the run counters and the earliest
+/// failure. What only one engine reads lives with that engine
+/// ([`crate::dpor::Trie`], [`crate::sample::Samples`]).
 pub(crate) struct Frontier {
     workers: usize,
     queue: Mutex<QueueState>,
@@ -363,16 +243,6 @@ pub(crate) struct Frontier {
     faults: AtomicU64,
     failure: Mutex<Option<FailureCandidate>>,
     stats: Mutex<Stats>,
-    dpor: Mutex<DporShared>,
-    /// Next sample index to hand out (sampling strategies only). The
-    /// counter partitions the fixed index set `0..max_schedules` across
-    /// workers; each sample's behaviour is a pure function of its
-    /// index, so the partition never changes the run set.
-    next_sample: AtomicUsize,
-    /// Hashes of every sampled schedule — the `distinct_schedules`
-    /// counter. Shared (not per-worker) so duplicates across workers
-    /// collapse the same way they do sequentially.
-    sampled_hashes: Mutex<HashSet<u64>>,
 }
 
 impl Frontier {
@@ -397,43 +267,7 @@ impl Frontier {
             faults: AtomicU64::new(0),
             failure: Mutex::new(None),
             stats: Mutex::new(Stats::default()),
-            dpor: Mutex::new(DporShared {
-                nodes: vec![TrieNode {
-                    dirty_below: true,
-                    ..TrieNode::default()
-                }],
-                pending: Vec::new(),
-            }),
-            next_sample: AtomicUsize::new(0),
-            sampled_hashes: Mutex::new(HashSet::new()),
         }
-    }
-
-    /// Claim the next sample index, or `None` once `total` samples have
-    /// been handed out (or a stop was requested). Sampling's equivalent
-    /// of [`next_item`](Frontier::next_item): workers race on the
-    /// counter, but since sample `i` behaves identically whoever runs
-    /// it, the race is coverage-invisible.
-    pub(crate) fn claim_sample(&self, total: usize) -> Option<usize> {
-        if self.is_stopped() {
-            return None;
-        }
-        let index = self.next_sample.fetch_add(1, Ordering::Relaxed);
-        if index < total {
-            Some(index)
-        } else {
-            None
-        }
-    }
-
-    /// Record one sampled schedule's hash for the distinctness counter.
-    pub(crate) fn note_schedule_hash(&self, hash: u64) {
-        lock(&self.sampled_hashes).insert(hash);
-    }
-
-    /// Distinct schedules among the sampled ones.
-    pub(crate) fn distinct_schedules(&self) -> usize {
-        lock(&self.sampled_hashes).len()
     }
 
     /// Pop an item, or block until one is donated. Returns `None` when
@@ -443,7 +277,7 @@ impl Frontier {
     pub(crate) fn next_item(&self) -> Option<WorkItem> {
         let mut q = lock(&self.queue);
         loop {
-            if self.stopped.load(Ordering::Acquire) {
+            if self.is_stopped() {
                 return None;
             }
             if let Some(item) = q.items.pop() {
@@ -479,9 +313,7 @@ impl Frontier {
             return;
         }
         let n = items.len();
-        let mut q = lock(&self.queue);
-        q.items.extend(items);
-        drop(q);
+        lock(&self.queue).items.extend(items);
         if n == 1 {
             self.available.notify_one();
         } else {
@@ -489,32 +321,10 @@ impl Frontier {
         }
     }
 
-    /// Fold a worker's accumulated wall-clock telemetry into the
-    /// totals (`replay` = schedule execution, `analysis` = race
-    /// analysis; both in nanoseconds).
-    pub(crate) fn add_timing(&self, replay_ns: u64, analysis_ns: u64) {
-        self.replay_ns.fetch_add(replay_ns, Ordering::Relaxed);
-        self.analysis_ns.fetch_add(analysis_ns, Ordering::Relaxed);
-    }
-
-    /// Accumulated (replay, analysis) wall-clock seconds.
-    pub(crate) fn timing(&self) -> (f64, f64) {
-        (
-            self.replay_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            self.analysis_ns.load(Ordering::Relaxed) as f64 / 1e9,
-        )
-    }
-
-    /// Should busy workers split their subtrees? True when some worker
-    /// is starving; always false for a single-worker search, so the
-    /// `workers = 1` engine is the sequential DFS, bit for bit.
-    pub(crate) fn hungry(&self) -> bool {
-        self.workers > 1 && self.starving.load(Ordering::Relaxed) > 0
-    }
-
     /// How many workers are blocked waiting for an item right now — the
-    /// batch size a donor should aim for when splitting its stack, so
-    /// one donation pass feeds every thief at once.
+    /// signal that busy workers should split their subtrees, and the
+    /// batch size to aim for. Always 0 for a single-worker search, so
+    /// the `workers = 1` engine is the sequential DFS, bit for bit.
     pub(crate) fn starving(&self) -> usize {
         if self.workers > 1 {
             self.starving.load(Ordering::Relaxed)
@@ -534,59 +344,75 @@ impl Frontier {
         self.stopped.load(Ordering::Acquire)
     }
 
+    /// Reset the work queue for the next DPOR round: the whole
+    /// (grown) tree is re-walked from the root. Counters, the failure
+    /// candidate, and the stop flag all persist.
+    pub(crate) fn start_round(&self) {
+        let mut q = lock(&self.queue);
+        debug_assert_eq!(q.busy, 0, "a round must be fully drained first");
+        q.items = vec![WorkItem::root()];
+        drop(q);
+        self.available.notify_all();
+    }
+
     /// Record one executed run. `choices` is the run's full schedule,
     /// from which the injected-fault count (non-default oracle arms) is
     /// tallied.
-    pub(crate) fn note_run(&self, depth_hit: bool, run_steps: u64, choices: &[Choice]) {
+    pub(crate) fn note_run(&self, truncated: bool, run_steps: u64, choices: &[Choice]) {
         self.explored.fetch_add(1, Ordering::Relaxed);
-        if depth_hit {
-            self.truncated.fetch_add(1, Ordering::Relaxed);
-        }
+        self.truncated
+            .fetch_add(truncated as usize, Ordering::Relaxed);
         self.steps.fetch_add(run_steps, Ordering::Relaxed);
         let faults = choices
             .iter()
             .filter(|c| matches!(c, Choice::Arm(a) if *a > 0))
             .count() as u64;
-        if faults > 0 {
-            self.faults.fetch_add(faults, Ordering::Relaxed);
-        }
+        self.faults.fetch_add(faults, Ordering::Relaxed);
     }
 
     pub(crate) fn add_pruned(&self, n: usize) {
-        if n > 0 {
-            self.pruned.fetch_add(n, Ordering::Relaxed);
-        }
+        self.pruned.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn explored(&self) -> usize {
         self.explored.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn pruned(&self) -> usize {
-        self.pruned.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn truncated(&self) -> usize {
-        self.truncated.load(Ordering::Relaxed)
-    }
-
     pub(crate) fn steps(&self) -> u64 {
         self.steps.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn faults(&self) -> u64 {
-        self.faults.load(Ordering::Relaxed)
+    /// Fold a finished worker's runtime statistics and wall-clock
+    /// telemetry (nanoseconds) into the totals.
+    pub(crate) fn fold_worker(&self, stats: &Stats, replay_ns: u64, analysis_ns: u64) {
+        lock(&self.stats).merge(stats);
+        self.replay_ns.fetch_add(replay_ns, Ordering::Relaxed);
+        self.analysis_ns.fetch_add(analysis_ns, Ordering::Relaxed);
+    }
+
+    /// The coverage every engine counts the same way, read once the
+    /// workers are done; the caller adds what its engine alone knows.
+    pub(crate) fn report(&self) -> Report {
+        Report {
+            explored: self.explored(),
+            pruned: self.pruned.load(Ordering::Relaxed),
+            truncated: self.truncated.load(Ordering::Relaxed),
+            steps: self.steps(),
+            stats: lock(&self.stats).clone(),
+            faults_injected: self.faults.load(Ordering::Relaxed),
+            timing: Timing {
+                replay_seconds: self.replay_ns.load(Ordering::Relaxed) as f64 / 1e9,
+                analysis_seconds: self.analysis_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            },
+            ..Report::default()
+        }
     }
 
     /// Offer a failing run; kept only if DFS-earlier than the current
     /// candidate.
     pub(crate) fn offer_failure(&self, key: Vec<u32>, schedule: Schedule, message: String) {
         let mut slot = lock(&self.failure);
-        let earlier = match slot.as_ref() {
-            None => true,
-            Some(best) => key < best.key,
-        };
-        if earlier {
+        if slot.as_ref().is_none_or(|best| key < best.key) {
             *slot = Some(FailureCandidate {
                 key,
                 schedule,
@@ -615,218 +441,6 @@ impl Frontier {
 
     pub(crate) fn take_failure(&self) -> Option<FailureCandidate> {
         lock(&self.failure).take()
-    }
-
-    /// Register an executed run's choice path in the DPOR trie.
-    /// `candidates[d]` is the number of alternatives at the run's `d`-th
-    /// branch point. Returns `true` iff the path was not registered
-    /// before — only then may the caller count the run, analyze it, and
-    /// install its flags; a duplicate execution must contribute nothing.
-    pub(crate) fn dpor_register_run(&self, choices: &[Choice], candidates: &[u32]) -> bool {
-        debug_assert_eq!(choices.len(), candidates.len());
-        let mut d = lock(&self.dpor);
-        let mut node = 0usize;
-        let mut created = false;
-        for (c, &cand) in choices.iter().zip(candidates) {
-            debug_assert!(
-                d.nodes[node].candidates == 0 || d.nodes[node].candidates == cand,
-                "branch-point structure must be a function of the choice prefix"
-            );
-            d.nodes[node].candidates = cand;
-            let found = d.nodes[node]
-                .edges
-                .iter()
-                .find(|&&(e, _)| e == *c)
-                .map(|&(_, n)| n);
-            node = match found {
-                Some(n) => n as usize,
-                None => {
-                    let next = d.nodes.len() as u32;
-                    d.nodes.push(TrieNode::default());
-                    d.nodes[node].edges.push((*c, next));
-                    created = true;
-                    next as usize
-                }
-            };
-        }
-        let new = created || !d.nodes[node].run_end;
-        d.nodes[node].run_end = true;
-        new
-    }
-
-    /// Request backtrack insertions derived from one registered run:
-    /// `inserts` holds `(branch-point index, thread id)` pairs, where
-    /// the index refers to a position along `choices` (the run's path).
-    /// The requests are buffered; they take effect only at the round
-    /// barrier ([`dpor_apply_pending`](Frontier::dpor_apply_pending)).
-    pub(crate) fn dpor_request_inserts(&self, choices: &[Choice], inserts: &[(usize, u64)]) {
-        if inserts.is_empty() {
-            return;
-        }
-        let mut d = lock(&self.dpor);
-        // Map each path position to its trie node with one walk.
-        let mut node_at = Vec::with_capacity(choices.len());
-        let mut node = 0u32;
-        for c in choices {
-            node_at.push(node);
-            node = d.nodes[node as usize]
-                .edges
-                .iter()
-                .find(|&&(e, _)| e == *c)
-                .map(|&(_, n)| n)
-                .expect("insert requests must come from a registered run");
-        }
-        for &(point, tid) in inserts {
-            d.pending.push((node_at[point], tid));
-        }
-    }
-
-    /// Round barrier: fold the pending insertions into the trie's
-    /// backtrack sets. Requests are grouped per node; tids already
-    /// present are dropped; the genuinely new ones are appended in
-    /// ascending order.
-    /// Because the pending set is a union over first-registered runs,
-    /// the result is independent of worker timing. Returns `true` iff
-    /// any set grew — i.e. the next round has new work.
-    ///
-    /// The barrier also recomputes every node's
-    /// [`dirty_below`](TrieNode::dirty_below) flag: a node whose set
-    /// grew is dirty, and dirtiness propagates to every ancestor, so
-    /// the next round's DFS can skip any registered subtree with
-    /// `dirty_below == false` — its tree is unchanged since the round
-    /// that drained it.
-    pub(crate) fn dpor_apply_pending(&self) -> bool {
-        let mut d = lock(&self.dpor);
-        let mut pending = std::mem::take(&mut d.pending);
-        pending.sort_unstable();
-        pending.dedup();
-        for n in &mut d.nodes {
-            n.dirty_below = false;
-        }
-        let mut grew = false;
-        for (node, tid) in pending {
-            let n = &mut d.nodes[node as usize];
-            if n.backtrack.contains(&tid) {
-                continue;
-            }
-            // Sorted dedup'd pending means per-node tids arrive
-            // ascending, so plain append keeps the canonical
-            // (round added, tid) order.
-            n.backtrack.push(tid);
-            n.dirty_below = true;
-            grew = true;
-        }
-        // Propagate dirtiness to ancestors. Registration appends child
-        // nodes while walking root → leaf, so every child's index is
-        // strictly greater than its parent's and one reverse scan sees
-        // each child before its parent.
-        for i in (0..d.nodes.len()).rev() {
-            if d.nodes[i].dirty_below {
-                continue;
-            }
-            let dirty = d.nodes[i]
-                .edges
-                .iter()
-                .any(|&(_, c)| d.nodes[c as usize].dirty_below);
-            d.nodes[i].dirty_below = dirty;
-        }
-        grew
-    }
-
-    /// `true` iff `script` names a registered trie node whose entire
-    /// subtree is free of backtrack entries added at the last round
-    /// barrier. Such a subtree is exactly the tree a previous round
-    /// already drained: every path in it is registered, its sleep
-    /// contexts are unchanged (child order is append-only), so
-    /// re-executing it can register no new run, merge no stats, and
-    /// request no insertion — the round DFS skips it wholesale instead
-    /// of replaying every schedule in it.
-    ///
-    /// A script that walks off the trie is never clean: it denotes a
-    /// path no registered run has taken, so this round must execute
-    /// it. A node created *during* the current round is unreachable
-    /// here — the DFS generates each script before any run through it
-    /// registers, and never re-generates a script afterwards — so a
-    /// successful walk always lands on a node some earlier round
-    /// drained completely.
-    pub(crate) fn dpor_subtree_clean(&self, script: &[Choice]) -> bool {
-        let d = lock(&self.dpor);
-        let mut node = 0usize;
-        for c in script {
-            match d.nodes[node].edges.iter().find(|&&(e, _)| e == *c) {
-                Some(&(_, n)) => node = n as usize,
-                None => return false,
-            }
-        }
-        !d.nodes[node].dirty_below
-    }
-
-    /// The backtrack lists along an executed path, for stack expansion:
-    /// entry `i` is the (possibly empty) backtrack set at branch point
-    /// `from + i` of `choices`. Missing trie nodes (the path's new
-    /// suffix, not yet registered when expansion happens first) yield
-    /// empty lists.
-    pub(crate) fn dpor_backtrack_lists(&self, choices: &[Choice], from: usize) -> Vec<Vec<u64>> {
-        let d = lock(&self.dpor);
-        let mut lists = Vec::with_capacity(choices.len().saturating_sub(from));
-        let mut node = Some(0u32);
-        for (i, c) in choices.iter().enumerate() {
-            if i >= from {
-                lists.push(match node {
-                    Some(n) => d.nodes[n as usize].backtrack.clone(),
-                    None => Vec::new(),
-                });
-            }
-            node = node.and_then(|n| {
-                d.nodes[n as usize]
-                    .edges
-                    .iter()
-                    .find(|&&(e, _)| e == *c)
-                    .map(|&(_, nx)| nx)
-            });
-        }
-        lists
-    }
-
-    /// Reset the work queue for the next DPOR round: the whole
-    /// (grown) tree is re-walked from the root. Counters, the trie,
-    /// the failure candidate, and the stop flag all persist.
-    pub(crate) fn start_round(&self) {
-        let mut q = lock(&self.queue);
-        debug_assert_eq!(q.busy, 0, "a round must be fully drained first");
-        q.items = vec![WorkItem::root()];
-        drop(q);
-        self.available.notify_all();
-    }
-
-    /// Schedules pruned under DPOR: over every branch node of the run
-    /// trie, the alternatives no run ever took. A deterministic
-    /// function of the final trie, computed once at finalization.
-    pub(crate) fn dpor_pruned(&self) -> usize {
-        let d = lock(&self.dpor);
-        d.nodes
-            .iter()
-            .map(|n| (n.candidates as usize).saturating_sub(n.edges.len()))
-            .sum()
-    }
-
-    /// Total backtrack-set entries installed by the race analysis —
-    /// the `backtracks_installed` telemetry.
-    pub(crate) fn dpor_backtracks(&self) -> u64 {
-        lock(&self.dpor)
-            .nodes
-            .iter()
-            .map(|n| n.backtrack.len() as u64)
-            .sum()
-    }
-
-    /// Fold a worker's accumulated runtime statistics into the total.
-    pub(crate) fn merge_stats(&self, local: &Stats) {
-        lock(&self.stats).merge(local);
-    }
-
-    pub(crate) fn total_stats(&self) -> Stats {
-        lock(&self.stats).clone()
     }
 }
 
@@ -898,17 +512,18 @@ mod tests {
             &[Choice::Arm(2), Choice::Deliver(true), Choice::Arm(1)],
         );
         f.add_pruned(3);
-        assert_eq!(f.explored(), 2);
-        assert_eq!(f.truncated(), 1);
-        assert_eq!(f.steps(), 42);
-        assert_eq!(f.pruned(), 3);
+        let report = f.report();
+        assert_eq!(report.explored, 2);
+        assert_eq!(report.truncated, 1);
+        assert_eq!(report.steps, 42);
+        assert_eq!(report.pruned, 3);
         // Arm 0 is the no-fault arm; only non-default arms count.
-        assert_eq!(f.faults(), 2);
+        assert_eq!(report.faults_injected, 2);
     }
 
     #[test]
     fn single_worker_is_never_hungry() {
         let f = Frontier::new(1);
-        assert!(!f.hungry());
+        assert_eq!(f.starving(), 0);
     }
 }

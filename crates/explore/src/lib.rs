@@ -15,8 +15,9 @@
 //!
 //! This crate enumerates those choices systematically. An [`Explorer`]
 //! installs a scripted [`Decider`](conch_runtime::decide::Decider) into
-//! a fresh deterministic [`Runtime`](conch_runtime::scheduler::Runtime)
-//! per schedule and walks the choice tree depth-first, subject to
+//! a deterministic [`Runtime`](conch_runtime::scheduler::Runtime) — one
+//! per worker, reset to pristine before every schedule — and walks the
+//! choice tree depth-first, subject to
 //! bounds (schedule count, branch-point depth, preemption budget, step
 //! budget — see [`ExploreConfig`]). Sleep-set pruning skips
 //! interleavings that only reorder *independent* steps (different
@@ -78,17 +79,18 @@
 #![warn(unreachable_pub)]
 
 mod clocks;
+mod dfs;
 mod dpor;
 mod driver;
 pub mod explorer;
 mod frontier;
-mod pool;
 pub mod props;
 mod sample;
 pub mod schedule;
+mod worker;
 
 pub use crate::explorer::{
-    effective_workers, CheckResult, ExploreConfig, Explorer, Failure, Reduction, Report,
-    RunOutcome, Strategy, TestCase, Timing,
+    CheckResult, ExploreConfig, Explorer, Failure, Reduction, Report, RunOutcome, Strategy,
+    TestCase, Timing,
 };
 pub use crate::schedule::{Choice, ParseScheduleError, Schedule};

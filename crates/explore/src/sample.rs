@@ -35,16 +35,17 @@
 //! counter is a sum over that fixed set and the reported failure (the
 //! lowest failing sample index) is bit-identical for any worker count.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use conch_runtime::stats::Stats;
 use conch_runtime::value::FromValue;
 
-use crate::driver::{DriverState, SleepEntry};
-use crate::explorer::{Explorer, Strategy, TestCase};
-use crate::frontier::Frontier;
+use crate::driver::SleepEntry;
+use crate::explorer::{Strategy, TestCase};
+use crate::frontier::lock;
 use crate::schedule::Choice;
+use crate::worker::Worker;
 
 /// SplitMix64: the classic 64-bit mixing generator. Hand-rolled (seven
 /// lines) so sampling adds no dependency and the stream is pinned
@@ -86,8 +87,9 @@ pub(crate) fn stream_seed(base: u64, index: u64) -> u64 {
 }
 
 /// The per-run random policy the driver consults at unscripted branch
-/// points (see [`DriverState`]). One policy drives one sample and is
-/// discarded; all its state is derived from the sample's seed.
+/// points (see [`crate::driver::DriverState`]). One policy drives one
+/// sample and is discarded; all its state is derived from the sample's
+/// seed.
 pub(crate) enum SamplePolicy {
     Pct(PctState),
     Uniform(Rng),
@@ -207,49 +209,26 @@ impl SamplePolicy {
     }
 }
 
-/// A sampling strategy resolved into its per-sample policy factory.
-pub(crate) enum SamplePlan {
-    Pct { depth: usize, seed: u64 },
-    Uniform { seed: u64 },
-    Swarm { seeds: Vec<u64> },
-}
-
-impl SamplePlan {
-    /// `None` for exhaustive strategies (which the DFS engines handle).
-    pub(crate) fn from_strategy(strategy: &Strategy) -> Option<SamplePlan> {
-        match strategy {
-            Strategy::Exhaustive(_) => None,
-            Strategy::Pct { depth, seed } => Some(SamplePlan::Pct {
-                depth: *depth,
-                seed: *seed,
-            }),
-            Strategy::UniformRandom { seed } => Some(SamplePlan::Uniform { seed: *seed }),
-            Strategy::Swarm { seeds } => Some(SamplePlan::Swarm {
-                seeds: seeds.clone(),
-            }),
+/// The policy driving sample `index` under a sampling `strategy`. A
+/// pure function of `(strategy, index, horizon)` — see the module docs
+/// on determinism.
+pub(crate) fn policy_for(strategy: &Strategy, index: u64, horizon: usize) -> SamplePolicy {
+    match strategy {
+        Strategy::Exhaustive(_) => unreachable!("exhaustive strategies enumerate, never sample"),
+        Strategy::Pct { depth, seed } => {
+            SamplePolicy::pct(*depth, stream_seed(*seed, index), horizon)
         }
-    }
-
-    /// The policy driving sample `index`. A pure function of
-    /// `(plan, index, horizon)` — see the module docs on determinism.
-    pub(crate) fn policy_for(&self, index: u64, horizon: usize) -> SamplePolicy {
-        match self {
-            SamplePlan::Pct { depth, seed } => {
-                SamplePolicy::pct(*depth, stream_seed(*seed, index), horizon)
-            }
-            SamplePlan::Uniform { seed } => SamplePolicy::uniform(stream_seed(*seed, index)),
-            SamplePlan::Swarm { seeds } => {
-                // Swarm = interleaved PCT streams: sample i belongs to
-                // stream i mod |seeds|, and each stream's PCT depth is
-                // itself drawn from its seed (1..=4), so the swarm
-                // covers several bug depths at once — the point of
-                // swarm testing is diversity of configurations, not
-                // just of seeds.
-                let n = seeds.len() as u64;
-                let base = seeds[(index % n) as usize];
-                let depth = 1 + (Rng::new(base).next_u64() % 4) as usize;
-                SamplePolicy::pct(depth, stream_seed(base, index / n), horizon)
-            }
+        Strategy::UniformRandom { seed } => SamplePolicy::uniform(stream_seed(*seed, index)),
+        Strategy::Swarm { seeds } => {
+            // Swarm = interleaved PCT streams: sample i belongs to
+            // stream i mod |seeds|, and each stream's PCT depth is
+            // itself drawn from its seed (1..=4), so the swarm covers
+            // several bug depths at once — the point of swarm testing
+            // is diversity of configurations, not just of seeds.
+            let n = seeds.len() as u64;
+            let base = seeds[(index % n) as usize];
+            let depth = 1 + (Rng::new(base).next_u64() % 4) as usize;
+            SamplePolicy::pct(depth, stream_seed(base, index / n), horizon)
         }
     }
 }
@@ -287,11 +266,38 @@ pub(crate) fn schedule_hash(choices: &[Choice]) -> u64 {
 
 /// The failure-ranking key of sample `index`: two big-endian limbs, so
 /// lexicographic key order is numeric index order and
-/// [`Frontier::offer_failure`] keeps the lowest failing sample — the
-/// run the sequential sampler fails on first.
+/// [`Frontier::offer_failure`](crate::frontier::Frontier::offer_failure)
+/// keeps the lowest failing sample — the run the sequential sampler
+/// fails on first.
 pub(crate) fn sample_key(index: usize) -> Vec<u32> {
     let i = index as u64;
     vec![(i >> 32) as u32, i as u32]
+}
+
+/// The sample index a [`sample_key`] was built from.
+pub(crate) fn sample_index(key: &[u32]) -> u64 {
+    ((key[0] as u64) << 32) | key[1] as u64
+}
+
+/// The state sampling workers share.
+#[derive(Default)]
+pub(crate) struct Samples {
+    /// Next sample index to hand out. The counter partitions the fixed
+    /// index set `0..max_schedules` across workers; each sample's
+    /// behaviour is a pure function of its index, so the partition
+    /// never changes the run set.
+    next: AtomicUsize,
+    /// Hashes of every sampled schedule — the `distinct_schedules`
+    /// counter. Shared (not per-worker) so duplicates across workers
+    /// collapse the same way they do sequentially.
+    hashes: Mutex<HashSet<u64>>,
+}
+
+impl Samples {
+    /// Distinct schedules among the sampled ones.
+    pub(crate) fn distinct(&self) -> u64 {
+        lock(&self.hashes).len() as u64
+    }
 }
 
 /// Run one sampling worker to completion: claim sample indices from
@@ -300,52 +306,32 @@ pub(crate) fn sample_key(index: usize) -> Vec<u32> {
 /// (failures don't stop the loop), so reports are worker-count
 /// independent even on failing spaces; only `max_total_steps` stops
 /// the sampler early.
-pub(crate) fn sample_loop<T, F>(
-    explorer: &Explorer,
-    frontier: &Frontier,
-    mut factory: F,
-    plan: &SamplePlan,
-) where
-    T: FromValue,
-    F: FnMut() -> TestCase<T>,
-{
-    let config = explorer.config();
-    let mut rt = explorer.make_runtime();
-    let state = Rc::new(RefCell::new(DriverState::new(
-        Vec::new(),
-        Vec::new(),
-        config.preemption_bound,
-        config.max_depth,
-    )));
-    let mut local_stats = Stats::default();
-    let mut replay_ns = 0u64;
-
-    while let Some(index) = frontier.claim_sample(config.max_schedules) {
+pub(crate) fn sample_worker<T: FromValue>(
+    w: &mut Worker<'_>,
+    factory: &mut dyn FnMut() -> TestCase<T>,
+    samples: &Samples,
+) {
+    let config = w.config;
+    while !w.frontier.is_stopped() {
+        // Workers race on the counter, but since sample `i` behaves
+        // identically whoever runs it, the race is coverage-invisible.
+        let index = samples.next.fetch_add(1, Ordering::Relaxed);
+        if index >= config.max_schedules {
+            break;
+        }
         {
-            let mut st = state.borrow_mut();
+            let mut st = w.state().borrow_mut();
             st.reset();
-            st.policy = Some(plan.policy_for(index as u64, config.max_depth));
+            st.policy = Some(policy_for(&config.strategy, index as u64, config.max_depth));
         }
-        let t0 = std::time::Instant::now();
-        let (run, schedule) = explorer.run_once(&mut rt, factory(), &state);
-        replay_ns += t0.elapsed().as_nanos() as u64;
-        state.borrow_mut().policy = None;
-        frontier.note_run(run.depth_hit, run.stats.steps, &schedule.choices);
-        frontier.note_schedule_hash(schedule_hash(&schedule.choices));
-        local_stats.merge(&run.stats);
-        local_stats.sampled += 1;
-        if let Err(message) = run.check_result {
-            frontier.offer_failure(sample_key(index), schedule, message);
-        }
-        if let Some(budget) = config.max_total_steps {
-            if frontier.steps() >= budget {
-                frontier.request_stop();
-                break;
-            }
+        let run = w.run(factory);
+        lock(&samples.hashes).insert(schedule_hash(&run.0.schedule.choices));
+        w.account(run, |_| sample_key(index));
+        w.stats.sampled += 1;
+        if w.over_caps() {
+            break;
         }
     }
-    frontier.merge_stats(&local_stats);
-    frontier.add_timing(replay_ns, 0);
 }
 
 #[cfg(test)]

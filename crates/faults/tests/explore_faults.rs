@@ -201,7 +201,7 @@ fn sample_space(space: fn() -> Io<(i64, i64, StatsSnapshot)>, workers: usize) ->
     let result = if workers == 1 {
         explorer.check(|| TestCase::new(space(), check_sampled_invariants))
     } else {
-        explorer.check_parallel_exact(workers, move || {
+        explorer.check_parallel(workers, move || {
             TestCase::new(space(), check_sampled_invariants)
         })
     };

@@ -101,9 +101,8 @@ fn run_mode<T: FromValue + Debug + 'static>(
 }
 
 /// One DPOR exploration's coverage counters at an explicit worker
-/// count. Worker counts above 1 go through [`Explorer::check_parallel_exact`]
-/// so the test genuinely exercises that many OS threads even on a
-/// small CI box (the public `check_parallel` clamps to the machine).
+/// count: [`Explorer::check_parallel`] spawns exactly `workers` OS
+/// threads, so the test exercises that many even on a small CI box.
 fn dpor_counters<T: FromValue + Debug + 'static>(
     max_schedules: usize,
     preemption_bound: Option<usize>,
@@ -129,7 +128,7 @@ fn dpor_counters<T: FromValue + Debug + 'static>(
     let result = if workers == 1 {
         explorer.check(factory)
     } else {
-        explorer.check_parallel_exact(workers, factory)
+        explorer.check_parallel(workers, factory)
     };
     let report = result.report();
     (

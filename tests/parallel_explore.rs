@@ -7,17 +7,13 @@
 //! certificate the sequential DFS would have produced.
 
 use conch_explore::{
-    effective_workers, ExploreConfig, Explorer, Reduction, Report, RunOutcome, Schedule, Strategy,
-    TestCase,
+    ExploreConfig, Explorer, Reduction, Report, RunOutcome, Schedule, Strategy, TestCase,
 };
 use conch_runtime::exception::Exception;
 use conch_runtime::io::Io;
 
-// The worker sweeps below use `check_parallel_exact` so that 4 and 8
-// genuinely mean 4 and 8 OS threads even on a small CI box — the
-// public `check_parallel` clamps requests to `available_parallelism`
-// (see `workers_clamped_to_available_parallelism`), which would
-// silently collapse the sweep to 1 worker on a 1-CPU machine.
+// `check_parallel` spawns the worker count it is given, so 4 and 8
+// genuinely mean 4 and 8 OS threads even on a 1-CPU CI box.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The G5 golden workload (see `tests/golden_traces.rs`): two MVar
@@ -63,7 +59,7 @@ fn explorer() -> Explorer {
 
 fn passing_report(workers: usize, program: fn() -> Io<i64>) -> Report {
     explorer()
-        .check_parallel_exact(workers, || {
+        .check_parallel(workers, || {
             TestCase::new(program(), |out: &RunOutcome<i64>| match out.result {
                 Ok(_) => Ok(()),
                 Err(ref e) => Err(e.to_string()),
@@ -125,7 +121,7 @@ fn failure_certificates_identical_for_every_worker_count() {
     let reference = explorer().check(racy_case);
     let reference = reference.expect_fail();
     for workers in WORKER_COUNTS {
-        let result = explorer().check_parallel_exact(workers, racy_case);
+        let result = explorer().check_parallel(workers, racy_case);
         let failure = result.expect_fail();
         assert_eq!(
             failure.schedule, reference.schedule,
@@ -148,7 +144,7 @@ fn failure_certificates_identical_for_every_worker_count() {
 #[test]
 fn parallel_find_shrink_replay_round_trip() {
     // Find a race with the parallel engine...
-    let result = explorer().check_parallel_exact(4, racy_case);
+    let result = explorer().check_parallel(4, racy_case);
     let failure = result.expect_fail();
     // ...replay its minimal certificate in a brand-new runtime, twice...
     for _ in 0..2 {
@@ -188,26 +184,12 @@ fn workers_zero_uses_available_parallelism() {
 }
 
 #[test]
-fn worker_auto_sizing_clamps_to_available_parallelism() {
-    // The clamp itself, over every interesting shape of request.
-    assert_eq!(effective_workers(0, 4), 4, "0 means 'use the machine'");
-    assert_eq!(effective_workers(2, 4), 2, "under the machine: honored");
-    assert_eq!(effective_workers(4, 4), 4, "exactly the machine: honored");
-    assert_eq!(effective_workers(64, 4), 4, "over the machine: clamped");
-    assert_eq!(effective_workers(8, 1), 1, "1-CPU box never oversubscribes");
-    assert_eq!(effective_workers(0, 0), 1, "degenerate probe still runs");
-}
-
-#[test]
-fn oversized_worker_request_is_clamped_and_deterministic() {
-    // A request far beyond any plausible machine goes through the
-    // public (clamped) engine; the determinism contract makes the
-    // clamp observationally safe — the report is bit-identical to the
-    // sequential reference no matter how many workers actually ran.
-    // `check_parallel_exact` is the documented escape hatch for
-    // callers that really want oversubscription.
-    let clamped = explorer()
-        .check_parallel(1024, || {
+fn oversubscribed_workers_are_deterministic() {
+    // Far more workers than the space has schedules (or the host has
+    // CPUs): most never see an item, and the report is still
+    // bit-identical to the sequential reference.
+    let oversubscribed = explorer()
+        .check_parallel(16, || {
             TestCase::new(output_race(), |_: &RunOutcome<()>| Ok(()))
         })
         .expect_pass()
@@ -216,7 +198,7 @@ fn oversized_worker_request_is_clamped_and_deterministic() {
         .check(|| TestCase::new(output_race(), |_: &RunOutcome<()>| Ok(())))
         .expect_pass()
         .clone();
-    assert_eq!(clamped, sequential);
+    assert_eq!(oversubscribed, sequential);
 }
 
 // ---------------------------------------------------------------------
@@ -252,7 +234,7 @@ fn dpor_counts_identical_for_every_worker_count() {
         assert!(sequential.complete);
         for workers in WORKER_COUNTS {
             let parallel = dpor_explorer()
-                .check_parallel_exact(workers, || {
+                .check_parallel(workers, || {
                     TestCase::new(program(), |out: &RunOutcome<i64>| match out.result {
                         Ok(_) => Ok(()),
                         Err(ref e) => Err(e.to_string()),
@@ -303,7 +285,7 @@ fn dpor_failure_certificates_identical_for_every_worker_count() {
     let reference = check().check(racy_case);
     let reference = reference.expect_fail();
     for workers in WORKER_COUNTS {
-        let result = check().check_parallel_exact(workers, racy_case);
+        let result = check().check_parallel(workers, racy_case);
         let failure = result.expect_fail();
         assert_eq!(
             failure.schedule, reference.schedule,
@@ -414,7 +396,7 @@ fn sampled_passing_reports_identical_for_every_worker_count() {
         assert_eq!(reference.stats.sampled, 64);
         for workers in WORKER_COUNTS {
             let parallel = sampler(strategy.clone(), 64)
-                .check_parallel_exact(workers, || {
+                .check_parallel(workers, || {
                     TestCase::new(three_way_race(), |out: &RunOutcome<i64>| match out.result {
                         Ok(_) => Ok(()),
                         Err(ref e) => Err(e.to_string()),
@@ -440,7 +422,7 @@ fn sampled_failure_certificates_identical_for_every_worker_count() {
             .first_failing_sample
             .expect("a sampled failure must carry its sample index");
         for workers in WORKER_COUNTS {
-            let result = sampler(strategy.clone(), 256).check_parallel_exact(workers, racy_case);
+            let result = sampler(strategy.clone(), 256).check_parallel(workers, racy_case);
             let failure = result.expect_fail();
             assert_eq!(
                 failure.report.first_failing_sample,
@@ -487,4 +469,72 @@ fn step_budget_truncates_deterministically() {
         .expect_pass()
         .clone();
     assert_eq!(capped, again);
+}
+
+// ---------------------------------------------------------------------
+// A panicking worker stops the search under every engine: its peers
+// drain out and the caller sees the worker's own panic.
+// ---------------------------------------------------------------------
+
+/// The panic message `check_parallel(4, …)` dies with when the property
+/// panics on the first run executed (and passes on every other), plus
+/// how many test cases the factory built in total.
+fn panic_on_first_run(config: ExploreConfig) -> (String, usize) {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    let built = AtomicUsize::new(0);
+    let first = AtomicBool::new(true);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        Explorer::with_config(config).check_parallel(4, || {
+            built.fetch_add(1, Ordering::Relaxed);
+            let boom = first.swap(false, Ordering::Relaxed);
+            TestCase::new(output_race(), move |_: &RunOutcome<()>| {
+                assert!(!boom, "the property exploded");
+                Ok(())
+            })
+        })
+    }));
+    let panic = outcome.expect_err("the worker's panic must reach the caller");
+    let message = panic
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+        .expect("a panic message");
+    (message, built.load(Ordering::Relaxed))
+}
+
+#[test]
+fn a_panicking_worker_stops_every_engine() {
+    for strategy in [
+        Strategy::Exhaustive(Reduction::SleepSets),
+        Strategy::Exhaustive(Reduction::Dpor),
+        Strategy::Pct { depth: 2, seed: 1 },
+    ] {
+        let (message, _) = panic_on_first_run(ExploreConfig {
+            max_schedules: 1_000,
+            strategy: strategy.clone(),
+            ..ExploreConfig::default()
+        });
+        assert!(
+            message.contains("the property exploded"),
+            "wrong panic under {strategy:?}: {message}"
+        );
+    }
+}
+
+#[test]
+fn a_panicking_sampler_does_not_drain_the_budget() {
+    // Without the stop the three surviving workers would draw all
+    // 200 000 samples before the panic could propagate; with it they
+    // draw the few thousand that fit in the time one thread unwinds.
+    let budget = 200_000;
+    let (message, built) = panic_on_first_run(ExploreConfig {
+        max_schedules: budget,
+        strategy: Strategy::Pct { depth: 2, seed: 1 },
+        ..ExploreConfig::default()
+    });
+    assert!(
+        built < budget / 2,
+        "peers kept sampling after the panic: {built} cases built"
+    );
+    assert!(message.contains("the property exploded"), "{message}");
 }
