@@ -29,6 +29,7 @@
 
 use conch_combinators::modify_mvar_pure;
 use conch_runtime::exception::{Exception, ExitReason};
+use conch_runtime::host_value;
 use conch_runtime::ids::ThreadId;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
@@ -50,31 +51,7 @@ pub struct Down {
     pub reason: ExitReason,
 }
 
-impl IntoValue for Down {
-    fn into_value(self) -> Value {
-        Value::List(vec![
-            Value::Int(self.mref),
-            Value::Int(self.from as i64),
-            self.reason.into_value(),
-        ])
-    }
-}
-
-impl FromValue for Down {
-    fn from_value(v: Value) -> Option<Self> {
-        match v {
-            Value::List(xs) if xs.len() == 3 => {
-                let mut it = xs.into_iter();
-                Some(Down {
-                    mref: it.next()?.as_int()?,
-                    from: it.next()?.as_int()? as u64,
-                    reason: ExitReason::from_value(it.next()?)?,
-                })
-            }
-            _ => None,
-        }
-    }
-}
+host_value!(Down);
 
 /// What a trapping receive yields: an ordinary message, or a trapped
 /// exit signal from a linked peer (see [`Mailbox::recv_trapping`]).
@@ -126,9 +103,7 @@ impl<M: FromValue> FromValue for Signal<M> {
 pub struct ActorRef<M> {
     tid: ThreadId,
     mailbox: Mailbox<M>,
-    /// `Left(List(entries))` while alive — the registered links and
-    /// monitors; `Right(reason)` once dead.
-    ctl: MVar<Value>,
+    ctl: MVar<Ctl>,
 }
 
 impl<M> Clone for ActorRef<M> {
@@ -145,125 +120,53 @@ impl<M> std::fmt::Debug for ActorRef<M> {
     }
 }
 
-impl<M> IntoValue for ActorRef<M> {
-    fn into_value(self) -> Value {
-        Value::List(vec![
-            Value::ThreadId(self.tid),
-            self.mailbox.into_value(),
-            Value::MVar(self.ctl.id()),
-        ])
+impl<M> PartialEq for ActorRef<M> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.tid, self.mailbox, self.ctl) == (other.tid, other.mailbox, other.ctl)
     }
 }
 
-impl<M> FromValue for ActorRef<M> {
-    fn from_value(v: Value) -> Option<Self> {
-        match v {
-            Value::List(xs) if xs.len() == 3 => {
-                let mut it = xs.into_iter();
-                Some(ActorRef {
-                    tid: it.next()?.as_thread_id()?,
-                    mailbox: Mailbox::from_value(it.next()?)?,
-                    ctl: MVar::from_id(it.next()?.as_mvar_id()?),
-                })
-            }
-            _ => None,
-        }
-    }
-}
+host_value!(<M> ActorRef<M>);
 
-// -- control-cell encodings ------------------------------------------------
-//
-// The control cell is private to this module, which is the only code
-// that encodes it: `Left(List(entries))` while alive, `Right(reason)`
-// once dead, an entry `Pair(Int(0), peer)` for a link and `Pair(Int(1),
-// Pair(mref, watcher))` for a monitor. A value of any other shape is a
-// bug here, and every decoder below panics on one rather than guess.
-
-/// The control cell, decoded.
+/// What an actor's control cell holds.
+#[derive(Debug, Clone, PartialEq)]
 enum Ctl {
-    Alive(Vec<Value>),
+    /// The registered links and monitors of a live actor.
+    Alive(Vec<Entry>),
     Dead(ExitReason),
 }
 
-impl Ctl {
-    fn decode(v: Value) -> Ctl {
-        let shape = v.shape();
-        let decoded = match v {
-            Value::Left(entries) => match *entries {
-                Value::List(xs) => Some(Ctl::Alive(xs)),
-                _ => None,
-            },
-            Value::Right(reason) => ExitReason::from_value(*reason).map(Ctl::Dead),
-            _ => None,
-        };
-        decoded.unwrap_or_else(|| panic!("actor control cell is malformed (a {shape})"))
-    }
-
-    fn encode(self) -> Value {
-        match self {
-            Ctl::Alive(entries) => Value::Left(Box::new(Value::List(entries))),
-            Ctl::Dead(reason) => Value::Right(Box::new(reason.into_value())),
-        }
-    }
-}
+host_value!(Ctl);
 
 /// One registered peer of an actor.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Entry {
     Link(ThreadId),
     Monitor { mref: i64, watcher: Mailbox<Down> },
-}
-
-impl Entry {
-    fn decode(v: Value) -> Entry {
-        let shape = v.shape();
-        let decoded = match v {
-            Value::Pair(tag, payload) => match (*tag, *payload) {
-                (Value::Int(0), Value::ThreadId(peer)) => Some(Entry::Link(peer)),
-                (Value::Int(1), Value::Pair(mref, watcher)) => mref
-                    .as_int()
-                    .zip(Mailbox::from_value(*watcher))
-                    .map(|(mref, watcher)| Entry::Monitor { mref, watcher }),
-                _ => None,
-            },
-            _ => None,
-        };
-        decoded.unwrap_or_else(|| panic!("actor control entry is malformed (a {shape})"))
-    }
-
-    fn encode(self) -> Value {
-        let (tag, payload) = match self {
-            Entry::Link(peer) => (0, Value::ThreadId(peer)),
-            Entry::Monitor { mref, watcher } => (
-                1,
-                Value::Pair(Box::new(Value::Int(mref)), Box::new(watcher.into_value())),
-            ),
-        };
-        Value::Pair(Box::new(Value::Int(tag)), Box::new(payload))
-    }
 }
 
 /// Registers `entry` in `ctl` if the actor is alive; otherwise returns
 /// the recorded exit reason so the caller can deliver immediately.
 /// Registered-or-immediate is exclusive, which is where "monitors fire
 /// exactly once" comes from even when registration races death.
-fn add_entry(ctl: MVar<Value>, entry: Entry) -> Io<Option<ExitReason>> {
-    modify_mvar_pure(ctl, move |v| match Ctl::decode(v) {
+fn add_entry(ctl: MVar<Ctl>, entry: Entry) -> Io<Option<ExitReason>> {
+    modify_mvar_pure(ctl, move |state| match state {
         Ctl::Alive(mut entries) => {
-            entries.push(entry.encode());
-            (Ctl::Alive(entries).encode(), None)
+            entries.push(entry);
+            (Ctl::Alive(entries), None)
         }
-        Ctl::Dead(reason) => (Ctl::Dead(reason.clone()).encode(), Some(reason)),
+        Ctl::Dead(reason) => (Ctl::Dead(reason.clone()), Some(reason)),
     })
 }
 
-/// Marks the actor dead and returns the peers to notify — or `None`
-/// if some earlier exit already claimed them. The single transaction
-/// is the exactly-once source for every notification.
-fn claim_entries(ctl: MVar<Value>, reason: ExitReason) -> Io<Option<Vec<Value>>> {
-    modify_mvar_pure(ctl, move |v| match Ctl::decode(v) {
-        Ctl::Alive(entries) => (Ctl::Dead(reason).encode(), Some(entries)),
-        already @ Ctl::Dead(_) => (already.encode(), None),
+/// Marks the actor dead and returns the state that was there: `Alive`
+/// with the peers to notify — or `Dead`, if some earlier exit already
+/// claimed them. The single transaction is the exactly-once source for
+/// every notification.
+fn claim_entries(ctl: MVar<Ctl>, reason: ExitReason) -> Io<Ctl> {
+    modify_mvar_pure(ctl, move |state| match state {
+        Ctl::Alive(_) => (Ctl::Dead(reason), state),
+        Ctl::Dead(_) => (state.clone(), state),
     })
 }
 
@@ -290,12 +193,12 @@ fn deliver_one(entry: Entry, me: u64, reason: ExitReason) -> Io<()> {
     attempt.catch(move |_| deliver_one(entry, me, retry))
 }
 
-fn deliver_all(mut entries: Vec<Value>, me: u64, reason: ExitReason) -> Io<()> {
+fn deliver_all(mut entries: Vec<Entry>, me: u64, reason: ExitReason) -> Io<()> {
     match entries.pop() {
         None => Io::unit(),
         Some(e) => {
             let r = reason.clone();
-            deliver_one(Entry::decode(e), me, r).then(deliver_all(entries, me, reason))
+            deliver_one(e, me, r).then(deliver_all(entries, me, reason))
         }
     }
 }
@@ -304,10 +207,10 @@ fn deliver_all(mut entries: Vec<Value>, me: u64, reason: ExitReason) -> Io<()> {
 /// everyone. Runs masked — the shell is inside `block`, and every
 /// blocking step on this path is either retried (`deliver_one`) or
 /// pre-commit-abortable (`claim_entries`' take).
-fn notify_exit(ctl: MVar<Value>, me: u64, reason: ExitReason) -> Io<()> {
+fn notify_exit(ctl: MVar<Ctl>, me: u64, reason: ExitReason) -> Io<()> {
     claim_entries(ctl, reason.clone()).and_then(move |claimed| match claimed {
-        Some(entries) => deliver_all(entries, me, reason),
-        None => Io::unit(),
+        Ctl::Alive(entries) => deliver_all(entries, me, reason),
+        Ctl::Dead(_) => Io::unit(),
     })
 }
 
@@ -320,7 +223,7 @@ fn classify(e: &Exception, origin: RaiseOrigin) -> ExitReason {
 }
 
 /// The shell wrapped around every actor body (see module docs).
-fn actor_shell(ctl: MVar<Value>, body: Io<()>) -> Io<()> {
+fn actor_shell(ctl: MVar<Ctl>, body: Io<()>) -> Io<()> {
     Io::block(Io::my_thread_id().and_then(move |me| {
         body.map(|_| (ExitReason::Normal, None))
             .catch_info(|e, origin| {
@@ -360,7 +263,7 @@ where
     M: FromValue + IntoValue + 'static,
     F: FnOnce(Mailbox<M>) -> Io<()> + 'static,
 {
-    Io::new_mvar(Ctl::Alive(Vec::new()).encode()).and_then(move |ctl| {
+    Io::new_mvar(Ctl::Alive(Vec::new())).and_then(move |ctl| {
         // Fork under `block` so the child *inherits* the mask: a kill
         // aimed at a freshly spawned actor is deferred until the body's
         // first interruptible point, by which time the shell's exit
@@ -429,9 +332,12 @@ impl<M: FromValue + IntoValue + 'static> ActorRef<M> {
     /// "Dead" here means the shell has *committed* its exit — the
     /// strongest fact the no-orphan audits poll for.
     pub fn exit_reason(&self) -> Io<Option<ExitReason>> {
-        modify_mvar_pure(self.ctl, |v| match Ctl::decode(v) {
-            alive @ Ctl::Alive(_) => (alive.encode(), None),
-            Ctl::Dead(reason) => (Ctl::Dead(reason.clone()).encode(), Some(reason)),
+        modify_mvar_pure(self.ctl, |state| {
+            let reason = match &state {
+                Ctl::Alive(_) => None,
+                Ctl::Dead(reason) => Some(reason.clone()),
+            };
+            (state, reason)
         })
     }
 
@@ -456,9 +362,40 @@ impl<M: FromValue + IntoValue + 'static> ActorRef<M> {
 mod tests {
     use super::*;
     use conch_runtime::scheduler::Runtime;
+    use proptest::prelude::*;
 
     fn run<T: FromValue + IntoValue + 'static>(io: Io<T>) -> T {
         Runtime::new().run(io).unwrap()
+    }
+
+    proptest! {
+        #[test]
+        fn down_round_trips_as_a_host_value(
+            mref in any::<i64>(),
+            from in any::<u64>(),
+            reason in prop_oneof![
+                Just(ExitReason::Normal),
+                Just(ExitReason::Killed),
+                any::<u64>().prop_map(|n| {
+                    ExitReason::Crashed(Box::new(Exception::error_call(format!("crash {n}"))))
+                }),
+            ],
+        ) {
+            let down = Down { mref, from, reason };
+            prop_assert_eq!(Down::from_value(down.clone().into_value()), Some(down));
+        }
+    }
+
+    #[test]
+    fn handles_round_trip_as_host_values_and_keep_their_message_type() {
+        let (a, v) =
+            run(spawn_actor(1, |_mb: Mailbox<i64>| Io::unit()).map(|a| (a, a.into_value())));
+        assert_eq!(ActorRef::<i64>::from_value(v.clone()), Some(a));
+        assert_eq!(ActorRef::<Value>::from_value(v), None);
+        assert_eq!(
+            ActorRef::<Value>::from_value(a.erase().into_value()),
+            Some(a.erase())
+        );
     }
 
     /// Polls until the actor records an exit reason (tests only).

@@ -31,10 +31,12 @@
 //! sleeping poller holds no claim at all, so a kill landing in the
 //! sleep loses neither messages nor capacity.
 
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 
 use conch_combinators::modify_mvar_pure;
 use conch_runtime::exception::ExceptionKind;
+use conch_runtime::host_value;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::{FromValue, IntoValue, Value};
@@ -69,8 +71,7 @@ pub const POLL_INTERVAL: u64 = 25;
 /// assert_eq!(rt.run(prog).unwrap(), (1, false));
 /// ```
 pub struct Mailbox<M> {
-    /// `Pair(List(queue), Int(capacity))` — the whole mailbox state.
-    state: MVar<Value>,
+    state: MVar<MailboxState>,
     marker: PhantomData<fn(M) -> M>,
 }
 
@@ -88,79 +89,76 @@ impl<M> std::fmt::Debug for Mailbox<M> {
     }
 }
 
-fn pack(queue: Vec<Value>, capacity: i64) -> Value {
-    Value::Pair(Box::new(Value::List(queue)), Box::new(Value::Int(capacity)))
-}
-
-fn unpack(v: Value) -> (Vec<Value>, i64) {
-    match v {
-        Value::Pair(q, c) => match (*q, *c) {
-            (Value::List(xs), Value::Int(n)) => (xs, n),
-            other => panic!("mailbox state corrupted: {other:?}"),
-        },
-        other => panic!("mailbox state has shape {}", other.shape()),
+impl<M> PartialEq for Mailbox<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.state == other.state
     }
 }
 
-/// One [`modify_mvar_pure`] transaction over the mailbox state; the
-/// queue moves through `unpack` / `pack` in O(1). Whole or not at all,
-/// so a kill leaves the mailbox either untouched or committed.
-fn txn<R>(state: MVar<Value>, f: impl FnOnce(&mut Vec<Value>, i64) -> R + 'static) -> Io<R>
+/// The whole mailbox state. Messages are queued as `Value`s: the
+/// message type belongs to the handle, which [`Mailbox::cast`] can
+/// reinterpret.
+#[derive(Debug, Clone, PartialEq)]
+struct MailboxState {
+    queue: VecDeque<Value>,
+    capacity: i64,
+}
+
+host_value!(MailboxState);
+host_value!(<M> Mailbox<M>);
+
+impl MailboxState {
+    /// Pushes `v` if there is room; a full mailbox hands it back.
+    fn offer(&mut self, v: Value) -> Option<Value> {
+        if self.free_slots() > 0 {
+            self.queue.push_back(v);
+            None
+        } else {
+            Some(v)
+        }
+    }
+
+    fn free_slots(&self) -> i64 {
+        self.capacity - self.queue.len() as i64
+    }
+}
+
+/// One [`modify_mvar_pure`] transaction over the mailbox state. Whole
+/// or not at all, so a kill leaves the mailbox either untouched or
+/// committed.
+fn txn<R>(state: MVar<MailboxState>, f: impl FnOnce(&mut MailboxState) -> R + 'static) -> Io<R>
 where
     R: FromValue + IntoValue + 'static,
 {
-    modify_mvar_pure(state, move |st| {
-        let (mut queue, capacity) = unpack(st);
-        let r = f(&mut queue, capacity);
-        (pack(queue, capacity), r)
+    modify_mvar_pure(state, move |mut st| {
+        let r = f(&mut st);
+        (st, r)
     })
 }
 
-/// Pushes `v` if there is room; a full mailbox hands it back.
-fn offer(queue: &mut Vec<Value>, capacity: i64, v: Value) -> Option<Value> {
-    if (queue.len() as i64) < capacity {
-        queue.push(v);
-        None
-    } else {
-        Some(v)
-    }
-}
-
-fn send_loop(state: MVar<Value>, v: Value) -> Io<()> {
-    txn(state, move |queue, capacity| offer(queue, capacity, v)).and_then(move |rejected| {
-        match rejected {
-            None => Io::unit(),
-            Some(v) => Io::sleep(POLL_INTERVAL).then(send_loop(state, v)),
-        }
+fn send_loop(state: MVar<MailboxState>, v: Value) -> Io<()> {
+    txn(state, move |st| st.offer(v)).and_then(move |rejected| match rejected {
+        None => Io::unit(),
+        Some(v) => Io::sleep(POLL_INTERVAL).then(send_loop(state, v)),
     })
 }
 
-fn recv_loop(state: MVar<Value>) -> Io<Value> {
-    txn(state, |queue, _| {
-        if queue.is_empty() {
-            Value::Nothing
-        } else {
-            Value::Just(Box::new(queue.remove(0)))
-        }
+fn recv_loop(state: MVar<MailboxState>) -> Io<Value> {
+    txn(state, |st| st.queue.pop_front()).and_then(move |got| match got {
+        Some(v) => Io::pure(v),
+        None => Io::sleep(POLL_INTERVAL).then(recv_loop(state)),
     })
-    .and_then(move |got| match got {
-        Value::Just(v) => Io::pure(*v),
-        _ => Io::sleep(POLL_INTERVAL).then(recv_loop(state)),
-    })
-}
-
-fn from_message<M: FromValue>(v: Value) -> M {
-    match M::from_value(v) {
-        Some(m) => m,
-        None => panic!("mailbox message has unexpected shape"),
-    }
 }
 
 impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     /// Creates a mailbox holding at most `capacity` messages
     /// (clamped to at least 1).
     pub fn new(capacity: i64) -> Io<Mailbox<M>> {
-        Io::new_mvar(pack(Vec::new(), capacity.max(1))).map(|state| Mailbox {
+        let empty = MailboxState {
+            queue: VecDeque::new(),
+            capacity: capacity.max(1),
+        };
+        Io::new_mvar(empty).map(|state| Mailbox {
             state,
             marker: PhantomData,
         })
@@ -178,9 +176,7 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     /// the message was accepted — `false` is the signal to shed load.
     pub fn try_send(&self, m: M) -> Io<bool> {
         let v = m.into_value();
-        txn(self.state, move |queue, capacity| {
-            offer(queue, capacity, v).is_none()
-        })
+        txn(self.state, move |st| st.offer(v).is_none())
     }
 
     /// Dequeues the oldest message, waiting while the mailbox is
@@ -195,7 +191,7 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     /// first step of *processing* runs `recv().and_then(handle)` under
     /// its own mask, as the actor shell does.
     pub fn recv(&self) -> Io<M> {
-        Io::block(recv_loop(self.state)).map(from_message)
+        Io::block(recv_loop(self.state)).map(M::from_value_or_panic)
     }
 
     /// The pre-fix `recv`: dequeues in a transaction but yields —
@@ -207,32 +203,19 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     /// against, like `modify_mvar_naive`.
     #[doc(hidden)]
     pub fn recv_racy(&self) -> Io<M> {
-        fn racy_loop(state: MVar<Value>) -> Io<Value> {
-            txn(state, |queue, _| {
-                if queue.is_empty() {
-                    Value::Nothing
-                } else {
-                    Value::Just(Box::new(queue.remove(0)))
-                }
-            })
-            .and_then(move |got| match got {
-                Value::Just(v) => Io::yield_now().map(move |_| *v),
-                _ => Io::sleep(POLL_INTERVAL).then(racy_loop(state)),
+        fn racy_loop(state: MVar<MailboxState>) -> Io<Value> {
+            txn(state, |st| st.queue.pop_front()).and_then(move |got| match got {
+                Some(v) => Io::yield_now().map(move |_| v),
+                None => Io::sleep(POLL_INTERVAL).then(racy_loop(state)),
             })
         }
-        racy_loop(self.state).map(from_message)
+        racy_loop(self.state).map(M::from_value_or_panic)
     }
 
     /// Dequeues the oldest message if there is one, never waiting.
     pub fn try_recv(&self) -> Io<Option<M>> {
-        txn(self.state, |queue, _| {
-            if queue.is_empty() {
-                None
-            } else {
-                Some(queue.remove(0))
-            }
-        })
-        .map(|v: Option<Value>| v.map(from_message))
+        txn(self.state, |st| st.queue.pop_front())
+            .map(|got: Option<Value>| got.map(M::from_value_or_panic))
     }
 
     /// Like [`recv`](Self::recv), but converts an
@@ -245,7 +228,7 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     /// `exit(Pid, kill)` it always terminates.
     pub fn recv_trapping(&self) -> Io<Signal<M>> {
         Io::block(recv_loop(self.state))
-            .map(|v| Signal::Msg(from_message(v)))
+            .map(|v| Signal::Msg(M::from_value_or_panic(v)))
             .catch(|e| {
                 if let ExceptionKind::ExitSignal { from, reason } = e.kind() {
                     let (from, reason) = (*from, (**reason).clone());
@@ -258,14 +241,14 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
 
     /// Number of messages currently queued.
     pub fn len(&self) -> Io<i64> {
-        txn(self.state, |queue, _| queue.len() as i64)
+        txn(self.state, |st| st.queue.len() as i64)
     }
 
     /// Remaining room: `capacity - len`. Mailbox-slot conservation is
     /// `len + free_slots == capacity` — which this representation makes
     /// unfalsifiable by kills, exactly the point.
     pub fn free_slots(&self) -> Io<i64> {
-        txn(self.state, |queue, capacity| capacity - queue.len() as i64)
+        txn(self.state, |st| st.free_slots())
     }
 
     /// Reinterprets the message type. The queue is dynamically typed
@@ -276,21 +259,6 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
             state: self.state,
             marker: PhantomData,
         }
-    }
-}
-
-impl<M> IntoValue for Mailbox<M> {
-    fn into_value(self) -> Value {
-        Value::MVar(self.state.id())
-    }
-}
-
-impl<M> FromValue for Mailbox<M> {
-    fn from_value(v: Value) -> Option<Self> {
-        Some(Mailbox {
-            state: MVar::from_id(v.as_mvar_id()?),
-            marker: PhantomData,
-        })
     }
 }
 

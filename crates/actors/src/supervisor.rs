@@ -33,6 +33,7 @@ use std::rc::Rc;
 
 use conch_combinators::modify_mvar_pure;
 use conch_runtime::exception::Exception;
+use conch_runtime::host_value;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::{FromValue, IntoValue, Value};
@@ -104,16 +105,22 @@ impl SupervisorSpec {
 }
 
 /// A running supervisor: the supervisor actor plus the cell naming
-/// the *current* child incarnations (`List` of `Pair(Int(index),
-/// child-ref)`), which [`child_refs`](Supervisor::child_refs) reads so
-/// audits and kill storms can aim at live children.
-#[derive(Debug, Clone, Copy)]
+/// the *current* child incarnations, which
+/// [`child_refs`](Supervisor::child_refs) reads so audits and kill
+/// storms can aim at live children.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Supervisor {
     /// The supervisor actor (its mailbox carries `Down` notices).
     actor: ActorRef<Down>,
     /// Current children, updated by the restart loop.
-    children_cell: MVar<Value>,
+    children_cell: MVar<Children>,
 }
+
+/// The current incarnation at each live spec index, in index order.
+#[derive(Debug, Clone, PartialEq)]
+struct Children(Vec<(usize, ActorRef<Value>)>);
+
+host_value!(Supervisor, Children);
 
 impl Supervisor {
     /// The current child incarnations, in spec-index order.
@@ -130,64 +137,17 @@ impl Supervisor {
     }
 }
 
-impl IntoValue for Supervisor {
-    fn into_value(self) -> Value {
-        Value::Pair(
-            Box::new(self.actor.into_value()),
-            Box::new(Value::MVar(self.children_cell.id())),
-        )
-    }
-}
-
-impl FromValue for Supervisor {
-    fn from_value(v: Value) -> Option<Self> {
-        match v {
-            Value::Pair(a, c) => Some(Supervisor {
-                actor: ActorRef::from_value(*a)?,
-                children_cell: MVar::from_id(c.as_mvar_id()?),
-            }),
-            _ => None,
-        }
-    }
-}
-
-/// The children cell is private to this module, which is the only
-/// code that encodes it; anything [`encode_children`] did not write is a
-/// bug here, so decoding panics on it rather than drop a child.
-fn decode_children(v: Value) -> Vec<(usize, ActorRef<Value>)> {
-    let shape = v.shape();
-    let child = |x| match x {
-        Value::Pair(i, c) => Some((i.as_int()? as usize, ActorRef::from_value(*c)?)),
-        _ => None,
-    };
-    let decoded = match v {
-        Value::List(xs) => xs.into_iter().map(child).collect(),
-        _ => None,
-    };
-    decoded.unwrap_or_else(|| panic!("supervisor children cell is malformed (a {shape})"))
-}
-
-fn encode_children(children: Vec<(usize, ActorRef<Value>)>) -> Value {
-    Value::List(
-        children
-            .into_iter()
-            .map(|(i, c)| Value::Pair(Box::new(Value::Int(i as i64)), Box::new(c.into_value())))
-            .collect(),
-    )
-}
-
 /// One [`modify_mvar_pure`] transaction over the children cell.
 fn children_txn<R>(
-    cell: MVar<Value>,
+    cell: MVar<Children>,
     f: impl FnOnce(&mut Vec<(usize, ActorRef<Value>)>) -> R + 'static,
 ) -> Io<R>
 where
     R: FromValue + IntoValue + 'static,
 {
-    modify_mvar_pure(cell, move |v| {
-        let mut kids = decode_children(v);
-        let r = f(&mut kids);
-        (encode_children(kids), r)
+    modify_mvar_pure(cell, move |mut kids| {
+        let r = f(&mut kids.0);
+        (kids, r)
     })
 }
 
@@ -197,7 +157,7 @@ fn start_child(
     spec: Rc<SupervisorSpec>,
     idx: usize,
     inbox: Mailbox<Down>,
-    cell: MVar<Value>,
+    cell: MVar<Children>,
 ) -> Io<()> {
     (spec.children[idx].start)().and_then(move |child| {
         monitor(&child, inbox, idx as i64).then(children_txn(cell, move |kids| {
@@ -212,7 +172,7 @@ fn start_range(
     spec: Rc<SupervisorSpec>,
     indices: Vec<usize>,
     inbox: Mailbox<Down>,
-    cell: MVar<Value>,
+    cell: MVar<Children>,
 ) -> Io<()> {
     let mut indices = indices;
     match indices.pop() {
@@ -228,7 +188,7 @@ fn start_range(
 
 /// Synchronously kills the recorded incarnations at `indices` (dead
 /// targets are no-ops) and drops them from the cell.
-fn kill_indices(cell: MVar<Value>, indices: Vec<usize>) -> Io<()> {
+fn kill_indices(cell: MVar<Children>, indices: Vec<usize>) -> Io<()> {
     children_txn(cell, move |kids| {
         let doomed = kids
             .iter()
@@ -253,7 +213,7 @@ fn kill_refs(mut doomed: Vec<ActorRef<Value>>) -> Io<()> {
 /// kill is idempotent — `throwTo` at a dead thread is a no-op — so
 /// retrying from the top cannot over-kill, and any finite storm lets
 /// the sweep complete. This is the no-orphan guarantee.
-fn kill_all_children(cell: MVar<Value>) -> Io<()> {
+fn kill_all_children(cell: MVar<Children>) -> Io<()> {
     children_txn(cell, |kids| kids.drain(..).map(|(_, c)| c).collect())
         .and_then(kill_refs)
         .catch(move |_| kill_all_children(cell))
@@ -274,7 +234,7 @@ fn admit_restart(mut times: Vec<i64>, now: i64, spec: &SupervisorSpec) -> Option
 fn sup_loop(
     inbox: Mailbox<Down>,
     spec: Rc<SupervisorSpec>,
-    cell: MVar<Value>,
+    cell: MVar<Children>,
     restarts: Vec<i64>,
 ) -> Io<()> {
     inbox.recv().and_then(move |down: Down| {
@@ -322,7 +282,7 @@ fn sup_loop(
     })
 }
 
-fn sup_body(inbox: Mailbox<Down>, spec: Rc<SupervisorSpec>, cell: MVar<Value>) -> Io<()> {
+fn sup_body(inbox: Mailbox<Down>, spec: Rc<SupervisorSpec>, cell: MVar<Children>) -> Io<()> {
     let n = spec.children.len();
     let spec2 = Rc::clone(&spec);
     start_range(spec2, (0..n).collect(), inbox, cell)
@@ -335,7 +295,7 @@ fn sup_body(inbox: Mailbox<Down>, spec: Rc<SupervisorSpec>, cell: MVar<Value>) -
 /// delivery to the supervisor never blocks a dying child for long.
 pub fn spawn_supervisor(spec: SupervisorSpec) -> Io<Supervisor> {
     let capacity = (spec.children.len() as i64 * 2).max(4);
-    Io::new_mvar(Value::List(Vec::new())).and_then(move |cell| {
+    Io::new_mvar(Children(Vec::new())).and_then(move |cell| {
         let spec = Rc::new(spec);
         spawn_actor(capacity, move |inbox: Mailbox<Down>| {
             sup_body(inbox, spec, cell)

@@ -27,6 +27,7 @@
 //!   delivery point, and [`Chan::send`], [`Chan::try_recv`] and `recv`'s
 //!   handler have nothing to undo.
 
+use conch_runtime::host_value;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::{FromValue, IntoValue, Value};
@@ -66,6 +67,14 @@ impl<T> Clone for Chan<T> {
 }
 
 impl<T> Copy for Chan<T> {}
+
+impl<T> PartialEq for Chan<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.read_end, self.write_end) == (other.read_end, other.write_end)
+    }
+}
+
+host_value!(<T> Chan<T>);
 
 impl<T> std::fmt::Debug for Chan<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -135,27 +144,6 @@ impl<T: FromValue + IntoValue + 'static> Chan<T> {
                 Some((v, next)) => read_end.put(next.cast()).map(move |_| Some(v)),
             })
         }))
-    }
-}
-
-impl<T: FromValue + IntoValue + 'static> FromValue for Chan<T> {
-    fn from_value(v: Value) -> Option<Self> {
-        match v {
-            Value::Pair(r, w) => Some(Chan {
-                read_end: MVar::from_id(r.as_mvar_id()?),
-                write_end: MVar::from_id(w.as_mvar_id()?),
-            }),
-            _ => None,
-        }
-    }
-}
-
-impl<T: FromValue + IntoValue + 'static> IntoValue for Chan<T> {
-    fn into_value(self) -> Value {
-        Value::Pair(
-            Box::new(Value::MVar(self.read_end.id())),
-            Box::new(Value::MVar(self.write_end.id())),
-        )
     }
 }
 
@@ -394,6 +382,18 @@ mod tests {
         Runtime::with_config(cfg)
             .run(prog)
             .expect("a script never leaves main waiting for ever")
+    }
+
+    proptest! {
+        #[test]
+        fn handle_round_trips_as_a_host_value(r in any::<u64>(), w in any::<u64>()) {
+            use conch_runtime::ids::MVarId;
+            let end = |id| MVar::from_id(MVarId::from_index(id));
+            let ch: Chan<i64> = Chan { read_end: end(r), write_end: end(w) };
+            prop_assert_eq!(Chan::<i64>::from_value(ch.into_value()), Some(ch));
+            // The element type belongs to the handle's type.
+            prop_assert_eq!(Chan::<String>::from_value(ch.into_value()), None);
+        }
     }
 
     proptest! {

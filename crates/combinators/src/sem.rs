@@ -3,7 +3,7 @@
 //! including typed channels, semaphores and so on").
 //!
 //! The representation is the classic Concurrent Haskell `QSem`: an
-//! `MVar` holding `(available, wakeup-queue)` where the queue carries
+//! `MVar` holding the available count and a wake-up queue that carries
 //! one empty `MVar` per blocked waiter. Every operation is one masked
 //! section over that cell with no `unblock` (§7.4), so by §5.3 an
 //! asynchronous exception can land only where a section *waits*:
@@ -23,9 +23,12 @@
 //! signaller strands no waiter (`tests/dpor_equiv.rs`,
 //! `corpus_sem_under_kill`, kills both at every step).
 
+use std::collections::VecDeque;
+
+use conch_runtime::host_value;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
-use conch_runtime::value::{FromValue, IntoValue, Value};
+use conch_runtime::value::{FromValue, IntoValue};
 
 use crate::locking::modify_mvar_pure;
 
@@ -44,11 +47,20 @@ use crate::locking::modify_mvar_pure;
 /// // Two units acquired; the third attempt fails.
 /// assert_eq!(rt.run(prog).unwrap(), false);
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sem {
-    /// Pair(available: Int, waiters: List of MVar ids).
-    state: MVar<Value>,
+    state: MVar<SemState>,
 }
+
+/// What the state cell holds.
+#[derive(Debug, Clone, PartialEq)]
+struct SemState {
+    available: i64,
+    /// One empty wake-up cell per blocked waiter, longest wait first.
+    waiters: VecDeque<MVar<()>>,
+}
+
+host_value!(Sem, SemState);
 
 impl Sem {
     /// A semaphore with `units` initially available.
@@ -58,10 +70,10 @@ impl Sem {
     /// Panics if `units` is negative.
     pub fn new(units: i64) -> Io<Sem> {
         assert!(units >= 0, "a semaphore cannot start in debt");
-        Io::new_mvar::<Value>(Value::Pair(
-            Box::new(Value::Int(units)),
-            Box::new(Value::List(Vec::new())),
-        ))
+        Io::new_mvar(SemState {
+            available: units,
+            waiters: VecDeque::new(),
+        })
         .map(|state| Sem { state })
     }
 
@@ -71,15 +83,17 @@ impl Sem {
     /// with — or goes back to — the semaphore.
     pub fn wait(&self) -> Io<()> {
         let state = self.state;
-        Io::block(state.take().and_then(move |st| {
-            let (avail, mut waiters) = split(st);
-            if avail > 0 {
-                return state.put(join(avail - 1, waiters));
+        Io::block(state.take().and_then(move |mut st| {
+            if st.available > 0 {
+                st.available -= 1;
+                return state.put(st);
             }
-            Io::new_empty_mvar::<Value>().and_then(move |cell| {
-                waiters.push(Value::MVar(cell.id()));
-                state.put(join(0, waiters)).then(
+            Io::new_empty_mvar::<()>().and_then(move |cell| {
+                st.waiters.push_back(cell);
+                state.put(st).then(
                     cell.take()
+                        // A step of its own, which the pinned schedule
+                        // counts of `corpus_sem_under_kill` include.
                         .map(|_| ())
                         .catch(move |e| abandon(state, cell).then(Io::throw(e))),
                 )
@@ -93,26 +107,23 @@ impl Sem {
     /// it has that, the release is certain.
     pub fn signal(&self) -> Io<()> {
         let state = self.state;
-        Io::block(state.take().and_then(move |st| {
-            let (avail, waiters) = split(st);
-            grant(state, avail, waiters)
-        }))
+        Io::block(state.take().and_then(move |st| grant(state, st)))
     }
 
     /// Non-blocking acquire: `true` if a unit was taken.
     pub fn try_wait(&self) -> Io<bool> {
-        modify_mvar_pure(self.state, |st| {
-            let (avail, waiters) = split(st);
-            let taken = avail > 0;
-            (join(avail - i64::from(taken), waiters), taken)
+        modify_mvar_pure(self.state, |mut st| {
+            let taken = st.available > 0;
+            st.available -= i64::from(taken);
+            (st, taken)
         })
     }
 
     /// The currently available units (momentary snapshot).
     pub fn available(&self) -> Io<i64> {
         modify_mvar_pure(self.state, |st| {
-            let (avail, waiters) = split(st);
-            (join(avail, waiters), avail)
+            let available = st.available;
+            (st, available)
         })
     }
 
@@ -136,17 +147,14 @@ impl Sem {
 /// With the state cell taken: gives one unit to the longest waiter, or
 /// banks it, and puts the state back. Neither put can wait — a queued
 /// cell is empty until its one grant, the state cell was just emptied.
-fn grant(state: MVar<Value>, avail: i64, mut waiters: Vec<Value>) -> Io<()> {
-    if waiters.is_empty() {
-        return state.put(join(avail + 1, waiters));
+fn grant(state: MVar<SemState>, mut st: SemState) -> Io<()> {
+    match st.waiters.pop_front() {
+        None => {
+            st.available += 1;
+            state.put(st)
+        }
+        Some(cell) => cell.put(()).then(state.put(st)),
     }
-    let cell: MVar<Value> = MVar::from_id(
-        waiters
-            .remove(0)
-            .as_mvar_id()
-            .expect("malformed semaphore state: a waiter is an MVar"),
-    );
-    cell.put(Value::Unit).then(state.put(join(avail, waiters)))
 }
 
 /// `wait`'s handler (so it runs masked): an interrupted waiter leaves
@@ -155,51 +163,19 @@ fn grant(state: MVar<Value>, avail: i64, mut waiters: Vec<Value>) -> Io<()> {
 /// cell may be held, so this take can be interrupted in turn — with
 /// nothing taken, so it starts over; each further exception costs one
 /// retry and is absorbed, the first is the one `wait` re-throws.
-fn abandon(state: MVar<Value>, cell: MVar<Value>) -> Io<()> {
+fn abandon(state: MVar<SemState>, cell: MVar<()>) -> Io<()> {
     state
         .take()
-        .and_then(move |st| {
-            let (avail, mut waiters) = split(st);
-            let queued = waiters
-                .iter()
-                .position(|w| w.as_mvar_id() == Some(cell.id()));
-            match queued {
-                Some(i) => {
-                    waiters.remove(i);
-                    state.put(join(avail, waiters))
+        .and_then(
+            move |mut st| match st.waiters.iter().position(|w| *w == cell) {
+                Some(queued) => {
+                    st.waiters.remove(queued);
+                    state.put(st)
                 }
-                None => grant(state, avail, waiters),
-            }
-        })
+                None => grant(state, st),
+            },
+        )
         .catch(move |_| abandon(state, cell))
-}
-
-fn split(st: Value) -> (i64, Vec<Value>) {
-    match st {
-        Value::Pair(avail, waiters) => match (*avail, *waiters) {
-            (Value::Int(a), Value::List(w)) => (a, w),
-            other => panic!("malformed semaphore state: {other:?}"),
-        },
-        other => panic!("malformed semaphore state: {other}"),
-    }
-}
-
-fn join(avail: i64, waiters: Vec<Value>) -> Value {
-    Value::Pair(Box::new(Value::Int(avail)), Box::new(Value::List(waiters)))
-}
-
-impl FromValue for Sem {
-    fn from_value(v: Value) -> Option<Self> {
-        Some(Sem {
-            state: MVar::from_id(v.as_mvar_id()?),
-        })
-    }
-}
-
-impl IntoValue for Sem {
-    fn into_value(self) -> Value {
-        Value::MVar(self.state.id())
-    }
 }
 
 #[cfg(test)]

@@ -23,12 +23,14 @@
 
 use std::rc::Rc;
 
+use conch_runtime::host_value;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::{FromValue, IntoValue, Value};
 use conch_runtime::RaiseOrigin;
 
 /// The stored state of a thunk cell.
+#[derive(Debug, Clone, PartialEq)]
 enum ThunkState {
     /// Never successfully evaluated.
     Unevaluated,
@@ -38,24 +40,7 @@ enum ThunkState {
     FailedSync(conch_runtime::Exception),
 }
 
-impl ThunkState {
-    fn into_value(self) -> Value {
-        match self {
-            ThunkState::Unevaluated => Value::Nothing,
-            ThunkState::Evaluated(v) => Value::Just(Box::new(v)),
-            ThunkState::FailedSync(e) => Value::Exception(e),
-        }
-    }
-
-    fn from_value(v: Value) -> ThunkState {
-        match v {
-            Value::Nothing => ThunkState::Unevaluated,
-            Value::Just(v) => ThunkState::Evaluated(*v),
-            Value::Exception(e) => ThunkState::FailedSync(e),
-            other => panic!("malformed thunk state: {other}"),
-        }
-    }
-}
+host_value!(ThunkState);
 
 /// A computation shared between threads and evaluated at most once.
 ///
@@ -80,7 +65,7 @@ impl ThunkState {
 /// assert_eq!(rt.run(prog).unwrap(), (42, 1));
 /// ```
 pub struct Thunk<T> {
-    state: MVar<Value>,
+    state: MVar<ThunkState>,
     body: Rc<dyn Fn() -> Io<T>>,
 }
 
@@ -113,8 +98,7 @@ impl<T: FromValue + IntoValue + 'static> Thunk<T> {
         K: FnOnce(Thunk<T>) -> Io<R> + 'static,
     {
         let body: Rc<dyn Fn() -> Io<T>> = Rc::new(body);
-        Io::new_mvar::<Value>(ThunkState::Unevaluated.into_value())
-            .and_then(move |state| k(Thunk { state, body }))
+        Io::new_mvar(ThunkState::Unevaluated).and_then(move |state| k(Thunk { state, body }))
     }
 
     /// Demands the thunk's value.
@@ -134,13 +118,13 @@ impl<T: FromValue + IntoValue + 'static> Thunk<T> {
         let body = Rc::clone(&self.body);
         // block: the bookkeeping around the user body must not itself be
         // torn by an asynchronous exception (same shape as §5.2 locking).
-        Io::block(state.take().and_then(move |raw| {
-            match ThunkState::from_value(raw) {
+        Io::block(state.take().and_then(move |st| {
+            match st {
                 ThunkState::Evaluated(v) => state
-                    .put(ThunkState::Evaluated(v.clone()).into_value())
+                    .put(ThunkState::Evaluated(v.clone()))
                     .then(Io::pure(T::from_value_or_panic(v))),
                 ThunkState::FailedSync(e) => state
-                    .put(ThunkState::FailedSync(e.clone()).into_value())
+                    .put(ThunkState::FailedSync(e.clone()))
                     .then(Io::throw(e)),
                 ThunkState::Unevaluated => Io::unblock(body())
                     .catch_info(move |e, origin| {
@@ -154,15 +138,13 @@ impl<T: FromValue + IntoValue + 'static> Thunk<T> {
                         };
                         // The state cell is empty here, so this put is
                         // non-interruptible (§5.3).
-                        state
-                            .put(restored.into_value())
-                            .then(Io::rethrow(e, origin))
+                        state.put(restored).then(Io::rethrow(e, origin))
                     })
                     .and_then(move |t: T| {
                         let v = t.into_value();
                         let give_back = v.clone();
                         state
-                            .put(ThunkState::Evaluated(v).into_value())
+                            .put(ThunkState::Evaluated(v))
                             .then(Io::pure(T::from_value_or_panic(give_back)))
                     }),
             }
@@ -172,13 +154,12 @@ impl<T: FromValue + IntoValue + 'static> Thunk<T> {
     /// Non-blocking peek: `Some(value)` if already evaluated.
     pub fn peek(&self) -> Io<Option<T>> {
         let state = self.state;
-        Io::block(state.take().and_then(move |raw| {
-            let st = ThunkState::from_value(raw);
+        Io::block(state.take().and_then(move |st| {
             let result = match &st {
                 ThunkState::Evaluated(v) => Some(T::from_value_or_panic(v.clone())),
                 _ => None,
             };
-            state.put(st.into_value()).then(Io::pure(result))
+            state.put(st).then(Io::pure(result))
         }))
     }
 }

@@ -32,6 +32,7 @@ use std::rc::Rc;
 
 use conch_combinators::{kill_thread, modify_mvar_pure, timeout, with_mvar, Either};
 use conch_runtime::exception::Exception;
+use conch_runtime::host_value;
 use conch_runtime::ids::ThreadId;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
@@ -122,46 +123,7 @@ impl<'a> std::iter::Sum<&'a StatsSnapshot> for StatsSnapshot {
     }
 }
 
-impl IntoValue for StatsSnapshot {
-    fn into_value(self) -> Value {
-        Value::List(vec![
-            Value::Int(self.served),
-            Value::Int(self.read_timeouts),
-            Value::Int(self.handler_timeouts),
-            Value::Int(self.handler_errors),
-            Value::Int(self.parse_errors),
-            Value::Int(self.active),
-            Value::Int(self.accepted),
-            Value::Int(self.aborted),
-            Value::Int(self.killed),
-            Value::Int(self.shed),
-        ])
-    }
-}
-
-impl FromValue for StatsSnapshot {
-    fn from_value(v: Value) -> Option<Self> {
-        match v {
-            Value::List(xs) if xs.len() == 10 => {
-                let ints: Option<Vec<i64>> = xs.into_iter().map(|x| x.as_int()).collect();
-                let ints = ints?;
-                Some(StatsSnapshot {
-                    served: ints[0],
-                    read_timeouts: ints[1],
-                    handler_timeouts: ints[2],
-                    handler_errors: ints[3],
-                    parse_errors: ints[4],
-                    active: ints[5],
-                    accepted: ints[6],
-                    aborted: ints[7],
-                    killed: ints[8],
-                    shed: ints[9],
-                })
-            }
-            _ => None,
-        }
-    }
-}
+host_value!(StatsSnapshot, ServerStats, Server, Workers);
 
 /// The terminal outcome of one accepted unit — exactly one of these is
 /// recorded per accept.
@@ -230,7 +192,7 @@ impl FromValue for Outcome {
 /// pure Rust code, and put back, fully masked ([`modify_mvar_pure`]).
 /// The only interruptible point is the `take` while it *blocks* — at
 /// which moment nothing has been taken and nothing can tear.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerStats {
     cell: MVar<StatsSnapshot>,
 }
@@ -288,18 +250,6 @@ impl ServerStats {
     }
 }
 
-impl IntoValue for ServerStats {
-    fn into_value(self) -> Value {
-        self.cell.into_value()
-    }
-}
-
-impl FromValue for ServerStats {
-    fn from_value(v: Value) -> Option<Self> {
-        MVar::from_value(v).map(|cell| ServerStats { cell })
-    }
-}
-
 /// An admitted unit's single commit point: record its outcome and lower
 /// the active count, atomically. If a `KillThread` lands while the
 /// transaction's `take` is still blocked (the cell is contended —
@@ -354,53 +304,30 @@ pub(crate) fn serve_request(
 
 /// A running plane (or one shard of one): the acceptor's thread id, the
 /// counters, and the worker registry.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Server {
     /// The acceptor thread (kill it to stop accepting).
     pub(crate) acceptor: ThreadId,
     /// The plane's counters.
     pub stats: ServerStats,
-    /// Every worker thread ever started (a `Value::List` of
-    /// `ThreadId`s) — the registry a fault injector aims its
-    /// `KillThread` storms at. Ids are never removed: throwing to a
-    /// finished worker is a no-op thanks to generation-tagged ids.
-    pub(crate) workers: MVar<Value>,
+    /// The registry a fault injector aims its `KillThread` storms at.
+    pub(crate) workers: MVar<Workers>,
 }
 
-impl IntoValue for Server {
-    fn into_value(self) -> Value {
-        Value::List(vec![
-            Value::ThreadId(self.acceptor),
-            self.stats.into_value(),
-            self.workers.into_value(),
-        ])
-    }
-}
-
-impl FromValue for Server {
-    fn from_value(v: Value) -> Option<Self> {
-        match v {
-            Value::List(xs) if xs.len() == 3 => {
-                let mut it = xs.into_iter();
-                Some(Server {
-                    acceptor: it.next()?.as_thread_id()?,
-                    stats: ServerStats::from_value(it.next()?)?,
-                    workers: MVar::from_value(it.next()?)?,
-                })
-            }
-            _ => None,
-        }
-    }
-}
+/// Every worker thread ever started, in start order. Ids are never
+/// removed: throwing to a finished worker is a no-op thanks to
+/// generation-tagged ids.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub(crate) struct Workers(Vec<ThreadId>);
 
 impl Server {
     /// Allocates a plane's counters and registry and forks its
     /// acceptor.
     pub(crate) fn launch(
-        accept_loop: impl FnOnce(ServerStats, MVar<Value>) -> Io<()> + 'static,
+        accept_loop: impl FnOnce(ServerStats, MVar<Workers>) -> Io<()> + 'static,
     ) -> Io<Server> {
         ServerStats::new().and_then(move |stats| {
-            Io::new_mvar(Value::List(Vec::new())).and_then(move |workers| {
+            Io::new_mvar(Workers::default()).and_then(move |workers| {
                 Io::fork(accept_loop(stats, workers)).map(move |acceptor| Server {
                     acceptor,
                     stats,
@@ -454,20 +381,7 @@ impl Server {
 
     /// Every worker thread id ever registered, in start order.
     pub fn worker_ids(&self) -> Io<Vec<ThreadId>> {
-        with_mvar(self.workers, Io::pure).map(|v| {
-            let tid = |id: Value| id.as_thread_id().expect("worker registry holds thread ids");
-            registry(v).into_iter().map(tid).collect()
-        })
-    }
-}
-
-/// The registry cell is written only by [`register_worker`]; anything
-/// but its list of thread ids is a bug in this crate, and reading it
-/// panics rather than drop a worker.
-fn registry(v: Value) -> Vec<Value> {
-    match v {
-        Value::List(ids) => ids,
-        other => panic!("worker registry has shape {}", other.shape()),
+        with_mvar(self.workers, Io::pure).map(|workers| workers.0)
     }
 }
 
@@ -479,12 +393,55 @@ fn registry(v: Value) -> Vec<Value> {
 /// connections). If a `KillThread` lands while the `take` still waits,
 /// the worker is already forked and accounted — it merely goes
 /// unregistered, which only makes it invisible to kill storms.
-pub(crate) fn register_worker(workers: MVar<Value>, tid: ThreadId) -> Io<()> {
+pub(crate) fn register_worker(workers: MVar<Workers>, tid: ThreadId) -> Io<()> {
     // `modify_mvar_pure` without a result: the `put` is the last step,
-    // so there is no `map` after it — one step fewer per accept.
-    Io::block(workers.take().and_then(move |v| {
-        let mut ids = registry(v);
-        ids.push(Value::ThreadId(tid));
-        workers.put(Value::List(ids))
+    // so there is no `map` after it — one step fewer per accept. The
+    // registry is pushed to in place, through the cell's raw `Value`:
+    // taken by value it would be unboxed and boxed again, a `free` and
+    // a `malloc` on every accept.
+    let cell: MVar<Value> = workers.cast();
+    Io::block(cell.take().and_then(move |mut registry| {
+        let ids = registry.host_mut::<Workers>();
+        ids.expect("the cell is an MVar<Workers>").0.push(tid);
+        cell.put(registry)
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use conch_runtime::ids::MVarId;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn counters_and_handles_round_trip_as_host_values(
+            c in prop::collection::vec(any::<i64>(), 10..11),
+            ids in prop::collection::vec(any::<u64>(), 3..4),
+        ) {
+            let snap = StatsSnapshot {
+                served: c[0],
+                read_timeouts: c[1],
+                handler_timeouts: c[2],
+                handler_errors: c[3],
+                parse_errors: c[4],
+                active: c[5],
+                accepted: c[6],
+                aborted: c[7],
+                killed: c[8],
+                shed: c[9],
+            };
+            prop_assert_eq!(StatsSnapshot::from_value(snap.into_value()), Some(snap));
+            let server = Server {
+                acceptor: ThreadId::from_index(ids[0]),
+                stats: ServerStats { cell: MVar::from_id(MVarId::from_index(ids[1])) },
+                workers: MVar::from_id(MVarId::from_index(ids[2])),
+            };
+            prop_assert_eq!(Server::from_value(server.into_value()), Some(server));
+            prop_assert_eq!(ServerStats::from_value(server.stats.into_value()), Some(server.stats));
+            // A handle is not the record it points at, nor another handle.
+            prop_assert_eq!(ServerStats::from_value(server.into_value()), None);
+            prop_assert_eq!(StatsSnapshot::from_value(server.stats.into_value()), None);
+        }
+    }
 }

@@ -189,42 +189,7 @@ impl Response {
     }
 }
 
-impl conch_runtime::value::IntoValue for Response {
-    fn into_value(self) -> conch_runtime::value::Value {
-        use conch_runtime::value::Value;
-        // retry_after encodes as -1 for "no header" (it is a duration,
-        // so every real value is non-negative).
-        let retry = self.retry_after.map_or(-1, |s| s as i64);
-        Value::List(vec![
-            Value::Int(i64::from(self.status)),
-            Value::Str(self.body),
-            Value::Int(retry),
-        ])
-    }
-}
-
-impl conch_runtime::value::FromValue for Response {
-    fn from_value(v: conch_runtime::value::Value) -> Option<Self> {
-        use conch_runtime::value::Value;
-        match v {
-            Value::List(xs) if xs.len() == 3 => {
-                let mut it = xs.into_iter();
-                let status = u16::try_from(it.next()?.as_int()?).ok()?;
-                let body = match it.next()? {
-                    Value::Str(s) => s,
-                    _ => return None,
-                };
-                let retry = it.next()?.as_int()?;
-                Some(Response {
-                    status,
-                    body,
-                    retry_after: (retry >= 0).then_some(retry as u64),
-                })
-            }
-            _ => None,
-        }
-    }
-}
+conch_runtime::host_value!(Response);
 
 /// The standard reason phrase for the status codes the server uses.
 pub(crate) fn reason(status: u16) -> &'static str {
@@ -243,6 +208,20 @@ pub(crate) fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conch_runtime::value::{FromValue, IntoValue};
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn response_round_trips_as_a_host_value(
+            status in any::<u16>(),
+            body in prop::collection::vec(prop::char::range(' ', '~'), 0..40),
+            retry_after in prop_oneof![Just(None), any::<u64>().prop_map(Some)],
+        ) {
+            let resp = Response { status, body: body.into_iter().collect(), retry_after };
+            prop_assert_eq!(Response::from_value(resp.clone().into_value()), Some(resp));
+        }
+    }
 
     #[test]
     fn parses_simple_get() {

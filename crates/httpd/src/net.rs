@@ -10,8 +10,8 @@
 
 use conch_combinators::Chan;
 use conch_runtime::exception::Exception;
+use conch_runtime::host_value;
 use conch_runtime::io::Io;
-use conch_runtime::value::{FromValue, IntoValue, Value};
 
 /// The in-band end-of-transmission sentinel a closing client pushes
 /// onto its request channel (ASCII EOT). Never part of an HTTP
@@ -65,7 +65,7 @@ pub(crate) fn request_end(buf: &str, from: usize) -> Result<Option<usize>, Excep
 /// Close is in-band: the final chunk ends with the [`EOT`] sentinel (a
 /// piggybacked FIN), or a lone-EOT chunk is sent. EOT never appears
 /// mid-chunk.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Connection {
     /// Client → server request chunks.
     pub(crate) inbound: Chan<String>,
@@ -215,31 +215,12 @@ impl Connection {
     }
 }
 
-impl FromValue for Connection {
-    fn from_value(v: Value) -> Option<Self> {
-        match v {
-            Value::Pair(i, o) => Some(Connection {
-                inbound: Chan::from_value(*i)?,
-                outbound: Chan::from_value(*o)?,
-            }),
-            _ => None,
-        }
-    }
-}
-
-impl IntoValue for Connection {
-    fn into_value(self) -> Value {
-        Value::Pair(
-            Box::new(self.inbound.into_value()),
-            Box::new(self.outbound.into_value()),
-        )
-    }
-}
+host_value!(Connection, Listener);
 
 /// The accept queue: clients push fresh connections, the server pops
 /// them. Accepting blocks on an `MVar` inside the `Chan`, so it is
 /// interruptible — a graceful shutdown simply `throwTo`s the acceptor.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Listener {
     accept_queue: Chan<Connection>,
 }
@@ -274,20 +255,6 @@ impl Listener {
     /// fault was chosen and how the server's threads interleave.
     pub fn inject(&self, conn: Connection) -> Io<()> {
         self.accept_queue.send(conn)
-    }
-}
-
-impl FromValue for Listener {
-    fn from_value(v: Value) -> Option<Self> {
-        Some(Listener {
-            accept_queue: Chan::from_value(v)?,
-        })
-    }
-}
-
-impl IntoValue for Listener {
-    fn into_value(self) -> Value {
-        self.accept_queue.into_value()
     }
 }
 

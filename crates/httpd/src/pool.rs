@@ -33,12 +33,12 @@ use conch_actors::{
     child_spec, spawn_actor_on, spawn_supervisor, supervisor_child, ChildSpec, Mailbox, Strategy,
     Supervisor, SupervisorSpec,
 };
+use conch_runtime::host_value;
 use conch_runtime::ids::ThreadId;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
-use conch_runtime::value::{FromValue, IntoValue, Value};
 
-use crate::core::{finish, register_worker, Handler, Outcome, Server, ServerStats};
+use crate::core::{finish, register_worker, Handler, Outcome, Server, ServerStats, Workers};
 use crate::http::Response;
 use crate::net::{Connection, Listener};
 use crate::server::{serve_one, ServerConfig};
@@ -78,7 +78,7 @@ impl Default for PoolConfig {
 /// A running pooled server: the plane handle (acceptor, counters,
 /// every worker incarnation ever (re)started), the accept queue and
 /// the supervision tree's root.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PooledServer {
     /// Acceptor, counters and worker registry — shut down, drained and
     /// audited exactly like the fork plane's. The workers outlive the
@@ -109,24 +109,13 @@ impl PooledServer {
     }
 }
 
-impl IntoValue for PooledServer {
-    fn into_value(self) -> Value {
-        (self.plane, self.queue, self.root).into_value()
-    }
-}
-
-impl FromValue for PooledServer {
-    fn from_value(v: Value) -> Option<Self> {
-        <(Server, Mailbox<Connection>, Supervisor)>::from_value(v)
-            .map(|(plane, queue, root)| PooledServer { plane, queue, root })
-    }
-}
+host_value!(PooledServer);
 
 /// Starts the pooled server: spawns the supervision tree (which starts
 /// the workers), then forks the acceptor.
 pub fn start_pooled(listener: Listener, h: Handler, config: PoolConfig) -> Io<PooledServer> {
     ServerStats::new().and_then(move |stats| {
-        Io::new_mvar(Value::List(Vec::new())).and_then(move |workers| {
+        Io::new_mvar(Workers::default()).and_then(move |workers| {
             Mailbox::<Connection>::new(config.queue_capacity).and_then(move |queue| {
                 let mut pool = SupervisorSpec::new(Strategy::OneForOne)
                     .intensity(config.max_restarts, config.window);
@@ -169,7 +158,7 @@ fn pool_worker(
     h: Handler,
     config: ServerConfig,
     stats: ServerStats,
-    workers: MVar<Value>,
+    workers: MVar<Workers>,
 ) -> ChildSpec {
     child_spec(move || {
         let h = Rc::clone(&h);

@@ -21,9 +21,8 @@ use std::rc::Rc;
 use conch_combinators::timeout;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
-use conch_runtime::value::Value;
 
-use crate::core::{finish, register_worker, serve_request, Outcome};
+use crate::core::{finish, register_worker, serve_request, Outcome, Workers};
 pub use crate::core::{handler, Handler, Server, ServerStats, StatsSnapshot};
 use crate::http::Response;
 use crate::net::{connection_closed, request_too_large, Connection, Listener};
@@ -70,7 +69,7 @@ fn accept_loop(
     h: Handler,
     config: ServerConfig,
     stats: ServerStats,
-    workers: MVar<Value>,
+    workers: MVar<Workers>,
 ) -> Io<()> {
     let h2 = Rc::clone(&h);
     Io::block(listener.accept().and_then(move |conn| {

@@ -36,13 +36,14 @@ use std::rc::Rc;
 
 use conch_actors::Mailbox;
 use conch_combinators::{timeout, Chan};
+use conch_runtime::host_value;
 use conch_runtime::ids::ThreadId;
 use conch_runtime::io::{for_each, sequence, Io};
 use conch_runtime::mvar::MVar;
-use conch_runtime::value::{FromValue, IntoValue, Value};
 
 use crate::core::{
     finish, register_worker, serve_request, Handler, Outcome, Server, ServerStats, StatsSnapshot,
+    Workers,
 };
 use crate::http::{Request, Response};
 use crate::net::{request_end, Connection};
@@ -75,7 +76,7 @@ impl Default for ShardConfig {
 /// load driver routes round-robin; a real frontend would hash); the
 /// bounded mailbox is the backpressure: `connect` blocks while the
 /// shard's queue is full.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedListener {
     queues: Vec<Mailbox<Connection>>,
 }
@@ -117,38 +118,14 @@ impl ShardedListener {
     }
 }
 
-impl IntoValue for ShardedListener {
-    fn into_value(self) -> Value {
-        self.queues.into_value()
-    }
-}
-
-impl FromValue for ShardedListener {
-    fn from_value(v: Value) -> Option<Self> {
-        Some(ShardedListener {
-            queues: Vec::<Mailbox<Connection>>::from_value(v)?,
-        })
-    }
-}
-
 /// A running sharded server: one [`Server`] handle per accept shard,
 /// each with its private stats cell and worker registry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedServer {
     pub(crate) shards: Vec<Server>,
 }
 
-impl IntoValue for ShardedServer {
-    fn into_value(self) -> Value {
-        self.shards.into_value()
-    }
-}
-
-impl FromValue for ShardedServer {
-    fn from_value(v: Value) -> Option<Self> {
-        Vec::from_value(v).map(|shards| ShardedServer { shards })
-    }
-}
+host_value!(ShardedListener, ShardedServer);
 
 impl ShardedServer {
     /// [`Server::shutdown_sync`] on every shard, in shard order: once
@@ -211,7 +188,7 @@ fn shard_accept_loop(
     h: Handler,
     cfg: ShardConfig,
     stats: ServerStats,
-    workers: MVar<Value>,
+    workers: MVar<Workers>,
 ) -> Io<()> {
     let h2 = Rc::clone(&h);
     Io::block(q.recv().and_then(move |conn| {

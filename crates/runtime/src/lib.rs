@@ -51,6 +51,10 @@
 //! assert_eq!(rt.run(prog).unwrap(), "interrupted: KillThread");
 //! ```
 
+// `pub` means reachable from another crate: an item used only in here is
+// `pub(crate)`, and `dead_code` then names what nothing uses at all.
+#![warn(unreachable_pub)]
+
 pub mod config;
 pub mod console;
 pub mod decide;
@@ -83,7 +87,7 @@ pub use crate::stats::Stats;
 pub use crate::thread::{MaskState, RaiseOrigin};
 pub use crate::timer::{TimerEntry, TimerWheel};
 pub use crate::trace::{BlockSite, IoEvent};
-pub use crate::value::{FromValue, IntoValue, Value};
+pub use crate::value::{FromValue, HostValue, IntoValue, Value};
 
 /// The most commonly used names, for glob import.
 pub mod prelude {
@@ -91,6 +95,7 @@ pub mod prelude {
     pub use crate::decide::{Decider, StepFootprint, ThreadView};
     pub use crate::error::RunError;
     pub use crate::exception::{Exception, ExceptionKind, ExitReason};
+    pub use crate::host_value;
     pub use crate::ids::ThreadId;
     pub use crate::io::Io;
     pub use crate::mvar::MVar;

@@ -141,12 +141,12 @@ pub(crate) struct MVarCell {
 
 impl MVarCell {
     /// An empty cell.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         MVarCell::default()
     }
 
     /// A full cell holding `v`.
-    pub fn full(v: Value) -> Self {
+    pub(crate) fn full(v: Value) -> Self {
         MVarCell {
             contents: Some(v),
             ..MVarCell::default()
@@ -154,7 +154,7 @@ impl MVarCell {
     }
 
     /// Removes a thread from both wait queues (after interruption).
-    pub fn forget_waiter(&mut self, t: ThreadId) {
+    pub(crate) fn forget_waiter(&mut self, t: ThreadId) {
         self.take_queue.retain(|&x| x != t);
         self.put_queue.retain(|(x, _)| *x != t);
     }

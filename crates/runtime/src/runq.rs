@@ -21,37 +21,37 @@ pub(crate) struct RunQueue {
 }
 
 impl RunQueue {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RunQueue::default()
     }
 
     /// Number of live entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len() - self.dead
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.buf.clear();
         self.dead = 0;
     }
 
-    pub fn push_back(&mut self, tid: ThreadId) {
+    pub(crate) fn push_back(&mut self, tid: ThreadId) {
         self.buf.push_back(Some(tid));
     }
 
     /// Pre-grows the buffer for a batch of `additional` pushes, so a
     /// mass wakeup (one timer-wheel tick's worth of sleepers) pays for
     /// at most one reallocation instead of amortizing per push.
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
     }
 
     /// Pops the first live entry; amortized O(1).
-    pub fn pop_front(&mut self) -> Option<ThreadId> {
+    pub(crate) fn pop_front(&mut self) -> Option<ThreadId> {
         while let Some(entry) = self.buf.pop_front() {
             match entry {
                 Some(tid) => return Some(tid),
@@ -62,13 +62,13 @@ impl RunQueue {
     }
 
     /// Live entries in FIFO order.
-    pub fn iter(&self) -> impl Iterator<Item = ThreadId> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = ThreadId> + '_ {
         self.buf.iter().filter_map(|s| *s)
     }
 
     /// Live entries in FIFO order, paired with raw buffer positions that
     /// stay valid for [`RunQueue::take_at`] until the next mutation.
-    pub fn iter_with_pos(&self) -> impl Iterator<Item = (usize, ThreadId)> + '_ {
+    pub(crate) fn iter_with_pos(&self) -> impl Iterator<Item = (usize, ThreadId)> + '_ {
         self.buf
             .iter()
             .enumerate()
@@ -77,7 +77,7 @@ impl RunQueue {
 
     /// Unlinks the entry at raw position `pos` (as yielded by
     /// [`RunQueue::iter_with_pos`]); O(1) plus amortized compaction.
-    pub fn take_at(&mut self, pos: usize) -> ThreadId {
+    pub(crate) fn take_at(&mut self, pos: usize) -> ThreadId {
         let tid = self.buf[pos].take().expect("live entry at position");
         self.dead += 1;
         self.maybe_compact();
@@ -85,7 +85,7 @@ impl RunQueue {
     }
 
     /// Unlinks the `i`-th live entry in FIFO order.
-    pub fn remove_live(&mut self, i: usize) -> ThreadId {
+    pub(crate) fn remove_live(&mut self, i: usize) -> ThreadId {
         let pos = self.iter_with_pos().nth(i).expect("live index in range").0;
         self.take_at(pos)
     }

@@ -119,7 +119,7 @@ pub(crate) enum StuckReason {
 
 impl StuckReason {
     /// Human-readable description for deadlock reports.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             StuckReason::TakeMVar(m) => format!("blocked in takeMVar on {m}"),
             StuckReason::PutMVar(m) => format!("blocked in putMVar on {m}"),
@@ -133,7 +133,7 @@ impl StuckReason {
 
     /// The kind of resource, as [`IoEvent::BlockedOn`](crate::trace::IoEvent)
     /// reports it.
-    pub fn site(&self) -> BlockSite {
+    pub(crate) fn site(&self) -> BlockSite {
         match self {
             StuckReason::TakeMVar(_) => BlockSite::TakeMVar,
             StuckReason::PutMVar(_) => BlockSite::PutMVar,
@@ -186,7 +186,7 @@ pub(crate) struct Thread {
 impl Thread {
     /// A fresh thread about to run `action`, unblocked and runnable.
     #[cfg(test)]
-    pub fn new(tid: ThreadId, action: Action) -> Self {
+    pub(crate) fn new(tid: ThreadId, action: Action) -> Self {
         Thread::with_buffers(tid, action, Vec::new(), VecDeque::new())
     }
 
@@ -194,7 +194,7 @@ impl Thread {
     /// (emptied, capacity retained) from previously finished threads, so
     /// fork-heavy workloads stop paying one heap allocation per frame
     /// stack per thread.
-    pub fn with_buffers(
+    pub(crate) fn with_buffers(
         tid: ThreadId,
         action: Action,
         stack: Vec<Frame>,
@@ -217,7 +217,7 @@ impl Thread {
     /// effect as [`Thread::with_buffers`] on the thread's own buffers,
     /// without moving the (boxed) thread. The stack and pending queue
     /// must already be empty — retirement clears them, keeping capacity.
-    pub fn reinit(&mut self, tid: ThreadId, action: Action) {
+    pub(crate) fn reinit(&mut self, tid: ThreadId, action: Action) {
         debug_assert!(self.stack.is_empty() && self.pending.is_empty());
         self.tid = tid;
         self.code = Code::Run(action);
@@ -228,7 +228,7 @@ impl Thread {
     }
 
     /// Pushes a frame, maintaining the mask-frame count.
-    pub fn push_frame(&mut self, frame: Frame) {
+    pub(crate) fn push_frame(&mut self, frame: Frame) {
         if matches!(frame, Frame::Restore(_)) {
             self.mask_frames += 1;
         }
@@ -236,7 +236,7 @@ impl Thread {
     }
 
     /// Pops a frame, maintaining the mask-frame count.
-    pub fn pop_frame(&mut self) -> Option<Frame> {
+    pub(crate) fn pop_frame(&mut self) -> Option<Frame> {
         let f = self.stack.pop();
         if matches!(f, Some(Frame::Restore(_))) {
             self.mask_frames -= 1;
@@ -249,7 +249,7 @@ impl Thread {
     ///
     /// Returns `true` if an adjacent frame was collapsed (step 3's removal)
     /// — the quantity the ablation bench counts.
-    pub fn enter_mask(&mut self, to: MaskState, collapse: bool) -> bool {
+    pub(crate) fn enter_mask(&mut self, to: MaskState, collapse: bool) -> bool {
         // Step 1: already in that state => nothing to do.
         if self.mask == to {
             return false;
@@ -269,12 +269,12 @@ impl Thread {
     }
 
     /// Is this thread currently stuck?
-    pub fn is_stuck(&self) -> bool {
+    pub(crate) fn is_stuck(&self) -> bool {
         matches!(self.status, Status::Stuck(_))
     }
 
     /// Takes the first pending exception, if any.
-    pub fn take_pending(&mut self) -> Option<PendingExc> {
+    pub(crate) fn take_pending(&mut self) -> Option<PendingExc> {
         self.pending.pop_front()
     }
 }

@@ -8,8 +8,12 @@
 //!
 //! This mirrors the paper's Figure 1, where constants, characters, integers,
 //! exceptions, `MVar` names and `ThreadId`s are all values of the object
-//! language.
+//! language. Figure 1's values and the result shapes of the §7 combinators
+//! are *structural* variants; every other Rust type — a record, a handle,
+//! the state of a cell — rides as itself in [`Value::Host`], the way the
+//! paper's `MVar a` holds any `a`: opt it in with [`host_value!`](crate::host_value).
 
+use std::any::Any;
 use std::fmt;
 
 use crate::exception::Exception;
@@ -59,6 +63,94 @@ pub enum Value {
     MVar(MVarId),
     /// A first-class exception value.
     Exception(Exception),
+    /// A Rust value carried as itself (see [`HostValue`]). Kept the last
+    /// variant: the interpreter's hot matches are laid out around the
+    /// discriminants above.
+    Host(Box<dyn HostValue>),
+}
+
+// A `Value` crosses OS threads in the parallel plane's messages and shard
+// results, which is why `HostValue` demands `Send`.
+const _: fn() = || {
+    fn sendable<T: Send>() {}
+    sendable::<Value>();
+};
+
+/// What a Rust value needs to ride in [`Value::Host`]: a type to downcast
+/// to, `Debug`, `Send`, and — through the blanket impl, which is the only
+/// impl — the `Clone` and `PartialEq` that `Value` derives. GHC's spelling
+/// is `SomeException`: an existential plus a `Typeable` cast.
+pub trait HostValue: Any + fmt::Debug + Send {
+    #[doc(hidden)]
+    fn clone_host(&self) -> Box<dyn HostValue>;
+    #[doc(hidden)]
+    fn eq_host(&self, other: &dyn HostValue) -> bool;
+    #[doc(hidden)]
+    fn type_name(&self) -> &'static str;
+}
+
+impl<T: Any + Clone + PartialEq + fmt::Debug + Send> HostValue for T {
+    fn clone_host(&self) -> Box<dyn HostValue> {
+        Box::new(self.clone())
+    }
+
+    fn eq_host(&self, other: &dyn HostValue) -> bool {
+        (other as &dyn Any).downcast_ref::<T>() == Some(self)
+    }
+
+    fn type_name(&self) -> &'static str {
+        std::any::type_name::<T>()
+    }
+}
+
+// `(**self)`: the box itself satisfies the blanket impl, so a plain
+// `self.clone_host()` would clone the box by calling this very function.
+impl Clone for Box<dyn HostValue> {
+    fn clone(&self) -> Self {
+        (**self).clone_host()
+    }
+}
+
+impl PartialEq for dyn HostValue {
+    fn eq(&self, other: &Self) -> bool {
+        self.eq_host(other)
+    }
+}
+
+/// Opts types in to riding in a [`Value`] as themselves: `into_value`
+/// boxes, `from_value` downcasts. A generic type names its parameters
+/// first, one type per call: `host_value!(<M> Mailbox<M>)`.
+///
+/// # Examples
+///
+/// ```
+/// use conch_runtime::prelude::*;
+///
+/// #[derive(Debug, Clone, PartialEq)]
+/// struct Account { owner: String, balance: i64 }
+/// conch_runtime::host_value!(Account);
+///
+/// let opened = Account { owner: "ada".into(), balance: 3 };
+/// let prog = Io::new_mvar(opened.clone()).and_then(|cell| cell.take());
+/// assert_eq!(Runtime::new().run(prog).unwrap(), opened);
+/// ```
+#[macro_export]
+macro_rules! host_value {
+    (<$($param:ident),*> $t:ty) => {
+        impl<$($param: 'static),*> $crate::value::IntoValue for $t {
+            fn into_value(self) -> $crate::value::Value {
+                $crate::value::Value::Host(Box::new(self))
+            }
+        }
+        impl<$($param: 'static),*> $crate::value::FromValue for $t {
+            fn from_value(v: $crate::value::Value) -> Option<Self> {
+                v.downcast()
+            }
+        }
+    };
+    ($($t:ty),+ $(,)?) => {
+        $($crate::host_value!(<> $t);)+
+    };
 }
 
 impl Value {
@@ -115,6 +207,24 @@ impl Value {
         matches!(self, Value::Unit)
     }
 
+    /// Moves a host value of type `T` out, or `None` for any other shape
+    /// or host type.
+    pub fn downcast<T: HostValue>(self) -> Option<T> {
+        match self {
+            Value::Host(h) => (h as Box<dyn Any>).downcast().ok().map(|t| *t),
+            _ => None,
+        }
+    }
+
+    /// A host value of type `T`, borrowed for mutation in place — a cell
+    /// whose state only ever grows need not re-box it per transaction.
+    pub fn host_mut<T: HostValue>(&mut self) -> Option<&mut T> {
+        match self {
+            Value::Host(h) => (&mut **h as &mut dyn Any).downcast_mut(),
+            _ => None,
+        }
+    }
+
     /// A short name for the value's shape, used in conversion panic messages.
     pub fn shape(&self) -> &'static str {
         match self {
@@ -132,6 +242,15 @@ impl Value {
             Value::ThreadId(_) => "thread-id",
             Value::MVar(_) => "mvar",
             Value::Exception(_) => "exception",
+            Value::Host(_) => "host",
+        }
+    }
+
+    /// The [`shape`](Self::shape), or a host value's Rust type name.
+    fn type_label(&self) -> &'static str {
+        match self {
+            Value::Host(h) => (**h).type_name(),
+            other => other.shape(),
         }
     }
 }
@@ -162,6 +281,7 @@ impl fmt::Display for Value {
             Value::ThreadId(t) => write!(f, "{t}"),
             Value::MVar(m) => write!(f, "{m}"),
             Value::Exception(e) => write!(f, "{e}"),
+            Value::Host(h) => write!(f, "{h:?}"),
         }
     }
 }
@@ -191,13 +311,13 @@ pub trait FromValue: Sized {
     ///
     /// Panics if the value does not have the shape expected by `Self`.
     fn from_value_or_panic(v: Value) -> Self {
-        let shape = v.shape();
+        let actual = v.type_label();
         Self::from_value(v).unwrap_or_else(|| {
             panic!(
                 "type confusion crossing the typed Io boundary: \
                  expected {}, got a {} value",
                 std::any::type_name::<Self>(),
-                shape
+                actual
             )
         })
     }
@@ -441,6 +561,7 @@ impl<T: FromValue> FromValue for Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn int_round_trip() {
@@ -530,6 +651,78 @@ mod tests {
     #[should_panic(expected = "type confusion")]
     fn from_value_or_panic_panics_on_mismatch() {
         let _ = i64::from_value_or_panic(Value::Char('x'));
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Point {
+        x: i64,
+        label: String,
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Metres(i64);
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Feet(i64);
+
+    host_value!(Point, Metres, Feet);
+
+    fn point(x: i64) -> Point {
+        Point {
+            x,
+            label: "p".to_owned(),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn host_round_trip(
+            x in any::<i64>(),
+            label in prop::collection::vec(prop::char::range('a', 'z'), 0..8),
+        ) {
+            let p = Point { x, label: label.into_iter().collect() };
+            prop_assert_eq!(Point::from_value(p.clone().into_value()), Some(p));
+        }
+    }
+
+    #[test]
+    fn host_values_clone_equal_and_compare_by_type_and_payload() {
+        let v = point(1).into_value();
+        assert_eq!(v.clone(), v);
+        assert_ne!(v, point(2).into_value());
+        assert_ne!(Metres(1).into_value(), Feet(1).into_value());
+        assert_ne!(v, Value::Int(1));
+    }
+
+    #[test]
+    fn host_downcast_to_the_wrong_type_is_none() {
+        assert_eq!(Feet::from_value(Metres(1).into_value()), None);
+        assert_eq!(Point::from_value(Value::Int(1)), None);
+        assert_eq!(i64::from_value(point(1).into_value()), None);
+    }
+
+    #[test]
+    fn host_mut_borrows_the_payload_in_place() {
+        let mut v = point(1).into_value();
+        v.host_mut::<Point>().unwrap().x = 7;
+        assert_eq!(v.host_mut::<Feet>(), None);
+        assert_eq!(Value::Int(1).host_mut::<Point>(), None);
+        assert_eq!(Point::from_value(v), Some(point(7)));
+    }
+
+    #[test]
+    fn host_mismatch_panic_names_both_types() {
+        let caught = std::panic::catch_unwind(|| Feet::from_value_or_panic(Metres(1).into_value()));
+        let payload = caught.expect_err("metres are not feet");
+        let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains("Feet") && msg.contains("Metres"), "{msg}");
+    }
+
+    #[test]
+    fn host_shape_and_display() {
+        let v = point(3).into_value();
+        assert_eq!(v.shape(), "host");
+        assert_eq!(v.to_string(), format!("{:?}", point(3)));
     }
 
     #[test]

@@ -37,10 +37,10 @@ use conch::explore::{
 };
 use conch::prelude::*;
 use conch::runtime::exception::ExitReason;
-use conch::runtime::value::{FromValue, IntoValue, Value};
+use conch::runtime::value::Value;
 
 /// What a chat room understands.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum RoomMsg {
     /// Register a subscriber's inbox for future broadcasts.
     Join(Mailbox<i64>),
@@ -49,59 +49,29 @@ enum RoomMsg {
     Say(i64),
 }
 
-impl IntoValue for RoomMsg {
-    fn into_value(self) -> Value {
-        match self {
-            RoomMsg::Join(inbox) => {
-                Value::Pair(Box::new(Value::Int(0)), Box::new(inbox.into_value()))
-            }
-            RoomMsg::Say(n) => Value::Pair(Box::new(Value::Int(1)), Box::new(Value::Int(n))),
-        }
-    }
-}
+// A message type rides through mailboxes as itself.
+host_value!(RoomMsg);
 
-impl FromValue for RoomMsg {
-    fn from_value(v: Value) -> Option<Self> {
-        match v {
-            Value::Pair(tag, payload) => match tag.as_int()? {
-                0 => Some(RoomMsg::Join(Mailbox::from_value(*payload)?)),
-                1 => Some(RoomMsg::Say(payload.as_int()?)),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-}
-
-fn roster_mailboxes(v: &Value) -> Vec<Mailbox<i64>> {
-    match v {
-        Value::List(xs) => xs
-            .iter()
-            .filter_map(|x| Mailbox::from_value(x.clone()))
-            .collect(),
-        _ => Vec::new(),
-    }
-}
+/// The subscribers, in join order.
+type Roster = MVar<Vec<Mailbox<i64>>>;
 
 /// Appends a subscriber to the shared roster (one masked transaction).
-fn register(roster: MVar<Value>, inbox: Mailbox<i64>) -> Io<()> {
-    Io::block(roster.take().and_then(move |v| match v {
-        Value::List(mut xs) => {
-            xs.push(inbox.into_value());
-            roster.put(Value::List(xs))
-        }
-        other => roster.put(other),
+fn register(roster: Roster, inbox: Mailbox<i64>) -> Io<()> {
+    Io::block(roster.take().and_then(move |mut subs| {
+        subs.push(inbox);
+        roster.put(subs)
     }))
 }
 
 /// Reads the roster, then fans `n` out to every subscriber in join
 /// order (the sends run unmasked — a full subscriber inbox applies
 /// backpressure to the room, not deadlock under the mask).
-fn broadcast(roster: MVar<Value>, n: i64) -> Io<()> {
-    Io::block(roster.take().and_then(move |v| {
-        let subs = roster_mailboxes(&v);
-        roster.put(v).map(move |_| subs)
-    }))
+fn broadcast(roster: Roster, n: i64) -> Io<()> {
+    Io::block(
+        roster
+            .take()
+            .and_then(move |subs| roster.put(subs.clone()).map(move |_| subs)),
+    )
     .and_then(move |subs| {
         let mut io = Io::unit();
         for s in subs {
@@ -113,7 +83,7 @@ fn broadcast(roster: MVar<Value>, n: i64) -> Io<()> {
 
 /// The room body: FIFO over its inbox, state entirely in `roster`, so
 /// a restarted incarnation picks up exactly where the crash left off.
-fn room_loop(mb: Mailbox<RoomMsg>, roster: MVar<Value>) -> Io<()> {
+fn room_loop(mb: Mailbox<RoomMsg>, roster: Roster) -> Io<()> {
     mb.recv().and_then(move |msg: RoomMsg| match msg {
         RoomMsg::Join(inbox) => register(roster, inbox).then(room_loop(mb, roster)),
         RoomMsg::Say(n) if n < 0 => Io::throw(Exception::error_call("poison pill")),
@@ -121,7 +91,7 @@ fn room_loop(mb: Mailbox<RoomMsg>, roster: MVar<Value>) -> Io<()> {
     })
 }
 
-fn room_child(inbox: Mailbox<RoomMsg>, roster: MVar<Value>) -> ChildSpec {
+fn room_child(inbox: Mailbox<RoomMsg>, roster: Roster) -> ChildSpec {
     child_spec(move || {
         spawn_actor_on(inbox, move |mb: Mailbox<RoomMsg>| room_loop(mb, roster)).map(|a| a.erase())
     })
@@ -152,7 +122,7 @@ fn current_room(sup: conch::actors::Supervisor) -> Io<ActorRef<Value>> {
 /// broadcast 2 exactly once (the roster and queue survive the
 /// restart), and the monitor fires exactly once (`extra == 0`).
 fn chat_scenario() -> Io<Vec<i64>> {
-    Io::new_mvar(Value::List(Vec::new())).and_then(|roster| {
+    Io::new_mvar(Vec::new()).and_then(|roster: Roster| {
         Mailbox::<RoomMsg>::new(8).and_then(move |lobby| {
             let spec = SupervisorSpec::new(Strategy::OneForOne)
                 .intensity(3, 1_000_000)

@@ -19,7 +19,6 @@ use conch_httpd::parallel::{wall_parallel_load, WallConfig};
 use conch_httpd::server::{handler, Handler};
 use conch_runtime::parallel::{MultiConfig, MultiRuntime, ShardCtx, ShardProgram};
 use conch_runtime::prelude::*;
-use conch_runtime::value::Value;
 
 fn config(os_threads: usize, epoch_us: u64) -> MultiConfig {
     MultiConfig {
@@ -103,6 +102,56 @@ fn ring_reports_are_identical_at_any_os_thread_count() {
                 "shard {i} console, os_threads={os_threads}"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// A host value crosses shards — and OS threads — as itself
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone, PartialEq)]
+struct Parcel {
+    hops: i64,
+    route: String,
+}
+
+host_value!(Parcel);
+
+/// Shard 0 posts a parcel to shard 1, which stamps it and posts it back.
+fn parcel_programs() -> Vec<ShardProgram> {
+    let there: ShardProgram = Box::new(|ctx: &ShardCtx| {
+        let parcel = Parcel {
+            hops: 0,
+            route: "0".to_owned(),
+        };
+        ctx.send(1, parcel.into_value()).then(ctx.recv())
+    });
+    let back: ShardProgram = Box::new(|ctx: &ShardCtx| {
+        let ctx = ctx.clone();
+        ctx.recv().and_then(move |v| {
+            let mut parcel = Parcel::from_value_or_panic(v);
+            parcel.hops += 1;
+            parcel.route.push_str(" -> 1 -> 0");
+            ctx.send(0, parcel.into_value()).map(|()| Value::Unit)
+        })
+    });
+    vec![there, back]
+}
+
+#[test]
+fn a_host_value_crosses_shards_identically_at_one_and_two_os_threads() {
+    let base = MultiRuntime::new(config(1, 100)).run(parcel_programs());
+    let stamped = Parcel {
+        hops: 1,
+        route: "0 -> 1 -> 0".to_owned(),
+    };
+    assert_eq!(base.shards[0].result, Ok(stamped.into_value()));
+    assert_eq!(base.messages, 2);
+    let par = MultiRuntime::new(config(2, 100)).run(parcel_programs());
+    assert_eq!(par.drain_log, base.drain_log);
+    for (p, b) in par.shards.iter().zip(&base.shards) {
+        assert_eq!(p.result, b.result);
+        assert_eq!(p.stats, b.stats);
     }
 }
 
