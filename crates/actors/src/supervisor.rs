@@ -186,19 +186,22 @@ fn start_range(
     }
 }
 
-/// Synchronously kills the recorded incarnations at `indices` (dead
-/// targets are no-ops) and drops them from the cell.
-fn kill_indices(cell: MVar<Children>, indices: Vec<usize>) -> Io<()> {
+/// Synchronously kills the recorded incarnations whose index `doomed`
+/// picks (dead targets are no-ops) — read, kill, remove, in that order.
+/// A child leaves the cell only once its kill has returned, so when an
+/// exception interrupts a `kill_sync` the children not yet reached are
+/// still recorded, for the exit guard's sweep and its retry to find.
+fn kill_children(cell: MVar<Children>, doomed: impl Fn(usize) -> bool + 'static) -> Io<()> {
     children_txn(cell, move |kids| {
-        let doomed = kids
-            .iter()
-            .filter(|(i, _)| indices.contains(i))
-            .map(|(_, c)| *c)
-            .collect();
-        kids.retain(|(i, _)| !indices.contains(i));
-        doomed
+        let picked = kids.iter().filter(|(i, _)| doomed(*i));
+        picked.map(|(_, c)| *c).collect()
     })
-    .and_then(kill_refs)
+    .and_then(move |killed: Vec<ActorRef<Value>>| {
+        let sweep = kill_refs(killed.clone());
+        sweep.then(children_txn(cell, move |kids| {
+            kids.retain(|(_, c)| !killed.contains(c))
+        }))
+    })
 }
 
 fn kill_refs(mut doomed: Vec<ActorRef<Value>>) -> Io<()> {
@@ -209,14 +212,13 @@ fn kill_refs(mut doomed: Vec<ActorRef<Value>>) -> Io<()> {
 }
 
 /// Kills every live child, retrying if an asynchronous exception (a
-/// storm striking the dying supervisor) interrupts the sweep. Each
-/// kill is idempotent — `throwTo` at a dead thread is a no-op — so
-/// retrying from the top cannot over-kill, and any finite storm lets
-/// the sweep complete. This is the no-orphan guarantee.
+/// storm striking the dying supervisor) interrupts the sweep. The retry
+/// reads the cell again, which still names every child whose kill has
+/// not returned; a kill is idempotent — `throwTo` at a dead thread is a
+/// no-op — so killing the others again is harmless, and any finite
+/// storm lets the sweep complete. This is the no-orphan guarantee.
 fn kill_all_children(cell: MVar<Children>) -> Io<()> {
-    children_txn(cell, |kids| kids.drain(..).map(|(_, c)| c).collect())
-        .and_then(kill_refs)
-        .catch(move |_| kill_all_children(cell))
+    kill_children(cell, |_| true).catch(move |_| kill_all_children(cell))
 }
 
 /// Slides the intensity window and decides: `None` = give up,
@@ -273,7 +275,8 @@ fn sup_loop(
                         Strategy::RestForOne => (idx..n).collect(),
                     };
                     let spec2 = Rc::clone(&spec);
-                    kill_indices(cell, to_restart.clone())
+                    let doomed = to_restart.clone();
+                    kill_children(cell, move |i| doomed.contains(&i))
                         .then(start_range(spec2, to_restart, inbox, cell))
                         .then(sup_loop(inbox, spec, cell, times))
                 }
@@ -510,6 +513,55 @@ mod tests {
             Some(r) => Io::pure(r),
             None => Io::sleep(20).then(wait_ref_dead(a)),
         })
+    }
+
+    /// ROADMAP's reproduction of the orphaned-children bug: the exit
+    /// guard's sweep is stuck in a `kill_sync` — its target is masked
+    /// and computing — when a second kill strikes the supervisor. The
+    /// retry must still find, and kill, every child.
+    #[test]
+    fn a_second_kill_mid_sweep_orphans_no_child() {
+        fn busy_child() -> ChildSpec {
+            child_spec(|| {
+                spawn_actor(1, |mb: Mailbox<i64>| {
+                    Io::compute(400).then(mb.recv().map(|_| ()))
+                })
+                .map(|a| a.erase())
+            })
+        }
+        /// 1 once `a` has recorded an exit, 0 if it never does.
+        fn exited(a: ActorRef<Value>, polls: u32) -> Io<i64> {
+            a.exit_reason().and_then(move |r| match r {
+                Some(_) => Io::pure(1),
+                None if polls == 0 => Io::pure(0),
+                None => Io::sleep(20).then(exited(a, polls - 1)),
+            })
+        }
+        for quantum in 1..=5 {
+            let spec = SupervisorSpec::new(Strategy::OneForOne)
+                .child(busy_child())
+                .child(busy_child());
+            let prog = spawn_supervisor(spec).and_then(|sup| {
+                wait_children(sup, 2)
+                    .then(sup.child_refs())
+                    .and_then(move |kids| {
+                        sup.shutdown_sync()
+                            .then(Io::yield_now())
+                            .then(Io::yield_now())
+                            .then(Io::yield_now())
+                            .then(Io::throw_to(sup.actor.tid(), Exception::kill_thread()))
+                            .then(exited(kids[0], 100))
+                            .and_then(move |a| exited(kids[1], 100).map(move |b| vec![a, b]))
+                    })
+            });
+            let cfg = conch_runtime::RuntimeConfig::new().quantum(quantum);
+            let reaped = Runtime::with_config(cfg).run(prog).unwrap();
+            assert_eq!(
+                reaped,
+                vec![1, 1],
+                "quantum {quantum}: a child was orphaned"
+            );
+        }
     }
 
     #[test]

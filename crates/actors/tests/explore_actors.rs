@@ -25,9 +25,10 @@
 //! determinism contract extended to the actor layer.
 
 use conch_actors::{
-    child_spec, link, monitor, spawn_actor, spawn_actor_on, spawn_supervisor, ChildSpec, Down,
-    Mailbox, Signal, Strategy, SupervisorSpec,
+    child_spec, link, monitor, spawn_actor, spawn_actor_on, spawn_supervisor, supervisor_child,
+    ActorRef, ChildSpec, Down, Mailbox, Signal, Strategy, Supervisor, SupervisorSpec,
 };
+use conch_combinators::Chan;
 use conch_explore::{
     CheckResult, ExploreConfig, Explorer, Reduction, Report, RunOutcome, TestCase,
 };
@@ -40,6 +41,10 @@ type Space = fn() -> Io<Vec<i64>>;
 type Check = fn(&RunOutcome<Vec<i64>>) -> Result<(), String>;
 
 fn explore(space: Space, check: Check, workers: usize) -> CheckResult {
+    explore_with(Reduction::Dpor, space, check, workers)
+}
+
+fn explore_with(reduction: Reduction, space: Space, check: Check, workers: usize) -> CheckResult {
     // Same bounds as the httpd fault spaces: preemption bound 2 keeps
     // the schedule dimension tractable while exception-delivery points
     // still branch fully, so kill placement is exhaustive.
@@ -48,7 +53,7 @@ fn explore(space: Space, check: Check, workers: usize) -> CheckResult {
         max_depth: 512,
         step_budget: 100_000,
         preemption_bound: Some(2),
-        strategy: conch_explore::Strategy::Exhaustive(Reduction::Dpor),
+        strategy: conch_explore::Strategy::Exhaustive(reduction),
         ..ExploreConfig::default()
     };
     let explorer = Explorer::with_config(cfg);
@@ -370,6 +375,74 @@ fn supervised_restart_preserves_state_and_shutdown_reaps() {
         report.stats.kill_thread_deaths > 0,
         "the shutdown path must actually kill: {report:?}"
     );
+}
+
+// -- a second kill mid-sweep orphans no child ------------------------------
+
+/// A child that starts masked and *running*, so a `kill_sync` aimed at
+/// it has to wait for its `recv`; it announces itself on `born`.
+fn busy_child(born: Chan<ActorRef<Value>>) -> ChildSpec {
+    child_spec(move || {
+        spawn_actor(1, |mb: Mailbox<i64>| {
+            Io::compute(2).then(mb.recv().map(|_| ()))
+        })
+        .and_then(move |a| born.send(a.erase()).map(move |_| a.erase()))
+    })
+}
+
+/// Polls until the supervisor has recorded its only child.
+fn only_child(sup: Supervisor) -> Io<ActorRef<Value>> {
+    sup.child_refs().and_then(move |kids| match kids.first() {
+        Some(kid) => Io::pure(*kid),
+        None => Io::sleep(25).then(only_child(sup)),
+    })
+}
+
+/// A supervisor of two busy children is killed, and killed again while
+/// its exit guard sweeps them (the root above it never restarts, so
+/// nothing else can reap them). Returns the two children's exit codes.
+fn double_kill_space() -> Io<Vec<i64>> {
+    Chan::new().and_then(|born| {
+        let mid = SupervisorSpec::new(Strategy::OneForOne)
+            .child(busy_child(born))
+            .child(busy_child(born));
+        let root = SupervisorSpec::new(Strategy::OneForOne)
+            .intensity(0, 1_000_000)
+            .child(supervisor_child(mid));
+        spawn_supervisor(root).and_then(move |root| {
+            born.recv().and_then(move |first| {
+                born.recv().and_then(move |second| {
+                    only_child(root).and_then(move |mid| {
+                        mid.kill_sync()
+                            .then(Io::throw_to(mid.tid(), Exception::kill_thread()))
+                            .then(wait_dead_code(first))
+                            .and_then(move |a| wait_dead_code(second).map(move |b| vec![a, b]))
+                    })
+                })
+            })
+        })
+    })
+}
+
+fn both_reaped(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
+    match &out.result {
+        Ok(v) if v == &vec![1, 1] => Ok(()),
+        Ok(v) => Err(format!("expected two Killed (1) children, got {v:?}")),
+        Err(e) => Err(format!("a child was orphaned: {e:?}")),
+    }
+}
+
+#[test]
+fn a_second_kill_mid_sweep_orphans_no_child_on_any_schedule() {
+    // Sleep sets: bounded DPOR collapses this space to one schedule
+    // (ROADMAP, "bounded DPOR under-explores").
+    let result = explore_with(Reduction::SleepSets, double_kill_space, both_reaped, 1);
+    let report = result.expect_pass();
+    assert!(
+        report.complete,
+        "exploration must be exhaustive: {report:?}"
+    );
+    assert!(report.explored > 1_000, "{report:?}");
 }
 
 // -- determinism: worker counts must not change coverage -------------------
