@@ -87,7 +87,7 @@ pub use crate::stats::Stats;
 pub use crate::thread::{MaskState, RaiseOrigin};
 pub use crate::timer::{TimerEntry, TimerWheel};
 pub use crate::trace::{BlockSite, IoEvent};
-pub use crate::value::{FromValue, HostValue, IntoValue, Value};
+pub use crate::value::{FromValue, IntoValue, Value};
 
 /// The most commonly used names, for glob import.
 pub mod prelude {

@@ -119,7 +119,9 @@ impl PartialEq for dyn HostValue {
 
 /// Opts types in to riding in a [`Value`] as themselves: `into_value`
 /// boxes, `from_value` downcasts. A generic type names its parameters
-/// first, one type per call: `host_value!(<M> Mailbox<M>)`.
+/// first, one type per call — `host_value!(<M> Mailbox<M>)` — and they
+/// are bounded `'static` only, which is all a handle that holds them as
+/// phantoms needs.
 ///
 /// # Examples
 ///
