@@ -31,8 +31,10 @@ use crate::worker::{Run, Worker};
 /// first, donate when peers starve, stop on global caps or search end.
 /// The engine supplies the two decisions that differ:
 ///
-/// * `skip(item, stack)` — may the subtree under the script the stack
-///   denotes be passed over without executing anything?
+/// * `known(item, stack)` — is what lies under the script the stack
+///   denotes known without executing it? If so the engine has pushed
+///   whatever of it is still to be walked, leaving the stack on a
+///   schedule that needs no run.
 /// * `visit(worker, run, scripted, stack)` — a finished run: account
 ///   what it contributes and push its branch points past the first
 ///   `scripted` as new nodes. `false` abandons the rest of the item.
@@ -40,7 +42,7 @@ pub(crate) fn walk<T: FromValue>(
     w: &mut Worker<'_>,
     factory: &mut dyn FnMut() -> TestCase<T>,
     use_sleep: bool,
-    mut skip: impl FnMut(&WorkItem, &[Node]) -> bool,
+    mut known: impl FnMut(&WorkItem, &mut Vec<Node>) -> bool,
     mut visit: impl FnMut(&mut Worker<'_>, Run<T>, usize, &mut Vec<Node>) -> bool,
 ) {
     let frontier = w.frontier;
@@ -49,16 +51,12 @@ pub(crate) fn walk<T: FromValue>(
         stack.clear();
         stack.extend(item.node.clone());
         while !frontier.is_stopped() {
-            if skip(&item, &stack) {
-                if backtrack(&mut stack) {
-                    continue;
+            if !known(&item, &mut stack) {
+                load_script(w.state(), &item, &stack, use_sleep);
+                let run = w.run(factory);
+                if !visit(w, run, item.prefix.len() + stack.len(), &mut stack) {
+                    break;
                 }
-                break;
-            }
-            load_script(w.state(), &item, &stack, use_sleep);
-            let run = w.run(factory);
-            if !visit(w, run, item.prefix.len() + stack.len(), &mut stack) {
-                break;
             }
             if frontier.starving() > 0 {
                 donate(frontier, &item, &mut stack);

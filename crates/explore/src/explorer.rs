@@ -207,7 +207,10 @@ impl Default for ExploreConfig {
 /// counters, not the stopwatch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Timing {
-    /// Seconds spent executing schedules, summed across workers.
+    /// Seconds spent executing schedules, summed across workers: the
+    /// [`Report::explored`] runs and nothing else (shrink replays are
+    /// not timed; a DPOR round reads a registered path back from its
+    /// trie without running it).
     pub replay_seconds: f64,
     /// Seconds spent in vector-clock race analysis, summed across
     /// workers.
@@ -225,7 +228,10 @@ impl Eq for Timing {}
 /// What an exploration covered.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Report {
-    /// Schedules actually executed.
+    /// Schedules executed, under every strategy and reduction: each
+    /// counted run was built by the factory and run once, and no run
+    /// was executed that is not counted here (or, for a shrink
+    /// candidate, in `shrink_runs`).
     pub explored: usize,
     /// Alternatives skipped by the sleep-set rule (each would have
     /// re-reached an already-explored state).

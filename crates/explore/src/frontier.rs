@@ -55,6 +55,10 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug, Clone)]
 pub(crate) struct Node {
     pub(crate) point: Point,
+    /// Under DPOR, the run-trie node this branch point sits at — the
+    /// stack's cursor into [`crate::dpor::Trie`], which travels with a
+    /// donated node. Unused (0) by the sleep-set engine.
+    pub(crate) at: u32,
     /// The explicit child order (thread ids) and the position of the
     /// current child in it; `None` explores all of `alts`.
     restrict: Option<(Vec<u64>, usize)>,
@@ -67,20 +71,29 @@ impl Node {
     pub(crate) fn from_point(point: Point) -> Self {
         Node {
             point,
+            at: 0,
             restrict: None,
             sealed: false,
         }
     }
 
-    /// A scheduling node restricted to `order` (the executed default
-    /// choice first, then the backtrack entries in canonical order).
-    pub(crate) fn restricted(point: Point, order: Vec<u64>) -> Self {
-        debug_assert_eq!(point.chosen, Choice::Thread(order[0]));
-        Node {
-            point,
-            restrict: Some((order, 0)),
-            sealed: false,
+    /// A node of a DPOR round, at trie node `at`. A scheduling point is
+    /// restricted to its default choice (the one `point` took) followed
+    /// by the node's backtrack set as of this round in canonical order
+    /// — `backtrack` yields it latest entry first. Delivery and oracle
+    /// points take no restriction: they branch all their alternatives
+    /// in every round (a delivery is dependent on every step of its
+    /// target, and an oracle's arms are first-class behaviours).
+    pub(crate) fn in_round(point: Point, at: u32, backtrack: impl Iterator<Item = u64>) -> Self {
+        let mut node = Node::from_point(point);
+        node.at = at;
+        if let Choice::Thread(default) = node.point.chosen {
+            let mut order: Vec<u64> = backtrack.filter(|&t| t != default).collect();
+            order.push(default);
+            order.reverse();
+            node.restrict = Some((order, 0));
         }
+        node
     }
 
     /// Visit the alternatives already explored at this node (to be

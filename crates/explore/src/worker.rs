@@ -43,13 +43,14 @@ impl Runner {
             .clone()
             .external_scheduling()
             .max_steps(config.step_budget);
-        Runner {
-            rt: Runtime::with_config(runtime),
-            state: Rc::new(RefCell::new(DriverState::new(
-                config.preemption_bound,
-                config.max_depth,
-            ))),
-        }
+        let state = Rc::new(RefCell::new(DriverState::new(
+            config.preemption_bound,
+            config.max_depth,
+        )));
+        // Installed once: `Runtime::reset` keeps the decider.
+        let mut rt = Runtime::with_config(runtime);
+        rt.set_decider(Box::new(ScriptedDecider(Rc::clone(&state))));
+        Runner { rt, state }
     }
 
     /// Make `schedule` the loaded script, with no sleep entries: choices
@@ -65,10 +66,7 @@ impl Runner {
     /// runtime reset to pristine, and the case's property applied to it.
     pub(crate) fn run<T: FromValue>(&mut self, case: TestCase<T>) -> Run<T> {
         self.rt.reset();
-        self.rt
-            .set_decider(Box::new(ScriptedDecider(Rc::clone(&self.state))));
         let result = self.rt.run(case.program);
-        self.rt.clear_decider();
         let choices: Vec<_> = self
             .state
             .borrow()

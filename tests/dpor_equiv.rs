@@ -29,6 +29,7 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use conch_actors::{link, monitor, spawn_actor, ActorRef, Down, Mailbox};
 use conch_combinators::{both, bracket, race, timeout, Chan, Either, Sem};
@@ -49,6 +50,26 @@ struct ModeResult {
     failure: Option<(String, String, String)>,
 }
 
+/// The corpus's bounds. Depth and step budgets are raised above the
+/// defaults for the actor-layer programs, whose polling mailboxes run
+/// longer threads; programs that fit the defaults explore identically
+/// (the limits only matter when hit, and every passing corpus run is
+/// `complete`).
+fn corpus_config(
+    reduction: Reduction,
+    max_schedules: usize,
+    preemption_bound: Option<usize>,
+) -> ExploreConfig {
+    ExploreConfig {
+        max_schedules,
+        max_depth: 512,
+        step_budget: 100_000,
+        preemption_bound,
+        strategy: Strategy::Exhaustive(reduction),
+        ..ExploreConfig::default()
+    }
+}
+
 fn run_mode<T: FromValue + Debug + 'static>(
     reduction: Reduction,
     max_schedules: usize,
@@ -57,18 +78,7 @@ fn run_mode<T: FromValue + Debug + 'static>(
     fail_if: fn(&RunOutcome<T>) -> Option<String>,
 ) -> ModeResult {
     let outcomes: Rc<RefCell<BTreeSet<String>>> = Rc::new(RefCell::new(BTreeSet::new()));
-    // Depth and step budgets are raised above the defaults for the
-    // actor-layer programs, whose polling mailboxes run longer threads;
-    // programs that fit the defaults explore identically (the limits
-    // only matter when hit, and every passing corpus run is `complete`).
-    let cfg = ExploreConfig {
-        max_schedules,
-        max_depth: 512,
-        step_budget: 100_000,
-        preemption_bound,
-        strategy: Strategy::Exhaustive(reduction),
-        ..ExploreConfig::default()
-    };
+    let cfg = corpus_config(reduction, max_schedules, preemption_bound);
     let result = Explorer::with_config(cfg).check(|| {
         let outcomes = Rc::clone(&outcomes);
         TestCase::new(program(), move |out: &RunOutcome<T>| {
@@ -110,14 +120,7 @@ fn dpor_counters<T: FromValue + Debug + 'static>(
     program: fn() -> Io<T>,
     fail_if: fn(&RunOutcome<T>) -> Option<String>,
 ) -> (usize, usize, u64, u64) {
-    let cfg = ExploreConfig {
-        max_schedules,
-        max_depth: 512,
-        step_budget: 100_000,
-        preemption_bound,
-        strategy: Strategy::Exhaustive(Reduction::Dpor),
-        ..ExploreConfig::default()
-    };
+    let cfg = corpus_config(Reduction::Dpor, max_schedules, preemption_bound);
     let explorer = Explorer::with_config(cfg);
     let factory = move || {
         TestCase::new(program(), move |out: &RunOutcome<T>| match fail_if(out) {
@@ -225,6 +228,72 @@ fn assert_equiv_bounded<T: FromValue + Debug + 'static>(
 
 fn no_failure<T>(_: &RunOutcome<T>) -> Option<String> {
     None
+}
+
+// ------------------------------------------------- executed == explored
+//
+// A search pays for a schedule by building its program, so the factory
+// is the one place a run can be counted from outside: an engine that
+// executed a schedule it then threw away (as the DPOR rounds once did
+// with every registered path on a dirty spine, 2.48x over this corpus)
+// calls the factory more often than it reports.
+
+/// Explore `program` under both exhaustive reductions at workers 1 and
+/// 4 and assert the factory was called exactly once per reported run —
+/// explored schedules plus shrink replays. The property is the bracket
+/// corpus's leak check, so some programs pass, some fail on a few
+/// schedules and some on all: the equality is owed either way.
+fn assert_one_run_per_schedule<T: FromValue + Debug + 'static>(
+    name: &str,
+    bound: Option<usize>,
+    program: fn() -> Io<T>,
+) {
+    for reduction in [Reduction::SleepSets, Reduction::Dpor] {
+        for workers in [1, 4] {
+            let calls = AtomicUsize::new(0);
+            let cfg = corpus_config(reduction, 500_000, bound);
+            let result = Explorer::with_config(cfg).check_parallel(workers, || {
+                calls.fetch_add(1, Ordering::Relaxed);
+                TestCase::new(program(), |out: &RunOutcome<T>| {
+                    let a = out.output.matches('a').count();
+                    let r = out.output.matches('r').count();
+                    (a == r).then_some(()).ok_or_else(|| "leak".to_owned())
+                })
+            });
+            let report = result.report();
+            assert_eq!(
+                calls.into_inner(),
+                report.explored + report.shrink_runs,
+                "{name}: {reduction:?} at workers={workers} executed a run it did not report \
+                 ({report}, {} shrink runs)",
+                report.shrink_runs
+            );
+        }
+    }
+}
+
+#[test]
+fn the_factory_runs_once_per_reported_run() {
+    assert_one_run_per_schedule("output_race", None, output_race);
+    assert_one_run_per_schedule("three_way_race", None, three_way_race);
+    assert_one_run_per_schedule("independent_pairs", None, independent_pairs);
+    assert_one_run_per_schedule("block_take", None, block_take);
+    assert_one_run_per_schedule("good_bracket", None, good_bracket_under_kill);
+    assert_one_run_per_schedule("broken_bracket", None, broken_bracket_under_kill);
+    assert_one_run_per_schedule("both", None, both_pair);
+    assert_one_run_per_schedule("either", None, either_race);
+    assert_one_run_per_schedule("masked_delivery", None, masked_delivery);
+    assert_one_run_per_schedule("kill_blocked_worker", None, kill_blocked_worker);
+    assert_one_run_per_schedule("timeout_zero", None, timeout_zero);
+    let bounded = Some(2);
+    assert_one_run_per_schedule("outer_tight", bounded, nested_timeout_outer_tight);
+    assert_one_run_per_schedule("inner_wins", bounded, nested_timeout_inner_wins);
+    assert_one_run_per_schedule("actor_mailbox_race", bounded, actor_mailbox_race);
+    assert_one_run_per_schedule("actor_monitor_race", bounded, actor_monitor_race);
+    assert_one_run_per_schedule("actor_link_cascade", bounded, actor_link_cascade);
+    assert_one_run_per_schedule("chan_ends_under_kill", bounded, chan_ends_under_kill);
+    assert_one_run_per_schedule("chan_send_visible", None, chan_send_is_visible_on_return);
+    assert_one_run_per_schedule("sem_under_kill", bounded, sem_under_kill);
 }
 
 // ------------------------------------------- sampling detection harness
