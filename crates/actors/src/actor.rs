@@ -27,7 +27,7 @@
 //! receives with [`Mailbox::recv_trapping`], which converts an
 //! `ExitSignal` landing at the wait into a [`Signal::Exit`] message.
 
-use conch_combinators::modify_mvar_pure;
+use conch_combinators::{modify_mvar_pure, retry_interrupted};
 use conch_runtime::exception::{Exception, ExitReason};
 use conch_runtime::host_value;
 use conch_runtime::ids::ThreadId;
@@ -151,11 +151,11 @@ enum Entry {
 /// exactly once" comes from even when registration races death.
 fn add_entry(ctl: MVar<Ctl>, entry: Entry) -> Io<Option<ExitReason>> {
     modify_mvar_pure(ctl, move |state| match state {
-        Ctl::Alive(mut entries) => {
+        Ctl::Alive(entries) => {
             entries.push(entry);
-            (Ctl::Alive(entries), None)
+            None
         }
-        Ctl::Dead(reason) => (Ctl::Dead(reason.clone()), Some(reason)),
+        Ctl::Dead(reason) => Some(reason.clone()),
     })
 }
 
@@ -165,32 +165,32 @@ fn add_entry(ctl: MVar<Ctl>, entry: Entry) -> Io<Option<ExitReason>> {
 /// every notification.
 fn claim_entries(ctl: MVar<Ctl>, reason: ExitReason) -> Io<Ctl> {
     modify_mvar_pure(ctl, move |state| match state {
-        Ctl::Alive(_) => (Ctl::Dead(reason), state),
-        Ctl::Dead(_) => (state.clone(), state),
+        Ctl::Alive(_) => std::mem::replace(state, Ctl::Dead(reason)),
+        Ctl::Dead(_) => state.clone(),
     })
 }
 
-/// Delivers one death notice, retrying on interruption. The commit
-/// inside (a `throwTo`, or a mailbox-send transaction) happens at most
-/// once per call chain: an exception can only abort *before* the
-/// commit, so the retry never double-delivers. A dying actor absorbs
-/// further kills here — killing the already-dying is a no-op, as in
-/// Erlang.
+/// Delivers one death notice, retrying on interruption
+/// ([`retry_interrupted`]): the commit inside (a `throwTo`, or a
+/// mailbox-send transaction) can only be aborted *before* it happens,
+/// so the retry never double-delivers. A dying actor absorbs further
+/// kills here — killing the already-dying is a no-op, as in Erlang.
 fn deliver_one(entry: Entry, me: u64, reason: ExitReason) -> Io<()> {
-    let retry = reason.clone();
-    let attempt = match entry {
-        Entry::Link(peer) if reason.is_abnormal() => {
-            Io::throw_to(peer, Exception::exit_signal(me, reason))
+    retry_interrupted(move || {
+        let reason = reason.clone();
+        match entry {
+            Entry::Link(peer) if reason.is_abnormal() => {
+                Io::throw_to(peer, Exception::exit_signal(me, reason))
+            }
+            // Erlang: 'normal' exit signals do not disturb links.
+            Entry::Link(_) => Io::unit(),
+            Entry::Monitor { mref, watcher } => watcher.send(Down {
+                mref,
+                from: me,
+                reason,
+            }),
         }
-        // Erlang: 'normal' exit signals do not disturb links.
-        Entry::Link(_) => Io::unit(),
-        Entry::Monitor { mref, watcher } => watcher.send(Down {
-            mref,
-            from: me,
-            reason,
-        }),
-    };
-    attempt.catch(move |_| deliver_one(entry, me, retry))
+    })
 }
 
 fn deliver_all(mut entries: Vec<Entry>, me: u64, reason: ExitReason) -> Io<()> {
@@ -332,12 +332,9 @@ impl<M: FromValue + IntoValue + 'static> ActorRef<M> {
     /// "Dead" here means the shell has *committed* its exit — the
     /// strongest fact the no-orphan audits poll for.
     pub fn exit_reason(&self) -> Io<Option<ExitReason>> {
-        modify_mvar_pure(self.ctl, |state| {
-            let reason = match &state {
-                Ctl::Alive(_) => None,
-                Ctl::Dead(reason) => Some(reason.clone()),
-            };
-            (state, reason)
+        modify_mvar_pure(self.ctl, |state| match state {
+            Ctl::Alive(_) => None,
+            Ctl::Dead(reason) => Some(reason.clone()),
         })
     }
 

@@ -123,28 +123,15 @@ impl MailboxState {
     }
 }
 
-/// One [`modify_mvar_pure`] transaction over the mailbox state. Whole
-/// or not at all, so a kill leaves the mailbox either untouched or
-/// committed.
-fn txn<R>(state: MVar<MailboxState>, f: impl FnOnce(&mut MailboxState) -> R + 'static) -> Io<R>
-where
-    R: FromValue + IntoValue + 'static,
-{
-    modify_mvar_pure(state, move |mut st| {
-        let r = f(&mut st);
-        (st, r)
-    })
-}
-
 fn send_loop(state: MVar<MailboxState>, v: Value) -> Io<()> {
-    txn(state, move |st| st.offer(v)).and_then(move |rejected| match rejected {
+    modify_mvar_pure(state, move |st| st.offer(v)).and_then(move |rejected| match rejected {
         None => Io::unit(),
         Some(v) => Io::sleep(POLL_INTERVAL).then(send_loop(state, v)),
     })
 }
 
 fn recv_loop(state: MVar<MailboxState>) -> Io<Value> {
-    txn(state, |st| st.queue.pop_front()).and_then(move |got| match got {
+    modify_mvar_pure(state, |st| st.queue.pop_front()).and_then(move |got| match got {
         Some(v) => Io::pure(v),
         None => Io::sleep(POLL_INTERVAL).then(recv_loop(state)),
     })
@@ -176,7 +163,7 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     /// the message was accepted — `false` is the signal to shed load.
     pub fn try_send(&self, m: M) -> Io<bool> {
         let v = m.into_value();
-        txn(self.state, move |st| st.offer(v).is_none())
+        modify_mvar_pure(self.state, move |st| st.offer(v).is_none())
     }
 
     /// Dequeues the oldest message, waiting while the mailbox is
@@ -204,7 +191,7 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     #[doc(hidden)]
     pub fn recv_racy(&self) -> Io<M> {
         fn racy_loop(state: MVar<MailboxState>) -> Io<Value> {
-            txn(state, |st| st.queue.pop_front()).and_then(move |got| match got {
+            modify_mvar_pure(state, |st| st.queue.pop_front()).and_then(move |got| match got {
                 Some(v) => Io::yield_now().map(move |_| v),
                 None => Io::sleep(POLL_INTERVAL).then(racy_loop(state)),
             })
@@ -214,7 +201,7 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
 
     /// Dequeues the oldest message if there is one, never waiting.
     pub fn try_recv(&self) -> Io<Option<M>> {
-        txn(self.state, |st| st.queue.pop_front())
+        modify_mvar_pure(self.state, |st| st.queue.pop_front())
             .map(|got: Option<Value>| got.map(M::from_value_or_panic))
     }
 
@@ -241,14 +228,14 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
 
     /// Number of messages currently queued.
     pub fn len(&self) -> Io<i64> {
-        txn(self.state, |st| st.queue.len() as i64)
+        modify_mvar_pure(self.state, |st| st.queue.len() as i64)
     }
 
     /// Remaining room: `capacity - len`. Mailbox-slot conservation is
     /// `len + free_slots == capacity` — which this representation makes
     /// unfalsifiable by kills, exactly the point.
     pub fn free_slots(&self) -> Io<i64> {
-        txn(self.state, |st| st.free_slots())
+        modify_mvar_pure(self.state, |st| st.free_slots())
     }
 
     /// Reinterprets the message type. The queue is dynamically typed

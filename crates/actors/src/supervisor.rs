@@ -31,12 +31,12 @@
 
 use std::rc::Rc;
 
-use conch_combinators::modify_mvar_pure;
+use conch_combinators::{modify_mvar_pure, retry_interrupted};
 use conch_runtime::exception::Exception;
 use conch_runtime::host_value;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
-use conch_runtime::value::{FromValue, IntoValue, Value};
+use conch_runtime::value::Value;
 
 use crate::actor::{monitor, spawn_actor, ActorRef, Down};
 use crate::mailbox::Mailbox;
@@ -125,8 +125,8 @@ host_value!(Supervisor, Children);
 impl Supervisor {
     /// The current child incarnations, in spec-index order.
     pub fn child_refs(&self) -> Io<Vec<ActorRef<Value>>> {
-        children_txn(self.children_cell, |kids| {
-            kids.iter().map(|(_, c)| *c).collect()
+        modify_mvar_pure(self.children_cell, |kids| {
+            kids.0.iter().map(|(_, c)| *c).collect()
         })
     }
 
@@ -135,20 +135,6 @@ impl Supervisor {
     pub fn shutdown_sync(&self) -> Io<()> {
         self.actor.kill_sync()
     }
-}
-
-/// One [`modify_mvar_pure`] transaction over the children cell.
-fn children_txn<R>(
-    cell: MVar<Children>,
-    f: impl FnOnce(&mut Vec<(usize, ActorRef<Value>)>) -> R + 'static,
-) -> Io<R>
-where
-    R: FromValue + IntoValue + 'static,
-{
-    modify_mvar_pure(cell, move |mut kids| {
-        let r = f(&mut kids.0);
-        (kids, r)
-    })
 }
 
 /// Starts child `idx`, monitors it into the supervisor's mailbox
@@ -160,10 +146,10 @@ fn start_child(
     cell: MVar<Children>,
 ) -> Io<()> {
     (spec.children[idx].start)().and_then(move |child| {
-        monitor(&child, inbox, idx as i64).then(children_txn(cell, move |kids| {
-            kids.retain(|(i, _)| *i != idx);
-            kids.push((idx, child));
-            kids.sort_by_key(|(i, _)| *i);
+        monitor(&child, inbox, idx as i64).then(modify_mvar_pure(cell, move |kids| {
+            kids.0.retain(|(i, _)| *i != idx);
+            kids.0.push((idx, child));
+            kids.0.sort_by_key(|(i, _)| *i);
         }))
     })
 }
@@ -192,14 +178,14 @@ fn start_range(
 /// exception interrupts a `kill_sync` the children not yet reached are
 /// still recorded, for the exit guard's sweep and its retry to find.
 fn kill_children(cell: MVar<Children>, doomed: impl Fn(usize) -> bool + 'static) -> Io<()> {
-    children_txn(cell, move |kids| {
-        let picked = kids.iter().filter(|(i, _)| doomed(*i));
+    modify_mvar_pure(cell, move |kids| {
+        let picked = kids.0.iter().filter(|(i, _)| doomed(*i));
         picked.map(|(_, c)| *c).collect()
     })
     .and_then(move |killed: Vec<ActorRef<Value>>| {
         let sweep = kill_refs(killed.clone());
-        sweep.then(children_txn(cell, move |kids| {
-            kids.retain(|(_, c)| !killed.contains(c))
+        sweep.then(modify_mvar_pure(cell, move |kids| {
+            kids.0.retain(|(_, c)| !killed.contains(c))
         }))
     })
 }
@@ -212,13 +198,13 @@ fn kill_refs(mut doomed: Vec<ActorRef<Value>>) -> Io<()> {
 }
 
 /// Kills every live child, retrying if an asynchronous exception (a
-/// storm striking the dying supervisor) interrupts the sweep. The retry
-/// reads the cell again, which still names every child whose kill has
-/// not returned; a kill is idempotent — `throwTo` at a dead thread is a
-/// no-op — so killing the others again is harmless, and any finite
-/// storm lets the sweep complete. This is the no-orphan guarantee.
+/// storm striking the dying supervisor) interrupts the sweep
+/// ([`retry_interrupted`]). The retry reads the cell again, which still
+/// names every child whose kill has not returned; a kill is idempotent —
+/// `throwTo` at a dead thread is a no-op — so killing the others again
+/// is harmless. This is the no-orphan guarantee.
 fn kill_all_children(cell: MVar<Children>) -> Io<()> {
-    kill_children(cell, |_| true).catch(move |_| kill_all_children(cell))
+    retry_interrupted(move || kill_children(cell, |_| true))
 }
 
 /// Slides the intensity window and decides: `None` = give up,
@@ -244,8 +230,9 @@ fn sup_loop(
         // Stale-notice filter: only the *current* incarnation's death
         // is actionable. (We learn the current tid from the cell; a
         // notice from a replaced incarnation is dropped.)
-        children_txn(cell, move |kids| {
-            kids.iter()
+        modify_mvar_pure(cell, move |kids| {
+            kids.0
+                .iter()
                 .find(|(i, _)| *i == idx)
                 .map(|(_, c)| c.tid().index() as i64)
         })
@@ -256,7 +243,7 @@ fn sup_loop(
             }
             if !down.reason.is_abnormal() {
                 // Normal exit: remove, do not restart.
-                return children_txn(cell, move |kids| kids.retain(|(i, _)| *i != idx))
+                return modify_mvar_pure(cell, move |kids| kids.0.retain(|(i, _)| *i != idx))
                     .then(sup_loop(inbox, spec, cell, restarts));
             }
             Io::now().and_then(move |now| match admit_restart(restarts, now, &spec) {
@@ -322,6 +309,7 @@ mod tests {
     use super::*;
     use conch_runtime::exception::ExitReason;
     use conch_runtime::scheduler::Runtime;
+    use conch_runtime::value::{FromValue, IntoValue};
 
     fn run<T: FromValue + IntoValue + 'static>(io: Io<T>) -> T {
         Runtime::new().run(io).unwrap()

@@ -17,12 +17,18 @@
 //!    (use [`crate::safe_point`] inside long computations).
 //! 4. [`modify_mvar_pure`] — §7.4 with a *pure* state function: the one
 //!    transaction every single-cell structure in the stack (mailbox,
-//!    server counters, actor control cell, supervisor's child list,
-//!    semaphore count) is built from.
+//!    server counters, worker registry, actor control cell, supervisor's
+//!    child list, semaphore count) is built from.
+//!
+//! [`retry_interrupted`] is the other shape those structures share: a
+//! commit that must happen is attempted again whenever an asynchronous
+//! exception interrupts it.
 
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
-use conch_runtime::value::{FromValue, IntoValue};
+use conch_runtime::value::{FromValue, HostValue, IntoValue, Value};
+
+use crate::alerts::catch_alert;
 
 /// The paper's *broken* locking pattern (§5.1):
 ///
@@ -132,8 +138,8 @@ where
 ///
 /// ```haskell
 /// block (do s <- takeMVar m
-///           let (s', r) = f s
-///           putMVar m s'
+///           let r = f (&mut s)
+///           putMVar m s
 ///           return r)
 /// ```
 ///
@@ -144,24 +150,72 @@ where
 /// landing there finds nothing taken; the `putMVar` refills the cell this
 /// thread just emptied, so it cannot wait and is not a delivery point.
 /// The transaction therefore happens entirely or not at all — which is
-/// all a caller's conservation argument needs. `f` is by-value, so a
-/// large state (a queue, a registry) moves through in O(1).
+/// all a caller's conservation argument needs. `f` mutates the state
+/// where it sits in its `Value::Host` box: no transaction unboxes and
+/// re-boxes it, whatever its size.
+///
+/// # Panics
+///
+/// The transaction panics if the cell holds anything but a host `T` — a
+/// handle reached through [`MVar::cast`] to the wrong type.
 pub fn modify_mvar_pure<T, R, F>(m: MVar<T>, f: F) -> Io<R>
 where
-    T: FromValue + IntoValue + 'static,
-    R: FromValue + IntoValue + 'static,
-    F: FnOnce(T) -> (T, R) + 'static,
+    T: HostValue + FromValue + IntoValue,
+    R: IntoValue + 'static,
+    F: FnOnce(&mut T) -> R + 'static,
 {
-    Io::block(m.take().and_then(move |s| {
-        let (s, r) = f(s);
-        m.put(s).map(move |_| r)
+    let cell: MVar<Value> = m.cast();
+    Io::block(cell.take().and_then(move |mut s| {
+        let r = f(host_state(&mut s));
+        cell.put(s).map(move |_| r)
     }))
+}
+
+/// The `T` a cell's contents box, borrowed in place.
+fn host_state<T: HostValue>(contents: &mut Value) -> &mut T {
+    let actual = match &*contents {
+        Value::Host(h) => (**h).type_name(),
+        other => other.shape(),
+    };
+    contents.host_mut().unwrap_or_else(|| {
+        panic!(
+            "type confusion in a cell transaction: expected {}, got a {} value",
+            std::any::type_name::<T>(),
+            actual
+        )
+    })
+}
+
+/// Runs `attempt()` until one run of it is not interrupted: an
+/// asynchronous exception landing in an attempt is absorbed and the
+/// attempt made again, a synchronous one propagates at once (running the
+/// same code again would only raise it again).
+///
+/// The caller owes one precondition: an attempt can be interrupted only
+/// *before* its commit — it is a masked section whose waits all come
+/// first, like [`modify_mvar_pure`]'s `take` — so a retry never commits
+/// twice. Each further exception costs one retry, so any finite storm
+/// lets the attempt complete; what was absorbed is gone, and a caller
+/// that must still die re-throws the first exception itself. This is for
+/// a cleanup that has to happen; [`bracket`](crate::bracket()) and
+/// [`finally`](crate::finally()) stay the paper's §7.1 transcriptions and
+/// run theirs once.
+pub fn retry_interrupted<R, F>(attempt: F) -> Io<R>
+where
+    R: 'static,
+    F: Fn() -> Io<R> + 'static,
+{
+    catch_alert(attempt(), move |_| retry_interrupted(attempt))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conch_runtime::io::for_each;
     use conch_runtime::prelude::*;
+    use conch_runtime::RaiseOrigin;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     #[test]
     fn modify_mvar_updates_state() {
@@ -295,5 +349,91 @@ mod tests {
         });
         // The masked update always completes: the state is the *new* value.
         assert_eq!(rt.run(prog).unwrap(), Some(1));
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Tally(i64);
+    #[derive(Debug, Clone, PartialEq)]
+    struct Gauge(i64);
+    conch_runtime::host_value!(Tally, Gauge);
+
+    #[test]
+    fn pure_transaction_mutates_in_place_and_returns_the_result() {
+        let mut rt = Runtime::new();
+        let prog = Io::new_mvar(Tally(3)).and_then(|m| {
+            modify_mvar_pure(m, |t| {
+                t.0 += 4;
+                t.0 * 10
+            })
+            .and_then(move |r| m.take().map(move |t| (r, t.0)))
+        });
+        assert_eq!(rt.run(prog).unwrap(), (70, 7));
+    }
+
+    #[test]
+    #[should_panic(expected = "expected conch_combinators::locking::tests::Tally, \
+                    got a conch_combinators::locking::tests::Gauge value")]
+    fn a_cell_cast_to_the_wrong_host_type_panics_naming_both_types() {
+        let prog =
+            Io::new_mvar(Gauge(1)).and_then(|m| modify_mvar_pure(m.cast::<Tally>(), |t| t.0));
+        let _ = Runtime::new().run(prog);
+    }
+
+    /// Main holds the cell, so the masked victim's transaction waits at
+    /// its `take`; each synchronous kill returns once it has interrupted
+    /// that wait. Returns (attempts made, commits visible).
+    fn interrupted(kills: u64, quantum: u64) -> (usize, i64) {
+        let attempts = Rc::new(Cell::new(0));
+        let count = Rc::clone(&attempts);
+        let prog = Io::new_mvar(Tally(0)).and_then(move |cell| {
+            Io::new_empty_mvar::<i64>().and_then(move |done| {
+                let commit = retry_interrupted(move || {
+                    count.set(count.get() + 1);
+                    modify_mvar_pure(cell, |t| t.0 += 1)
+                });
+                cell.take().and_then(move |held| {
+                    Io::block(Io::fork(commit.then(done.put(1)))).and_then(move |victim| {
+                        for_each(kills, move |_| {
+                            Io::throw_to_sync(victim, Exception::kill_thread())
+                        })
+                        .then(cell.put(held))
+                        .then(done.take())
+                        .then(cell.take())
+                        .map(|t| t.0)
+                    })
+                })
+            })
+        });
+        let mut rt = Runtime::with_config(RuntimeConfig::new().quantum(quantum));
+        let commits = rt.run(prog).unwrap();
+        (attempts.get(), commits)
+    }
+
+    #[test]
+    fn an_attempt_interrupted_n_times_commits_exactly_once() {
+        for kills in 1..=3 {
+            for quantum in 1..=5 {
+                assert_eq!(
+                    interrupted(kills, quantum),
+                    (kills as usize + 1, 1),
+                    "{kills} kills at quantum {quantum}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_synchronous_exception_is_not_retried() {
+        let attempts = Rc::new(Cell::new(0));
+        let count = Rc::clone(&attempts);
+        let failing = retry_interrupted(move || {
+            count.set(count.get() + 1);
+            Io::<bool>::throw(Exception::error_call("bang"))
+        });
+        let prog = failing.catch_info(|e, origin| {
+            Io::pure(e == Exception::error_call("bang") && origin == RaiseOrigin::Sync)
+        });
+        assert!(Runtime::new().run(prog).unwrap());
+        assert_eq!(attempts.get(), 1);
     }
 }

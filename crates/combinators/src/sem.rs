@@ -30,7 +30,7 @@ use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::{FromValue, IntoValue};
 
-use crate::locking::modify_mvar_pure;
+use crate::locking::{modify_mvar_pure, retry_interrupted};
 
 /// A counting semaphore.
 ///
@@ -112,19 +112,16 @@ impl Sem {
 
     /// Non-blocking acquire: `true` if a unit was taken.
     pub fn try_wait(&self) -> Io<bool> {
-        modify_mvar_pure(self.state, |mut st| {
+        modify_mvar_pure(self.state, |st| {
             let taken = st.available > 0;
             st.available -= i64::from(taken);
-            (st, taken)
+            taken
         })
     }
 
     /// The currently available units (momentary snapshot).
     pub fn available(&self) -> Io<i64> {
-        modify_mvar_pure(self.state, |st| {
-            let available = st.available;
-            (st, available)
-        })
+        modify_mvar_pure(self.state, |st| st.available)
     }
 
     /// Runs `body` holding one unit and releases it however `body`
@@ -161,12 +158,11 @@ fn grant(state: MVar<SemState>, mut st: SemState) -> Io<()> {
 /// the queue. If its cell is no longer queued a `signal` has already
 /// granted it a unit, which goes to the next in line instead. The state
 /// cell may be held, so this take can be interrupted in turn — with
-/// nothing taken, so it starts over; each further exception costs one
-/// retry and is absorbed, the first is the one `wait` re-throws.
+/// nothing taken, so it starts over ([`retry_interrupted`]); the first
+/// exception is the one `wait` re-throws.
 fn abandon(state: MVar<SemState>, cell: MVar<()>) -> Io<()> {
-    state
-        .take()
-        .and_then(
+    retry_interrupted(move || {
+        state.take().and_then(
             move |mut st| match st.waiters.iter().position(|w| *w == cell) {
                 Some(queued) => {
                     st.waiters.remove(queued);
@@ -175,7 +171,7 @@ fn abandon(state: MVar<SemState>, cell: MVar<()>) -> Io<()> {
                 None => grant(state, st),
             },
         )
-        .catch(move |_| abandon(state, cell))
+    })
 }
 
 #[cfg(test)]

@@ -29,6 +29,8 @@ use conch_runtime::mvar::MVar;
 use conch_runtime::value::{FromValue, IntoValue, Value};
 use conch_runtime::RaiseOrigin;
 
+use crate::locking::modify_mvar_pure;
+
 /// The stored state of a thunk cell.
 #[derive(Debug, Clone, PartialEq)]
 enum ThunkState {
@@ -153,14 +155,10 @@ impl<T: FromValue + IntoValue + 'static> Thunk<T> {
 
     /// Non-blocking peek: `Some(value)` if already evaluated.
     pub fn peek(&self) -> Io<Option<T>> {
-        let state = self.state;
-        Io::block(state.take().and_then(move |st| {
-            let result = match &st {
-                ThunkState::Evaluated(v) => Some(T::from_value_or_panic(v.clone())),
-                _ => None,
-            };
-            state.put(st).then(Io::pure(result))
-        }))
+        modify_mvar_pure(self.state, |st| match st {
+            ThunkState::Evaluated(v) => Some(T::from_value_or_panic(v.clone())),
+            _ => None,
+        })
     }
 }
 

@@ -24,13 +24,18 @@
 //! work-stealing engine — and the coverage reports must be equal, the
 //! determinism contract extended to fault branch points.
 
+use conch_actors::POLL_INTERVAL;
 use conch_explore::{ExploreConfig, Explorer, Reduction, Report, RunOutcome, Strategy, TestCase};
 use conch_faults::spaces::{
     actor_space, conn_fault_space, cross_shard_kill_space, holds_actor_invariants,
     holds_cross_shard_invariants, holds_invariants, sharded_pipeline_space, storm_space,
     supervised_pool_space,
 };
-use conch_httpd::server::StatsSnapshot;
+use conch_faults::{prepared_connection, ConnFault};
+use conch_httpd::http::Response;
+use conch_httpd::net::Listener;
+use conch_httpd::pool::{start_pooled, PoolConfig};
+use conch_httpd::server::{handler, StatsSnapshot};
 use conch_runtime::io::Io;
 
 fn check_invariants(out: &RunOutcome<(i64, i64, StatsSnapshot)>) -> Result<(), String> {
@@ -133,6 +138,92 @@ fn supervised_pool_space_reports_identically_at_any_worker_count() {
         sequential, parallel,
         "pool fault×schedule coverage must be bit-identical across engines"
     );
+}
+
+/// Two kills at the pooled acceptor. It enqueues a connection into the
+/// accept queue and then accounts for it in the stats cell — two cells,
+/// so the accounting sits under a guard that accounts again if a kill
+/// interrupts it. Here the acceptor is hit by `shutdown` and then
+/// `shutdown_sync` while a drainer's snapshot keeps the stats cell
+/// contended, so the first kill can land in the accounting's blocked
+/// `take` and the second in the guard's. Main then parks for one mailbox
+/// poll — long enough for the worker to serve whatever was queued — and
+/// audits. The client has already hung up, so serving the connection is
+/// one read that fails: a served request costs the explorer a thousand
+/// times the schedules and says nothing more about the acceptor.
+fn pooled_acceptor_two_kill_space() -> Io<StatsSnapshot> {
+    let cfg = PoolConfig {
+        workers: 1,
+        queue_capacity: 2,
+        ..PoolConfig::default()
+    };
+    Listener::bind().and_then(move |l| {
+        start_pooled(l, handler(|_| Io::pure(Response::ok("hi"))), cfg).and_then(move |server| {
+            prepared_connection(ConnFault::Drop, "/x").and_then(move |conn| {
+                let plane = server.plane;
+                // The first sleep parks main until the tree has started
+                // and every thread in it waits.
+                Io::sleep(1)
+                    .then(Io::fork(plane.stats.snapshot()))
+                    .then(l.inject(conn))
+                    .then(plane.shutdown())
+                    .then(plane.shutdown_sync())
+                    .then(Io::sleep(POLL_INTERVAL))
+                    .then(plane.drain())
+                    .then(plane.stats.snapshot())
+                    .and_then(move |snap| server.stop_sync().map(move |_| snap))
+            })
+        })
+    })
+}
+
+/// The connection was accounted for exactly as often as it was queued:
+/// never (the kills reached the acceptor first — nothing entered the
+/// law) or once, and then the worker recorded its one outcome.
+fn queued_is_accounted(out: &RunOutcome<StatsSnapshot>) -> Result<(), String> {
+    match &out.result {
+        Ok(snap) if snap.conserved() && snap.accepted == snap.aborted => Ok(()),
+        Ok(snap) => Err(format!("queued and accounted disagree: {snap:?}")),
+        Err(e) => Err(format!("run failed: {e:?}")),
+    }
+}
+
+/// Sleep sets: bounded DPOR under-explores (ROADMAP's first item).
+fn explore_two_kills(preemption_bound: usize) -> Report {
+    let cfg = ExploreConfig {
+        max_schedules: 1_000_000,
+        max_depth: 512,
+        step_budget: 100_000,
+        preemption_bound: Some(preemption_bound),
+        strategy: Strategy::Exhaustive(Reduction::SleepSets),
+        ..ExploreConfig::default()
+    };
+    let result = Explorer::with_config(cfg)
+        .check(|| TestCase::new(pooled_acceptor_two_kill_space(), queued_is_accounted));
+    let report = result.expect_pass().clone();
+    assert!(
+        report.complete,
+        "exploration must be exhaustive: {report:?}"
+    );
+    report
+}
+
+#[test]
+fn two_kills_at_the_pooled_acceptor_lose_no_queued_connection_on_any_schedule() {
+    let report = explore_two_kills(1);
+    assert!(report.explored > 1_000, "{report:?}");
+}
+
+/// The bound at which the space reaches the second kill landing in the
+/// acceptor's guard: with a guard that accounts again only once, this
+/// fails (the worker then serves a connection nobody accepted) where
+/// bounds 1 and 2 pass. 217 431 schedules — `cargo test --release -p
+/// conch-faults --test explore_faults -- --ignored`, as CI does.
+#[test]
+#[ignore = "217k schedules: run in release"]
+fn two_kills_at_the_pooled_acceptor_at_the_bound_that_reaches_the_guard() {
+    let report = explore_two_kills(3);
+    assert!(report.explored > 200_000, "{report:?}");
 }
 
 /// Satellite of the sharded-plane PR: a `KillThread` between two

@@ -30,7 +30,9 @@
 
 use std::rc::Rc;
 
-use conch_combinators::{kill_thread, modify_mvar_pure, timeout, with_mvar, Either};
+use conch_combinators::{
+    kill_thread, modify_mvar_pure, retry_interrupted, timeout, with_mvar, Either,
+};
 use conch_runtime::exception::Exception;
 use conch_runtime::host_value;
 use conch_runtime::ids::ThreadId;
@@ -205,7 +207,7 @@ impl ServerStats {
     /// Reads all counters in one atomic, masked transaction — a
     /// snapshot can never observe a half-committed update.
     pub fn snapshot(&self) -> Io<StatsSnapshot> {
-        modify_mvar_pure(self.cell, |s| (s, s))
+        modify_mvar_pure(self.cell, |s| *s)
     }
 
     /// A unit enters the law: `accepted` rises and, *in the same
@@ -217,8 +219,7 @@ impl ServerStats {
     /// interleaving in which [`Server::drain`] can observe an accepted
     /// unit that is neither shed, active, nor recorded.
     pub(crate) fn accept_or_shed(&self, admit: impl FnOnce(i64) -> bool + 'static) -> Io<bool> {
-        let cell = self.cell;
-        Io::block(cell.take().and_then(move |mut s| {
+        modify_mvar_pure(self.cell, move |s| {
             s.accepted += 1;
             let admitted = admit(s.active);
             if admitted {
@@ -226,26 +227,17 @@ impl ServerStats {
             } else {
                 s.shed += 1;
             }
-            // `modify_mvar_pure` spelled out so the result needs no
-            // capture: a capture-free continuation is not heap-allocated,
-            // and this runs once per request on the keep-alive plane.
-            let commit = cell.put(s);
-            if admitted {
-                commit.map(|_| true)
-            } else {
-                commit.map(|_| false)
-            }
-        }))
+            admitted
+        })
     }
 
     /// A unit enters the law already concluded (the keep-alive
     /// plane's abort, 408 and oversize paths: the partial request never
     /// reached a handler). `active` never rises, so nothing can tear.
     pub(crate) fn accept_concluded(&self, outcome: Outcome) -> Io<()> {
-        modify_mvar_pure(self.cell, move |mut s| {
+        modify_mvar_pure(self.cell, move |s| {
             s.accepted += 1;
-            outcome.record(&mut s);
-            (s, ())
+            outcome.record(s);
         })
     }
 }
@@ -253,17 +245,16 @@ impl ServerStats {
 /// An admitted unit's single commit point: record its outcome and lower
 /// the active count, atomically. If a `KillThread` lands while the
 /// transaction's `take` is still blocked (the cell is contended —
-/// `drain` polls it), nothing was committed yet: catch and retry with
-/// the *same* outcome. Each storm strike can force at most one retry,
-/// so any finite storm terminates.
+/// `drain` polls it), nothing was committed yet: retry with the *same*
+/// outcome ([`retry_interrupted`]).
 pub(crate) fn finish(stats: ServerStats, outcome: Outcome) -> Io<()> {
-    modify_mvar_pure(stats.cell, move |mut s| {
-        debug_assert!(s.active > 0, "active underflow recording {outcome:?}");
-        outcome.record(&mut s);
-        s.active -= 1;
-        (s, ())
+    retry_interrupted(move || {
+        modify_mvar_pure(stats.cell, move |s| {
+            debug_assert!(s.active > 0, "active underflow recording {outcome:?}");
+            outcome.record(s);
+            s.active -= 1;
+        })
     })
-    .catch(move |_| finish(stats, outcome))
 }
 
 /// Serves one complete request text, unmasked: parse, run the handler
@@ -385,26 +376,12 @@ impl Server {
     }
 }
 
-/// Appends a freshly started worker's id to the registry: a pure push
-/// running entirely masked between `take` and `put`, so there is no
-/// `unblock` window in the caller's masked section and nothing to roll
-/// back (the rollback copy the general-purpose masked modify keeps
-/// would clone the whole registry on every accept — quadratic in
-/// connections). If a `KillThread` lands while the `take` still waits,
-/// the worker is already forked and accounted — it merely goes
+/// Appends a freshly started worker's id to the registry. If a
+/// `KillThread` lands while the transaction's `take` still waits, the
+/// worker is already forked and accounted — it merely goes
 /// unregistered, which only makes it invisible to kill storms.
 pub(crate) fn register_worker(workers: MVar<Workers>, tid: ThreadId) -> Io<()> {
-    // `modify_mvar_pure` without a result: the `put` is the last step,
-    // so there is no `map` after it — one step fewer per accept. The
-    // registry is pushed to in place, through the cell's raw `Value`:
-    // taken by value it would be unboxed and boxed again, a `free` and
-    // a `malloc` on every accept.
-    let cell: MVar<Value> = workers.cast();
-    Io::block(cell.take().and_then(move |mut registry| {
-        let ids = registry.host_mut::<Workers>();
-        ids.expect("the cell is an MVar<Workers>").0.push(tid);
-        cell.put(registry)
-    }))
+    modify_mvar_pure(workers, move |ids| ids.0.push(tid))
 }
 
 #[cfg(test)]

@@ -23,9 +23,9 @@
 //! commit: enqueueing into the mailbox and accounting in the stats cell
 //! are different `MVar`s, so after the enqueue commits the accounting
 //! step is guarded by a commit-then-rethrow `catch` — a `KillThread`
-//! landing between the two commits still accounts the queued connection
-//! before the acceptor dies, keeping `active` and the queue in
-//! agreement.
+//! landing between the two commits, and any that land in the guard after
+//! it, still account the queued connection before the acceptor dies,
+//! keeping `active` and the queue in agreement.
 
 use std::rc::Rc;
 
@@ -33,6 +33,7 @@ use conch_actors::{
     child_spec, spawn_actor_on, spawn_supervisor, supervisor_child, ChildSpec, Mailbox, Strategy,
     Supervisor, SupervisorSpec,
 };
+use conch_combinators::retry_interrupted;
 use conch_runtime::host_value;
 use conch_runtime::ids::ThreadId;
 use conch_runtime::io::Io;
@@ -211,9 +212,9 @@ fn pool_accept_loop(
 ) -> Io<()> {
     Io::block(listener.accept().and_then(move |conn| {
         queue.try_send(conn).and_then(move |queued| {
-            stats
-                .accept_or_shed(move |_| queued)
-                .catch(move |e| stats.accept_or_shed(move |_| queued).then(Io::throw(e)))
+            let account = move || stats.accept_or_shed(move |_| queued);
+            account()
+                .catch(move |e| retry_interrupted(account).then(Io::throw(e)))
                 .and_then(move |queued| {
                     if queued {
                         Io::unit()
@@ -288,6 +289,40 @@ mod tests {
         let snap = rt.run(prog).unwrap();
         assert_eq!(snap.served, n);
         assert!(snap.conserved(), "unbalanced counters: {snap:?}");
+    }
+
+    /// The acceptor alone, no workers: what it queued stays queued, so
+    /// the queue's length is the number of connections that must be
+    /// `active`. A contender keeps the stats cell busy, so across the
+    /// seeds the first kill finds the accounting's `take` blocked and
+    /// the second finds the guard's.
+    #[test]
+    fn two_kills_at_the_acceptor_leave_queue_and_active_in_agreement() {
+        for seed in 0..200 {
+            let cfg = RuntimeConfig::new().random_scheduling(seed).quantum(1);
+            let prog = Listener::bind().and_then(|l| {
+                ServerStats::new().and_then(move |stats| {
+                    Mailbox::<Connection>::new(4).and_then(move |queue| {
+                        let accept = pool_accept_loop(l, queue, ServerConfig::default(), stats);
+                        Io::fork(accept).and_then(move |acceptor| {
+                            let contend = conch_runtime::io::for_each(8, move |_| stats.snapshot());
+                            Io::fork(contend)
+                                .then(l.connect())
+                                .then(Io::throw_to(acceptor, Exception::kill_thread()))
+                                .then(Io::throw_to_sync(acceptor, Exception::kill_thread()))
+                                .then(queue.len())
+                                .and_then(move |queued| stats.snapshot().map(move |s| (queued, s)))
+                        })
+                    })
+                })
+            });
+            let (queued, snap) = Runtime::with_config(cfg).run(prog).unwrap();
+            assert_eq!(
+                (queued, queued),
+                (snap.active, snap.accepted),
+                "seed {seed}: a queued connection went unaccounted: {snap:?}"
+            );
+        }
     }
 
     #[test]
