@@ -146,18 +146,12 @@ impl ShardedServer {
         self.shards.iter().fold(Io::unit(), drain)
     }
 
-    /// The per-shard snapshots, in shard order. Meaningful as
-    /// conservation-law witnesses only after `shutdown_sync` + `drain`
-    /// (each cell must be final).
-    pub(crate) fn aggregate_per_shard(&self) -> Io<Vec<StatsSnapshot>> {
-        sequence(self.shards.iter().map(|sh| sh.stats.snapshot()).collect())
-    }
-
-    /// The quiescent aggregate: the per-shard snapshots summed. Same
-    /// quiescence caveat as
-    /// [`aggregate_per_shard`](Self::aggregate_per_shard).
+    /// The quiescent aggregate: the per-shard snapshots summed.
+    /// Meaningful as a conservation-law witness only after
+    /// `shutdown_sync` + `drain` (each cell must be final).
     pub fn aggregate(&self) -> Io<StatsSnapshot> {
-        self.aggregate_per_shard().map(|per| per.iter().sum())
+        sequence(self.shards.iter().map(|sh| sh.stats.snapshot()).collect())
+            .map(|per: Vec<StatsSnapshot>| per.iter().sum())
     }
 
     /// Every connection-handler thread id ever forked, across all
@@ -353,66 +347,17 @@ impl Default for LoadConfig {
 /// the number of `200` responses every client collected, and the
 /// quiescent-aggregate snapshot after the audit protocol, so
 /// `aggregate.conserved()` is the conservation-law verdict. Clients
-/// split evenly over the shards.
+/// split evenly over the shards ([`per_shard`]); per shard one feeder
+/// thread paces its connections in and one collector thread reads each
+/// connection's single batched response frame.
 pub fn sharded_load(h: Handler, cfg: LoadConfig) -> Io<(i64, StatsSnapshot)> {
-    let split = (0..cfg.shards).map(|i| per_shard(cfg.clients, cfg.shards, i));
-    run_load(h, cfg, split.collect()).map(|(oks, per_shard)| (oks, per_shard.iter().sum()))
-}
-
-/// Connections shard `i` carries: an even split, remainder to the
-/// lowest-numbered shards.
-pub(crate) fn per_shard(clients: usize, shards: usize, i: usize) -> usize {
-    clients / shards + usize::from(i < clients % shards)
-}
-
-/// Connections shard `i` carries under a skewed arrival pattern: shard
-/// 0 is the hot shard taking `hot_percent`% of all clients, the rest
-/// split the remainder evenly (remainder-of-the-remainder to the
-/// lowest-numbered cold shards). With one shard the skew is vacuous.
-pub(crate) fn per_shard_skewed(
-    clients: usize,
-    shards: usize,
-    i: usize,
-    hot_percent: usize,
-) -> usize {
-    assert!(hot_percent <= 100);
-    if shards == 1 {
-        return clients;
-    }
-    let hot = clients * hot_percent / 100;
-    if i == 0 {
-        return hot;
-    }
-    per_shard(clients - hot, shards - 1, i - 1)
-}
-
-/// [`sharded_load`] with a skewed client split: `hot_percent`% of the
-/// clients arrive on shard 0 (see [`per_shard_skewed`]). Returns
-/// `(oks, aggregate, per_shard)` — the per-shard quiescent snapshots
-/// expose the `accepted` imbalance the skew creates, the measurement
-/// baseline for future cross-shard balancing.
-pub fn sharded_load_skewed(
-    h: Handler,
-    cfg: LoadConfig,
-    hot_percent: usize,
-) -> Io<(i64, StatsSnapshot, Vec<StatsSnapshot>)> {
-    let split = (0..cfg.shards).map(|i| per_shard_skewed(cfg.clients, cfg.shards, i, hot_percent));
-    run_load(h, cfg, split.collect())
-        .map(|(oks, per_shard)| (oks, per_shard.iter().sum(), per_shard))
-}
-
-/// The load driver: per shard one feeder thread paces `split[shard]`
-/// connections in and one collector thread reads each connection's
-/// single batched response frame; the whole run quiesces (the audit
-/// protocol) before the per-shard snapshots are taken.
-fn run_load(h: Handler, cfg: LoadConfig, split: Vec<usize>) -> Io<(i64, Vec<StatsSnapshot>)> {
     assert!(cfg.shards >= 1 && cfg.requests_per_conn >= 1);
     ShardedListener::bind(cfg.shards, cfg.queue_capacity).and_then(move |l| {
         start_sharded(&l, h, cfg.server).and_then(move |server| {
             Chan::<i64>::new().and_then(move |report| {
                 let mut forks = Io::unit();
-                for (shard, conns) in split.into_iter().enumerate() {
-                    let conns = conns as u64;
+                for shard in 0..cfg.shards {
+                    let conns = per_shard(cfg.clients, cfg.shards, shard) as u64;
                     let q = l.queue(shard);
                     forks = forks.then(Chan::<Connection>::new().and_then(move |pipe| {
                         Io::fork(feeder(q, pipe, conns, cfg))
@@ -426,12 +371,18 @@ fn run_load(h: Handler, cfg: LoadConfig, split: Vec<usize>) -> Io<(i64, Vec<Stat
                         server
                             .shutdown_sync()
                             .then(server.drain())
-                            .then(server.aggregate_per_shard())
-                            .map(move |per_shard| (oks, per_shard))
+                            .then(server.aggregate())
+                            .map(move |aggregate| (oks, aggregate))
                     })
             })
         })
     })
+}
+
+/// Connections shard `i` carries: an even split, remainder to the
+/// lowest-numbered shards.
+pub(crate) fn per_shard(clients: usize, shards: usize, i: usize) -> usize {
+    clients / shards + usize::from(i < clients % shards)
 }
 
 /// One shard's load feeder: every `arrival_gap` µs, open a connection,

@@ -492,6 +492,87 @@ mod tests {
         assert_eq!(drain(&mut w), [(2_500, 3), (5_000, 2)]);
     }
 
+    /// The wheel against the structure whose order it promises: a
+    /// `BTreeSet<(wake_at, seq)>`. A random interleaving of inserts
+    /// (deltas reaching every level, ticks that repeat, a clock that may
+    /// run ahead of the cursor), pops, peeks and compactions must agree
+    /// on pop *order*, `peek` and `len` after every operation.
+    #[test]
+    fn random_interleavings_match_an_ordered_set() {
+        use std::collections::BTreeSet;
+        for round in 0..40_u64 {
+            let mut x = 0x9e3779b97f4a7c15 ^ round.wrapping_mul(0xd1342543de82ef95);
+            let mut rand = move || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x >> 11
+            };
+            let mut w = wheel();
+            let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
+            let mut buf = Vec::new();
+            // The last popped tick, or wherever the clock was when the
+            // wheel was last found empty.
+            let mut cursor = 0_u64;
+            let mut last_wake = 0_u64;
+            for op in 0..600_u64 {
+                // Distinct but not monotone (389 is odd, so this permutes
+                // 0..1024): a tick's batch must come out sorted by `seq`
+                // whatever order it went in.
+                let seq = op * 389 % 1024;
+                match rand() % 8 {
+                    0..=3 => {
+                        // The clock sits anywhere from the cursor up to
+                        // the earliest sleeper (an epoch-synced shard
+                        // fast-forwards it); an empty wheel rebases.
+                        let earliest = model.first().map_or(u64::MAX, |&(wake, _)| wake);
+                        let now = if model.is_empty() {
+                            cursor = rand() % (1 << (rand() % 60));
+                            cursor
+                        } else {
+                            cursor + rand() % (earliest - cursor).saturating_add(1)
+                        };
+                        let wake = if rand() % 4 == 0 {
+                            last_wake.max(now)
+                        } else {
+                            let level = rand() % LEVELS as u64;
+                            let coarse = (rand() % SLOTS as u64) << (level * SLOT_BITS as u64);
+                            let delta = coarse | (rand() % SLOTS as u64);
+                            now.saturating_add(delta)
+                        };
+                        last_wake = wake;
+                        w.insert(now, entry(wake, seq));
+                        model.insert((wake, seq));
+                    }
+                    4..=5 => {
+                        let popped = w.pop_earliest_into(&mut buf);
+                        let tick = model.first().map(|&(wake, _)| wake);
+                        assert_eq!(popped, tick, "round {round} op {op}");
+                        let got: Vec<_> = buf.iter().map(|e| (e.wake_at, e.seq)).collect();
+                        let due = |e: &(u64, u64)| Some(e.0) == tick;
+                        let want: Vec<_> = model.iter().copied().take_while(due).collect();
+                        model.retain(|e| !due(e));
+                        assert_eq!(got, want, "round {round} op {op}");
+                        cursor = tick.unwrap_or(cursor);
+                    }
+                    6 => {
+                        let keep = rand() % 3;
+                        w.retain(|e| e.seq % 3 != keep);
+                        model.retain(|&(_, s)| s % 3 != keep);
+                    }
+                    _ => {}
+                }
+                assert_eq!(w.len(), model.len(), "round {round} op {op}");
+                assert_eq!(
+                    w.peek_earliest_wake(),
+                    model.first().map(|&(wake, _)| wake),
+                    "round {round} op {op}"
+                );
+                assert!(w.check_consistent(), "round {round} op {op}");
+            }
+        }
+    }
+
     #[test]
     fn clear_keeps_it_reusable() {
         let mut w = wheel();

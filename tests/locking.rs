@@ -51,7 +51,7 @@ fn model_checker_proves_safe_locking() {
     match result {
         CheckResult::Safe { complete, states } => {
             assert!(complete, "exploration truncated at {states} states");
-            assert!(states > 50, "suspiciously small state space: {states}");
+            assert_eq!(states, 248, "the E1 state space moved");
         }
         CheckResult::Violation { trace, .. } => {
             let rules: Vec<_> = trace.iter().map(|s| s.rule.to_string()).collect();

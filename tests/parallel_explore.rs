@@ -6,11 +6,13 @@
 //! worker count, and failing runs shrink to the byte-identical
 //! certificate the sequential DFS would have produced.
 
+use conch_combinators::with_mvar;
 use conch_explore::{
     ExploreConfig, Explorer, Reduction, Report, RunOutcome, Schedule, Strategy, TestCase,
 };
 use conch_runtime::exception::Exception;
-use conch_runtime::io::Io;
+use conch_runtime::io::{for_each, Io};
+use conch_runtime::mvar::MVar;
 
 // `check_parallel` spawns the worker count it is given, so 4 and 8
 // genuinely mean 4 and 8 OS threads even on a 1-CPU CI box.
@@ -199,6 +201,218 @@ fn oversubscribed_workers_are_deterministic() {
         .expect_pass()
         .clone();
     assert_eq!(oversubscribed, sequential);
+}
+
+// Pinned spaces (EXPERIMENTS.md B9 / X1). The counts are functions of
+// the programs alone; a change to any of them is a change to what the
+// explorer enumerates, not noise.
+
+/// An exhaustive explorer with room for the largest pinned space.
+fn space(reduction: Reduction, preemption_bound: Option<usize>) -> Explorer {
+    Explorer::with_config(ExploreConfig {
+        max_schedules: 2_000_000,
+        preemption_bound,
+        strategy: Strategy::Exhaustive(reduction),
+        ..ExploreConfig::default()
+    })
+}
+
+/// Every outcome is accepted: these tests pin the size of a space, and
+/// the pipeline's includes wedged runs.
+fn any_outcome(program: fn() -> Io<i64>) -> TestCase<i64> {
+    TestCase::new(program(), |_: &RunOutcome<i64>| Ok(()))
+}
+
+/// B9: three threads, one `MVar`, one `throwTo` — worker 1 increments,
+/// worker 2 adds ten, the main thread kills worker 1 somewhere in
+/// between and reads what the survivor left.
+fn three_thread_mvar_throwto() -> Io<i64> {
+    Io::new_mvar(0_i64).and_then(|m| {
+        let add = move |k: i64| {
+            m.take()
+                .and_then(move |n| m.put(n + k))
+                .catch(|_| Io::unit())
+        };
+        Io::fork(add(1)).and_then(move |w1| {
+            Io::fork(add(10))
+                .then(Io::throw_to(w1, Exception::kill_thread()))
+                .then(Io::sleep(5))
+                .then(m.take())
+        })
+    })
+}
+
+#[test]
+fn pinned_b9_counts_hold_for_every_reduction_bound_and_worker_count() {
+    for (reduction, bound, explored, pruned) in [
+        (Reduction::SleepSets, None, 4_223, 1_791),
+        (Reduction::SleepSets, Some(2), 218, 89),
+        (Reduction::SleepSets, Some(0), 16, 0),
+        (Reduction::Dpor, None, 355, 212),
+    ] {
+        let sequential = space(reduction, bound)
+            .check(|| any_outcome(three_thread_mvar_throwto))
+            .expect_pass()
+            .clone();
+        let counts = (sequential.explored, sequential.pruned, sequential.truncated);
+        assert_eq!(
+            counts,
+            (explored, pruned, 0),
+            "{reduction:?} bound {bound:?}"
+        );
+        assert!(sequential.complete, "{reduction:?} bound {bound:?}");
+        if reduction == Reduction::Dpor {
+            assert!(sequential.stats.races_detected > 0);
+            assert!(sequential.stats.backtracks_installed > 0);
+        }
+        for workers in WORKER_COUNTS {
+            let parallel = space(reduction, bound)
+                .check_parallel(workers, || any_outcome(three_thread_mvar_throwto))
+                .expect_pass()
+                .clone();
+            assert_eq!(
+                parallel, sequential,
+                "{reduction:?} bound {bound:?} diverged at workers={workers}"
+            );
+        }
+    }
+}
+
+/// X1: `producers` one-shot threads each putting into a private `MVar`
+/// while the main thread writes `logs` characters to the console before
+/// collecting — independent of the console, which only DPOR can prove.
+fn log_fanin(producers: u64, logs: u64) -> Io<i64> {
+    fn build(i: u64, n: u64, logs: u64, acc: Io<i64>) -> Io<i64> {
+        if i == n {
+            let log = (0..logs).fold(Io::unit(), |log, _| log.then(Io::put_char('.')));
+            return log.then(acc);
+        }
+        Io::new_empty_mvar::<i64>().and_then(move |resp| {
+            Io::fork(resp.put(i as i64 + 1)).then(build(
+                i + 1,
+                n,
+                logs,
+                acc.and_then(move |sum| resp.take().map(move |v| sum + v)),
+            ))
+        })
+    }
+    build(0, producers, logs, Io::pure(0))
+}
+
+/// X1: a server thread takes requests from a shared queue for ever,
+/// `clients` forked clients each submit one, and the main thread kills
+/// the server once every request is served (§11 without the HTTP).
+fn accept_loop(clients: u64) -> Io<i64> {
+    fn server(queue: MVar<i64>, served: MVar<i64>) -> Io<()> {
+        queue
+            .take()
+            .and_then(move |v| served.take().and_then(move |s| served.put(s + v)))
+            .and_then(move |_| server(queue, served))
+    }
+    fn wait_until(count: MVar<i64>, target: i64) -> Io<()> {
+        with_mvar(count, Io::pure).and_then(move |c| {
+            if c >= target {
+                Io::unit()
+            } else {
+                Io::sleep(10).then(wait_until(count, target))
+            }
+        })
+    }
+    Io::new_empty_mvar::<i64>().and_then(move |queue| {
+        Io::new_mvar(0_i64).and_then(move |served| {
+            Io::fork(server(queue, served).catch(|_| Io::unit())).and_then(move |srv| {
+                for_each(clients, move |i| Io::fork(queue.put(1 << i)))
+                    .then(wait_until(served, (1 << clients) - 1))
+                    .then(Io::throw_to(srv, Exception::kill_thread()))
+                    .then(served.take())
+            })
+        })
+    })
+}
+
+/// X1: a `stages`-deep `MVar` pipeline whose first stage the main
+/// thread kills mid-flight (§5.3 cancellation). Each stage works on its
+/// own scratch `MVar` between take and hand-off — free for DPOR, a
+/// combinatorial liability for sleep sets. A kill that lands before the
+/// first stage installs its `catch` wedges `tail.take()`: not every
+/// schedule terminates, and the wedged runs are outcomes like any other.
+fn pipeline(stages: u64) -> Io<i64> {
+    fn stage(input: MVar<i64>, scratch: MVar<i64>, out: MVar<i64>) -> Io<()> {
+        input
+            .take()
+            .and_then(move |v| {
+                scratch
+                    .put(v + 1)
+                    .then(scratch.take())
+                    .and_then(move |v| out.put(v))
+            })
+            .catch(move |_| out.put(-1).catch(|_| Io::unit()))
+    }
+    // Scratch cells are allocated before the fork: program order, no race.
+    fn extend(input: MVar<i64>, left: u64) -> Io<MVar<i64>> {
+        if left == 0 {
+            return Io::pure(input);
+        }
+        Io::new_empty_mvar::<i64>().and_then(move |out| {
+            Io::new_empty_mvar::<i64>().and_then(move |scratch| {
+                Io::fork(stage(input, scratch, out)).then(extend(out, left - 1))
+            })
+        })
+    }
+    Io::new_empty_mvar::<i64>().and_then(move |head| {
+        Io::new_empty_mvar::<i64>().and_then(move |m1| {
+            Io::new_empty_mvar::<i64>().and_then(move |s1| {
+                Io::fork(stage(head, s1, m1)).and_then(move |w1| {
+                    extend(m1, stages - 1).and_then(move |tail| {
+                        head.put(1)
+                            .then(Io::throw_to(w1, Exception::kill_thread()))
+                            .then(tail.take())
+                    })
+                })
+            })
+        })
+    })
+}
+
+/// `(explored, pruned, races, backtracks)` of one complete exploration.
+fn complete_counts(reduction: Reduction, program: fn() -> Io<i64>) -> (usize, usize, u64, u64) {
+    let result = space(reduction, None).check(|| any_outcome(program));
+    let report = result.expect_pass();
+    assert!(report.complete && report.truncated == 0, "{report}");
+    (
+        report.explored,
+        report.pruned,
+        report.stats.races_detected,
+        report.stats.backtracks_installed,
+    )
+}
+
+#[test]
+#[ignore = "release"]
+fn pinned_x1_log_fanin_five_threads() {
+    let sleep = complete_counts(Reduction::SleepSets, || log_fanin(4, 4));
+    let dpor = complete_counts(Reduction::Dpor, || log_fanin(4, 4));
+    assert_eq!(sleep, (806_534, 67_665, 0, 0));
+    assert_eq!(dpor, (50_983, 25_297, 396_951, 58_843));
+    assert!(sleep.0 >= 15 * dpor.0);
+}
+
+#[test]
+#[ignore = "release"]
+fn pinned_x1_accept_loop_two_clients() {
+    let sleep = complete_counts(Reduction::SleepSets, || accept_loop(2));
+    let dpor = complete_counts(Reduction::Dpor, || accept_loop(2));
+    assert_eq!(sleep, (926_204, 492_531, 0, 0));
+    assert_eq!(dpor, (20_024, 26_867, 217_037, 23_604));
+}
+
+/// DPOR only: sleep sets do not finish this space inside the 2 M cap,
+/// and an incomplete baseline asserts nothing.
+#[test]
+#[ignore = "release"]
+fn pinned_x1_pipeline_three_stages() {
+    let dpor = complete_counts(Reduction::Dpor, || pipeline(3));
+    assert_eq!(dpor, (34_037, 46_840, 284_008, 46_924));
 }
 
 // ---------------------------------------------------------------------
