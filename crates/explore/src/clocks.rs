@@ -54,6 +54,8 @@
 
 use conch_runtime::decide::StepFootprint;
 
+use crate::inline::InlineVec;
+
 /// One logged step of an executed run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ExecEvent {
@@ -99,10 +101,11 @@ pub(crate) struct RaceFlag {
     /// not enabled at the branch point, forcing any one enabled witness
     /// makes progress toward the reversal — a far narrower fallback
     /// than flagging every untried sibling.
-    pub(crate) witnesses: Vec<u64>,
+    pub(crate) witnesses: InlineVec<u64, 4>,
 }
 
 /// The result of analyzing one run.
+#[cfg(any(test, debug_assertions))]
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct RaceAnalysis {
     /// Backtrack requests, in log order (deduplicated).
@@ -332,7 +335,7 @@ pub(crate) fn analyze(events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
         {
             continue;
         }
-        let mut witnesses: Vec<u64> = Vec::new();
+        let mut witnesses = InlineVec::new();
         let mut seen: Vec<u64> = Vec::new();
         for (j, ej) in events.iter().enumerate().take(n + 1).skip(i + 1) {
             if seen.contains(&ej.tid) {
@@ -356,97 +359,67 @@ pub(crate) fn analyze(events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
     analysis
 }
 
-/// A sparse vector clock: `(thread index, count)` pairs, ascending by
-/// index, zero components absent. A DPOR run only ever orders the few
-/// threads that actually communicated on its path, so sparse clocks
-/// stay tiny and joins touch only the communicating entries, where the
-/// reference analyzer's dense `Vec<u32>` clones scale with the total
-/// thread count.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct SparseClock {
-    entries: Vec<(u32, u32)>,
+/// Inline length of a [`VClock`]: runs of up to this many threads keep
+/// every clock in place.
+const CLOCK_INLINE: usize = 8;
+
+/// The incremental analyzer's vector clock: one component per dense
+/// thread index, trailing zeros absent. A clock is as long as the
+/// highest-indexed thread it orders, so it lives inline — copied by
+/// value where the analyzer snapshots one per event, joined in place —
+/// and only a run of more than [`CLOCK_INLINE`] threads puts one on the
+/// heap.
+type VClock = InlineVec<u32, CLOCK_INLINE>;
+
+fn component(clock: &VClock, t: u32) -> u32 {
+    clock.get(t as usize).copied().unwrap_or(0)
 }
 
-impl SparseClock {
-    fn get(&self, t: u32) -> u32 {
-        match self.entries.binary_search_by_key(&t, |&(i, _)| i) {
-            Ok(k) => self.entries[k].1,
-            Err(_) => 0,
-        }
+/// Pointwise maximum.
+fn join_into(into: &mut VClock, other: &VClock) {
+    while into.len() < other.len() {
+        into.push(0);
     }
-
-    fn set(&mut self, t: u32, v: u32) {
-        match self.entries.binary_search_by_key(&t, |&(i, _)| i) {
-            Ok(k) => self.entries[k].1 = v,
-            Err(k) => self.entries.insert(k, (t, v)),
-        }
-    }
-
-    /// Pointwise maximum (a sorted merge).
-    fn join(&mut self, other: &SparseClock) {
-        if other.entries.is_empty() {
-            return;
-        }
-        if self.entries.is_empty() {
-            self.entries.clone_from(&other.entries);
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.entries.len() + other.entries.len());
-        let (a, b) = (&self.entries, &other.entries);
-        let (mut i, mut j) = (0, 0);
-        loop {
-            match (a.get(i), b.get(j)) {
-                (Some(&(ta, va)), Some(&(tb, vb))) => {
-                    if ta == tb {
-                        merged.push((ta, va.max(vb)));
-                        i += 1;
-                        j += 1;
-                    } else if ta < tb {
-                        merged.push((ta, va));
-                        i += 1;
-                    } else {
-                        merged.push((tb, vb));
-                        j += 1;
-                    }
-                }
-                (Some(&e), None) => {
-                    merged.push(e);
-                    i += 1;
-                }
-                (None, Some(&e)) => {
-                    merged.push(e);
-                    j += 1;
-                }
-                (None, None) => break,
-            }
-        }
-        self.entries = merged;
+    for (a, b) in into.iter_mut().zip(other.iter()) {
+        *a = (*a).max(*b);
     }
 }
 
 /// Interned footprint class of a resource-bearing footprint: a small
 /// integer key for the per-object candidate index, so list lookup and
-/// bucketing compare integers instead of matching footprint structs.
-/// Footprints without a same-resource conflict class (`Local`, `Mask`,
-/// `Raise`, `Oracle`, `Throw`, `Terminal`, `Effect`) have none — their
-/// dependence arcs run through the dedicated throw/terminal/always
-/// lists instead.
-fn fp_class(fp: StepFootprint) -> Option<u64> {
+/// bucketing index a `Vec` instead of matching footprint structs —
+/// `MVar` indices restart at 0 with every run, so the classes are
+/// dense. Footprints without a same-resource conflict class (`Local`,
+/// `Mask`, `Raise`, `Oracle`, `Throw`, `Terminal`, `Effect`) have none
+/// — their dependence arcs run through the dedicated
+/// throw/terminal/always lists instead.
+fn fp_class(fp: StepFootprint) -> Option<usize> {
     use StepFootprint::*;
     match fp {
         Alloc => Some(0),
         Console => Some(1),
         Time => Some(2),
         Fork => Some(3),
-        MVar(x) => Some(4 + x.index()),
+        MVar(x) => Some(4 + x.index() as usize),
         _ => None,
     }
 }
 
-fn truncate_list(list: &mut Vec<u32>, limit: u32) {
-    while list.last().is_some_and(|&n| n >= limit) {
-        list.pop();
+/// The list at `key`, if one was ever pushed to.
+fn list_at(lists: &[Vec<u32>], key: usize) -> &[u32] {
+    lists.get(key).map_or(&[], Vec::as_slice)
+}
+
+fn push_at(lists: &mut Vec<Vec<u32>>, key: usize, n: u32) {
+    if lists.len() <= key {
+        lists.resize_with(key + 1, Vec::new);
     }
+    lists[key].push(n);
+}
+
+/// Drop the entries of an ascending list that are `>= limit`.
+fn truncate_list(list: &mut Vec<u32>, limit: u32) {
+    list.truncate(list.partition_point(|&n| n < limit));
 }
 
 /// The incremental race analyzer: vector-clock state for the *current*
@@ -461,11 +434,12 @@ fn truncate_list(list: &mut Vec<u32>, limit: u32) {
 /// which the driver fixes before a thread's first logged step) — the
 /// same guarantee the reference analyzer's determinism rests on. Two runs
 /// sharing an event-log prefix therefore share every per-event
-/// artifact over it: post clocks, sequence numbers, race pairs, and
-/// the candidate indices. So on a new run the state is truncated to
-/// the longest common prefix (each event saving just enough — its
-/// thread's previous clock — to undo itself) and only the new suffix
-/// is analyzed.
+/// artifact over it: post clocks, sequence numbers, the candidate
+/// indices — and the flags: a flag is found at its race's *later*
+/// event and reads nothing past it, and the flags an earlier event
+/// found are the only ones that can shadow it. So on a new run the
+/// state is truncated to the longest common prefix, flags included,
+/// and only the new suffix is analyzed.
 ///
 /// # Why the candidate indices lose no race
 ///
@@ -489,38 +463,47 @@ fn truncate_list(list: &mut Vec<u32>, limit: u32) {
 pub(crate) struct RaceState {
     events: Vec<ExecEvent>,
     wait_res: Vec<Option<StepFootprint>>,
-    /// Dense thread indices, in order of first appearance.
+    /// Dense thread indices, in order of first appearance: the threads
+    /// with at least one event in the log.
     tids: Vec<u64>,
-    /// Whether event `n` was its thread's first.
-    introduced: Vec<bool>,
-    post: Vec<SparseClock>,
+    /// Event `n`'s thread, as its dense index.
+    thread_of: Vec<u32>,
+    /// Event `n`'s post clock — also the clock of its thread until that
+    /// thread's next event.
+    post: Vec<VClock>,
+    /// Event `n`'s 1-based position among its thread's events.
     seq: Vec<u32>,
-    /// The thread clock of event `n`'s thread just before `n` — the
-    /// undo record rollback restores.
-    prev_clock: Vec<SparseClock>,
-    thread_clock: Vec<SparseClock>,
-    thread_seq: Vec<u32>,
     /// Cumulative dependent-but-unordered pair count through event `n`
     /// — the run's `races` telemetry is the last entry.
     cum_races: Vec<u64>,
-    /// Branchable race pairs `(earlier, later)`, later ascending.
-    race_pairs: Vec<(u32, u32)>,
+    /// The run's backtrack requests in first-found order, and the later
+    /// event of the race each was found at (ascending).
+    flags: Vec<RaceFlag>,
+    flag_later: Vec<u32>,
     // Candidate indices: ascending event positions, truncated on
-    // rollback.
+    // rollback. `by_thread` is indexed by dense thread index (lists
+    // past `tids.len()` are empty, kept for their capacity),
+    // `res_lists` by footprint class, `throws_at` by the target's
+    // thread id — all dense, so none needs hashing.
     by_thread: Vec<Vec<u32>>,
-    res_lists: std::collections::HashMap<u64, Vec<u32>>,
-    throws_at: std::collections::HashMap<u64, Vec<u32>>,
+    res_lists: Vec<Vec<u32>>,
+    throws_at: Vec<Vec<u32>>,
     throws_all: Vec<u32>,
     terminals: Vec<u32>,
     blocked: Vec<u32>,
     always: Vec<u32>,
     scratch: Vec<u32>,
+    /// Branchable races of the event being pushed: `(earlier event, its
+    /// branch point)`, in walk order.
+    new_pairs: Vec<(u32, u32)>,
 }
 
 impl RaceState {
     /// Analyze one run's event log, reusing the shared-prefix state of
-    /// the previous call. Returns exactly what [`analyze`] would.
-    pub(crate) fn analyze(&mut self, events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
+    /// the previous call. Returns the run's race count; its flags are
+    /// [`flags`](RaceState::flags) — together exactly what [`analyze`]
+    /// would return.
+    pub(crate) fn analyze(&mut self, events: &[ExecEvent], births: &[Birth]) -> u64 {
         let keep = self
             .events
             .iter()
@@ -532,62 +515,55 @@ impl RaceState {
         for e in &events[keep..] {
             self.push_event(*e, births, main);
         }
-        let analysis = self.build_analysis();
+        let races = self.cum_races.last().copied().unwrap_or(0);
         #[cfg(debug_assertions)]
-        assert_eq!(
-            analysis,
-            analyze(events, births),
-            "incremental race analysis diverged from the full recompute"
-        );
-        analysis
+        {
+            let reference = analyze(events, births);
+            assert_eq!(
+                (self.flags(), races),
+                (&reference.flags[..], reference.races),
+                "incremental race analysis diverged from the full recompute"
+            );
+        }
+        races
     }
 
-    /// Truncate the state to the first `keep` events, undoing each
-    /// later event newest-first.
+    /// The backtrack requests of the log last analyzed, in log order
+    /// (deduplicated).
+    pub(crate) fn flags(&self) -> &[RaceFlag] {
+        &self.flags
+    }
+
+    /// Truncate the state to the first `keep` events.
     fn rollback(&mut self, keep: usize) {
-        for n in (keep..self.events.len()).rev() {
-            if self.introduced[n] {
-                // Threads are introduced in index order, so undoing
-                // events newest-first pops them last-introduced-first.
-                self.tids.pop();
-                self.thread_clock.pop();
-                self.thread_seq.pop();
-                self.by_thread.pop();
-            } else {
-                let tid = self.events[n].tid;
-                let t = self
-                    .tids
-                    .iter()
-                    .position(|&x| x == tid)
-                    .expect("rolled-back event's thread is indexed");
-                self.thread_seq[t] -= 1;
-                self.thread_clock[t] = std::mem::take(&mut self.prev_clock[n]);
-            }
-        }
         self.events.truncate(keep);
         self.wait_res.truncate(keep);
-        self.introduced.truncate(keep);
+        self.thread_of.truncate(keep);
         self.post.truncate(keep);
         self.seq.truncate(keep);
-        self.prev_clock.truncate(keep);
         self.cum_races.truncate(keep);
         let limit = keep as u32;
-        while self.race_pairs.last().is_some_and(|&(_, n)| n >= limit) {
-            self.race_pairs.pop();
-        }
-        for list in self.by_thread.iter_mut() {
+        truncate_list(&mut self.flag_later, limit);
+        self.flags.truncate(self.flag_later.len());
+        let lists = self.by_thread.iter_mut();
+        let lists = lists.chain(&mut self.res_lists).chain(&mut self.throws_at);
+        let shared = [
+            &mut self.throws_all,
+            &mut self.terminals,
+            &mut self.blocked,
+            &mut self.always,
+        ];
+        for list in lists.chain(shared) {
             truncate_list(list, limit);
         }
-        for list in self.res_lists.values_mut() {
-            truncate_list(list, limit);
-        }
-        for list in self.throws_at.values_mut() {
-            truncate_list(list, limit);
-        }
-        truncate_list(&mut self.throws_all, limit);
-        truncate_list(&mut self.terminals, limit);
-        truncate_list(&mut self.blocked, limit);
-        truncate_list(&mut self.always, limit);
+        // Threads are introduced in index order, so the ones left
+        // without an event are the last.
+        let live = self.by_thread.iter().take_while(|l| !l.is_empty()).count();
+        self.tids.truncate(live);
+    }
+
+    fn thread_index(&self, tid: u64) -> Option<usize> {
+        self.tids.iter().position(|&x| x == tid)
     }
 
     /// The wait resource a blocked-target throw may cancel — the
@@ -600,11 +576,8 @@ impl RaceState {
         let StepFootprint::Throw(t) = e.fp else {
             return None;
         };
-        let target = t.index();
         let last = self
-            .tids
-            .iter()
-            .position(|&x| x == target)
+            .thread_index(t.index())
             .and_then(|t2| self.by_thread[t2].last().copied());
         match last {
             Some(p) => match self.events[p as usize].fp {
@@ -620,31 +593,18 @@ impl RaceState {
 
     /// Extend the state by one event: gather the candidate earlier
     /// events from the per-object indices, run the newest-first
-    /// accumulator walk over them, and commit the event's clocks and
-    /// index entries.
+    /// accumulator walk over them, commit the event's clock and index
+    /// entries, and turn the branchable races it closed into flags.
     fn push_event(&mut self, e: ExecEvent, births: &[Birth], main: u64) {
-        let n = self.events.len();
+        let n = self.events.len() as u32;
         let w = self.wait_res_of(&e);
-        let (t, introduced) = match self.tids.iter().position(|&x| x == e.tid) {
-            Some(t) => (t, false),
-            None => {
-                // First event of this thread: inherit the creating
-                // fork's clock, if known.
-                let mut c = SparseClock::default();
-                if let Some(b) = births.iter().find(|b| b.tid == e.tid) {
-                    if let Some(p) = b.parent_event {
-                        if let Some(pc) = self.post.get(p as usize) {
-                            c = pc.clone();
-                        }
-                    }
-                }
-                self.tids.push(e.tid);
-                self.thread_clock.push(c);
-                self.thread_seq.push(0);
+        let t = self.thread_index(e.tid).unwrap_or_else(|| {
+            self.tids.push(e.tid);
+            if self.by_thread.len() < self.tids.len() {
                 self.by_thread.push(Vec::new());
-                (self.tids.len() - 1, true)
             }
-        };
+            self.tids.len() - 1
+        });
 
         // Candidates, descending and deduped. An `Effect` step, the
         // main thread's terminal, and an unnameable cancelled wait are
@@ -655,25 +615,19 @@ impl RaceState {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         if full_walk {
-            scratch.extend((0..n as u32).rev());
+            scratch.extend((0..n).rev());
         } else {
             scratch.extend_from_slice(&self.always);
-            if let Some(list) = self.throws_at.get(&e.tid) {
-                scratch.extend_from_slice(list);
-            }
+            scratch.extend_from_slice(list_at(&self.throws_at, e.tid as usize));
             if let Some(class) = fp_class(e.fp) {
-                if let Some(list) = self.res_lists.get(&class) {
-                    scratch.extend_from_slice(list);
-                }
+                scratch.extend_from_slice(list_at(&self.res_lists, class));
             }
             if let StepFootprint::Throw(target) = e.fp {
                 let target = target.index();
-                if let Some(t2) = self.tids.iter().position(|&x| x == target) {
+                if let Some(t2) = self.thread_index(target) {
                     scratch.extend_from_slice(&self.by_thread[t2]);
                 }
-                if let Some(list) = self.throws_at.get(&target) {
-                    scratch.extend_from_slice(list);
-                }
+                scratch.extend_from_slice(list_at(&self.throws_at, target as usize));
                 scratch.extend_from_slice(&self.blocked);
             }
             if e.fp == StepFootprint::Terminal {
@@ -684,9 +638,7 @@ impl RaceState {
                 // the cancelled wait conflicts with its resource's
                 // steps and with every throw and terminal.
                 if let Some(class) = fp_class(res) {
-                    if let Some(list) = self.res_lists.get(&class) {
-                        scratch.extend_from_slice(list);
-                    }
+                    scratch.extend_from_slice(list_at(&self.res_lists, class));
                 }
                 scratch.extend_from_slice(&self.throws_all);
                 scratch.extend_from_slice(&self.terminals);
@@ -695,133 +647,126 @@ impl RaceState {
             scratch.dedup();
         }
 
+        // The thread's clock so far: its last event's post clock, or —
+        // first event of this thread — the creating fork's, if known.
+        let mut acc = match self.by_thread[t].last() {
+            Some(&last) => self.post[last as usize].clone(),
+            None => births
+                .iter()
+                .find(|b| b.tid == e.tid)
+                .and_then(|b| self.post.get(b.parent_event? as usize))
+                .cloned()
+                .unwrap_or_default(),
+        };
+
         // The accumulator walk of `analyze`, restricted to the
         // candidates: the skipped events are provably independent, so
         // the dependent subsequence — and the accumulator's evolution
         // along it — is identical to the full scan's.
-        let mut acc = self.thread_clock[t].clone();
         let mut new_races = 0u64;
-        for &iu in &scratch {
-            let i = iu as usize;
-            let ei = &self.events[i];
-            if ei.tid == e.tid || !events_dependent(ei, &e, self.wait_res[i], w, main) {
+        self.new_pairs.clear();
+        for &i in &scratch {
+            let ei = &self.events[i as usize];
+            if ei.tid == e.tid || !events_dependent(ei, &e, self.wait_res[i as usize], w, main) {
                 continue;
             }
-            let ti = self
-                .tids
-                .iter()
-                .position(|&x| x == ei.tid)
-                .expect("earlier event's thread is indexed") as u32;
-            if acc.get(ti) < self.seq[i] {
+            if component(&acc, self.thread_of[i as usize]) < self.seq[i as usize] {
                 new_races += 1;
-                if ei.point.is_some() {
-                    self.race_pairs.push((iu, n as u32));
+                if let Some(point) = ei.point {
+                    self.new_pairs.push((i, point));
                 }
             }
-            acc.join(&self.post[i]);
+            join_into(&mut acc, &self.post[i as usize]);
         }
         self.scratch = scratch;
 
-        // Commit clocks and undo record.
-        self.thread_seq[t] += 1;
-        let sq = self.thread_seq[t];
-        acc.set(t as u32, sq);
-        let prev = std::mem::replace(&mut self.thread_clock[t], acc.clone());
-        self.prev_clock.push(if introduced {
-            SparseClock::default()
-        } else {
-            prev
-        });
+        // Commit the clock, bumping this thread's own component.
+        let sq = self.by_thread[t].len() as u32 + 1;
+        while acc.len() <= t {
+            acc.push(0);
+        }
+        acc[t] = sq;
         self.post.push(acc);
         self.seq.push(sq);
-        self.introduced.push(introduced);
+        self.thread_of.push(t as u32);
         let total = self.cum_races.last().copied().unwrap_or(0) + new_races;
         self.cum_races.push(total);
 
         // Commit index entries.
-        self.by_thread[t].push(n as u32);
+        self.by_thread[t].push(n);
         if let Some(class) = fp_class(e.fp) {
-            self.res_lists.entry(class).or_default().push(n as u32);
+            push_at(&mut self.res_lists, class, n);
         }
         match e.fp {
             StepFootprint::Throw(target) => {
-                self.throws_at
-                    .entry(target.index())
-                    .or_default()
-                    .push(n as u32);
-                self.throws_all.push(n as u32);
+                push_at(&mut self.throws_at, target.index() as usize, n);
+                self.throws_all.push(n);
             }
             StepFootprint::Terminal => {
-                self.terminals.push(n as u32);
+                self.terminals.push(n);
                 if e.tid == main {
-                    self.always.push(n as u32);
+                    self.always.push(n);
                 }
             }
-            StepFootprint::Effect => self.always.push(n as u32),
+            StepFootprint::Effect => self.always.push(n),
             _ => {}
         }
         match w {
             Some(StepFootprint::Effect) => {
-                self.always.push(n as u32);
-                self.blocked.push(n as u32);
+                self.always.push(n);
+                self.blocked.push(n);
             }
             Some(res) => {
-                self.blocked.push(n as u32);
+                self.blocked.push(n);
                 if let Some(class) = fp_class(res) {
-                    self.res_lists.entry(class).or_default().push(n as u32);
+                    push_at(&mut self.res_lists, class, n);
                 }
             }
             None => {}
         }
         self.events.push(e);
         self.wait_res.push(w);
+        self.flag_new_pairs(n);
     }
 
-    /// The run's [`RaceAnalysis`]: total race pairs over the whole
-    /// current log, and the flags rebuilt from the cached race pairs in
-    /// first-found order with witnesses read off the (immutable) post
-    /// clocks — byte-for-byte what [`analyze`] builds.
-    fn build_analysis(&self) -> RaceAnalysis {
-        let mut analysis = RaceAnalysis {
-            flags: Vec::new(),
-            races: self.cum_races.last().copied().unwrap_or(0),
-        };
-        for &(iu, nu) in &self.race_pairs {
-            let (i, n) = (iu as usize, nu as usize);
-            let point = self.events[i]
-                .point
-                .expect("race pair recorded at a branch point");
-            let later_tid = self.events[n].tid;
-            if analysis
+    /// Turn the branchable races that event `n` (just committed) is the
+    /// later step of into flags, deduplicated on `(point, later_tid)`
+    /// against every flag found so far, each with its witness set: the
+    /// threads whose first event strictly after the earlier step
+    /// happens-before `n` (read off `n`'s post clock, final since the
+    /// commit; `n` always witnesses itself) — flag for flag what
+    /// [`analyze`] builds from its race pairs after the pass.
+    fn flag_new_pairs(&mut self, n: u32) {
+        let later_tid = self.events[n as usize].tid;
+        let clock = &self.post[n as usize];
+        for &(i, point) in &self.new_pairs {
+            if self
                 .flags
                 .iter()
                 .any(|f| f.point == point && f.later_tid == later_tid)
             {
                 continue;
             }
-            let mut witnesses: Vec<u64> = Vec::new();
-            let mut seen: Vec<u64> = Vec::new();
-            for (j, ej) in self.events.iter().enumerate().take(n + 1).skip(i + 1) {
-                if seen.contains(&ej.tid) {
+            let mut witnesses = InlineVec::new();
+            // Threads already seen between the two steps, by dense index.
+            self.scratch.clear();
+            for j in i + 1..=n {
+                let tj = self.thread_of[j as usize];
+                if self.scratch.contains(&tj) {
                     continue;
                 }
-                seen.push(ej.tid);
-                let tj = self
-                    .tids
-                    .iter()
-                    .position(|&x| x == ej.tid)
-                    .expect("every logged thread has an index") as u32;
-                if self.post[n].get(tj) >= self.seq[j] {
-                    witnesses.push(ej.tid);
+                self.scratch.push(tj);
+                if component(clock, tj) >= self.seq[j as usize] {
+                    witnesses.push(self.events[j as usize].tid);
                 }
             }
-            analysis.flags.push(RaceFlag {
+            self.flags.push(RaceFlag {
                 point,
                 later_tid,
                 witnesses,
             });
+            self.flag_later.push(n);
         }
-        analysis
     }
 }
 
@@ -856,7 +801,7 @@ mod tests {
         assert_eq!(a.flags.len(), 1);
         assert!(has_flag(&a, 0, 1));
         // The later step always witnesses itself.
-        assert_eq!(a.flags[0].witnesses, vec![1]);
+        assert_eq!(*a.flags[0].witnesses, [1]);
     }
 
     #[test]
@@ -996,6 +941,8 @@ mod tests {
     /// A random event over a palette covering every footprint class the
     /// candidate indices distinguish: same-resource classes, throws
     /// (runnable and blocked targets), terminals, effects, locals.
+    /// `MVar` indices reach far past a fresh class list's length, and a
+    /// throw may aim at a thread that never logs a step.
     fn random_event(rng: &mut Lcg, threads: u64, next_point: &mut u32) -> ExecEvent {
         use conch_runtime::ids::ThreadId;
         let tid = rng.next(threads);
@@ -1004,13 +951,13 @@ mod tests {
             1 => StepFootprint::Mask,
             2 => StepFootprint::Terminal,
             3 => StepFootprint::MVar(MVarId::from_index(1)),
-            4 => StepFootprint::MVar(MVarId::from_index(2)),
+            4 => StepFootprint::MVar(MVarId::from_index(2 + rng.next(3) * 19)),
             5 => StepFootprint::Alloc,
             6 => StepFootprint::Console,
             7 => StepFootprint::Time,
             8 => StepFootprint::Fork,
             9 => StepFootprint::Effect,
-            _ => StepFootprint::Throw(ThreadId::from_index(rng.next(threads))),
+            _ => StepFootprint::Throw(ThreadId::from_index(rng.next(threads + 3))),
         };
         let blocked_target = matches!(fp, StepFootprint::Throw(_)) && rng.next(2) == 0;
         let point = if rng.next(3) > 0 {
@@ -1027,18 +974,34 @@ mod tests {
         }
     }
 
+    /// What the incremental analyzer says of `log`, in the reference's
+    /// shape.
+    fn incremental(st: &mut RaceState, log: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
+        let races = st.analyze(log, births);
+        RaceAnalysis {
+            flags: st.flags().to_vec(),
+            races,
+        }
+    }
+
     /// The incremental analyzer against the reference full recompute, over
-    /// DFS-shaped log sequences: each run keeps a random prefix of the
-    /// previous run (exercising [`RaceState::rollback`] at every depth,
-    /// including 0 and full length) and appends a fresh random suffix.
-    /// The two must agree exactly — race count, flags, witnesses.
+    /// DFS-shaped log sequences: each run keeps a prefix of the previous
+    /// run (exercising [`RaceState::rollback`] at every depth, including
+    /// 0 and full length) and appends a fresh random suffix. Thread
+    /// counts straddle [`CLOCK_INLINE`], so clocks are joined inline,
+    /// across the spill and on the heap; every third run cuts *through*
+    /// a kept flag — between its race's earlier and later event — so a
+    /// flag that must go sits next to ones that must stay. The two must
+    /// agree exactly — race count, flags, witnesses.
     #[test]
     fn incremental_matches_reference_on_backtracking_log_sequences() {
-        for seed in 0..20_u64 {
+        let (mut widest, mut cuts) = (0, 0);
+        for seed in 0..40_u64 {
             // Wrapping: the seed spread deliberately overflows u64 (it
             // always wrapped in release; debug builds must agree).
             let mut rng = Lcg(0x9E3779B97F4A7C15 ^ seed.wrapping_mul(0x5851F42D4C957F2D));
-            let threads = 2 + rng.next(4);
+            let threads = 2 + rng.next(2 * CLOCK_INLINE as u64 - 1);
+            widest = widest.max(threads);
             let births: Vec<Birth> = (0..threads)
                 .map(|t| Birth {
                     tid: t,
@@ -1050,14 +1013,17 @@ mod tests {
                     parent_event: (t > 0).then(|| (t - 1) as u32),
                 })
                 .collect();
-            let mut incremental = RaceState::default();
+            let mut st = RaceState::default();
             let mut log: Vec<ExecEvent> = Vec::new();
-            for _run in 0..60 {
-                let keep = if log.is_empty() {
-                    0
-                } else {
-                    rng.next(log.len() as u64 + 1) as usize
-                };
+            for run in 0..60 {
+                let mut keep = rng.next(log.len() as u64 + 1) as usize;
+                if run % 3 == 2 && !st.flags.is_empty() {
+                    let k = rng.next(st.flags.len() as u64) as usize;
+                    let (point, later) = (st.flags[k].point, st.flag_later[k] as usize);
+                    let earlier = log.iter().position(|e| e.point == Some(point)).unwrap();
+                    keep = earlier + 1 + rng.next((later - earlier) as u64) as usize;
+                    cuts += 1;
+                }
                 log.truncate(keep);
                 let grow = 1 + rng.next(15);
                 let mut next_point = log.iter().filter(|e| e.point.is_some()).count() as u32;
@@ -1066,13 +1032,64 @@ mod tests {
                     log.push(e);
                 }
                 let expected = analyze(&log, &births);
-                let got = incremental.analyze(&log, &births);
+                let got = incremental(&mut st, &log, &births);
                 assert_eq!(
                     got, expected,
                     "seed={seed} diverged on log {log:?} births {births:?}"
                 );
+                assert!(st.flag_later.windows(2).all(|w| w[0] <= w[1]));
             }
         }
+        assert_eq!(widest, 2 * CLOCK_INLINE as u64, "a clock must have spilled");
+        assert!(cuts > 100, "only {cuts} rollbacks cut through a kept flag");
+    }
+
+    /// The kept flags are the first found for their `(point, later_tid)`
+    /// in the *current* log, wherever the previous log found them. Two
+    /// events here share branch point 0 (no driver log does that; it is
+    /// what makes a second race flag the same pair), so thread 1 races
+    /// at point 0 twice per log — once on the console, once on the
+    /// clock — in an order the two logs disagree on past their shared
+    /// first event.
+    #[test]
+    fn a_kept_flag_is_the_first_found_in_the_current_log() {
+        let console = |tid, point| ev(tid, StepFootprint::Console, point);
+        let time = |tid, point| ev(tid, StepFootprint::Time, point);
+        // Console race first (later event 1), clock race deduplicated.
+        let console_first = [
+            console(0, Some(0)),
+            console(1, None),
+            time(2, Some(0)),
+            time(1, None),
+        ];
+        // Clock race first (later event 2), console race deduplicated.
+        let clock_first = [
+            console(0, Some(0)),
+            time(2, Some(0)),
+            time(1, None),
+            console(1, None),
+        ];
+        // Shares `console_first`'s flag-bearing prefix, then races on
+        // the clock the other way round: thread 2 is the later one.
+        let kept_then_new = [
+            console(0, Some(0)),
+            console(1, None),
+            time(1, Some(0)),
+            time(2, None),
+        ];
+        let mut st = RaceState::default();
+        let mut check = |log: &[ExecEvent], found_at: &[u32]| {
+            assert_eq!(incremental(&mut st, log, &[]), analyze(log, &[]));
+            assert_eq!(st.flag_later, found_at);
+        };
+        // The flag found in the suffix goes with it...
+        check(&console_first, &[1]);
+        check(&clock_first, &[2]);
+        // ...and is found anew where this log has it first.
+        check(&console_first, &[1]);
+        // A flag found in the kept prefix stays and still shadows.
+        check(&kept_then_new, &[1, 3]);
+        check(&console_first, &[1]);
     }
 
     /// Rollback all the way to the empty log must leave the state
@@ -1094,9 +1111,18 @@ mod tests {
             ev(0, StepFootprint::Time, None),
         ];
         let mut st = RaceState::default();
-        assert_eq!(st.analyze(&long, &births), analyze(&long, &births));
+        assert_eq!(
+            incremental(&mut st, &long, &births),
+            analyze(&long, &births)
+        );
         // Disjoint first event: common prefix is empty.
-        assert_eq!(st.analyze(&short, &births), analyze(&short, &births));
-        assert_eq!(st.analyze(&long, &births), analyze(&long, &births));
+        assert_eq!(
+            incremental(&mut st, &short, &births),
+            analyze(&short, &births)
+        );
+        assert_eq!(
+            incremental(&mut st, &long, &births),
+            analyze(&long, &births)
+        );
     }
 }

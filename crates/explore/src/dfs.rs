@@ -99,7 +99,7 @@ pub(crate) fn sleep_set_worker<T: FromValue>(
             // record keeps its buffer capacity for the next run.
             let mut pruned = 0;
             for point in w.state().borrow_mut().record.drain(scripted..) {
-                pruned += point.sleeping.len();
+                pruned += point.alts.iter().filter(|a| a.asleep).count();
                 stack.push(Node::from_point(point));
             }
             frontier.add_pruned(pruned);

@@ -60,7 +60,7 @@ use conch_runtime::value::FromValue;
 
 use crate::clocks::{RaceFlag, RaceState};
 use crate::dfs::walk;
-use crate::driver::{Alts, DriverState, Point, SleepEntry};
+use crate::driver::{Alt, Alts, DriverState, Point};
 use crate::explorer::TestCase;
 use crate::frontier::{alt_index, dfs_key, lock, Node};
 use crate::schedule::Choice;
@@ -95,9 +95,6 @@ struct TrieNode {
     /// branch point there (branch-point structure is a function of the
     /// path), so the value is well-defined.
     candidates: u32,
-    /// How many of a scheduling point's candidates were asleep when it
-    /// was stored.
-    sleeping: u16,
     /// A registered run's choice path ends exactly here.
     run_end: bool,
     /// `true` iff the last round barrier grew the backtrack set of this
@@ -119,7 +116,6 @@ impl TrieNode {
             point: 0,
             backtrack: NONE,
             candidates: 0,
-            sleeping: 0,
             run_end: false,
             dirty_below: false,
         }
@@ -161,10 +157,10 @@ fn chain<'a>(first: u32, next: impl Fn(u32) -> u32 + 'a) -> impl Iterator<Item =
 pub(crate) struct Trie {
     nodes: Vec<TrieNode>,
     /// The stored branch points, one range per node: a scheduling
-    /// point's candidates in run-queue order, then a copy of those that
-    /// were asleep. Delivery and oracle points store nothing here —
-    /// their arm count is [`TrieNode::candidates`].
-    entries: Vec<SleepEntry>,
+    /// point's candidates in run-queue order, each marked asleep or
+    /// not as the storing run found it. Delivery and oracle points
+    /// store nothing here — their arm count is [`TrieNode::candidates`].
+    entries: Vec<Alt>,
     /// Every backtrack entry: a thread id and the next entry of the
     /// same node's set.
     backtracks: Vec<(u64, u32)>,
@@ -235,8 +231,8 @@ impl Trie {
 
     /// Store `p` as the branch point at `node`. Only the run that finds
     /// the point *below* its script may: a later run that passes it
-    /// scripted has the siblings the DFS explored folded into
-    /// `p.sleeping`, which is not what a fresh descent sees. Each node
+    /// scripted has the siblings the DFS explored marked asleep in
+    /// `p.alts`, which is not what a fresh descent sees. Each node
     /// lies below the script of exactly one run — the one that creates
     /// it (the first run, for the root) — so the store is write-once.
     fn store(&mut self, node: u32, p: &Point) {
@@ -246,11 +242,8 @@ impl Trie {
             "a branch point lies below the script of exactly one run"
         );
         n.candidates = p.candidates();
-        n.sleeping = u16::try_from(p.sleeping.len()).expect("fewer than 65536 threads asleep");
         n.point = self.entries.len() as u32;
         self.entries.extend_from_slice(&p.alts);
-        let asleep = p.alts.iter().filter(|e| p.sleeping.contains(&e.0));
-        self.entries.extend(asleep);
     }
 
     /// A new child of `parent` along `edge`, linked in behind the first
@@ -299,12 +292,12 @@ impl Trie {
                 Choice::Deliver(_) => (0, 0),
                 Choice::Arm(_) => (0, node.candidates as u8),
             };
-            let stored = &self.entries[node.point as usize..][..threads + node.sleeping as usize];
             let mut alts = Alts::new();
-            stored[..threads].iter().for_each(|&e| alts.push(e));
+            self.entries[node.point as usize..][..threads]
+                .iter()
+                .for_each(|&e| alts.push(e));
             let point = Point {
                 alts,
-                sleeping: stored[threads..].iter().map(|e| e.0).collect(),
                 chosen: default.edge,
                 arms,
             };
@@ -429,9 +422,8 @@ pub(crate) fn round_worker<T: FromValue>(
             // and the DFS-earliest certificate are functions of the run
             // set alone.
             w.account(run, |st| dfs_key(&st.record));
-            let analysis = w.analysis(|st| races.analyze(&st.exec_log, &st.births));
-            w.stats.races_detected += analysis.races;
-            plan_inserts(&w.state().borrow(), &analysis.flags, |point, tid| {
+            w.stats.races_detected += w.analysis(|st| races.analyze(&st.exec_log, &st.births));
+            plan_inserts(&w.state().borrow(), races.flags(), |point, tid| {
                 inserts.push((path[point], tid))
             });
             // The nodes below the script were created by this run, so
@@ -480,8 +472,8 @@ fn plan_inserts(st: &DriverState, flags: &[RaceFlag], mut insert: impl FnMut(usi
             Some(&w) if w == chosen => {}
             Some(&w) => insert(point, w),
             None => {
-                for &(a, _) in p.alts.iter().filter(|&&(a, _)| a != chosen) {
-                    insert(point, a);
+                for a in p.alts.iter().filter(|a| a.tid() != chosen) {
+                    insert(point, a.tid());
                 }
             }
         }
@@ -492,15 +484,19 @@ fn plan_inserts(st: &DriverState, flags: &[RaceFlag], mut insert: impl FnMut(usi
 mod tests {
     use super::*;
     use conch_runtime::decide::StepFootprint;
+    use conch_runtime::ids::ThreadId;
     use Choice::{Deliver, Thread};
 
     /// A scheduling point over threads `0..candidates`.
     fn sched(chosen: u64, candidates: u64, sleeping: &[u64]) -> Point {
         let mut alts = Alts::new();
-        (0..candidates).for_each(|t| alts.push((t, StepFootprint::Effect)));
+        for t in 0..candidates {
+            let mut alt = Alt::new(ThreadId::from_index(t), StepFootprint::Effect);
+            alt.asleep = sleeping.contains(&t);
+            alts.push(alt);
+        }
         Point {
             alts,
-            sleeping: sleeping.to_vec(),
             chosen: Thread(chosen),
             arms: 0,
         }
@@ -511,7 +507,6 @@ mod tests {
             Thread(t) => sched(t, candidates, &[]),
             _ => Point {
                 alts: Alts::new(),
-                sleeping: Vec::new(),
                 chosen: choice,
                 arms: 0,
             },
@@ -689,7 +684,12 @@ mod tests {
         trie.request([(1, 1)]);
         assert!(trie.apply_pending());
         let below = recall(&trie, &[]).expect("registered");
-        assert_eq!(below[1].point.sleeping, [1], "as the fresh descent saw it");
+        let asleep = |p: &Point| p.alts.iter().map(|a| a.asleep).collect::<Vec<_>>();
+        assert_eq!(
+            asleep(&below[1].point),
+            [false, true, false],
+            "as the fresh descent saw it"
+        );
         assert_eq!(
             below[1].point.chosen,
             Thread(0),

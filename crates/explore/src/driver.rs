@@ -13,7 +13,9 @@
 //!   no pending asynchronous exceptions is always run first, without a
 //!   branch point: its step commutes with every other thread's, so
 //!   scheduling it eagerly explores one representative of each
-//!   equivalence class of interleavings.
+//!   equivalence class of interleavings. The driver decides it
+//!   ([`Pick::invisible`]); the scheduler carries it out, stepping the
+//!   thread to the end of its run of such moves without asking again.
 //! * **Sleep sets** — when the DFS has already explored running thread
 //!   `a` at a branch point and comes back to try sibling `b`, `a` is
 //!   put to sleep: in the `b` subtree `a` is not chosen again until
@@ -28,14 +30,19 @@
 //! deterministic function of the executed path alone — never of the
 //! sleep sets — so a bare list of choices ([`crate::Schedule`]) is
 //! enough to replay a run exactly, with no DFS bookkeeping attached.
+//!
+//! A run allocates nothing here once the buffers are warm: what it
+//! records per branch point is one [`Point`], whose candidate list is
+//! inline ([`Alts`]) and carries the sleep marks itself.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use conch_runtime::decide::{Decider, StepFootprint, ThreadView};
+use conch_runtime::decide::{Decider, Pick, StepFootprint, ThreadView};
 use conch_runtime::ids::ThreadId;
 
 use crate::clocks::{Birth, ExecEvent};
+use crate::inline::InlineVec;
 use crate::sample::SamplePolicy;
 use crate::schedule::Choice;
 
@@ -43,67 +50,54 @@ use crate::schedule::Choice;
 /// to sleep with.
 pub(crate) type SleepEntry = (u64, StepFootprint);
 
-/// Inline capacity of [`Alts`]: candidate lists of up to this many
-/// threads (the overwhelmingly common case) need no heap allocation.
-const ALTS_INLINE: usize = 4;
-
-/// The candidate list of a branch point. A run records one of these per
-/// scheduling point, so a heap `Vec` here is the hottest allocation in
-/// the whole exploration loop; small lists are stored inline instead.
-#[derive(Debug, Clone)]
-pub(crate) enum Alts {
-    Inline {
-        len: u8,
-        buf: [SleepEntry; ALTS_INLINE],
-    },
-    Heap(Vec<SleepEntry>),
+/// One candidate of a scheduling point: a runnable thread, the
+/// footprint of its next step, and whether it was asleep when the point
+/// was first created (a candidate the DFS will skip).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Alt {
+    /// The spawn sequence number [`ThreadId::index`] widens: kept at its
+    /// own width so an `Alt` is no larger than a [`SleepEntry`].
+    tid: u32,
+    pub(crate) asleep: bool,
+    pub(crate) fp: StepFootprint,
 }
 
-impl Alts {
-    pub(crate) fn new() -> Self {
-        Alts::Inline {
-            len: 0,
-            buf: [(0, StepFootprint::Local); ALTS_INLINE],
+impl Alt {
+    pub(crate) fn new(tid: ThreadId, fp: StepFootprint) -> Self {
+        Alt {
+            tid: tid.index() as u32,
+            asleep: false,
+            fp,
         }
     }
 
-    pub(crate) fn push(&mut self, entry: SleepEntry) {
-        match self {
-            Alts::Inline { len, buf } => {
-                if (*len as usize) < ALTS_INLINE {
-                    buf[*len as usize] = entry;
-                    *len += 1;
-                } else {
-                    let mut v: Vec<SleepEntry> = buf.to_vec();
-                    v.push(entry);
-                    *self = Alts::Heap(v);
-                }
-            }
-            Alts::Heap(v) => v.push(entry),
-        }
+    pub(crate) fn tid(&self) -> u64 {
+        self.tid as u64
+    }
+
+    /// The sleep-set entry that puts this candidate to sleep.
+    pub(crate) fn entry(&self) -> SleepEntry {
+        (self.tid(), self.fp)
     }
 }
 
-impl std::ops::Deref for Alts {
-    type Target = [SleepEntry];
-    fn deref(&self) -> &[SleepEntry] {
-        match self {
-            Alts::Inline { len, buf } => &buf[..*len as usize],
-            Alts::Heap(v) => v,
-        }
+impl Default for Alt {
+    fn default() -> Self {
+        Alt::new(ThreadId::from_index(0), StepFootprint::Local)
     }
 }
+
+/// The candidate list of a branch point, in run-queue order. A run
+/// records one per scheduling point and the DPOR trie hands one back
+/// per recalled node; up to four threads it is plain inline data.
+pub(crate) type Alts = InlineVec<Alt, 4>;
 
 /// A branch point recorded during a run.
 #[derive(Debug, Clone)]
 pub(crate) struct Point {
-    /// For scheduling points: the full candidate list (thread id and
-    /// next-step footprint, in run-queue order). Empty for delivery
-    /// points.
+    /// For scheduling points: the full candidate list. Empty for
+    /// delivery and oracle points.
     pub(crate) alts: Alts,
-    /// Thread ids among `alts` that were asleep when this point was
-    /// first created (candidates the DFS will skip).
-    pub(crate) sleeping: Vec<u64>,
     /// The choice taken this run.
     pub(crate) chosen: Choice,
     /// For oracle points ([`Io::choose`](conch_runtime::io::Io::choose)):
@@ -307,30 +301,24 @@ impl DriverState {
     /// The scheduling decision for a branch point with candidates
     /// `runnable`. Returns the index to run.
     fn sched_point(&mut self, runnable: &[ThreadView], previous: Option<ThreadId>) -> usize {
-        let mut alts = Alts::new();
-        for v in runnable {
-            alts.push((v.tid.index(), v.footprint));
-        }
-
         // Preemption bounding: out of budget and the previous thread can
         // continue => force it (deterministically, so this is not a
         // branch point and consumes no script entry).
+        let mut forced = None;
         if let (Some(bound), Some(prev)) = (self.preemption_bound, previous) {
             if self.preemptions >= bound {
-                if let Some(i) = runnable.iter().position(|v| v.tid == prev) {
-                    self.note_exec(alts[i].0, alts[i].1);
-                    self.sched_logged = self.log_exec(&runnable[i], None, runnable);
-                    return i;
-                }
+                forced = runnable.iter().position(|v| v.tid == prev);
             }
         }
-
         // Branch-point budget: beyond it, force the default choice.
-        if self.record.len() >= self.max_points {
+        if forced.is_none() && self.record.len() >= self.max_points {
             self.depth_hit = true;
-            self.note_exec(alts[0].0, alts[0].1);
-            self.sched_logged = self.log_exec(&runnable[0], None, runnable);
-            return 0;
+            forced = Some(0);
+        }
+        if let Some(i) = forced {
+            self.note_exec(runnable[i].tid.index(), runnable[i].footprint);
+            self.sched_logged = self.log_exec(&runnable[i], None, runnable);
+            return i;
         }
 
         // Scripted or frontier choice.
@@ -355,28 +343,25 @@ impl DriverState {
             None
         };
 
-        let sleeping: Vec<u64> = alts
-            .iter()
-            .map(|&(t, _)| t)
-            .filter(|&t| self.is_asleep(t))
-            .collect();
+        let mut alts = Alts::new();
+        for v in runnable {
+            let mut alt = Alt::new(v.tid, v.footprint);
+            alt.asleep = self.is_asleep(alt.tid());
+            alts.push(alt);
+        }
 
-        let default_index = || {
-            alts.iter()
-                .position(|&(t, _)| !sleeping.contains(&t))
-                .unwrap_or(0)
-        };
+        let default_index = || alts.iter().position(|a| !a.asleep).unwrap_or(0);
         let index = match scripted {
             Some(Choice::Thread(t)) => alts
                 .iter()
-                .position(|&(a, _)| a == t)
+                .position(|a| a.tid() == t)
                 .unwrap_or_else(default_index),
             // A delivery or arm choice at a scheduling point can only
             // happen when replaying a spliced (shrunk) schedule; fall
             // back. Unscripted points ask the sampling policy first,
             // when one is installed.
             Some(Choice::Deliver(_) | Choice::Arm(_)) | None => match self.policy.as_mut() {
-                Some(policy) => policy.pick_thread(&alts, &sleeping),
+                Some(policy) => policy.pick_thread(&alts),
                 None => default_index(),
             },
         };
@@ -386,10 +371,9 @@ impl DriverState {
                 self.preemptions += 1;
             }
         }
-        let (chosen_tid, chosen_fp) = alts[index];
+        let (chosen_tid, chosen_fp) = alts[index].entry();
         self.record.push(Point {
             alts,
-            sleeping,
             chosen: Choice::Thread(chosen_tid),
             arms: 0,
         });
@@ -443,7 +427,6 @@ impl DriverState {
         }
         self.record.push(Point {
             alts: Alts::new(),
-            sleeping: Vec::new(),
             chosen: Choice::Deliver(deliver),
             arms: 0,
         });
@@ -482,7 +465,6 @@ impl DriverState {
         };
         self.record.push(Point {
             alts: Alts::new(),
-            sleeping: Vec::new(),
             chosen: Choice::Arm(arm),
             arms,
         });
@@ -494,7 +476,7 @@ impl DriverState {
 pub(crate) struct ScriptedDecider(pub Rc<RefCell<DriverState>>);
 
 impl Decider for ScriptedDecider {
-    fn choose_thread(&mut self, runnable: &[ThreadView], previous: Option<ThreadId>) -> usize {
+    fn choose_thread(&mut self, runnable: &[ThreadView], previous: Option<ThreadId>) -> Pick {
         let mut st = self.0.borrow_mut();
         if st.trace_exec {
             st.note_views(runnable);
@@ -504,7 +486,10 @@ impl Decider for ScriptedDecider {
             let v = runnable[0];
             st.note_exec(v.tid.index(), v.footprint);
             st.sched_logged = st.log_exec(&v, None, runnable);
-            return 0;
+            return Pick {
+                index: 0,
+                invisible: v.pending == 0 && v.footprint.is_local(),
+            };
         }
         // Invisible-move fast-forward: run a local, exception-free step
         // without branching (lowest thread id for determinism). Local
@@ -519,9 +504,9 @@ impl Decider for ScriptedDecider {
             // Never logged, and never followed by a delivery check
             // (fast-forwarding requires no pending exceptions).
             st.sched_logged = false;
-            return i;
+            return Pick::invisible(i);
         }
-        st.sched_point(runnable, previous)
+        Pick::visible(st.sched_point(runnable, previous))
     }
 
     fn deliver_now(&mut self, view: ThreadView) -> bool {

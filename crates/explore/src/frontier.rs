@@ -34,6 +34,7 @@ use conch_runtime::stats::Stats;
 
 use crate::driver::{Point, SleepEntry};
 use crate::explorer::{Report, Timing};
+use crate::inline::InlineVec;
 use crate::schedule::{Choice, Schedule};
 
 /// Poison-tolerant lock: a worker that panicked has already flagged the
@@ -61,7 +62,7 @@ pub(crate) struct Node {
     pub(crate) at: u32,
     /// The explicit child order (thread ids) and the position of the
     /// current child in it; `None` explores all of `alts`.
-    restrict: Option<(Vec<u64>, usize)>,
+    restrict: Option<(InlineVec<u64, 4>, usize)>,
     /// The node's remaining alternatives were donated to another worker
     /// as a [`WorkItem`]; locally it is exhausted.
     pub(crate) sealed: bool,
@@ -88,9 +89,12 @@ impl Node {
         let mut node = Node::from_point(point);
         node.at = at;
         if let Choice::Thread(default) = node.point.chosen {
-            let mut order: Vec<u64> = backtrack.filter(|&t| t != default).collect();
+            let mut order = InlineVec::new();
             order.push(default);
-            order.reverse();
+            backtrack
+                .filter(|&t| t != default)
+                .for_each(|t| order.push(t));
+            order[1..].reverse();
             node.restrict = Some((order, 0));
         }
         node
@@ -105,14 +109,14 @@ impl Node {
         };
         match &self.restrict {
             None => {
-                for &entry in &self.point.alts[..point_key(&self.point) as usize] {
-                    f(entry);
+                for alt in &self.point.alts[..point_key(&self.point) as usize] {
+                    f(alt.entry());
                 }
             }
             Some((order, pos)) => {
                 for &tid in &order[..*pos] {
                     if let Some(i) = alt_index(&self.point, tid) {
-                        f(self.point.alts[i]);
+                        f(self.point.alts[i].entry());
                     }
                 }
             }
@@ -137,9 +141,7 @@ impl Node {
                 *pos += 1;
                 match order.get(*pos) {
                     None => break None,
-                    Some(&tid)
-                        if !point.sleeping.contains(&tid) && alt_index(point, tid).is_some() =>
-                    {
+                    Some(&tid) if alt_index(point, tid).is_some_and(|i| !point.alts[i].asleep) => {
                         break Some(Choice::Thread(tid));
                     }
                     Some(_) => {}
@@ -147,8 +149,8 @@ impl Node {
             },
             (Choice::Thread(_), None) => point.alts[point_key(point) as usize + 1..]
                 .iter()
-                .find(|(tid, _)| !point.sleeping.contains(tid))
-                .map(|&(tid, _)| Choice::Thread(tid)),
+                .find(|a| !a.asleep)
+                .map(|a| Choice::Thread(a.tid())),
         };
         match next {
             Some(choice) => {
@@ -162,7 +164,7 @@ impl Node {
 
 /// Position of thread `tid` among the candidates of `point`.
 pub(crate) fn alt_index(point: &Point, tid: u64) -> Option<usize> {
-    point.alts.iter().position(|&(a, _)| a == tid)
+    point.alts.iter().position(|a| a.tid() == tid)
 }
 
 /// Position of the taken alternative in `p`'s exploration order. The

@@ -84,6 +84,7 @@ mod dpor;
 mod driver;
 pub mod explorer;
 mod frontier;
+mod inline;
 pub mod props;
 mod sample;
 pub mod schedule;

@@ -41,7 +41,7 @@ use std::sync::Mutex;
 
 use conch_runtime::value::FromValue;
 
-use crate::driver::SleepEntry;
+use crate::driver::Alt;
 use crate::explorer::{Strategy, TestCase};
 use crate::frontier::lock;
 use crate::schedule::Choice;
@@ -134,12 +134,12 @@ impl SamplePolicy {
     }
 
     /// The scheduling decision at an unscripted branch point:
-    /// `alts` is the candidate list in run-queue order, `sleeping` the
-    /// subset the sleep-set rule would skip (always empty for sampled
+    /// `alts` is the candidate list in run-queue order, with the ones
+    /// the sleep-set rule would skip marked asleep (none are in sampled
     /// runs, which carry no DFS context; honored anyway so the policy
     /// composes with scripted prefixes). Returns an index into `alts`.
-    pub(crate) fn pick_thread(&mut self, alts: &[SleepEntry], sleeping: &[u64]) -> usize {
-        let eligible = |i: &usize| !sleeping.contains(&alts[*i].0);
+    pub(crate) fn pick_thread(&mut self, alts: &[Alt]) -> usize {
+        let eligible = |i: &usize| !alts[*i].asleep;
         match self {
             SamplePolicy::Uniform(rng) => {
                 let candidates: Vec<usize> = (0..alts.len()).filter(eligible).collect();
@@ -149,7 +149,7 @@ impl SamplePolicy {
                 }
             }
             SamplePolicy::Pct(st) => {
-                for &(tid, _) in alts {
+                for tid in alts.iter().map(Alt::tid) {
                     if !st.priorities.iter().any(|&(t, _)| t == tid) {
                         // Initial priorities are non-negative, so every
                         // demotion (negative) outranks none of them.
@@ -164,7 +164,7 @@ impl SamplePolicy {
                         .max_by_key(|&i| {
                             st.priorities
                                 .iter()
-                                .find(|&&(t, _)| t == alts[i].0)
+                                .find(|&&(t, _)| t == alts[i].tid())
                                 .map(|&(_, p)| p)
                                 .unwrap_or(i64::MIN)
                         })
@@ -173,7 +173,7 @@ impl SamplePolicy {
                 if st.change_points.contains(&st.decisions) {
                     // A change point fires: the thread that would run
                     // is demoted below everyone, handing the lead over.
-                    let demoted = alts[leader(st)].0;
+                    let demoted = alts[leader(st)].tid();
                     let p = st.demote_next;
                     st.demote_next -= 1;
                     if let Some(e) = st.priorities.iter_mut().find(|e| e.0 == demoted) {
@@ -361,16 +361,18 @@ mod tests {
         // decision 1 or 2 depending on the seed. When it lands on
         // decision 2, the leader of pick 1 is demoted below everyone
         // at pick 2 — the lead must transfer and then stay put.
-        let alts: Vec<SleepEntry> = vec![
-            (0, conch_runtime::decide::StepFootprint::Local),
-            (1, conch_runtime::decide::StepFootprint::Local),
-        ];
+        let alts = [0, 1].map(|t| {
+            Alt::new(
+                conch_runtime::ids::ThreadId::from_index(t),
+                conch_runtime::decide::StepFootprint::Local,
+            )
+        });
         let mut transfers = 0;
         for seed in 0..32 {
             let mut p = SamplePolicy::pct(2, seed, 2);
-            let first = p.pick_thread(&alts, &[]);
-            let second = p.pick_thread(&alts, &[]);
-            let third = p.pick_thread(&alts, &[]);
+            let first = p.pick_thread(&alts);
+            let second = p.pick_thread(&alts);
+            let third = p.pick_thread(&alts);
             if first != second {
                 // Change point fired at decision 2: lead transferred,
                 // and with all change points spent it stays put.

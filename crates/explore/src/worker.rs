@@ -47,9 +47,12 @@ impl Runner {
             config.preemption_bound,
             config.max_depth,
         )));
+        let decider = ScriptedDecider(Rc::clone(&state));
+        #[cfg(test)]
+        let decider = tests::Probed(decider);
         // Installed once: `Runtime::reset` keeps the decider.
         let mut rt = Runtime::with_config(runtime);
-        rt.set_decider(Box::new(ScriptedDecider(Rc::clone(&state))));
+        rt.set_decider(Box::new(decider));
         Runner { rt, state }
     }
 
@@ -81,6 +84,8 @@ impl Runner {
             schedule: Schedule::from(choices),
         };
         let verdict = (case.check)(&outcome);
+        #[cfg(test)]
+        tests::note_run(&self.state.borrow(), &outcome, &verdict);
         (outcome, verdict)
     }
 }
@@ -187,5 +192,175 @@ impl Drop for Worker<'_> {
         if std::thread::panicking() {
             self.frontier.request_stop();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The elision of decider calls inside an invisible run, proved by
+    //! running whole searches both ways: every [`Runner`] a test builds
+    //! has its decider wrapped in a [`Probed`], which counts the
+    //! questions asked and — when [`ASK_EVERY_STEP`] is set on the
+    //! searching thread — takes back every "invisible", so the scheduler
+    //! asks before each step as it did before it could be told not to.
+
+    use std::cell::{Cell, RefCell};
+
+    use conch_combinators::timeout;
+    use conch_runtime::decide::{Decider, Pick, ThreadView};
+    use conch_runtime::exception::Exception;
+    use conch_runtime::ids::ThreadId;
+    use conch_runtime::io::Io;
+
+    use super::*;
+    use crate::explorer::{CheckResult, Explorer, Reduction, Strategy};
+
+    thread_local! {
+        static ASK_EVERY_STEP: Cell<bool> = const { Cell::new(false) };
+        /// `choose_thread` calls made on this thread.
+        static QUESTIONS: Cell<u64> = const { Cell::new(0) };
+        /// One entry per run on this thread: everything the driver
+        /// recorded and everything the run produced.
+        static RUNS: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) struct Probed(pub(super) ScriptedDecider);
+
+    impl Decider for Probed {
+        fn choose_thread(&mut self, runnable: &[ThreadView], previous: Option<ThreadId>) -> Pick {
+            QUESTIONS.set(QUESTIONS.get() + 1);
+            let pick = self.0.choose_thread(runnable, previous);
+            Pick {
+                invisible: pick.invisible && !ASK_EVERY_STEP.get(),
+                ..pick
+            }
+        }
+
+        fn deliver_now(&mut self, view: ThreadView) -> bool {
+            self.0.deliver_now(view)
+        }
+
+        fn choose_arm(&mut self, view: ThreadView, arms: u8) -> u8 {
+            self.0.choose_arm(view, arms)
+        }
+    }
+
+    pub(super) fn note_run<T>(
+        st: &DriverState,
+        outcome: &RunOutcome<T>,
+        verdict: &Result<(), String>,
+    ) {
+        let result = outcome.result.as_ref().map(|_| ());
+        let run = format!(
+            "{:?} {:?} {:?} {result:?} {:?} {:?} {} {verdict:?}",
+            st.record, st.exec_log, st.births, outcome.output, outcome.stats, outcome.schedule
+        );
+        RUNS.with_borrow_mut(|runs| runs.push(run));
+    }
+
+    /// One search of `program` on this thread: its result, every run it
+    /// made, the questions its deciders were asked and the steps its
+    /// runs took.
+    fn search<T: FromValue + 'static>(
+        reduction: Reduction,
+        ask_every_step: bool,
+        program: fn() -> Io<T>,
+        wrong: fn(&RunOutcome<T>) -> bool,
+    ) -> (CheckResult, Vec<String>, u64, u64) {
+        ASK_EVERY_STEP.set(ask_every_step);
+        QUESTIONS.set(0);
+        RUNS.take();
+        let steps = Rc::new(Cell::new(0));
+        let explorer = Explorer::with_config(ExploreConfig {
+            strategy: Strategy::Exhaustive(reduction),
+            ..ExploreConfig::default()
+        });
+        let result = explorer.check(|| {
+            let steps = Rc::clone(&steps);
+            TestCase::new(program(), move |out: &RunOutcome<T>| {
+                steps.set(steps.get() + out.stats.steps);
+                match wrong(out) {
+                    true => Err(format!("wrong: output {:?}", out.output)),
+                    false => Ok(()),
+                }
+            })
+        });
+        ASK_EVERY_STEP.set(false);
+        (result, RUNS.take(), QUESTIONS.get(), steps.get())
+    }
+
+    /// §7.1's seeded bug (the acquire outside the protected region)
+    /// under a `throwTo`: a failing space, so shrinking is compared too.
+    fn broken_bracket_under_kill() -> Io<()> {
+        let body = Io::put_char('a').and_then(|_| {
+            Io::<()>::block(
+                Io::<()>::unblock(Io::compute(2))
+                    .catch(|e| Io::put_char('r').then(Io::throw(e)))
+                    .then(Io::put_char('r')),
+            )
+        });
+        Io::fork(body.catch(|_| Io::unit()))
+            .and_then(|w| Io::throw_to(w, Exception::kill_thread()))
+            .then(Io::sleep(1))
+    }
+
+    /// §7.3: a timeout racing a computation long enough to be a run of
+    /// invisible moves.
+    fn timeout_of_a_computation() -> Io<Option<i64>> {
+        timeout(0, Io::compute_returning(4, 7_i64))
+    }
+
+    /// A fault-plane space: an oracle picks how long the child computes
+    /// before it races the parent for the console.
+    fn oracle_then_race() -> Io<i64> {
+        Io::choose(3).and_then(|arm| {
+            Io::fork(Io::compute(1 + arm as u64).then(Io::put_char('b')))
+                .then(Io::compute(2))
+                .then(Io::put_char('a'))
+                .then(Io::sleep(1))
+                .map(move |_| arm)
+        })
+    }
+
+    fn assert_elision_changes_nothing<T: FromValue + 'static>(
+        name: &str,
+        program: fn() -> Io<T>,
+        wrong: fn(&RunOutcome<T>) -> bool,
+        fails: bool,
+    ) {
+        for reduction in [Reduction::SleepSets, Reduction::Dpor] {
+            let (result, runs, questions, steps) = search(reduction, false, program, wrong);
+            let (asked, asked_runs, every_step, _) = search(reduction, true, program, wrong);
+            let at = format!("{name} under {reduction:?}");
+            assert_eq!(runs, asked_runs, "{at}: some run differs");
+            assert_eq!(result.report(), asked.report(), "{at}");
+            let certificate = |r: &CheckResult| {
+                r.failure()
+                    .map(|f| (f.schedule.clone(), f.original.clone(), f.message.clone()))
+            };
+            assert_eq!(certificate(&result), certificate(&asked), "{at}");
+            assert_eq!(result.failure().is_some(), fails, "{at}");
+            assert!(runs.len() > 3, "{at}: only {} runs", runs.len());
+            // Asked before every step, a search asks once per step — its
+            // explored runs' and its shrink candidates'; told which
+            // picks are invisible, strictly less often than it steps.
+            let report = result.report();
+            assert_eq!(every_step, report.steps + report.shrink_steps, "{at}");
+            assert!(questions < every_step, "{at}: {questions} of {every_step}");
+            assert_eq!(steps, every_step, "{at}: the property saw every run");
+        }
+    }
+
+    #[test]
+    fn a_search_is_the_same_search_asked_before_every_step() {
+        let leaks = |out: &RunOutcome<()>| {
+            out.output.matches('a').count() != out.output.matches('r').count()
+        };
+        assert_elision_changes_nothing("broken_bracket", broken_bracket_under_kill, leaks, true);
+        let escapes = |out: &RunOutcome<Option<i64>>| !matches!(out.result, Ok(None | Some(7)));
+        assert_elision_changes_nothing("timeout", timeout_of_a_computation, escapes, false);
+        let garbled =
+            |out: &RunOutcome<i64>| !matches!(out.result, Ok(0..=2)) || out.output.len() != 2;
+        assert_elision_changes_nothing("oracle", oracle_then_race, garbled, false);
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Under [`SchedulingPolicy::External`](crate::config::SchedulingPolicy)
 //! the runtime makes no scheduling decisions of its own: at every step
-//! boundary it asks a [`Decider`] which runnable thread moves next, and
-//! — when the chosen thread is unmasked with pending asynchronous
-//! exceptions — whether the (Receive) rule fires *now* or is deferred to
-//! a later step. Together those two choices span exactly the
+//! boundary where a decision exists it asks a [`Decider`] which runnable
+//! thread moves next, and — when the chosen thread is unmasked with
+//! pending asynchronous exceptions — whether the (Receive) rule fires
+//! *now* or is deferred to a later step. Together those two choices span exactly the
 //! nondeterminism of the paper's Figure 4/5 transition rules that the
 //! scheduler otherwise resolves by round-robin or seeded randomness:
 //!
@@ -158,18 +158,64 @@ pub struct ThreadView {
     pub masked: bool,
 }
 
+/// A [`Decider::choose_thread`] answer: which thread steps next, and
+/// whether that step is an *invisible move*.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pick {
+    /// Index into the `runnable` list the decider was shown.
+    pub index: usize,
+    /// The decider promises that this pick was no decision: the thread's
+    /// step is [`StepFootprint::Local`] with nothing pending, and while
+    /// that stays so the decider would pick the same thread again and
+    /// change none of its own state in doing so. The scheduler then
+    /// keeps stepping the thread without asking (see
+    /// [`Decider::choose_thread`]).
+    pub invisible: bool,
+}
+
+impl Pick {
+    /// A pick the decider wants to be asked about again after one step.
+    pub fn visible(index: usize) -> Pick {
+        Pick {
+            index,
+            invisible: false,
+        }
+    }
+
+    /// A pick whose run of local steps needs no further questions.
+    pub fn invisible(index: usize) -> Pick {
+        Pick {
+            index,
+            invisible: true,
+        }
+    }
+}
+
 /// The external scheduling driver consulted under
 /// [`SchedulingPolicy::External`](crate::config::SchedulingPolicy).
 ///
-/// Implementations must be deterministic functions of their own state
-/// and the arguments: the same sequence of calls with the same
-/// arguments must yield the same answers, or replay guarantees break.
+/// The runtime asks at every step boundary where there is something to
+/// decide: before every step, except inside a run of invisible moves
+/// the decider itself announced ([`Pick::invisible`]). Implementations
+/// must be deterministic functions of their own state and the
+/// arguments: the same sequence of calls with the same arguments must
+/// yield the same answers, or replay guarantees break.
 pub trait Decider {
-    /// Picks the next thread to run one step, as an index into
-    /// `runnable` (non-empty). `previous` is the thread that executed
-    /// the immediately preceding step, whether or not it is still
-    /// runnable — drivers use it for preemption bounding.
-    fn choose_thread(&mut self, runnable: &[ThreadView], previous: Option<ThreadId>) -> usize;
+    /// Picks the next thread to run, as an index into `runnable`
+    /// (non-empty). `previous` is the thread that executed the
+    /// immediately preceding step, whether or not it is still runnable
+    /// — drivers use it for preemption bounding.
+    ///
+    /// The picked thread takes one step and the decider is asked again
+    /// — unless the pick is [`Pick::invisible`]: then the thread goes
+    /// on stepping, unasked, for as long as its next step is
+    /// [`StepFootprint::Local`], it has no exception pending and the
+    /// run's step limit leaves room, and the next question comes at the
+    /// first boundary where one of those fails. A local step forks,
+    /// wakes and throws at nobody, so the decider would have been shown
+    /// the same threads with the same footprints at every boundary in
+    /// between.
+    fn choose_thread(&mut self, runnable: &[ThreadView], previous: Option<ThreadId>) -> Pick;
 
     /// The chosen thread is unmasked with `view.pending > 0` queued
     /// exceptions: deliver the first one at this step (`true`, the
@@ -188,15 +234,15 @@ pub trait Decider {
     }
 }
 
-/// A trivial [`Decider`]: always the first runnable thread, always
-/// deliver pending exceptions immediately. Gives the same behaviour as
-/// round-robin with a quantum of 1.
+/// A trivial [`Decider`]: always the first runnable thread, one step at
+/// a time, always deliver pending exceptions immediately. Gives the
+/// same behaviour as round-robin with a quantum of 1.
 #[derive(Debug, Default, Clone)]
 pub struct FirstRunnable;
 
 impl Decider for FirstRunnable {
-    fn choose_thread(&mut self, _runnable: &[ThreadView], _previous: Option<ThreadId>) -> usize {
-        0
+    fn choose_thread(&mut self, _runnable: &[ThreadView], _previous: Option<ThreadId>) -> Pick {
+        Pick::visible(0)
     }
 
     fn deliver_now(&mut self, _view: ThreadView) -> bool {

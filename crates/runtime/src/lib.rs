@@ -73,7 +73,7 @@ pub mod trace;
 pub mod value;
 
 pub use crate::config::{DeadlockPolicy, DeliveryMode, RuntimeConfig, SchedulingPolicy};
-pub use crate::decide::{Decider, FirstRunnable, StepFootprint, ThreadView};
+pub use crate::decide::{Decider, FirstRunnable, Pick, StepFootprint, ThreadView};
 pub use crate::error::RunError;
 pub use crate::exception::{ArithError, Exception, ExceptionKind, ExitReason};
 pub use crate::ids::{MVarId, ThreadId};
@@ -92,7 +92,7 @@ pub use crate::value::{FromValue, IntoValue, Value};
 /// The most commonly used names, for glob import.
 pub mod prelude {
     pub use crate::config::{DeadlockPolicy, DeliveryMode, RuntimeConfig, SchedulingPolicy};
-    pub use crate::decide::{Decider, StepFootprint, ThreadView};
+    pub use crate::decide::{Decider, Pick, StepFootprint, ThreadView};
     pub use crate::error::RunError;
     pub use crate::exception::{Exception, ExceptionKind, ExitReason};
     pub use crate::host_value;

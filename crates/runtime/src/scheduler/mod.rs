@@ -107,8 +107,8 @@ pub struct Runtime {
     /// temporarily moved out while the runtime is borrowed.
     decider: Option<Box<dyn Decider>>,
     /// Reusable buffer for the per-decision `ThreadView` list handed to
-    /// the decider (External policy runs quantum=1, so without this the
-    /// scheduler would allocate a fresh `Vec` on *every* step).
+    /// the decider (External policy asks before every visible step, so
+    /// without this the scheduler would allocate a fresh `Vec` each time).
     view_scratch: Vec<ThreadView>,
     /// Run-queue positions matching `view_scratch`, for O(1) unlinking
     /// of the chosen thread.
@@ -410,7 +410,7 @@ impl Runtime {
                     next_wake: self.sleepers.peek_earliest_wake(),
                 };
             }
-            let tid = self.pick_next(self.last_scheduled);
+            let (tid, invisible) = self.pick_next(self.last_scheduled);
             if self.last_scheduled != Some(tid) {
                 self.stats.context_switches += 1;
                 self.last_scheduled = Some(tid);
@@ -438,6 +438,10 @@ impl Runtime {
                 }
                 // `main_result` mid-quantum is a failed fork ending the run.
                 if steps_left == 0 || self.yielded || self.main_result.is_some() {
+                    if invisible && self.invisible_run_goes_on(&th, budget_end) {
+                        steps_left = 1;
+                        continue;
+                    }
                     break true;
                 }
             };
@@ -587,7 +591,8 @@ impl Runtime {
 
     fn quantum_for(&mut self) -> u64 {
         if self.config.scheduling == SchedulingPolicy::External {
-            // One step per decision: the driver sees every step boundary.
+            // One step per decision: the driver sees every step boundary
+            // but those inside an invisible run it announced itself.
             return 1;
         }
         let q = self.config.quantum;
@@ -597,35 +602,59 @@ impl Runtime {
         }
     }
 
-    fn pick_next(&mut self, previous: Option<ThreadId>) -> ThreadId {
-        if let Some(tid) = self.with_decider(|rt, d| rt.pick_with(d, previous)) {
-            return tid;
+    /// An invisible run (see [`Decider::choose_thread`]) is one quantum:
+    /// at each of its step boundaries the decider's answer could not
+    /// differ, so `th` steps on unasked — while its next step is still
+    /// local with nothing pending, the run is not over, and neither
+    /// `max_steps` nor the pump's step budget is spent. Out of line: only
+    /// a decider's quantum end gets here, and inlined into the step loop
+    /// it cost the other policies ≈ 3 % (EXPERIMENTS.md X1).
+    #[inline(never)]
+    fn invisible_run_goes_on(&self, th: &Thread, budget_end: Option<u64>) -> bool {
+        let steps_end = self.config.max_steps.into_iter().chain(budget_end).min();
+        self.main_result.is_none()
+            && th.pending.is_empty()
+            && footprint_of(th).is_local()
+            && steps_end.is_none_or(|end| self.stats.steps < end)
+    }
+
+    /// The thread that runs next, and whether a decider called the pick
+    /// an invisible move (only a decider ever does).
+    fn pick_next(&mut self, previous: Option<ThreadId>) -> (ThreadId, bool) {
+        if let Some(pick) = self.with_decider(|rt, d| rt.pick_with(d, previous)) {
+            return pick;
         }
         // Round-robin, which external scheduling without a decider
         // degrades to, or a seeded random pick.
-        match &mut self.rng {
+        let tid = match &mut self.rng {
             None => self.run_queue.pop_front().expect("non-empty run queue"),
             Some(rng) => {
                 let i = rng.gen_range(0..self.run_queue.len());
                 self.run_queue.remove_live(i)
             }
-        }
+        };
+        (tid, false)
     }
 
     /// Lets `decider` choose among the runnable threads.
-    fn pick_with(&mut self, decider: &mut dyn Decider, previous: Option<ThreadId>) -> ThreadId {
+    fn pick_with(
+        &mut self,
+        decider: &mut dyn Decider,
+        previous: Option<ThreadId>,
+    ) -> (ThreadId, bool) {
         // Forced move: one runnable thread. The decider is still
-        // consulted (it keeps sleep-set bookkeeping per step), but the
-        // scratch buffers and position list are skipped.
+        // consulted (it keeps sleep-set bookkeeping per visible step),
+        // but the scratch buffers and position list are skipped.
         if self.run_queue.len() == 1 {
             let tid = self.run_queue.pop_front().expect("non-empty run queue");
             let view = self.view_of(tid);
-            let i = decider.choose_thread(std::slice::from_ref(&view), previous);
+            let pick = decider.choose_thread(std::slice::from_ref(&view), previous);
             assert!(
-                i == 0,
-                "Decider::choose_thread returned index {i} for 1 runnable thread"
+                pick.index == 0,
+                "Decider::choose_thread returned index {} for 1 runnable thread",
+                pick.index
             );
-            return tid;
+            return (tid, pick.invisible);
         }
         // Build the decision's view list into the reusable scratch
         // buffers: no allocation after warm-up, and the footprints come
@@ -639,16 +668,17 @@ impl Runtime {
             views.push(self.view_of(tid));
             positions.push(pos);
         }
-        let i = decider.choose_thread(&views, previous);
+        let pick = decider.choose_thread(&views, previous);
         assert!(
-            i < views.len(),
-            "Decider::choose_thread returned index {i} for {} runnable threads",
+            pick.index < views.len(),
+            "Decider::choose_thread returned index {} for {} runnable threads",
+            pick.index,
             views.len()
         );
-        let tid = self.run_queue.take_at(positions[i]);
+        let tid = self.run_queue.take_at(positions[pick.index]);
         self.view_scratch = views;
         self.pos_scratch = positions;
-        tid
+        (tid, pick.invisible)
     }
 
     pub(crate) fn deadlock_error(&self) -> RunError {

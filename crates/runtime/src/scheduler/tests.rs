@@ -1,5 +1,6 @@
 use super::*;
 use crate::config::DeliveryMode;
+use crate::decide::Pick;
 
 #[test]
 fn pure_program_runs() {
@@ -448,7 +449,7 @@ impl crate::decide::Decider for Prefer {
         &mut self,
         runnable: &[crate::decide::ThreadView],
         _previous: Option<ThreadId>,
-    ) -> usize {
+    ) -> crate::decide::Pick {
         let mut best = 0;
         for (i, v) in runnable.iter().enumerate() {
             let better = if self.highest {
@@ -460,7 +461,7 @@ impl crate::decide::Decider for Prefer {
                 best = i;
             }
         }
-        best
+        crate::decide::Pick::visible(best)
     }
 
     fn deliver_now(&mut self, _view: crate::decide::ThreadView) -> bool {
@@ -493,8 +494,8 @@ fn external_decider_controls_delivery_point() {
             &mut self,
             _runnable: &[crate::decide::ThreadView],
             _previous: Option<ThreadId>,
-        ) -> usize {
-            0
+        ) -> crate::decide::Pick {
+            crate::decide::Pick::visible(0)
         }
         fn deliver_now(&mut self, _view: crate::decide::ThreadView) -> bool {
             false
@@ -514,6 +515,145 @@ fn external_decider_controls_delivery_point() {
     let mut driven = Runtime::with_config(RuntimeConfig::new().external_scheduling());
     driven.set_decider(Box::new(Defer));
     assert_eq!(driven.run(prog()).unwrap(), 7);
+}
+
+/// What a [`Probe`] was shown of the thread it picked: id, footprint,
+/// pending exceptions, masked.
+type Asked = (ThreadId, StepFootprint, usize, bool);
+
+/// A decider that picks as the explorer's does — the lowest-numbered
+/// thread whose step is local with nothing pending, else the lowest —
+/// calls a pick invisible when `announce` says so, and logs every
+/// question it is asked.
+struct Probe {
+    announce: fn(&ThreadView) -> bool,
+    deliver: bool,
+    asked: std::rc::Rc<std::cell::RefCell<Vec<Asked>>>,
+}
+
+fn quiet(v: &ThreadView) -> bool {
+    v.pending == 0 && v.footprint.is_local()
+}
+
+impl Decider for Probe {
+    fn choose_thread(&mut self, runnable: &[ThreadView], _: Option<ThreadId>) -> Pick {
+        let lowest = |keep: fn(&ThreadView) -> bool| {
+            let kept = runnable.iter().enumerate().filter(|(_, v)| keep(v));
+            kept.min_by_key(|(_, v)| v.tid).map(|(i, _)| i)
+        };
+        let index = lowest(quiet).or(lowest(|_| true)).expect("non-empty");
+        let v = runnable[index];
+        self.asked
+            .borrow_mut()
+            .push((v.tid, v.footprint, v.pending, v.masked));
+        Pick {
+            index,
+            invisible: (self.announce)(&v),
+        }
+    }
+
+    fn deliver_now(&mut self, _view: ThreadView) -> bool {
+        self.deliver
+    }
+}
+
+/// Runs `prog` under a [`Probe`]; returns the runtime and the questions
+/// the probe was asked.
+fn probed<T: FromValue>(
+    config: RuntimeConfig,
+    announce: fn(&ThreadView) -> bool,
+    deliver: bool,
+    prog: Io<T>,
+) -> (Runtime, Result<T, RunError>, Vec<Asked>) {
+    let asked = std::rc::Rc::default();
+    let mut rt = Runtime::with_config(config);
+    rt.set_decider(Box::new(Probe {
+        announce,
+        deliver,
+        asked: std::rc::Rc::clone(&asked),
+    }));
+    let result = rt.run(prog);
+    let asked = asked.borrow().clone();
+    (rt, result, asked)
+}
+
+#[test]
+fn an_invisible_run_is_one_question_and_the_same_run() {
+    let prog = || {
+        Io::fork(Io::compute(20).then(Io::put_char('b')))
+            .then(Io::compute(30))
+            .then(Io::put_char('a'))
+            .then(Io::sleep(1))
+    };
+    let config = || RuntimeConfig::new().record_sched_events(true);
+    let (asked_rt, asked_result, every_step) = probed(config(), |_| false, true, prog());
+    let (rt, result, questions) = probed(config(), quiet, true, prog());
+    assert_eq!(every_step.len() as u64, asked_rt.stats().steps);
+    assert!(
+        questions.len() < every_step.len() / 4,
+        "{} questions for {} steps",
+        questions.len(),
+        every_step.len()
+    );
+    assert_eq!(result, asked_result);
+    assert_eq!(rt.stats(), asked_rt.stats());
+    assert_eq!(rt.io_trace(), asked_rt.io_trace());
+    assert_eq!(rt.output(), asked_rt.output());
+    // Every step that is not inside an invisible run is asked about, in
+    // the same order: the questions are the asked-every-step run's with
+    // the second and later steps of each run of quiet picks left out.
+    let mut runs = every_step.clone();
+    runs.dedup_by(|next, first| quiet_pick(next) && quiet_pick(first) && next.0 == first.0);
+    assert_eq!(questions, runs);
+}
+
+fn quiet_pick(&(_, footprint, pending, _): &Asked) -> bool {
+    pending == 0 && footprint.is_local()
+}
+
+#[test]
+fn a_yield_does_not_end_an_invisible_run() {
+    // Binds, countdowns and the yield are all local steps of the only
+    // thread: one question starts the run, the next is the terminal.
+    let prog = || Io::compute(3).then(Io::yield_now()).then(Io::compute(3));
+    let config = RuntimeConfig::new().external_scheduling();
+    let (rt, result, questions) = probed(config, quiet, true, prog());
+    assert_eq!(result, Ok(()));
+    let footprints: Vec<_> = questions.iter().map(|q| q.1).collect();
+    assert_eq!(footprints, [StepFootprint::Local, StepFootprint::Terminal]);
+    assert!(rt.stats().steps > 8);
+}
+
+#[test]
+fn max_steps_inside_an_invisible_run_stops_on_the_limit() {
+    let config = RuntimeConfig::new().max_steps(10);
+    let (rt, result, questions) = probed(config, quiet, true, Io::compute(100));
+    assert_eq!(result, Err(RunError::StepLimitExceeded { limit: 10 }));
+    assert_eq!(rt.stats().steps, 10);
+    assert_eq!(questions.len(), 1);
+}
+
+#[test]
+fn a_thread_with_an_exception_queued_is_asked_about_at_every_step() {
+    // The scheduler ends an invisible run on its own evidence, not the
+    // decider's word: this probe calls *every* pick invisible, and is
+    // still asked before each step of a thread with an exception
+    // queued — unmasked with the delivery deferred, and masked.
+    let deferred = |me| Io::throw_to(me, Exception::custom("later")).then(Io::compute(6));
+    let unmasked = move || Io::my_thread_id().and_then(deferred);
+    let masked = move || Io::my_thread_id().and_then(move |me| Io::<()>::block(deferred(me)));
+    for (prog, masks) in [(unmasked(), false), (masked(), true)] {
+        let config = RuntimeConfig::new().external_scheduling();
+        let (_, _, every_step) = probed(config.clone(), |_| false, false, prog);
+        let prog = if masks { masked() } else { unmasked() };
+        let (_, _, questions) = probed(config, |_| true, false, prog);
+        let queued =
+            |asked: &[Asked]| -> Vec<Asked> { asked.iter().filter(|q| q.2 > 0).copied().collect() };
+        let compute_steps = queued(&every_step).iter().filter(|q| q.3 == masks).count();
+        assert!(compute_steps >= 6, "{compute_steps}");
+        assert_eq!(queued(&questions), queued(&every_step));
+        assert!(questions.len() < every_step.len());
+    }
 }
 
 #[test]
