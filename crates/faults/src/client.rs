@@ -18,7 +18,6 @@ use conch_httpd::net::{Connection, Listener};
 use conch_runtime::io::Io;
 
 use crate::fault::ConnFault;
-use crate::inject::Injector;
 
 /// A connection pre-loaded with `fault`'s wire history for `path`,
 /// ready to [`inject`](Listener::inject).
@@ -30,65 +29,74 @@ pub fn prepared_connection(fault: ConnFault, path: &str) -> Io<Connection> {
     })
 }
 
-/// One client visit with an injector-chosen connection fault.
-///
-/// Composes the faulty connection, injects it, and waits up to
-/// `response_budget` virtual µs for the server's answer. Returns the
-/// observed HTTP status code, `-1` if no response arrived within the
-/// budget (expected for [`ConnFault::Drop`] and
-/// [`ConnFault::MidRequestClose`] — the server aborts those without
+/// One client visit whose connection fault is an explorer branch point
+/// (see [`visit`]).
+pub(crate) fn faulty_client(l: Listener, path: String, response_budget: u64) -> Io<i64> {
+    ConnFault::choose().and_then(move |fault| visit(l, fault, &path, response_budget))
+}
+
+/// One client visit with `fault`: composes the faulty connection,
+/// injects it, and waits up to `response_budget` virtual µs for the
+/// server's answer. Returns the observed HTTP status code, `-1` if no
+/// response arrived within the budget (expected for [`ConnFault::Drop`]
+/// and [`ConnFault::MidRequestClose`] — the server aborts those without
 /// answering), or `-2` for an unparseable response.
 ///
 /// The budget must exceed the server's read timeout for the
 /// [`ConnFault::Stall`] arm to observe its 408.
-pub fn faulty_client(l: Listener, inj: &Injector, path: String, response_budget: u64) -> Io<i64> {
-    inj.conn_fault().and_then(move |fault| {
-        prepared_connection(fault, &path).and_then(move |conn| {
-            l.inject(conn)
-                .then(timeout(response_budget, conn.read_response()))
-                .map(|resp| match resp {
-                    Some(text) => match status_of(&text) {
-                        ClientOutcome::Status(code) => i64::from(code),
-                        ClientOutcome::Garbled => -2,
-                    },
-                    None => -1,
-                })
-        })
+fn visit(l: Listener, fault: ConnFault, path: &str, response_budget: u64) -> Io<i64> {
+    prepared_connection(fault, path).and_then(move |conn| {
+        l.inject(conn)
+            .then(timeout(response_budget, conn.read_response()))
+            .map(|resp| resp.map_or(-1, |text| status_code(&text)))
     })
+}
+
+/// A response's status code, or `-2` if it does not parse.
+pub(crate) fn status_code(resp: &str) -> i64 {
+    match status_of(resp) {
+        ClientOutcome::Status(code) => i64::from(code),
+        ClientOutcome::Garbled => -2,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use conch_httpd::http::Response;
-    use conch_httpd::server::{handler, start, Server, ServerConfig};
+    use conch_httpd::server::{handler, start, ServerConfig, StatsSnapshot};
     use conch_runtime::prelude::*;
 
-    fn visit(arm: u8) -> (i64, conch_httpd::server::StatsSnapshot) {
-        let mut rt = Runtime::new();
-        let cfg = ServerConfig {
+    fn config() -> ServerConfig {
+        ServerConfig {
             read_timeout: 1_000,
             handler_timeout: 10_000,
             ..ServerConfig::default()
-        };
+        }
+    }
+
+    /// `episode` against a fresh server, then the audit; on one plain
+    /// (round-robin) run.
+    fn audited<T: FromValue + IntoValue + 'static>(
+        episode: fn(Listener) -> Io<T>,
+    ) -> (T, StatsSnapshot) {
         let prog = Listener::bind().and_then(move |l| {
-            start(l, handler(|_| Io::pure(Response::ok("hi"))), cfg).and_then(move |server| {
-                let inj = Injector::scripted([arm]);
-                faulty_client(l, &inj, "/x".into(), 50_000).and_then(move |code| {
+            start(l, handler(|_| Io::pure(Response::ok("hi"))), config()).and_then(move |server| {
+                episode(l).and_then(move |out| {
                     server
                         .drain()
                         .then(server.shutdown())
                         .then(server.stats.snapshot())
-                        .map(move |snap| (code, snap))
+                        .map(move |snap| (out, snap))
                 })
             })
         });
-        rt.run(prog).unwrap()
+        Runtime::new().run(prog).unwrap()
     }
 
     #[test]
     fn no_fault_arm_is_served() {
-        let (code, snap) = visit(ConnFault::None.arm());
+        let (code, snap) = audited(|l| visit(l, ConnFault::None, "/x", 50_000));
         assert_eq!(code, 200);
         assert_eq!(snap.served, 1);
         assert!(snap.conserved(), "counters must conserve: {snap:?}");
@@ -96,7 +104,7 @@ mod tests {
 
     #[test]
     fn drop_arm_is_aborted_unanswered() {
-        let (code, snap) = visit(ConnFault::Drop.arm());
+        let (code, snap) = audited(|l| visit(l, ConnFault::Drop, "/x", 50_000));
         assert_eq!(code, -1, "a dropped connection gets no response");
         assert_eq!(snap.aborted, 1);
         assert!(snap.conserved(), "counters must conserve: {snap:?}");
@@ -104,7 +112,7 @@ mod tests {
 
     #[test]
     fn stall_arm_times_out_with_408() {
-        let (code, snap) = visit(ConnFault::Stall.arm());
+        let (code, snap) = audited(|l| visit(l, ConnFault::Stall, "/x", 50_000));
         assert_eq!(code, 408);
         assert_eq!(snap.read_timeouts, 1);
         assert!(snap.conserved(), "counters must conserve: {snap:?}");
@@ -112,7 +120,7 @@ mod tests {
 
     #[test]
     fn mid_request_close_arm_is_aborted() {
-        let (code, snap) = visit(ConnFault::MidRequestClose.arm());
+        let (code, snap) = audited(|l| visit(l, ConnFault::MidRequestClose, "/x", 50_000));
         assert_eq!(code, -1);
         assert_eq!(snap.aborted, 1);
         assert!(snap.conserved(), "counters must conserve: {snap:?}");
@@ -120,7 +128,7 @@ mod tests {
 
     #[test]
     fn garbage_arm_is_rejected_with_400() {
-        let (code, snap) = visit(ConnFault::Garbage.arm());
+        let (code, snap) = audited(|l| visit(l, ConnFault::Garbage, "/x", 50_000));
         assert_eq!(code, 400);
         assert_eq!(snap.parse_errors, 1);
         assert!(snap.conserved(), "counters must conserve: {snap:?}");
@@ -131,41 +139,22 @@ mod tests {
         // One server, the whole menu in sequence, then a healthy probe:
         // the recovery invariant the explorer checks, here as a plain
         // deterministic run.
-        let mut rt = Runtime::new();
-        let cfg = ServerConfig {
-            read_timeout: 1_000,
-            handler_timeout: 10_000,
-            ..ServerConfig::default()
-        };
-        let prog = Listener::bind().and_then(move |l| {
-            start(l, handler(|_| Io::pure(Response::ok("hi"))), cfg).and_then(move |server| {
-                let inj = Injector::scripted([1, 2, 3, 4]);
-                fn visit_all(l: Listener, inj: Injector, left: u8, server: Server) -> Io<i64> {
-                    if left == 0 {
-                        // The healthy probe after the storm of faults.
-                        return faulty_client(l, &Injector::quiet(), "/probe".into(), 50_000)
-                            .and_then(move |code| {
-                                server
-                                    .drain()
-                                    .then(server.shutdown())
-                                    .then(server.stats.snapshot())
-                                    .map(move |snap| {
-                                        assert!(snap.conserved(), "{snap:?}");
-                                        assert_eq!(snap.accepted, 5);
-                                        code
-                                    })
-                            });
-                    }
-                    faulty_client(l, &inj.clone(), "/x".into(), 50_000)
-                        .and_then(move |_| visit_all(l, inj, left - 1, server))
-                }
-                visit_all(l, inj, 4, server)
-            })
+        let (code, snap) = audited(|l| {
+            let faults = [
+                ConnFault::Drop,
+                ConnFault::Stall,
+                ConnFault::MidRequestClose,
+                ConnFault::Garbage,
+            ];
+            faults
+                .into_iter()
+                .fold(Io::pure(0), |io, fault| {
+                    io.then(visit(l, fault, "/x", 50_000))
+                })
+                .then(visit(l, ConnFault::None, "/probe", 50_000))
         });
-        assert_eq!(
-            rt.run(prog).unwrap(),
-            200,
-            "post-fault probe must be served"
-        );
+        assert_eq!(code, 200, "post-fault probe must be served");
+        assert_eq!(snap.accepted, 5);
+        assert!(snap.conserved(), "{snap:?}");
     }
 }

@@ -1,12 +1,13 @@
-//! The fault menus: what can go wrong, as enumerable arms.
+//! The connection-fault menu: what can go wrong on the wire, as
+//! enumerable arms.
 //!
-//! Each menu is a small enum with a fixed arm numbering. Arm `0` is
-//! always the no-fault case, matching the
-//! [`Io::choose`](conch_runtime::io::Io::choose) convention that arm
-//! `0` is what happens when nobody is deciding (no decider installed —
-//! i.e. outside exploration — every choice resolves to `0`).
+//! The arm numbering is fixed. Arm `0` is the no-fault case, matching
+//! the [`Io::choose`] convention that arm `0` is what happens when
+//! nobody is deciding (no decider installed — i.e. outside exploration
+//! — every choice resolves to `0`).
 
 use conch_httpd::http::Request;
+use conch_runtime::io::Io;
 use conch_runtime::value::{FromValue, IntoValue, Value};
 
 /// A fault in the connection's wire behaviour.
@@ -29,11 +30,17 @@ pub enum ConnFault {
 }
 
 impl ConnFault {
-    /// Number of arms in this menu, for [`Io::choose`](conch_runtime::io::Io::choose).
+    /// Number of arms in this menu, for [`Io::choose`].
     pub(crate) const ARMS: u8 = 5;
 
+    /// The fault for one incoming connection: an explorer branch point
+    /// over every arm.
+    pub(crate) fn choose() -> Io<ConnFault> {
+        Io::choose(ConnFault::ARMS).map(ConnFault::from_arm)
+    }
+
     /// Decodes a chosen arm; out-of-range arms mean no fault.
-    pub(crate) fn from_arm(arm: i64) -> ConnFault {
+    fn from_arm(arm: i64) -> ConnFault {
         match arm {
             1 => ConnFault::Drop,
             2 => ConnFault::Stall,
@@ -84,54 +91,6 @@ impl FromValue for ConnFault {
     }
 }
 
-/// A fault inside the request handler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HandlerFault {
-    /// No fault: the real handler runs.
-    None,
-    /// The handler raises synchronously. The server's handler guard
-    /// turns this into a 500.
-    Crash,
-    /// The handler wedges (a long virtual sleep) before answering. The
-    /// server's handler timeout turns this into a 504.
-    Wedge,
-}
-
-impl HandlerFault {
-    /// Number of arms in this menu.
-    pub(crate) const ARMS: u8 = 3;
-
-    /// Decodes a chosen arm; out-of-range arms mean no fault.
-    pub(crate) fn from_arm(arm: i64) -> HandlerFault {
-        match arm {
-            1 => HandlerFault::Crash,
-            2 => HandlerFault::Wedge,
-            _ => HandlerFault::None,
-        }
-    }
-
-    /// This fault's arm number.
-    pub(crate) fn arm(self) -> u8 {
-        match self {
-            HandlerFault::None => 0,
-            HandlerFault::Crash => 1,
-            HandlerFault::Wedge => 2,
-        }
-    }
-}
-
-impl IntoValue for HandlerFault {
-    fn into_value(self) -> Value {
-        Value::Int(i64::from(self.arm()))
-    }
-}
-
-impl FromValue for HandlerFault {
-    fn from_value(v: Value) -> Option<Self> {
-        Some(HandlerFault::from_arm(v.as_int()?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,15 +100,12 @@ mod tests {
         for arm in 0..i64::from(ConnFault::ARMS) {
             assert_eq!(i64::from(ConnFault::from_arm(arm).arm()), arm);
         }
-        for arm in 0..i64::from(HandlerFault::ARMS) {
-            assert_eq!(i64::from(HandlerFault::from_arm(arm).arm()), arm);
-        }
     }
 
     #[test]
     fn out_of_range_arms_are_no_fault() {
         assert_eq!(ConnFault::from_arm(99), ConnFault::None);
-        assert_eq!(HandlerFault::from_arm(-1), HandlerFault::None);
+        assert_eq!(ConnFault::from_arm(-1), ConnFault::None);
     }
 
     #[test]

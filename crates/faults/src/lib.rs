@@ -7,30 +7,27 @@
 //! *semantics* — that failure is not an excuse for nondeterminism the
 //! programmer cannot reason about. This crate extends that stance to
 //! injected failures: every fault here is a first-class **branch
-//! point**, not a random event. In explore mode
-//! ([`Injector::Explore`]) each injection site compiles to an
+//! point**, not a random event. Each injection site is an
 //! [`Io::choose`](conch_runtime::io::Io::choose) oracle, which
 //! `conch-explore` enumerates exactly like a scheduling decision — so
 //! `Explorer::check` walks the full *fault × schedule* product space,
 //! DPOR prunes it, and the parallel engine reports bit-identical
-//! coverage counters at any worker count. In scripted mode
-//! ([`Injector::Scripted`]) the same sites drain a fixed [`FaultPlan`],
-//! giving plain `Runtime` runs (benches, stress tests, demos) one
-//! reproducible fault sequence.
+//! coverage counters at any worker count. Outside exploration nobody
+//! decides, every choice takes arm `0`, and the program runs healthy.
 //!
-//! Three fault families cover the server's attack surface:
+//! Two fault families cover the server's attack surface:
 //!
 //! * **connection faults** ([`ConnFault`]) — drop, stall-forever,
 //!   mid-request close, garbage bytes — composed as *pre-written wire
-//!   histories* and handed to the server via
+//!   histories* ([`prepared_connection`]) and handed to the server via
 //!   [`Listener::inject`](conch_httpd::net::Listener::inject), so the
 //!   bytes themselves cost the explorer nothing;
-//! * **handler faults** ([`HandlerFault`]) — synchronous crashes and
-//!   wedged handlers, wrapped around any [`Handler`](conch_httpd::server::Handler)
-//!   by [`faulty_handler`];
-//! * **exception storms** ([`kill_storm`]) — bursts of
-//!   `throwTo KillThread` aimed at the server's worker threads, the §11
+//! * **kill storms** — bursts of `throwTo KillThread` aimed at the
+//!   server's worker threads (and the pool's supervisor), the §11
 //!   fault-tolerance scenario made adversarial.
+//!
+//! The [`spaces`] compose them into the canonical fault × schedule
+//! programs the explorer tests check.
 //!
 //! Arm `0` of every choice is "no fault", so a program under injection
 //! is, by construction, a superset of the healthy program.
@@ -41,13 +38,8 @@
 
 mod client;
 mod fault;
-mod handler;
-mod inject;
 pub mod spaces;
 mod storm;
 
-pub use crate::client::{faulty_client, prepared_connection};
-pub use crate::fault::{ConnFault, HandlerFault};
-pub use crate::handler::faulty_handler;
-pub use crate::inject::{FaultPlan, Injector};
-pub use crate::storm::{kill_storm, kill_storm_pooled, kill_storm_targets};
+pub use crate::client::prepared_connection;
+pub use crate::fault::ConnFault;

@@ -1,12 +1,11 @@
 //! Canonical fault × schedule spaces, shared by the explorer test
-//! suite, the benchmark harness and `examples/fault_storm.rs` — one
-//! definition, so the numbers CI pins and the numbers the docs quote
-//! are the same program.
+//! suite and `examples/fault_storm.rs` — one definition, so the numbers
+//! CI pins and the numbers the docs quote are the same program.
 //!
 //! Each space is a self-contained `Io` program: it starts an httpd
-//! server, lets an [`Injector::Explore`] turn every injection site into
-//! an explorer branch point, then audits the server with the quiescent
-//! observation protocol. The returned triple is
+//! server, runs a fault episode whose every injection site is an
+//! [`Io::choose`] branch point, then audits the server with the
+//! quiescent observation protocol. The returned triple is
 //! `(fault episode code, healthy-probe status, counter snapshot)`;
 //! [`holds_invariants`] is the property every schedule must satisfy.
 //!
@@ -30,21 +29,19 @@ use conch_actors::{
     child_spec, spawn_actor_on, spawn_supervisor, ActorRef, ChildSpec, Mailbox, Strategy,
     Supervisor, SupervisorSpec,
 };
-use conch_httpd::client::{status_of, ClientOutcome};
 use conch_httpd::http::{Request, Response};
 use conch_httpd::net::{Connection, Listener};
-use conch_httpd::pool::{start_pooled, PoolConfig, PooledServer};
+use conch_httpd::pool::{start_pooled, PoolConfig};
 use conch_httpd::server::{handler, start, Server, ServerConfig, StatsSnapshot};
-use conch_httpd::shard::{start_sharded, ShardConfig, ShardedListener, ShardedServer};
+use conch_httpd::shard::{start_sharded, ShardConfig, ShardedListener};
 use conch_runtime::exception::Exception;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::Value;
 
-use crate::client::{faulty_client, prepared_connection};
+use crate::client::{faulty_client, prepared_connection, status_code};
 use crate::fault::ConnFault;
-use crate::inject::Injector;
-use crate::storm::{kill_storm, kill_storm_pooled, kill_storm_targets};
+use crate::storm::kill_storm;
 
 fn server_config() -> ServerConfig {
     ServerConfig {
@@ -54,28 +51,31 @@ fn server_config() -> ServerConfig {
     }
 }
 
-/// Sends a healthy request after the fault episode, then audits the
-/// counters (see the module docs for why the order is load-bearing).
-fn probe_and_snapshot(
-    l: Listener,
-    server: Server,
+/// Sends the healthy `probe` after the fault episode, then runs the
+/// `audit` (see the module docs for why its order is load-bearing).
+fn probe_then_audit(
     fault_code: i64,
+    probe: Io<String>,
+    audit: Io<StatsSnapshot>,
 ) -> Io<(i64, i64, StatsSnapshot)> {
-    prepared_connection(ConnFault::None, "/probe").and_then(move |conn: Connection| {
-        l.inject(conn)
-            .then(conn.read_response())
-            .and_then(move |resp| {
-                let probe_code = match status_of(&resp) {
-                    ClientOutcome::Status(code) => i64::from(code),
-                    ClientOutcome::Garbled => -2,
-                };
-                server
-                    .shutdown_sync()
-                    .then(server.drain())
-                    .then(server.stats.snapshot())
-                    .map(move |snap| (fault_code, probe_code, snap))
-            })
+    probe.and_then(move |resp| {
+        let probe_code = status_code(&resp);
+        audit.map(move |snap| (fault_code, probe_code, snap))
     })
+}
+
+/// A healthy request injected at `l`, and its answer.
+fn probe(l: Listener) -> Io<String> {
+    prepared_connection(ConnFault::None, "/probe")
+        .and_then(move |conn| l.inject(conn).then(conn.read_response()))
+}
+
+/// `shutdown_sync → drain → snapshot` on one server.
+fn audit(server: Server) -> Io<StatsSnapshot> {
+    server
+        .shutdown_sync()
+        .then(server.drain())
+        .then(server.stats.snapshot())
 }
 
 /// One faulty visit — all five [`ConnFault`] arms (none / drop / stall
@@ -89,15 +89,16 @@ pub fn conn_fault_space() -> Io<(i64, i64, StatsSnapshot)> {
             server_config(),
         )
         .and_then(move |server| {
-            faulty_client(l, &Injector::Explore, "/x".into(), 50_000)
-                .and_then(move |code| probe_and_snapshot(l, server, code))
+            faulty_client(l, "/x".into(), 50_000)
+                .and_then(move |code| probe_then_audit(code, probe(l), audit(server)))
         })
     })
 }
 
 /// A stalled connection parks a worker in its read; a `KillThread`
-/// storm (each strike an explorer branch) may kill it mid-read; then
-/// the healthy probe and the audit.
+/// storm at every worker the server has forked (each strike an
+/// explorer branch) may kill it mid-read; then the healthy probe and
+/// the audit.
 pub fn storm_space() -> Io<(i64, i64, StatsSnapshot)> {
     Listener::bind().and_then(|l| {
         start(
@@ -114,8 +115,8 @@ pub fn storm_space() -> Io<(i64, i64, StatsSnapshot)> {
                 // the storm picks targets.
                 l.inject(conn)
                     .then(Io::sleep(100))
-                    .then(kill_storm(&server, &Injector::Explore))
-                    .and_then(move |kills| probe_and_snapshot(l, server, kills))
+                    .then(server.worker_ids().and_then(|tids| kill_storm(tids, false)))
+                    .and_then(move |kills| probe_then_audit(kills, probe(l), audit(server)))
             })
         })
     })
@@ -145,11 +146,14 @@ pub fn holds_invariants(out: &(i64, i64, StatsSnapshot)) -> Result<(), String> {
 /// The [`storm_space`] episode against the supervised worker pool
 /// (`conch_httpd::pool`): a stalled connection parks the pool's single
 /// worker in its read, then a synchronous `KillThread` storm — each
-/// strike an explorer branch — targets the worker *and the pool
-/// supervisor itself*. Whatever subset dies, the supervision tree must
-/// restart enough of itself that the healthy probe is answered `200`
-/// and the counters conserve ([`holds_invariants`], unchanged: the
-/// pool commits outcomes through the same `finish` transaction).
+/// strike an explorer branch — targets every worker incarnation ever
+/// started *and the current pool supervisor itself* (the root is
+/// spared — it is the trusted base that heals the tree). Whatever
+/// subset dies, the supervision tree must restart enough of itself
+/// that the healthy probe is answered `200` and the counters conserve
+/// ([`holds_invariants`], unchanged: the pool commits outcomes through
+/// the same `finish` transaction). The audit ends with a full tree
+/// teardown so no supervisor or worker outlives it.
 pub fn supervised_pool_space() -> Io<(i64, i64, StatsSnapshot)> {
     let cfg = PoolConfig {
         workers: 1,
@@ -161,42 +165,20 @@ pub fn supervised_pool_space() -> Io<(i64, i64, StatsSnapshot)> {
     Listener::bind().and_then(move |l| {
         start_pooled(l, handler(|_| Io::pure(Response::ok("hi"))), cfg).and_then(move |server| {
             prepared_connection(ConnFault::Stall, "/x").and_then(move |conn| {
+                let targets = server.plane.worker_ids().and_then(move |mut tids| {
+                    server.pool_supervisor_ids().and_then(move |sups| {
+                        tids.extend(sups);
+                        kill_storm(tids, true)
+                    })
+                });
+                let teardown =
+                    audit(server.plane).and_then(move |snap| server.stop_sync().map(move |_| snap));
                 l.inject(conn)
                     .then(Io::sleep(100))
-                    .then(kill_storm_pooled(&server, &Injector::Explore))
-                    .and_then(move |kills| pooled_probe_and_snapshot(l, server, kills))
+                    .then(targets)
+                    .and_then(move |kills| probe_then_audit(kills, probe(l), teardown))
             })
         })
-    })
-}
-
-/// [`probe_and_snapshot`] for the pooled server — same observation
-/// protocol, then a full tree teardown so no supervisor or worker
-/// outlives the audit.
-fn pooled_probe_and_snapshot(
-    l: Listener,
-    server: PooledServer,
-    fault_code: i64,
-) -> Io<(i64, i64, StatsSnapshot)> {
-    prepared_connection(ConnFault::None, "/probe").and_then(move |conn: Connection| {
-        l.inject(conn)
-            .then(conn.read_response())
-            .and_then(move |resp| {
-                let probe_code = match status_of(&resp) {
-                    ClientOutcome::Status(code) => i64::from(code),
-                    ClientOutcome::Garbled => -2,
-                };
-                server
-                    .plane
-                    .shutdown_sync()
-                    .then(server.plane.drain())
-                    .then(server.plane.stats.snapshot())
-                    .and_then(move |snap| {
-                        server
-                            .stop_sync()
-                            .map(move |_| (fault_code, probe_code, snap))
-                    })
-            })
     })
 }
 
@@ -222,8 +204,9 @@ fn pooled_probe_and_snapshot(
 ///
 /// The audit then probes the *other* shard (liveness: shard 1 must be
 /// unaffected) and checks the conservation law on the **quiescent
-/// aggregate** (`shutdown_sync → drain → aggregate`) — the sharded
-/// observation protocol, certified on every schedule.
+/// aggregate** (`shutdown_sync` over every acceptor, `drain` until
+/// every shard's `active` is zero, then the per-shard snapshots summed)
+/// — the sharded observation protocol, certified on every schedule.
 pub fn sharded_pipeline_space() -> Io<(i64, i64, StatsSnapshot)> {
     let cfg = ShardConfig {
         read_timeout: 1_000,
@@ -237,6 +220,10 @@ pub fn sharded_pipeline_space() -> Io<(i64, i64, StatsSnapshot)> {
         )
         .and_then(move |server| {
             Connection::open().and_then(move |conn| {
+                let audit = server
+                    .shutdown_sync()
+                    .then(server.drain())
+                    .then(server.aggregate());
                 conn.send_frame_fin(Request::get("/a").render().repeat(2))
                     .then(l.inject(0, conn))
                     // Park main so the shard-0 handler is forked and
@@ -244,44 +231,18 @@ pub fn sharded_pipeline_space() -> Io<(i64, i64, StatsSnapshot)> {
                     // the storm picks targets.
                     .then(Io::sleep(100))
                     .then(server.worker_ids())
-                    .and_then({
-                        let server = server.clone();
-                        move |tids| {
-                            kill_storm_targets(tids, &Injector::Explore, true)
-                                .and_then(move |kills| sharded_probe_and_snapshot(l, server, kills))
-                        }
+                    .and_then(move |tids| {
+                        let probe = Connection::open().and_then(move |probe| {
+                            probe
+                                .send_frame_fin(Request::get("/probe").render())
+                                .then(l.inject(1, probe))
+                                .then(probe.read_response())
+                        });
+                        kill_storm(tids, true)
+                            .and_then(move |kills| probe_then_audit(kills, probe, audit))
                     })
             })
         })
-    })
-}
-
-/// [`probe_and_snapshot`] for the sharded plane: the healthy probe goes
-/// to shard 1 (the shard the fault episode never touched), then the
-/// quiescent-aggregate audit — `shutdown_sync` over every acceptor,
-/// `drain` until every shard's `active` is zero, and the per-shard
-/// snapshots summed with `StatsSnapshot::merge`.
-fn sharded_probe_and_snapshot(
-    l: ShardedListener,
-    server: ShardedServer,
-    fault_code: i64,
-) -> Io<(i64, i64, StatsSnapshot)> {
-    Connection::open().and_then(move |probe| {
-        probe
-            .send_frame_fin(Request::get("/probe").render())
-            .then(l.inject(1, probe))
-            .then(probe.read_response())
-            .and_then(move |resp| {
-                let probe_code = match status_of(&resp) {
-                    ClientOutcome::Status(code) => i64::from(code),
-                    ClientOutcome::Garbled => -2,
-                };
-                server
-                    .shutdown_sync()
-                    .then(server.drain())
-                    .then(server.aggregate())
-                    .map(move |snap| (fault_code, probe_code, snap))
-            })
     })
 }
 
@@ -309,12 +270,12 @@ pub fn actor_space() -> Io<Vec<i64>> {
             spawn_supervisor(spec).and_then(move |sup| {
                 inbox
                     .send(1)
-                    .then(wait_counter(state, 2))
+                    .then(poll(state, |n| n >= 2))
                     .then(Io::choose(4))
                     .and_then(move |arm| {
                         episode(sup, inbox, arm)
                             .then(inbox.send(1)) // the probe: +2, whoever serves it
-                            .then(wait_counter(state, 4))
+                            .then(poll(state, |n| n >= 4))
                             .and_then(move |n| {
                                 current_child(sup).and_then(move |child| {
                                     sup.shutdown_sync().then(wait_child_dead(child)).and_then(
@@ -340,7 +301,7 @@ pub fn actor_space() -> Io<Vec<i64>> {
     })
 }
 
-/// The fault episode for [`actor_space`], by injector arm.
+/// The fault episode for [`actor_space`], by chosen arm.
 fn episode(sup: Supervisor, inbox: Mailbox<i64>, arm: i64) -> Io<()> {
     match arm {
         // Poison: the child crashes synchronously on the message.
@@ -372,16 +333,6 @@ fn counter_loop(mb: Mailbox<i64>, state: MVar<i64>) -> Io<()> {
         -2 => Io::sleep(5_000).then(counter_loop(mb, state)),
         _ => Io::block(state.take().and_then(move |n| state.put(n + 2)))
             .then(counter_loop(mb, state)),
-    })
-}
-
-fn wait_counter(state: MVar<i64>, at_least: i64) -> Io<i64> {
-    Io::block(state.take().and_then(move |n| state.put(n).map(move |_| n))).and_then(move |n| {
-        if n >= at_least {
-            Io::pure(n)
-        } else {
-            Io::sleep(50).then(wait_counter(state, at_least))
-        }
     })
 }
 
@@ -439,7 +390,8 @@ pub fn holds_actor_invariants(out: &[i64]) -> Result<(), String> {
 ///   kill crosses the channel; `1` — a kill races the victim's work;
 ///   `2` — a *late* kill: the victim is already done, a new tenant
 ///   thread (bit 4) has been forked — eligible to reuse the victim's
-///   slot — and the relayed `throwTo` still names the old [`ThreadId`].
+///   slot — and the relayed `throwTo` still names the old
+///   [`ThreadId`](conch_runtime::ids::ThreadId).
 ///   Generation tags make the stale delivery a no-op on every
 ///   schedule: the tenant must survive.
 ///
@@ -457,7 +409,7 @@ pub fn cross_shard_kill_space() -> Io<Vec<i64>> {
                             // The late kill: only after the victim has
                             // finished does the tenant fork and the
                             // (now stale) envelope cross the channel.
-                            2 => wait_bits(log, 1)
+                            2 => poll(log, has(1))
                                 .then(Io::fork(set_bit(log, 4)).map(|_| ()))
                                 .then(chan.put(1)),
                             // No kill — the relay still drains.
@@ -466,15 +418,13 @@ pub fn cross_shard_kill_space() -> Io<Vec<i64>> {
                         let settled = match arm {
                             // Either the work completed or the kill
                             // was recorded — plus the relay's drain.
-                            1 => wait_either(log, 1, 2).then(wait_bits(log, 8)),
-                            2 => wait_bits(log, 1 | 4 | 8),
-                            _ => wait_bits(log, 1 | 8),
+                            1 => poll(log, |n| n & (1 | 2) != 0).then(poll(log, has(8))),
+                            2 => poll(log, has(1 | 4 | 8)),
+                            _ => poll(log, has(1 | 8)),
                         };
                         episode
                             .then(settled)
-                            .then(Io::block(
-                                log.take().and_then(move |n| log.put(n).map(move |_| n)),
-                            ))
+                            .then(peek(log))
                             .map(move |bits| vec![bits, arm])
                     })
                 })
@@ -507,7 +457,7 @@ fn kill_relay(chan: MVar<i64>, victim: conch_runtime::ids::ThreadId, log: MVar<i
     chan.take()
         .and_then(move |code| {
             if code == 1 {
-                wait_bits(log, 16).then(Io::throw_to(
+                poll(log, has(16)).then(Io::throw_to(
                     victim,
                     Exception::error_call("cross-shard kill"),
                 ))
@@ -523,26 +473,26 @@ fn set_bit(log: MVar<i64>, bit: i64) -> Io<()> {
     Io::block(log.take().and_then(move |n| log.put(n | bit)))
 }
 
-/// Polls until every bit of `mask` is set.
-fn wait_bits(log: MVar<i64>, mask: i64) -> Io<()> {
-    Io::block(log.take().and_then(move |n| log.put(n).map(move |_| n))).and_then(move |n| {
-        if n & mask == mask {
-            Io::unit()
+/// Reads `cell` in one masked take/put.
+fn peek(cell: MVar<i64>) -> Io<i64> {
+    Io::block(cell.take().and_then(move |n| cell.put(n).map(move |_| n)))
+}
+
+/// Polls `cell` every 50 µs until `done` holds of it; returns the value
+/// that satisfied it.
+fn poll(cell: MVar<i64>, done: impl Fn(i64) -> bool + 'static) -> Io<i64> {
+    peek(cell).and_then(move |n| {
+        if done(n) {
+            Io::pure(n)
         } else {
-            Io::sleep(50).then(wait_bits(log, mask))
+            Io::sleep(50).then(poll(cell, done))
         }
     })
 }
 
-/// Polls until at least one of the two bits is set.
-fn wait_either(log: MVar<i64>, a: i64, b: i64) -> Io<()> {
-    Io::block(log.take().and_then(move |n| log.put(n).map(move |_| n))).and_then(move |n| {
-        if n & a != 0 || n & b != 0 {
-            Io::unit()
-        } else {
-            Io::sleep(50).then(wait_either(log, a, b))
-        }
-    })
+/// "Every bit of `mask` is set", for [`poll`].
+fn has(mask: i64) -> impl Fn(i64) -> bool {
+    move |n| n & mask == mask
 }
 
 /// The cross-shard kill invariants, on every schedule. Bits: 16 armed,

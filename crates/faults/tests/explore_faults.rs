@@ -1,10 +1,9 @@
 //! Fault × schedule exploration: the tentpole integration tests.
 //!
 //! Each test explores one of the canonical spaces from
-//! [`conch_faults::spaces`]: an httpd server under
-//! [`Injector::Explore`](conch_faults::Injector), so every injection
-//! site is an `Io::choose` branch point, and `conch-explore` enumerates
-//! the *product* of fault decisions and scheduling decisions. The
+//! [`conch_faults::spaces`], where every injection site is an
+//! `Io::choose` branch point, so `conch-explore` enumerates the
+//! *product* of fault decisions and scheduling decisions. The
 //! properties checked on every run of every explored schedule are the
 //! recovery invariants the PR hardens the server for:
 //!
@@ -18,11 +17,17 @@
 //!   `complete` (no run was cut off by depth or step budgets while
 //!   threads still held resources);
 //! * **liveness after faults** — a healthy probe sent after the fault
-//!   sequence is answered `200` on every schedule.
+//!   sequence is answered `200` on every schedule;
+//! * **the episode's own outcome** — the fault that fired moved exactly
+//!   the counter it should: a stall times out, a garbage request is a
+//!   parse error, a strike is recorded as a kill.
 //!
 //! Each space is explored twice — sequential engine and 4-worker
 //! work-stealing engine — and the coverage reports must be equal, the
 //! determinism contract extended to fault branch points.
+
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 use conch_actors::POLL_INTERVAL;
 use conch_explore::{ExploreConfig, Explorer, Reduction, Report, RunOutcome, Strategy, TestCase};
@@ -36,106 +41,174 @@ use conch_httpd::http::Response;
 use conch_httpd::net::Listener;
 use conch_httpd::pool::{start_pooled, PoolConfig};
 use conch_httpd::server::{handler, StatsSnapshot};
+use conch_runtime::error::RunError;
 use conch_runtime::io::Io;
+use conch_runtime::value::FromValue;
 
-fn check_invariants(out: &RunOutcome<(i64, i64, StatsSnapshot)>) -> Result<(), String> {
-    match &out.result {
-        Ok(v) => holds_invariants(v),
-        Err(e) => Err(format!("run failed: {e:?}")),
+type Out = (i64, i64, StatsSnapshot);
+
+/// Preemption bound 2 under DPOR: fault arms and exception-delivery
+/// points always branch fully regardless of the bound (only
+/// *preemptive* thread switches are rationed), so fault coverage stays
+/// exhaustive while the schedule dimension stays tractable — these
+/// spaces complete in milliseconds, where the unbounded product runs
+/// past 400k schedules without converging.
+const DPOR: Strategy = Strategy::Exhaustive(Reduction::Dpor);
+const BOUND: Option<usize> = Some(2);
+
+/// PCT draws schedules straight from the unbounded space — the fault
+/// spaces are the motivating case for sampling — and sample `i` is a
+/// pure function of the strategy and `i`, so every worker count
+/// produces the same report.
+const PCT: Strategy = Strategy::Pct {
+    depth: 3,
+    seed: 0xC0FFEE,
+};
+const SAMPLES: usize = 128;
+
+/// Explores `space` with `strategy` at `preemption_bound` on `workers`
+/// engine threads (1 is the sequential engine), checks `property` on
+/// every run, and returns the report of the pass. A sampled schedule
+/// may starve a drain loop past the step budget: that sample is
+/// truncated, not a violation.
+fn explore<T: FromValue + 'static>(
+    space: fn() -> Io<T>,
+    property: impl Fn(&T) -> Result<(), String> + Send + Sync + 'static,
+    strategy: Strategy,
+    preemption_bound: Option<usize>,
+    workers: usize,
+) -> Report {
+    let sampled = !matches!(strategy, Strategy::Exhaustive(_));
+    let explorer = Explorer::with_config(ExploreConfig {
+        max_schedules: if sampled { SAMPLES } else { 1_000_000 },
+        max_depth: 512,
+        step_budget: 100_000,
+        preemption_bound,
+        strategy,
+        ..ExploreConfig::default()
+    });
+    let property = Arc::new(property);
+    let result = explorer.check_parallel(workers, || {
+        let property = Arc::clone(&property);
+        TestCase::new(space(), move |out: &RunOutcome<T>| match &out.result {
+            Ok(v) => property(v),
+            Err(RunError::StepLimitExceeded { .. }) if sampled => Ok(()),
+            Err(e) => Err(format!("run failed: {e:?}")),
+        })
+    });
+    result.expect_pass().clone()
+}
+
+/// The search was exhaustive, and is the same search as ever:
+/// `(explored, pruned, faults injected)`.
+fn assert_exhaustive(report: &Report, counts: (usize, usize, u64)) {
+    assert!(report.complete && report.truncated == 0, "{report:?}");
+    let got = (report.explored, report.pruned, report.faults_injected);
+    assert_eq!(got, counts, "{report:?}");
+}
+
+/// [`holds_invariants`], and `expected` of the episode's code and the
+/// audited counters.
+fn outcome(out: &Out, expected: fn(i64, &StatsSnapshot) -> bool) -> Result<(), String> {
+    holds_invariants(out)?;
+    let (code, _, snap) = out;
+    if expected(*code, snap) {
+        Ok(())
+    } else {
+        Err(format!("episode {code} left {snap:?}"))
     }
 }
 
-fn explore(space: fn() -> Io<(i64, i64, StatsSnapshot)>, workers: usize) -> Report {
-    // Preemption bound 2: fault arms and exception-delivery points
-    // always branch fully regardless of the bound (only *preemptive*
-    // thread switches are rationed), so fault coverage stays exhaustive
-    // while the schedule dimension stays tractable — these spaces
-    // complete in milliseconds, where the unbounded product runs past
-    // 400k schedules without converging.
-    let cfg = ExploreConfig {
-        max_schedules: 100_000,
-        max_depth: 512,
-        step_budget: 100_000,
-        preemption_bound: Some(2),
-        strategy: Strategy::Exhaustive(Reduction::Dpor),
-        ..ExploreConfig::default()
-    };
-    let explorer = Explorer::with_config(cfg);
-    let result = if workers == 1 {
-        explorer.check(|| TestCase::new(space(), check_invariants))
-    } else {
-        explorer.check_parallel(workers, move || TestCase::new(space(), check_invariants))
-    };
-    result.report().clone()
+/// The visit's code decides the one counter it moved (the probe is the
+/// other `served`).
+fn conn_outcome(out: &Out) -> Result<(), String> {
+    outcome(out, |code, s| match code {
+        200 => s.served == 2,
+        408 => s.read_timeouts == 1,
+        400 => s.parse_errors == 1,
+        -1 => s.aborted == 1,
+        _ => false,
+    })
+}
+
+/// A spared stall times out; a struck one is recorded killed.
+fn storm_outcome(out: &Out) -> Result<(), String> {
+    outcome(out, |kills, s| match kills {
+        0 => s.read_timeouts == 1 && s.killed == 0,
+        _ => s.killed == 1,
+    })
+}
+
+/// Spared, both pipelined requests and the probe are served; struck,
+/// the in-flight request is killed and only the probe is served.
+fn sharded_outcome(out: &Out) -> Result<(), String> {
+    outcome(out, |kills, s| match kills {
+        0 => s.served == 3,
+        1 => s.served == 1 && s.killed == 1,
+        _ => false,
+    })
+}
+
+// The actor spaces return `Vec<i64>`; their invariants take slices.
+#[allow(clippy::ptr_arg)]
+fn actor_outcome(out: &Vec<i64>) -> Result<(), String> {
+    holds_actor_invariants(out)
+}
+
+#[allow(clippy::ptr_arg)]
+fn relay_outcome(out: &Vec<i64>) -> Result<(), String> {
+    holds_cross_shard_invariants(out)
 }
 
 #[test]
 fn conn_fault_space_holds_invariants_on_every_schedule() {
-    let report = explore(conn_fault_space, 1);
-    assert!(
-        report.complete,
-        "exploration must be exhaustive: {report:?}"
-    );
-    assert!(
-        report.faults_injected > 0,
-        "the fault arms must actually be visited: {report:?}"
-    );
-    // Five arms, each with at least one schedule.
-    assert!(report.explored >= 5, "{report:?}");
+    let seen = Arc::new(Mutex::new(BTreeSet::new()));
+    let codes = Arc::clone(&seen);
+    let property = move |out: &Out| {
+        codes.lock().unwrap().insert(out.0);
+        conn_outcome(out)
+    };
+    let report = explore(conn_fault_space, property, DPOR, BOUND, 1);
+    assert_exhaustive(&report, (7, 193, 6));
+    // Five arms; drop and mid-request close both go unanswered.
+    assert_eq!(*seen.lock().unwrap(), BTreeSet::from([-1, 200, 400, 408]));
 }
 
 #[test]
 fn conn_fault_space_reports_identically_at_any_worker_count() {
-    let sequential = explore(conn_fault_space, 1);
-    let parallel = explore(conn_fault_space, 4);
     assert_eq!(
-        sequential, parallel,
+        explore(conn_fault_space, conn_outcome, DPOR, BOUND, 1),
+        explore(conn_fault_space, conn_outcome, DPOR, BOUND, 4),
         "fault×schedule coverage must be bit-identical across engines"
     );
 }
 
 #[test]
 fn storm_space_holds_invariants_on_every_schedule() {
-    let report = explore(storm_space, 1);
-    assert!(
-        report.complete,
-        "exploration must be exhaustive: {report:?}"
-    );
-    assert!(
-        report.faults_injected > 0,
-        "some schedule must deliver the strike: {report:?}"
-    );
-    assert!(report.explored >= 2, "{report:?}");
+    let report = explore(storm_space, storm_outcome, DPOR, BOUND, 1);
+    assert_exhaustive(&report, (8, 58, 7));
 }
 
 #[test]
 fn storm_space_reports_identically_at_any_worker_count() {
-    let sequential = explore(storm_space, 1);
-    let parallel = explore(storm_space, 4);
-    assert_eq!(sequential, parallel);
+    assert_eq!(
+        explore(storm_space, storm_outcome, DPOR, BOUND, 1),
+        explore(storm_space, storm_outcome, DPOR, BOUND, 4)
+    );
 }
 
 #[test]
 fn supervised_pool_space_holds_invariants_on_every_schedule() {
-    let report = explore(supervised_pool_space, 1);
-    assert!(
-        report.complete,
-        "exploration must be exhaustive: {report:?}"
-    );
-    assert!(
-        report.faults_injected > 0,
-        "worker and supervisor strikes must be visited: {report:?}"
-    );
     // Two targets (worker, pool supervisor), each struck or spared.
-    assert!(report.explored >= 4, "{report:?}");
+    let report = explore(supervised_pool_space, storm_outcome, DPOR, BOUND, 1);
+    assert_exhaustive(&report, (12, 198, 12));
 }
 
 #[test]
 fn supervised_pool_space_reports_identically_at_any_worker_count() {
-    let sequential = explore(supervised_pool_space, 1);
-    let parallel = explore(supervised_pool_space, 4);
     assert_eq!(
-        sequential, parallel,
+        explore(supervised_pool_space, storm_outcome, DPOR, BOUND, 1),
+        explore(supervised_pool_space, storm_outcome, DPOR, BOUND, 4),
         "pool fault×schedule coverage must be bit-identical across engines"
     );
 }
@@ -180,38 +253,22 @@ fn pooled_acceptor_two_kill_space() -> Io<StatsSnapshot> {
 /// The connection was accounted for exactly as often as it was queued:
 /// never (the kills reached the acceptor first — nothing entered the
 /// law) or once, and then the worker recorded its one outcome.
-fn queued_is_accounted(out: &RunOutcome<StatsSnapshot>) -> Result<(), String> {
-    match &out.result {
-        Ok(snap) if snap.conserved() && snap.accepted == snap.aborted => Ok(()),
-        Ok(snap) => Err(format!("queued and accounted disagree: {snap:?}")),
-        Err(e) => Err(format!("run failed: {e:?}")),
+fn queued_is_accounted(snap: &StatsSnapshot) -> Result<(), String> {
+    if snap.conserved() && snap.accepted == snap.aborted {
+        Ok(())
+    } else {
+        Err(format!("queued and accounted disagree: {snap:?}"))
     }
 }
 
 /// Sleep sets: bounded DPOR under-explores (ROADMAP's first item).
-fn explore_two_kills(preemption_bound: usize) -> Report {
-    let cfg = ExploreConfig {
-        max_schedules: 1_000_000,
-        max_depth: 512,
-        step_budget: 100_000,
-        preemption_bound: Some(preemption_bound),
-        strategy: Strategy::Exhaustive(Reduction::SleepSets),
-        ..ExploreConfig::default()
-    };
-    let result = Explorer::with_config(cfg)
-        .check(|| TestCase::new(pooled_acceptor_two_kill_space(), queued_is_accounted));
-    let report = result.expect_pass().clone();
-    assert!(
-        report.complete,
-        "exploration must be exhaustive: {report:?}"
-    );
-    report
-}
+const SLEEP_SETS: Strategy = Strategy::Exhaustive(Reduction::SleepSets);
 
 #[test]
 fn two_kills_at_the_pooled_acceptor_lose_no_queued_connection_on_any_schedule() {
-    let report = explore_two_kills(1);
-    assert!(report.explored > 1_000, "{report:?}");
+    let space = pooled_acceptor_two_kill_space;
+    let report = explore(space, queued_is_accounted, SLEEP_SETS, Some(1), 1);
+    assert_exhaustive(&report, (5_743, 844, 0));
 }
 
 /// The bound at which the space reaches the second kill landing in the
@@ -222,8 +279,9 @@ fn two_kills_at_the_pooled_acceptor_lose_no_queued_connection_on_any_schedule() 
 #[test]
 #[ignore = "217k schedules: run in release"]
 fn two_kills_at_the_pooled_acceptor_at_the_bound_that_reaches_the_guard() {
-    let report = explore_two_kills(3);
-    assert!(report.explored > 200_000, "{report:?}");
+    let space = pooled_acceptor_two_kill_space;
+    let report = explore(space, queued_is_accounted, SLEEP_SETS, Some(3), 1);
+    assert_exhaustive(&report, (217_431, 52_489, 0));
 }
 
 /// Satellite of the sharded-plane PR: a `KillThread` between two
@@ -234,88 +292,28 @@ fn two_kills_at_the_pooled_acceptor_at_the_bound_that_reaches_the_guard() {
 /// serving (`200` probe) throughout.
 #[test]
 fn sharded_pipeline_space_holds_invariants_on_every_schedule() {
-    let report = explore(sharded_pipeline_space, 1);
-    assert!(
-        report.complete,
-        "exploration must be exhaustive: {report:?}"
-    );
-    assert!(
-        report.faults_injected > 0,
-        "some schedule must strike the pipelined handler: {report:?}"
-    );
-    // Struck or spared, each with at least one schedule.
-    assert!(report.explored >= 2, "{report:?}");
+    let report = explore(sharded_pipeline_space, sharded_outcome, DPOR, BOUND, 1);
+    assert_exhaustive(&report, (3, 45, 2));
 }
 
 #[test]
 fn sharded_pipeline_space_reports_identically_at_any_worker_count() {
-    let sequential = explore(sharded_pipeline_space, 1);
-    let parallel = explore(sharded_pipeline_space, 4);
     assert_eq!(
-        sequential, parallel,
+        explore(sharded_pipeline_space, sharded_outcome, DPOR, BOUND, 1),
+        explore(sharded_pipeline_space, sharded_outcome, DPOR, BOUND, 4),
         "sharded fault×schedule coverage must be bit-identical across engines"
     );
-}
-
-// ------------------------------------------------------------- sampling
-//
-// The fault spaces are the motivating case for schedule *sampling*:
-// their unbounded products are unenumerable, and PCT draws schedules
-// straight from the unbounded space — no preemption bound — while
-// keeping the determinism contract (sample i is a pure function of the
-// strategy and i, so every worker count produces the same report).
-
-/// Like [`check_invariants`], but sampling-aware: a drawn schedule may
-/// legitimately starve the drain loop past the step budget — that
-/// sample is *truncated*, not a violation, so it must not be reported
-/// as one.
-fn check_sampled_invariants(out: &RunOutcome<(i64, i64, StatsSnapshot)>) -> Result<(), String> {
-    match &out.result {
-        Ok(v) => holds_invariants(v),
-        Err(conch_runtime::error::RunError::StepLimitExceeded { .. }) => Ok(()),
-        Err(e) => Err(format!("run failed: {e:?}")),
-    }
-}
-
-fn sample_space(space: fn() -> Io<(i64, i64, StatsSnapshot)>, workers: usize) -> Report {
-    let cfg = ExploreConfig {
-        max_schedules: 128,
-        max_depth: 512,
-        step_budget: 100_000,
-        strategy: Strategy::Pct {
-            depth: 3,
-            seed: 0xC0FFEE,
-        },
-        ..ExploreConfig::default()
-    };
-    let explorer = Explorer::with_config(cfg);
-    let result = if workers == 1 {
-        explorer.check(|| TestCase::new(space(), check_sampled_invariants))
-    } else {
-        explorer.check_parallel(workers, move || {
-            TestCase::new(space(), check_sampled_invariants)
-        })
-    };
-    match result {
-        conch_explore::CheckResult::Passed(report) => *report,
-        conch_explore::CheckResult::Failed(f) => {
-            panic!(
-                "sampled fault space violated recovery invariants: {}",
-                f.message
-            )
-        }
-    }
 }
 
 #[test]
 fn pct_sampling_covers_the_fault_spaces() {
     for space in [conn_fault_space, storm_space] {
-        let report = sample_space(space, 1);
+        let report = explore(space, holds_invariants, PCT, None, 1);
         assert!(
             !report.complete,
             "sampling must never claim exhaustive coverage: {report:?}"
         );
-        assert_eq!(report.stats.sampled, 128, "{report:?}");
+        assert_eq!(report.stats.sampled, SAMPLES as u64, "{report:?}");
         assert_eq!(
             report.explored as u64, report.stats.sampled,
             "every draw is one explored run: {report:?}"
@@ -335,111 +333,42 @@ fn pct_sampling_covers_the_fault_spaces() {
 
 #[test]
 fn pct_sampling_reports_identically_at_any_worker_count() {
-    let sequential = sample_space(conn_fault_space, 1);
-    let parallel = sample_space(conn_fault_space, 4);
     assert_eq!(
-        sequential, parallel,
+        explore(conn_fault_space, holds_invariants, PCT, None, 1),
+        explore(conn_fault_space, holds_invariants, PCT, None, 4),
         "sampled fault×schedule reports must be bit-identical across engines"
     );
 }
 
-fn check_actor_invariants(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
-    match &out.result {
-        Ok(v) => holds_actor_invariants(v),
-        Err(e) => Err(format!("run failed: {e:?}")),
-    }
-}
-
-fn explore_actor(workers: usize) -> Report {
-    let cfg = ExploreConfig {
-        max_schedules: 100_000,
-        max_depth: 512,
-        step_budget: 100_000,
-        preemption_bound: Some(2),
-        strategy: Strategy::Exhaustive(Reduction::Dpor),
-        ..ExploreConfig::default()
-    };
-    let explorer = Explorer::with_config(cfg);
-    let result = if workers == 1 {
-        explorer.check(|| TestCase::new(actor_space(), check_actor_invariants))
-    } else {
-        explorer.check_parallel(workers, move || {
-            TestCase::new(actor_space(), check_actor_invariants)
-        })
-    };
-    result.report().clone()
-}
-
 #[test]
 fn actor_space_holds_invariants_on_every_schedule() {
-    let report = explore_actor(1);
-    assert!(
-        report.complete,
-        "exploration must be exhaustive: {report:?}"
-    );
-    assert!(
-        report.faults_injected > 0,
-        "the crash/kill/wedge arms must be visited: {report:?}"
-    );
-    // Four episode arms, each with at least one schedule.
-    assert!(report.explored >= 4, "{report:?}");
+    // Four episode arms: nothing, poison, kill, wedge then kill.
+    let report = explore(actor_space, actor_outcome, DPOR, BOUND, 1);
+    assert_exhaustive(&report, (4, 8, 3));
 }
 
 #[test]
 fn actor_space_reports_identically_at_any_worker_count() {
-    let sequential = explore_actor(1);
-    let parallel = explore_actor(4);
     assert_eq!(
-        sequential, parallel,
+        explore(actor_space, actor_outcome, DPOR, BOUND, 1),
+        explore(actor_space, actor_outcome, DPOR, BOUND, 4),
         "actor fault×schedule coverage must be bit-identical across engines"
     );
 }
 
-fn check_cross_shard_invariants(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
-    match &out.result {
-        Ok(v) => holds_cross_shard_invariants(v),
-        Err(e) => Err(format!("run failed: {e:?}")),
-    }
-}
-
-fn explore_cross_shard(workers: usize) -> Report {
-    let cfg = ExploreConfig {
-        max_schedules: 100_000,
-        max_depth: 512,
-        step_budget: 100_000,
-        preemption_bound: Some(2),
-        strategy: Strategy::Exhaustive(Reduction::Dpor),
-        ..ExploreConfig::default()
-    };
-    let explorer = Explorer::with_config(cfg);
-    let result = if workers == 1 {
-        explorer.check(|| TestCase::new(cross_shard_kill_space(), check_cross_shard_invariants))
-    } else {
-        explorer.check_parallel(workers, move || {
-            TestCase::new(cross_shard_kill_space(), check_cross_shard_invariants)
-        })
-    };
-    result.report().clone()
-}
-
 #[test]
 fn cross_shard_kill_space_holds_invariants_on_every_schedule() {
-    let report = explore_cross_shard(1);
-    assert!(
-        report.complete,
-        "exploration must be exhaustive: {report:?}"
-    );
-    // Three episode arms, each with at least one schedule: the no-kill
-    // drain, the racing kill, and the stale kill to a dead slot.
-    assert!(report.explored >= 3, "{report:?}");
+    // Three episode arms: the no-kill drain, the racing kill, and the
+    // stale kill to a dead slot.
+    let report = explore(cross_shard_kill_space, relay_outcome, DPOR, BOUND, 1);
+    assert_exhaustive(&report, (3, 5, 2));
 }
 
 #[test]
 fn cross_shard_kill_space_reports_identically_at_any_worker_count() {
-    let sequential = explore_cross_shard(1);
-    let parallel = explore_cross_shard(4);
     assert_eq!(
-        sequential, parallel,
+        explore(cross_shard_kill_space, relay_outcome, DPOR, BOUND, 1),
+        explore(cross_shard_kill_space, relay_outcome, DPOR, BOUND, 4),
         "cross-shard fault×schedule coverage must be bit-identical across engines"
     );
 }

@@ -14,7 +14,7 @@ use crate::rules::{Label, RuleConfig, RuleName};
 use crate::term::TidName;
 
 /// One step of a recorded derivation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DerivStep {
     /// The rule that fired.
     pub rule: RuleName,
@@ -37,6 +37,8 @@ pub struct Derivation {
     pub terminated: bool,
     /// Whether the run ended wedged (no transition enabled, not terminal).
     pub deadlocked: bool,
+    /// The state the run ended in.
+    pub state: State,
 }
 
 impl Derivation {
@@ -119,6 +121,7 @@ pub fn derive(
         terminated: state.is_terminal(),
         deadlocked,
         steps,
+        state,
     }
 }
 
@@ -128,7 +131,8 @@ pub fn derive_first(init: &State, config: &RuleConfig, max_steps: usize) -> Deri
     derive(init, config, max_steps, |_| 0)
 }
 
-/// [`derive()`] with seeded-random choices.
+/// [`derive()`] with seeded-random choices: a uniformly random enabled
+/// transition at each step, the same walk for the same seed.
 pub fn derive_random(init: &State, config: &RuleConfig, max_steps: usize, seed: u64) -> Derivation {
     let mut rng = StdRng::seed_from_u64(seed);
     derive(init, config, max_steps, move |menu| {
@@ -184,6 +188,27 @@ mod tests {
         let d2 = derive_random(&mk(), &cfg, 200, 5);
         assert_eq!(d1.rules(), d2.rules());
         assert_eq!(d1.observables(), d2.observables());
+    }
+
+    #[test]
+    fn derive_random_is_deterministic_per_seed() {
+        let prog = seq(
+            fork(put_char(ch('a'))),
+            seq(fork(put_char(ch('b'))), put_char(ch('c'))),
+        );
+        let mk = || State::new(prog.clone(), "");
+        let cfg = RuleConfig::default();
+        let r1 = derive_random(&mk(), &cfg, 500, 99);
+        let r2 = derive_random(&mk(), &cfg, 500, 99);
+        assert_eq!(r1.steps, r2.steps);
+    }
+
+    #[test]
+    fn derive_random_reports_deadlock() {
+        let prog = bind(new_empty_mvar(), lam("m", take_mvar(var("m"))));
+        let r = derive_random(&State::new(prog, ""), &RuleConfig::default(), 100, 1);
+        assert!(r.deadlocked);
+        assert!(!r.terminated);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Exploring the labelled transition system.
 //!
 //! The rules of [`crate::rules`] define, for each state, the set of
-//! enabled transitions. This module drives them three ways:
+//! enabled transitions. This module searches them two ways (a single
+//! run, scripted or seeded-random, is a
+//! [`Derivation`](crate::derivation::Derivation)):
 //!
 //! * [`check_safety`] — bounded-exhaustive BFS (a model checker): visit
 //!   every reachable state up to a budget, report a counterexample trace
@@ -10,14 +12,11 @@
 //! * [`admits_trace`] — directed search deciding whether an observable
 //!   I/O trace (as recorded by the `conch-runtime` interpreter) is one
 //!   the formal semantics admits. This is the conformance oracle.
-//! * [`random_run`] — seeded random walks, for statistical testing.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
+use crate::derivation::DerivStep;
 use crate::process::Soup;
 use crate::rules::{enabled_transitions, Label, RuleConfig, RuleName, Transition};
 use crate::term::{Term, TidName};
@@ -103,19 +102,6 @@ impl Default for ExploreConfig {
     }
 }
 
-/// One step of a counterexample trace.
-#[derive(Debug, Clone)]
-pub struct TraceStep {
-    /// The rule that fired.
-    pub rule: RuleName,
-    /// Its label.
-    pub label: Label,
-    /// The thread it fired in.
-    pub tid: Option<TidName>,
-    /// The state reached, rendered in the paper's notation.
-    pub state: String,
-}
-
 /// The result of a safety check.
 #[derive(Debug, Clone)]
 pub enum CheckResult {
@@ -129,7 +115,7 @@ pub enum CheckResult {
     /// A bad state is reachable; here is how.
     Violation {
         /// The rule/label sequence from the initial state.
-        trace: Vec<TraceStep>,
+        trace: Vec<DerivStep>,
         /// The bad state, rendered.
         state: String,
         /// Distinct states visited before finding it.
@@ -170,7 +156,7 @@ pub fn check_safety(
     let rebuild_trace = |edges: &HashMap<String, Edge>, mut key: String| {
         let mut steps = Vec::new();
         while let Some(e) = edges.get(&key) {
-            steps.push(TraceStep {
+            steps.push(DerivStep {
                 rule: e.rule,
                 label: e.label,
                 tid: e.tid,
@@ -286,52 +272,6 @@ pub fn admits_trace(
         }
     }
     false
-}
-
-/// The result of a random walk.
-#[derive(Debug, Clone)]
-pub struct RandomRun {
-    /// The rules fired, in order, with labels.
-    pub steps: Vec<(RuleName, Label)>,
-    /// The final state.
-    pub state: State,
-    /// Whether the walk ended in a terminal state.
-    pub terminated: bool,
-    /// Whether the walk ended wedged (deadlock).
-    pub deadlocked: bool,
-}
-
-/// Takes a uniformly random enabled transition at each step, up to
-/// `max_steps`, with a seeded RNG (deterministic per seed).
-pub fn random_run(init: &State, seed: u64, max_steps: usize, config: &RuleConfig) -> RandomRun {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut state = init.clone();
-    let mut steps = Vec::new();
-    for _ in 0..max_steps {
-        if state.is_terminal() {
-            break;
-        }
-        let succ = state.successors(config);
-        if succ.is_empty() {
-            return RandomRun {
-                steps,
-                terminated: false,
-                deadlocked: true,
-                state,
-            };
-        }
-        let i = rng.gen_range(0..succ.len());
-        let (t, next) = succ.into_iter().nth(i).expect("index in range");
-        steps.push((t.rule, t.label));
-        state = next;
-    }
-    let terminated = state.is_terminal();
-    RandomRun {
-        steps,
-        terminated,
-        deadlocked: false,
-        state,
-    }
 }
 
 #[cfg(test)]
@@ -464,27 +404,6 @@ mod tests {
             true,
             &cfg
         ));
-    }
-
-    #[test]
-    fn random_run_is_deterministic_per_seed() {
-        let prog = seq(
-            fork(put_char(ch('a'))),
-            seq(fork(put_char(ch('b'))), put_char(ch('c'))),
-        );
-        let mk = || State::new(prog.clone(), "");
-        let cfg = RuleConfig::default();
-        let r1 = random_run(&mk(), 99, 500, &cfg);
-        let r2 = random_run(&mk(), 99, 500, &cfg);
-        assert_eq!(r1.steps, r2.steps);
-    }
-
-    #[test]
-    fn random_run_reports_deadlock() {
-        let prog = bind(new_empty_mvar(), lam("m", take_mvar(var("m"))));
-        let r = random_run(&State::new(prog, ""), 1, 100, &RuleConfig::default());
-        assert!(r.deadlocked);
-        assert!(!r.terminated);
     }
 
     #[test]

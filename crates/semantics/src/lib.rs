@@ -49,9 +49,7 @@ pub mod rules;
 pub mod term;
 
 pub use crate::derivation::{derive, derive_first, derive_random, DerivStep, Derivation};
-pub use crate::engine::{
-    admits_trace, check_safety, random_run, CheckResult, ExploreConfig, Obs, State,
-};
+pub use crate::engine::{admits_trace, check_safety, CheckResult, ExploreConfig, Obs, State};
 pub use crate::equiv::{trace_equivalent, trace_set, Truncated, TruncationLimit};
 pub use crate::process::{Mark, ProcTerm, Soup};
 pub use crate::rules::{enabled_transitions, Label, RuleConfig, RuleName, Transition};

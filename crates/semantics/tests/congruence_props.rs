@@ -5,7 +5,8 @@
 use std::rc::Rc;
 
 use conch_semantics::congruence::{congruent, to_soup};
-use conch_semantics::engine::{random_run, State};
+use conch_semantics::derivation::derive_random;
+use conch_semantics::engine::State;
 use conch_semantics::process::{Mark, ProcTerm};
 use conch_semantics::rules::{enabled_transitions, RuleConfig};
 use conch_semantics::term::build as tb;
@@ -190,7 +191,7 @@ proptest! {
     ) {
         let init = State::new(prog, "xyz");
         let cfg = RuleConfig::default();
-        let run = random_run(&init, seed, 300, &cfg);
+        let run = derive_random(&init, &cfg, 300, seed);
         let soup = &run.state.soup;
         for (target, _) in &soup.inflight {
             prop_assert!(
@@ -214,8 +215,8 @@ proptest! {
     /// Determinism: the same seed yields the same walk.
     #[test]
     fn random_walks_deterministic(prog in program_strategy(), seed in 0u64..1_000) {
-        let a = random_run(&State::new(prog.clone(), "x"), seed, 100, &RuleConfig::default());
-        let b = random_run(&State::new(prog, "x"), seed, 100, &RuleConfig::default());
+        let a = derive_random(&State::new(prog.clone(), "x"), &RuleConfig::default(), 100, seed);
+        let b = derive_random(&State::new(prog, "x"), &RuleConfig::default(), 100, seed);
         prop_assert_eq!(a.steps, b.steps);
     }
 }
