@@ -1,22 +1,29 @@
 //! Exploring the labelled transition system.
 //!
 //! The rules of [`crate::rules`] define, for each state, the set of
-//! enabled transitions. This module searches them two ways (a single
-//! run, scripted or seeded-random, is a
-//! [`Derivation`](crate::derivation::Derivation)):
+//! enabled transitions. [`Lts::explore`] searches them once, breadth
+//! first, interning every reachable state up to a budget; every question
+//! about a program is then a query on that graph (a single run, scripted
+//! or seeded-random, is a [`Derivation`]):
 //!
-//! * [`check_safety`] — bounded-exhaustive BFS (a model checker): visit
-//!   every reachable state up to a budget, report a counterexample trace
-//!   to any state satisfying a "bad" predicate. Used to *prove* the §5.1
-//!   naive-locking race reachable and its `block`/`unblock` fix safe.
-//! * [`admits_trace`] — directed search deciding whether an observable
-//!   I/O trace (as recorded by the `conch-runtime` interpreter) is one
-//!   the formal semantics admits. This is the conformance oracle.
+//! * [`Lts::check_safety`] — model checking: a derivation to the first
+//!   reachable state satisfying a "bad" predicate. Used to *prove* the
+//!   §5.1 naive-locking race reachable and its `block`/`unblock` fix safe.
+//! * [`Lts::admits_trace`] — does the semantics admit an observable I/O
+//!   trace (as recorded by the `conch-runtime` interpreter)? This is the
+//!   conformance oracle.
+//! * [`Lts::trace_set`] — the outcomes of all maximal runs, which
+//!   [`crate::equiv`] compares.
+//!
+//! A witness found inside the budget is sound even when the graph was
+//! truncated; a negative answer from a truncated graph is [`Truncated`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
-use crate::derivation::DerivStep;
+use crate::derivation::{DerivStep, Derivation};
+use crate::equiv::{EndState, Outcome};
 use crate::process::Soup;
 use crate::rules::{enabled_transitions, Label, RuleConfig, RuleName, Transition};
 use crate::term::{Term, TidName};
@@ -40,8 +47,8 @@ impl State {
         }
     }
 
-    /// A canonical key for visited-state deduplication.
-    pub fn key(&self) -> String {
+    /// A canonical key for interning states.
+    fn key(&self) -> String {
         let mut k = self.soup.render();
         k.push('⊢');
         k.extend(self.input.iter());
@@ -84,10 +91,9 @@ impl State {
 /// Budget for exhaustive exploration.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
-    /// Stop after visiting this many distinct states.
+    /// Intern at most this many distinct states (and, in
+    /// [`Lts::trace_set`], visit at most this many (state, trace) pairs).
     pub max_states: usize,
-    /// Ignore paths longer than this many transitions.
-    pub max_depth: usize,
     /// Rule-level configuration.
     pub rules: RuleConfig,
 }
@@ -96,127 +102,38 @@ impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
             max_states: 200_000,
-            max_depth: 10_000,
             rules: RuleConfig::default(),
         }
     }
 }
 
-/// The result of a safety check.
+/// Evidence that a search hit [`ExploreConfig::max_states`] before it
+/// could answer: a negative answer over part of the state space is not
+/// an answer, so a capped check can never silently pass or fail.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Truncated {
+    /// The budget that was exhausted.
+    pub max_states: usize,
+}
+
+impl std::fmt::Display for Truncated {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "search truncated at max_states = {}", self.max_states)
+    }
+}
+
+impl std::error::Error for Truncated {}
+
+/// The answer of [`Lts::check_safety`].
 #[derive(Debug, Clone)]
-pub enum CheckResult {
+pub enum Safety {
     /// No reachable state satisfies the bad predicate.
     Safe {
-        /// Distinct states visited.
-        states: usize,
-        /// Whether the exploration was exhaustive (within bounds).
-        complete: bool,
-    },
-    /// A bad state is reachable; here is how.
-    Violation {
-        /// The rule/label sequence from the initial state.
-        trace: Vec<DerivStep>,
-        /// The bad state, rendered.
-        state: String,
-        /// Distinct states visited before finding it.
+        /// Distinct reachable states.
         states: usize,
     },
-}
-
-impl CheckResult {
-    /// True for [`CheckResult::Safe`].
-    pub fn is_safe(&self) -> bool {
-        matches!(self, CheckResult::Safe { .. })
-    }
-}
-
-/// Bounded-exhaustive BFS over the transition system, checking a safety
-/// property: returns a counterexample trace to the first state where
-/// `bad` holds, or reports safety within the explored bound.
-pub fn check_safety(
-    init: &State,
-    config: &ExploreConfig,
-    bad: impl Fn(&State) -> bool,
-) -> CheckResult {
-    struct Edge {
-        parent: String,
-        rule: RuleName,
-        label: Label,
-        tid: Option<TidName>,
-        state_render: String,
-    }
-    let mut visited: HashSet<String> = HashSet::new();
-    let mut edges: HashMap<String, Edge> = HashMap::new();
-    let mut queue: VecDeque<(State, usize)> = VecDeque::new();
-    let init_key = init.key();
-    visited.insert(init_key.clone());
-    queue.push_back((init.clone(), 0));
-    let mut complete = true;
-
-    let rebuild_trace = |edges: &HashMap<String, Edge>, mut key: String| {
-        let mut steps = Vec::new();
-        while let Some(e) = edges.get(&key) {
-            steps.push(DerivStep {
-                rule: e.rule,
-                label: e.label,
-                tid: e.tid,
-                state: e.state_render.clone(),
-            });
-            key = e.parent.clone();
-        }
-        steps.reverse();
-        steps
-    };
-
-    if bad(init) {
-        return CheckResult::Violation {
-            trace: Vec::new(),
-            state: init.soup.render(),
-            states: 1,
-        };
-    }
-
-    while let Some((state, depth)) = queue.pop_front() {
-        if depth >= config.max_depth {
-            complete = false;
-            continue;
-        }
-        let key = state.key();
-        for (t, next) in state.successors(&config.rules) {
-            let nkey = next.key();
-            if visited.contains(&nkey) {
-                continue;
-            }
-            if visited.len() >= config.max_states {
-                complete = false;
-                continue;
-            }
-            visited.insert(nkey.clone());
-            edges.insert(
-                nkey.clone(),
-                Edge {
-                    parent: key.clone(),
-                    rule: t.rule,
-                    label: t.label,
-                    tid: t.tid,
-                    state_render: next.soup.render(),
-                },
-            );
-            if bad(&next) {
-                let states = visited.len();
-                return CheckResult::Violation {
-                    trace: rebuild_trace(&edges, nkey),
-                    state: next.soup.render(),
-                    states,
-                };
-            }
-            queue.push_back((next, depth + 1));
-        }
-    }
-    CheckResult::Safe {
-        states: visited.len(),
-        complete,
-    }
+    /// A bad state is reachable; here is a shortest way there.
+    Violation(Derivation),
 }
 
 /// An observable event for conformance checking: the `!c`/`?c` labels
@@ -230,48 +147,198 @@ pub enum Obs {
     Get(char),
 }
 
-/// Does the semantics admit the observable trace `w`, starting from
-/// `init` and (if `require_termination`) ending in a terminal state?
-///
-/// Directed search with memoization on (state, position): internal
-/// transitions (τ and `$d`) advance the state freely; `!c`/`?c` labels
-/// must match the next event of `w`.
-pub fn admits_trace(
-    init: &State,
-    w: &[Obs],
-    require_termination: bool,
-    config: &ExploreConfig,
-) -> bool {
-    let mut seen: HashSet<(String, usize)> = HashSet::new();
-    let mut stack: Vec<(State, usize, usize)> = vec![(init.clone(), 0, 0)];
-    while let Some((state, pos, depth)) = stack.pop() {
-        if pos == w.len() && (!require_termination || state.is_terminal()) {
-            return true;
+impl Obs {
+    /// The observable event of a transition label; `None` for τ and `$d`.
+    fn of(label: Label) -> Option<Obs> {
+        match label {
+            Label::Tau | Label::Time(_) => None,
+            Label::Put(c) => Some(Obs::Put(c)),
+            Label::Get(c) => Some(Obs::Get(c)),
         }
-        if depth >= config.max_depth || seen.len() >= config.max_states {
-            continue;
-        }
-        let key = (state.key(), pos);
-        if !seen.insert(key) {
-            continue;
-        }
-        for (t, next) in state.successors(&config.rules) {
-            match t.label {
-                Label::Tau | Label::Time(_) => stack.push((next, pos, depth + 1)),
-                Label::Put(c) => {
-                    if pos < w.len() && w[pos] == Obs::Put(c) {
-                        stack.push((next, pos + 1, depth + 1));
+    }
+}
+
+/// One transition of the graph: the fields of a [`DerivStep`], with the
+/// target state by id.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    to: usize,
+    rule: RuleName,
+    label: Label,
+    tid: Option<TidName>,
+}
+
+/// The reachable state graph of one program: each state interned once,
+/// in breadth-first discovery order (id 0 is the initial state).
+#[derive(Debug)]
+pub struct Lts {
+    states: Vec<State>,
+    /// Each state's transitions, in [`enabled_transitions`] order.
+    edges: Vec<Vec<Edge>>,
+    /// The (state, edge index) that first discovered each state.
+    parent: Vec<Option<(usize, usize)>>,
+    config: ExploreConfig,
+    truncated: bool,
+}
+
+impl Lts {
+    /// Explores every state reachable from `init`, breadth first. A
+    /// successor that would exceed `config.max_states` is dropped and
+    /// the graph remembers it is incomplete.
+    pub fn explore(init: &State, config: &ExploreConfig) -> Lts {
+        let mut ids = HashMap::from([(init.key(), 0)]);
+        let mut lts = Lts {
+            states: vec![init.clone()],
+            edges: Vec::new(),
+            parent: vec![None],
+            config: config.clone(),
+            truncated: false,
+        };
+        // States are expanded in id order, which is discovery order.
+        while lts.edges.len() < lts.states.len() {
+            let from = lts.edges.len();
+            let mut out = Vec::new();
+            for (t, next) in lts.states[from].successors(&config.rules) {
+                let to = match ids.entry(next.key()) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(_) if lts.states.len() >= config.max_states => {
+                        lts.truncated = true;
+                        continue;
                     }
-                }
-                Label::Get(c) => {
-                    if pos < w.len() && w[pos] == Obs::Get(c) {
-                        stack.push((next, pos + 1, depth + 1));
+                    Entry::Vacant(e) => {
+                        e.insert(lts.states.len());
+                        lts.states.push(next);
+                        lts.parent.push(Some((from, out.len())));
+                        lts.states.len() - 1
                     }
+                };
+                out.push(Edge {
+                    to,
+                    rule: t.rule,
+                    label: t.label,
+                    tid: t.tid,
+                });
+            }
+            lts.edges.push(out);
+        }
+        lts
+    }
+
+    /// Distinct states interned.
+    pub fn states(&self) -> usize {
+        self.states.len()
+    }
+
+    /// `Ok` when every reachable state is in the graph.
+    pub fn complete(&self) -> Result<(), Truncated> {
+        if self.truncated {
+            Err(Truncated {
+                max_states: self.config.max_states,
+            })
+        } else {
+            Ok(())
+        }
+    }
+
+    /// The shortest derivation from the initial state to state `id`.
+    fn derivation(&self, id: usize) -> Derivation {
+        let mut steps = Vec::new();
+        let mut at = id;
+        while let Some((from, i)) = self.parent[at] {
+            let e = self.edges[from][i];
+            steps.push(DerivStep {
+                rule: e.rule,
+                label: e.label,
+                tid: e.tid,
+                state: self.states[at].soup.render(),
+            });
+            at = from;
+        }
+        steps.reverse();
+        let state = self.states[id].clone();
+        Derivation {
+            initial: self.states[0].soup.render(),
+            steps,
+            terminated: state.is_terminal(),
+            deadlocked: state.is_deadlocked(&self.config.rules),
+            state,
+        }
+    }
+
+    /// Model checking: a derivation to the first state, in breadth-first
+    /// order, where `bad` holds, or proof that none is reachable.
+    pub fn check_safety(&self, bad: impl Fn(&State) -> bool) -> Result<Safety, Truncated> {
+        match self.states.iter().position(bad) {
+            Some(id) => Ok(Safety::Violation(self.derivation(id))),
+            None => self.complete().map(|()| Safety::Safe {
+                states: self.states(),
+            }),
+        }
+    }
+
+    /// Does the semantics admit the observable trace `w` from the initial
+    /// state and (if `require_termination`) end in a terminal state?
+    ///
+    /// Depth-first search on (state, position): internal transitions (τ
+    /// and `$d`) advance the state freely; `!c`/`?c` labels must match
+    /// the next event of `w`.
+    pub fn admits_trace(&self, w: &[Obs], require_termination: bool) -> Result<bool, Truncated> {
+        let mut seen = HashSet::new();
+        let mut stack = vec![(0, 0)];
+        while let Some((id, pos)) = stack.pop() {
+            if pos == w.len() && (!require_termination || self.states[id].is_terminal()) {
+                return Ok(true);
+            }
+            if !seen.insert((id, pos)) {
+                continue;
+            }
+            for e in &self.edges[id] {
+                match Obs::of(e.label) {
+                    None => stack.push((e.to, pos)),
+                    Some(o) if w.get(pos) == Some(&o) => stack.push((e.to, pos + 1)),
+                    Some(_) => {}
                 }
             }
         }
+        self.complete().map(|()| false)
     }
-    false
+
+    /// The set of observable outcomes of all maximal runs.
+    ///
+    /// Time labels are projected out (they are environment stimuli, not
+    /// program outputs). `max_states` also caps the (state, trace) pairs
+    /// visited, so a program with unboundedly many traces is
+    /// [`Truncated`] rather than enumerated forever.
+    pub fn trace_set(&self) -> Result<BTreeSet<Outcome>, Truncated> {
+        self.complete()?;
+        let mut seen = HashSet::new();
+        let mut stack = vec![(0, Vec::new())];
+        let mut outcomes = BTreeSet::new();
+        while let Some((id, trace)) = stack.pop() {
+            if self.states[id].is_terminal() {
+                outcomes.insert((trace, EndState::Done));
+                continue;
+            }
+            if seen.len() >= self.config.max_states {
+                return Err(Truncated {
+                    max_states: self.config.max_states,
+                });
+            }
+            if !seen.insert((id, trace.clone())) {
+                continue;
+            }
+            if self.edges[id].is_empty() {
+                outcomes.insert((trace, EndState::Wedged));
+                continue;
+            }
+            for e in &self.edges[id] {
+                let mut next = trace.clone();
+                next.extend(Obs::of(e.label));
+                stack.push((e.to, next));
+            }
+        }
+        Ok(outcomes)
+    }
 }
 
 #[cfg(test)]
@@ -279,97 +346,100 @@ mod tests {
     use super::*;
     use crate::term::build::*;
 
+    fn lts(prog: Rc<Term>, input: &str) -> Lts {
+        Lts::explore(&State::new(prog, input), &ExploreConfig::default())
+    }
+
     #[test]
     fn hello_terminates() {
-        let prog = seq(put_char(ch('h')), put_char(ch('i')));
-        let init = State::new(prog, "");
-        let r = check_safety(&init, &ExploreConfig::default(), |_| false);
-        match r {
-            CheckResult::Safe { states, complete } => {
-                assert!(complete);
-                assert!(states > 2);
-            }
-            CheckResult::Violation { .. } => panic!("no bad predicate given"),
+        let g = lts(seq(put_char(ch('h')), put_char(ch('i'))), "");
+        match g.check_safety(|_| false) {
+            Ok(Safety::Safe { states }) => assert!(states > 2),
+            other => panic!("no bad predicate given: {other:?}"),
         }
     }
 
     #[test]
     fn admits_correct_trace() {
-        let prog = seq(put_char(ch('h')), put_char(ch('i')));
-        let init = State::new(prog, "");
-        let cfg = ExploreConfig::default();
-        assert!(admits_trace(
-            &init,
-            &[Obs::Put('h'), Obs::Put('i')],
-            true,
-            &cfg
-        ));
-        assert!(!admits_trace(
-            &init,
-            &[Obs::Put('i'), Obs::Put('h')],
-            true,
-            &cfg
-        ));
-        assert!(!admits_trace(&init, &[Obs::Put('h')], true, &cfg));
+        let g = lts(seq(put_char(ch('h')), put_char(ch('i'))), "");
+        assert_eq!(
+            g.admits_trace(&[Obs::Put('h'), Obs::Put('i')], true),
+            Ok(true)
+        );
+        assert_eq!(
+            g.admits_trace(&[Obs::Put('i'), Obs::Put('h')], true),
+            Ok(false)
+        );
+        assert_eq!(g.admits_trace(&[Obs::Put('h')], true), Ok(false));
         // ...but 'h' alone is fine if termination is not required.
-        assert!(admits_trace(&init, &[Obs::Put('h')], false, &cfg));
+        assert_eq!(g.admits_trace(&[Obs::Put('h')], false), Ok(true));
     }
 
     #[test]
     fn echo_program_traces() {
         // do { c <- getChar; putChar c }
-        let prog = bind(get_char(), lam("c", put_char(var("c"))));
-        let init = State::new(prog, "z");
-        let cfg = ExploreConfig::default();
-        assert!(admits_trace(
-            &init,
-            &[Obs::Get('z'), Obs::Put('z')],
-            true,
-            &cfg
-        ));
-        assert!(!admits_trace(&init, &[Obs::Put('z')], true, &cfg));
+        let g = lts(bind(get_char(), lam("c", put_char(var("c")))), "z");
+        assert_eq!(
+            g.admits_trace(&[Obs::Get('z'), Obs::Put('z')], true),
+            Ok(true)
+        );
+        assert_eq!(g.admits_trace(&[Obs::Put('z')], true), Ok(false));
     }
 
     #[test]
     fn concurrent_puts_admit_both_orders() {
         // forkIO (putChar 'a') >> putChar 'b': both !a!b and !b!a legal.
-        let prog = seq(fork(put_char(ch('a'))), put_char(ch('b')));
-        let init = State::new(prog, "");
-        let cfg = ExploreConfig::default();
-        assert!(admits_trace(
-            &init,
-            &[Obs::Put('a'), Obs::Put('b')],
-            true,
-            &cfg
-        ));
-        assert!(admits_trace(
-            &init,
-            &[Obs::Put('b'), Obs::Put('a')],
-            true,
-            &cfg
-        ));
-        assert!(!admits_trace(
-            &init,
-            &[Obs::Put('a'), Obs::Put('a')],
-            true,
-            &cfg
-        ));
+        let g = lts(seq(fork(put_char(ch('a'))), put_char(ch('b'))), "");
+        assert_eq!(
+            g.admits_trace(&[Obs::Put('a'), Obs::Put('b')], true),
+            Ok(true)
+        );
+        assert_eq!(
+            g.admits_trace(&[Obs::Put('b'), Obs::Put('a')], true),
+            Ok(true)
+        );
+        assert_eq!(
+            g.admits_trace(&[Obs::Put('a'), Obs::Put('a')], true),
+            Ok(false)
+        );
         // The child's output may be lost if main finishes first: (Proc GC).
-        assert!(admits_trace(&init, &[Obs::Put('b')], true, &cfg));
+        assert_eq!(g.admits_trace(&[Obs::Put('b')], true), Ok(true));
+    }
+
+    #[test]
+    fn a_capped_search_says_so() {
+        // 44 states; the legal trace !x!y!a!b is not reachable in the
+        // first ten, so a capped graph cannot deny it — nor call the
+        // space safe or its trace set known.
+        let prog = seq(
+            fork(seq(put_char(ch('a')), put_char(ch('b')))),
+            seq(put_char(ch('x')), put_char(ch('y'))),
+        );
+        assert_eq!(lts(prog.clone(), "").states(), 44);
+        let cfg = ExploreConfig {
+            max_states: 10,
+            ..ExploreConfig::default()
+        };
+        let g = Lts::explore(&State::new(prog, ""), &cfg);
+        let capped = Err(Truncated { max_states: 10 });
+        let w = [Obs::Put('x'), Obs::Put('y'), Obs::Put('a'), Obs::Put('b')];
+        assert_eq!(g.admits_trace(&w, true), capped);
+        assert!(g.check_safety(|_| false).is_err());
+        assert!(g.trace_set().is_err());
+        // A witness inside the budget still counts.
+        assert_eq!(g.admits_trace(&[], false), Ok(true));
     }
 
     #[test]
     fn deadlock_detected() {
-        let prog = bind(new_empty_mvar(), lam("m", take_mvar(var("m"))));
-        let init = State::new(prog, "");
         let cfg = ExploreConfig::default();
-        let r = check_safety(&init, &cfg, |s| s.is_deadlocked(&cfg.rules));
-        match r {
-            CheckResult::Violation { trace, .. } => {
-                let rules: Vec<_> = trace.iter().map(|s| s.rule).collect();
-                assert!(rules.contains(&RuleName::StuckTakeMVar));
+        let g = lts(bind(new_empty_mvar(), lam("m", take_mvar(var("m")))), "");
+        match g.check_safety(|s| s.is_deadlocked(&cfg.rules)) {
+            Ok(Safety::Violation(d)) => {
+                assert!(d.deadlocked);
+                assert!(d.rules().contains(&RuleName::StuckTakeMVar));
             }
-            CheckResult::Safe { .. } => panic!("expected a deadlock"),
+            other => panic!("expected a deadlock: {other:?}"),
         }
     }
 
@@ -385,25 +455,20 @@ mod tests {
                 seq(throw_to(var("t"), exc("KillThread")), put_char(ch('M'))),
             ),
         );
-        let init = State::new(prog, "");
-        let cfg = ExploreConfig::default();
+        let g = lts(prog, "");
         // Bad = the loser printed L *after* being killed is impossible to
         // state directly; instead: verify !M alone is admissible (child
         // killed before printing) AND !L!M, !M!L are admissible (child
         // won the race or interleaved).
-        assert!(admits_trace(&init, &[Obs::Put('M')], true, &cfg));
-        assert!(admits_trace(
-            &init,
-            &[Obs::Put('L'), Obs::Put('M')],
-            true,
-            &cfg
-        ));
-        assert!(admits_trace(
-            &init,
-            &[Obs::Put('M'), Obs::Put('L')],
-            true,
-            &cfg
-        ));
+        assert_eq!(g.admits_trace(&[Obs::Put('M')], true), Ok(true));
+        assert_eq!(
+            g.admits_trace(&[Obs::Put('L'), Obs::Put('M')], true),
+            Ok(true)
+        );
+        assert_eq!(
+            g.admits_trace(&[Obs::Put('M'), Obs::Put('L')], true),
+            Ok(true)
+        );
     }
 
     #[test]
@@ -437,24 +502,18 @@ mod tests {
         };
         let cfg = ExploreConfig::default();
 
-        let unprotected = State::new(mk(false), "");
-        let r = check_safety(&unprotected, &cfg, |s| s.is_deadlocked(&cfg.rules));
+        let r = lts(mk(false), "").check_safety(|s| s.is_deadlocked(&cfg.rules));
         assert!(
-            matches!(r, CheckResult::Violation { .. }),
+            matches!(r, Ok(Safety::Violation(_))),
             "unprotected child must be killable mid-sequence, deadlocking main"
         );
 
-        let protected_ = State::new(mk(true), "");
-        let r = check_safety(&protected_, &cfg, |s| s.is_deadlocked(&cfg.rules));
-        match r {
-            CheckResult::Safe { complete, .. } => assert!(complete),
-            CheckResult::Violation { trace, state, .. } => {
-                let rendered: Vec<_> = trace
-                    .iter()
-                    .map(|s| format!("{} {}", s.rule, s.state))
-                    .collect();
-                panic!("block failed to protect the child: {rendered:#?} -> {state}");
+        match lts(mk(true), "").check_safety(|s| s.is_deadlocked(&cfg.rules)) {
+            Ok(Safety::Safe { .. }) => {}
+            Ok(Safety::Violation(d)) => {
+                panic!("block failed to protect the child:\n{}", d.render())
             }
+            Err(e) => panic!("{e}"),
         }
     }
 }

@@ -15,10 +15,7 @@
 //! laws, the `catch`/`throw` algebra — as theorems about the *semantics*
 //! rather than spot checks of the implementation.
 
-use std::collections::{BTreeSet, HashSet};
-
-use crate::engine::{ExploreConfig, Obs, State};
-use crate::rules::Label;
+use crate::engine::{ExploreConfig, Lts, Obs, State, Truncated};
 
 /// How a maximal run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -37,101 +34,13 @@ pub enum EndState {
 /// wedged outcome the masked one forbids).
 pub type Outcome = (Vec<Obs>, EndState);
 
-/// Which bound cut a truncated enumeration short.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TruncationLimit {
-    /// `ExploreConfig::max_depth` was reached on some run.
-    Depth,
-    /// `ExploreConfig::max_states` distinct states were visited.
-    States,
-}
-
-/// Evidence that a trace-set enumeration was cut off by its bounds —
-/// the set it would have produced is incomplete, so any comparison
-/// against it is untrustworthy. Carries enough context to report (and
-/// to decide whether raising the bounds could help).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Truncated {
-    /// Which bound tripped.
-    pub limit: TruncationLimit,
-    /// Distinct states visited when the enumeration stopped.
-    pub states_seen: usize,
-    /// Depth of the run that tripped the bound.
-    pub depth: usize,
-}
-
-impl std::fmt::Display for Truncated {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "trace enumeration truncated by the {} bound ({} states seen, depth {})",
-            match self.limit {
-                TruncationLimit::Depth => "max_depth",
-                TruncationLimit::States => "max_states",
-            },
-            self.states_seen,
-            self.depth
-        )
-    }
-}
-
-impl std::error::Error for Truncated {}
-
-/// The set of observable outcomes of all maximal runs.
-///
-/// Time labels are projected out (they are environment stimuli, not
-/// program outputs). Returns `Err(Truncated)` if the exploration was
-/// cut off by the configured bounds — the set would not be trustworthy,
-/// and the error says which bound tripped, so a capped comparison can
-/// never silently pass as "equivalent".
-pub fn trace_set(init: &State, config: &ExploreConfig) -> Result<BTreeSet<Outcome>, Truncated> {
-    let mut seen: HashSet<(String, Vec<Obs>)> = HashSet::new();
-    let mut stack: Vec<(State, Vec<Obs>, usize)> = vec![(init.clone(), Vec::new(), 0)];
-    let mut traces = BTreeSet::new();
-    while let Some((state, trace, depth)) = stack.pop() {
-        if state.is_terminal() {
-            traces.insert((trace, EndState::Done));
-            continue;
-        }
-        if depth >= config.max_depth || seen.len() >= config.max_states {
-            return Err(Truncated {
-                limit: if depth >= config.max_depth {
-                    TruncationLimit::Depth
-                } else {
-                    TruncationLimit::States
-                },
-                states_seen: seen.len(),
-                depth,
-            });
-        }
-        let key = (state.key(), trace.clone());
-        if !seen.insert(key) {
-            continue;
-        }
-        let succ = state.successors(&config.rules);
-        if succ.is_empty() {
-            traces.insert((trace, EndState::Wedged));
-            continue;
-        }
-        for (t, next) in succ {
-            let mut trace2 = trace.clone();
-            match t.label {
-                Label::Tau | Label::Time(_) => {}
-                Label::Put(c) => trace2.push(Obs::Put(c)),
-                Label::Get(c) => trace2.push(Obs::Get(c)),
-            }
-            stack.push((next, trace2, depth + 1));
-        }
-    }
-    Ok(traces)
-}
-
-/// Decides bounded observational (trace) equivalence of two programs.
+/// Decides bounded observational (trace) equivalence of two programs by
+/// comparing the [`Lts::trace_set`]s of their state graphs.
 ///
 /// Returns `Err(Truncated)` when either side's exploration exceeded the
 /// bounds — never a verdict over an incomplete set.
 pub fn trace_equivalent(a: &State, b: &State, config: &ExploreConfig) -> Result<bool, Truncated> {
-    Ok(trace_set(a, config)? == trace_set(b, config)?)
+    Ok(Lts::explore(a, config).trace_set()? == Lts::explore(b, config).trace_set()?)
 }
 
 #[cfg(test)]
@@ -256,8 +165,12 @@ mod tests {
             )
         };
         let cfg = ExploreConfig::default();
-        let masked = trace_set(&State::new(victim(true), ""), &cfg).unwrap();
-        let unmasked = trace_set(&State::new(victim(false), ""), &cfg).unwrap();
+        let outcomes = |protected| {
+            Lts::explore(&State::new(victim(protected), ""), &cfg)
+                .trace_set()
+                .unwrap()
+        };
+        let (masked, unmasked) = (outcomes(true), outcomes(false));
         let split_wedge: Outcome = (vec![Obs::Put('x')], EndState::Wedged);
         assert!(unmasked.contains(&split_wedge), "{unmasked:?}");
         assert!(!masked.contains(&split_wedge), "{masked:?}");
@@ -277,9 +190,9 @@ mod tests {
 
     #[test]
     fn trace_set_reports_truncation() {
-        // An infinite loop exhausts the bounds: a Truncated error
-        // naming the tripped bound, not a wrong answer.
-        let omega_io = {
+        // An infinite loop exhausts the budget: a Truncated error, not a
+        // wrong answer.
+        let omega = || {
             // let rec loop u = putChar 'l' >> loop u — Y with an explicit
             // unit argument so `rec` is always a function.
             let y = lam(
@@ -300,38 +213,16 @@ mod tests {
                 unit(),
             )
         };
-        // max_depth far above max_states, so the state budget is the
-        // bound that trips and the error names it.
         let cfg = ExploreConfig {
             max_states: 2_000,
-            max_depth: 1_000_000,
             ..ExploreConfig::default()
         };
-        let err = trace_set(&State::new(omega_io, ""), &cfg)
+        let err = Lts::explore(&State::new(omega(), ""), &cfg)
+            .trace_set()
             .expect_err("an infinite loop cannot have a complete trace set");
-        assert_eq!(err.limit, TruncationLimit::States);
-        assert!(err.states_seen >= 2_000, "{err}");
+        assert_eq!(err.max_states, 2_000, "{err}");
         // And the verdict-level API refuses too, rather than comparing
         // incomplete sets.
-        let omega = || {
-            let y = lam(
-                "f",
-                app(
-                    lam("x", app(var("f"), app(var("x"), var("x")))),
-                    lam("x", app(var("f"), app(var("x"), var("x")))),
-                ),
-            );
-            app(
-                app(
-                    y,
-                    lam(
-                        "rec",
-                        lam("u", seq(put_char(ch('l')), app(var("rec"), unit()))),
-                    ),
-                ),
-                unit(),
-            )
-        };
         trace_equivalent(&State::new(omega(), ""), &State::new(omega(), ""), &cfg)
             .expect_err("equivalence over truncated sets must not produce a verdict");
     }

@@ -13,28 +13,31 @@
 //! | §6.2 inner semantics (`M ⇓ V`, `M ⇓ e`) | [`eval`] |
 //! | §6.2/§6.3 evaluation contexts `Ê`/`E` | [`context`] |
 //! | Figures 4 & 5 — transition rules | [`rules`] |
-//! | exploration, model checking, conformance | [`engine`] |
+//! | the state graph: model checking, trace admission, trace sets | [`engine`] |
+//! | single runs, rendered rule by rule | [`derivation`] |
+//! | trace equivalence and its laws | [`equiv`] |
 //! | the paper's worked examples (§5.1 etc.) | [`programs`] |
 //!
 //! The transition system is *enumerable*: [`rules::enabled_transitions`]
-//! returns every rule instance a state admits, so the [`engine`] can
-//! model-check safety properties (finding, e.g., the §5.1 locking race as
-//! a concrete counterexample trace) and decide whether an I/O trace
-//! observed from the `conch-runtime` interpreter is admitted by the
-//! formal semantics.
+//! returns every rule instance a state admits, so [`Lts::explore`] can
+//! build a program's whole reachable state graph once and answer every
+//! question on it: model-check safety properties (finding, e.g., the §5.1
+//! locking race as a concrete counterexample derivation), decide whether
+//! an I/O trace observed from the `conch-runtime` interpreter is admitted
+//! by the formal semantics, and enumerate the outcomes that
+//! [`equiv::trace_equivalent`] compares.
 //!
 //! ## Example: model-checking the §5.1 race
 //!
 //! ```
-//! use conch_semantics::engine::{check_safety, CheckResult, ExploreConfig, State};
+//! use conch_semantics::engine::{ExploreConfig, Lts, Safety, State};
 //! use conch_semantics::programs::{lock_scenario, naive_lock_update};
 //!
 //! let prog = lock_scenario(|m| naive_lock_update(m, 1));
 //! let cfg = ExploreConfig::default();
-//! let result = check_safety(&State::new(prog, ""), &cfg, |s| {
-//!     s.is_deadlocked(&cfg.rules)
-//! });
-//! assert!(matches!(result, CheckResult::Violation { .. })); // the race!
+//! let lts = Lts::explore(&State::new(prog, ""), &cfg);
+//! let result = lts.check_safety(|s| s.is_deadlocked(&cfg.rules));
+//! assert!(matches!(result, Ok(Safety::Violation(_)))); // the race!
 //! ```
 
 pub mod congruence;
@@ -49,8 +52,8 @@ pub mod rules;
 pub mod term;
 
 pub use crate::derivation::{derive, derive_first, derive_random, DerivStep, Derivation};
-pub use crate::engine::{admits_trace, check_safety, CheckResult, ExploreConfig, Obs, State};
-pub use crate::equiv::{trace_equivalent, trace_set, Truncated, TruncationLimit};
+pub use crate::engine::{ExploreConfig, Lts, Obs, Safety, State, Truncated};
+pub use crate::equiv::trace_equivalent;
 pub use crate::process::{Mark, ProcTerm, Soup};
 pub use crate::rules::{enabled_transitions, Label, RuleConfig, RuleName, Transition};
 pub use crate::term::{Exc, MVarName, Term, TidName};

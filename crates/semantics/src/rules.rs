@@ -2,8 +2,8 @@
 //!
 //! [`enabled_transitions`] enumerates *every* transition a program state
 //! admits, each tagged with the paper's rule name and (for I/O and time)
-//! its label. The engine built on top explores this labelled transition
-//! system exhaustively (model checking) or by random walk.
+//! its label. [`crate::engine::Lts`] explores this labelled transition
+//! system exhaustively; [`crate::derivation`] walks single runs of it.
 //!
 //! Design notes:
 //!

@@ -9,51 +9,34 @@
 //! the lock; for the safe version it reports the exhaustively-verified
 //! absence of such an interleaving.
 
-use conch_semantics::engine::{check_safety, CheckResult, ExploreConfig, State};
+use conch_semantics::engine::{ExploreConfig, Lts, Safety, State};
 use conch_semantics::programs::{lock_scenario, naive_lock_update, safe_lock_update};
 
 fn main() {
     let cfg = ExploreConfig::default();
+    let lost_lock = |s: &State| s.is_deadlocked(&cfg.rules);
 
     println!("=== naive locking (§5.1) ===");
     let naive = lock_scenario(|m| naive_lock_update(m, 2));
-    let init = State::new(naive, "");
-    println!("initial state:\n  {}\n", init.soup.render());
-    match check_safety(&init, &cfg, |s| s.is_deadlocked(&cfg.rules)) {
-        CheckResult::Violation {
-            trace,
-            state,
-            states,
-        } => {
-            println!("RACE FOUND after exploring {states} states.");
-            println!("counterexample derivation ({} steps):", trace.len());
-            for (i, step) in trace.iter().enumerate() {
-                let tid = step.tid.map(|t| format!(" in {t}")).unwrap_or_default();
-                println!("  {:>3}. {}{}", i + 1, step.rule, tid);
-            }
-            println!("final (wedged) state:\n  {state}");
+    let lts = Lts::explore(&State::new(naive, ""), &cfg);
+    match lts.check_safety(lost_lock) {
+        Ok(Safety::Violation(d)) => {
+            println!("RACE FOUND among {} states.", lts.states());
+            println!("counterexample derivation ({} steps):", d.steps.len());
+            print!("{}", d.render());
             println!("  -> the MVar is empty and every thread is stuck: the lock is lost.\n");
         }
-        CheckResult::Safe { .. } => {
-            panic!("expected the naive pattern to be racy");
-        }
+        other => panic!("expected the naive pattern to be racy: {other:?}"),
     }
 
     println!("=== safe locking (§5.2 + §5.3) ===");
     let safe = lock_scenario(|m| safe_lock_update(m, 2));
-    let init = State::new(safe, "");
-    match check_safety(&init, &cfg, |s| s.is_deadlocked(&cfg.rules)) {
-        CheckResult::Safe { states, complete } => {
-            assert!(complete);
+    match Lts::explore(&State::new(safe, ""), &cfg).check_safety(lost_lock) {
+        Ok(Safety::Safe { states }) => {
             println!("exhaustively explored {states} states: no interleaving loses the lock.");
             println!("block/unblock + interruptible takeMVar close every race window.");
         }
-        CheckResult::Violation { trace, state, .. } => {
-            println!("UNEXPECTED violation:");
-            for step in &trace {
-                println!("  {} -> {}", step.rule, step.state);
-            }
-            panic!("safe locking lost the lock at {state}");
-        }
+        Ok(Safety::Violation(d)) => panic!("safe locking lost the lock:\n{}", d.render()),
+        Err(e) => panic!("{e}"),
     }
 }

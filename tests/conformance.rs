@@ -5,7 +5,8 @@
 //! `Io` actions and to `conch-semantics` terms. Each program is executed
 //! on the runtime under many schedules; every observable I/O trace the
 //! runtime produces must be admitted by the formal labelled transition
-//! system ([`conch_semantics::admits_trace`]).
+//! system: one [`Lts`] per program, every trace checked against it with
+//! [`Lts::admits_trace`].
 //!
 //! The runtime is configured with `fork_inherits_mask(false)` to match
 //! the paper's (Fork) rule exactly (see DESIGN.md).
@@ -15,10 +16,11 @@ use conch_runtime::mvar::MVar;
 use conch_runtime::prelude::*;
 use conch_runtime::trace::IoEvent;
 use conch_runtime::value::Value;
-use conch_semantics::engine::{admits_trace, ExploreConfig, Obs, State};
+use conch_semantics::engine::{ExploreConfig, Lts, Obs, State};
 use conch_semantics::term::build as tb;
 use conch_semantics::term::Term;
 use proptest::prelude::*;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// The bridged program language. First-order and value-free (only unit
@@ -226,17 +228,20 @@ fn observed(events: &[IoEvent]) -> Vec<Obs> {
         .collect()
 }
 
-/// Runs `prog` on the runtime under several schedules; asserts every
-/// observed trace is admitted by the LTS.
-fn assert_conformance(prog: &Prog, input: &str, seeds: std::ops::Range<u64>) {
-    let term = semantics_program(prog.clone());
-    let init = State::new(term, input);
-    let explore = ExploreConfig {
-        max_states: 3_000_000,
-        max_depth: 100_000,
-        ..ExploreConfig::default()
-    };
+/// The program's Figure 1–5 state graph, at the default budget.
+fn semantics_graph(prog: &Prog, input: &str) -> Lts {
+    let init = State::new(semantics_program(prog.clone()), input);
+    Lts::explore(&init, &ExploreConfig::default())
+}
 
+/// Runs `prog` on the runtime under several schedules; asserts every
+/// observed trace is admitted by the LTS. `Prog` has no loops or
+/// recursion, so every interleaving ends: the default budget must hold
+/// the program's whole graph and trace set.
+fn assert_conformance(prog: &Prog, input: &str, seeds: Range<u64>) {
+    let lts = semantics_graph(prog, input);
+    assert_eq!(lts.complete(), Ok(()), "{prog:?}");
+    assert!(lts.trace_set().is_ok(), "{prog:?}");
     for seed in seeds {
         let cfg = RuntimeConfig::new()
             .fork_inherits_mask(false)
@@ -250,8 +255,9 @@ fn assert_conformance(prog: &Prog, input: &str, seeds: std::ops::Range<u64>) {
         match outcome {
             Ok(()) | Err(RunError::Uncaught(_)) => {
                 // Terminated: the full trace must be a complete LTS run.
-                assert!(
-                    admits_trace(&init, &trace, true, &explore),
+                assert_eq!(
+                    lts.admits_trace(&trace, true),
+                    Ok(true),
                     "seed {seed}: runtime trace {trace:?} not admitted (terminating) for {prog:?}"
                 );
             }
@@ -259,8 +265,9 @@ fn assert_conformance(prog: &Prog, input: &str, seeds: std::ops::Range<u64>) {
             | Err(RunError::StepLimitExceeded { .. })
             | Err(RunError::ThreadLimitExceeded { .. }) => {
                 // Wedged or truncated: the trace must be an admissible prefix.
-                assert!(
-                    admits_trace(&init, &trace, false, &explore),
+                assert_eq!(
+                    lts.admits_trace(&trace, false),
+                    Ok(true),
                     "seed {seed}: runtime trace {trace:?} not admitted (prefix) for {prog:?}"
                 );
             }
@@ -276,194 +283,241 @@ fn sq3(a: Prog, b: Prog, c: Prog) -> Prog {
     sq(a, sq(b, c))
 }
 
+/// C1's curated scenarios, each named after the test that runs it: the
+/// program, its scripted input and the runtime seeds it runs under.
+fn scenario(name: &str) -> (Prog, &'static str, Range<u64>) {
+    match name {
+        "put_sequence" => (
+            sq3(Prog::Put('a'), Prog::Put('b'), Prog::Put('c')),
+            "",
+            0..3,
+        ),
+        "echo_conforms" => (sq(Prog::Echo, Prog::Echo), "xy", 0..3),
+        "throw_and_catch" => (
+            sq(
+                Prog::Catch(
+                    Box::new(sq(Prog::Put('a'), Prog::Throw(0))),
+                    Box::new(Prog::Put('h')),
+                ),
+                Prog::Put('z'),
+            ),
+            "",
+            0..3,
+        ),
+        "uncaught_throw" => (sq(Prog::Put('a'), Prog::Throw(1)), "", 0..3),
+        "forked_puts_interleave" => (
+            sq(
+                Prog::Fork(Box::new(sq(Prog::Put('a'), Prog::Put('b')))),
+                sq(Prog::Put('x'), Prog::Put('y')),
+            ),
+            "",
+            0..10,
+        ),
+        // Child puts; main takes then prints.
+        "mvar_rendezvous" => (
+            sq(
+                Prog::Fork(Box::new(sq(Prog::Put('c'), Prog::PutM(0)))),
+                sq(Prog::Take(0), Prog::Put('m')),
+            ),
+            "",
+            0..10,
+        ),
+        "deadlocked_take_is_an_admissible_prefix" => (sq(Prog::Put('a'), Prog::Take(0)), "", 0..3),
+        // Fork a printer, kill it: every interleaving the runtime picks
+        // must be admitted (killed before 'a', between 'a' and 'b', after
+        // both, or reaped by Proc GC).
+        "kill_between_puts" => (
+            sq3(
+                Prog::Fork(Box::new(sq(Prog::Put('a'), Prog::Put('b')))),
+                Prog::ThrowToLast(0),
+                Prog::Put('z'),
+            ),
+            "",
+            0..20,
+        ),
+        // The child masks its puts: the runtime must never produce a
+        // trace with 'a' but not 'b' while the main thread is still
+        // observably active afterwards — and whatever it produces, the
+        // LTS admits it.
+        "masked_child_kill" => (
+            sq3(
+                Prog::Fork(Box::new(Prog::Block(Box::new(sq(
+                    Prog::Put('a'),
+                    Prog::Put('b'),
+                ))))),
+                Prog::ThrowToLast(0),
+                sq(Prog::Put('z'), Prog::Take(0)), // keep main alive (deadlock)
+            ),
+            "",
+            0..20,
+        ),
+        "unblock_window_inside_block" => (
+            sq3(
+                Prog::Fork(Box::new(Prog::Block(Box::new(sq3(
+                    Prog::Put('a'),
+                    Prog::Unblock(Box::new(Prog::Put('u'))),
+                    Prog::Put('b'),
+                ))))),
+                Prog::ThrowToLast(1),
+                Prog::Put('z'),
+            ),
+            "",
+            0..20,
+        ),
+        "catch_of_async_exception_conforms" => (
+            sq3(
+                Prog::Fork(Box::new(Prog::Catch(
+                    Box::new(sq(Prog::Put('a'), Prog::Take(0))), // blocks: interruptible
+                    Box::new(Prog::Put('h')),                    // handler prints
+                ))),
+                Prog::ThrowToLast(0),
+                sq(Prog::Put('z'), Prog::Take(1)), // keep main alive
+            ),
+            "",
+            0..20,
+        ),
+        // Sleeps interleaved with puts across two threads: the runtime's
+        // global clock partitions time differently than the LTS's
+        // per-sleep labels, and the projection must still line up.
+        "sleeping_threads_conform" => (
+            sq3(
+                Prog::Fork(Box::new(sq3(Prog::Nap(2), Prog::Put('a'), Prog::Nap(1)))),
+                Prog::Nap(3),
+                Prog::Put('z'),
+            ),
+            "",
+            0..10,
+        ),
+        // Interrupting a stuck sleeper exercises the (Interrupt) rule on
+        // the semantics side and the sleep-queue removal on the runtime
+        // side.
+        "kill_a_sleeper_conforms" => (
+            sq3(
+                Prog::Fork(Box::new(sq(Prog::Nap(3), Prog::Put('a')))),
+                Prog::ThrowToLast(0),
+                Prog::Put('z'),
+            ),
+            "",
+            0..10,
+        ),
+        _ => unreachable!("no scenario named {name}"),
+    }
+}
+
+fn run_scenario(name: &str) {
+    let (prog, input, seeds) = scenario(name);
+    assert_conformance(&prog, input, seeds);
+}
+
 #[test]
 fn put_sequence() {
-    assert_conformance(
-        &sq3(Prog::Put('a'), Prog::Put('b'), Prog::Put('c')),
-        "",
-        0..3,
-    );
+    run_scenario("put_sequence");
 }
 
 #[test]
 fn echo_conforms() {
-    assert_conformance(&sq(Prog::Echo, Prog::Echo), "xy", 0..3);
+    run_scenario("echo_conforms");
 }
 
 #[test]
 fn throw_and_catch() {
-    assert_conformance(
-        &sq(
-            Prog::Catch(
-                Box::new(sq(Prog::Put('a'), Prog::Throw(0))),
-                Box::new(Prog::Put('h')),
-            ),
-            Prog::Put('z'),
-        ),
-        "",
-        0..3,
-    );
+    run_scenario("throw_and_catch");
 }
 
 #[test]
 fn uncaught_throw() {
-    assert_conformance(&sq(Prog::Put('a'), Prog::Throw(1)), "", 0..3);
+    run_scenario("uncaught_throw");
 }
 
 #[test]
 fn forked_puts_interleave() {
-    assert_conformance(
-        &sq(
-            Prog::Fork(Box::new(sq(Prog::Put('a'), Prog::Put('b')))),
-            sq(Prog::Put('x'), Prog::Put('y')),
-        ),
-        "",
-        0..10,
-    );
+    run_scenario("forked_puts_interleave");
 }
 
 #[test]
 fn mvar_rendezvous() {
-    // Child puts; main takes then prints.
-    assert_conformance(
-        &sq(
-            Prog::Fork(Box::new(sq(Prog::Put('c'), Prog::PutM(0)))),
-            sq(Prog::Take(0), Prog::Put('m')),
-        ),
-        "",
-        0..10,
-    );
+    run_scenario("mvar_rendezvous");
 }
 
 #[test]
 fn deadlocked_take_is_an_admissible_prefix() {
-    assert_conformance(&sq(Prog::Put('a'), Prog::Take(0)), "", 0..3);
+    run_scenario("deadlocked_take_is_an_admissible_prefix");
 }
 
 #[test]
 fn kill_between_puts() {
-    // Fork a printer, kill it: every interleaving the runtime picks must
-    // be admitted (killed before 'a', between 'a' and 'b', after both, or
-    // reaped by Proc GC).
-    assert_conformance(
-        &sq3(
-            Prog::Fork(Box::new(sq(Prog::Put('a'), Prog::Put('b')))),
-            Prog::ThrowToLast(0),
-            Prog::Put('z'),
-        ),
-        "",
-        0..20,
-    );
+    run_scenario("kill_between_puts");
 }
 
 #[test]
 fn masked_child_kill() {
-    // The child masks its puts: the runtime must never produce a trace
-    // with 'a' but not 'b' while the main thread is still observably
-    // active afterwards — and whatever it produces, the LTS admits it.
-    assert_conformance(
-        &sq3(
-            Prog::Fork(Box::new(Prog::Block(Box::new(sq(
-                Prog::Put('a'),
-                Prog::Put('b'),
-            ))))),
-            Prog::ThrowToLast(0),
-            sq(Prog::Put('z'), Prog::Take(0)), // keep main alive (deadlock)
-        ),
-        "",
-        0..20,
-    );
+    run_scenario("masked_child_kill");
 }
 
 #[test]
 fn unblock_window_inside_block() {
-    assert_conformance(
-        &sq3(
-            Prog::Fork(Box::new(Prog::Block(Box::new(sq3(
-                Prog::Put('a'),
-                Prog::Unblock(Box::new(Prog::Put('u'))),
-                Prog::Put('b'),
-            ))))),
-            Prog::ThrowToLast(1),
-            Prog::Put('z'),
-        ),
-        "",
-        0..20,
-    );
+    run_scenario("unblock_window_inside_block");
 }
 
 #[test]
 fn catch_of_async_exception_conforms() {
-    assert_conformance(
-        &sq3(
-            Prog::Fork(Box::new(Prog::Catch(
-                Box::new(sq(Prog::Put('a'), Prog::Take(0))), // blocks: interruptible
-                Box::new(Prog::Put('h')),                    // handler prints
-            ))),
-            Prog::ThrowToLast(0),
-            sq(Prog::Put('z'), Prog::Take(1)), // keep main alive
-        ),
-        "",
-        0..20,
-    );
+    run_scenario("catch_of_async_exception_conforms");
 }
 
 #[test]
 fn sleeping_threads_conform() {
-    // Sleeps interleaved with puts across two threads: the runtime's
-    // global clock partitions time differently than the LTS's per-sleep
-    // labels, and the projection must still line up.
-    assert_conformance(
-        &sq3(
-            Prog::Fork(Box::new(sq3(Prog::Nap(2), Prog::Put('a'), Prog::Nap(1)))),
-            Prog::Nap(3),
-            Prog::Put('z'),
-        ),
-        "",
-        0..10,
-    );
+    run_scenario("sleeping_threads_conform");
 }
 
 #[test]
 fn kill_a_sleeper_conforms() {
-    // Interrupting a stuck sleeper exercises the (Interrupt) rule on the
-    // semantics side and the sleep-queue removal on the runtime side.
-    assert_conformance(
-        &sq3(
-            Prog::Fork(Box::new(sq(Prog::Nap(3), Prog::Put('a')))),
-            Prog::ThrowToLast(0),
-            Prog::Put('z'),
-        ),
-        "",
-        0..10,
-    );
+    run_scenario("kill_a_sleeper_conforms");
+}
+
+#[test]
+fn curated_state_graphs_are_pinned() {
+    // (scenario, distinct states, distinct outcomes): the graph each
+    // scenario's traces are checked against, complete at the default
+    // budget.
+    let pins = [
+        ("put_sequence", 17, 1),
+        ("echo_conforms", 20, 1),
+        ("throw_and_catch", 21, 1),
+        ("uncaught_throw", 11, 1),
+        ("forked_puts_interleave", 80, 10),
+        ("mvar_rendezvous", 64, 1),
+        ("deadlocked_take_is_an_admissible_prefix", 11, 1),
+        ("kill_between_puts", 98, 6),
+        ("masked_child_kill", 131, 3),
+        ("unblock_window_inside_block", 197, 10),
+        ("catch_of_async_exception_conforms", 134, 5),
+        ("sleeping_threads_conform", 138, 3),
+        ("kill_a_sleeper_conforms", 107, 3),
+    ];
+    for (name, states, outcomes) in pins {
+        let (prog, input, _) = scenario(name);
+        let lts = semantics_graph(&prog, input);
+        assert_eq!(lts.complete(), Ok(()), "{name}");
+        assert_eq!(lts.states(), states, "{name}");
+        assert_eq!(lts.trace_set().map(|s| s.len()), Ok(outcomes), "{name}");
+    }
 }
 
 #[test]
 fn negative_control_oracle_rejects_wrong_traces() {
     // The oracle must not be vacuously true: it rejects reordered output,
     // phantom output, and truncated terminating runs.
-    let prog = sq(Prog::Put('a'), Prog::Put('b'));
-    let init = State::new(semantics_program(prog), "");
-    let cfg = ExploreConfig::default();
-    assert!(admits_trace(
-        &init,
-        &[Obs::Put('a'), Obs::Put('b')],
-        true,
-        &cfg
-    ));
-    assert!(!admits_trace(
-        &init,
-        &[Obs::Put('b'), Obs::Put('a')],
-        true,
-        &cfg
-    ));
-    assert!(!admits_trace(&init, &[Obs::Put('a')], true, &cfg));
-    assert!(!admits_trace(
-        &init,
+    let lts = semantics_graph(&sq(Prog::Put('a'), Prog::Put('b')), "");
+    let admits = |w: &[Obs], require_termination| {
+        lts.admits_trace(w, require_termination)
+            .expect("a complete graph answers")
+    };
+    assert!(admits(&[Obs::Put('a'), Obs::Put('b')], true));
+    assert!(!admits(&[Obs::Put('b'), Obs::Put('a')], true));
+    assert!(!admits(&[Obs::Put('a')], true));
+    assert!(!admits(
         &[Obs::Put('a'), Obs::Put('b'), Obs::Put('c')],
-        true,
-        &cfg
+        true
     ));
     // And for a masked child: killing cannot split the masked pair.
     let masked = sq3(
@@ -474,41 +528,28 @@ fn negative_control_oracle_rejects_wrong_traces() {
         Prog::ThrowToLast(0),
         sq(Prog::Put('z'), Prog::Take(0)), // main then blocks forever
     );
-    let init = State::new(semantics_program(masked), "");
+    let lts = semantics_graph(&masked, "");
+    let admits = |w: &[Obs], require_termination| {
+        lts.admits_trace(w, require_termination)
+            .expect("a complete graph answers")
+    };
     // 'a' printed, child killed before 'b', 'z' printed, then 'b' never
     // comes: the trace !a!z must only be admissible as a *prefix* (the
     // child may still be between its puts), but the same trace extended
     // by nothing can never be a *terminating* run (main deadlocks) —
     // and !a!z!b IS admissible as a prefix.
-    assert!(admits_trace(
-        &init,
-        &[Obs::Put('a'), Obs::Put('z')],
-        false,
-        &cfg
-    ));
-    assert!(!admits_trace(
-        &init,
-        &[Obs::Put('a'), Obs::Put('z')],
-        true,
-        &cfg
-    ));
-    assert!(admits_trace(
-        &init,
+    assert!(admits(&[Obs::Put('a'), Obs::Put('z')], false));
+    assert!(!admits(&[Obs::Put('a'), Obs::Put('z')], true));
+    assert!(admits(
         &[Obs::Put('a'), Obs::Put('z'), Obs::Put('b')],
-        false,
-        &cfg
+        false
     ));
     // The masked pair cannot be split by the kill: a run in which 'b'
     // never appears while the soup still contains the (live, unkillable-
     // between-puts) child can only be a prefix where 'b' is still to
     // come. A trace claiming 'a' then 'x' (phantom output) is rejected
     // outright.
-    assert!(!admits_trace(
-        &init,
-        &[Obs::Put('a'), Obs::Put('x')],
-        false,
-        &cfg
-    ));
+    assert!(!admits(&[Obs::Put('a'), Obs::Put('x')], false));
 }
 
 // --------------------------------------------------------------------
@@ -547,7 +588,9 @@ proptest! {
     })]
 
     /// Every trace of every random program under three random schedules
-    /// is admitted by the formal semantics.
+    /// is admitted by the formal semantics, from a graph the default
+    /// budget holds whole (2 000 programs from this strategy reach at
+    /// most 654 states and 9 outcomes).
     #[test]
     fn random_programs_conform(prog in prog_strategy(), seed in 0u64..1000) {
         assert_conformance(&prog, "qrs", seed..seed + 3);

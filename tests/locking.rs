@@ -8,28 +8,64 @@
 
 use conch_combinators::{modify_mvar, modify_mvar_naive};
 use conch_runtime::prelude::*;
-use conch_semantics::engine::{check_safety, CheckResult, ExploreConfig, State};
+use conch_semantics::engine::{ExploreConfig, Lts, Safety, State};
 use conch_semantics::programs::{lock_scenario, naive_lock_update, safe_lock_update};
-use conch_semantics::rules::RuleName;
+use conch_semantics::rules::{RuleConfig, RuleName};
+use conch_semantics::term::{Term, TidName};
+use std::rc::Rc;
 
 // ------------------------------------------------------------------
 // Formal level
 // ------------------------------------------------------------------
 
+fn lock_graph(body: fn(Rc<Term>, u32) -> Rc<Term>, steps: u32) -> Lts {
+    let prog = lock_scenario(|m| body(m, steps));
+    Lts::explore(&State::new(prog, ""), &ExploreConfig::default())
+}
+
+fn lost_lock(s: &State) -> bool {
+    s.is_deadlocked(&RuleConfig::default())
+}
+
 #[test]
 fn model_checker_finds_the_naive_race() {
-    let prog = lock_scenario(|m| naive_lock_update(m, 2));
-    let cfg = ExploreConfig::default();
-    let result = check_safety(&State::new(prog, ""), &cfg, |s| s.is_deadlocked(&cfg.rules));
-    match result {
-        CheckResult::Violation { trace, state, .. } => {
-            // The counterexample must show the asynchronous delivery and
-            // end with an empty MVar and a stuck main thread.
-            let rules: Vec<RuleName> = trace.iter().map(|s| s.rule).collect();
-            assert!(
-                rules.contains(&RuleName::Receive) || rules.contains(&RuleName::Interrupt),
-                "counterexample without asynchronous delivery: {rules:?}"
-            );
+    match lock_graph(naive_lock_update, 2).check_safety(lost_lock) {
+        Ok(Safety::Violation(d)) => {
+            // The shortest interleaving that loses the lock (EXPERIMENTS.md
+            // E1): main stores 0, forks the worker, throws to it and blocks
+            // on takeMVar; the worker takes the lock and receives the kill
+            // before the `catch` that would put it back is in place, so
+            // its outer handler swallows the kill and it finishes holding
+            // the lock.
+            use RuleName::*;
+            let t0 = Some(TidName(0));
+            let t1 = Some(TidName(1));
+            let expected = [
+                (NewMVar, t0),
+                (Bind, t0),
+                (Eval, t0),
+                (PutMVar, t0),
+                (Bind, t0),
+                (Eval, t0),
+                (Fork, t0),
+                (Bind, t0),
+                (Eval, t0),
+                (ThrowTo, t0),
+                (Bind, t0),
+                (Eval, t0),
+                (TakeMVar, t1),
+                (StuckTakeMVar, t0),
+                (Receive, t1),
+                (Propagate, t1),
+                (Catch, t1),
+                (Eval, t1),
+                (ReturnGC, t1),
+            ];
+            let got: Vec<_> = d.steps.iter().map(|s| (s.rule, s.tid)).collect();
+            assert_eq!(got, expected, "{}", d.render());
+            // It ends with an empty MVar and a stuck main thread.
+            assert!(d.deadlocked);
+            let state = d.state.soup.render();
             assert!(
                 state.contains("⟨⟩m"),
                 "final state should have an empty MVar: {state}"
@@ -39,50 +75,31 @@ fn model_checker_finds_the_naive_race() {
                 "final state should have a stuck thread: {state}"
             );
         }
-        CheckResult::Safe { .. } => panic!("naive locking must be racy"),
+        other => panic!("naive locking must be racy: {other:?}"),
     }
 }
 
 #[test]
 fn model_checker_proves_safe_locking() {
-    let prog = lock_scenario(|m| safe_lock_update(m, 2));
-    let cfg = ExploreConfig::default();
-    let result = check_safety(&State::new(prog, ""), &cfg, |s| s.is_deadlocked(&cfg.rules));
-    match result {
-        CheckResult::Safe { complete, states } => {
-            assert!(complete, "exploration truncated at {states} states");
-            assert_eq!(states, 248, "the E1 state space moved");
-        }
-        CheckResult::Violation { trace, .. } => {
-            let rules: Vec<_> = trace.iter().map(|s| s.rule.to_string()).collect();
-            panic!("safe locking raced: {rules:?}");
-        }
+    match lock_graph(safe_lock_update, 2).check_safety(lost_lock) {
+        Ok(Safety::Safe { states }) => assert_eq!(states, 248, "the E1 state space moved"),
+        Ok(Safety::Violation(d)) => panic!("safe locking raced:\n{}", d.render()),
+        Err(e) => panic!("{e}"),
     }
 }
 
 #[test]
 fn safe_locking_state_space_is_larger_but_safe() {
     // Sanity on the experiment itself: both searches explore nontrivial
-    // state spaces (the safe one isn't vacuously safe).
-    let cfg = ExploreConfig::default();
-    let naive_states = match check_safety(
-        &State::new(lock_scenario(|m| naive_lock_update(m, 1)), ""),
-        &cfg,
-        |_| false,
-    ) {
-        CheckResult::Safe { states, .. } => states,
-        CheckResult::Violation { .. } => unreachable!("predicate is const false"),
+    // state spaces (the safe one isn't vacuously safe), exactly.
+    let sizes = |steps| {
+        (
+            lock_graph(naive_lock_update, steps).states(),
+            lock_graph(safe_lock_update, steps).states(),
+        )
     };
-    let safe_states = match check_safety(
-        &State::new(lock_scenario(|m| safe_lock_update(m, 1)), ""),
-        &cfg,
-        |_| false,
-    ) {
-        CheckResult::Safe { states, .. } => states,
-        CheckResult::Violation { .. } => unreachable!("predicate is const false"),
-    };
-    assert!(naive_states > 100);
-    assert!(safe_states > 100);
+    assert_eq!(sizes(1), (229, 230));
+    assert_eq!(sizes(2), (247, 248));
 }
 
 // ------------------------------------------------------------------
