@@ -166,24 +166,24 @@ where
 {
     let cell: MVar<Value> = m.cast();
     Io::block(cell.take().and_then(move |mut s| {
-        let r = f(host_state(&mut s));
+        let r = match s.host_mut() {
+            Some(state) => f(state),
+            None => cell_confusion(std::any::type_name::<T>(), &s),
+        };
         cell.put(s).map(move |_| r)
     }))
 }
 
-/// The `T` a cell's contents box, borrowed in place.
-fn host_state<T: HostValue>(contents: &mut Value) -> &mut T {
-    let actual = match &*contents {
+/// The panic of a transaction on a cell that holds no `expected`: cold,
+/// so what the cell does hold is named only here.
+#[cold]
+#[inline(never)]
+fn cell_confusion(expected: &'static str, contents: &Value) -> ! {
+    let actual = match contents {
         Value::Host(h) => (**h).type_name(),
         other => other.shape(),
     };
-    contents.host_mut().unwrap_or_else(|| {
-        panic!(
-            "type confusion in a cell transaction: expected {}, got a {} value",
-            std::any::type_name::<T>(),
-            actual
-        )
-    })
+    panic!("type confusion in a cell transaction: expected {expected}, got a {actual} value")
 }
 
 /// Runs `attempt()` until one run of it is not interrupted: an
@@ -376,6 +376,14 @@ mod tests {
     fn a_cell_cast_to_the_wrong_host_type_panics_naming_both_types() {
         let prog =
             Io::new_mvar(Gauge(1)).and_then(|m| modify_mvar_pure(m.cast::<Tally>(), |t| t.0));
+        let _ = Runtime::new().run(prog);
+    }
+
+    #[test]
+    #[should_panic(expected = "type confusion in a cell transaction: \
+                    expected conch_combinators::locking::tests::Tally, got a int value")]
+    fn a_primitive_cell_cast_to_a_host_type_panics_naming_its_shape() {
+        let prog = Io::new_mvar(5_i64).and_then(|m| modify_mvar_pure(m.cast::<Tally>(), |t| t.0));
         let _ = Runtime::new().run(prog);
     }
 

@@ -59,7 +59,15 @@ impl<K: FnOnce(Value) -> Action> BindNode for Bind<K> {
     }
 
     fn resume(self: Box<Self>, v: Value) -> Action {
-        (self.k)(v)
+        let Bind { left, k } = *self;
+        // The `Pure(())` `take_left` left behind owns nothing: forgetting
+        // it skips `Action`'s out-of-line drop glue.
+        debug_assert!(
+            matches!(left, Action::Pure(Value::Unit)),
+            "resumed before its left action ran: {left:?}"
+        );
+        std::mem::forget(left);
+        k(v)
     }
 }
 

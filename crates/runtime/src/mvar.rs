@@ -16,7 +16,7 @@ use std::marker::PhantomData;
 
 use crate::ids::{MVarId, ThreadId};
 use crate::io::{Action, Io};
-use crate::value::{FromValue, IntoValue, Value};
+use crate::value::{read_copy, read_copy_or_panic, FromValue, IntoValue, Value};
 
 /// A typed handle to an `MVar` cell holding values of type `T`.
 ///
@@ -118,7 +118,11 @@ impl<T: FromValue + IntoValue + 'static> MVar<T> {
 
 impl<T: FromValue + IntoValue + 'static> FromValue for MVar<T> {
     fn from_value(v: Value) -> Option<Self> {
-        v.as_mvar_id().map(MVar::from_id)
+        read_copy(v, |v| v.as_mvar_id().map(MVar::from_id))
+    }
+
+    fn from_value_or_panic(v: Value) -> Self {
+        read_copy_or_panic(v, |v| v.as_mvar_id().map(MVar::from_id))
     }
 }
 

@@ -30,6 +30,45 @@ pub(super) fn take_code(th: &mut Thread) -> Code {
     std::mem::replace(&mut th.code, Code::ReturnVal(Value::Unit))
 }
 
+/// The one write of `th`'s next code in a step. What it overwrites is
+/// spent — the `return ()` [`take_code`] leaves, or the running node
+/// once its payload was taken or was `Copy` — and owns nothing, so it is
+/// forgotten instead of going through `Code`'s out-of-line drop glue.
+/// `raise_async` and `wake`, which overwrite live code, assign plainly.
+#[inline]
+fn set_code(th: &mut Thread, code: Code) {
+    debug_assert!(
+        matches!(
+            th.code,
+            Code::ReturnVal(Value::Unit)
+                | Code::Run(
+                    Action::Pure(Value::Unit)
+                        | Action::GetMaskingState
+                        | Action::MyThreadId
+                        | Action::NewMVar(None)
+                        | Action::TakeMVar(_)
+                        | Action::PutMVar(_, Value::Unit)
+                        | Action::TryTakeMVar(_)
+                        | Action::TryPutMVar(_, Value::Unit)
+                        | Action::Sleep(_)
+                        | Action::GetChar
+                        | Action::PutChar(_)
+                        | Action::Compute {
+                            result: Value::Unit,
+                            ..
+                        }
+                        | Action::PollSafePoint
+                        | Action::Yield
+                        | Action::Now
+                        | Action::Choose(_)
+                )
+        ),
+        "overwriting live code {:?}",
+        th.code
+    );
+    std::mem::forget(std::mem::replace(&mut th.code, code));
+}
+
 impl Runtime {
     /// Records new high-water marks of `th`'s stack.
     fn note_stack_growth(&mut self, th: &Thread) {
@@ -37,19 +76,23 @@ impl Runtime {
         self.stats.max_mask_frames = self.stats.max_mask_frames.max(th.mask_frames);
     }
 
-    /// Pushes a frame, enforcing the stack limit; on overflow the thread's
-    /// code becomes `Raise(StackOverflow)` and `false` is returned.
-    fn push_frame_checked(&mut self, th: &mut Thread, frame: Frame) -> bool {
+    /// Pushes the frame `build` makes ([`Thread::push_frame`]), enforcing
+    /// the stack limit; on overflow the thread's code becomes
+    /// `Raise(StackOverflow)` and `false` is returned.
+    fn push_frame_checked(&mut self, th: &mut Thread, build: impl FnOnce() -> Frame) -> bool {
         if let Some(limit) = self.config.stack_limit {
             if th.stack.len() >= limit {
-                th.code = Code::Raise(
-                    Exception::new(crate::exception::ExceptionKind::StackOverflow),
-                    RaiseOrigin::Sync,
+                set_code(
+                    th,
+                    Code::Raise(
+                        Exception::new(crate::exception::ExceptionKind::StackOverflow),
+                        RaiseOrigin::Sync,
+                    ),
                 );
                 return false;
             }
         }
-        th.push_frame(frame);
+        th.push_frame(build);
         self.note_stack_growth(th);
         true
     }
@@ -67,7 +110,7 @@ impl Runtime {
             self.stats.mask_frames_collapsed += 1;
         }
         self.note_stack_growth(th);
-        th.code = Code::Run(body);
+        set_code(th, Code::Run(body));
     }
 
     /// The accounting every `throwTo`, of either design, starts with.
@@ -131,7 +174,7 @@ impl Runtime {
             Frame::Bind(node) => {
                 if let Code::ReturnVal(v) = &mut th.code {
                     let v = std::mem::take(v);
-                    th.code = Code::Run(node.resume(v));
+                    set_code(th, Code::Run(node.resume(v)));
                 }
             }
             // A return drops the handler it leaves the scope of.
@@ -143,7 +186,7 @@ impl Runtime {
                 th.mask = saved_mask;
                 self.stats.catches += 1;
                 match take_code(th) {
-                    Code::Raise(e, origin) => th.code = Code::Run(handler(e, origin)),
+                    Code::Raise(e, origin) => set_code(th, Code::Run(handler(e, origin))),
                     code => unreachable!("{code:?} is not a raise"),
                 }
             }
@@ -163,7 +206,10 @@ impl Runtime {
         // the reference; the arms that own a box or an exception move the
         // node out, all in `run_owned_action`.
         match *action {
-            Action::Pure(ref mut v) => th.code = Code::ReturnVal(std::mem::take(v)),
+            Action::Pure(ref mut v) => {
+                let v = std::mem::take(v);
+                set_code(th, Code::ReturnVal(v));
+            }
             Action::Bind(_)
             | Action::Catch(_, _)
             | Action::Throw(_)
@@ -175,29 +221,33 @@ impl Runtime {
             | Action::ThrowTo(_, _)
             | Action::ThrowToSync(_, _) => self.run_owned_action(th),
             Action::GetMaskingState => {
-                th.code = Code::ReturnVal(Value::Bool(th.mask == MaskState::Blocked));
+                let blocked = th.mask == MaskState::Blocked;
+                set_code(th, Code::ReturnVal(Value::Bool(blocked)));
             }
-            Action::MyThreadId => th.code = Code::ReturnVal(Value::ThreadId(th.tid)),
+            Action::MyThreadId => {
+                let tid = th.tid;
+                set_code(th, Code::ReturnVal(Value::ThreadId(tid)));
+            }
             Action::NewMVar(ref mut contents) => {
                 let id = MVarId(self.mvars.len() as u64);
                 self.mvars.push(match contents.take() {
                     None => MVarCell::empty(),
                     Some(v) => MVarCell::full(v),
                 });
-                th.code = Code::ReturnVal(Value::MVar(id));
+                set_code(th, Code::ReturnVal(Value::MVar(id)));
             }
             Action::TakeMVar(m) => match self.try_take(m) {
                 // Full: take succeeds atomically — *not* a delivery point,
                 // even with pending exceptions (§5.3: "an interruptible
                 // operation cannot be interrupted if the resource ... is
                 // available").
-                Some(v) => th.code = Code::ReturnVal(v),
+                Some(v) => set_code(th, Code::ReturnVal(v)),
                 None => {
                     self.block_on(th, StuckReason::TakeMVar(m));
                 }
             },
             Action::PutMVar(m, ref mut v) => match self.try_put(m, std::mem::take(v)) {
-                Ok(()) => th.code = Code::ReturnVal(Value::Unit),
+                Ok(()) => set_code(th, Code::ReturnVal(Value::Unit)),
                 Err(v) => {
                     if self.block_on(th, StuckReason::PutMVar(m)) {
                         self.mvars[m.0 as usize].put_queue.push_back((th.tid, v));
@@ -205,16 +255,19 @@ impl Runtime {
                 }
             },
             Action::TryTakeMVar(m) => {
-                th.code = Code::ReturnVal(match self.try_take(m) {
-                    None => Value::Nothing,
-                    Some(v) => Value::Just(Box::new(v)),
-                });
+                set_code(
+                    th,
+                    Code::ReturnVal(match self.try_take(m) {
+                        None => Value::Nothing,
+                        Some(v) => Value::Just(Box::new(v)),
+                    }),
+                );
             }
             Action::TryPutMVar(m, ref mut v) => {
                 let stored = self.try_put(m, std::mem::take(v)).is_ok();
-                th.code = Code::ReturnVal(Value::Bool(stored));
+                set_code(th, Code::ReturnVal(Value::Bool(stored)));
             }
-            Action::Sleep(0) => th.code = Code::ReturnVal(Value::Unit),
+            Action::Sleep(0) => set_code(th, Code::ReturnVal(Value::Unit)),
             Action::Sleep(d) => {
                 let wake_at = self.clock + d;
                 self.block_on(th, StuckReason::Sleep { wake_at });
@@ -222,7 +275,7 @@ impl Runtime {
             Action::GetChar => match self.console.try_read() {
                 Some(c) => {
                     self.trace.push(IoEvent::Get(c));
-                    th.code = Code::ReturnVal(Value::Char(c));
+                    set_code(th, Code::ReturnVal(Value::Char(c)));
                 }
                 None => {
                     self.block_on(th, StuckReason::GetChar);
@@ -231,14 +284,15 @@ impl Runtime {
             Action::PutChar(c) => {
                 self.console.write(c);
                 self.trace.push(IoEvent::Put(c));
-                th.code = Code::ReturnVal(Value::Unit);
+                set_code(th, Code::ReturnVal(Value::Unit));
             }
             Action::Compute {
                 ref mut steps,
                 ref mut result,
             } => {
                 if *steps <= 1 {
-                    th.code = Code::ReturnVal(std::mem::take(result));
+                    let result = std::mem::take(result);
+                    set_code(th, Code::ReturnVal(result));
                 } else {
                     *steps -= 1;
                 }
@@ -250,14 +304,14 @@ impl Runtime {
                 };
                 match p {
                     Some(p) => self.raise_async(th, p, Delivery::Receive),
-                    None => th.code = Code::ReturnVal(Value::Unit),
+                    None => set_code(th, Code::ReturnVal(Value::Unit)),
                 }
             }
             Action::Yield => {
                 self.yielded = true;
-                th.code = Code::ReturnVal(Value::Unit);
+                set_code(th, Code::ReturnVal(Value::Unit));
             }
-            Action::Now => th.code = Code::ReturnVal(Value::Int(self.clock as i64)),
+            Action::Now => set_code(th, Code::ReturnVal(Value::Int(self.clock as i64))),
             Action::Choose(arms) => {
                 // A scheduler-visible oracle: the installed decider picks
                 // the arm (the explorer records it as a branch point);
@@ -269,7 +323,7 @@ impl Runtime {
                     arm < arms,
                     "Decider::choose_arm returned arm {arm} for {arms} arms"
                 );
-                th.code = Code::ReturnVal(Value::Int(arm as i64));
+                set_code(th, Code::ReturnVal(Value::Int(arm as i64)));
             }
         }
     }
@@ -280,29 +334,26 @@ impl Runtime {
         match take_code(th) {
             Code::Run(Action::Bind(mut node)) => {
                 let left = node.take_left();
-                if self.push_frame_checked(th, Frame::Bind(node)) {
-                    th.code = Code::Run(left);
+                if self.push_frame_checked(th, || Frame::Bind(node)) {
+                    set_code(th, Code::Run(left));
                 }
             }
             Code::Run(Action::Catch(body, handler)) => {
                 let saved_mask = th.mask;
-                if self.push_frame_checked(
-                    th,
-                    Frame::Catch {
-                        handler,
-                        saved_mask,
-                    },
-                ) {
-                    th.code = Code::Run(*body);
+                if self.push_frame_checked(th, || Frame::Catch {
+                    handler,
+                    saved_mask,
+                }) {
+                    set_code(th, Code::Run(*body));
                 }
             }
             Code::Run(Action::Throw(e)) => {
                 self.stats.sync_throws += 1;
-                th.code = Code::Raise(e, RaiseOrigin::Sync);
+                set_code(th, Code::Raise(e, RaiseOrigin::Sync));
             }
             Code::Run(Action::Rethrow(e, origin)) => {
                 self.stats.sync_throws += 1;
-                th.code = Code::Raise(e, origin);
+                set_code(th, Code::Raise(e, origin));
             }
             Code::Run(Action::Block(body)) => self.enter_mask_scope(th, MaskState::Blocked, *body),
             Code::Run(Action::Unblock(body)) => {
@@ -329,9 +380,9 @@ impl Runtime {
                         child,
                     });
                 }
-                th.code = Code::ReturnVal(Value::ThreadId(child));
+                set_code(th, Code::ReturnVal(Value::ThreadId(child)));
             }
-            Code::Run(Action::Effect(f)) => th.code = Code::ReturnVal(f()),
+            Code::Run(Action::Effect(f)) => set_code(th, Code::ReturnVal(f())),
             Code::Run(Action::ThrowTo(target, e)) => {
                 self.note_throw_to(th.tid, target);
                 if target == th.tid {
@@ -346,14 +397,14 @@ impl Runtime {
                 } else {
                     self.enqueue_exception(target, e, None);
                 }
-                th.code = Code::ReturnVal(Value::Unit);
+                set_code(th, Code::ReturnVal(Value::Unit));
             }
             Code::Run(Action::ThrowToSync(target, e)) => {
                 self.note_throw_to(th.tid, target);
                 if target == th.tid {
                     // §9: special case — a thread throwing to itself raises
                     // the exception immediately.
-                    th.code = Code::Raise(e, RaiseOrigin::Async);
+                    set_code(th, Code::Raise(e, RaiseOrigin::Async));
                     return;
                 }
                 match lookup(&self.threads, target).map(Thread::is_stuck) {
@@ -375,7 +426,7 @@ impl Runtime {
                         return;
                     }
                 }
-                th.code = Code::ReturnVal(Value::Unit);
+                set_code(th, Code::ReturnVal(Value::Unit));
             }
             code => unreachable!("{code:?} does not own its payload"),
         }

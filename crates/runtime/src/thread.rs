@@ -227,12 +227,18 @@ impl Thread {
         self.footprint = StepFootprint::Local;
     }
 
-    /// Pushes a frame, maintaining the mask-frame count.
-    pub(crate) fn push_frame(&mut self, frame: Frame) {
-        if matches!(frame, Frame::Restore(_)) {
+    /// Pushes the frame `build` makes, maintaining the mask-frame count.
+    ///
+    /// The frame is built inside the `extend`, after the stack has grown
+    /// if it must, so it is stored straight into its slot. A frame built
+    /// first goes through the native stack, and `push` reloads it with a
+    /// load wider than the stores that built it: a store-forwarding stall
+    /// on every bind, catch and mask frame.
+    pub(crate) fn push_frame(&mut self, build: impl FnOnce() -> Frame) {
+        self.stack.extend(std::iter::once_with(build));
+        if matches!(self.stack.last(), Some(Frame::Restore(_))) {
             self.mask_frames += 1;
         }
-        self.stack.push(frame);
     }
 
     /// Pops a frame, maintaining the mask-frame count.
@@ -263,7 +269,7 @@ impl Thread {
             self.pop_frame();
             true
         } else {
-            self.push_frame(Frame::Restore(from));
+            self.push_frame(|| Frame::Restore(from));
             false
         }
     }
@@ -351,10 +357,7 @@ mod tests {
         // collapse cannot fire and a block-frame is pushed.
         let mut t = fresh();
         t.enter_mask(MaskState::Blocked, true);
-        t.push_frame(Frame::Bind(bind_node(
-            Action::Pure(Value::Unit),
-            Action::Pure,
-        )));
+        t.push_frame(|| Frame::Bind(bind_node(Action::Pure(Value::Unit), Action::Pure)));
         let collapsed = t.enter_mask(MaskState::Unblocked, true);
         assert!(!collapsed);
         assert_eq!(t.mask, MaskState::Unblocked);
@@ -443,6 +446,35 @@ mod tests {
         assert_eq!(t.take_pending().unwrap().exc, Exception::custom("first"));
         assert_eq!(t.take_pending().unwrap().exc, Exception::custom("second"));
         assert!(t.take_pending().is_none());
+    }
+
+    /// What a step reads, writes and moves: a byte added to any of these
+    /// is paid on every step (`MVarCell`: on every cell).
+    #[test]
+    fn hot_path_types_keep_their_sizes() {
+        use crate::mvar::MVarCell;
+        use std::mem::size_of;
+        let sizes = [
+            ("Value", size_of::<Value>()),
+            ("Exception", size_of::<Exception>()),
+            ("Action", size_of::<Action>()),
+            ("Code", size_of::<Code>()),
+            ("Frame", size_of::<Frame>()),
+            ("Thread", size_of::<Thread>()),
+            ("MVarCell", size_of::<MVarCell>()),
+        ];
+        assert_eq!(
+            sizes,
+            [
+                ("Value", 32),
+                ("Exception", 32),
+                ("Action", 48),
+                ("Code", 48),
+                ("Frame", 24),
+                ("Thread", 168),
+                ("MVarCell", 96),
+            ]
+        );
     }
 
     #[test]

@@ -148,6 +148,10 @@ macro_rules! host_value {
             fn from_value(v: $crate::value::Value) -> Option<Self> {
                 v.downcast()
             }
+
+            fn from_value_or_panic(v: $crate::value::Value) -> Self {
+                v.downcast_or_panic()
+            }
         }
     };
     ($($t:ty),+ $(,)?) => {
@@ -215,6 +219,35 @@ impl Value {
         match self {
             Value::Host(h) => (h as Box<dyn Any>).downcast().ok().map(|t| *t),
             _ => None,
+        }
+    }
+
+    /// [`FromValue::from_value_or_panic`] for a host type: a
+    /// [`downcast`](Self::downcast) that keeps the value until it is
+    /// known to be a `T`, so only a mismatch reads its type name.
+    #[doc(hidden)]
+    pub fn downcast_or_panic<T: HostValue>(self) -> T {
+        match self {
+            Value::Host(h) if (&*h as &dyn Any).is::<T>() => {
+                *(h as Box<dyn Any>).downcast().expect("checked to be a T")
+            }
+            v => type_confusion(std::any::type_name::<T>(), v.type_label()),
+        }
+    }
+
+    /// Drops the value, skipping the out-of-line drop glue for the
+    /// shapes that own nothing — what most steps produce and consume.
+    #[inline]
+    pub(crate) fn discard(self) {
+        match self {
+            Value::Unit
+            | Value::Bool(_)
+            | Value::Int(_)
+            | Value::Char(_)
+            | Value::Nothing
+            | Value::ThreadId(_)
+            | Value::MVar(_) => std::mem::forget(self),
+            owning => drop(owning),
         }
     }
 
@@ -309,19 +342,47 @@ pub trait FromValue: Sized {
 
     /// Converts, panicking with a descriptive message on shape mismatch.
     ///
+    /// `from_value` consumes the value, so this default notes what a
+    /// mismatch would name before converting. `Value`, the primitives,
+    /// `MVar` handles and [`host_value!`](crate::host_value) types — the
+    /// conversions a step makes — override it to name it only on a
+    /// mismatch.
+    ///
     /// # Panics
     ///
     /// Panics if the value does not have the shape expected by `Self`.
     fn from_value_or_panic(v: Value) -> Self {
-        let actual = v.type_label();
-        Self::from_value(v).unwrap_or_else(|| {
-            panic!(
-                "type confusion crossing the typed Io boundary: \
-                 expected {}, got a {} value",
-                std::any::type_name::<Self>(),
-                actual
-            )
-        })
+        let got = v.type_label();
+        Self::from_value(v).unwrap_or_else(|| type_confusion(std::any::type_name::<Self>(), got))
+    }
+}
+
+/// The panic of a conversion handed the wrong shape.
+#[cold]
+#[inline(never)]
+fn type_confusion(expected: &'static str, got: &'static str) -> ! {
+    panic!("type confusion crossing the typed Io boundary: expected {expected}, got a {got} value")
+}
+
+/// `from_value` of a type read from a `Copy` payload: the read moves
+/// nothing out, so the value is [discarded](Value::discard) after it.
+#[inline]
+pub(crate) fn read_copy<T>(v: Value, read: impl FnOnce(&Value) -> Option<T>) -> Option<T> {
+    let t = read(&v);
+    v.discard();
+    t
+}
+
+/// `from_value_or_panic` of the same types: the read leaves the value
+/// whole, so a mismatch can still name it.
+#[inline]
+pub(crate) fn read_copy_or_panic<T>(v: Value, read: impl FnOnce(&Value) -> Option<T>) -> T {
+    match read(&v) {
+        Some(t) => {
+            v.discard();
+            t
+        }
+        None => type_confusion(std::any::type_name::<T>(), v.type_label()),
     }
 }
 
@@ -335,6 +396,10 @@ impl FromValue for Value {
     fn from_value(v: Value) -> Option<Self> {
         Some(v)
     }
+
+    fn from_value_or_panic(v: Value) -> Self {
+        v
+    }
 }
 
 impl IntoValue for () {
@@ -344,11 +409,14 @@ impl IntoValue for () {
 }
 
 impl FromValue for () {
+    #[inline]
     fn from_value(v: Value) -> Option<Self> {
-        match v {
-            Value::Unit => Some(()),
-            _ => None,
-        }
+        read_copy(v, |v| v.is_unit().then_some(()))
+    }
+
+    #[inline]
+    fn from_value_or_panic(v: Value) -> Self {
+        read_copy_or_panic(v, |v| v.is_unit().then_some(()))
     }
 }
 
@@ -359,8 +427,14 @@ impl IntoValue for bool {
 }
 
 impl FromValue for bool {
+    #[inline]
     fn from_value(v: Value) -> Option<Self> {
-        v.as_bool()
+        read_copy(v, Value::as_bool)
+    }
+
+    #[inline]
+    fn from_value_or_panic(v: Value) -> Self {
+        read_copy_or_panic(v, Value::as_bool)
     }
 }
 
@@ -371,8 +445,14 @@ impl IntoValue for i64 {
 }
 
 impl FromValue for i64 {
+    #[inline]
     fn from_value(v: Value) -> Option<Self> {
-        v.as_int()
+        read_copy(v, Value::as_int)
+    }
+
+    #[inline]
+    fn from_value_or_panic(v: Value) -> Self {
+        read_copy_or_panic(v, Value::as_int)
     }
 }
 
@@ -383,8 +463,14 @@ impl IntoValue for char {
 }
 
 impl FromValue for char {
+    #[inline]
     fn from_value(v: Value) -> Option<Self> {
-        v.as_char()
+        read_copy(v, Value::as_char)
+    }
+
+    #[inline]
+    fn from_value_or_panic(v: Value) -> Self {
+        read_copy_or_panic(v, Value::as_char)
     }
 }
 
@@ -416,8 +502,14 @@ impl IntoValue for ThreadId {
 }
 
 impl FromValue for ThreadId {
+    #[inline]
     fn from_value(v: Value) -> Option<Self> {
-        v.as_thread_id()
+        read_copy(v, Value::as_thread_id)
+    }
+
+    #[inline]
+    fn from_value_or_panic(v: Value) -> Self {
+        read_copy_or_panic(v, Value::as_thread_id)
     }
 }
 
@@ -650,7 +742,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "type confusion")]
+    #[should_panic(expected = "type confusion crossing the typed Io boundary: \
+                               expected i64, got a char value")]
     fn from_value_or_panic_panics_on_mismatch() {
         let _ = i64::from_value_or_panic(Value::Char('x'));
     }
@@ -717,7 +810,12 @@ mod tests {
         let caught = std::panic::catch_unwind(|| Feet::from_value_or_panic(Metres(1).into_value()));
         let payload = caught.expect_err("metres are not feet");
         let msg = payload.downcast_ref::<String>().expect("a formatted panic");
-        assert!(msg.contains("Feet") && msg.contains("Metres"), "{msg}");
+        assert_eq!(
+            msg,
+            "type confusion crossing the typed Io boundary: \
+             expected conch_runtime::value::tests::Feet, \
+             got a conch_runtime::value::tests::Metres value"
+        );
     }
 
     #[test]

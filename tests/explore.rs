@@ -16,9 +16,11 @@
 //! * §7.2 — `both` and `either`/`race` behave correctly under every
 //!   interleaving at small sizes.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 use conch_combinators::{both, bracket, race, Either};
 use conch_explore::{props, ExploreConfig, Explorer, RunOutcome, Schedule, TestCase};
@@ -359,6 +361,102 @@ fn stale_redelivery_to_reused_slot_is_a_noop_on_every_schedule() {
         report.complete,
         "stale-redelivery check must be exhaustive: {report}"
     );
+}
+
+// ---------------------------------------------------------------------
+// §8: a kill landing on live code drops it exactly once.
+// ---------------------------------------------------------------------
+
+/// Counts its drops; moved into a closure, it counts the closure's.
+struct DropCount(Rc<Cell<u32>>);
+
+impl Drop for DropCount {
+    fn drop(&mut self) {
+        self.0.set(self.0.get() + 1);
+    }
+}
+
+/// A host value that counts its drops (atomically: a host value is
+/// `Send`).
+#[derive(Debug, Clone)]
+struct Payload(Arc<AtomicU32>);
+
+impl PartialEq for Payload {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Drop for Payload {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+conch_runtime::host_value!(Payload);
+
+/// The interpreter overwrites spent code without dropping it; a kill
+/// instead lands on live code — a `Catch`, `Bind` or `Block` node, or a
+/// `Compute` carrying a host result — which must then be dropped, once.
+/// Each continuation and handler records whether it ran and carries a
+/// [`DropCount`]; on every schedule all three are released exactly once,
+/// and so is the host result.
+#[test]
+fn a_kill_landing_on_live_code_drops_it_exactly_once() {
+    let seen = Rc::new(RefCell::new(BTreeSet::new()));
+    let result = Explorer::new().check(|| {
+        let ran = Rc::new(RefCell::new(Vec::new()));
+        let dropped = Rc::new(Cell::new(0));
+        let payload_drops = Arc::new(AtomicU32::new(0));
+        let guard = |name: &'static str| {
+            let (ran, g) = (Rc::clone(&ran), DropCount(Rc::clone(&dropped)));
+            move || {
+                let _g = g;
+                ran.borrow_mut().push(name);
+            }
+        };
+        let (effect, cont, handler) = (guard("effect"), guard("cont"), guard("handler"));
+        let victim = Io::block(Io::effect(effect))
+            .then(Io::compute_returning(
+                3,
+                Payload(Arc::clone(&payload_drops)),
+            ))
+            .and_then(move |_: Payload| Io::effect(cont))
+            .catch(move |_| {
+                handler();
+                Io::unit()
+            });
+        let program = Io::fork(victim)
+            .and_then(|v| Io::throw_to(v, Exception::kill_thread()))
+            .then(Io::sleep(1));
+        let seen = Rc::clone(&seen);
+        TestCase::new(program, move |out: &RunOutcome<()>| {
+            seen.borrow_mut().insert(ran.borrow().clone());
+            let drops = (dropped.get(), payload_drops.load(Ordering::Relaxed));
+            match &out.result {
+                Ok(()) if drops == (3, 1) => Ok(()),
+                Ok(()) => Err(format!("(guards, payload) dropped {drops:?}, not (3, 1)")),
+                Err(e) => Err(e.to_string()),
+            }
+        })
+    });
+    let report = result.expect_pass();
+    assert!(
+        report.complete,
+        "the drop check must be exhaustive: {report}"
+    );
+    // The kill landed before the catch frame, inside it before and after
+    // the block, and not at all.
+    let seen = seen.borrow();
+    let classes: [&[&str]; 4] = [
+        &[],
+        &["handler"],
+        &["effect", "handler"],
+        &["effect", "cont"],
+    ];
+    for ran in classes {
+        assert!(seen.contains(ran), "no schedule ran just {ran:?}: {seen:?}");
+    }
 }
 
 // ---------------------------------------------------------------------
