@@ -9,7 +9,7 @@
 //! * ignores *stale* notices (a `Down` whose `from` is not the current
 //!   incarnation's thread — e.g. the delayed notice of a child the
 //!   supervisor itself killed during an all-for-one sweep);
-//! * removes children that exited [`ExitReason::Normal`] without
+//! * removes children that exited [`ExitReason::Normal`](conch_runtime::exception::ExitReason::Normal) without
 //!   restarting them;
 //! * on an abnormal exit, slides the restart-intensity window: if more
 //!   than `max_restarts` abnormal exits land within `window` virtual
@@ -24,7 +24,7 @@
 //! **No orphans**: the whole supervisor body is guarded so that *any*
 //! exit — give-up, crash, or an asynchronous kill from a storm or a
 //! parent supervisor — first kills every live child. Children spawned
-//! with [`spawn_actor_on`] keep their mailbox across restarts, so
+//! with [`spawn_actor_on`](crate::actor::spawn_actor_on) keep their mailbox across restarts, so
 //! unconsumed messages survive the crash: restart preserves queue
 //! state, and any application state the child keeps in external
 //! `MVar`s is protected by its own masked transactions.

@@ -41,7 +41,6 @@ use crate::worker::{Run, Worker};
 pub(crate) fn walk<T: FromValue>(
     w: &mut Worker<'_>,
     factory: &mut dyn FnMut() -> TestCase<T>,
-    use_sleep: bool,
     mut known: impl FnMut(&WorkItem, &mut Vec<Node>) -> bool,
     mut visit: impl FnMut(&mut Worker<'_>, Run<T>, usize, &mut Vec<Node>) -> bool,
 ) {
@@ -52,7 +51,7 @@ pub(crate) fn walk<T: FromValue>(
         stack.extend(item.node.clone());
         while !frontier.is_stopped() {
             if !known(&item, &mut stack) {
-                load_script(w.state(), &item, &stack, use_sleep);
+                load_script(w.state(), &item, &stack);
                 let run = w.run(factory);
                 if !visit(w, run, item.prefix.len() + stack.len(), &mut stack) {
                     break;
@@ -69,21 +68,15 @@ pub(crate) fn walk<T: FromValue>(
     }
 }
 
-/// The sleep-set engine ([`Reduction::SleepSets`](crate::Reduction),
-/// and [`Reduction::Off`](crate::Reduction) with `use_sleep = false`:
-/// sleep entries are then simply never loaded into the driver, so every
-/// alternative is enumerated — the unreduced baseline the benchmarks
-/// measure reductions against).
+/// The sleep-set engine ([`Reduction::SleepSets`](crate::Reduction)).
 pub(crate) fn sleep_set_worker<T: FromValue>(
     w: &mut Worker<'_>,
     factory: &mut dyn FnMut() -> TestCase<T>,
-    use_sleep: bool,
 ) {
     let frontier = w.frontier;
     walk(
         w,
         factory,
-        use_sleep,
         // Once some worker holds a failing run, subtrees strictly
         // DFS-later than it can't change the verdict: skip them.
         |item, stack| frontier.has_failure() && frontier.prune_later(&prefix_key(item, stack)),
@@ -110,19 +103,15 @@ pub(crate) fn sleep_set_worker<T: FromValue>(
 
 /// Refill the driver's script and sleep entries for the schedule the
 /// item prefix + stack currently denote.
-fn load_script(state: &RefCell<DriverState>, item: &WorkItem, stack: &[Node], use_sleep: bool) {
+fn load_script(state: &RefCell<DriverState>, item: &WorkItem, stack: &[Node]) {
     let mut st = state.borrow_mut();
     st.reset();
     st.script.extend_from_slice(&item.prefix);
-    if use_sleep {
-        st.extra_sleep.extend_from_slice(&item.base_sleep);
-    }
+    st.extra_sleep.extend_from_slice(&item.base_sleep);
     let base = item.prefix.len();
     for (i, node) in stack.iter().enumerate() {
         st.script.push(node.point.chosen);
-        if use_sleep {
-            node.each_explored(|entry| st.extra_sleep.push((base + i, entry)));
-        }
+        node.each_explored(|entry| st.extra_sleep.push((base + i, entry)));
     }
 }
 

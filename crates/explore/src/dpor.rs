@@ -408,11 +408,9 @@ pub(crate) fn round_worker<T: FromValue>(
     // Insertions are a set union folded in at the barrier, so a worker
     // collects its own and hands them over once, when its round is done.
     let mut inserts: Vec<(u32, u64)> = Vec::new();
-    // Sleep entries are always on under DPOR.
     walk(
         w,
         factory,
-        true,
         |_, stack| lock(trie).recall(stack),
         |w, run, scripted, stack| {
             let new = lock(trie).register(&w.state().borrow().record, scripted, &mut path);

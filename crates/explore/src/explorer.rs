@@ -1,8 +1,7 @@
 //! The bounded schedule explorer's public face: configuration, reports
 //! and the [`Explorer`] itself — the one search that turns a
-//! [`Strategy`] into an engine ([`crate::dfs`], [`crate::dpor`],
-//! [`crate::sample`]) on one or many [workers](crate::worker), then
-//! replay and greedy schedule shrinking.
+//! [`Strategy`] into an engine (`dfs`, `dpor`, `sample`) on one or
+//! many workers, then replay and greedy schedule shrinking.
 
 use std::sync::Mutex;
 
@@ -19,16 +18,16 @@ use crate::sample::{sample_index, sample_worker, Samples};
 use crate::schedule::Schedule;
 use crate::worker::{Runner, Worker};
 
+/// Cap on extra runs spent shrinking a failing schedule.
+const MAX_SHRINK_RUNS: usize = 512;
+
 /// Which schedule-space reduction the explorer applies.
 ///
-/// All three modes explore the same *behaviours* (every reachable
-/// outcome of every program, at the configured bounds); they differ
-/// only in how many redundant interleavings they execute to get there.
+/// Both modes explore the same *behaviours* (every reachable outcome
+/// of every program, at the configured bounds); they differ only in
+/// how many redundant interleavings they execute to get there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Reduction {
-    /// No pruning: enumerate every interleaving at the bounds. The
-    /// baseline reductions are measured against.
-    Off,
     /// Sleep sets plus invisible-move fast-forwarding — the historical
     /// default.
     #[default]
@@ -36,7 +35,7 @@ pub enum Reduction {
     /// Dynamic partial-order reduction: vector-clock happens-before
     /// race detection over each executed run, with backtrack flags
     /// installed only where a race proves the reversal matters (see
-    /// [`crate::dpor`]). Typically explores far fewer schedules than
+    /// the `dpor` module). Typically explores far fewer schedules than
     /// sleep sets on programs with many independent threads.
     Dpor,
 }
@@ -68,18 +67,11 @@ pub enum Strategy {
     /// run. A bug needing `d` ordering constraints is found with
     /// probability ≥ `1/(k·n^(d−1))` per sample (`k` threads, `n`
     /// scheduling decisions). `depth` ≥ 1; `depth = 1` is priority
-    /// scheduling with no change points. See [`crate::sample`].
+    /// scheduling with no change points (the `sample` module).
     Pct {
         /// PCT bug depth `d`: the number of ordering constraints the
         /// sampler can force per run (`d − 1` priority-change points).
         depth: usize,
-        /// Base seed of the sample stream.
-        seed: u64,
-    },
-    /// Uniform random walk: every unscripted choice drawn uniformly.
-    /// The baseline sampling strategies are measured against — no
-    /// probability guarantee, but maximally unopinionated.
-    UniformRandom {
         /// Base seed of the sample stream.
         seed: u64,
     },
@@ -167,12 +159,10 @@ pub struct ExploreConfig {
     /// Step budget per run; exceeding it counts as truncated, not as a
     /// property failure.
     pub step_budget: u64,
-    /// Base runtime configuration. Scheduling is forced to
-    /// [`SchedulingPolicy::External`](conch_runtime::config::SchedulingPolicy)
-    /// and `max_steps` to `step_budget` regardless of what this says.
+    /// Base runtime configuration. `max_steps` is forced to
+    /// `step_budget`, and the explorer's installed decider makes every
+    /// scheduling decision whatever its policy says.
     pub runtime: RuntimeConfig,
-    /// Cap on extra runs spent shrinking a failing schedule.
-    pub max_shrink_runs: usize,
     /// Deterministic deadline: stop exploring (reporting
     /// `complete = false`) once the *total* interpreter steps across
     /// all explored schedules reach this budget. Unlike a wall-clock
@@ -193,7 +183,6 @@ impl Default for ExploreConfig {
             preemption_bound: None,
             step_budget: 20_000,
             runtime: RuntimeConfig::new(),
-            max_shrink_runs: 512,
             max_total_steps: None,
             strategy: Strategy::default(),
         }
@@ -276,7 +265,7 @@ pub struct Report {
 
 impl Report {
     /// How many times fewer schedules this exploration executed than
-    /// `baseline` — the same workload explored under a weaker (or no)
+    /// `baseline` — the same workload explored under a weaker
     /// reduction: `baseline.explored / self.explored`. Kept as a method
     /// rather than a field so `Report` stays `Eq` (bit-comparable
     /// across worker counts in the determinism tests).
@@ -402,7 +391,7 @@ impl Explorer {
                 "Strategy::Swarm.seeds must be non-empty \
                  (the swarm needs at least one stream to draw from)"
             ),
-            Strategy::Exhaustive(_) | Strategy::UniformRandom { .. } => {}
+            Strategy::Exhaustive(_) => {}
         }
         Explorer { config }
     }
@@ -517,12 +506,11 @@ impl Explorer {
                 report.stats.backtracks_installed = trie.backtracks();
                 report
             }
-            Strategy::Exhaustive(reduction) => {
-                let use_sleep = *reduction != Reduction::Off;
-                fan_out(&|w, factory| sleep_set_worker(w, factory, use_sleep));
+            Strategy::Exhaustive(Reduction::SleepSets) => {
+                fan_out(&|w, factory| sleep_set_worker(w, factory));
                 frontier.report()
             }
-            Strategy::Pct { .. } | Strategy::UniformRandom { .. } | Strategy::Swarm { .. } => {
+            Strategy::Pct { .. } | Strategy::Swarm { .. } => {
                 let samples = Samples::default();
                 fan_out(&|w, factory| sample_worker(w, factory, &samples));
                 // Distinctness is read off the shared hash set, not
@@ -592,7 +580,7 @@ impl Explorer {
         let mut runner = Runner::new(&self.config);
         let mut best = original;
         let mut best_message = original_message;
-        let budget = self.config.max_shrink_runs;
+        let budget = MAX_SHRINK_RUNS;
         // Shrink replays burn interpreter steps too; they are checked
         // against the same deterministic deadline exploration was, at
         // the same point of every candidate loop, so the truncation
@@ -925,7 +913,6 @@ mod tests {
     fn sampling_reports_draws_not_coverage() {
         for strategy in [
             Strategy::Pct { depth: 2, seed: 7 },
-            Strategy::UniformRandom { seed: 7 },
             Strategy::Swarm {
                 seeds: vec![1, 2, 3],
             },

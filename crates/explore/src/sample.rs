@@ -1,5 +1,4 @@
-//! Probabilistic schedule sampling: PCT, uniform-random and swarm
-//! strategies over the same driver machinery as the exhaustive DFS.
+//! Probabilistic schedule sampling: the PCT and swarm strategies over the same driver machinery as the exhaustive DFS.
 //!
 //! Where the exhaustive engines *enumerate* the branch points recorded
 //! by [`crate::driver::DriverState`], the sampler *draws* one schedule
@@ -86,17 +85,11 @@ pub(crate) fn stream_seed(base: u64, index: u64) -> u64 {
     Rng::new(base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
 }
 
-/// The per-run random policy the driver consults at unscripted branch
+/// The per-run PCT policy the driver consults at unscripted branch
 /// points (see [`crate::driver::DriverState`]). One policy drives one
 /// sample and is discarded; all its state is derived from the sample's
 /// seed.
-pub(crate) enum SamplePolicy {
-    Pct(PctState),
-    Uniform(Rng),
-}
-
-/// PCT state for one sampled run.
-pub(crate) struct PctState {
+pub(crate) struct SamplePolicy {
     rng: Rng,
     /// Random priority per thread, assigned at first sight (in
     /// candidate-list order, which is deterministic per run). Higher
@@ -120,17 +113,13 @@ impl SamplePolicy {
         let mut rng = Rng::new(seed);
         let horizon = horizon.max(1) as u64;
         let change_points = (1..depth).map(|_| rng.below(horizon) as u32 + 1).collect();
-        SamplePolicy::Pct(PctState {
+        SamplePolicy {
             rng,
             priorities: Vec::new(),
             change_points,
             decisions: 0,
             demote_next: -1,
-        })
-    }
-
-    pub(crate) fn uniform(seed: u64) -> Self {
-        SamplePolicy::Uniform(Rng::new(seed))
+        }
     }
 
     /// The scheduling decision at an unscripted branch point:
@@ -140,72 +129,54 @@ impl SamplePolicy {
     /// composes with scripted prefixes). Returns an index into `alts`.
     pub(crate) fn pick_thread(&mut self, alts: &[Alt]) -> usize {
         let eligible = |i: &usize| !alts[*i].asleep;
-        match self {
-            SamplePolicy::Uniform(rng) => {
-                let candidates: Vec<usize> = (0..alts.len()).filter(eligible).collect();
-                match candidates.len() {
-                    0 => 0,
-                    n => candidates[rng.below(n as u64) as usize],
-                }
-            }
-            SamplePolicy::Pct(st) => {
-                for tid in alts.iter().map(Alt::tid) {
-                    if !st.priorities.iter().any(|&(t, _)| t == tid) {
-                        // Initial priorities are non-negative, so every
-                        // demotion (negative) outranks none of them.
-                        let p = (st.rng.next_u64() >> 2) as i64;
-                        st.priorities.push((tid, p));
-                    }
-                }
-                st.decisions += 1;
-                let leader = |st: &PctState| {
-                    (0..alts.len())
-                        .filter(eligible)
-                        .max_by_key(|&i| {
-                            st.priorities
-                                .iter()
-                                .find(|&&(t, _)| t == alts[i].tid())
-                                .map(|&(_, p)| p)
-                                .unwrap_or(i64::MIN)
-                        })
-                        .unwrap_or(0)
-                };
-                if st.change_points.contains(&st.decisions) {
-                    // A change point fires: the thread that would run
-                    // is demoted below everyone, handing the lead over.
-                    let demoted = alts[leader(st)].tid();
-                    let p = st.demote_next;
-                    st.demote_next -= 1;
-                    if let Some(e) = st.priorities.iter_mut().find(|e| e.0 == demoted) {
-                        e.1 = p;
-                    }
-                }
-                leader(st)
+        for tid in alts.iter().map(Alt::tid) {
+            if !self.priorities.iter().any(|&(t, _)| t == tid) {
+                // Initial priorities are non-negative, so every
+                // demotion (negative) outranks none of them.
+                let p = (self.rng.next_u64() >> 2) as i64;
+                self.priorities.push((tid, p));
             }
         }
+        self.decisions += 1;
+        let leader = |st: &SamplePolicy| {
+            (0..alts.len())
+                .filter(eligible)
+                .max_by_key(|&i| {
+                    st.priorities
+                        .iter()
+                        .find(|&&(t, _)| t == alts[i].tid())
+                        .map(|&(_, p)| p)
+                        .unwrap_or(i64::MIN)
+                })
+                .unwrap_or(0)
+        };
+        if self.change_points.contains(&self.decisions) {
+            // A change point fires: the thread that would run is
+            // demoted below everyone, handing the lead over.
+            let demoted = alts[leader(self)].tid();
+            let p = self.demote_next;
+            self.demote_next -= 1;
+            if let Some(e) = self.priorities.iter_mut().find(|e| e.0 == demoted) {
+                e.1 = p;
+            }
+        }
+        leader(self)
     }
 
     /// The delivery decision at an unscripted delivery point. PCT has
     /// no native notion of delivery points (they are this semantics'
-    /// extra nondeterminism, §5), so both policies flip a fair coin —
-    /// each landing site of a pending exception keeps probability
+    /// extra nondeterminism, §5), so it flips a fair coin — each
+    /// landing site of a pending exception keeps probability
     /// ≥ 2^-(sites).
     pub(crate) fn pick_deliver(&mut self) -> bool {
-        match self {
-            SamplePolicy::Uniform(rng) => rng.coin(),
-            SamplePolicy::Pct(st) => st.rng.coin(),
-        }
+        self.rng.coin()
     }
 
     /// The arm decision at an unscripted oracle point: uniform over the
     /// arms, so every fault arm of an `Io::choose` site keeps
     /// probability `1/arms` per visit.
     pub(crate) fn pick_arm(&mut self, arms: u8) -> u8 {
-        let rng = match self {
-            SamplePolicy::Uniform(rng) => rng,
-            SamplePolicy::Pct(st) => &mut st.rng,
-        };
-        rng.below(arms.max(1) as u64) as u8
+        self.rng.below(arms.max(1) as u64) as u8
     }
 }
 
@@ -218,7 +189,6 @@ pub(crate) fn policy_for(strategy: &Strategy, index: u64, horizon: usize) -> Sam
         Strategy::Pct { depth, seed } => {
             SamplePolicy::pct(*depth, stream_seed(*seed, index), horizon)
         }
-        Strategy::UniformRandom { seed } => SamplePolicy::uniform(stream_seed(*seed, index)),
         Strategy::Swarm { seeds } => {
             // Swarm = interleaved PCT streams: sample i belongs to
             // stream i mod |seeds|, and each stream's PCT depth is

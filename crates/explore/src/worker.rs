@@ -38,11 +38,7 @@ pub(crate) struct Runner {
 
 impl Runner {
     pub(crate) fn new(config: &ExploreConfig) -> Self {
-        let runtime = config
-            .runtime
-            .clone()
-            .external_scheduling()
-            .max_steps(config.step_budget);
+        let runtime = config.runtime.clone().max_steps(config.step_budget);
         let state = Rc::new(RefCell::new(DriverState::new(
             config.preemption_bound,
             config.max_depth,

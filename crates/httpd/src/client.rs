@@ -8,7 +8,7 @@ use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 
 use crate::http::Request;
-use crate::net::Listener;
+use crate::net::{Connection, Listener};
 
 /// What a client run observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,55 +27,57 @@ pub fn status_of(resp: &str) -> ClientOutcome {
         .map_or(ClientOutcome::Garbled, ClientOutcome::Status)
 }
 
-/// A well-behaved client: connect, send `GET path`, await the response,
-/// record the status into `report`.
-pub fn good_client(l: Listener, path: String, report: MVar<i64>) -> Io<()> {
+/// The tail every client shares: connect, send what `send` writes,
+/// await the response and record its status (`-1` if garbled) into
+/// `report`.
+fn exchange(
+    l: Listener,
+    send: impl FnOnce(Connection) -> Io<()> + 'static,
+    report: MVar<i64>,
+) -> Io<()> {
     l.connect().and_then(move |conn| {
-        conn.send_text(Request::get(path).render())
+        send(conn)
             .then(conn.read_response())
             .and_then(move |resp| match status_of(&resp) {
                 ClientOutcome::Status(s) => report.put(i64::from(s)),
                 ClientOutcome::Garbled => report.put(-1),
             })
     })
+}
+
+/// A well-behaved client: connect, send `GET path`, await the response,
+/// record the status into `report`.
+pub fn good_client(l: Listener, path: String, report: MVar<i64>) -> Io<()> {
+    exchange(
+        l,
+        move |conn| conn.send_text(Request::get(path).render()),
+        report,
+    )
 }
 
 /// A stalling client: sends a partial request and never finishes. The
 /// server's read timeout should answer 408.
 pub fn stalling_client(l: Listener, report: MVar<i64>) -> Io<()> {
-    l.connect().and_then(move |conn| {
-        conn.send_text("GET /stall HTTP")
-            .then(conn.read_response())
-            .and_then(move |resp| match status_of(&resp) {
-                ClientOutcome::Status(s) => report.put(i64::from(s)),
-                ClientOutcome::Garbled => report.put(-1),
-            })
-    })
+    exchange(l, |conn| conn.send_text("GET /stall HTTP"), report)
 }
 
 /// A trickling client: sends the whole request, but `gap` µs per
 /// character. Served iff the total transfer fits the read budget.
 pub fn trickling_client(l: Listener, path: String, gap: u64, report: MVar<i64>) -> Io<()> {
-    l.connect().and_then(move |conn| {
-        conn.send_text_slowly(Request::get(path).render(), gap)
-            .then(conn.read_response())
-            .and_then(move |resp| match status_of(&resp) {
-                ClientOutcome::Status(s) => report.put(i64::from(s)),
-                ClientOutcome::Garbled => report.put(-1),
-            })
-    })
+    exchange(
+        l,
+        move |conn| conn.send_text_slowly(Request::get(path).render(), gap),
+        report,
+    )
 }
 
 /// A garbage client: sends bytes that are not HTTP.
 pub fn garbage_client(l: Listener, report: MVar<i64>) -> Io<()> {
-    l.connect().and_then(move |conn| {
-        conn.send_text("%%% not http at all %%%\r\n\r\n")
-            .then(conn.read_response())
-            .and_then(move |resp| match status_of(&resp) {
-                ClientOutcome::Status(s) => report.put(i64::from(s)),
-                ClientOutcome::Garbled => report.put(-1),
-            })
-    })
+    exchange(
+        l,
+        |conn| conn.send_text("%%% not http at all %%%\r\n\r\n"),
+        report,
+    )
 }
 
 #[cfg(test)]

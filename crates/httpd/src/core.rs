@@ -25,7 +25,7 @@
 //!   `accepted` is final, once `active == 0` every outcome is visible
 //!   (outcome and decrement commit together), so the snapshot of a
 //!   quiesced cell satisfies [`StatsSnapshot::conserved`]. Quiesced
-//!   cells sum ([`StatsSnapshot::merge`]) to a snapshot that obeys the
+//!   cells sum (`StatsSnapshot::merge`) to a snapshot that obeys the
 //!   same law — the sharded aggregate needs no cross-cell atomic read.
 
 use std::rc::Rc;

@@ -62,7 +62,7 @@ pub(crate) fn request_end(buf: &str, from: usize) -> Result<Option<usize>, Excep
 /// request may span several chunks, one chunk may hold several
 /// requests, and a reader sees the same bytes whatever the partition.
 ///
-/// Close is in-band: the final chunk ends with the [`EOT`] sentinel (a
+/// Close is in-band: the final chunk ends with the `EOT` sentinel (a
 /// piggybacked FIN), or a lone-EOT chunk is sent. EOT never appears
 /// mid-chunk.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,7 +95,7 @@ impl Connection {
     }
 
     /// Client side: send a final chunk with the FIN piggybacked — the
-    /// bytes followed by the in-band [`EOT`]. After this the server
+    /// bytes followed by the in-band `EOT`. After this the server
     /// will serve every complete request in the stream and then close.
     pub fn send_frame_fin(&self, text: impl Into<String>) -> Io<()> {
         let mut text: String = text.into();
@@ -128,7 +128,7 @@ impl Connection {
 
     /// Client side: close without sending further bytes (a bare FIN).
     /// The server's next (or in-progress) request read raises
-    /// [`connection_closed`] instead of waiting forever for bytes that
+    /// `connection_closed` instead of waiting forever for bytes that
     /// will never come.
     pub fn close(&self) -> Io<()> {
         self.send_frame_fin("")
@@ -209,7 +209,7 @@ impl Connection {
         self.read_response()
     }
 
-    /// [`send_response`](Self::send_response).
+    /// Server side: send one chunk of response bytes.
     pub fn send_response_frame(&self, text: impl Into<String>) -> Io<()> {
         self.send_response(text)
     }

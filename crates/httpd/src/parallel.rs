@@ -4,11 +4,10 @@
 //! 16 shards serve 16x the requests per virtual second — but a single
 //! [`Runtime`](conch_runtime::Runtime) still interprets every shard's
 //! threads on one OS thread, so *wall* throughput stays flat at any
-//! shard count. This module re-homes the plane onto
-//! [`MultiRuntime`](conch_runtime::parallel::MultiRuntime): each shard's
-//! acceptor, workers, bounded accept `Mailbox` and `ServerStats` cell
-//! live on their **own** runtime, pinned to an OS thread, so shards
-//! genuinely run in parallel on real hardware.
+//! shard count. This module re-homes the plane onto [`MultiRuntime`]:
+//! each shard's acceptor, workers, bounded accept `Mailbox` and
+//! `ServerStats` cell live on their **own** runtime, pinned to an OS
+//! thread, so shards genuinely run in parallel on real hardware.
 //!
 //! Concretely each shard program is a self-contained single-shard
 //! plane: `ShardedListener::bind(1, ..)` + `start_sharded` plus that
@@ -17,7 +16,7 @@
 //! Cross-shard traffic uses the deterministic epoch-synced channels:
 //! after its local quiescent audit, every shard ships its
 //! `(oks, snapshot)` as an **aggregate-stat message** to shard 0, which
-//! folds them with [`StatsSnapshot::merge`] — so the conservation-law
+//! folds them with `StatsSnapshot::merge` — so the conservation-law
 //! aggregate itself crosses the channel plane, and the merged result is
 //! bit-identical for any `os_threads` count.
 //!
@@ -78,7 +77,7 @@ pub struct WallReport {
     /// 0 over the channel plane*.
     pub oks: i64,
     /// The cross-shard aggregate snapshot, folded by shard 0 from the
-    /// per-shard aggregate-stat messages with [`StatsSnapshot::merge`].
+    /// per-shard aggregate-stat messages with `StatsSnapshot::merge`.
     pub merged: StatsSnapshot,
     /// Each shard's own quiescent snapshot, in shard order.
     pub per_shard: Vec<StatsSnapshot>,
@@ -171,7 +170,6 @@ where
         .collect();
     let mut mr = MultiRuntime::new(MultiConfig {
         epoch_us: cfg.epoch_us,
-        epoch_steps: None,
         os_threads: cfg.os_threads,
         runtime: RuntimeConfig::default(),
     });

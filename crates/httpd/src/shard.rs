@@ -347,7 +347,7 @@ impl Default for LoadConfig {
 /// the number of `200` responses every client collected, and the
 /// quiescent-aggregate snapshot after the audit protocol, so
 /// `aggregate.conserved()` is the conservation-law verdict. Clients
-/// split evenly over the shards ([`per_shard`]); per shard one feeder
+/// split evenly over the shards (`per_shard`); per shard one feeder
 /// thread paces its connections in and one collector thread reads each
 /// connection's single batched response frame.
 pub fn sharded_load(h: Handler, cfg: LoadConfig) -> Io<(i64, StatsSnapshot)> {

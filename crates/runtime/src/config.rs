@@ -28,7 +28,11 @@ pub enum DeliveryMode {
     Polling,
 }
 
-/// Which thread runs next, and for how long.
+/// Which thread runs next, and for how long — unless a
+/// [`Decider`](crate::decide::Decider) is installed
+/// ([`Runtime::set_decider`](crate::scheduler::Runtime::set_decider)):
+/// then the decider answers every pick and every delivery, one step at
+/// a time, and the policy is not consulted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulingPolicy {
     /// Deterministic round-robin with a fixed quantum of interpreter steps.
@@ -39,15 +43,6 @@ pub enum SchedulingPolicy {
         /// RNG seed.
         seed: u64,
     },
-    /// Every scheduling decision is made by an externally supplied
-    /// [`Decider`](crate::decide::Decider) (see
-    /// [`Runtime::set_decider`](crate::scheduler::Runtime::set_decider)):
-    /// the driver picks the next runnable thread at every step boundary
-    /// (the quantum is forced to 1) and chooses the step at which each
-    /// pending asynchronous exception is delivered. This is the hook the
-    /// schedule explorer drives. Without a decider installed it degrades
-    /// to round-robin with a quantum of 1.
-    External,
 }
 
 /// What happens when every thread is stuck and no sleeper can wake.
@@ -176,12 +171,6 @@ impl RuntimeConfig {
     /// Convenience: seeded random scheduling.
     pub fn random_scheduling(self, seed: u64) -> Self {
         self.scheduling(SchedulingPolicy::Random { seed })
-    }
-
-    /// Convenience: externally-driven scheduling (see
-    /// [`SchedulingPolicy::External`]).
-    pub fn external_scheduling(self) -> Self {
-        self.scheduling(SchedulingPolicy::External)
     }
 
     /// Enables or disables scheduler-visible events in the I/O trace.

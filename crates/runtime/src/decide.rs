@@ -1,6 +1,7 @@
 //! Externally-driven scheduling: the hook a model checker drives.
 //!
-//! Under [`SchedulingPolicy::External`](crate::config::SchedulingPolicy)
+//! Once a [`Decider`] is installed
+//! ([`Runtime::set_decider`](crate::scheduler::Runtime::set_decider)),
 //! the runtime makes no scheduling decisions of its own: at every step
 //! boundary where a decision exists it asks a [`Decider`] which runnable
 //! thread moves next, and — when the chosen thread is unmasked with
@@ -191,8 +192,9 @@ impl Pick {
     }
 }
 
-/// The external scheduling driver consulted under
-/// [`SchedulingPolicy::External`](crate::config::SchedulingPolicy).
+/// The external scheduling driver, consulted whenever one is installed
+/// ([`Runtime::set_decider`](crate::scheduler::Runtime::set_decider)),
+/// whatever the configured [`SchedulingPolicy`](crate::config::SchedulingPolicy).
 ///
 /// The runtime asks at every step boundary where there is something to
 /// decide: before every step, except inside a run of invisible moves

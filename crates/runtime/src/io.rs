@@ -368,12 +368,11 @@ impl Io<i64> {
     /// A scheduler-visible nondeterministic choice: yields some arm in
     /// `0..arms`.
     ///
-    /// Under [`SchedulingPolicy::External`](crate::config::SchedulingPolicy)
-    /// the installed [`Decider`](crate::decide::Decider) picks the arm via
+    /// An installed [`Decider`](crate::decide::Decider) picks the arm via
     /// [`choose_arm`](crate::decide::Decider::choose_arm), which lets
     /// `conch-explore` enumerate every alternative as a first-class branch
-    /// point (fault × schedule exploration). Without a decider — or under
-    /// any other scheduling policy — the choice resolves to arm `0`, so
+    /// point (fault × schedule exploration). Without a decider, under
+    /// either scheduling policy, the choice resolves to arm `0`, so
     /// programs are deterministic by default and arm `0` should encode
     /// "nothing unusual happens".
     ///

@@ -80,7 +80,7 @@ pub use crate::ids::{MVarId, ThreadId};
 pub use crate::io::Io;
 pub use crate::mvar::MVar;
 pub use crate::parallel::{
-    CrossMsg, Envelope, MultiConfig, MultiReport, MultiRuntime, ShardCtx, ShardProgram, ShardReport,
+    MultiConfig, MultiReport, MultiRuntime, ShardCtx, ShardProgram, ShardReport,
 };
 pub use crate::scheduler::Runtime;
 pub use crate::stats::Stats;

@@ -23,13 +23,19 @@
 //! any `os_threads` count, and `os_threads = 1` is the semantic oracle
 //! for `os_threads = N`.
 //!
-//! An epoch may take several **rounds**: a shard that exhausts its
-//! per-round step budget, or is woken by a barrier delivery, runs again
-//! under the same clock cap. The epoch advances only when every shard
-//! is idle and nothing is in flight, fast-forwarding straight to the
-//! epoch containing the earliest pending wake — so mostly-sleeping
-//! programs cost barriers proportional to activity, not to virtual
-//! time.
+//! An epoch may take several **rounds**: a shard woken by a barrier
+//! delivery runs again under the same clock cap. The epoch advances
+//! only when every shard is idle and nothing is in flight,
+//! fast-forwarding straight to the epoch containing the earliest
+//! pending wake — so mostly-sleeping programs cost barriers
+//! proportional to activity, not to virtual time.
+//!
+//! The rule a shard program follows: **a shard reaches a barrier only
+//! by going idle or finishing.** There is no step budget that forces a
+//! busy shard to the barrier; its messages wait, delayed arbitrarily
+//! but never reordered, until it blocks. A loop that polls
+//! [`ShardCtx::try_recv`] without ever taking a blocking step therefore
+//! never sees another shard's message — wait with [`ShardCtx::recv`].
 //!
 //! ## Asynchronous exceptions across the boundary
 //!
@@ -76,10 +82,6 @@ pub struct MultiConfig {
     /// messages are delivered only at epoch/round barriers, so smaller
     /// epochs mean lower cross-shard latency but more barriers.
     pub epoch_us: u64,
-    /// Optional per-shard, per-round interpreter step budget, so a
-    /// CPU-bound shard (which never sleeps and so never hits the clock
-    /// cap) still yields to the barrier deterministically.
-    pub epoch_steps: Option<u64>,
     /// OS threads to spread the shards over. Results are bit-identical
     /// for every value; `1` is the semantic oracle.
     pub os_threads: usize,
@@ -91,7 +93,6 @@ impl Default for MultiConfig {
     fn default() -> Self {
         MultiConfig {
             epoch_us: 1_000,
-            epoch_steps: None,
             os_threads: 1,
             runtime: RuntimeConfig::default(),
         }
@@ -100,7 +101,7 @@ impl Default for MultiConfig {
 
 /// A message crossing the shard boundary at an epoch barrier.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CrossMsg {
+enum CrossMsg {
     /// A value sent with [`ShardCtx::send`], delivered into the
     /// destination shard's inbox.
     Data(Value),
@@ -120,15 +121,15 @@ pub enum CrossMsg {
 /// per-source send counter, so the drain order is a pure function of
 /// program behaviour.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Envelope {
+struct Envelope {
     /// Sending shard.
-    pub src: u16,
+    src: u16,
     /// Per-source monotone send counter.
-    pub seq: u64,
+    seq: u64,
     /// Destination shard.
-    pub dest: u16,
+    dest: u16,
     /// The payload.
-    pub msg: CrossMsg,
+    msg: CrossMsg,
 }
 
 #[derive(Default)]
@@ -280,24 +281,10 @@ pub struct MultiReport {
     pub messages: u64,
 }
 
-impl MultiReport {
-    /// Field-wise merge of every shard's [`Stats`] (sums counters,
-    /// maxes high-water marks) — the cross-thread-count determinism
-    /// oracle's single-value summary.
-    pub fn merged_stats(&self) -> Stats {
-        let mut acc = Stats::default();
-        for s in &self.shards {
-            acc.merge(&s.stats);
-        }
-        acc
-    }
-}
-
 enum Cmd {
     Round {
         sync_to: u64,
         cap: u64,
-        budget: Option<u64>,
         /// Deliveries per *local* shard, in the worker's shard order.
         deliveries: Vec<Vec<Envelope>>,
     },
@@ -308,7 +295,6 @@ enum Cmd {
 #[derive(Debug, Clone, Copy)]
 enum Outcome {
     Finished,
-    Budget,
     Idle { next_wake: Option<u64> },
     Done,
 }
@@ -380,7 +366,6 @@ fn worker_main(
             Cmd::Round {
                 sync_to,
                 cap,
-                budget,
                 deliveries,
             } => {
                 let mut outcomes = Vec::with_capacity(shards.len());
@@ -407,12 +392,11 @@ fn worker_main(
                     if any_data {
                         ws.rt.host_try_put_mvar(ws.signal, Value::Int(1));
                     }
-                    let outcome = match ws.rt.pump(cap, budget) {
+                    let outcome = match ws.rt.pump(cap) {
                         PumpOutcome::Finished(res) => {
                             ws.done = Some(res);
                             Outcome::Finished
                         }
-                        PumpOutcome::Budget => Outcome::Budget,
                         PumpOutcome::Idle { next_wake } => Outcome::Idle { next_wake },
                     };
                     outcomes.push(outcome);
@@ -598,7 +582,6 @@ impl MultiRuntime {
                 tx.send(Cmd::Round {
                     sync_to,
                     cap,
-                    budget: self.config.epoch_steps,
                     deliveries,
                 })
                 .expect("worker alive");
@@ -611,7 +594,6 @@ impl MultiRuntime {
                         for (&g, outcome) in assignment[w].iter().zip(outcomes) {
                             statuses[g as usize] = match outcome {
                                 Outcome::Finished | Outcome::Done => Status::Finished,
-                                Outcome::Budget => Status::Running,
                                 Outcome::Idle { next_wake } => Status::Idle { next_wake },
                             };
                         }
@@ -679,7 +661,6 @@ mod tests {
     fn config(os_threads: usize) -> MultiConfig {
         MultiConfig {
             epoch_us: 1_000,
-            epoch_steps: None,
             os_threads,
             runtime: RuntimeConfig::default(),
         }

@@ -1,7 +1,7 @@
 //! The scheduler's run queue: FIFO order with O(1) unlinking.
 //!
 //! `VecDeque::remove(i)` shifts up to half the queue on every pick —
-//! O(n) per scheduling decision under the Random and External policies,
+//! O(n) per scheduling decision under the random policy or a decider,
 //! which pick from the middle. This queue keeps the same observable
 //! FIFO semantics but unlinks by *tombstoning*: removal blanks the
 //! entry in place, and compaction runs only when tombstones outnumber

@@ -127,7 +127,7 @@ impl Runtime {
     /// was delivered. Delivery does not preempt an exception already
     /// being raised: §8 treats raising as atomic (the stack is truncated
     /// to the handler in one go), so a mid-unwind thread is not a
-    /// delivery point. Under external scheduling the decider picks the
+    /// delivery point. An installed decider picks the
     /// delivery step: deferring leaves the exception queued and the
     /// thread takes its ordinary step, so the decider sees the same
     /// choice again at the thread's next unmasked step.

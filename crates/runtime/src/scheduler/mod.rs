@@ -102,12 +102,12 @@ pub struct Runtime {
     /// an epoch-capped [`Runtime::pump`] counts switches across pump
     /// boundaries exactly as one uninterrupted run would.
     last_scheduled: Option<ThreadId>,
-    /// External scheduling driver (only consulted under
-    /// [`SchedulingPolicy::External`]). Kept in an `Option` so it can be
-    /// temporarily moved out while the runtime is borrowed.
+    /// External scheduling driver: once installed it answers every pick
+    /// and every delivery, and `rng` goes unused. Kept in an `Option` so
+    /// it can be temporarily moved out while the runtime is borrowed.
     decider: Option<Box<dyn Decider>>,
     /// Reusable buffer for the per-decision `ThreadView` list handed to
-    /// the decider (External policy asks before every visible step, so
+    /// the decider (which is asked before every visible step, so
     /// without this the scheduler would allocate a fresh `Vec` each time).
     view_scratch: Vec<ThreadView>,
     /// Run-queue positions matching `view_scratch`, for O(1) unlinking
@@ -149,8 +149,6 @@ pub(crate) enum PumpOutcome {
     /// local deadlock, in the uncapped path): the run is over and (Proc
     /// GC) has recycled every other thread.
     Finished(Result<Value, RunError>),
-    /// The per-pump step budget ran out with work still queued.
-    Budget,
     /// Nothing is runnable and no sleeper is due at or before the clock
     /// cap. `next_wake` is the earliest stored wake time (possibly of a
     /// lazily-invalidated sleeper), `None` if the wheel is empty.
@@ -190,7 +188,7 @@ fn enqueue_runnable(run_queue: &mut RunQueue, th: &mut Thread) {
 fn rng_for(config: &RuntimeConfig) -> Option<StdRng> {
     match config.scheduling {
         SchedulingPolicy::Random { seed } => Some(StdRng::seed_from_u64(seed)),
-        SchedulingPolicy::RoundRobin | SchedulingPolicy::External => None,
+        SchedulingPolicy::RoundRobin => None,
     }
 }
 
@@ -322,7 +320,7 @@ impl Runtime {
 
     pub(crate) fn run_value(&mut self, action: Action) -> Result<Value, RunError> {
         self.begin_run(action);
-        match self.pump_inner(None, None, true) {
+        match self.pump_inner(None, true) {
             PumpOutcome::Finished(res) => res,
             out => unreachable!("uncapped pump returned {out:?} instead of finishing"),
         }
@@ -344,25 +342,19 @@ impl Runtime {
     }
 
     /// Runs the program started by [`Runtime::begin_run`] until it
-    /// finishes, exhausts `step_budget` interpreter steps, or goes idle
-    /// with no sleeper due at or before `clock_cap` (the inclusive end
-    /// of the current epoch). Never applies the deadlock policy — a
-    /// capped shard that is locally stuck may still be woken by a
-    /// cross-shard message, so only the coordinator, seeing every shard
-    /// idle with nothing in flight, can declare a global deadlock.
-    pub(crate) fn pump(&mut self, clock_cap: u64, step_budget: Option<u64>) -> PumpOutcome {
-        self.pump_inner(Some(clock_cap), step_budget, false)
+    /// finishes or goes idle with no sleeper due at or before
+    /// `clock_cap` (the inclusive end of the current epoch). Never
+    /// applies the deadlock policy — a capped shard that is locally
+    /// stuck may still be woken by a cross-shard message, so only the
+    /// coordinator, seeing every shard idle with nothing in flight, can
+    /// declare a global deadlock.
+    pub(crate) fn pump(&mut self, clock_cap: u64) -> PumpOutcome {
+        self.pump_inner(Some(clock_cap), false)
     }
 
     /// The scheduler loop shared by [`Runtime::run`] (uncapped,
     /// `local_deadlock`) and [`Runtime::pump`] (epoch-capped).
-    fn pump_inner(
-        &mut self,
-        clock_cap: Option<u64>,
-        step_budget: Option<u64>,
-        local_deadlock: bool,
-    ) -> PumpOutcome {
-        let budget_end = step_budget.map(|b| self.stats.steps.saturating_add(b));
+    fn pump_inner(&mut self, clock_cap: Option<u64>, local_deadlock: bool) -> PumpOutcome {
         'sched: loop {
             if let Some(res) = self.main_result.take() {
                 // (Proc GC): once the main thread is finished, all other
@@ -381,11 +373,6 @@ impl Runtime {
                 Some(limit) => limit - self.stats.steps,
                 None => u64::MAX,
             };
-            if let Some(end) = budget_end {
-                if self.stats.steps >= end {
-                    return PumpOutcome::Budget;
-                }
-            }
             if self.run_queue.is_empty() {
                 if self.advance_clock(clock_cap) {
                     continue;
@@ -438,7 +425,7 @@ impl Runtime {
                 }
                 // `main_result` mid-quantum is a failed fork ending the run.
                 if steps_left == 0 || self.yielded || self.main_result.is_some() {
-                    if invisible && self.invisible_run_goes_on(&th, budget_end) {
+                    if invisible && self.invisible_run_goes_on(&th) {
                         steps_left = 1;
                         continue;
                     }
@@ -499,30 +486,19 @@ impl Runtime {
     // External scheduling
     // ------------------------------------------------------------------
 
-    /// Installs an external scheduling driver and switches the runtime to
-    /// [`SchedulingPolicy::External`]: from the next run on, every
-    /// thread-selection and exception-delivery decision is made by
-    /// `decider`. The decider persists across runs until replaced or
-    /// removed with [`Runtime::clear_decider`].
+    /// Installs an external scheduling driver: from the next run on,
+    /// every thread-selection and exception-delivery decision is made by
+    /// `decider`, one step at a time, whatever the configured
+    /// [`SchedulingPolicy`]. The decider persists across runs (and
+    /// [`Runtime::reset`]) until replaced.
     pub fn set_decider(&mut self, decider: Box<dyn Decider>) {
-        self.config.scheduling = SchedulingPolicy::External;
-        self.rng = None;
         self.decider = Some(decider);
-    }
-
-    /// Removes the external scheduling driver, if any, and returns it.
-    /// The policy stays [`SchedulingPolicy::External`] (degrading to
-    /// round-robin with quantum 1) until reconfigured.
-    pub fn clear_decider(&mut self) -> Option<Box<dyn Decider>> {
-        self.decider.take()
     }
 
     /// Consults the installed decider, if any: it is moved out for the
     /// call, so `ask` may use the rest of the runtime, and put back.
     /// `None` means no decider is installed and the caller's default
-    /// applies. A decider is only ever installed by
-    /// [`Runtime::set_decider`], which also switches the policy to
-    /// [`SchedulingPolicy::External`].
+    /// applies.
     fn with_decider<R>(&mut self, ask: impl FnOnce(&mut Self, &mut dyn Decider) -> R) -> Option<R> {
         let mut decider = self.decider.take()?;
         let answer = ask(self, decider.as_mut());
@@ -590,7 +566,7 @@ impl Runtime {
     }
 
     fn quantum_for(&mut self) -> u64 {
-        if self.config.scheduling == SchedulingPolicy::External {
+        if self.decider.is_some() {
             // One step per decision: the driver sees every step boundary
             // but those inside an invisible run it announced itself.
             return 1;
@@ -605,17 +581,19 @@ impl Runtime {
     /// An invisible run (see [`Decider::choose_thread`]) is one quantum:
     /// at each of its step boundaries the decider's answer could not
     /// differ, so `th` steps on unasked — while its next step is still
-    /// local with nothing pending, the run is not over, and neither
-    /// `max_steps` nor the pump's step budget is spent. Out of line: only
-    /// a decider's quantum end gets here, and inlined into the step loop
-    /// it cost the other policies ≈ 3 % (EXPERIMENTS.md X1).
+    /// local with nothing pending, the run is not over, and `max_steps`
+    /// is not spent. Out of line: only a decider's quantum end gets
+    /// here, and inlined into the step loop it cost the other policies
+    /// ≈ 3 % (EXPERIMENTS.md X1).
     #[inline(never)]
-    fn invisible_run_goes_on(&self, th: &Thread, budget_end: Option<u64>) -> bool {
-        let steps_end = self.config.max_steps.into_iter().chain(budget_end).min();
+    fn invisible_run_goes_on(&self, th: &Thread) -> bool {
         self.main_result.is_none()
             && th.pending.is_empty()
             && footprint_of(th).is_local()
-            && steps_end.is_none_or(|end| self.stats.steps < end)
+            && self
+                .config
+                .max_steps
+                .is_none_or(|end| self.stats.steps < end)
     }
 
     /// The thread that runs next, and whether a decider called the pick
@@ -624,8 +602,7 @@ impl Runtime {
         if let Some(pick) = self.with_decider(|rt, d| rt.pick_with(d, previous)) {
             return pick;
         }
-        // Round-robin, which external scheduling without a decider
-        // degrades to, or a seeded random pick.
+        // Round-robin, or a seeded random pick.
         let tid = match &mut self.rng {
             None => self.run_queue.pop_front().expect("non-empty run queue"),
             Some(rng) => {

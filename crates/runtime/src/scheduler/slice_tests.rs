@@ -1,5 +1,5 @@
 //! The quantum-resident loop must be invisible to a driver that
-//! slices a run into capped pumps: same program, same everything.
+//! slices a run into clock-capped pumps: same program, same everything.
 
 use super::*;
 use crate::io::for_each;
@@ -60,43 +60,31 @@ fn a_sliced_run_equals_an_uncapped_run() {
         let expected = whole.run(every_exit());
         assert_eq!(expected, Ok(5));
         assert_eq!(whole.output(), "yyyym.");
-        for budget in [1, 3, 11, 64] {
+        for epoch in [1, 3, 11, 64] {
             let mut rt = Runtime::with_config(config(quantum));
             rt.begin_run(every_exit().action);
+            let mut cap = epoch - 1;
             let result = loop {
-                match rt.pump(u64::MAX, Some(budget)) {
+                match rt.pump(cap) {
                     PumpOutcome::Finished(res) => break res,
-                    PumpOutcome::Budget => assert_live_threads_resolve(&rt),
-                    PumpOutcome::Idle { .. } => panic!("idle with the clock uncapped"),
+                    PumpOutcome::Idle { next_wake } => {
+                        assert!(next_wake.is_some(), "idle with no sleeper left");
+                        assert_live_threads_resolve(&rt);
+                        cap += epoch;
+                    }
                 }
             };
-            let label = format!("quantum {quantum}, budget {budget}");
+            let label = format!("quantum {quantum}, epoch {epoch}");
             assert_eq!(result.map(i64::from_value_or_panic), expected, "{label}");
             assert_eq!(rt.output(), whole.output(), "{label}");
-            assert_eq!(rt.io_trace(), whole.io_trace(), "{label}");
+            assert_eq!(
+                advances_merged(rt.io_trace()),
+                advances_merged(whole.io_trace()),
+                "{label}"
+            );
             assert_eq!(rt.stats(), whole.stats(), "{label}");
             assert_eq!(rt.clock(), whole.clock(), "{label}");
         }
-    }
-}
-
-#[test]
-fn host_throw_at_a_slice_boundary_reaches_the_thread_that_was_running() {
-    for quantum in [1, 3, 11] {
-        let mut rt = Runtime::with_config(config(quantum));
-        let prog = Io::compute_returning(1_000, 0_i64).catch(|e| {
-            assert!(e.is_kill_thread());
-            Io::pure(1_i64)
-        });
-        rt.begin_run(prog.action);
-        assert!(matches!(rt.pump(u64::MAX, Some(7)), PumpOutcome::Budget));
-        // The main thread was mid-compute when the budget ran out.
-        rt.host_throw_to(rt.main_thread_id(), Exception::kill_thread());
-        let PumpOutcome::Finished(result) = rt.pump(u64::MAX, None) else {
-            panic!("an unbudgeted pump of a live program must finish");
-        };
-        assert_eq!(result, Ok(Value::Int(1)), "quantum {quantum}");
-        assert_eq!(rt.stats().async_deliveries, 1);
     }
 }
 
@@ -141,7 +129,7 @@ fn advance_sum(rt: &Runtime) -> u64 {
 fn pumped_to_the_stale_tick() -> Runtime {
     let mut rt = Runtime::with_config(config(11));
     rt.begin_run(unfired_timeout().action);
-    let idle = rt.pump(60, None);
+    let idle = rt.pump(60);
     assert!(
         matches!(
             idle,
@@ -167,7 +155,7 @@ fn an_all_stale_tick_splits_a_capped_advance_and_nothing_else() {
     );
 
     let mut rt = pumped_to_the_stale_tick();
-    let rest = rt.pump(u64::MAX, None);
+    let rest = rt.pump(u64::MAX);
     assert!(
         matches!(rest, PumpOutcome::Finished(Ok(Value::Unit))),
         "{rest:?}"
@@ -192,7 +180,7 @@ fn a_timer_filed_right_after_a_capped_stale_pop_is_not_behind_the_cursor() {
     // cursor does not rebase — `TimerWheel::insert` asserts the clock
     // has kept up with it.
     rt.host_throw_to(rt.main_thread_id(), Exception::custom("host"));
-    let rest = rt.pump(u64::MAX, None);
+    let rest = rt.pump(u64::MAX);
     assert!(
         matches!(rest, PumpOutcome::Finished(Ok(Value::Unit))),
         "{rest:?}"

@@ -472,7 +472,7 @@ impl crate::decide::Decider for Prefer {
 #[test]
 fn external_decider_controls_interleaving() {
     let run_with = |highest: bool| {
-        let mut rt = Runtime::with_config(RuntimeConfig::new().external_scheduling());
+        let mut rt = Runtime::with_config(RuntimeConfig::new());
         rt.set_decider(Box::new(Prefer { highest }));
         let prog = Io::fork(Io::put_char('b'))
             .then(Io::put_char('a'))
@@ -512,7 +512,7 @@ fn external_decider_controls_delivery_point() {
     let mut plain = Runtime::new();
     assert!(plain.run(prog()).is_err());
 
-    let mut driven = Runtime::with_config(RuntimeConfig::new().external_scheduling());
+    let mut driven = Runtime::with_config(RuntimeConfig::new());
     driven.set_decider(Box::new(Defer));
     assert_eq!(driven.run(prog()).unwrap(), 7);
 }
@@ -616,7 +616,7 @@ fn a_yield_does_not_end_an_invisible_run() {
     // Binds, countdowns and the yield are all local steps of the only
     // thread: one question starts the run, the next is the terminal.
     let prog = || Io::compute(3).then(Io::yield_now()).then(Io::compute(3));
-    let config = RuntimeConfig::new().external_scheduling();
+    let config = RuntimeConfig::new();
     let (rt, result, questions) = probed(config, quiet, true, prog());
     assert_eq!(result, Ok(()));
     let footprints: Vec<_> = questions.iter().map(|q| q.1).collect();
@@ -643,7 +643,7 @@ fn a_thread_with_an_exception_queued_is_asked_about_at_every_step() {
     let unmasked = move || Io::my_thread_id().and_then(deferred);
     let masked = move || Io::my_thread_id().and_then(move |me| Io::<()>::block(deferred(me)));
     for (prog, masks) in [(unmasked(), false), (masked(), true)] {
-        let config = RuntimeConfig::new().external_scheduling();
+        let config = RuntimeConfig::new();
         let (_, _, every_step) = probed(config.clone(), |_| false, false, prog);
         let prog = if masks { masked() } else { unmasked() };
         let (_, _, questions) = probed(config, |_| true, false, prog);
@@ -656,11 +656,77 @@ fn a_thread_with_an_exception_queued_is_asked_about_at_every_step() {
     }
 }
 
+/// A decider that counts the questions it is asked: it always picks
+/// the first runnable thread and always defers delivery.
+struct Counting {
+    picks: std::rc::Rc<std::cell::Cell<u64>>,
+    deliveries: std::rc::Rc<std::cell::Cell<u64>>,
+}
+
+impl Decider for Counting {
+    fn choose_thread(&mut self, _: &[ThreadView], _: Option<ThreadId>) -> Pick {
+        self.picks.set(self.picks.get() + 1);
+        Pick::visible(0)
+    }
+
+    fn deliver_now(&mut self, _view: ThreadView) -> bool {
+        self.deliveries.set(self.deliveries.get() + 1);
+        false
+    }
+}
+
 #[test]
-fn external_without_decider_is_round_robin() {
-    let mut rt = Runtime::with_config(RuntimeConfig::new().external_scheduling());
-    let prog = Io::new_empty_mvar::<i64>().and_then(|m| Io::fork(m.put(10)).then(m.take()));
-    assert_eq!(rt.run(prog).unwrap(), 10);
+fn an_installed_decider_answers_every_pick_and_delivery_under_a_random_policy() {
+    let prog = || {
+        Io::fork(
+            Io::put_char('b')
+                .then(Io::compute(5))
+                .then(Io::put_char('c')),
+        )
+        .then(Io::my_thread_id())
+        .and_then(|me| {
+            Io::throw_to(me, Exception::custom("never"))
+                .then(Io::put_char('a'))
+                .then(Io::compute_returning(4, 7_i64))
+        })
+    };
+    // Two runs on one runtime, with a reset between them: each run's
+    // result, output, steps, and the picks and deliveries it was asked.
+    let runs = |config: RuntimeConfig| {
+        let picks = std::rc::Rc::default();
+        let deliveries = std::rc::Rc::default();
+        let mut rt = Runtime::with_config(config);
+        rt.set_decider(Box::new(Counting {
+            picks: std::rc::Rc::clone(&picks),
+            deliveries: std::rc::Rc::clone(&deliveries),
+        }));
+        let once = |rt: &mut Runtime| {
+            picks.set(0);
+            deliveries.set(0);
+            let result = rt.run(prog());
+            let steps = rt.stats().steps;
+            assert_eq!(picks.get(), steps, "one pick per step");
+            assert!(
+                deliveries.get() > 0,
+                "the pending throw was never asked about"
+            );
+            (result, rt.output().to_owned(), steps, deliveries.get())
+        };
+        let first = once(&mut rt);
+        rt.reset();
+        let second = once(&mut rt);
+        assert_eq!(first, second, "reset kept the decider");
+        first
+    };
+    let round_robin = runs(RuntimeConfig::new());
+    assert_eq!((&round_robin.0, &*round_robin.1), (&Ok(7), "bac"));
+    for seed in [1, 2, 3, 42] {
+        assert_eq!(
+            runs(RuntimeConfig::new().random_scheduling(seed)),
+            round_robin,
+            "seed {seed}"
+        );
+    }
 }
 
 #[test]

@@ -579,7 +579,6 @@ fn sampling_strategies() -> Vec<Strategy> {
             depth: 3,
             seed: 0xC0FFEE,
         },
-        Strategy::UniformRandom { seed: 7 },
         Strategy::Swarm {
             seeds: vec![1, 2, 3],
         },

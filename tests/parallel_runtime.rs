@@ -164,7 +164,7 @@ fn echo_factory() -> impl Fn() -> Handler + Send + Clone + 'static {
 }
 
 #[test]
-fn wall_plane_merged_stats_are_identical_at_any_os_thread_count() {
+fn wall_plane_merged_snapshot_is_identical_at_any_os_thread_count() {
     let cfg = |os_threads| WallConfig {
         shards: 4,
         clients: 200,
