@@ -46,8 +46,10 @@ fn fifty_paced_requests_take_4900_virtual_microseconds() {
 /// One point of the sharded sweep: `clients` keep-alive connections of
 /// ten pipelined requests over `shards` accept shards, arrivals 100 µs
 /// apart per shard. Every request must come back `200` and the
-/// quiescent aggregate must account for each exactly once.
-fn sweep_point(clients: usize, shards: usize) -> (f64, usize) {
+/// quiescent aggregate must account for each exactly once. Returns the
+/// requests per virtual second and the thread-slot and sleeper-queue
+/// high-waters.
+fn sweep_point(clients: usize, shards: usize) -> (f64, usize, usize) {
     const PIPELINE: usize = 10;
     let cfg = LoadConfig {
         clients,
@@ -70,14 +72,19 @@ fn sweep_point(clients: usize, shards: usize) -> (f64, usize) {
         "{clients} x {shards}"
     );
     let per_virtual_sec = requests as f64 / (rt.clock() as f64 / 1e6);
-    (per_virtual_sec, rt.stats().max_thread_slots)
+    let stats = rt.stats();
+    (
+        per_virtual_sec,
+        stats.max_thread_slots,
+        stats.max_sleeper_heap,
+    )
 }
 
 /// Requests per virtual second at 1, 4 and 16 shards, compared at the
 /// one decimal the pins carry.
-fn assert_sweep_row(clients: usize, pins: [f64; 3]) -> [(f64, usize); 3] {
+fn assert_sweep_row(clients: usize, pins: [f64; 3]) -> [(f64, usize, usize); 3] {
     let row = [1, 4, 16].map(|shards| sweep_point(clients, shards));
-    for ((got, _), pin) in row.iter().zip(pins) {
+    for ((got, _, _), pin) in row.iter().zip(pins) {
         assert_eq!(
             format!("{got:.1}"),
             format!("{pin:.1}"),
@@ -87,9 +94,12 @@ fn assert_sweep_row(clients: usize, pins: [f64; 3]) -> [(f64, usize); 3] {
     row
 }
 
+/// The sleeper queue's high-water is 5 / 20 / 80 entries at every
+/// client count: like the thread slots, it grows with the shards only.
 #[test]
 fn sharded_sweep_1k_clients() {
-    assert_sweep_row(1_000, [99_975.0, 399_600.4, 1_581_027.7]);
+    let row = assert_sweep_row(1_000, [99_975.0, 399_600.4, 1_581_027.7]);
+    assert_eq!(row.map(|(_, _, sleepers)| sleepers), [5, 20, 80]);
 }
 
 #[test]
@@ -101,11 +111,12 @@ fn sharded_sweep_10k_clients() {
 /// A million requests a point. Throughput in virtual time scales with
 /// the shard count, and the live-thread footprint is O(shards), not
 /// O(clients): a retired connection's slot is reclaimed before the next
-/// arrival needs one.
+/// arrival needs one, and so is its sleeper entry.
 #[test]
 #[ignore = "release"]
 fn sharded_sweep_100k_clients() {
     let row = assert_sweep_row(100_000, [99_999.8, 399_996.0, 1_599_936.0]);
     assert!(row[2].0 / row[0].0 >= 3.0);
-    assert_eq!(row.map(|(_, slots)| slots), [7, 25, 97]);
+    assert_eq!(row.map(|(_, slots, _)| slots), [7, 25, 97]);
+    assert_eq!(row.map(|(_, _, sleepers)| sleepers), [5, 20, 80]);
 }

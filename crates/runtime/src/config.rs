@@ -1,7 +1,8 @@
 //! Runtime configuration.
 //!
-//! The configuration exists to make the paper's design choices *togglable*
-//! so the bench harness can measure them:
+//! The configuration exists to make the paper's design choices
+//! *togglable*, so the ablations in `tests/ablations.rs` (EXPERIMENTS.md
+//! B1–B5) can count what each one buys:
 //!
 //! * [`DeliveryMode`] — fully-asynchronous delivery (the paper's design)
 //!   versus the polling / safe-point baseline used by Java, Modula-3 and
@@ -78,7 +79,7 @@ pub struct RuntimeConfig {
     /// loop bodies).
     pub quantum: u64,
     /// Apply the §8.1 adjacent block/unblock frame-collapse optimization.
-    /// Default: `true`; disable for the ablation bench.
+    /// Default: `true`; ablation B1 disables it.
     pub collapse_mask_frames: bool,
     /// Deadlock handling. Default: report an error.
     pub deadlock: DeadlockPolicy,
@@ -100,8 +101,7 @@ pub struct RuntimeConfig {
     /// Record scheduler-visible events (fork, throwTo, mask transitions,
     /// blocking) in the I/O trace alongside the observable console/clock
     /// events. Off by default so existing trace output is unchanged;
-    /// the schedule explorer turns it on to explain failing
-    /// interleavings.
+    /// `tests/golden_traces.rs` turns it on to pin rendered traces.
     pub record_sched_events: bool,
 }
 

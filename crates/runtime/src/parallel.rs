@@ -5,7 +5,7 @@
 //! becomes hardware scaling — wall throughput stays flat at any shard
 //! count. [`MultiRuntime`] removes that last serial wall by pinning N
 //! *independent* `Runtime` instances to OS threads, each with its own
-//! run queue, timer wheel, thread table and stats, and connecting them
+//! run queue, sleeper queue, thread table and stats, and connecting them
 //! with deterministic cross-runtime channels.
 //!
 //! ## The epoch-barrier discipline
@@ -149,7 +149,7 @@ pub struct ShardCtx {
     inbox: Rc<RefCell<VecDeque<Value>>>,
     /// Wakeup token for blocked receivers: the barrier try-puts it
     /// after delivering data, and a receiver that drains a value while
-    /// more remain cascades it onward, so a non-empty inbox always has
+    /// more remain passes it on, so a non-empty inbox always has
     /// a token or an awake consumer.
     signal: MVarId,
 }
@@ -203,7 +203,7 @@ impl ShardCtx {
     /// Pops the next delivered value without blocking, `None` if the
     /// inbox is empty.
     pub fn try_recv(&self) -> Io<Option<Value>> {
-        self.pop_and_cascade()
+        self.pop_and_pass_on()
     }
 
     /// Blocks until a cross-shard value arrives. Interruptible like any
@@ -211,7 +211,7 @@ impl ShardCtx {
     /// so an async exception can land while the thread is parked.
     pub fn recv(&self) -> Io<Value> {
         let ctx = self.clone();
-        self.pop_and_cascade().and_then(move |got| match got {
+        self.pop_and_pass_on().and_then(move |got| match got {
             Some(v) => Io::pure(v),
             None => {
                 let sig: MVar<i64> = MVar::from_id(ctx.signal);
@@ -223,7 +223,7 @@ impl ShardCtx {
 
     /// Pops one value and, if more remain, re-arms the signal token so
     /// another blocked receiver (if any) wakes too.
-    fn pop_and_cascade(&self) -> Io<Option<Value>> {
+    fn pop_and_pass_on(&self) -> Io<Option<Value>> {
         let inbox = self.inbox.clone();
         let sig: MVar<i64> = MVar::from_id(self.signal);
         Io::effect(move || {

@@ -44,7 +44,7 @@ impl RunQueue {
     }
 
     /// Pre-grows the buffer for a batch of `additional` pushes, so a
-    /// mass wakeup (one timer-wheel tick's worth of sleepers) pays for
+    /// mass wakeup (one virtual tick's worth of sleepers) pays for
     /// at most one reallocation instead of amortizing per push.
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);

@@ -67,7 +67,7 @@ impl Runtime {
                 self.mvars[m.0 as usize].forget_waiter(tid);
             }
             StuckReason::Sleep { .. } => {
-                // The wheel entry is invalidated by the status change and
+                // The sleeper entry is invalidated by the status change and
                 // skipped when popped; count it so compaction can evict
                 // piles of dead entries before their wake_at arrives.
                 self.stale_sleepers += 1;

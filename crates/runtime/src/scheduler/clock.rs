@@ -1,5 +1,5 @@
-//! The virtual clock: the sleeper wheel, the one clock advance, and
-//! the bookkeeping of lazily-invalidated (stale) wheel entries.
+//! The virtual clock: the sleeper queue, the one clock advance, and
+//! the bookkeeping of lazily-invalidated (stale) sleeper entries.
 
 use super::{lookup, Runtime, Slot};
 use crate::ids::ThreadId;
@@ -9,10 +9,10 @@ use crate::value::Value;
 
 /// Is `tid` still genuinely asleep until exactly `wake_at`?
 ///
-/// Wheel entries are invalidated lazily: an interrupted sleeper keeps
+/// Sleeper entries are invalidated lazily: an interrupted sleeper keeps
 /// its entry, which this check skips. A free function over the thread
-/// table (rather than a method) so compaction can filter the wheel in
-/// place while borrowing `threads` alongside the `&mut` wheel borrow.
+/// table (rather than a method) so compaction can filter the queue in
+/// place while borrowing `threads` alongside the `&mut` queue borrow.
 fn sleeper_entry_is_valid(threads: &[Slot], tid: ThreadId, wake_at: u64) -> bool {
     lookup(threads, tid).is_some_and(|t| t.status == Status::Stuck(StuckReason::Sleep { wake_at }))
 }
@@ -22,24 +22,19 @@ impl Runtime {
     /// sleeper — at or before the inclusive `cap`, if one is given — and
     /// wakes that tick's sleepers. Returns `false` if there is none.
     ///
-    /// The wheel hands over one virtual tick at a time, already in
+    /// The queue hands over one virtual tick at a time, already in
     /// `(wake_at, seq)` order, so the whole batch is woken through one
-    /// reserved run-queue extension before the next scheduling decision
-    /// — the same observable order the old heap's pop-one-at-a-time
-    /// drain loop produced, without n log n queue churn on a mass wake.
+    /// reserved run-queue extension before the next scheduling decision.
     ///
-    /// The cap makes one difference besides the peek. A tick whose
-    /// sleepers were all interrupted still advances the wheel's cursor
-    /// when popped, and a capped caller may then return to its driver
-    /// and run threads that insert new timers — so under a cap the clock
-    /// advances to the stale tick too (with its own `TimeAdvance`,
-    /// keeping the trace's advance sum equal to the clock delta) to
-    /// preserve `clock >= cursor` for [`TimerWheel::insert`]. Uncapped,
-    /// no thread runs between a stale pop and the next live wake, so the
-    /// whole delta is folded into the next live advance and the traces
-    /// of [`Runtime::run`] carry no split advances.
-    ///
-    /// [`TimerWheel::insert`]: crate::timer::TimerWheel::insert
+    /// The cap makes one difference besides the peek: under a cap, a
+    /// tick whose sleepers were all interrupted still moves the clock to
+    /// it (with its own `TimeAdvance`, keeping the trace's advance sum
+    /// equal to the clock delta). That is the rule a capped shard's
+    /// virtual times and traces were pinned under, and keeping it keeps
+    /// them as they are. Uncapped, no thread runs between a stale pop and
+    /// the next live wake, so the whole delta is folded into the next
+    /// live advance and the traces of [`Runtime::run`] carry no split
+    /// advances.
     pub(super) fn advance_clock(&mut self, cap: Option<u64>) -> bool {
         let mut due = std::mem::take(&mut self.due_scratch);
         let woke = loop {
@@ -95,15 +90,15 @@ impl Runtime {
         }
     }
 
-    /// Compacts the timer wheel once stale entries outnumber the live
-    /// ones. Interrupted sleepers invalidate their wheel entry in place
+    /// Compacts the sleeper queue once stale entries outnumber the live
+    /// ones. Interrupted sleepers invalidate their queue entry in place
     /// (the status check in [`sleeper_entry_is_valid`] fails), which is
     /// O(1) — but under sustained `timeout`-and-kill churn the dead
     /// entries would pile up until their original `wake_at`. Compacting
-    /// at the >half-stale threshold keeps the wheel proportional to the
+    /// at the >half-stale threshold keeps the queue proportional to the
     /// number of *live* sleepers at amortized O(1) per interruption, and
-    /// cannot change wake order: [`TimerWheel::retain`] removes entries
-    /// in place, so survivors keep their `(wake_at, seq)` keys and slots.
+    /// cannot change wake order: survivors of [`TimerWheel::retain`] keep
+    /// their `(wake_at, seq)` keys.
     ///
     /// [`TimerWheel::retain`]: crate::timer::TimerWheel::retain
     pub(super) fn maybe_compact_sleepers(&mut self) {
@@ -114,14 +109,10 @@ impl Runtime {
         self.sleepers
             .retain(|e| sleeper_entry_is_valid(threads, e.payload, e.wake_at));
         self.stale_sleepers = 0;
-        debug_assert!(
-            self.sleepers.check_consistent(),
-            "timer wheel inconsistent after stale-sleeper compaction"
-        );
     }
 
-    /// Number of entries (live or stale) in the sleeper timer wheel.
-    /// Exposed for leak regression tests: after a quiesced run the wheel
+    /// Number of entries (live or stale) in the sleeper queue.
+    /// Exposed for leak regression tests: after a quiesced run the queue
     /// must be empty.
     pub fn sleeper_queue_len(&self) -> usize {
         self.sleepers.len()

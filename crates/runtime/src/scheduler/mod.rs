@@ -76,15 +76,13 @@ pub struct Runtime {
     mvars: Vec<MVarCell>,
     clock: u64,
     sleep_seq: u64,
-    /// Sleeping threads, filed by absolute wake time in a hierarchical
-    /// timer wheel. Pops whole ticks in `(wake_at, seq)` order — exactly
-    /// the order the old `BinaryHeap` produced — at amortized O(1) per
-    /// entry instead of O(log n) (see [`crate::timer`]).
+    /// Sleeping threads in a binary heap keyed by `(wake_at, seq)`,
+    /// popped a whole tick at a time (see [`crate::timer`]).
     sleepers: TimerWheel<ThreadId>,
-    /// Wheel entries whose sleeper was interrupted (or died) and which
+    /// Sleeper entries whose sleeper was interrupted (or died) and which
     /// therefore will never wake anyone. Drives eager compaction.
     stale_sleepers: usize,
-    /// Reusable buffer for the batch of entries popped from the wheel in
+    /// Reusable buffer for the batch of entries popped from `sleepers` in
     /// [`Runtime::advance_clock`] (one virtual tick's sleepers at a time).
     due_scratch: Vec<TimerEntry<ThreadId>>,
     console_waiters: VecDeque<ThreadId>,
@@ -151,7 +149,7 @@ pub(crate) enum PumpOutcome {
     Finished(Result<Value, RunError>),
     /// Nothing is runnable and no sleeper is due at or before the clock
     /// cap. `next_wake` is the earliest stored wake time (possibly of a
-    /// lazily-invalidated sleeper), `None` if the wheel is empty.
+    /// lazily-invalidated sleeper), `None` if the sleeper queue is empty.
     Idle { next_wake: Option<u64> },
 }
 
@@ -738,7 +736,7 @@ impl Runtime {
     // ------------------------------------------------------------------
 
     /// Retires a thread whose code returned or raised with an empty
-    /// stack: records how it ended (a death is a kill, a link-cascade
+    /// stack: records how it ended (a death is a kill, a propagated-link
     /// exit signal, or an ordinary crash — the actor layer's
     /// `ExitReason` mirrors this split), returns its slot to the free
     /// list and its box to the spawn pool. Bumping the slot's generation

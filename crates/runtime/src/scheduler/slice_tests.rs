@@ -89,10 +89,10 @@ fn a_sliced_run_equals_an_uncapped_run() {
 }
 
 /// A timeout that does not fire: main kills the timer thread at t=10,
-/// before its tick at t=50, which stays in the wheel with nobody to
-/// wake (the bystander keeps the wheel too full for compaction to
-/// evict it), and sleeps on to t=100. The handler runs only if the
-/// host interrupts that sleep.
+/// before its tick at t=50, which stays in the sleeper queue with
+/// nobody to wake (the bystander keeps the queue too full for
+/// compaction to evict it), and sleeps on to t=100. The handler runs
+/// only if the host interrupts that sleep.
 fn unfired_timeout() -> Io<()> {
     Io::fork(Io::sleep(1_000))
         .then(Io::fork(Io::sleep(50).then(Io::put_char('t'))))
@@ -139,8 +139,8 @@ fn pumped_to_the_stale_tick() -> Runtime {
         ),
         "{idle:?}"
     );
-    // The capped advance stopped *at* the stale tick, where the
-    // wheel's cursor now is.
+    // The capped advance stopped *at* the stale tick: under a cap an
+    // all-stale tick moves the clock too.
     assert_eq!((rt.clock(), advance_sum(&rt)), (50, 50));
     rt
 }
@@ -175,10 +175,9 @@ fn an_all_stale_tick_splits_a_capped_advance_and_nothing_else() {
 #[test]
 fn a_timer_filed_right_after_a_capped_stale_pop_is_not_behind_the_cursor() {
     let mut rt = pumped_to_the_stale_tick();
-    // Main's handler sleeps: a timer filed at the current clock, with
-    // the wheel (bystander, main's dead entry) not empty, so its
-    // cursor does not rebase — `TimerWheel::insert` asserts the clock
-    // has kept up with it.
+    // Main's handler sleeps: a timer filed at the clock the capped
+    // advance left behind, with the queue (bystander, main's dead
+    // entry) not empty; its wake and the final clock are pinned.
     rt.host_throw_to(rt.main_thread_id(), Exception::custom("host"));
     let rest = rt.pump(u64::MAX);
     assert!(

@@ -34,7 +34,7 @@ pub struct Stats {
     /// `ExitReason::Killed` mirrors.
     pub kill_thread_deaths: u64,
     /// Of `died_threads`, those that died of an uncaught `ExitSignal`,
-    /// i.e. a link cascade reached a non-trapping actor.
+    /// i.e. a propagated link signal reached a non-trapping actor.
     pub exit_signal_deaths: u64,
     /// Asynchronous exceptions delivered to *runnable* threads
     /// (rule (Receive)).
@@ -73,7 +73,7 @@ pub struct Stats {
     /// interrupted sleepers keeps this proportional to the number of
     /// *live* sleepers, not the total number of timeouts ever started.
     pub max_sleeper_heap: usize,
-    /// Timer-wheel operations performed: sleeper insertions plus
+    /// Sleeper-queue operations performed: sleeper insertions plus
     /// entries popped at expiry (stale entries included — a lazy
     /// cancellation is paid for at its pop). The denominator for the
     /// `timer_ops_per_sec` throughput the benchmarks report.

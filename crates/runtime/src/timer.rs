@@ -1,65 +1,16 @@
-//! A hierarchical timer wheel: the sleeper queue behind `Io::sleep`.
-//!
-//! The scheduler used to keep sleepers in a `BinaryHeap` ordered by
-//! `(wake_at, seq)`. That is O(log n) per insert and per pop with
-//! cache-hostile sift paths, and under `timeout`-and-kill churn the heap
-//! additionally pays periodic O(n) compaction rebuilds. At the scale the
-//! sharded httpd bench runs (100k+ concurrent sleepers, one `timeout`
-//! per connection read), the heap is the hot structure.
-//!
-//! The wheel files each entry by its *absolute* wake time into one of
-//! [`LEVELS`] levels of [`SLOTS`] slots; level `l` slots are `64^l`
-//! microseconds wide, so 11 levels cover the full `u64` range and there
-//! is no overflow list. Insert, cancel (via [`TimerWheel::retain`]) and
-//! expiry are O(1) amortized: a per-level occupancy bitmap finds the
-//! next non-empty slot with one `trailing_zeros`, and an entry cascades
-//! to a finer level at most [`LEVELS`] times over its whole life.
-//!
-//! ## Determinism: the wheel pops in exactly the heap's order
-//!
-//! The scheduler's observable wake order is `(wake_at, seq)` — the heap
-//! popped entries one at a time in that order. The wheel pops one
-//! level-0 slot at a time instead, and a level-0 slot holds exactly the
-//! entries of a single microsecond tick (see the invariant below), so
-//! [`TimerWheel::pop_earliest_into`] returns *all* entries of the
-//! earliest tick, sorted by `seq`. Consuming the popped batch in order
-//! therefore reproduces the heap's sequence exactly; the scheduler's
-//! `advance_clock` additionally wakes the whole batch before the next
-//! scheduling decision, which is precisely what the heap's drain loop
-//! (`while wake_at <= clock { pop }`) did.
-//!
-//! ## The cursor invariant
-//!
-//! `cursor` is the wheel's notion of "now": the wake time of the last
-//! popped slot (the scheduler's clock never runs ahead of it, and
-//! equals it whenever a live sleeper was woken). Every stored entry
-//! satisfies `wake_at >= cursor`, and an entry files at the level of
-//! the *highest* 6-bit group in which its wake time differs from the
-//! cursor. Two consequences carry the whole design:
-//!
-//! 1. At its filing level, an entry's slot index is `>=` the cursor's
-//!    index at that level (higher groups agree, the filing group is
-//!    strictly greater), so scanning each level's bitmap from the
-//!    cursor's index *upward* never needs wraparound.
-//! 2. While the cursor sits inside some level-`l` window, that window's
-//!    own level-`l` slot is empty: it was cascaded down the moment the
-//!    cursor entered the window, and any later insert inside the window
-//!    differs from the cursor only in lower groups, so it files at a
-//!    finer level. Hence a level-0 slot is never shared by two ticks
-//!    from different 64µs windows.
+//! The sleeper queue behind `Io::sleep`: a binary min-heap keyed by
+//! `(wake_at, seq)`. `seq` is unique, so the key is a total order and
+//! [`TimerWheel::pop_earliest_into`] hands over each tick's entries in
+//! exactly that order. The population is small (at most one entry per
+//! thread slot, plus stale ones), so O(log n) per insert and pop is cheap.
 //!
 //! Lazy invalidation is the caller's business: the scheduler leaves
 //! interrupted sleepers' entries in place (they fail its validity check
 //! when popped) and calls [`TimerWheel::retain`] to compact once stale
-//! entries outnumber live ones — the same accounting the heap used.
+//! entries outnumber live ones.
 
-/// log2 of the slots per level.
-const SLOT_BITS: usize = 6;
-/// Slots per level; one level-0 slot spans one virtual microsecond.
-pub const SLOTS: usize = 1 << SLOT_BITS;
-/// Levels in the wheel. `64^11 = 2^66 > u64::MAX`, so any wake time
-/// files somewhere and no overflow list is needed.
-pub const LEVELS: usize = 11;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// One scheduled timer: an absolute wake time, the insertion sequence
 /// number that breaks ties deterministically, and the caller's payload
@@ -68,30 +19,43 @@ pub const LEVELS: usize = 11;
 pub struct TimerEntry<T> {
     /// Absolute virtual time (microseconds) at which to fire.
     pub wake_at: u64,
-    /// Insertion sequence number; the deterministic tiebreak within a
-    /// tick, identical to the old heap's second key.
+    /// Insertion sequence number; the deterministic tiebreak in a tick.
     pub seq: u64,
     /// Caller data carried with the entry.
     pub payload: T,
 }
 
-/// The wheel itself. See the module docs for the invariants.
+/// A heap element, ordered by `(wake_at, seq)` reversed so that the
+/// max-heap `BinaryHeap` yields the earliest entry first.
+#[derive(Debug)]
+struct Due<T>(TimerEntry<T>);
+
+impl<T> Ord for Due<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let key = |due: &Self| (due.0.wake_at, due.0.seq);
+        key(other).cmp(&key(self))
+    }
+}
+
+impl<T> PartialOrd for Due<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> PartialEq for Due<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<T> Eq for Due<T> {}
+
+/// The sleeper queue: a binary heap. The name is the timer wheel's it
+/// replaced, kept because callers outside the crate import it.
 #[derive(Debug)]
 pub struct TimerWheel<T> {
-    /// `LEVELS * SLOTS` buckets, level-major. Entries within a bucket
-    /// are in insertion order; because `seq` is monotone and cascades
-    /// preserve relative order, buckets stay seq-sorted — the pop path
-    /// still sorts defensively (cheap on already-sorted input).
-    slots: Vec<Vec<TimerEntry<T>>>,
-    /// One bit per slot and level: slot is non-empty.
-    occupied: [u64; LEVELS],
-    /// Total stored entries.
-    len: usize,
-    /// The wheel's "now" (see module docs). Rebased on insert-into-empty.
-    cursor: u64,
-    /// Reusable buffer for cascading a coarse slot without losing the
-    /// bucket's allocation.
-    cascade_scratch: Vec<TimerEntry<T>>,
+    heap: BinaryHeap<Due<T>>,
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -103,217 +67,54 @@ impl<T> Default for TimerWheel<T> {
 impl<T> TimerWheel<T> {
     pub fn new() -> Self {
         TimerWheel {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; LEVELS],
-            len: 0,
-            cursor: 0,
-            cascade_scratch: Vec::new(),
+            heap: BinaryHeap::new(),
         }
     }
 
     /// Number of stored entries (live *and* lazily-invalidated).
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
-    /// Empties the wheel, keeping bucket allocations. O(occupied slots),
-    /// so a reset between explorer schedules costs almost nothing.
+    /// Empties the queue, keeping its allocation.
     pub fn clear(&mut self) {
-        for level in 0..LEVELS {
-            let mut occ = self.occupied[level];
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                self.slots[level * SLOTS + slot].clear();
-            }
-            self.occupied[level] = 0;
-        }
-        self.len = 0;
-        self.cursor = 0;
+        self.heap.clear();
     }
 
-    /// Files `entry`, where `now` is the caller's current time. `now`
-    /// must be at or past the cursor unless the wheel is empty (in
-    /// which case the cursor rebases to `now`). A plain `run` keeps
-    /// `now == cursor` exactly — the clock and the cursor only advance
-    /// together, to the wake time of a popped slot — but an epoch-synced
-    /// shard (see `parallel`) may silently fast-forward its clock past
-    /// the cursor at a barrier; filing only needs `wake_at >= cursor`,
-    /// which `wake_at >= now >= cursor` implies.
+    /// Files `entry`, where `now` is the caller's current time; an entry
+    /// may not be due before it is filed.
     pub fn insert(&mut self, now: u64, entry: TimerEntry<T>) {
-        if self.len == 0 {
-            self.cursor = now;
-        }
-        debug_assert!(
-            now >= self.cursor,
-            "timer wheel cursor ran ahead of the caller's clock"
-        );
         debug_assert!(entry.wake_at >= now, "inserting an already-due timer");
-        self.file(entry);
+        self.heap.push(Due(entry));
     }
 
-    /// Files an entry at the highest level where its wake time differs
-    /// from the cursor (level 0 if equal). O(1).
-    fn file(&mut self, e: TimerEntry<T>) {
-        debug_assert!(e.wake_at >= self.cursor);
-        let x = e.wake_at ^ self.cursor;
-        let level = if x == 0 {
-            0
-        } else {
-            (63 - x.leading_zeros()) as usize / SLOT_BITS
-        };
-        let idx = ((e.wake_at >> (level * SLOT_BITS)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level * SLOTS + idx].push(e);
-        self.occupied[level] |= 1 << idx;
-        self.len += 1;
-    }
-
-    /// Pops the earliest non-empty tick: clears `out`, fills it with
-    /// every entry of that tick sorted by `seq`, advances the cursor to
-    /// the tick, and returns its wake time. Returns `None` (leaving
-    /// `out` empty) if the wheel is empty. Amortized O(1) plus the
-    /// batch size: each entry cascades at most [`LEVELS`] times over
-    /// its lifetime, and each scan step is one bitmap probe.
+    /// Pops the earliest tick: clears `out`, fills it with every entry
+    /// of that tick sorted by `seq`, and returns its wake time. Returns
+    /// `None` (leaving `out` empty) if the queue is empty.
     pub fn pop_earliest_into(&mut self, out: &mut Vec<TimerEntry<T>>) -> Option<u64> {
         out.clear();
-        if self.len == 0 {
-            return None;
+        let wake = self.peek_earliest_wake()?;
+        while self.heap.peek().is_some_and(|due| due.0.wake_at == wake) {
+            out.extend(self.heap.pop().map(|due| due.0));
         }
-        let mut t = self.cursor;
-        'scan: loop {
-            for level in 0..LEVELS {
-                let idx = ((t >> (level * SLOT_BITS)) & (SLOTS as u64 - 1)) as usize;
-                let mask = self.occupied[level] & (!0u64 << idx);
-                if mask == 0 {
-                    continue;
-                }
-                let slot = mask.trailing_zeros() as usize;
-                if level == 0 {
-                    let wake = (t >> SLOT_BITS << SLOT_BITS) | slot as u64;
-                    let bucket = &mut self.slots[slot];
-                    debug_assert!(!bucket.is_empty());
-                    self.len -= bucket.len();
-                    out.append(bucket);
-                    self.occupied[0] &= !(1u64 << slot);
-                    self.cursor = wake;
-                    out.sort_unstable_by_key(|e| e.seq);
-                    debug_assert!(out.iter().all(|e| e.wake_at == wake));
-                    return Some(wake);
-                }
-                // A coarse slot is due: advance to its window and
-                // cascade its entries to finer levels (each strictly
-                // descends), then rescan from level 0.
-                let shift = level * SLOT_BITS;
-                // Bits above the slot's own group (none at the top
-                // level, where the group reaches past bit 63).
-                let upper = if shift + SLOT_BITS >= 64 {
-                    0
-                } else {
-                    (t >> (shift + SLOT_BITS)) << (shift + SLOT_BITS)
-                };
-                let slot_start = upper | ((slot as u64) << shift);
-                // `slot == idx` can only be the transient mid-pop state
-                // (module docs, invariant 2); then the window began at
-                // or before `t` and the cursor must not move backward.
-                let t2 = t.max(slot_start);
-                let mut entries = std::mem::take(&mut self.cascade_scratch);
-                std::mem::swap(&mut entries, &mut self.slots[level * SLOTS + slot]);
-                self.occupied[level] &= !(1u64 << slot);
-                self.len -= entries.len();
-                self.cursor = t2;
-                for e in entries.drain(..) {
-                    self.file(e);
-                }
-                self.cascade_scratch = entries;
-                t = t2;
-                continue 'scan;
-            }
-            unreachable!("timer wheel has {} entries but no occupied slot", self.len);
-        }
+        Some(wake)
     }
 
-    /// Returns the earliest stored wake time without popping anything —
-    /// the scheduler's "when could a sleeper next fire?" probe for
-    /// epoch-capped runs. Replays [`TimerWheel::pop_earliest_into`]'s
-    /// level-ascending scan without cascading: the first occupied slot
-    /// found is the earliest time window (finer levels cover the
-    /// cursor's own window; coarser levels hold strictly later
-    /// windows), so its minimum `wake_at` is the global minimum. O(1)
-    /// bitmap probes plus one bucket scan.
+    /// The earliest stored wake time, without popping anything: a capped
+    /// run's "when could a sleeper next fire?" probe.
     pub fn peek_earliest_wake(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let t = self.cursor;
-        for level in 0..LEVELS {
-            let idx = ((t >> (level * SLOT_BITS)) & (SLOTS as u64 - 1)) as usize;
-            let mask = self.occupied[level] & (!0u64 << idx);
-            if mask == 0 {
-                continue;
-            }
-            let slot = mask.trailing_zeros() as usize;
-            if level == 0 {
-                return Some((t >> SLOT_BITS << SLOT_BITS) | slot as u64);
-            }
-            // A coarse slot: its entries share a window but not a tick;
-            // the earliest is the bucket minimum.
-            return self.slots[level * SLOTS + slot]
-                .iter()
-                .map(|e| e.wake_at)
-                .min();
-        }
-        unreachable!("timer wheel has {} entries but no occupied slot", self.len);
+        self.heap.peek().map(|due| due.0.wake_at)
     }
 
-    /// Keeps only entries satisfying `f` — the compaction primitive for
-    /// lazily-invalidated (cancelled) timers. Entries do not move
-    /// between slots, so surviving wake order is unchanged. O(stored).
+    /// Keeps only entries satisfying `f`: the compaction primitive for
+    /// lazily-invalidated (cancelled) timers. Survivors keep their keys,
+    /// so their wake order is unchanged. O(stored).
     pub fn retain(&mut self, mut f: impl FnMut(&TimerEntry<T>) -> bool) {
-        let mut len = 0;
-        for level in 0..LEVELS {
-            let mut occ = self.occupied[level];
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                let bucket = &mut self.slots[level * SLOTS + slot];
-                bucket.retain(&mut f);
-                if bucket.is_empty() {
-                    self.occupied[level] &= !(1u64 << slot);
-                } else {
-                    len += bucket.len();
-                }
-            }
-        }
-        self.len = len;
-    }
-
-    /// Structural audit: every occupancy bit matches its bucket, the
-    /// length matches the stored total, and every entry sits at or
-    /// above the cursor in a slot its wake time actually maps to. Used
-    /// in `debug_assert!`s after compaction.
-    pub fn check_consistent(&self) -> bool {
-        let mut total = 0;
-        for level in 0..LEVELS {
-            for slot in 0..SLOTS {
-                let bucket = &self.slots[level * SLOTS + slot];
-                let bit = (self.occupied[level] >> slot) & 1 == 1;
-                if bit == bucket.is_empty() {
-                    return false;
-                }
-                for e in bucket {
-                    let idx = ((e.wake_at >> (level * SLOT_BITS)) & (SLOTS as u64 - 1)) as usize;
-                    if idx != slot || e.wake_at < self.cursor {
-                        return false;
-                    }
-                }
-                total += bucket.len();
-            }
-        }
-        total == self.len
+        self.heap.retain(|due| f(&due.0));
     }
 }
 
@@ -321,7 +122,7 @@ impl<T> TimerWheel<T> {
 mod tests {
     use super::*;
 
-    fn wheel() -> TimerWheel<u64> {
+    fn queue() -> TimerWheel<u64> {
         TimerWheel::new()
     }
 
@@ -333,7 +134,7 @@ mod tests {
         }
     }
 
-    /// Drains the wheel, returning (wake_at, seq) in pop order.
+    /// Drains the queue, returning (wake_at, seq) in pop order.
     fn drain(w: &mut TimerWheel<u64>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut buf = Vec::new();
@@ -348,7 +149,7 @@ mod tests {
 
     #[test]
     fn pops_in_wake_then_seq_order() {
-        let mut w = wheel();
+        let mut w = queue();
         // Deterministic pseudo-random wake times over a wide range.
         let mut x: u64 = 0x9e3779b97f4a7c15;
         let mut expect = Vec::new();
@@ -364,12 +165,11 @@ mod tests {
         assert_eq!(w.len(), 500);
         assert_eq!(drain(&mut w), expect);
         assert!(w.is_empty());
-        assert!(w.check_consistent());
     }
 
     #[test]
     fn same_tick_batch_pops_together_sorted_by_seq() {
-        let mut w = wheel();
+        let mut w = queue();
         w.insert(0, entry(70, 3));
         w.insert(0, entry(70, 1));
         w.insert(0, entry(5, 2));
@@ -384,26 +184,24 @@ mod tests {
 
     #[test]
     fn retain_false_empties_and_stays_consistent() {
-        let mut w = wheel();
+        let mut w = queue();
         for seq in 0..1_000 {
             w.insert(0, entry(seq * 37 + 1, seq));
         }
         assert_eq!(w.len(), 1_000);
         w.retain(|_| false);
         assert_eq!(w.len(), 0);
-        assert!(w.check_consistent());
         let mut buf = Vec::new();
         assert_eq!(w.pop_earliest_into(&mut buf), None);
     }
 
     #[test]
     fn retain_keeps_order_of_survivors() {
-        let mut w = wheel();
+        let mut w = queue();
         for seq in 0..200 {
             w.insert(0, entry(1 + seq % 97, seq));
         }
         w.retain(|e| e.seq % 3 == 0);
-        assert!(w.check_consistent());
         let popped = drain(&mut w);
         let mut expect: Vec<(u64, u64)> = (0..200)
             .filter(|s| s % 3 == 0)
@@ -415,7 +213,7 @@ mod tests {
 
     #[test]
     fn cursor_rebases_when_emptied() {
-        let mut w = wheel();
+        let mut w = queue();
         w.insert(0, entry(1_000, 1));
         let mut buf = Vec::new();
         assert_eq!(w.pop_earliest_into(&mut buf), Some(1_000));
@@ -426,7 +224,7 @@ mod tests {
 
     #[test]
     fn huge_deltas_file_at_top_levels_and_pop_in_order() {
-        let mut w = wheel();
+        let mut w = queue();
         w.insert(0, entry(u64::MAX, 1));
         w.insert(0, entry(1 << 40, 2));
         w.insert(0, entry(3, 3));
@@ -435,22 +233,21 @@ mod tests {
 
     #[test]
     fn interleaved_insert_pop_cascade() {
-        let mut w = wheel();
+        let mut w = queue();
         let mut buf = Vec::new();
-        w.insert(0, entry(64, 1)); // level 1 from t=0
-        w.insert(0, entry(66, 2)); // same level-1 slot
+        w.insert(0, entry(64, 1));
+        w.insert(0, entry(66, 2));
         assert_eq!(w.pop_earliest_into(&mut buf), Some(64));
-        // Cursor is now 64; a later tick in the same window files fine.
+        // Filed after a pop, between two stored ticks.
         w.insert(64, entry(65, 3));
         assert_eq!(w.pop_earliest_into(&mut buf), Some(65));
         assert_eq!(w.pop_earliest_into(&mut buf), Some(66));
-        assert!(w.check_consistent());
         assert!(w.is_empty());
     }
 
     #[test]
     fn peek_matches_pop_at_every_step() {
-        let mut w = wheel();
+        let mut w = queue();
         let mut x: u64 = 0x243f6a8885a308d3;
         for seq in 0..300 {
             x = x
@@ -471,35 +268,38 @@ mod tests {
 
     #[test]
     fn peek_does_not_mutate() {
-        let mut w = wheel();
+        let mut w = queue();
         w.insert(0, entry(1 << 20, 1));
         w.insert(0, entry(70, 2));
         assert_eq!(w.peek_earliest_wake(), Some(70));
         assert_eq!(w.peek_earliest_wake(), Some(70));
-        assert!(w.check_consistent());
         assert_eq!(w.len(), 2);
     }
 
     #[test]
     fn insert_with_clock_ahead_of_cursor_files_fine() {
-        let mut w = wheel();
+        let mut w = queue();
         w.insert(0, entry(10, 1));
         let mut buf = Vec::new();
         assert_eq!(w.pop_earliest_into(&mut buf), Some(10));
         w.insert(10, entry(5_000, 2));
-        // An epoch-synced caller's clock may run ahead of the cursor.
+        // An epoch-synced caller's clock may run ahead of the last pop.
         w.insert(2_000, entry(2_500, 3));
         assert_eq!(drain(&mut w), [(2_500, 3), (5_000, 2)]);
     }
 
-    /// The wheel against the structure whose order it promises: a
+    /// The queue against the structure whose order it promises: a
     /// `BTreeSet<(wake_at, seq)>`. A random interleaving of inserts
-    /// (deltas reaching every level, ticks that repeat, a clock that may
-    /// run ahead of the cursor), pops, peeks and compactions must agree
+    /// (deltas of every magnitude, ticks that repeat, a clock that may
+    /// run ahead of the last pop), pops, peeks and compactions must agree
     /// on pop *order*, `peek` and `len` after every operation.
     #[test]
     fn random_interleavings_match_an_ordered_set() {
         use std::collections::BTreeSet;
+        // Deltas are drawn one 6-bit digit at a time, at every digit
+        // position of a `u64`.
+        const DIGIT_BITS: u64 = 6;
+        const DIGITS: u64 = 11;
         for round in 0..40_u64 {
             let mut x = 0x9e3779b97f4a7c15 ^ round.wrapping_mul(0xd1342543de82ef95);
             let mut rand = move || {
@@ -508,12 +308,12 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 x >> 11
             };
-            let mut w = wheel();
+            let mut w = queue();
             let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
             let mut buf = Vec::new();
             // The last popped tick, or wherever the clock was when the
-            // wheel was last found empty.
-            let mut cursor = 0_u64;
+            // queue was last found empty: the clock never runs behind it.
+            let mut floor = 0_u64;
             let mut last_wake = 0_u64;
             for op in 0..600_u64 {
                 // Distinct but not monotone (389 is odd, so this permutes
@@ -522,22 +322,22 @@ mod tests {
                 let seq = op * 389 % 1024;
                 match rand() % 8 {
                     0..=3 => {
-                        // The clock sits anywhere from the cursor up to
+                        // The clock sits anywhere from the floor up to
                         // the earliest sleeper (an epoch-synced shard
-                        // fast-forwards it); an empty wheel rebases.
+                        // fast-forwards it), or anywhere when empty.
                         let earliest = model.first().map_or(u64::MAX, |&(wake, _)| wake);
                         let now = if model.is_empty() {
-                            cursor = rand() % (1 << (rand() % 60));
-                            cursor
+                            floor = rand() % (1 << (rand() % 60));
+                            floor
                         } else {
-                            cursor + rand() % (earliest - cursor).saturating_add(1)
+                            floor + rand() % (earliest - floor).saturating_add(1)
                         };
                         let wake = if rand() % 4 == 0 {
                             last_wake.max(now)
                         } else {
-                            let level = rand() % LEVELS as u64;
-                            let coarse = (rand() % SLOTS as u64) << (level * SLOT_BITS as u64);
-                            let delta = coarse | (rand() % SLOTS as u64);
+                            let digit = rand() % DIGITS;
+                            let coarse = (rand() % (1 << DIGIT_BITS)) << (digit * DIGIT_BITS);
+                            let delta = coarse | (rand() % (1 << DIGIT_BITS));
                             now.saturating_add(delta)
                         };
                         last_wake = wake;
@@ -553,7 +353,7 @@ mod tests {
                         let want: Vec<_> = model.iter().copied().take_while(due).collect();
                         model.retain(|e| !due(e));
                         assert_eq!(got, want, "round {round} op {op}");
-                        cursor = tick.unwrap_or(cursor);
+                        floor = tick.unwrap_or(floor);
                     }
                     6 => {
                         let keep = rand() % 3;
@@ -568,20 +368,18 @@ mod tests {
                     model.first().map(|&(wake, _)| wake),
                     "round {round} op {op}"
                 );
-                assert!(w.check_consistent(), "round {round} op {op}");
             }
         }
     }
 
     #[test]
     fn clear_keeps_it_reusable() {
-        let mut w = wheel();
+        let mut w = queue();
         for seq in 0..100 {
             w.insert(0, entry(seq + 1, seq));
         }
         w.clear();
         assert!(w.is_empty());
-        assert!(w.check_consistent());
         w.insert(7, entry(9, 1));
         let mut buf = Vec::new();
         assert_eq!(w.pop_earliest_into(&mut buf), Some(9));

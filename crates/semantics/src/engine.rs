@@ -516,4 +516,45 @@ mod tests {
             Err(e) => panic!("{e}"),
         }
     }
+
+    #[test]
+    fn device_stuckness_lets_a_kill_interrupt_a_masked_put() {
+        // main: m <- newEmptyMVar; t <- fork (block (io; putMVar m ()));
+        //       throwTo t K; takeMVar m
+        let outcomes = |io: Rc<Term>, input: &str, device_stuckness: bool| {
+            let prog = bind(
+                new_empty_mvar(),
+                lam(
+                    "m",
+                    bind(
+                        fork(block(seq(io, put_mvar(var("m"), unit())))),
+                        lam("t", seq(throw_to(var("t"), exc("K")), take_mvar(var("m")))),
+                    ),
+                ),
+            );
+            let config = ExploreConfig {
+                rules: RuleConfig {
+                    device_stuckness,
+                    ..RuleConfig::default()
+                },
+                ..ExploreConfig::default()
+            };
+            Lts::explore(&State::new(prog, input), &config).trace_set()
+        };
+        // Masked and runnable, the child defers the kill to its end.
+        // (Stuck PutChar) / (Stuck GetChar) make the device operation an
+        // interruptible wait: the kill lands inside `block`, the child
+        // dies before its `putMVar` and main waits on.
+        let wedged = (vec![], EndState::Wedged);
+        for (io, input, obs) in [
+            (put_char(ch('x')), "", Obs::Put('x')),
+            (get_char(), "x", Obs::Get('x')),
+        ] {
+            let done = (vec![obs], EndState::Done);
+            let off = BTreeSet::from([done.clone()]);
+            assert_eq!(outcomes(io.clone(), input, false), Ok(off), "{obs:?}");
+            let on = BTreeSet::from([wedged.clone(), done]);
+            assert_eq!(outcomes(io, input, true), Ok(on), "{obs:?}");
+        }
+    }
 }

@@ -12,8 +12,10 @@
 //!   forced — `takeMVar` on an empty `MVar`, `putMVar` on a full one,
 //!   `getChar` with no input, and `sleep` — are always enabled; the
 //!   purely device-driven ones (`putChar`/`getChar` stuck even though the
-//!   device is ready) are behind [`RuleConfig::device_stuckness`] because
-//!   they only add interleavings without changing reachable outcomes.
+//!   device is ready) are behind [`RuleConfig::device_stuckness`]: they
+//!   add interleavings, and they add outcomes where a masked
+//!   `putChar`/`getChar` is the target of a `throwTo`, because a stuck
+//!   thread is interruptible even under `block` (rule (Interrupt)).
 //! * **Administrative normalization.** After every rule we drop in-flight
 //!   exceptions whose target thread no longer exists (`throwTo` to a dead
 //!   thread trivially succeeds, §5) and apply (Proc GC) when the main
@@ -150,8 +152,9 @@ pub struct RuleConfig {
     pub eval_fuel: u64,
     /// Enable the purely device-driven stuckness transitions
     /// ((Stuck PutChar) always; (Stuck GetChar) even when input is
-    /// available). Off by default: they multiply interleavings without
-    /// changing reachable outcomes.
+    /// available). Off by default: they multiply interleavings, and they
+    /// make a masked `putChar`/`getChar` an interruptible wait, so a
+    /// `throwTo` can land inside `block` where it otherwise could not.
     pub device_stuckness: bool,
 }
 

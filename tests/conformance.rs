@@ -17,8 +17,10 @@ use conch_runtime::prelude::*;
 use conch_runtime::trace::IoEvent;
 use conch_runtime::value::Value;
 use conch_semantics::engine::{ExploreConfig, Lts, Obs, State};
+use conch_semantics::equiv::EndState;
 use conch_semantics::term::build as tb;
 use conch_semantics::term::Term;
+use conch_semantics::RuleConfig;
 use proptest::prelude::*;
 use std::ops::Range;
 use std::rc::Rc;
@@ -474,32 +476,69 @@ fn kill_a_sleeper_conforms() {
     run_scenario("kill_a_sleeper_conforms");
 }
 
+/// C1's curated scenarios as (scenario, distinct states, distinct
+/// outcomes): the graph each scenario's traces are checked against,
+/// complete at the default budget.
+const CURATED: [(&str, usize, usize); 13] = [
+    ("put_sequence", 17, 1),
+    ("echo_conforms", 20, 1),
+    ("throw_and_catch", 21, 1),
+    ("uncaught_throw", 11, 1),
+    ("forked_puts_interleave", 80, 10),
+    ("mvar_rendezvous", 64, 1),
+    ("deadlocked_take_is_an_admissible_prefix", 11, 1),
+    ("kill_between_puts", 98, 6),
+    ("masked_child_kill", 131, 3),
+    ("unblock_window_inside_block", 197, 10),
+    ("catch_of_async_exception_conforms", 134, 5),
+    ("sleeping_threads_conform", 138, 3),
+    ("kill_a_sleeper_conforms", 107, 3),
+];
+
 #[test]
 fn curated_state_graphs_are_pinned() {
-    // (scenario, distinct states, distinct outcomes): the graph each
-    // scenario's traces are checked against, complete at the default
-    // budget.
-    let pins = [
-        ("put_sequence", 17, 1),
-        ("echo_conforms", 20, 1),
-        ("throw_and_catch", 21, 1),
-        ("uncaught_throw", 11, 1),
-        ("forked_puts_interleave", 80, 10),
-        ("mvar_rendezvous", 64, 1),
-        ("deadlocked_take_is_an_admissible_prefix", 11, 1),
-        ("kill_between_puts", 98, 6),
-        ("masked_child_kill", 131, 3),
-        ("unblock_window_inside_block", 197, 10),
-        ("catch_of_async_exception_conforms", 134, 5),
-        ("sleeping_threads_conform", 138, 3),
-        ("kill_a_sleeper_conforms", 107, 3),
-    ];
-    for (name, states, outcomes) in pins {
+    for (name, states, outcomes) in CURATED {
         let (prog, input, _) = scenario(name);
         let lts = semantics_graph(&prog, input);
         assert_eq!(lts.complete(), Ok(()), "{name}");
         assert_eq!(lts.states(), states, "{name}");
         assert_eq!(lts.trace_set().map(|s| s.len()), Ok(outcomes), "{name}");
+    }
+}
+
+/// `RuleConfig::device_stuckness` adds the (Stuck PutChar) and (Stuck
+/// GetChar) transitions of runnable threads. On C1's programs they add
+/// interleavings, and outcomes only in `masked_child_kill`: a stuck
+/// thread is interruptible even under `block`, so the kill can land
+/// before the masked 'a' or between the masked 'a' and 'b'.
+#[test]
+fn device_stuckness_adds_outcomes_only_where_a_masked_put_is_killed() {
+    let stuckness = ExploreConfig {
+        rules: RuleConfig {
+            device_stuckness: true,
+            ..RuleConfig::default()
+        },
+        ..ExploreConfig::default()
+    };
+    let wedged = |w: &[char]| {
+        (
+            w.iter().map(|&c| Obs::Put(c)).collect::<Vec<_>>(),
+            EndState::Wedged,
+        )
+    };
+    for (name, _, _) in CURATED {
+        let (prog, input, _) = scenario(name);
+        let init = State::new(semantics_program(prog), input);
+        let off = Lts::explore(&init, &ExploreConfig::default()).trace_set();
+        let on = Lts::explore(&init, &stuckness).trace_set();
+        let (off, on) = (off.expect(name), on.expect(name));
+        assert!(off.is_subset(&on), "{name}");
+        let added: Vec<_> = on.difference(&off).cloned().collect();
+        let expected = match name {
+            "masked_child_kill" => vec![wedged(&['a', 'z']), wedged(&['z']), wedged(&['z', 'a'])],
+            _ => vec![],
+        };
+        assert_eq!(added, expected, "{name}");
     }
 }
 

@@ -97,9 +97,9 @@ fn sleeper_heap_stays_bounded_across_timeout_kill_cycles() {
 }
 
 /// A mass cancellation: 1k threads all asleep at once, then a kill storm
-/// interrupts every one of them. Each kill lazily invalidates a timer-
-/// wheel entry; the >half-stale compaction must evict the pile long
-/// before its 1-second wake time, and the wheel must hold zero entries
+/// interrupts every one of them. Each kill lazily invalidates a sleeper-
+/// queue entry; the >half-stale compaction must evict the pile long
+/// before its 1-second wake time, and the queue must hold zero entries
 /// once the run has quiesced.
 #[test]
 fn interrupting_1k_sleepers_leaves_an_empty_timer_wheel() {
@@ -115,7 +115,7 @@ fn interrupting_1k_sleepers_leaves_an_empty_timer_wheel() {
         });
     }
     let prog = spawn.and_then(|tids| {
-        // Park main briefly so every child reaches its sleep; the wheel
+        // Park main briefly so every child reaches its sleep; the queue
         // high-water is then all 1k children plus main's own entry.
         Io::sleep(5)
             .then({
@@ -139,7 +139,7 @@ fn interrupting_1k_sleepers_leaves_an_empty_timer_wheel() {
     assert_eq!(
         stats.max_sleeper_heap,
         SLEEPERS + 1,
-        "wheel high-water should be the 1k sleepers + main, and the \
+        "sleeper-queue high-water should be the 1k sleepers + main, and the \
          post-storm sleep must not see the stale pile still filed"
     );
     assert_eq!(
@@ -150,7 +150,7 @@ fn interrupting_1k_sleepers_leaves_an_empty_timer_wheel() {
     assert_eq!(
         rt.sleeper_queue_len(),
         0,
-        "timer wheel must hold zero entries after quiesce"
+        "sleeper queue must hold zero entries after quiesce"
     );
 }
 
