@@ -2,81 +2,61 @@
 //!
 //! The paper's canonical I/O operations are `putChar` and `getChar`
 //! (rules (PutChar), (GetChar), (Stuck GetChar)). To keep the runtime
-//! deterministic and testable we route them through a [`Console`] trait
-//! with an in-memory [`BufferConsole`] implementation: input is a
-//! pre-loaded buffer (possibly extended between runs), output is an
-//! accumulating string. `getChar` on an exhausted input buffer leaves the
-//! thread stuck — exactly the (Stuck GetChar) rule — where it remains
+//! deterministic and testable they go to an in-memory [`BufferConsole`]:
+//! input is a buffer fed between runs, output is an accumulating
+//! string. `getChar` on an exhausted input buffer leaves the thread
+//! stuck — exactly the (Stuck GetChar) rule — where it remains
 //! interruptible by asynchronous exceptions.
 
 use std::collections::VecDeque;
-
-/// A source of input characters and sink of output characters.
-pub trait Console {
-    /// Attempts to read one character; `None` means "no input available
-    /// right now" (the thread blocks, per rule (Stuck GetChar)).
-    fn try_read(&mut self) -> Option<char>;
-
-    /// Writes one character.
-    fn write(&mut self, c: char);
-
-    /// Everything written so far.
-    fn output(&self) -> &str;
-}
 
 /// An in-memory console: deterministic input, accumulated output.
 ///
 /// # Examples
 ///
-/// ```
-/// use conch_runtime::console::{BufferConsole, Console};
+/// The runtime holds one; its public surface is
+/// [`Runtime::feed_input`](crate::Runtime::feed_input) and
+/// [`Runtime::output`](crate::Runtime::output):
 ///
-/// let mut con = BufferConsole::with_input("hi");
-/// assert_eq!(con.try_read(), Some('h'));
-/// con.write('!');
-/// assert_eq!(con.output(), "!");
+/// ```
+/// use conch_runtime::prelude::*;
+///
+/// let mut rt = Runtime::new();
+/// rt.feed_input("hi");
+/// rt.run(Io::get_char().and_then(Io::put_char).then(Io::put_char('!')))
+///     .unwrap();
+/// assert_eq!(rt.output(), "h!");
 /// ```
 #[derive(Debug, Default)]
-pub struct BufferConsole {
+pub(crate) struct BufferConsole {
     input: VecDeque<char>,
     output: String,
 }
 
 impl BufferConsole {
     /// A console with no input.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BufferConsole::default()
     }
 
-    /// A console pre-loaded with `input`.
-    pub fn with_input(input: impl Into<String>) -> Self {
-        BufferConsole {
-            input: input.into().chars().collect(),
-            output: String::new(),
-        }
-    }
-
     /// Appends more input (e.g. between two `Runtime::run` calls).
-    pub fn feed(&mut self, input: impl Into<String>) {
+    pub(crate) fn feed(&mut self, input: impl Into<String>) {
         self.input.extend(input.into().chars());
     }
 
-    /// Number of unread input characters.
-    pub fn pending_input(&self) -> usize {
-        self.input.len()
-    }
-}
-
-impl Console for BufferConsole {
-    fn try_read(&mut self) -> Option<char> {
+    /// Reads one character; `None` means "no input available right
+    /// now" (the thread blocks, per rule (Stuck GetChar)).
+    pub(crate) fn try_read(&mut self) -> Option<char> {
         self.input.pop_front()
     }
 
-    fn write(&mut self, c: char) {
+    /// Writes one character.
+    pub(crate) fn write(&mut self, c: char) {
         self.output.push(c);
     }
 
-    fn output(&self) -> &str {
+    /// Everything written so far.
+    pub(crate) fn output(&self) -> &str {
         &self.output
     }
 }
@@ -87,7 +67,8 @@ mod tests {
 
     #[test]
     fn reads_in_order() {
-        let mut con = BufferConsole::with_input("ab");
+        let mut con = BufferConsole::new();
+        con.feed("ab");
         assert_eq!(con.try_read(), Some('a'));
         assert_eq!(con.try_read(), Some('b'));
         assert_eq!(con.try_read(), None);
@@ -103,10 +84,11 @@ mod tests {
 
     #[test]
     fn feed_appends() {
-        let mut con = BufferConsole::with_input("a");
+        let mut con = BufferConsole::new();
+        con.feed("a");
         con.feed("b");
-        assert_eq!(con.pending_input(), 2);
         assert_eq!(con.try_read(), Some('a'));
         assert_eq!(con.try_read(), Some('b'));
+        assert_eq!(con.try_read(), None);
     }
 }

@@ -56,7 +56,7 @@
 #![warn(unreachable_pub)]
 
 pub mod config;
-pub mod console;
+mod console;
 pub mod decide;
 pub mod error;
 pub mod exception;
@@ -64,7 +64,6 @@ pub mod ids;
 pub mod io;
 pub mod mvar;
 pub mod parallel;
-mod runq;
 pub mod scheduler;
 pub mod stats;
 pub mod thread;

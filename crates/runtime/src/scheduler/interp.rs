@@ -4,7 +4,6 @@
 use super::deliver::Delivery;
 use super::{lookup, view, Runtime, MAX_THREAD_SLOTS};
 use crate::config::DeliveryMode;
-use crate::console::Console;
 use crate::decide::StepFootprint;
 use crate::error::RunError;
 use crate::exception::Exception;

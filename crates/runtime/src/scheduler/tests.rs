@@ -517,6 +517,43 @@ fn external_decider_controls_delivery_point() {
     assert_eq!(driven.run(prog()).unwrap(), 7);
 }
 
+/// Picks the second runnable thread whenever three or more are
+/// runnable, else the first: each such pick unlinks a run-queue entry
+/// from the middle.
+struct SecondOfThree;
+
+impl crate::decide::Decider for SecondOfThree {
+    fn choose_thread(
+        &mut self,
+        runnable: &[crate::decide::ThreadView],
+        _previous: Option<ThreadId>,
+    ) -> Pick {
+        Pick::visible(usize::from(runnable.len() >= 3))
+    }
+
+    fn deliver_now(&mut self, _view: crate::decide::ThreadView) -> bool {
+        true
+    }
+}
+
+#[test]
+fn a_middle_pick_leaves_the_rest_of_the_queue_in_order() {
+    fn say(c: char, times: usize) -> Io<()> {
+        (0..times).fold(Io::unit(), |io, _| io.then(Io::put_char(c)))
+    }
+    let mut rt = Runtime::with_config(RuntimeConfig::new());
+    rt.set_decider(Box::new(SecondOfThree));
+    let prog = Io::fork(say('a', 4))
+        .then(Io::fork(say('b', 4)))
+        .then(Io::fork(say('c', 4)))
+        .then(say('m', 4))
+        .then(Io::sleep(1));
+    rt.run(prog).unwrap();
+    // Read off the tombstoned run queue this `VecDeque` replaced: a
+    // middle removal leaves the others in FIFO order, as it did there.
+    assert_eq!(rt.output(), "bbcmbcmbcmcmaaaa");
+}
+
 /// What a [`Probe`] was shown of the thread it picked: id, footprint,
 /// pending exceptions, masked.
 type Asked = (ThreadId, StepFootprint, usize, bool);

@@ -296,6 +296,123 @@ fn the_factory_runs_once_per_reported_run() {
     assert_one_run_per_schedule("sem_under_kill", bounded, sem_under_kill);
 }
 
+// ------------------------------------------------ bounded DPOR's known gaps
+//
+// Under a preemption bound, DPOR can drop a reversible race and still
+// report `complete` (ROADMAP's BPOR item). The sweep below runs every
+// program of the corpus under both reductions at bounds 0–4, with no
+// property so neither search stops early, and compares outcome sets.
+// Every pair where they disagree today is listed; a BPOR fix must
+// empty the list, and any other change must leave it exact.
+
+/// `(program, preemption bound, sleep-set outcomes, DPOR outcomes)` for
+/// each pair whose outcome sets disagree. Both searches report
+/// `complete` on every one of them.
+const KNOWN_BPOR_GAPS: &[(&str, usize, usize, usize)] = &[
+    ("good_bracket", 1, 2, 1),
+    ("broken_bracket", 1, 3, 1),
+    ("both", 0, 2, 1),
+    ("both", 1, 2, 1),
+    ("both", 2, 2, 1),
+    ("both", 3, 2, 1),
+    ("both", 4, 2, 1),
+    ("either", 0, 2, 1),
+    ("either", 1, 2, 1),
+    ("either", 2, 2, 1),
+    ("either", 3, 2, 1),
+    ("either", 4, 2, 1),
+    ("kill_blocked_worker", 0, 2, 1),
+    ("kill_blocked_worker", 1, 2, 1),
+    ("timeout_zero", 0, 2, 1),
+    ("timeout_zero", 1, 2, 1),
+    ("timeout_zero", 2, 2, 1),
+    ("timeout_zero", 3, 2, 1),
+    ("timeout_zero", 4, 2, 1),
+    ("chan_ends_under_kill", 1, 11, 3),
+    ("chan_ends_under_kill", 3, 11, 1),
+    ("chan_send_visible", 1, 5, 1),
+    ("chan_send_visible", 2, 5, 3),
+    ("sem_under_kill", 0, 3, 2),
+    ("sem_under_kill", 1, 3, 2),
+    ("sem_under_kill", 3, 3, 1),
+];
+
+/// Sweeps `program` at preemption bounds `0..=max_bound`, pushing each
+/// pair whose two outcome sets differ onto `gaps`.
+fn sweep_bounds<T: FromValue + Debug + 'static>(
+    gaps: &mut Vec<(&'static str, usize, usize, usize)>,
+    name: &'static str,
+    max_bound: usize,
+    program: fn() -> Io<T>,
+) {
+    for bound in 0..=max_bound {
+        let sleep = run_mode(
+            Reduction::SleepSets,
+            500_000,
+            Some(bound),
+            program,
+            no_failure,
+        );
+        let dpor = run_mode(Reduction::Dpor, 500_000, Some(bound), program, no_failure);
+        assert!(
+            sleep.complete && dpor.complete,
+            "{name} at bound {bound}: sleep complete {}, dpor complete {}",
+            sleep.complete,
+            dpor.complete
+        );
+        assert!(
+            dpor.outcomes.is_subset(&sleep.outcomes),
+            "{name} at bound {bound}: DPOR saw an outcome sleep sets did not"
+        );
+        if sleep.outcomes != dpor.outcomes {
+            gaps.push((name, bound, sleep.outcomes.len(), dpor.outcomes.len()));
+        }
+    }
+}
+
+#[test]
+fn bounded_dpor_disagrees_only_on_the_known_gaps() {
+    let mut gaps = Vec::new();
+    let g = &mut gaps;
+    sweep_bounds(g, "output_race", 4, output_race);
+    sweep_bounds(g, "three_way_race", 4, three_way_race);
+    sweep_bounds(g, "independent_pairs", 4, independent_pairs);
+    sweep_bounds(g, "block_take", 4, block_take);
+    sweep_bounds(g, "good_bracket", 4, good_bracket_under_kill);
+    sweep_bounds(g, "broken_bracket", 4, broken_bracket_under_kill);
+    sweep_bounds(g, "both", 4, both_pair);
+    sweep_bounds(g, "either", 4, either_race);
+    sweep_bounds(g, "masked_delivery", 4, masked_delivery);
+    sweep_bounds(g, "kill_blocked_worker", 4, kill_blocked_worker);
+    sweep_bounds(g, "timeout_zero", 4, timeout_zero);
+    sweep_bounds(g, "outer_tight", 4, nested_timeout_outer_tight);
+    sweep_bounds(g, "inner_wins", 4, nested_timeout_inner_wins);
+    sweep_bounds(g, "actor_mailbox_race", 4, actor_mailbox_race);
+    sweep_bounds(g, "actor_monitor_race", 4, actor_monitor_race);
+    sweep_bounds(g, "actor_link_cascade", 4, actor_link_cascade);
+    // These two are capped at bound 3: at bound 4 the sleep-set search
+    // alone takes ≈ 12 s each in a debug build (sem 103 708 schedules,
+    // chan_ends 117 880), more than the ≈ 8 s the whole sweep takes.
+    sweep_bounds(g, "chan_ends_under_kill", 3, chan_ends_under_kill);
+    sweep_bounds(g, "chan_send_visible", 4, chan_send_is_visible_on_return);
+    sweep_bounds(g, "sem_under_kill", 3, sem_under_kill);
+    let unexpected: Vec<_> = gaps
+        .iter()
+        .filter(|g| !KNOWN_BPOR_GAPS.contains(g))
+        .collect();
+    let closed: Vec<_> = KNOWN_BPOR_GAPS
+        .iter()
+        .filter(|k| !gaps.contains(k))
+        .collect();
+    assert!(
+        unexpected.is_empty() && closed.is_empty(),
+        "bounded DPOR's gaps moved: {} new or changed {unexpected:?}, {} closed or changed \
+         {closed:?}; all gaps now: {gaps:#?}",
+        unexpected.len(),
+        closed.len()
+    );
+}
+
 // ------------------------------------------- sampling detection harness
 //
 // PCT sampling must *find* the corpus's seeded bugs — not exhaustively,
