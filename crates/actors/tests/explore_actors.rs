@@ -44,19 +44,22 @@ fn explore(space: Space, check: Check, workers: usize) -> CheckResult {
     explore_with(Reduction::Dpor, space, check, workers)
 }
 
+fn config(reduction: Reduction, preemption_bound: usize) -> ExploreConfig {
+    ExploreConfig {
+        max_schedules: 100_000,
+        max_depth: 512,
+        step_budget: 100_000,
+        preemption_bound: Some(preemption_bound),
+        strategy: conch_explore::Strategy::Exhaustive(reduction),
+        ..ExploreConfig::default()
+    }
+}
+
 fn explore_with(reduction: Reduction, space: Space, check: Check, workers: usize) -> CheckResult {
     // Same bounds as the httpd fault spaces: preemption bound 2 keeps
     // the schedule dimension tractable while exception-delivery points
     // still branch fully, so kill placement is exhaustive.
-    let cfg = ExploreConfig {
-        max_schedules: 100_000,
-        max_depth: 512,
-        step_budget: 100_000,
-        preemption_bound: Some(2),
-        strategy: conch_explore::Strategy::Exhaustive(reduction),
-        ..ExploreConfig::default()
-    };
-    let explorer = Explorer::with_config(cfg);
+    let explorer = Explorer::with_config(config(reduction, 2));
     if workers == 1 {
         explorer.check(move || TestCase::new(space(), check))
     } else {
@@ -443,6 +446,36 @@ fn a_second_kill_mid_sweep_orphans_no_child_on_any_schedule() {
         "exploration must be exhaustive: {report:?}"
     );
     assert!(report.explored > 1_000, "{report:?}");
+}
+
+#[test]
+fn bounded_dpor_collapses_the_double_kill_space_to_one_schedule() {
+    // A known gap, pinned so it cannot move unnoticed: under a
+    // preemption bound DPOR explores one schedule of this space and
+    // calls it complete, where sleep sets branch. Both see the one
+    // outcome `[1, 1]`, so the outcome-based `KNOWN_BPOR_GAPS` sweep in
+    // `tests/dpor_equiv.rs` cannot list it. ROADMAP's BPOR item
+    // (bounded DPOR under-explores) must flip this test.
+    for (bound, sleep_sets) in [(0, 20), (1, 228), (2, 1_112)] {
+        let search = |reduction| {
+            Explorer::with_config(config(reduction, bound))
+                .check(|| TestCase::new(double_kill_space(), both_reaped))
+                .expect_pass()
+                .clone()
+        };
+        let dpor = search(Reduction::Dpor);
+        assert_eq!(
+            (dpor.explored, dpor.complete),
+            (1, true),
+            "bound {bound}: {dpor:?}"
+        );
+        let sleep = search(Reduction::SleepSets);
+        assert_eq!(
+            (sleep.explored, sleep.complete),
+            (sleep_sets, true),
+            "bound {bound}: {sleep:?}"
+        );
+    }
 }
 
 // -- determinism: worker counts must not change coverage -------------------

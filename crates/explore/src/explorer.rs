@@ -163,12 +163,6 @@ pub struct ExploreConfig {
     /// `step_budget`, and the explorer's installed decider makes every
     /// scheduling decision whatever its policy says.
     pub runtime: RuntimeConfig,
-    /// Deterministic deadline: stop exploring (reporting
-    /// `complete = false`) once the *total* interpreter steps across
-    /// all explored schedules reach this budget. Unlike a wall-clock
-    /// deadline, the same budget truncates at the same schedule on
-    /// every machine. `None` = unbounded.
-    pub max_total_steps: Option<u64>,
     /// How schedules are picked: exhaustive enumeration under a
     /// [`Reduction`], or seeded sampling (default
     /// `Exhaustive(Reduction::SleepSets)`).
@@ -183,7 +177,6 @@ impl Default for ExploreConfig {
             preemption_bound: None,
             step_budget: 20_000,
             runtime: RuntimeConfig::new(),
-            max_total_steps: None,
             strategy: Strategy::default(),
         }
     }
@@ -229,21 +222,18 @@ pub struct Report {
     pub truncated: usize,
     /// Extra runs spent validating shrink candidates.
     pub shrink_runs: usize,
-    /// Interpreter steps spent replaying shrink candidates. Counted
-    /// against `max_total_steps` alongside `steps`, so shrinking cannot
-    /// burn budget past the deadline unaccounted.
+    /// Interpreter steps spent replaying shrink candidates, kept apart
+    /// from `steps`. A ledger, not a setting: with `steps` it accounts
+    /// for every step a search ran, which the decider-elision test in
+    /// `worker.rs` checks step for step.
     pub shrink_steps: u64,
-    /// `true` iff shrinking stopped early because `max_total_steps` ran
-    /// out mid-shrink: the certificate in the failure is the best found
-    /// so far, not necessarily minimal.
-    pub shrink_truncated: bool,
     /// Under a sampling [`Strategy`]: the index of the earliest failing
     /// sample (0-based), `None` on a pass or under exhaustive
     /// strategies. Deterministic for every worker count — workers drain
     /// the whole sample budget and the lowest index wins.
     pub first_failing_sample: Option<u64>,
     /// Total interpreter steps across all explored schedules — the
-    /// deterministic cost measure `max_total_steps` budgets against.
+    /// deterministic cost measure of a search.
     pub steps: u64,
     /// Runtime statistics merged (via
     /// [`Stats::merge`](conch_runtime::stats::Stats::merge)) over every
@@ -432,9 +422,9 @@ impl Explorer {
     /// search fails on); only the coverage counters in the failure's
     /// `report` may exceed the sequential ones, since other workers
     /// keep exploring DFS-earlier subtrees while the candidate stands.
-    /// Likewise, when a global cap (`max_schedules`/`max_total_steps`)
-    /// binds mid-search, in-flight runs may overshoot it; whenever the
-    /// search completes within its caps the counts are exact.
+    /// Likewise, when the global cap (`max_schedules`) binds
+    /// mid-search, in-flight runs may overshoot it; whenever the
+    /// search completes within its cap the counts are exact.
     pub fn check_parallel<T, F>(&self, workers: usize, factory: F) -> CheckResult
     where
         T: FromValue,
@@ -581,14 +571,6 @@ impl Explorer {
         let mut best = original;
         let mut best_message = original_message;
         let budget = MAX_SHRINK_RUNS;
-        // Shrink replays burn interpreter steps too; they are checked
-        // against the same deterministic deadline exploration was, at
-        // the same point of every candidate loop, so the truncation
-        // point is the same on every machine and the report says so.
-        let out_of_steps = |report: &Report| match self.config.max_total_steps {
-            Some(deadline) => report.steps + report.shrink_steps >= deadline,
-            None => false,
-        };
 
         let mut fails = |sched: &Schedule, report: &mut Report| -> Option<String> {
             report.shrink_runs += 1;
@@ -598,18 +580,9 @@ impl Explorer {
             verdict.err()
         };
 
-        if out_of_steps(report) {
-            report.shrink_truncated = true;
-            return (best, best_message);
-        }
-
         // Phase 1: shortest failing prefix.
         for len in 0..best.len() {
             if report.shrink_runs >= budget {
-                return (best, best_message);
-            }
-            if out_of_steps(report) {
-                report.shrink_truncated = true;
                 return (best, best_message);
             }
             let prefix = Schedule::from(best.choices[..len].to_vec());
@@ -626,10 +599,6 @@ impl Explorer {
             let mut i = 0;
             while i < best.len() {
                 if report.shrink_runs >= budget {
-                    return (best, best_message);
-                }
-                if out_of_steps(report) {
-                    report.shrink_truncated = true;
                     return (best, best_message);
                 }
                 let mut candidate = best.clone();

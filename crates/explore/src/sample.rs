@@ -38,6 +38,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use conch_runtime::rng::SplitMix64;
 use conch_runtime::value::FromValue;
 
 use crate::driver::Alt;
@@ -46,43 +47,12 @@ use crate::frontier::lock;
 use crate::schedule::Choice;
 use crate::worker::Worker;
 
-/// SplitMix64: the classic 64-bit mixing generator. Hand-rolled (seven
-/// lines) so sampling adds no dependency and the stream is pinned
-/// forever — a seed printed in a bug report must replay on every
-/// future version.
-pub(crate) struct Rng(u64);
-
-impl Rng {
-    pub(crate) fn new(seed: u64) -> Self {
-        Rng(seed)
-    }
-
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `0..n`. The modulo bias is below 2⁻⁵⁰ for the
-    /// candidate-list sizes that occur here (≤ a few hundred).
-    pub(crate) fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        self.next_u64() % n
-    }
-
-    pub(crate) fn coin(&mut self) -> bool {
-        self.next_u64() & 1 == 1
-    }
-}
-
 /// The seed of sample `index` in the stream rooted at `base`. A pure
 /// function of `(base, index)` — per-sample behaviour must not depend
 /// on which worker ran which earlier sample, or worker counts would
 /// diverge.
 pub(crate) fn stream_seed(base: u64, index: u64) -> u64 {
-    Rng::new(base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
+    SplitMix64::new(base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
 }
 
 /// The per-run PCT policy the driver consults at unscripted branch
@@ -90,7 +60,7 @@ pub(crate) fn stream_seed(base: u64, index: u64) -> u64 {
 /// sample and is discarded; all its state is derived from the sample's
 /// seed.
 pub(crate) struct SamplePolicy {
-    rng: Rng,
+    rng: SplitMix64,
     /// Random priority per thread, assigned at first sight (in
     /// candidate-list order, which is deterministic per run). Higher
     /// runs first.
@@ -110,7 +80,7 @@ pub(crate) struct SamplePolicy {
 
 impl SamplePolicy {
     pub(crate) fn pct(depth: usize, seed: u64, horizon: usize) -> Self {
-        let mut rng = Rng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let horizon = horizon.max(1) as u64;
         let change_points = (1..depth).map(|_| rng.below(horizon) as u32 + 1).collect();
         SamplePolicy {
@@ -197,7 +167,7 @@ pub(crate) fn policy_for(strategy: &Strategy, index: u64, horizon: usize) -> Sam
             // is diversity of configurations, not just of seeds.
             let n = seeds.len() as u64;
             let base = seeds[(index % n) as usize];
-            let depth = 1 + (Rng::new(base).next_u64() % 4) as usize;
+            let depth = 1 + (SplitMix64::new(base).next_u64() % 4) as usize;
             SamplePolicy::pct(depth, stream_seed(base, index / n), horizon)
         }
     }
@@ -274,8 +244,7 @@ impl Samples {
 /// the shared counter, drive each through a fresh policy, record
 /// counters and the lowest-index failure. The budget is always drained
 /// (failures don't stop the loop), so reports are worker-count
-/// independent even on failing spaces; only `max_total_steps` stops
-/// the sampler early.
+/// independent even on failing spaces.
 pub(crate) fn sample_worker<T: FromValue>(
     w: &mut Worker<'_>,
     factory: &mut dyn FnMut() -> TestCase<T>,
@@ -298,9 +267,6 @@ pub(crate) fn sample_worker<T: FromValue>(
         lock(&samples.hashes).insert(schedule_hash(&run.0.schedule.choices));
         w.account(run, |_| sample_key(index));
         w.stats.sampled += 1;
-        if w.over_caps() {
-            break;
-        }
     }
 }
 
@@ -312,7 +278,7 @@ mod tests {
     fn splitmix_stream_is_pinned() {
         // The stream is part of the replay contract: a seed in a bug
         // report must generate the same schedule forever.
-        let mut rng = Rng::new(0);
+        let mut rng = SplitMix64::new(0);
         assert_eq!(rng.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(rng.next_u64(), 0x6E78_9E6A_A1B9_65F4);
     }

@@ -158,14 +158,10 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Apply the global caps: once the schedule or step budget is spent
-    /// the whole search stops (and reports `complete = false`).
+    /// Apply the global cap: once the schedule budget is spent the
+    /// whole search stops (and reports `complete = false`).
     pub(crate) fn over_caps(&self) -> bool {
-        let over = self.frontier.explored() >= self.config.max_schedules
-            || self
-                .config
-                .max_total_steps
-                .is_some_and(|budget| self.frontier.steps() >= budget);
+        let over = self.frontier.explored() >= self.config.max_schedules;
         if over {
             self.frontier.request_stop();
         }

@@ -2,15 +2,23 @@
 //!
 //! The configuration exists to make the paper's design choices
 //! *togglable*, so the ablations in `tests/ablations.rs` (EXPERIMENTS.md
-//! B1–B5) can count what each one buys:
+//! B1–B5) and the conformance tests (C1) can count what each one buys:
 //!
 //! * [`DeliveryMode`] — fully-asynchronous delivery (the paper's design)
 //!   versus the polling / safe-point baseline used by Java, Modula-3 and
-//!   PThreads deferred cancellation (§2, §10).
+//!   PThreads deferred cancellation (§2, §10; B3).
 //! * [`RuntimeConfig::collapse_mask_frames`] — the §8.1 stack-frame
-//!   optimization that lets mask-recursive functions run in constant stack.
+//!   optimization that lets mask-recursive functions run in constant
+//!   stack (B1).
+//! * [`RuntimeConfig::fork_inherits_mask`] — GHC's `forkIO` versus the
+//!   paper-exact (Fork) rule (C1).
 //! * [`SchedulingPolicy`] — deterministic round-robin or seeded random
 //!   preemption, so tests can explore interleavings reproducibly.
+//!
+//! The rest bound a run (`quantum`, `max_steps`, `stack_limit`) or
+//! record it (`record_sched_events`). What no experiment varies is not
+//! a setting: every deadlock ends the run in
+//! [`RunError::Deadlock`](crate::error::RunError::Deadlock).
 
 /// How asynchronous exceptions are delivered to *runnable* threads.
 ///
@@ -40,20 +48,14 @@ pub enum SchedulingPolicy {
     RoundRobin,
     /// Seeded pseudo-random choice of the next thread and quantum length.
     /// Deterministic for a given seed; used to explore interleavings.
+    ///
+    /// Only tests (about 20 sites) and `examples/lock_safety.rs` select
+    /// it. It stays until ROADMAP's conformance-bridge item replaces
+    /// C1's random-schedule sampling with the explorer.
     Random {
         /// RNG seed.
         seed: u64,
     },
-}
-
-/// What happens when every thread is stuck and no sleeper can wake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DeadlockPolicy {
-    /// Stop and report [`RunError::Deadlock`](crate::error::RunError::Deadlock).
-    Report,
-    /// Mirror GHC: deliver `BlockedIndefinitely` to every stuck
-    /// thread and keep running.
-    RaiseBlockedIndefinitely,
 }
 
 /// Configuration for a [`Runtime`](crate::scheduler::Runtime).
@@ -70,7 +72,8 @@ pub enum DeadlockPolicy {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
-    /// Delivery mode for asynchronous exceptions. Default: `FullyAsync`.
+    /// Delivery mode for asynchronous exceptions. Default: `FullyAsync`;
+    /// ablation B3 selects the `Polling` baseline.
     pub delivery: DeliveryMode,
     /// Scheduling policy. Default: round-robin.
     pub scheduling: SchedulingPolicy,
@@ -81,14 +84,16 @@ pub struct RuntimeConfig {
     /// Apply the §8.1 adjacent block/unblock frame-collapse optimization.
     /// Default: `true`; ablation B1 disables it.
     pub collapse_mask_frames: bool,
-    /// Deadlock handling. Default: report an error.
-    pub deadlock: DeadlockPolicy,
     /// Hard cap on total interpreter steps (guards against accidental
     /// non-termination in tests). `None` = unbounded. Default: `None`.
     pub max_steps: Option<u64>,
     /// Hard cap on a single thread's frame-stack depth, modelling the
     /// finite stack of §2/§8.1. Exceeding it raises `StackOverflow` in the
     /// offending thread. `None` = unbounded. Default: `None`.
+    ///
+    /// Only tests set it, but it is the runtime's one bound on a
+    /// thread's memory, and exhaustion must end in a typed error
+    /// (ROADMAP's robustness aim).
     pub stack_limit: Option<usize>,
     /// Whether `forkIO` children inherit the parent's masking state.
     ///
@@ -96,7 +101,7 @@ pub struct RuntimeConfig {
     /// `forkIO` to inherit the mask precisely so that combinators like
     /// `either` (§7.2) can install their child-side handlers without a
     /// race. Default: `true` (GHC behaviour). Set `false` for paper-exact
-    /// semantics (the conformance tests do).
+    /// semantics (the conformance tests do, C1).
     pub fork_inherits_mask: bool,
     /// Record scheduler-visible events (fork, throwTo, mask transitions,
     /// blocking) in the I/O trace alongside the observable console/clock
@@ -113,7 +118,6 @@ impl RuntimeConfig {
             scheduling: SchedulingPolicy::RoundRobin,
             quantum: 11,
             collapse_mask_frames: true,
-            deadlock: DeadlockPolicy::Report,
             max_steps: None,
             stack_limit: None,
             fork_inherits_mask: true,
@@ -147,12 +151,6 @@ impl RuntimeConfig {
     /// Enables or disables the §8.1 frame-collapse optimization.
     pub fn collapse_mask_frames(mut self, on: bool) -> Self {
         self.collapse_mask_frames = on;
-        self
-    }
-
-    /// Sets the deadlock policy.
-    pub fn deadlock_policy(mut self, policy: DeadlockPolicy) -> Self {
-        self.deadlock = policy;
         self
     }
 
@@ -209,7 +207,6 @@ mod tests {
         let cfg = RuntimeConfig::default();
         assert_eq!(cfg.delivery, DeliveryMode::FullyAsync);
         assert!(cfg.collapse_mask_frames);
-        assert_eq!(cfg.deadlock, DeadlockPolicy::Report);
         assert_eq!(cfg.scheduling, SchedulingPolicy::RoundRobin);
     }
 

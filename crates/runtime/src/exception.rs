@@ -34,8 +34,9 @@ pub struct Exception {
 pub enum ExceptionKind {
     /// `KillThread` — the exception `either` sends to the losing child (§7.2).
     KillThread,
-    /// A timeout notification (used by the HTTP server; the paper's
-    /// `timeout` combinator itself needs no exception, see §7.3).
+    /// A timeout notification, one of §2's named sources of
+    /// asynchronous exceptions. Nothing here raises it: the paper's
+    /// `timeout` combinator needs no exception (§7.3).
     Timeout,
     /// `error` calls / user errors with a message.
     ErrorCall(String),
@@ -43,9 +44,6 @@ pub enum ExceptionKind {
     Arithmetic(ArithError),
     /// A pattern-match failure in pure code (Figure 1's inner language).
     PatternMatchFail,
-    /// Raised when the runtime detects that a thread is blocked forever
-    /// (deadlock). Mirrors GHC's `BlockedIndefinitelyOnMVar`.
-    BlockedIndefinitely,
     /// Stack exhaustion (§2, resource exhaustion).
     StackOverflow,
     /// Heap exhaustion (§2, resource exhaustion).
@@ -138,11 +136,6 @@ impl Exception {
         Exception::new(ExceptionKind::Arithmetic(ArithError::DivideByZero))
     }
 
-    /// The deadlock exception, mirroring GHC's `BlockedIndefinitelyOnMVar`.
-    pub fn blocked_indefinitely() -> Self {
-        Exception::new(ExceptionKind::BlockedIndefinitely)
-    }
-
     /// An application-defined exception identified by `name`.
     pub fn custom(name: impl Into<String>) -> Self {
         Exception::new(ExceptionKind::Custom(name.into()))
@@ -166,22 +159,9 @@ impl Exception {
         self.kind == ExceptionKind::KillThread
     }
 
-    /// Returns `true` if this is a timeout exception.
-    pub fn is_timeout(&self) -> bool {
-        self.kind == ExceptionKind::Timeout
-    }
-
     /// Returns `true` if this is an exit signal.
     pub fn is_exit_signal(&self) -> bool {
         matches!(self.kind, ExceptionKind::ExitSignal { .. })
-    }
-
-    /// The `(from, reason)` payload of an exit signal, if this is one.
-    pub fn as_exit_signal(&self) -> Option<(u64, &ExitReason)> {
-        match &self.kind {
-            ExceptionKind::ExitSignal { from, reason } => Some((*from, reason)),
-            _ => None,
-        }
     }
 }
 
@@ -202,9 +182,6 @@ impl fmt::Display for Exception {
             }
             ExceptionKind::Arithmetic(ArithError::Overflow) => write!(f, "overflow"),
             ExceptionKind::PatternMatchFail => write!(f, "pattern match failure"),
-            ExceptionKind::BlockedIndefinitely => {
-                write!(f, "thread blocked indefinitely")
-            }
             ExceptionKind::StackOverflow => write!(f, "stack overflow"),
             ExceptionKind::HeapOverflow => write!(f, "heap overflow"),
             ExceptionKind::UserInterrupt => write!(f, "user interrupt"),
@@ -234,7 +211,6 @@ mod tests {
     fn predicates() {
         assert!(Exception::kill_thread().is_kill_thread());
         assert!(!Exception::timeout().is_kill_thread());
-        assert!(Exception::timeout().is_timeout());
     }
 
     #[test]
@@ -266,7 +242,6 @@ mod tests {
         let e = Exception::exit_signal(7, crash.clone());
         assert!(e.is_exit_signal());
         assert!(!e.is_kill_thread());
-        assert_eq!(e.as_exit_signal(), Some((7, &crash)));
         assert_eq!(
             e.to_string(),
             "ExitSignal(thread#7, crashed: ErrorCall(\"boom\"))"
@@ -275,7 +250,6 @@ mod tests {
             Exception::exit_signal(1, ExitReason::Killed).to_string(),
             "ExitSignal(thread#1, killed)"
         );
-        assert!(Exception::kill_thread().as_exit_signal().is_none());
     }
 
     #[test]

@@ -268,13 +268,6 @@ impl Io<()> {
         go(s.into(), 0)
     }
 
-    /// Writes a string followed by a newline.
-    pub fn put_str_ln(s: impl Into<String>) -> Io<()> {
-        let mut s: String = s.into();
-        s.push('\n');
-        Io::put_str(s)
-    }
-
     /// `sleep d` — suspends the thread for `d` virtual microseconds.
     ///
     /// Sleeping is an *interruptible* operation: an asynchronous exception
@@ -597,13 +590,6 @@ mod tests {
         let mut rt = Runtime::new();
         rt.run(Io::put_str("abc")).unwrap();
         assert_eq!(rt.output(), "abc");
-    }
-
-    #[test]
-    fn put_str_ln_appends_newline() {
-        let mut rt = Runtime::new();
-        rt.run(Io::put_str_ln("hi")).unwrap();
-        assert_eq!(rt.output(), "hi\n");
     }
 
     #[test]

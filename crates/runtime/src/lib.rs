@@ -64,6 +64,7 @@ pub mod ids;
 pub mod io;
 pub mod mvar;
 pub mod parallel;
+pub mod rng;
 pub mod scheduler;
 pub mod stats;
 pub mod thread;
@@ -71,7 +72,7 @@ pub mod timer;
 pub mod trace;
 pub mod value;
 
-pub use crate::config::{DeadlockPolicy, DeliveryMode, RuntimeConfig, SchedulingPolicy};
+pub use crate::config::{DeliveryMode, RuntimeConfig, SchedulingPolicy};
 pub use crate::decide::{Decider, FirstRunnable, Pick, StepFootprint, ThreadView};
 pub use crate::error::RunError;
 pub use crate::exception::{ArithError, Exception, ExceptionKind, ExitReason};
@@ -90,7 +91,7 @@ pub use crate::value::{FromValue, IntoValue, Value};
 
 /// The most commonly used names, for glob import.
 pub mod prelude {
-    pub use crate::config::{DeadlockPolicy, DeliveryMode, RuntimeConfig, SchedulingPolicy};
+    pub use crate::config::{DeliveryMode, RuntimeConfig, SchedulingPolicy};
     pub use crate::decide::{Decider, Pick, StepFootprint, ThreadView};
     pub use crate::error::RunError;
     pub use crate::exception::{Exception, ExceptionKind, ExitReason};

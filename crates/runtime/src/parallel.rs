@@ -53,10 +53,10 @@
 //! ## Deadlock
 //!
 //! A locally-stuck shard may still be woken by a message, so a capped
-//! shard never applies its own deadlock policy. Only the coordinator —
+//! shard never declares its own deadlock. Only the coordinator —
 //! seeing every shard idle with no sleeper anywhere and no message in
-//! flight — declares the *global* deadlock, then applies the configured
-//! [`DeadlockPolicy`] to every shard in shard order.
+//! flight — declares the *global* deadlock: it stops the barrier loop,
+//! and every unfinished shard reports its own stuck set.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -64,7 +64,7 @@ use std::rc::Rc;
 use std::sync::mpsc;
 use std::thread;
 
-use crate::config::{DeadlockPolicy, RuntimeConfig};
+use crate::config::RuntimeConfig;
 use crate::error::RunError;
 use crate::exception::Exception;
 use crate::ids::{MVarId, ThreadId};
@@ -250,9 +250,8 @@ pub type ShardProgram = Box<dyn FnOnce(&ShardCtx) -> Io<Value> + Send>;
 /// What one shard produced.
 #[derive(Debug, Clone)]
 pub struct ShardReport {
-    /// The shard main thread's result. An unfinished shard (global
-    /// deadlock under [`DeadlockPolicy::Report`], or one that stayed
-    /// stuck through recovery) reports its own `Deadlock` stuck-set.
+    /// The shard main thread's result. A shard left unfinished by a
+    /// global deadlock reports its own `Deadlock` stuck-set.
     pub result: Result<Value, RunError>,
     /// The shard runtime's counters.
     pub stats: Stats,
@@ -288,7 +287,6 @@ enum Cmd {
         /// Deliveries per *local* shard, in the worker's shard order.
         deliveries: Vec<Vec<Envelope>>,
     },
-    InterruptStuck,
     Finish,
 }
 
@@ -303,9 +301,6 @@ enum Reply {
     Round {
         outcomes: Vec<Outcome>,
         outmsgs: Vec<Envelope>,
-    },
-    Stuck {
-        any_woken: bool,
     },
     /// Reports in the worker's local shard order; the coordinator maps
     /// them back to global indices via its assignment table.
@@ -403,15 +398,6 @@ fn worker_main(
                     outmsgs.append(&mut ws.outbox.borrow_mut().msgs);
                 }
                 let _ = tx.send(Reply::Round { outcomes, outmsgs });
-            }
-            Cmd::InterruptStuck => {
-                let mut any_woken = false;
-                for ws in shards.iter_mut() {
-                    if ws.done.is_none() && ws.rt.interrupt_all_stuck() {
-                        any_woken = true;
-                    }
-                }
-                let _ = tx.send(Reply::Stuck { any_woken });
             }
             Cmd::Finish => {
                 let reports = shards
@@ -531,41 +517,12 @@ impl MultiRuntime {
                         _ => None,
                     })
                     .min();
-                match min_wake {
-                    Some(w) => {
-                        // Every idle shard's next wake is past the old
-                        // cap, so this strictly advances the epoch.
-                        epoch = epoch.max(w / epoch_us);
-                    }
-                    None => {
-                        // Global deadlock: nothing runnable, nothing
-                        // sleeping, nothing in flight.
-                        match self.config.runtime.deadlock {
-                            DeadlockPolicy::Report => break,
-                            DeadlockPolicy::RaiseBlockedIndefinitely => {
-                                for tx in &cmd_txs {
-                                    tx.send(Cmd::InterruptStuck).expect("worker alive");
-                                }
-                                let mut any = false;
-                                for rx in &reply_rxs {
-                                    match rx.recv().expect("worker alive") {
-                                        Reply::Stuck { any_woken } => any |= any_woken,
-                                        _ => unreachable!("expected Stuck reply"),
-                                    }
-                                }
-                                if !any {
-                                    break;
-                                }
-                                for s in statuses.iter_mut() {
-                                    if !matches!(s, Status::Finished) {
-                                        *s = Status::Running;
-                                    }
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                }
+                // No wake anywhere is the global deadlock: nothing
+                // runnable, nothing sleeping, nothing in flight.
+                let Some(w) = min_wake else { break };
+                // Every idle shard's next wake is past the old cap, so
+                // this strictly advances the epoch.
+                epoch = epoch.max(w / epoch_us);
             }
 
             let sync_to = epoch * epoch_us;
@@ -751,38 +708,12 @@ mod tests {
                 Box::new(|ctx: &ShardCtx| ctx.recv()),
             ]
         };
-        let mut cfg = config(2);
-        cfg.runtime = RuntimeConfig::new().deadlock_policy(DeadlockPolicy::Report);
-        let report = MultiRuntime::new(cfg).run(mk());
+        let report = MultiRuntime::new(config(2)).run(mk());
         for shard in &report.shards {
             assert!(
                 matches!(shard.result, Err(RunError::Deadlock { .. })),
                 "expected deadlock, got {:?}",
                 shard.result
-            );
-        }
-    }
-
-    #[test]
-    fn blocked_indefinitely_recovery_crosses_shards() {
-        // Both shards block on recv forever; the global detector throws
-        // BlockedIndefinitely into each, which the programs catch.
-        let mk = || -> Vec<ShardProgram> {
-            let prog = |ctx: &ShardCtx| {
-                ctx.recv()
-                    .map(|_| Value::Int(1))
-                    .catch(|e| Io::pure(Value::Str(format!("caught: {e}"))))
-            };
-            vec![Box::new(prog) as ShardProgram, Box::new(prog)]
-        };
-        let mut cfg = config(2);
-        cfg.runtime =
-            RuntimeConfig::new().deadlock_policy(DeadlockPolicy::RaiseBlockedIndefinitely);
-        let report = MultiRuntime::new(cfg).run(mk());
-        for shard in &report.shards {
-            assert_eq!(
-                shard.result,
-                Ok(Value::Str("caught: thread blocked indefinitely".into()))
             );
         }
     }

@@ -30,10 +30,7 @@
 
 use std::collections::VecDeque;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use crate::config::{DeadlockPolicy, RuntimeConfig, SchedulingPolicy};
+use crate::config::{RuntimeConfig, SchedulingPolicy};
 use crate::console::BufferConsole;
 use crate::decide::{Decider, StepFootprint, ThreadView};
 use crate::error::RunError;
@@ -41,6 +38,7 @@ use crate::exception::Exception;
 use crate::ids::{MVarId, ThreadId};
 use crate::io::{Action, Io};
 use crate::mvar::MVarCell;
+use crate::rng::SplitMix64;
 use crate::stats::Stats;
 use crate::thread::{Code, MaskState, Status, Thread};
 use crate::timer::{TimerEntry, TimerWheel};
@@ -91,7 +89,7 @@ pub struct Runtime {
     console_waiters: VecDeque<ThreadId>,
     console: BufferConsole,
     stats: Stats,
-    rng: Option<StdRng>,
+    rng: Option<SplitMix64>,
     trace: Vec<IoEvent>,
     main_tid: Option<ThreadId>,
     /// The run's outcome, once decided: the main thread's result, or
@@ -182,10 +180,12 @@ fn enqueue_runnable(run_queue: &mut VecDeque<ThreadId>, th: &mut Thread) {
     run_queue.push_back(th.tid);
 }
 
-/// The scheduling RNG `config` asks for.
-fn rng_for(config: &RuntimeConfig) -> Option<StdRng> {
+/// The scheduling RNG `config` asks for. The XOR is part of the pinned
+/// stream: G3's random-scheduling golden and every recorded seed rest
+/// on it.
+fn rng_for(config: &RuntimeConfig) -> Option<SplitMix64> {
     match config.scheduling {
-        SchedulingPolicy::Random { seed } => Some(StdRng::seed_from_u64(seed)),
+        SchedulingPolicy::Random { seed } => Some(SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15)),
         SchedulingPolicy::RoundRobin => None,
     }
 }
@@ -375,17 +375,7 @@ impl Runtime {
                     continue;
                 }
                 if local_deadlock {
-                    match self.config.deadlock {
-                        DeadlockPolicy::Report => {
-                            return PumpOutcome::Finished(Err(self.deadlock_error()))
-                        }
-                        DeadlockPolicy::RaiseBlockedIndefinitely => {
-                            if self.interrupt_all_stuck() {
-                                continue;
-                            }
-                            return PumpOutcome::Finished(Err(self.deadlock_error()));
-                        }
-                    }
+                    return PumpOutcome::Finished(Err(self.deadlock_error()));
                 }
                 // The next wake may belong to a lazily-invalidated
                 // sleeper; the coordinator tolerates that (the next
@@ -570,7 +560,7 @@ impl Runtime {
         }
         let q = self.config.quantum;
         match &mut self.rng {
-            Some(rng) => rng.gen_range(1..=q),
+            Some(rng) => 1 + rng.below(q),
             None => q,
         }
     }
@@ -603,7 +593,7 @@ impl Runtime {
         let tid = match &mut self.rng {
             None => self.run_queue.pop_front(),
             Some(rng) => {
-                let i = rng.gen_range(0..self.run_queue.len());
+                let i = rng.below(self.run_queue.len() as u64) as usize;
                 self.run_queue.remove(i)
             }
         };
@@ -664,26 +654,6 @@ impl Runtime {
             .collect();
         stuck.sort_by_key(|(tid, _)| *tid);
         RunError::Deadlock { stuck }
-    }
-
-    /// GHC-style deadlock recovery: throw `BlockedIndefinitely` to every
-    /// stuck thread. Returns `true` if any thread was interrupted.
-    pub(crate) fn interrupt_all_stuck(&mut self) -> bool {
-        let mut stuck: Vec<ThreadId> = self
-            .threads
-            .iter()
-            .filter_map(|s| s.thread.as_ref())
-            .filter(|t| t.is_stuck())
-            .map(|t| t.tid)
-            .collect();
-        // Interrupt in spawn order (the pre-reclamation table order), so
-        // the wake-up sequence is independent of slot reuse.
-        stuck.sort_unstable();
-        let any = !stuck.is_empty();
-        for tid in stuck {
-            self.enqueue_exception(tid, Exception::blocked_indefinitely(), None);
-        }
-        any
     }
 
     // ------------------------------------------------------------------

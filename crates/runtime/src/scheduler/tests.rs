@@ -66,19 +66,6 @@ fn deadlock_is_detected() {
 }
 
 #[test]
-fn deadlock_policy_can_raise() {
-    let cfg = RuntimeConfig::new().deadlock_policy(DeadlockPolicy::RaiseBlockedIndefinitely);
-    let mut rt = Runtime::with_config(cfg);
-    let prog = Io::new_empty_mvar::<i64>()
-        .and_then(|m| m.take())
-        .catch(|e| {
-            assert_eq!(e, Exception::blocked_indefinitely());
-            Io::pure(0_i64)
-        });
-    assert_eq!(rt.run(prog).unwrap(), 0);
-}
-
-#[test]
 fn sleep_advances_virtual_clock() {
     let mut rt = Runtime::new();
     rt.run(Io::sleep(500)).unwrap();

@@ -6,9 +6,6 @@
 //! §5.1 example. [`derive()`] produces one under a caller-supplied
 //! scheduling choice; [`Derivation::render`] pretty-prints it.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::engine::State;
 use crate::rules::{Label, RuleConfig, RuleName};
 use crate::term::TidName;
@@ -134,9 +131,16 @@ pub fn derive_first(init: &State, config: &RuleConfig, max_steps: usize) -> Deri
 /// [`derive()`] with seeded-random choices: a uniformly random enabled
 /// transition at each step, the same walk for the same seed.
 pub fn derive_random(init: &State, config: &RuleConfig, max_steps: usize, seed: u64) -> Derivation {
-    let mut rng = StdRng::seed_from_u64(seed);
+    // SplitMix64, the stream of `conch_runtime::rng::SplitMix64` seeded
+    // with `seed ^ 0x9E37_79B9_7F4A_7C15`: a private copy, because this
+    // crate does not depend on the runtime.
+    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
     derive(init, config, max_steps, move |menu| {
-        rng.gen_range(0..menu.len())
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % menu.len() as u64) as usize
     })
 }
 
@@ -201,6 +205,33 @@ mod tests {
         let r1 = derive_random(&mk(), &cfg, 500, 99);
         let r2 = derive_random(&mk(), &cfg, 500, 99);
         assert_eq!(r1.steps, r2.steps);
+        // The walk itself is pinned, not just its repeatability: a seed
+        // must name the same derivation on every version.
+        let walk = |seed| {
+            let d = derive_random(&mk(), &cfg, 500, seed);
+            let tids: Vec<String> = d
+                .steps
+                .iter()
+                .map(|s| s.tid.map_or("-".into(), |t| t.to_string()))
+                .collect();
+            let out: String = d
+                .observables()
+                .iter()
+                .map(|l| match l {
+                    Label::Put(c) => *c,
+                    other => panic!("unexpected label {other}"),
+                })
+                .collect();
+            (tids.join(","), out)
+        };
+        assert_eq!(
+            walk(0),
+            ("t0,t1,t0,t1,t0,t0,t0,t2,t0,t2,t0,t0".into(), "abc".into())
+        );
+        assert_eq!(
+            walk(1),
+            ("t0,t1,t0,t0,t1,t0,t0,t0,t0,t2,t2,t0".into(), "acb".into())
+        );
     }
 
     #[test]

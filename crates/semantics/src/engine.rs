@@ -533,10 +533,7 @@ mod tests {
                 ),
             );
             let config = ExploreConfig {
-                rules: RuleConfig {
-                    device_stuckness,
-                    ..RuleConfig::default()
-                },
+                rules: RuleConfig { device_stuckness },
                 ..ExploreConfig::default()
             };
             Lts::explore(&State::new(prog, input), &config).trace_set()

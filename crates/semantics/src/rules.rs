@@ -145,26 +145,19 @@ pub struct Transition {
     pub consumed_input: bool,
 }
 
+/// Fuel for each inner (Eval) invocation: the inner language's
+/// reduction steps before a pure term counts as divergent.
+const EVAL_FUEL: u64 = 100_000;
+
 /// Tunables for rule enumeration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuleConfig {
-    /// Fuel for each inner (Eval) invocation.
-    pub eval_fuel: u64,
     /// Enable the purely device-driven stuckness transitions
     /// ((Stuck PutChar) always; (Stuck GetChar) even when input is
     /// available). Off by default: they multiply interleavings, and they
     /// make a masked `putChar`/`getChar` an interruptible wait, so a
     /// `throwTo` can land inside `block` where it otherwise could not.
     pub device_stuckness: bool,
-}
-
-impl Default for RuleConfig {
-    fn default() -> Self {
-        RuleConfig {
-            eval_fuel: 100_000,
-            device_stuckness: false,
-        }
-    }
 }
 
 /// Drops unobservable processes: in-flight exceptions aimed at
@@ -287,7 +280,7 @@ fn thread_transitions(
         // ---- (Eval)/(Raise): lift the inner semantics. Runnable only.
         r if !r.is_value() => {
             if runnable {
-                let mut fuel = config.eval_fuel;
+                let mut fuel = EVAL_FUEL;
                 match eval(&d.redex, &mut fuel) {
                     Outcome::Value(v) => {
                         debug_assert!(*v != *d.redex, "(Eval) requires M ≠ V");

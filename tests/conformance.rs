@@ -516,7 +516,6 @@ fn device_stuckness_adds_outcomes_only_where_a_masked_put_is_killed() {
     let stuckness = ExploreConfig {
         rules: RuleConfig {
             device_stuckness: true,
-            ..RuleConfig::default()
         },
         ..ExploreConfig::default()
     };

@@ -516,56 +516,6 @@ fn dpor_failure_certificates_identical_for_every_worker_count() {
     }
 }
 
-#[test]
-fn shrink_budget_truncates_deterministically() {
-    // A budget so tight the very first run exhausts it: the failure is
-    // still reported, but shrinking is cut off before its first
-    // candidate replay — the certificate is the unshrunk original and
-    // the report says so, instead of silently burning steps past the
-    // deadline (or worse, panicking mid-shrink).
-    let capped_cfg = || ExploreConfig {
-        max_schedules: 100_000,
-        max_total_steps: Some(1),
-        ..ExploreConfig::default()
-    };
-    let always_fails = || {
-        TestCase::new(output_race(), |_: &RunOutcome<()>| {
-            Err("seeded failure".to_owned())
-        })
-    };
-    let result = Explorer::with_config(capped_cfg()).check(always_fails);
-    let failure = result.expect_fail();
-    assert!(
-        failure.report.shrink_truncated,
-        "an exhausted budget must be reported: {:?}",
-        failure.report
-    );
-    assert_eq!(
-        failure.report.shrink_runs, 0,
-        "no candidate may be replayed once the budget is spent"
-    );
-    assert_eq!(failure.report.shrink_steps, 0);
-    assert_eq!(
-        failure.schedule, failure.original,
-        "best-so-far is the original when shrinking never started"
-    );
-    // Deterministic: a second capped search truncates identically.
-    let again = Explorer::with_config(capped_cfg()).check(always_fails);
-    let again = again.expect_fail();
-    assert_eq!(again.report, failure.report);
-    assert_eq!(again.schedule, failure.schedule);
-    // Contrast: with no deadline the same search shrinks normally,
-    // spends (and accounts) shrink steps, and is not marked truncated.
-    let free = explorer().check(racy_case);
-    let free = free.expect_fail();
-    assert!(!free.report.shrink_truncated);
-    assert!(free.report.shrink_runs > 0);
-    assert!(
-        free.report.shrink_steps > 0,
-        "shrink replays must be charged to the step ledger"
-    );
-}
-
 // ---------------------------------------------------------------------
 // Sampling strategies share the determinism contract: a sample's
 // schedule is a pure function of (strategy, index), workers claim
@@ -654,34 +604,6 @@ fn sampled_failure_certificates_identical_for_every_worker_count() {
             );
         }
     }
-}
-
-#[test]
-fn step_budget_truncates_deterministically() {
-    // A tiny global step budget stops the search early — at the same
-    // schedule on every machine, unlike a wall-clock deadline — and the
-    // report is marked incomplete.
-    let cfg = ExploreConfig {
-        max_schedules: 100_000,
-        max_total_steps: Some(200),
-        ..ExploreConfig::default()
-    };
-    let capped = Explorer::with_config(cfg.clone())
-        .check(|| TestCase::new(three_way_race(), |_: &RunOutcome<i64>| Ok(())))
-        .expect_pass()
-        .clone();
-    assert!(!capped.complete, "budget must mark the search incomplete");
-    assert!(capped.explored < 448, "budget must actually bind");
-    assert!(
-        capped.steps >= 200,
-        "search stops only once the budget is spent"
-    );
-    // Deterministic: a second run truncates at exactly the same point.
-    let again = Explorer::with_config(cfg)
-        .check(|| TestCase::new(three_way_race(), |_: &RunOutcome<i64>| Ok(())))
-        .expect_pass()
-        .clone();
-    assert_eq!(capped, again);
 }
 
 // ---------------------------------------------------------------------
