@@ -11,7 +11,6 @@
 //! thread ever has to retry. This is one deterministic refinement of the
 //! paper's nondeterministic (PutMVar)/(TakeMVar) rules.
 
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 
 use crate::ids::{MVarId, ThreadId};
@@ -133,14 +132,21 @@ impl<T: FromValue + IntoValue + 'static> IntoValue for MVar<T> {
 }
 
 /// The state of one `MVar` cell inside the runtime.
+///
+/// The threads blocked on the cell form one FIFO list linked through
+/// the waiters themselves: the cell holds its ends, and each waiter's
+/// [`StuckReason`](crate::thread::StuckReason) the link to the next one
+/// (as GHC links a blocked `MVar`'s TSOs). Takers wait only while the
+/// cell is empty and putters only while it is full, so the list holds
+/// one kind at a time; a putter's value waits in its own code.
 #[derive(Debug, Default)]
 pub(crate) struct MVarCell {
     /// `Some(v)` when full.
     pub contents: Option<Value>,
-    /// Threads blocked in `takeMVar`, FIFO.
-    pub take_queue: VecDeque<ThreadId>,
-    /// Threads blocked in `putMVar`, FIFO, with the value they carry.
-    pub put_queue: VecDeque<(ThreadId, Value)>,
+    /// The longest-waiting thread, served first.
+    pub first: Option<ThreadId>,
+    /// The most recent waiter, which the next one links after.
+    pub last: Option<ThreadId>,
 }
 
 impl MVarCell {
@@ -157,17 +163,19 @@ impl MVarCell {
         }
     }
 
-    /// Removes a thread from both wait queues (after interruption).
-    pub(crate) fn forget_waiter(&mut self, t: ThreadId) {
-        self.take_queue.retain(|&x| x != t);
-        self.put_queue.retain(|(x, _)| *x != t);
+    /// Drops the first waiter from the list: `next`, the thread linked
+    /// behind it, becomes the first.
+    pub(crate) fn unlink_first(&mut self, next: Option<ThreadId>) {
+        self.first = next;
+        if next.is_none() {
+            self.last = None;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::tid;
     use crate::prelude::*;
 
     #[test]
@@ -214,17 +222,6 @@ mod tests {
                 .and_then(move |a| m.try_put(2).map(move |b| (a, b)))
         });
         assert_eq!(rt.run(prog).unwrap(), (true, false));
-    }
-
-    #[test]
-    fn forget_waiter_clears_queues() {
-        let mut cell = MVarCell::empty();
-        cell.take_queue.push_back(tid(1));
-        cell.take_queue.push_back(tid(2));
-        cell.put_queue.push_back((tid(1), Value::Unit));
-        cell.forget_waiter(tid(1));
-        assert_eq!(cell.take_queue, [tid(2)]);
-        assert!(cell.put_queue.is_empty());
     }
 
     #[test]

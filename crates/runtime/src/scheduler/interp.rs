@@ -242,15 +242,16 @@ impl Runtime {
                 // available").
                 Some(v) => set_code(th, Code::ReturnVal(v)),
                 None => {
-                    self.block_on(th, StuckReason::TakeMVar(m));
+                    self.block_on(th, StuckReason::TakeMVar { m, next: None });
                 }
             },
             Action::PutMVar(m, ref mut v) => match self.try_put(m, std::mem::take(v)) {
                 Ok(()) => set_code(th, Code::ReturnVal(Value::Unit)),
-                Err(v) => {
-                    if self.block_on(th, StuckReason::PutMVar(m)) {
-                        self.mvars[m.0 as usize].put_queue.push_back((th.tid, v));
-                    }
+                Err(back) => {
+                    // The value waits in the putter's own code until a
+                    // take admits it.
+                    *v = back;
+                    self.block_on(th, StuckReason::PutMVar { m, next: None });
                 }
             },
             Action::TryTakeMVar(m) => {

@@ -40,7 +40,7 @@ use crate::io::{Action, Io};
 use crate::mvar::MVarCell;
 use crate::rng::SplitMix64;
 use crate::stats::Stats;
-use crate::thread::{Code, MaskState, Status, Thread};
+use crate::thread::{Code, MaskState, Status, StuckReason, Thread};
 use crate::timer::{TimerEntry, TimerWheel};
 use crate::trace::IoEvent;
 use crate::value::{FromValue, Value};
@@ -280,14 +280,25 @@ impl Runtime {
 
     /// Forgets every thread: empties the table (recycling the occupants)
     /// and every structure that names a thread — free list and spawn
-    /// counter, run queue, sleepers, console waiters, the last-scheduled
-    /// marker, an uncollected result. Rule (Proc GC) at the end of a run
-    /// and the per-run reset at the start of the next are both this;
-    /// what a run *produced* (statistics, trace, `MVar`s, console,
-    /// clock) is not touched.
+    /// counter, run queue, sleepers, console waiters, the wait lists of
+    /// the `MVar`s stuck threads wait on, the last-scheduled marker, an
+    /// uncollected result. Rule (Proc GC) at the end of a run and the
+    /// per-run reset at the start of the next are both this; what a run
+    /// *produced* (statistics, trace, `MVar` contents, console, clock)
+    /// is not touched.
     fn clear_run_state(&mut self) {
         for i in 0..self.threads.len() {
             if let Some(th) = self.threads[i].thread.take() {
+                // Every waiter on the cell is a thread of this run, so
+                // the whole list goes.
+                if let Status::Stuck(
+                    StuckReason::TakeMVar { m, .. } | StuckReason::PutMVar { m, .. },
+                ) = th.status
+                {
+                    let cell = &mut self.mvars[m.0 as usize];
+                    cell.first = None;
+                    cell.last = None;
+                }
                 self.recycle(th);
             }
         }

@@ -814,3 +814,104 @@ fn mask_frames_collapse_stat() {
         "collapse should bound mask frames: with={with}, without={without}"
     );
 }
+
+/// Forks one thread per body in order and sleeps, so each has run to
+/// its first block before the caller goes on; returns their ids.
+fn fork_and_park(bodies: Vec<Io<()>>) -> Io<Vec<ThreadId>> {
+    crate::io::sequence(bodies.into_iter().map(Io::fork).collect())
+        .and_then(|tids| Io::sleep(1).then(Io::pure(tids)))
+}
+
+/// Three takers wait on an empty `MVar`, waiter `killed` is interrupted,
+/// and a fourth taker is filed after that; three puts then hand the
+/// values 1, 2, 3 to the survivors in the order they began to wait.
+/// Each taker reports `100 * its index + the value it got`.
+fn takers_after_killing(killed: usize) -> Vec<i64> {
+    let prog = Io::new_empty_mvar::<i64>().and_then(move |m| {
+        Io::new_empty_mvar::<i64>().and_then(move |out| {
+            let taker = move |i: i64| m.take().and_then(move |v| out.put(100 * i + v));
+            fork_and_park((0..3).map(taker).collect()).and_then(move |tids| {
+                Io::throw_to(tids[killed], Exception::kill_thread())
+                    .then(fork_and_park(vec![taker(3)]))
+                    .then(m.put(1))
+                    .then(m.put(2))
+                    .then(m.put(3))
+                    .then(crate::io::sequence(vec![
+                        out.take(),
+                        out.take(),
+                        out.take(),
+                    ]))
+            })
+        })
+    });
+    let mut got = Runtime::new().run(prog).unwrap();
+    got.sort_unstable();
+    got
+}
+
+#[test]
+fn takers_are_served_in_order_whichever_waiter_is_interrupted() {
+    assert_eq!(takers_after_killing(0), [101, 202, 303]);
+    assert_eq!(takers_after_killing(1), [1, 202, 303]);
+    assert_eq!(takers_after_killing(2), [1, 102, 303]);
+}
+
+/// Three putters, carrying 10, 11 and 12, wait on a full `MVar`, waiter
+/// `killed` is interrupted, and a fourth carrying 13 is filed after
+/// that; takes then drain the cell, which must be empty at the end.
+fn putters_after_killing(killed: usize) -> (Vec<i64>, Option<i64>) {
+    let prog = Io::new_mvar(0_i64).and_then(move |m| {
+        let putter = move |i: i64| m.put(10 + i);
+        fork_and_park((0..3).map(putter).collect()).and_then(move |tids| {
+            Io::throw_to(tids[killed], Exception::kill_thread())
+                .then(fork_and_park(vec![putter(3)]))
+                .then(crate::io::sequence(vec![
+                    m.take(),
+                    m.take(),
+                    m.take(),
+                    m.take(),
+                ]))
+                .and_then(move |got| m.try_take().map(move |rest| (got, rest)))
+        })
+    });
+    Runtime::new().run(prog).unwrap()
+}
+
+#[test]
+fn putters_are_admitted_in_order_and_a_killed_putter_puts_nothing() {
+    assert_eq!(putters_after_killing(0), (vec![0, 11, 12, 13], None));
+    assert_eq!(putters_after_killing(1), (vec![0, 10, 12, 13], None));
+    assert_eq!(putters_after_killing(2), (vec![0, 10, 11, 13], None));
+}
+
+/// Run 1 ends with a taker still waiting on the `MVar` it returns.
+fn run_leaving_a_taker_on(rt: &mut Runtime) -> crate::mvar::MVar<i64> {
+    let prog = Io::new_empty_mvar::<i64>()
+        .and_then(|m| fork_and_park(vec![m.take().map(|_| ())]).then(Io::pure(m)));
+    rt.run(prog).unwrap()
+}
+
+#[test]
+fn a_waiter_of_an_ended_run_is_not_woken_in_the_next() {
+    let mut rt = Runtime::new();
+    let m = run_leaving_a_taker_on(&mut rt);
+    assert_eq!(rt.run(m.put(5).then(m.try_take())).unwrap(), Some(5));
+}
+
+#[test]
+fn a_waiter_of_an_ended_run_is_not_mistaken_for_its_slots_next_tenant() {
+    let mut rt = Runtime::new();
+    let m = run_leaving_a_taker_on(&mut rt);
+    // The new thread waiting on `n` takes the slot the stale taker had.
+    let prog = Io::new_empty_mvar::<i64>().and_then(move |n| {
+        Io::new_empty_mvar::<i64>().and_then(move |got| {
+            fork_and_park(vec![n.take().and_then(move |v| got.put(v))])
+                .then(m.put(5))
+                .then(m.try_take())
+                .and_then(move |taken| {
+                    Io::sleep(1).then(got.try_take().map(move |woke| (taken, woke)))
+                })
+        })
+    });
+    assert_eq!(rt.run(prog).unwrap(), (Some(5), None));
+}

@@ -93,11 +93,21 @@ pub(crate) enum Code {
 /// Why a thread cannot currently run (the ⊛ state of §6.3).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum StuckReason {
-    /// Waiting in `takeMVar` on an empty `MVar`.
-    TakeMVar(MVarId),
-    /// Waiting in `putMVar` on a full `MVar` (the value travels in the
-    /// cell's put queue).
-    PutMVar(MVarId),
+    /// Waiting in `takeMVar` on the empty `m`.
+    TakeMVar {
+        /// The cell waited on.
+        m: MVarId,
+        /// The thread queued behind this one on `m`, if any.
+        next: Option<ThreadId>,
+    },
+    /// Waiting in `putMVar` on the full `m`; the value waits in the
+    /// thread's own `Code::Run(Action::PutMVar(_, v))`.
+    PutMVar {
+        /// The cell waited on.
+        m: MVarId,
+        /// The thread queued behind this one on `m`, if any.
+        next: Option<ThreadId>,
+    },
     /// Sleeping until the virtual clock reaches `wake_at`.
     Sleep {
         /// Absolute virtual time (µs) at which to wake.
@@ -121,8 +131,8 @@ impl StuckReason {
     /// Human-readable description for deadlock reports.
     pub(crate) fn describe(&self) -> String {
         match self {
-            StuckReason::TakeMVar(m) => format!("blocked in takeMVar on {m}"),
-            StuckReason::PutMVar(m) => format!("blocked in putMVar on {m}"),
+            StuckReason::TakeMVar { m, .. } => format!("blocked in takeMVar on {m}"),
+            StuckReason::PutMVar { m, .. } => format!("blocked in putMVar on {m}"),
             StuckReason::Sleep { wake_at } => format!("sleeping until t={wake_at}"),
             StuckReason::GetChar => "blocked in getChar".to_owned(),
             StuckReason::SyncThrow { target, .. } => {
@@ -135,8 +145,8 @@ impl StuckReason {
     /// reports it.
     pub(crate) fn site(&self) -> BlockSite {
         match self {
-            StuckReason::TakeMVar(_) => BlockSite::TakeMVar,
-            StuckReason::PutMVar(_) => BlockSite::PutMVar,
+            StuckReason::TakeMVar { .. } => BlockSite::TakeMVar,
+            StuckReason::PutMVar { .. } => BlockSite::PutMVar,
             StuckReason::Sleep { .. } => BlockSite::Sleep,
             StuckReason::GetChar => BlockSite::GetChar,
             StuckReason::SyncThrow { .. } => BlockSite::SyncThrow,
@@ -277,6 +287,17 @@ impl Thread {
     /// Is this thread currently stuck?
     pub(crate) fn is_stuck(&self) -> bool {
         matches!(self.status, Status::Stuck(_))
+    }
+
+    /// The link to the thread queued behind this one on an `MVar`, if
+    /// this one is waiting on an `MVar`.
+    pub(crate) fn mvar_link(&mut self) -> Option<&mut Option<ThreadId>> {
+        match &mut self.status {
+            Status::Stuck(
+                StuckReason::TakeMVar { next, .. } | StuckReason::PutMVar { next, .. },
+            ) => Some(next),
+            _ => None,
+        }
     }
 
     /// Takes the first pending exception, if any.
@@ -472,16 +493,19 @@ mod tests {
                 ("Code", 48),
                 ("Frame", 24),
                 ("Thread", 168),
-                ("MVarCell", 96),
+                ("MVarCell", 56),
             ]
         );
     }
 
     #[test]
     fn stuck_reason_descriptions() {
-        assert!(StuckReason::TakeMVar(MVarId(1))
-            .describe()
-            .contains("takeMVar"));
+        assert!(StuckReason::TakeMVar {
+            m: MVarId(1),
+            next: None
+        }
+        .describe()
+        .contains("takeMVar"));
         assert!(StuckReason::Sleep { wake_at: 5 }.describe().contains('5'));
         assert!(StuckReason::GetChar.describe().contains("getChar"));
     }
