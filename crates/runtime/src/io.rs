@@ -42,8 +42,12 @@ use crate::value::{FromValue, IntoValue, Value};
 pub(crate) trait BindNode {
     /// Moves the left action out, leaving a spent `Pure(())` in its slot.
     fn take_left(&mut self) -> Action;
-    /// Runs the continuation on the left action's result.
-    fn resume(self: Box<Self>, v: Value) -> Action;
+    /// Runs the continuation on the left action's result and stores the
+    /// action it returns in `code`, which must be spent (`Pure(())`, the
+    /// value already taken) and is forgotten: a continuation inlined here
+    /// builds its action in the slot instead of returning it through a
+    /// temporary.
+    fn resume(self: Box<Self>, v: Value, code: &mut Action);
 }
 
 /// The one implementor of [`BindNode`]; generic so the continuation is
@@ -58,16 +62,21 @@ impl<K: FnOnce(Value) -> Action> BindNode for Bind<K> {
         std::mem::replace(&mut self.left, Action::Pure(Value::Unit))
     }
 
-    fn resume(self: Box<Self>, v: Value) -> Action {
+    fn resume(self: Box<Self>, v: Value, code: &mut Action) {
         let Bind { left, k } = *self;
-        // The `Pure(())` `take_left` left behind owns nothing: forgetting
-        // it skips `Action`'s out-of-line drop glue.
+        // The `Pure(())` `take_left` left behind owns nothing, nor does
+        // the spent `code`: forgetting them skips `Action`'s out-of-line
+        // drop glue.
         debug_assert!(
             matches!(left, Action::Pure(Value::Unit)),
             "resumed before its left action ran: {left:?}"
         );
+        debug_assert!(
+            matches!(code, Action::Pure(Value::Unit)),
+            "resumed over live code {code:?}"
+        );
         std::mem::forget(left);
-        k(v)
+        std::mem::forget(std::mem::replace(code, k(v)));
     }
 }
 
@@ -665,7 +674,9 @@ mod tests {
         // The slot the left action came out of is spent, not duplicated.
         assert_eq!(format!("{:?}", node.take_left()), "Pure(())");
         assert_eq!((ran.get(), dropped.get()), (0, 0));
-        assert_eq!(format!("{:?}", node.resume(Value::Int(4))), "Pure(5)");
+        let mut code = Action::Pure(Value::Unit);
+        node.resume(Value::Int(4), &mut code);
+        assert_eq!(format!("{code:?}"), "Pure(5)");
         assert_eq!((ran.get(), dropped.get()), (1, 1));
     }
 

@@ -9,7 +9,7 @@ use super::{enqueue_runnable, lookup_mut, Runtime, Slot};
 use crate::ids::{MVarId, ThreadId};
 use crate::io::Action;
 use crate::mvar::MVarCell;
-use crate::thread::{Code, Status, StuckReason, Thread};
+use crate::thread::{Mode, Status, StuckReason, Thread};
 use crate::timer::TimerEntry;
 use crate::trace::IoEvent;
 use crate::value::Value;
@@ -25,7 +25,8 @@ use crate::value::Value;
 fn wake_thread(run_queue: &mut VecDeque<ThreadId>, th: &mut Thread, v: Value) {
     debug_assert!(th.is_stuck());
     th.status = Status::Runnable;
-    th.code = Code::ReturnVal(v);
+    th.mode = Mode::Return;
+    th.code = Action::Pure(v);
     enqueue_runnable(run_queue, th);
 }
 
@@ -169,8 +170,8 @@ impl Runtime {
         let v = cell.contents.take()?;
         self.stats.mvar_ops += 1;
         if let Some(putter) = pop_waiter(cell, &mut self.threads) {
-            debug_assert!(matches!(putter.code, Code::Run(Action::PutMVar(..))));
-            if let Code::Run(Action::PutMVar(_, value)) = &mut putter.code {
+            debug_assert!(matches!(putter.code, Action::PutMVar(..)));
+            if let Action::PutMVar(_, value) = &mut putter.code {
                 cell.contents = Some(std::mem::take(value));
             }
             wake_thread(&mut self.run_queue, putter, Value::Unit);

@@ -5,7 +5,8 @@
 use super::{enqueue_runnable, lookup, slot_index, Runtime};
 use crate::exception::Exception;
 use crate::ids::ThreadId;
-use crate::thread::{Code, PendingExc, RaiseOrigin, Status, StuckReason, Thread};
+use crate::io::Action;
+use crate::thread::{Mode, PendingExc, RaiseOrigin, Status, StuckReason, Thread};
 use crate::value::Value;
 
 /// Which rule delivers an exception — what [`Stats`] tells apart.
@@ -67,7 +68,8 @@ impl Runtime {
         }
         self.stats.delivery_latency_total += self.stats.steps - p.enqueued_step;
         self.stats.delivery_latency_samples += 1;
-        th.code = Code::Raise(p.exc, RaiseOrigin::Async);
+        th.mode = Mode::Raise;
+        th.code = Action::Rethrow(p.exc, RaiseOrigin::Async);
         if let Status::Stuck(reason) = std::mem::replace(&mut th.status, Status::Runnable) {
             self.leave_wait(th.tid, &reason);
             enqueue_runnable(&mut self.run_queue, th);

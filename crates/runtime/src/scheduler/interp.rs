@@ -10,7 +10,7 @@ use crate::exception::Exception;
 use crate::ids::{MVarId, ThreadId};
 use crate::io::Action;
 use crate::mvar::MVarCell;
-use crate::thread::{Code, Frame, MaskState, PendingExc, RaiseOrigin, StuckReason, Thread};
+use crate::thread::{Frame, MaskState, Mode, PendingExc, RaiseOrigin, StuckReason, Thread};
 use crate::trace::IoEvent;
 use crate::value::Value;
 
@@ -20,52 +20,59 @@ pub(super) enum Step {
     /// (runnable, stuck or yielded — its `status` says which).
     Ran,
     /// The thread returned or raised with an empty stack: its `code`
-    /// holds the final value or the uncaught exception.
+    /// holds the final `Pure(v)` or the uncaught exception.
     Ended,
 }
 
-/// Moves `th`'s code out, leaving `return ()` in its place.
-pub(super) fn take_code(th: &mut Thread) -> Code {
-    std::mem::replace(&mut th.code, Code::ReturnVal(Value::Unit))
+/// Moves `th`'s code out, leaving a spent `return ()` in its place.
+pub(super) fn take_code(th: &mut Thread) -> Action {
+    std::mem::replace(&mut th.code, Action::Pure(Value::Unit))
 }
 
-/// The one write of `th`'s next code in a step. What it overwrites is
-/// spent — the `return ()` [`take_code`] leaves, or the running node
-/// once its payload was taken or was `Copy` — and owns nothing, so it is
-/// forgotten instead of going through `Code`'s out-of-line drop glue.
-/// `raise_async` and `wake`, which overwrite live code, assign plainly.
+/// Sets `th`'s mode and writes its next action: with
+/// [`BindNode::resume`](crate::io::BindNode::resume), which builds a
+/// continuation's action in the slot itself, the one write of `th.code`
+/// in a step. What it overwrites is spent — the `return ()`
+/// [`take_code`] leaves, or the running node once its payload was taken
+/// or was `Copy` — and owns nothing, so it is forgotten instead of going
+/// through `Action`'s out-of-line drop glue. `raise_async` and `wake`,
+/// which overwrite live code, assign plainly.
 #[inline]
-fn set_code(th: &mut Thread, code: Code) {
+fn set_code(th: &mut Thread, mode: Mode, code: Action) {
     debug_assert!(
         matches!(
             th.code,
-            Code::ReturnVal(Value::Unit)
-                | Code::Run(
-                    Action::Pure(Value::Unit)
-                        | Action::GetMaskingState
-                        | Action::MyThreadId
-                        | Action::NewMVar(None)
-                        | Action::TakeMVar(_)
-                        | Action::PutMVar(_, Value::Unit)
-                        | Action::TryTakeMVar(_)
-                        | Action::TryPutMVar(_, Value::Unit)
-                        | Action::Sleep(_)
-                        | Action::GetChar
-                        | Action::PutChar(_)
-                        | Action::Compute {
-                            result: Value::Unit,
-                            ..
-                        }
-                        | Action::PollSafePoint
-                        | Action::Yield
-                        | Action::Now
-                        | Action::Choose(_)
-                )
+            Action::Pure(Value::Unit)
+                | Action::GetMaskingState
+                | Action::MyThreadId
+                | Action::NewMVar(None)
+                | Action::TakeMVar(_)
+                | Action::PutMVar(_, Value::Unit)
+                | Action::TryTakeMVar(_)
+                | Action::TryPutMVar(_, Value::Unit)
+                | Action::Sleep(_)
+                | Action::GetChar
+                | Action::PutChar(_)
+                | Action::Compute {
+                    result: Value::Unit,
+                    ..
+                }
+                | Action::PollSafePoint
+                | Action::Yield
+                | Action::Now
+                | Action::Choose(_)
         ),
         "overwriting live code {:?}",
         th.code
     );
+    th.mode = mode;
     std::mem::forget(std::mem::replace(&mut th.code, code));
+}
+
+/// [`set_code`] for a step that returns `v` to the top frame.
+#[inline]
+fn set_return(th: &mut Thread, v: Value) {
+    set_code(th, Mode::Return, Action::Pure(v));
 }
 
 impl Runtime {
@@ -76,17 +83,17 @@ impl Runtime {
     }
 
     /// Pushes the frame `build` makes ([`Thread::push_frame`]), enforcing
-    /// the stack limit; on overflow the thread's code becomes
-    /// `Raise(StackOverflow)` and `false` is returned.
+    /// the stack limit; on overflow the thread raises `StackOverflow` and
+    /// `false` is returned.
     fn push_frame_checked(&mut self, th: &mut Thread, build: impl FnOnce() -> Frame) -> bool {
         if let Some(limit) = self.config.stack_limit {
             if th.stack.len() >= limit {
                 set_code(
                     th,
-                    Code::Raise(
-                        Exception::new(crate::exception::ExceptionKind::StackOverflow),
-                        RaiseOrigin::Sync,
-                    ),
+                    Mode::Raise,
+                    Action::Throw(Exception::new(
+                        crate::exception::ExceptionKind::StackOverflow,
+                    )),
                 );
                 return false;
             }
@@ -109,7 +116,7 @@ impl Runtime {
             self.stats.mask_frames_collapsed += 1;
         }
         self.note_stack_growth(th);
-        set_code(th, Code::Run(body));
+        set_code(th, Mode::Run, body);
     }
 
     /// The accounting every `throwTo`, of either design, starts with.
@@ -136,7 +143,7 @@ impl Runtime {
     fn receive(&mut self, th: &mut Thread) -> bool {
         let deliver = th.mask == MaskState::Unblocked
             && self.config.delivery == DeliveryMode::FullyAsync
-            && !matches!(th.code, Code::Raise(_, _))
+            && th.mode != Mode::Raise
             && self
                 .with_decider(|_, d| d.deliver_now(view(th, footprint_of(th))))
                 .unwrap_or(true);
@@ -153,13 +160,25 @@ impl Runtime {
     /// `th.code` is stepped where it sits: an arm moves the node out only
     /// when it has an owned payload to consume, so the steps that merely
     /// count down, pop a mask frame or read a `Copy` operand touch a few
-    /// bytes instead of rewriting the whole 48-byte `Code`.
+    /// bytes instead of rewriting the whole 48-byte `Action`, and `return`,
+    /// `throw` and re-`throw` switch `th.mode` and leave the value or
+    /// exception where it is.
     pub(super) fn step(&mut self, th: &mut Thread) -> Step {
+        debug_assert!(
+            match th.mode {
+                Mode::Run => true,
+                Mode::Return => matches!(th.code, Action::Pure(_)),
+                Mode::Raise => matches!(th.code, Action::Throw(_) | Action::Rethrow(_, _)),
+            },
+            "{:?} mode over {:?}",
+            th.mode,
+            th.code
+        );
         self.stats.steps += 1;
         if !th.pending.is_empty() && self.receive(th) {
             return Step::Ran;
         }
-        if let Code::Run(_) = th.code {
+        if th.mode == Mode::Run {
             self.run_action(th);
             return Step::Ran;
         }
@@ -171,23 +190,26 @@ impl Runtime {
             Frame::Restore(s) => th.mask = s,
             // A raise drops the continuations it unwinds past.
             Frame::Bind(node) => {
-                if let Code::ReturnVal(v) = &mut th.code {
+                if let (Mode::Return, Action::Pure(v)) = (th.mode, &mut th.code) {
                     let v = std::mem::take(v);
-                    set_code(th, Code::Run(node.resume(v)));
+                    th.mode = Mode::Run;
+                    node.resume(v, &mut th.code);
                 }
             }
             // A return drops the handler it leaves the scope of.
-            Frame::Catch { .. } if !matches!(th.code, Code::Raise(_, _)) => {}
+            Frame::Catch { .. } if th.mode != Mode::Raise => {}
             Frame::Catch {
                 handler,
                 saved_mask,
             } => {
                 th.mask = saved_mask;
                 self.stats.catches += 1;
-                match take_code(th) {
-                    Code::Raise(e, origin) => set_code(th, Code::Run(handler(e, origin))),
+                let next = match take_code(th) {
+                    Action::Throw(e) => handler(e, RaiseOrigin::Sync),
+                    Action::Rethrow(e, origin) => handler(e, origin),
                     code => unreachable!("{code:?} is not a raise"),
-                }
+                };
+                set_code(th, Mode::Run, next);
             }
         }
         Step::Ran
@@ -198,21 +220,18 @@ impl Runtime {
     /// `th` is outside the thread table for the duration, so helper
     /// methods that touch *other* threads are safe to call.
     fn run_action(&mut self, th: &mut Thread) {
-        let Code::Run(action) = &mut th.code else {
-            unreachable!("run_action on a thread that is returning or raising");
-        };
         // `Copy` operands are bound by value and `Value`s are taken through
-        // the reference; the arms that own a box or an exception move the
-        // node out, all in `run_owned_action`.
-        match *action {
-            Action::Pure(ref mut v) => {
-                let v = std::mem::take(v);
-                set_code(th, Code::ReturnVal(v));
+        // the reference; `return` and `throw` only switch the mode; the
+        // arms that consume a box or an exception move the node out, all
+        // in `run_owned_action`.
+        match th.code {
+            Action::Pure(_) => th.mode = Mode::Return,
+            Action::Throw(_) | Action::Rethrow(_, _) => {
+                self.stats.sync_throws += 1;
+                th.mode = Mode::Raise;
             }
             Action::Bind(_)
             | Action::Catch(_, _)
-            | Action::Throw(_)
-            | Action::Rethrow(_, _)
             | Action::Block(_)
             | Action::Unblock(_)
             | Action::Fork(_)
@@ -221,11 +240,11 @@ impl Runtime {
             | Action::ThrowToSync(_, _) => self.run_owned_action(th),
             Action::GetMaskingState => {
                 let blocked = th.mask == MaskState::Blocked;
-                set_code(th, Code::ReturnVal(Value::Bool(blocked)));
+                set_return(th, Value::Bool(blocked));
             }
             Action::MyThreadId => {
                 let tid = th.tid;
-                set_code(th, Code::ReturnVal(Value::ThreadId(tid)));
+                set_return(th, Value::ThreadId(tid));
             }
             Action::NewMVar(ref mut contents) => {
                 let id = MVarId(self.mvars.len() as u64);
@@ -233,20 +252,20 @@ impl Runtime {
                     None => MVarCell::empty(),
                     Some(v) => MVarCell::full(v),
                 });
-                set_code(th, Code::ReturnVal(Value::MVar(id)));
+                set_return(th, Value::MVar(id));
             }
             Action::TakeMVar(m) => match self.try_take(m) {
                 // Full: take succeeds atomically — *not* a delivery point,
                 // even with pending exceptions (§5.3: "an interruptible
                 // operation cannot be interrupted if the resource ... is
                 // available").
-                Some(v) => set_code(th, Code::ReturnVal(v)),
+                Some(v) => set_return(th, v),
                 None => {
                     self.block_on(th, StuckReason::TakeMVar { m, next: None });
                 }
             },
             Action::PutMVar(m, ref mut v) => match self.try_put(m, std::mem::take(v)) {
-                Ok(()) => set_code(th, Code::ReturnVal(Value::Unit)),
+                Ok(()) => set_return(th, Value::Unit),
                 Err(back) => {
                     // The value waits in the putter's own code until a
                     // take admits it.
@@ -255,19 +274,19 @@ impl Runtime {
                 }
             },
             Action::TryTakeMVar(m) => {
-                set_code(
+                set_return(
                     th,
-                    Code::ReturnVal(match self.try_take(m) {
+                    match self.try_take(m) {
                         None => Value::Nothing,
                         Some(v) => Value::Just(Box::new(v)),
-                    }),
+                    },
                 );
             }
             Action::TryPutMVar(m, ref mut v) => {
                 let stored = self.try_put(m, std::mem::take(v)).is_ok();
-                set_code(th, Code::ReturnVal(Value::Bool(stored)));
+                set_return(th, Value::Bool(stored));
             }
-            Action::Sleep(0) => set_code(th, Code::ReturnVal(Value::Unit)),
+            Action::Sleep(0) => set_return(th, Value::Unit),
             Action::Sleep(d) => {
                 let wake_at = self.clock + d;
                 self.block_on(th, StuckReason::Sleep { wake_at });
@@ -275,7 +294,7 @@ impl Runtime {
             Action::GetChar => match self.console.try_read() {
                 Some(c) => {
                     self.trace.push(IoEvent::Get(c));
-                    set_code(th, Code::ReturnVal(Value::Char(c)));
+                    set_return(th, Value::Char(c));
                 }
                 None => {
                     self.block_on(th, StuckReason::GetChar);
@@ -284,7 +303,7 @@ impl Runtime {
             Action::PutChar(c) => {
                 self.console.write(c);
                 self.trace.push(IoEvent::Put(c));
-                set_code(th, Code::ReturnVal(Value::Unit));
+                set_return(th, Value::Unit);
             }
             Action::Compute {
                 ref mut steps,
@@ -292,7 +311,7 @@ impl Runtime {
             } => {
                 if *steps <= 1 {
                     let result = std::mem::take(result);
-                    set_code(th, Code::ReturnVal(result));
+                    set_return(th, result);
                 } else {
                     *steps -= 1;
                 }
@@ -304,14 +323,14 @@ impl Runtime {
                 };
                 match p {
                     Some(p) => self.raise_async(th, p, Delivery::Receive),
-                    None => set_code(th, Code::ReturnVal(Value::Unit)),
+                    None => set_return(th, Value::Unit),
                 }
             }
             Action::Yield => {
                 self.yielded = true;
-                set_code(th, Code::ReturnVal(Value::Unit));
+                set_return(th, Value::Unit);
             }
-            Action::Now => set_code(th, Code::ReturnVal(Value::Int(self.clock as i64))),
+            Action::Now => set_return(th, Value::Int(self.clock as i64)),
             Action::Choose(arms) => {
                 // A scheduler-visible oracle: the installed decider picks
                 // the arm (the explorer records it as a branch point);
@@ -323,43 +342,35 @@ impl Runtime {
                     arm < arms,
                     "Decider::choose_arm returned arm {arm} for {arms} arms"
                 );
-                set_code(th, Code::ReturnVal(Value::Int(arm as i64)));
+                set_return(th, Value::Int(arm as i64));
             }
         }
     }
 
-    /// The actions that own a box or an exception: the node is moved out
-    /// of `th.code` once, here, and consumed.
+    /// The actions that consume a box or an exception: the node is moved
+    /// out of `th.code` once, here.
     fn run_owned_action(&mut self, th: &mut Thread) {
         match take_code(th) {
-            Code::Run(Action::Bind(mut node)) => {
+            Action::Bind(mut node) => {
                 let left = node.take_left();
                 if self.push_frame_checked(th, || Frame::Bind(node)) {
-                    set_code(th, Code::Run(left));
+                    set_code(th, Mode::Run, left);
                 }
             }
-            Code::Run(Action::Catch(body, handler)) => {
+            Action::Catch(body, handler) => {
                 let saved_mask = th.mask;
                 if self.push_frame_checked(th, || Frame::Catch {
                     handler,
                     saved_mask,
                 }) {
-                    set_code(th, Code::Run(*body));
+                    set_code(th, Mode::Run, *body);
                 }
             }
-            Code::Run(Action::Throw(e)) => {
-                self.stats.sync_throws += 1;
-                set_code(th, Code::Raise(e, RaiseOrigin::Sync));
-            }
-            Code::Run(Action::Rethrow(e, origin)) => {
-                self.stats.sync_throws += 1;
-                set_code(th, Code::Raise(e, origin));
-            }
-            Code::Run(Action::Block(body)) => self.enter_mask_scope(th, MaskState::Blocked, *body),
-            Code::Run(Action::Unblock(body)) => {
+            Action::Block(body) => self.enter_mask_scope(th, MaskState::Blocked, *body),
+            Action::Unblock(body) => {
                 self.enter_mask_scope(th, MaskState::Unblocked, *body);
             }
-            Code::Run(Action::Fork(body)) => {
+            Action::Fork(body) => {
                 let mask = if self.config.fork_inherits_mask {
                     th.mask
                 } else {
@@ -380,10 +391,10 @@ impl Runtime {
                         child,
                     });
                 }
-                set_code(th, Code::ReturnVal(Value::ThreadId(child)));
+                set_return(th, Value::ThreadId(child));
             }
-            Code::Run(Action::Effect(f)) => set_code(th, Code::ReturnVal(f())),
-            Code::Run(Action::ThrowTo(target, e)) => {
+            Action::Effect(f) => set_return(th, f()),
+            Action::ThrowTo(target, e) => {
                 self.note_throw_to(th.tid, target);
                 if target == th.tid {
                     // Self-throw: queue it; it is delivered at the next
@@ -397,14 +408,14 @@ impl Runtime {
                 } else {
                     self.enqueue_exception(target, e, None);
                 }
-                set_code(th, Code::ReturnVal(Value::Unit));
+                set_return(th, Value::Unit);
             }
-            Code::Run(Action::ThrowToSync(target, e)) => {
+            Action::ThrowToSync(target, e) => {
                 self.note_throw_to(th.tid, target);
                 if target == th.tid {
                     // §9: special case — a thread throwing to itself raises
                     // the exception immediately.
-                    set_code(th, Code::Raise(e, RaiseOrigin::Async));
+                    set_code(th, Mode::Raise, Action::Rethrow(e, RaiseOrigin::Async));
                     return;
                 }
                 match lookup(&self.threads, target).map(Thread::is_stuck) {
@@ -426,7 +437,7 @@ impl Runtime {
                         return;
                     }
                 }
-                set_code(th, Code::ReturnVal(Value::Unit));
+                set_return(th, Value::Unit);
             }
             code => unreachable!("{code:?} does not own its payload"),
         }
@@ -438,22 +449,22 @@ impl Runtime {
 /// Conservative in the required direction: anything not provably local to
 /// the thread maps to a variant that conflicts with more, never less.
 pub(super) fn footprint_of(th: &Thread) -> StepFootprint {
-    match &th.code {
-        Code::ReturnVal(_) => {
+    match th.mode {
+        Mode::Return => {
             if th.stack.is_empty() {
                 StepFootprint::Terminal
             } else {
                 StepFootprint::Local
             }
         }
-        Code::Raise(_, _) => {
+        Mode::Raise => {
             if th.stack.is_empty() {
                 StepFootprint::Terminal
             } else {
                 StepFootprint::Raise
             }
         }
-        Code::Run(action) => match action {
+        Mode::Run => match &th.code {
             Action::Pure(_)
             | Action::Bind(_)
             | Action::GetMaskingState

@@ -40,7 +40,7 @@ use crate::io::{Action, Io};
 use crate::mvar::MVarCell;
 use crate::rng::SplitMix64;
 use crate::stats::Stats;
-use crate::thread::{Code, MaskState, Status, StuckReason, Thread};
+use crate::thread::{MaskState, Mode, Status, StuckReason, Thread};
 use crate::timer::{TimerEntry, TimerWheel};
 use crate::trace::IoEvent;
 use crate::value::{FromValue, Value};
@@ -719,12 +719,12 @@ impl Runtime {
     /// miss, so a late `throwTo` at the reused slot stays a no-op
     /// instead of killing the new occupant.
     fn retire_thread(&mut self, mut th: Box<Thread>) {
-        let outcome = match take_code(&mut th) {
-            Code::ReturnVal(v) => {
+        let outcome = match (th.mode, take_code(&mut th)) {
+            (Mode::Return, Action::Pure(v)) => {
                 self.stats.finished_threads += 1;
                 Ok(v)
             }
-            Code::Raise(exc, _) => {
+            (Mode::Raise, Action::Throw(exc) | Action::Rethrow(exc, _)) => {
                 if exc.is_kill_thread() {
                     self.stats.kill_thread_deaths += 1;
                 } else if exc.is_exit_signal() {
@@ -733,7 +733,7 @@ impl Runtime {
                 self.stats.died_threads += 1;
                 Err(RunError::Uncaught(exc))
             }
-            Code::Run(_) => unreachable!("only a return or a raise ends a thread"),
+            (mode, code) => unreachable!("{mode:?} over {code:?} does not end a thread"),
         };
         if Some(th.tid) == self.main_tid {
             self.main_result = Some(outcome);

@@ -915,3 +915,59 @@ fn a_waiter_of_an_ended_run_is_not_mistaken_for_its_slots_next_tenant() {
     });
     assert_eq!(rt.run(prog).unwrap(), (Some(5), None));
 }
+
+/// Each switch of a thread's mode, with the steps it takes and what it
+/// hands on: a `Run` node returns (`Return`, the value left in place)
+/// or raises (`Raise`, the exception left in place), and a frame pop,
+/// a delivery or a wake-up sets the next mode.
+#[test]
+fn each_mode_transition_takes_its_pinned_steps() {
+    use crate::thread::RaiseOrigin;
+
+    // Bind, `Pure(4)` returns, the bind frame resumes into `Pure(5)`,
+    // which returns, and the empty stack ends the thread.
+    let mut rt = Runtime::new();
+    assert_eq!(rt.run(Io::pure(4_i64).and_then(|n| Io::pure(n + 1))), Ok(5));
+    assert_eq!(rt.stats().steps, 5);
+
+    // Catch, `throw` raises with origin `Sync`, the catch frame runs the
+    // handler, which returns.
+    let mut rt = Runtime::new();
+    let prog = Io::<i64>::throw(Exception::error_call("bang"))
+        .catch_info(|_, origin| Io::pure(i64::from(origin == RaiseOrigin::Sync)));
+    assert_eq!(rt.run(prog), Ok(1));
+    let s = rt.stats();
+    assert_eq!((s.steps, s.sync_throws, s.catches), (5, 1, 1));
+
+    // A kill delivered at a return step is re-thrown by the inner handler
+    // and still reaches the outer one as `Async`.
+    let mut rt = Runtime::new();
+    let prog = Io::my_thread_id()
+        .and_then(|me| Io::throw_to(me, Exception::kill_thread()).then(Io::pure(0_i64)))
+        .catch_info(Io::rethrow)
+        .catch_info(|_, origin| Io::pure(i64::from(origin == RaiseOrigin::Async)));
+    assert_eq!(rt.run(prog), Ok(1));
+    let s = rt.stats();
+    assert_eq!(
+        (s.steps, s.async_deliveries, s.sync_throws, s.catches),
+        (14, 1, 1, 2)
+    );
+
+    // A thread whose raise reaches the empty stack is retired uncaught.
+    let mut rt = Runtime::new();
+    let prog = Io::my_thread_id().and_then(|me| Io::throw_to(me, Exception::kill_thread()));
+    assert_eq!(
+        rt.run(prog),
+        Err(RunError::Uncaught(Exception::kill_thread()))
+    );
+    let s = rt.stats();
+    assert_eq!((s.steps, s.died_threads, s.kill_thread_deaths), (6, 1, 1));
+
+    // The taker blocks; the put hands it the value, which its wake-up
+    // returns in its place.
+    let mut rt = Runtime::new();
+    let prog = Io::new_empty_mvar::<i64>().and_then(|m| Io::fork(m.put(7)).then(m.take()));
+    assert_eq!(rt.run(prog), Ok(7));
+    let s = rt.stats();
+    assert_eq!((s.steps, s.blocks, s.mvar_ops), (10, 1, 2));
+}

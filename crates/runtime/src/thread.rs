@@ -23,7 +23,6 @@ use crate::exception::Exception;
 use crate::ids::{MVarId, ThreadId};
 use crate::io::{Action, BindNode, Handler};
 use crate::trace::BlockSite;
-use crate::value::Value;
 
 /// The asynchronous-exception masking state of a thread (§5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,15 +78,17 @@ pub enum RaiseOrigin {
     Async,
 }
 
-/// What the thread will do at its next step.
-#[derive(Debug)]
-pub(crate) enum Code {
-    /// Interpret this action.
-    Run(Action),
-    /// Return this value to the top frame.
-    ReturnVal(Value),
-    /// Unwind the stack with this exception.
-    Raise(Exception, RaiseOrigin),
+/// What the thread will do with its `code` at its next step. Switching
+/// mode writes this byte and leaves the value or exception where it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// Interpret the action.
+    Run,
+    /// Return the value of the `Pure(v)` to the top frame.
+    Return,
+    /// Unwind the stack with the exception of the `Throw(e)` (origin
+    /// [`RaiseOrigin::Sync`]) or `Rethrow(e, origin)`.
+    Raise,
 }
 
 /// Why a thread cannot currently run (the ⊛ state of §6.3).
@@ -101,7 +102,7 @@ pub(crate) enum StuckReason {
         next: Option<ThreadId>,
     },
     /// Waiting in `putMVar` on the full `m`; the value waits in the
-    /// thread's own `Code::Run(Action::PutMVar(_, v))`.
+    /// thread's own `code`, `Action::PutMVar(_, v)`.
     PutMVar {
         /// The cell waited on.
         m: MVarId,
@@ -178,7 +179,10 @@ pub(crate) struct PendingExc {
 /// One green thread.
 pub(crate) struct Thread {
     pub tid: ThreadId,
-    pub code: Code,
+    /// The action to run, or, by `mode`, the value being returned or
+    /// the exception being raised.
+    pub code: Action,
+    pub mode: Mode,
     pub stack: Vec<Frame>,
     pub mask: MaskState,
     pub pending: VecDeque<PendingExc>,
@@ -213,7 +217,8 @@ impl Thread {
         debug_assert!(stack.is_empty() && pending.is_empty());
         Thread {
             tid,
-            code: Code::Run(action),
+            code: action,
+            mode: Mode::Run,
             stack,
             mask: MaskState::Unblocked,
             pending,
@@ -230,7 +235,8 @@ impl Thread {
     pub(crate) fn reinit(&mut self, tid: ThreadId, action: Action) {
         debug_assert!(self.stack.is_empty() && self.pending.is_empty());
         self.tid = tid;
-        self.code = Code::Run(action);
+        self.code = action;
+        self.mode = Mode::Run;
         self.mask = MaskState::Unblocked;
         self.status = Status::Runnable;
         self.mask_frames = 0;
@@ -322,6 +328,7 @@ impl std::fmt::Debug for Thread {
 mod tests {
     use super::*;
     use crate::io::bind_node;
+    use crate::value::Value;
 
     fn fresh() -> Thread {
         Thread::new(crate::ids::tid(0), Action::Pure(Value::Unit))
@@ -479,7 +486,6 @@ mod tests {
             ("Value", size_of::<Value>()),
             ("Exception", size_of::<Exception>()),
             ("Action", size_of::<Action>()),
-            ("Code", size_of::<Code>()),
             ("Frame", size_of::<Frame>()),
             ("Thread", size_of::<Thread>()),
             ("MVarCell", size_of::<MVarCell>()),
@@ -490,7 +496,6 @@ mod tests {
                 ("Value", 32),
                 ("Exception", 32),
                 ("Action", 48),
-                ("Code", 48),
                 ("Frame", 24),
                 ("Thread", 168),
                 ("MVarCell", 56),
