@@ -211,6 +211,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conch_explore::{ExploreConfig, Explorer, RunOutcome, TestCase};
     use conch_runtime::io::for_each;
     use conch_runtime::prelude::*;
     use conch_runtime::RaiseOrigin;
@@ -313,11 +314,13 @@ mod tests {
 
     #[test]
     fn safe_version_never_loses_lock_across_schedules() {
-        // Sweep random schedules; with modify_mvar the MVar is always full
-        // again after the dust settles.
-        for seed in 0..40 {
-            let cfg = RuntimeConfig::new().random_scheduling(seed).quantum(3);
-            let mut rt = Runtime::with_config(cfg);
+        // Every schedule and every delivery point: with modify_mvar the
+        // MVar is always full again after the dust settles.
+        let explorer = Explorer::with_config(ExploreConfig {
+            max_depth: 256,
+            ..ExploreConfig::default()
+        });
+        let result = explorer.check(|| {
             let prog = Io::new_mvar(1_i64).and_then(|m| {
                 let worker = modify_mvar(m, |n| Io::compute(100).then(Io::pure(n + 1)))
                     .catch(|_| Io::unit());
@@ -327,12 +330,15 @@ mod tests {
                         .then(m.try_take())
                 })
             });
-            let result = rt.run(prog).unwrap();
-            assert!(
-                result.is_some(),
-                "seed {seed}: lock lost despite block/unblock protection"
-            );
-        }
+            TestCase::new(prog, |out: &RunOutcome<Option<i64>>| match out.result {
+                Ok(Some(_)) => Ok(()),
+                ref other => Err(format!(
+                    "lock lost despite block/unblock protection: {other:?}"
+                )),
+            })
+        });
+        let report = result.expect_pass();
+        assert!(report.complete, "{report}");
     }
 
     #[test]

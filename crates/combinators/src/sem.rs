@@ -178,6 +178,7 @@ fn abandon(state: MVar<SemState>, cell: MVar<()>) -> Io<()> {
 mod tests {
     use super::*;
     use crate::{modify_mvar, timeout};
+    use conch_explore::{ExploreConfig, Explorer, RunOutcome, Strategy, TestCase};
     use conch_runtime::prelude::*;
 
     #[test]
@@ -264,9 +265,14 @@ mod tests {
 
     #[test]
     fn mutual_exclusion_under_load() {
-        for seed in 0..10 {
-            let cfg = RuntimeConfig::new().random_scheduling(seed).quantum(3);
-            let mut rt = Runtime::with_config(cfg);
+        // Three workers do not finish within 10 000 schedules:
+        // PCT-sample the space instead.
+        let explorer = Explorer::with_config(ExploreConfig {
+            max_schedules: 200,
+            strategy: Strategy::Pct { depth: 3, seed: 1 },
+            ..ExploreConfig::default()
+        });
+        let result = explorer.check(|| {
             let prog = Sem::new(1).and_then(|s| {
                 Io::new_mvar(0_i64).and_then(move |inside| {
                     Io::new_mvar(0_i64).and_then(move |peak| {
@@ -294,9 +300,12 @@ mod tests {
                     })
                 })
             });
-            let (peak, done) = rt.run(prog).unwrap();
-            assert_eq!(done, 3, "seed {seed}: not all workers finished");
-            assert_eq!(peak, 1, "seed {seed}: mutual exclusion violated");
-        }
+            TestCase::new(prog, |out: &RunOutcome<(i64, i64)>| match out.result {
+                Ok((1, 3)) => Ok(()),
+                Ok((_, done)) if done != 3 => Err(format!("{done} of 3 workers finished")),
+                ref other => Err(format!("mutual exclusion violated: {other:?}")),
+            })
+        });
+        assert_eq!(result.expect_pass().explored, 200);
     }
 }

@@ -9,6 +9,7 @@ use conch_runtime::config::RuntimeConfig;
 use conch_runtime::error::RunError;
 use conch_runtime::io::Io;
 use conch_runtime::stats::Stats;
+use conch_runtime::trace::IoEvent;
 use conch_runtime::value::FromValue;
 
 use crate::dfs::sleep_set_worker;
@@ -109,9 +110,27 @@ pub struct RunOutcome<T> {
     pub output: String,
     /// Step counters for the run.
     pub(crate) stats: Stats,
+    /// The run's I/O trace. The buffer goes back to the runner once
+    /// the run is accounted, so a warm search copies into it without
+    /// allocating.
+    pub(crate) trace: Vec<IoEvent>,
     /// The complete schedule of the run — replaying it reproduces this
     /// outcome exactly.
     pub(crate) schedule: Schedule,
+}
+
+impl<T> RunOutcome<T> {
+    /// The runtime's statistics for this run.
+    pub fn stats(&self) -> &Stats {
+        &self.stats
+    }
+
+    /// The run's I/O trace: what
+    /// [`Runtime::io_trace`](conch_runtime::scheduler::Runtime::io_trace)
+    /// read at its end.
+    pub fn trace(&self) -> &[IoEvent] {
+        &self.trace
+    }
 }
 
 /// A boxed property over one execution: `Err(reason)` fails the check.
@@ -125,6 +144,8 @@ pub(crate) type Property<T> = Box<dyn FnOnce(&RunOutcome<T>) -> Result<(), Strin
 pub struct TestCase<T> {
     /// The program to run.
     pub(crate) program: Io<T>,
+    /// Console input fed to the program before it starts.
+    pub(crate) input: String,
     /// The property: `Err(reason)` fails the check for this schedule.
     pub(crate) check: Property<T>,
 }
@@ -137,8 +158,17 @@ impl<T> TestCase<T> {
     ) -> Self {
         TestCase {
             program,
+            input: String::new(),
             check: Box::new(check),
         }
+    }
+
+    /// The case with `input` queued on the console, for `getChar` to
+    /// read (see
+    /// [`Runtime::feed_input`](conch_runtime::scheduler::Runtime::feed_input)).
+    pub fn input(mut self, input: impl Into<String>) -> Self {
+        self.input = input.into();
+        self
     }
 }
 
@@ -156,12 +186,15 @@ pub struct ExploreConfig {
     /// CHESS-style bound on preemptive context switches per run
     /// (`None` = unbounded).
     pub preemption_bound: Option<usize>,
-    /// Step budget per run; exceeding it counts as truncated, not as a
-    /// property failure.
+    /// Step budget per run. A run that exhausts it counts as truncated
+    /// (so the search is not `complete`), and its property still sees
+    /// it: the outcome's `result` is
+    /// [`RunError::StepLimitExceeded`], which a property that demands a
+    /// value — [`props::returns`](crate::props::returns) — fails on.
     pub step_budget: u64,
     /// Base runtime configuration. `max_steps` is forced to
     /// `step_budget`, and the explorer's installed decider makes every
-    /// scheduling decision whatever its policy says.
+    /// scheduling decision (so `quantum` has no effect).
     pub runtime: RuntimeConfig,
     /// How schedules are picked: exhaustive enumeration under a
     /// [`Reduction`], or seeded sampling (default
@@ -577,6 +610,7 @@ impl Explorer {
             runner.load(sched);
             let (outcome, verdict) = runner.run(factory());
             report.shrink_steps += outcome.stats.steps;
+            runner.take_back(outcome.trace);
             verdict.err()
         };
 
@@ -791,6 +825,57 @@ mod tests {
         let report = result.expect_pass();
         assert!(report.truncated > 0);
         assert!(!report.complete);
+    }
+
+    #[test]
+    fn input_trace_and_stats_reach_the_property_on_every_run() {
+        // Two readers race for the two fed characters: each run reads
+        // both, in either order, and its trace and statistics say so.
+        let seen = Rc::new(RefCell::new(BTreeSet::new()));
+        let result = Explorer::new().check(|| {
+            let seen = Rc::clone(&seen);
+            let prog = Io::fork(Io::get_char().and_then(Io::put_char))
+                .then(Io::get_char())
+                .and_then(Io::put_char)
+                .then(Io::sleep(1));
+            TestCase::new(prog, move |out: &RunOutcome<()>| {
+                let gets = out.trace().iter().filter(|e| matches!(e, IoEvent::Get(_)));
+                match (gets.count(), out.stats().forks) {
+                    (2, 1) => {
+                        seen.borrow_mut().insert(out.output.clone());
+                        Ok(())
+                    }
+                    other => Err(format!("gets and forks {other:?}")),
+                }
+            })
+            .input("xy")
+        });
+        assert!(result.expect_pass().complete);
+        let seen: Vec<_> = seen.borrow().iter().cloned().collect();
+        assert_eq!(seen, ["xy", "yx"]);
+    }
+
+    #[test]
+    fn a_step_budget_overrun_is_truncated_and_seen_by_the_property() {
+        let cfg = ExploreConfig {
+            step_budget: 100,
+            ..ExploreConfig::default()
+        };
+        let spin = || Io::compute_returning(1_000, 7_i64);
+        let report = Explorer::with_config(cfg.clone())
+            .check(|| TestCase::new(spin(), |_: &RunOutcome<i64>| Ok(())))
+            .expect_pass()
+            .clone();
+        assert_eq!((report.explored, report.truncated), (1, 1));
+        assert!(!report.complete);
+        let failure = Explorer::with_config(cfg)
+            .check(|| TestCase::new(spin(), crate::props::returns(7)))
+            .expect_fail()
+            .clone();
+        assert_eq!(
+            failure.message,
+            "expected Ok(7), got Err(StepLimitExceeded { limit: 100 })"
+        );
     }
 
     #[test]

@@ -86,6 +86,7 @@ pub mod explorer;
 mod frontier;
 mod inline;
 pub mod props;
+mod rng;
 mod sample;
 pub mod schedule;
 mod worker;

@@ -38,12 +38,12 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use conch_runtime::rng::SplitMix64;
 use conch_runtime::value::FromValue;
 
 use crate::driver::Alt;
 use crate::explorer::{Strategy, TestCase};
 use crate::frontier::lock;
+use crate::rng::SplitMix64;
 use crate::schedule::Choice;
 use crate::worker::Worker;
 

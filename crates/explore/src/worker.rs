@@ -18,6 +18,7 @@ use std::time::Instant;
 use conch_runtime::error::RunError;
 use conch_runtime::scheduler::Runtime;
 use conch_runtime::stats::Stats;
+use conch_runtime::trace::IoEvent;
 use conch_runtime::value::FromValue;
 
 use crate::driver::{DriverState, ScriptedDecider};
@@ -34,6 +35,9 @@ pub(crate) type Run<T> = (RunOutcome<T>, Result<(), String>);
 pub(crate) struct Runner {
     rt: Runtime,
     pub(crate) state: Rc<RefCell<DriverState>>,
+    /// The buffer the next outcome's trace is copied into: it leaves
+    /// with the outcome and comes back through [`Runner::take_back`].
+    trace: Vec<IoEvent>,
 }
 
 impl Runner {
@@ -49,7 +53,11 @@ impl Runner {
         // Installed once: `Runtime::reset` keeps the decider.
         let mut rt = Runtime::with_config(runtime);
         rt.set_decider(Box::new(decider));
-        Runner { rt, state }
+        Runner {
+            rt,
+            state,
+            trace: Vec::new(),
+        }
     }
 
     /// Make `schedule` the loaded script, with no sleep entries: choices
@@ -65,7 +73,13 @@ impl Runner {
     /// runtime reset to pristine, and the case's property applied to it.
     pub(crate) fn run<T: FromValue>(&mut self, case: TestCase<T>) -> Run<T> {
         self.rt.reset();
+        if !case.input.is_empty() {
+            self.rt.feed_input(case.input);
+        }
         let result = self.rt.run(case.program);
+        let mut trace = std::mem::take(&mut self.trace);
+        trace.clear();
+        trace.extend_from_slice(self.rt.io_trace());
         let choices: Vec<_> = self
             .state
             .borrow()
@@ -77,12 +91,18 @@ impl Runner {
             result,
             output: self.rt.output().to_owned(),
             stats: self.rt.stats().clone(),
+            trace,
             schedule: Schedule::from(choices),
         };
         let verdict = (case.check)(&outcome);
         #[cfg(test)]
         tests::note_run(&self.state.borrow(), &outcome, &verdict);
         (outcome, verdict)
+    }
+
+    /// Hands a finished outcome's trace buffer back for the next run.
+    pub(crate) fn take_back(&mut self, trace: Vec<IoEvent>) {
+        self.trace = trace;
     }
 }
 
@@ -142,6 +162,7 @@ impl<'a> Worker<'a> {
         (outcome, verdict): Run<T>,
         key: impl FnOnce(&DriverState) -> Vec<u32>,
     ) -> bool {
+        self.runner.take_back(outcome.trace);
         let st = self.runner.state.borrow();
         let truncated =
             st.depth_hit || matches!(outcome.result, Err(RunError::StepLimitExceeded { .. }));

@@ -233,8 +233,10 @@ fn pool_accept_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::StatsSnapshot;
     use crate::http::{Request, Response};
     use crate::server::handler;
+    use conch_explore::{ExploreConfig, Explorer, RunOutcome, TestCase};
     use conch_runtime::prelude::*;
 
     fn hello() -> Handler {
@@ -293,13 +295,21 @@ mod tests {
 
     /// The acceptor alone, no workers: what it queued stays queued, so
     /// the queue's length is the number of connections that must be
-    /// `active`. A contender keeps the stats cell busy, so across the
-    /// seeds the first kill finds the accounting's `take` blocked and
-    /// the second finds the guard's.
+    /// `active`. A contender keeps the stats cell busy, so on some
+    /// schedules the first kill finds the accounting's `take` blocked
+    /// and the second finds the guard's. Main reads both cells once the
+    /// acceptor has settled: `throw_to_sync` returns when the second
+    /// kill is received, which may be inside the guard's retry, before
+    /// its commit. Sleep sets at preemption bound 4 (2 867 schedules),
+    /// the smallest bound that catches a guard that retries only once.
     #[test]
     fn two_kills_at_the_acceptor_leave_queue_and_active_in_agreement() {
-        for seed in 0..200 {
-            let cfg = RuntimeConfig::new().random_scheduling(seed).quantum(1);
+        let explorer = Explorer::with_config(ExploreConfig {
+            preemption_bound: Some(4),
+            max_depth: 256,
+            ..ExploreConfig::default()
+        });
+        let result = explorer.check(|| {
             let prog = Listener::bind().and_then(|l| {
                 ServerStats::new().and_then(move |stats| {
                     Mailbox::<Connection>::new(4).and_then(move |queue| {
@@ -310,19 +320,24 @@ mod tests {
                                 .then(l.connect())
                                 .then(Io::throw_to(acceptor, Exception::kill_thread()))
                                 .then(Io::throw_to_sync(acceptor, Exception::kill_thread()))
+                                .then(Io::sleep(1))
                                 .then(queue.len())
                                 .and_then(move |queued| stats.snapshot().map(move |s| (queued, s)))
                         })
                     })
                 })
             });
-            let (queued, snap) = Runtime::with_config(cfg).run(prog).unwrap();
-            assert_eq!(
-                (queued, queued),
-                (snap.active, snap.accepted),
-                "seed {seed}: a queued connection went unaccounted: {snap:?}"
-            );
-        }
+            TestCase::new(prog, |out: &RunOutcome<(i64, StatsSnapshot)>| {
+                match &out.result {
+                    Ok((queued, snap)) if (*queued, *queued) == (snap.active, snap.accepted) => {
+                        Ok(())
+                    }
+                    other => Err(format!("a queued connection went unaccounted: {other:?}")),
+                }
+            })
+        });
+        let report = result.expect_pass();
+        assert!(report.complete, "{report}");
     }
 
     #[test]

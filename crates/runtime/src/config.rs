@@ -12,13 +12,17 @@
 //!   stack (B1).
 //! * [`RuntimeConfig::fork_inherits_mask`] — GHC's `forkIO` versus the
 //!   paper-exact (Fork) rule (C1).
-//! * [`SchedulingPolicy`] — deterministic round-robin or seeded random
-//!   preemption, so tests can explore interleavings reproducibly.
 //!
 //! The rest bound a run (`quantum`, `max_steps`, `stack_limit`) or
 //! record it (`record_sched_events`). What no experiment varies is not
 //! a setting: every deadlock ends the run in
-//! [`RunError::Deadlock`](crate::error::RunError::Deadlock).
+//! [`RunError::Deadlock`](crate::error::RunError::Deadlock), and the
+//! scheduler is deterministic round-robin with a fixed quantum. A test
+//! that varies the schedule installs a
+//! [`Decider`](crate::decide::Decider) instead — in practice the
+//! schedule explorer (`conch-explore`), which enumerates or samples
+//! both of the semantics' choices: which thread steps next, and when a
+//! pending exception is received.
 
 /// How asynchronous exceptions are delivered to *runnable* threads.
 ///
@@ -35,27 +39,6 @@ pub enum DeliveryMode {
     /// receives pending exceptions at explicit
     /// [`Io::poll_safe_point`](crate::io::Io::poll_safe_point) calls.
     Polling,
-}
-
-/// Which thread runs next, and for how long — unless a
-/// [`Decider`](crate::decide::Decider) is installed
-/// ([`Runtime::set_decider`](crate::scheduler::Runtime::set_decider)):
-/// then the decider answers every pick and every delivery, one step at
-/// a time, and the policy is not consulted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedulingPolicy {
-    /// Deterministic round-robin with a fixed quantum of interpreter steps.
-    RoundRobin,
-    /// Seeded pseudo-random choice of the next thread and quantum length.
-    /// Deterministic for a given seed; used to explore interleavings.
-    ///
-    /// Only tests (about 20 sites) and `examples/lock_safety.rs` select
-    /// it. It stays until ROADMAP's conformance-bridge item replaces
-    /// C1's random-schedule sampling with the explorer.
-    Random {
-        /// RNG seed.
-        seed: u64,
-    },
 }
 
 /// Configuration for a [`Runtime`](crate::scheduler::Runtime).
@@ -75,8 +58,6 @@ pub struct RuntimeConfig {
     /// Delivery mode for asynchronous exceptions. Default: `FullyAsync`;
     /// ablation B3 selects the `Polling` baseline.
     pub delivery: DeliveryMode,
-    /// Scheduling policy. Default: round-robin.
-    pub scheduling: SchedulingPolicy,
     /// Steps a thread runs before preemption. Default: 11 (a prime, so
     /// round-robin interleavings don't accidentally synchronize with
     /// loop bodies).
@@ -115,7 +96,6 @@ impl RuntimeConfig {
     pub fn new() -> Self {
         RuntimeConfig {
             delivery: DeliveryMode::FullyAsync,
-            scheduling: SchedulingPolicy::RoundRobin,
             quantum: 11,
             collapse_mask_frames: true,
             max_steps: None,
@@ -128,12 +108,6 @@ impl RuntimeConfig {
     /// Sets the delivery mode.
     pub fn delivery_mode(mut self, mode: DeliveryMode) -> Self {
         self.delivery = mode;
-        self
-    }
-
-    /// Sets the scheduling policy.
-    pub fn scheduling(mut self, policy: SchedulingPolicy) -> Self {
-        self.scheduling = policy;
         self
     }
 
@@ -164,11 +138,6 @@ impl RuntimeConfig {
     pub fn stack_limit(mut self, frames: usize) -> Self {
         self.stack_limit = Some(frames);
         self
-    }
-
-    /// Convenience: seeded random scheduling.
-    pub fn random_scheduling(self, seed: u64) -> Self {
-        self.scheduling(SchedulingPolicy::Random { seed })
     }
 
     /// Enables or disables scheduler-visible events in the I/O trace.
@@ -207,7 +176,6 @@ mod tests {
         let cfg = RuntimeConfig::default();
         assert_eq!(cfg.delivery, DeliveryMode::FullyAsync);
         assert!(cfg.collapse_mask_frames);
-        assert_eq!(cfg.scheduling, SchedulingPolicy::RoundRobin);
     }
 
     #[test]
@@ -217,14 +185,12 @@ mod tests {
             .quantum(3)
             .collapse_mask_frames(false)
             .max_steps(1000)
-            .stack_limit(64)
-            .random_scheduling(42);
+            .stack_limit(64);
         assert_eq!(cfg.delivery, DeliveryMode::Polling);
         assert_eq!(cfg.quantum, 3);
         assert!(!cfg.collapse_mask_frames);
         assert_eq!(cfg.max_steps, Some(1000));
         assert_eq!(cfg.stack_limit, Some(64));
-        assert_eq!(cfg.scheduling, SchedulingPolicy::Random { seed: 42 });
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! pending asynchronous exceptions — whether the (Receive) rule fires
 //! *now* or is deferred to a later step. Together those two choices span exactly the
 //! nondeterminism of the paper's Figure 4/5 transition rules that the
-//! scheduler otherwise resolves by round-robin or seeded randomness:
+//! scheduler otherwise resolves by round-robin and eager delivery:
 //!
 //! * which runnable thread performs the next transition (the scheduling
 //!   context choice of §6.2), and
@@ -194,7 +194,7 @@ impl Pick {
 
 /// The external scheduling driver, consulted whenever one is installed
 /// ([`Runtime::set_decider`](crate::scheduler::Runtime::set_decider)),
-/// whatever the configured [`SchedulingPolicy`](crate::config::SchedulingPolicy).
+/// in place of round-robin.
 ///
 /// The runtime asks at every step boundary where there is something to
 /// decide: before every step, except inside a run of invisible moves

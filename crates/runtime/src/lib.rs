@@ -22,8 +22,9 @@
 //! *interpreter*: every `Io` action is data, threads advance one small
 //! step at a time, and an asynchronous exception can land at any step
 //! boundary — the paper's "any program point". Scheduling is
-//! deterministic (round-robin or seeded random), which makes the subtle
-//! interleavings of §5 reproducible in tests.
+//! deterministic round-robin unless a [`Decider`] is installed, which
+//! is how the schedule explorer (`conch-explore`) enumerates the subtle
+//! interleavings of §5 reproducibly.
 //!
 //! ## Quickstart
 //!
@@ -64,7 +65,6 @@ pub mod ids;
 pub mod io;
 pub mod mvar;
 pub mod parallel;
-pub mod rng;
 pub mod scheduler;
 pub mod stats;
 pub mod thread;
@@ -72,7 +72,7 @@ pub mod timer;
 pub mod trace;
 pub mod value;
 
-pub use crate::config::{DeliveryMode, RuntimeConfig, SchedulingPolicy};
+pub use crate::config::{DeliveryMode, RuntimeConfig};
 pub use crate::decide::{Decider, FirstRunnable, Pick, StepFootprint, ThreadView};
 pub use crate::error::RunError;
 pub use crate::exception::{ArithError, Exception, ExceptionKind, ExitReason};
@@ -91,7 +91,7 @@ pub use crate::value::{FromValue, IntoValue, Value};
 
 /// The most commonly used names, for glob import.
 pub mod prelude {
-    pub use crate::config::{DeliveryMode, RuntimeConfig, SchedulingPolicy};
+    pub use crate::config::{DeliveryMode, RuntimeConfig};
     pub use crate::decide::{Decider, Pick, StepFootprint, ThreadView};
     pub use crate::error::RunError;
     pub use crate::exception::{Exception, ExceptionKind, ExitReason};

@@ -30,7 +30,7 @@
 
 use std::collections::VecDeque;
 
-use crate::config::{RuntimeConfig, SchedulingPolicy};
+use crate::config::RuntimeConfig;
 use crate::console::BufferConsole;
 use crate::decide::{Decider, StepFootprint, ThreadView};
 use crate::error::RunError;
@@ -38,7 +38,6 @@ use crate::exception::Exception;
 use crate::ids::{MVarId, ThreadId};
 use crate::io::{Action, Io};
 use crate::mvar::MVarCell;
-use crate::rng::SplitMix64;
 use crate::stats::Stats;
 use crate::thread::{MaskState, Mode, Status, StuckReason, Thread};
 use crate::timer::{TimerEntry, TimerWheel};
@@ -70,7 +69,7 @@ pub struct Runtime {
     /// Spawn sequence counter: the next thread's observable identity.
     next_seq: u32,
     /// Runnable threads in FIFO order. A plain `VecDeque`: a decider's
-    /// or a random pick removes from the middle in O(n), and n is small —
+    /// pick removes from the middle in O(n), and n is small —
     /// traced `measure --seed 1` reads the longest queue as 1 / 5 / 14 /
     /// 12 / 11 / 4 threads on the six workloads.
     run_queue: VecDeque<ThreadId>,
@@ -89,7 +88,6 @@ pub struct Runtime {
     console_waiters: VecDeque<ThreadId>,
     console: BufferConsole,
     stats: Stats,
-    rng: Option<SplitMix64>,
     trace: Vec<IoEvent>,
     main_tid: Option<ThreadId>,
     /// The run's outcome, once decided: the main thread's result, or
@@ -102,7 +100,7 @@ pub struct Runtime {
     /// boundaries exactly as one uninterrupted run would.
     last_scheduled: Option<ThreadId>,
     /// External scheduling driver: once installed it answers every pick
-    /// and every delivery, and `rng` goes unused. Kept in an `Option` so
+    /// and every delivery in place of round-robin. Kept in an `Option` so
     /// it can be temporarily moved out while the runtime is borrowed.
     decider: Option<Box<dyn Decider>>,
     /// Reusable buffer for the per-decision `ThreadView` list handed to
@@ -180,16 +178,6 @@ fn enqueue_runnable(run_queue: &mut VecDeque<ThreadId>, th: &mut Thread) {
     run_queue.push_back(th.tid);
 }
 
-/// The scheduling RNG `config` asks for. The XOR is part of the pinned
-/// stream: G3's random-scheduling golden and every recorded seed rest
-/// on it.
-fn rng_for(config: &RuntimeConfig) -> Option<SplitMix64> {
-    match config.scheduling {
-        SchedulingPolicy::Random { seed } => Some(SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15)),
-        SchedulingPolicy::RoundRobin => None,
-    }
-}
-
 impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
@@ -222,9 +210,8 @@ impl Runtime {
     /// Panics if `config.quantum` is 0. The [`RuntimeConfig::quantum`]
     /// builder rejects 0 up front, but the field is `pub`, so a struct
     /// literal could otherwise smuggle in a quantum that would make the
-    /// scheduler spin forever (round-robin) or panic deep inside the
-    /// RNG (`gen_range(1..=0)`, random policy). Validating here covers
-    /// both construction paths.
+    /// scheduler spin forever. Validating here covers both construction
+    /// paths.
     pub fn with_config(config: RuntimeConfig) -> Self {
         assert!(
             config.quantum >= 1,
@@ -232,7 +219,6 @@ impl Runtime {
              (a zero quantum would never execute any thread)"
         );
         Runtime {
-            rng: rng_for(&config),
             config,
             threads: Vec::new(),
             free_slots: Vec::new(),
@@ -273,7 +259,6 @@ impl Runtime {
         self.clock = 0;
         self.sleep_seq = 0;
         self.console = BufferConsole::new();
-        self.rng = rng_for(&self.config);
         self.main_tid = None;
         self.yielded = false;
     }
@@ -486,8 +471,8 @@ impl Runtime {
 
     /// Installs an external scheduling driver: from the next run on,
     /// every thread-selection and exception-delivery decision is made by
-    /// `decider`, one step at a time, whatever the configured
-    /// [`SchedulingPolicy`]. The decider persists across runs (and
+    /// `decider`, one step at a time, in place of round-robin. The
+    /// decider persists across runs (and
     /// [`Runtime::reset`]) until replaced.
     pub fn set_decider(&mut self, decider: Box<dyn Decider>) {
         self.decider = Some(decider);
@@ -563,17 +548,13 @@ impl Runtime {
         Some(tid)
     }
 
-    fn quantum_for(&mut self) -> u64 {
+    fn quantum_for(&self) -> u64 {
         if self.decider.is_some() {
             // One step per decision: the driver sees every step boundary
             // but those inside an invisible run it announced itself.
             return 1;
         }
-        let q = self.config.quantum;
-        match &mut self.rng {
-            Some(rng) => 1 + rng.below(q),
-            None => q,
-        }
+        self.config.quantum
     }
 
     /// An invisible run (see [`Decider::choose_thread`]) is one quantum:
@@ -600,15 +581,8 @@ impl Runtime {
         if let Some(pick) = self.with_decider(|rt, d| rt.pick_with(d, previous)) {
             return pick;
         }
-        // Round-robin, or a seeded random pick.
-        let tid = match &mut self.rng {
-            None => self.run_queue.pop_front(),
-            Some(rng) => {
-                let i = rng.below(self.run_queue.len() as u64) as usize;
-                self.run_queue.remove(i)
-            }
-        };
-        (tid.expect("non-empty run queue"), false)
+        let tid = self.run_queue.pop_front().expect("non-empty run queue");
+        (tid, false)
     }
 
     /// Lets `decider` choose among the runnable threads.

@@ -131,9 +131,9 @@ pub fn derive_first(init: &State, config: &RuleConfig, max_steps: usize) -> Deri
 /// [`derive()`] with seeded-random choices: a uniformly random enabled
 /// transition at each step, the same walk for the same seed.
 pub fn derive_random(init: &State, config: &RuleConfig, max_steps: usize, seed: u64) -> Derivation {
-    // SplitMix64, the stream of `conch_runtime::rng::SplitMix64` seeded
-    // with `seed ^ 0x9E37_79B9_7F4A_7C15`: a private copy, because this
-    // crate does not depend on the runtime.
+    // SplitMix64 — the generator the schedule explorer's sampler draws
+    // from — seeded with `seed ^ 0x9E37_79B9_7F4A_7C15`: a private
+    // copy, because this crate does not depend on the explorer.
     let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
     derive(init, config, max_steps, move |menu| {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

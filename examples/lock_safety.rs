@@ -4,8 +4,8 @@
 //! Run with `cargo run --example lock_safety`.
 //!
 //! A worker updates an `MVar`-protected counter while a killer thread
-//! fires `KillThread` at it. We sweep hundreds of seeded schedules for
-//! three variants:
+//! fires `KillThread` at it. The schedule explorer runs every schedule
+//! and every delivery point of the kill for three variants:
 //!
 //! * the paper's **naive** pattern (`takeMVar`/`catch`/`putMVar`), which
 //!   has race windows where the lock is lost;
@@ -13,34 +13,32 @@
 //!   `takeMVar`), which has none;
 //! * the **masked** variant (§7.4) for mutable structures.
 //!
-//! The tally prints how often each variant lost the lock.
+//! The naive variant's failure is shrunk to a minimal schedule that
+//! replays the lost lock; the other two pass on the whole space.
 
 use conch::prelude::*;
 use conch_combinators::{modify_mvar_masked, modify_mvar_naive};
+use conch_explore::{CheckResult, ExploreConfig, Explorer, RunOutcome, TestCase};
 use conch_runtime::io::Io;
 
-/// One trial: returns `true` if the lock survived (MVar full afterwards).
-fn trial(seed: u64, which: Variant) -> bool {
-    let cfg = RuntimeConfig::new().random_scheduling(seed).quantum(2);
-    let mut rt = Runtime::with_config(cfg);
-    let prog = Io::new_mvar(0_i64).and_then(move |m| {
-        let update = move || -> Io<()> {
-            let body = |n: i64| Io::compute(20).then(Io::pure(n + 1));
-            match which {
-                Variant::Naive => modify_mvar_naive(m, body),
-                Variant::Safe => modify_mvar(m, body),
-                Variant::Masked => modify_mvar_masked(m, body),
-            }
+/// One trial's program: `true` if the lock survived (MVar full
+/// afterwards).
+fn trial(which: Variant) -> Io<bool> {
+    Io::new_mvar(0_i64).and_then(move |m| {
+        let body = |n: i64| Io::compute(20).then(Io::pure(n + 1));
+        let update = match which {
+            Variant::Naive => modify_mvar_naive(m, body),
+            Variant::Safe => modify_mvar(m, body),
+            Variant::Masked => modify_mvar_masked(m, body),
         };
-        let worker = update().catch(|_| Io::unit());
+        let worker = update.catch(|_| Io::unit());
         Io::fork(worker).and_then(move |w| {
             Io::throw_to(w, Exception::kill_thread())
                 .then(Io::sleep(100_000)) // let the dust settle
                 .then(m.try_take())
                 .map(|contents| contents.is_some())
         })
-    });
-    rt.run(prog).unwrap()
+    })
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,38 +48,53 @@ enum Variant {
     Masked,
 }
 
-fn main() {
-    const TRIALS: u64 = 400;
-    let mut lost = [0_u64; 3];
-    for seed in 0..TRIALS {
-        for (i, v) in [Variant::Naive, Variant::Safe, Variant::Masked]
-            .into_iter()
-            .enumerate()
-        {
-            if !trial(seed, v) {
-                lost[i] += 1;
-            }
-        }
-    }
-    println!("schedules swept: {TRIALS} (random scheduling, quantum 2)");
-    println!(
-        "naive  (§5.1): lock lost in {:>3}/{} schedules  <- the race the paper describes",
-        lost[0], TRIALS
-    );
-    println!(
-        "safe   (§5.2): lock lost in {:>3}/{} schedules  <- block/unblock closes every window",
-        lost[1], TRIALS
-    );
-    println!(
-        "masked (§7.4): lock lost in {:>3}/{} schedules  <- update runs to completion",
-        lost[2], TRIALS
-    );
+fn check(which: Variant) -> CheckResult {
+    let explorer = Explorer::with_config(ExploreConfig {
+        max_depth: 128,
+        ..ExploreConfig::default()
+    });
+    explorer.check(|| {
+        TestCase::new(trial(which), |out: &RunOutcome<bool>| match out.result {
+            Ok(true) => Ok(()),
+            ref other => Err(format!("lock lost: {other:?}")),
+        })
+    })
+}
 
-    assert!(
-        lost[0] > 0,
-        "expected the naive pattern to lose the lock on some schedule"
+fn main() {
+    let naive = check(Variant::Naive);
+    let failure = naive.expect_fail();
+    println!(
+        "naive  (§5.1): lock lost after {} schedules, minimal certificate {:?}  <- the race the paper describes",
+        failure.report.explored,
+        failure.schedule.to_string()
     );
-    assert_eq!(lost[1], 0, "the safe pattern must never lose the lock");
-    assert_eq!(lost[2], 0, "the masked pattern must never lose the lock");
+    for (which, name, why) in [
+        (
+            Variant::Safe,
+            "safe   (§5.2)",
+            "block/unblock closes every window",
+        ),
+        (
+            Variant::Masked,
+            "masked (§7.4)",
+            "update runs to completion",
+        ),
+    ] {
+        let result = check(which);
+        let report = result.expect_pass();
+        assert!(report.complete, "{name}: {report}");
+        println!(
+            "{name}: lock kept on all {} schedules  <- {why}",
+            report.explored
+        );
+    }
+
+    // The certificate replays to the lost lock in a fresh runtime.
+    let (outcome, _) = Explorer::new().replay(
+        TestCase::new(trial(Variant::Naive), |_: &RunOutcome<bool>| Ok(())),
+        &failure.schedule,
+    );
+    assert_eq!(outcome.result, Ok(false), "the certificate must replay");
     println!("verdict: reproduction of §5.1 confirmed — only the naive pattern races");
 }

@@ -1,10 +1,11 @@
 //! Chaos testing: the runtime's internal invariants under heavy random
 //! fire. No specific behaviour is asserted about the *programs* — only
 //! that the machine itself never wedges unexpectedly, never loses track
-//! of a thread, and keeps its accounting consistent, across thousands of
-//! randomly scheduled, exception-riddled runs.
+//! of a thread, and keeps its accounting consistent, across hundreds of
+//! PCT-sampled, exception-riddled runs.
 
 use conch_combinators::{finally, modify_mvar, race, timeout, Chan, Sem};
+use conch_explore::{ExploreConfig, Explorer, RunOutcome, TestCase};
 use conch_runtime::prelude::*;
 use proptest::prelude::*;
 
@@ -86,45 +87,66 @@ proptest! {
     fn machine_invariants_under_chaos(
         workers in 1u64..8,
         kills in 0u64..12,
-        seed in 0u64..100_000,
-        quantum in 1u64..15,
     ) {
-        let cfg = RuntimeConfig::new()
-            .random_scheduling(seed)
-            .quantum(quantum)
-            .max_steps(2_000_000);
-        let mut rt = Runtime::with_config(cfg);
-        let result = rt.run(tangle(workers, kills));
-        // The harness itself must terminate (settling sleep ends the run).
-        let counter = result.expect("chaos harness must not wedge the machine");
-        // Invariants:
-        let st = rt.stats();
-        // 1. No worker increments more than once; no phantom increments.
-        prop_assert!((0..=workers as i64).contains(&counter), "counter {counter}");
-        // 2. Every fork is accounted for: finished, died, or reaped at
-        //    ProcGC (none unaccounted negative).
-        prop_assert!(st.finished_threads + st.died_threads <= st.forks + 1);
-        // 3. Deliveries never exceed throws plus deadlock-recovery.
-        prop_assert!(st.total_deliveries() <= st.throwtos + kills + 4);
-        // 4. Mask-frame accounting stayed sane.
-        prop_assert!(st.max_mask_frames <= st.max_stack_depth.max(2));
+        // Four PCT samples per tangle, thread picks and delivery points
+        // both drawn.
+        let explorer = Explorer::with_config(ExploreConfig {
+            max_schedules: 4,
+            max_depth: 256,
+            step_budget: 2_000_000,
+            strategy: conch_explore::Strategy::Pct { depth: 3, seed: 3 },
+            ..ExploreConfig::default()
+        });
+        let result = explorer.check(|| {
+            TestCase::new(tangle(workers, kills), move |out: &RunOutcome<i64>| {
+                // The harness itself must terminate (settling sleep ends
+                // the run).
+                let counter = out.result.clone().map_err(|e| {
+                    format!("chaos harness must not wedge the machine: {e}")
+                })?;
+                // Invariants:
+                let st = out.stats();
+                // 1. No worker increments more than once; no phantom
+                //    increments.
+                if !(0..=workers as i64).contains(&counter) {
+                    return Err(format!("counter {counter}"));
+                }
+                // 2. Every fork is accounted for: finished, died, or
+                //    reaped at ProcGC (none unaccounted negative).
+                if st.finished_threads + st.died_threads > st.forks + 1 {
+                    return Err(format!("unaccounted threads: {st:?}"));
+                }
+                // 3. Deliveries never exceed throws plus
+                //    deadlock-recovery.
+                if st.total_deliveries() > st.throwtos + kills + 4 {
+                    return Err(format!("phantom deliveries: {st:?}"));
+                }
+                // 4. Mask-frame accounting stayed sane.
+                match st.max_mask_frames <= st.max_stack_depth.max(2) {
+                    true => Ok(()),
+                    false => Err(format!("mask frames: {st:?}")),
+                }
+            })
+        });
+        prop_assert_eq!(result.expect_pass().explored, 4);
     }
 }
 
 /// The same tangle, deterministic, repeated on one runtime instance:
-/// reuse must not leak state between runs.
+/// reuse must not leak state between runs. Under round-robin every run
+/// on the reused runtime is the run a fresh runtime makes, result and
+/// statistics alike.
 #[test]
 fn runtime_reuse_is_clean() {
-    let mut rt = Runtime::with_config(RuntimeConfig::new().random_scheduling(1).quantum(5));
-    let mut outcomes = Vec::new();
-    for _ in 0..5 {
-        let c = rt.run(tangle(4, 6)).expect("run completes");
-        outcomes.push(c);
-        assert!((0..=4).contains(&c));
+    let cfg = RuntimeConfig::new().quantum(5);
+    let mut fresh = Runtime::with_config(cfg.clone());
+    let expected = fresh.run(tangle(4, 6)).expect("run completes");
+    assert!((0..=4).contains(&expected));
+    let mut rt = Runtime::with_config(cfg);
+    for run in 0..5 {
+        assert_eq!(rt.run(tangle(4, 6)), Ok(expected), "run {run}");
+        assert_eq!(rt.stats(), fresh.stats(), "run {run}");
     }
-    // Same seed would not repeat (the RNG advances), but every run obeys
-    // the invariant and the runtime survived five chaotic lifecycles.
-    assert_eq!(outcomes.len(), 5);
 }
 
 /// A miniature of the tangle — one guarded worker, one killer — but
@@ -134,8 +156,6 @@ fn runtime_reuse_is_clean() {
 /// everything at its (small) scale.
 #[test]
 fn mini_tangle_is_sane_on_every_schedule() {
-    use conch_explore::{ExploreConfig, Explorer, RunOutcome, TestCase};
-
     let cfg = ExploreConfig {
         max_schedules: 50_000,
         ..ExploreConfig::default()

@@ -3,26 +3,29 @@
 //!
 //! A common first-order program DSL compiles both to `conch-runtime`
 //! `Io` actions and to `conch-semantics` terms. Each program is executed
-//! on the runtime under many schedules; every observable I/O trace the
-//! runtime produces must be admitted by the formal labelled transition
-//! system: one [`Lts`] per program, every trace checked against it with
-//! [`Lts::admits_trace`].
+//! on the runtime under every schedule the explorer enumerates — every
+//! thread choice and every delivery point; every observable I/O trace
+//! the runtime produces must be admitted by the formal labelled
+//! transition system: one [`Lts`] per program, every trace checked
+//! against it with [`Lts::admits_trace`].
 //!
 //! The runtime is configured with `fork_inherits_mask(false)` to match
 //! the paper's (Fork) rule exactly (see DESIGN.md).
 
+use conch_explore::{Explorer, RunOutcome, TestCase};
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::prelude::*;
 use conch_runtime::trace::IoEvent;
 use conch_runtime::value::Value;
 use conch_semantics::engine::{ExploreConfig, Lts, Obs, State};
-use conch_semantics::equiv::EndState;
+use conch_semantics::equiv::{EndState, Outcome};
 use conch_semantics::term::build as tb;
 use conch_semantics::term::Term;
 use conch_semantics::RuleConfig;
 use proptest::prelude::*;
-use std::ops::Range;
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 /// The bridged program language. First-order and value-free (only unit
@@ -236,45 +239,49 @@ fn semantics_graph(prog: &Prog, input: &str) -> Lts {
     Lts::explore(&init, &ExploreConfig::default())
 }
 
-/// Runs `prog` on the runtime under several schedules; asserts every
-/// observed trace is admitted by the LTS. `Prog` has no loops or
-/// recursion, so every interleaving ends: the default budget must hold
-/// the program's whole graph and trace set.
-fn assert_conformance(prog: &Prog, input: &str, seeds: Range<u64>) {
-    let lts = semantics_graph(prog, input);
+/// Runs `prog` on the runtime under every schedule and delivery point
+/// (sleep sets, unbounded, at the default depth); asserts the search
+/// complete and every observed trace admitted by the LTS. `Prog` has no
+/// loops or recursion, so every interleaving ends: the default budget
+/// must hold the program's whole graph and trace set. Returns the
+/// schedules explored and the distinct runtime outcomes — trace and
+/// end state, comparable with [`Lts::trace_set`].
+fn assert_conformance(prog: &Prog, input: &str) -> (usize, usize) {
+    let lts = Rc::new(semantics_graph(prog, input));
     assert_eq!(lts.complete(), Ok(()), "{prog:?}");
     assert!(lts.trace_set().is_ok(), "{prog:?}");
-    for seed in seeds {
-        let cfg = RuntimeConfig::new()
-            .fork_inherits_mask(false)
-            .random_scheduling(seed)
-            .quantum(3)
-            .max_steps(200_000);
-        let mut rt = Runtime::with_config(cfg);
-        rt.feed_input(input);
-        let outcome = rt.run(runtime_program(prog.clone()));
-        let trace = observed(rt.io_trace());
-        match outcome {
-            Ok(()) | Err(RunError::Uncaught(_)) => {
-                // Terminated: the full trace must be a complete LTS run.
-                assert_eq!(
-                    lts.admits_trace(&trace, true),
-                    Ok(true),
-                    "seed {seed}: runtime trace {trace:?} not admitted (terminating) for {prog:?}"
-                );
+    let outcomes: Rc<RefCell<BTreeSet<Outcome>>> = Rc::default();
+    let explorer = Explorer::with_config(conch_explore::ExploreConfig {
+        runtime: RuntimeConfig::new().fork_inherits_mask(false),
+        ..conch_explore::ExploreConfig::default()
+    });
+    let result = explorer.check(|| {
+        let (lts, outcomes) = (Rc::clone(&lts), Rc::clone(&outcomes));
+        TestCase::new(runtime_program(prog.clone()), move |out: &RunOutcome<()>| {
+            let trace = observed(out.trace());
+            // Terminated: the full trace must be a complete LTS run.
+            // Wedged or truncated: the trace must be an admissible prefix.
+            let terminated = matches!(out.result, Ok(()) | Err(RunError::Uncaught(_)));
+            let admitted = lts.admits_trace(&trace, terminated);
+            let end = if terminated {
+                EndState::Done
+            } else {
+                EndState::Wedged
+            };
+            outcomes.borrow_mut().insert((trace.clone(), end));
+            match admitted {
+                Ok(true) => Ok(()),
+                other => Err(format!(
+                    "runtime trace {trace:?} not admitted ({end:?}): {other:?}"
+                )),
             }
-            Err(RunError::Deadlock { .. })
-            | Err(RunError::StepLimitExceeded { .. })
-            | Err(RunError::ThreadLimitExceeded { .. }) => {
-                // Wedged or truncated: the trace must be an admissible prefix.
-                assert_eq!(
-                    lts.admits_trace(&trace, false),
-                    Ok(true),
-                    "seed {seed}: runtime trace {trace:?} not admitted (prefix) for {prog:?}"
-                );
-            }
-        }
-    }
+        })
+        .input(input)
+    });
+    let report = result.expect_pass();
+    assert!(report.complete, "{prog:?}: {report}");
+    let distinct = outcomes.borrow().len();
+    (report.explored, distinct)
 }
 
 // Convenience constructors.
@@ -286,15 +293,11 @@ fn sq3(a: Prog, b: Prog, c: Prog) -> Prog {
 }
 
 /// C1's curated scenarios, each named after the test that runs it: the
-/// program, its scripted input and the runtime seeds it runs under.
-fn scenario(name: &str) -> (Prog, &'static str, Range<u64>) {
+/// program and its scripted input.
+fn scenario(name: &str) -> (Prog, &'static str) {
     match name {
-        "put_sequence" => (
-            sq3(Prog::Put('a'), Prog::Put('b'), Prog::Put('c')),
-            "",
-            0..3,
-        ),
-        "echo_conforms" => (sq(Prog::Echo, Prog::Echo), "xy", 0..3),
+        "put_sequence" => (sq3(Prog::Put('a'), Prog::Put('b'), Prog::Put('c')), ""),
+        "echo_conforms" => (sq(Prog::Echo, Prog::Echo), "xy"),
         "throw_and_catch" => (
             sq(
                 Prog::Catch(
@@ -304,16 +307,14 @@ fn scenario(name: &str) -> (Prog, &'static str, Range<u64>) {
                 Prog::Put('z'),
             ),
             "",
-            0..3,
         ),
-        "uncaught_throw" => (sq(Prog::Put('a'), Prog::Throw(1)), "", 0..3),
+        "uncaught_throw" => (sq(Prog::Put('a'), Prog::Throw(1)), ""),
         "forked_puts_interleave" => (
             sq(
                 Prog::Fork(Box::new(sq(Prog::Put('a'), Prog::Put('b')))),
                 sq(Prog::Put('x'), Prog::Put('y')),
             ),
             "",
-            0..10,
         ),
         // Child puts; main takes then prints.
         "mvar_rendezvous" => (
@@ -322,9 +323,8 @@ fn scenario(name: &str) -> (Prog, &'static str, Range<u64>) {
                 sq(Prog::Take(0), Prog::Put('m')),
             ),
             "",
-            0..10,
         ),
-        "deadlocked_take_is_an_admissible_prefix" => (sq(Prog::Put('a'), Prog::Take(0)), "", 0..3),
+        "deadlocked_take_is_an_admissible_prefix" => (sq(Prog::Put('a'), Prog::Take(0)), ""),
         // Fork a printer, kill it: every interleaving the runtime picks
         // must be admitted (killed before 'a', between 'a' and 'b', after
         // both, or reaped by Proc GC).
@@ -335,7 +335,6 @@ fn scenario(name: &str) -> (Prog, &'static str, Range<u64>) {
                 Prog::Put('z'),
             ),
             "",
-            0..20,
         ),
         // The child masks its puts: the runtime must never produce a
         // trace with 'a' but not 'b' while the main thread is still
@@ -351,7 +350,6 @@ fn scenario(name: &str) -> (Prog, &'static str, Range<u64>) {
                 sq(Prog::Put('z'), Prog::Take(0)), // keep main alive (deadlock)
             ),
             "",
-            0..20,
         ),
         "unblock_window_inside_block" => (
             sq3(
@@ -364,7 +362,6 @@ fn scenario(name: &str) -> (Prog, &'static str, Range<u64>) {
                 Prog::Put('z'),
             ),
             "",
-            0..20,
         ),
         "catch_of_async_exception_conforms" => (
             sq3(
@@ -376,7 +373,6 @@ fn scenario(name: &str) -> (Prog, &'static str, Range<u64>) {
                 sq(Prog::Put('z'), Prog::Take(1)), // keep main alive
             ),
             "",
-            0..20,
         ),
         // Sleeps interleaved with puts across two threads: the runtime's
         // global clock partitions time differently than the LTS's
@@ -388,7 +384,6 @@ fn scenario(name: &str) -> (Prog, &'static str, Range<u64>) {
                 Prog::Put('z'),
             ),
             "",
-            0..10,
         ),
         // Interrupting a stuck sleeper exercises the (Interrupt) rule on
         // the semantics side and the sleep-queue removal on the runtime
@@ -400,15 +395,16 @@ fn scenario(name: &str) -> (Prog, &'static str, Range<u64>) {
                 Prog::Put('z'),
             ),
             "",
-            0..10,
         ),
         _ => unreachable!("no scenario named {name}"),
     }
 }
 
 fn run_scenario(name: &str) {
-    let (prog, input, seeds) = scenario(name);
-    assert_conformance(&prog, input, seeds);
+    let (prog, input) = scenario(name);
+    let (explored, outcomes) = assert_conformance(&prog, input);
+    let pin = CURATED_SCHEDULES.iter().find(|(n, ..)| *n == name);
+    assert_eq!(pin, Some(&(name, explored, outcomes)), "{name}");
 }
 
 #[test]
@@ -495,10 +491,36 @@ const CURATED: [(&str, usize, usize); 13] = [
     ("kill_a_sleeper_conforms", 107, 3),
 ];
 
+/// C1's curated scenarios on the runtime side, as (scenario, schedules
+/// explored, distinct runtime outcomes): each scenario's test asserts
+/// its row. Against `CURATED`'s outcome count, the last column is the
+/// refinement gap — how much of what the semantics allows the runtime
+/// ever does. It exceeds it twice: in `masked_child_kill` and
+/// `catch_of_async_exception_conforms` the runtime also ends `!z`
+/// wedged. With `fork_inherits_mask(false)` a child starts unmasked and
+/// takes a step to enter its `block` or `catch`, and the kill can land
+/// in that step; a semantics thread is inside its evaluation context
+/// from the start. The trace is still an admitted prefix.
+const CURATED_SCHEDULES: [(&str, usize, usize); 13] = [
+    ("put_sequence", 1, 1),
+    ("echo_conforms", 1, 1),
+    ("throw_and_catch", 1, 1),
+    ("uncaught_throw", 1, 1),
+    ("forked_puts_interleave", 20, 10),
+    ("mvar_rendezvous", 7, 1),
+    ("deadlocked_take_is_an_admissible_prefix", 1, 1),
+    ("kill_between_puts", 135, 6),
+    ("masked_child_kill", 172, 4),
+    ("unblock_window_inside_block", 784, 10),
+    ("catch_of_async_exception_conforms", 160, 6),
+    ("sleeping_threads_conform", 6, 1),
+    ("kill_a_sleeper_conforms", 13, 1),
+];
+
 #[test]
 fn curated_state_graphs_are_pinned() {
     for (name, states, outcomes) in CURATED {
-        let (prog, input, _) = scenario(name);
+        let (prog, input) = scenario(name);
         let lts = semantics_graph(&prog, input);
         assert_eq!(lts.complete(), Ok(()), "{name}");
         assert_eq!(lts.states(), states, "{name}");
@@ -526,7 +548,7 @@ fn device_stuckness_adds_outcomes_only_where_a_masked_put_is_killed() {
         )
     };
     for (name, _, _) in CURATED {
-        let (prog, input, _) = scenario(name);
+        let (prog, input) = scenario(name);
         let init = State::new(semantics_program(prog), input);
         let off = Lts::explore(&init, &ExploreConfig::default()).trace_set();
         let on = Lts::explore(&init, &stuckness).trace_set();
@@ -625,12 +647,12 @@ proptest! {
         max_shrink_iters: 200,
     })]
 
-    /// Every trace of every random program under three random schedules
-    /// is admitted by the formal semantics, from a graph the default
+    /// Every trace of every random program on every schedule is
+    /// admitted by the formal semantics, from a graph the default
     /// budget holds whole (2 000 programs from this strategy reach at
     /// most 654 states and 9 outcomes).
     #[test]
-    fn random_programs_conform(prog in prog_strategy(), seed in 0u64..1000) {
-        assert_conformance(&prog, "qrs", seed..seed + 3);
+    fn random_programs_conform(prog in prog_strategy()) {
+        assert_conformance(&prog, "qrs");
     }
 }

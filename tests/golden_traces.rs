@@ -21,6 +21,9 @@ use conch_combinators::timeout;
 use conch_explore::{ExploreConfig, Explorer, RunOutcome, TestCase};
 use conch_runtime::prelude::*;
 use conch_runtime::trace::render_trace;
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------
 // Corpus programs
@@ -48,7 +51,7 @@ fn g2_program() -> Io<()> {
         .then(Io::put_char('!'))
 }
 
-/// G3: a three-way counter race, scheduled by the seeded RNG.
+/// G3: a three-way counter race, on every schedule the explorer runs.
 fn g3_program() -> Io<i64> {
     Io::new_mvar(0_i64).and_then(|m| {
         let bump = move || m.take().and_then(move |n| m.put(n + 1));
@@ -132,14 +135,25 @@ fn g2_golden() -> RunGolden {
     )
 }
 
-fn g3_golden() -> RunGolden {
-    run_golden(
-        RuntimeConfig::new()
-            .random_scheduling(42)
-            .record_sched_events(true),
-        "",
-        g3_program(),
-    )
+/// G3: every schedule of the counter race, as the explored-schedule
+/// count and the distinct (result, rendered trace) outcomes it reached.
+fn g3_golden() -> (usize, BTreeSet<(i64, String)>) {
+    let outcomes = Rc::new(RefCell::new(BTreeSet::new()));
+    let result = Explorer::with_config(ExploreConfig {
+        runtime: RuntimeConfig::new().record_sched_events(true),
+        ..ExploreConfig::default()
+    })
+    .check(|| {
+        let outcomes = Rc::clone(&outcomes);
+        TestCase::new(g3_program(), move |out: &RunOutcome<i64>| {
+            let n = out.result.clone().map_err(|e| e.to_string())?;
+            outcomes.borrow_mut().insert((n, render_trace(out.trace())));
+            Ok(())
+        })
+    });
+    let report = result.expect_pass();
+    assert!(report.complete, "{report}");
+    (report.explored, outcomes.take())
 }
 
 fn g6_golden() -> RunGolden {
@@ -222,9 +236,16 @@ const G2_TRACE: &str = "[t0+t1][t0*sleep]?h!h$3?i!i!!";
 const G2_OUTPUT: &str = "hi!";
 const G2_STEPS: u64 = 19;
 
-const G3_TRACE: &str = "[t0+t1][t0+t2][t0*sleep]$1000";
-const G3_STEPS: u64 = 30;
-const G3_SWITCHES: u64 = 4;
+const G3_EXPLORED: usize = 99;
+const G3_OUTCOMES: &[(i64, &str)] = &[
+    (3, "[t0+t1][t0+t2][t0*sleep]$1000"),
+    (3, "[t0+t1][t0+t2][t0*sleep][t1*takeMVar]$1000"),
+    (3, "[t0+t1][t0+t2][t0*sleep][t2*takeMVar]$1000"),
+    (3, "[t0+t1][t0+t2][t0*sleep][t2*takeMVar][t1*takeMVar]$1000"),
+    (3, "[t0+t1][t0+t2][t1*takeMVar][t0*sleep]$1000"),
+    (3, "[t0+t1][t0+t2][t2*takeMVar][t0*sleep]$1000"),
+    (3, "[t0+t1][t0+t2][t2*takeMVar][t1*takeMVar][t0*sleep]$1000"),
+];
 
 const G4_SCHEDULE: &str = "";
 const G4_MESSAGE: &str = "child won the race";
@@ -262,11 +283,11 @@ fn g2_console_echo_is_byte_identical() {
 }
 
 #[test]
-fn g3_seeded_random_schedule_is_byte_identical() {
-    let g = g3_golden();
-    assert_eq!(g.trace, G3_TRACE);
-    assert_eq!(g.steps, G3_STEPS);
-    assert_eq!(g.context_switches, G3_SWITCHES);
+fn g3_counter_race_outcomes_are_byte_identical() {
+    let (explored, outcomes) = g3_golden();
+    assert_eq!(explored, G3_EXPLORED);
+    let outcomes: Vec<_> = outcomes.iter().map(|(n, t)| (*n, t.as_str())).collect();
+    assert_eq!(outcomes, G3_OUTCOMES);
 }
 
 #[test]
@@ -339,9 +360,11 @@ fn print_golden_values() {
     println!("const G2_OUTPUT: &str = {:?};", g2.output);
     println!("const G2_STEPS: u64 = {};", g2.steps);
     println!();
-    println!("const G3_TRACE: &str = {:?};", g3.trace);
-    println!("const G3_STEPS: u64 = {};", g3.steps);
-    println!("const G3_SWITCHES: u64 = {};", g3.context_switches);
+    println!("const G3_EXPLORED: usize = {};", g3.0);
+    println!(
+        "const G3_OUTCOMES: &[(i64, &str)] = &{:?};",
+        g3.1.iter().collect::<Vec<_>>()
+    );
     println!();
     println!("const G4_SCHEDULE: &str = {g4s:?};");
     println!("const G4_MESSAGE: &str = {g4m:?};");

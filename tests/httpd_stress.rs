@@ -1,5 +1,5 @@
 //! Experiment S1: the §11 fault-tolerant server under randomized load
-//! and randomized scheduling.
+//! and PCT-sampled scheduling (the schedule explorer's sampler).
 //!
 //! Invariants checked on every schedule:
 //!
@@ -9,6 +9,7 @@
 //! * after shutdown + drain no worker is still active;
 //! * the server process itself never wedges (the run terminates).
 
+use conch_explore::{ExploreConfig, Explorer, Report, RunOutcome, TestCase};
 use conch_httpd::client::{garbage_client, good_client, stalling_client, trickling_client};
 use conch_httpd::http::Response;
 use conch_httpd::net::Listener;
@@ -71,22 +72,21 @@ fn kind_strategy() -> impl Strategy<Value = ClientKind> {
     ]
 }
 
-fn run_storm(kinds: Vec<ClientKind>, seed: u64) -> (Vec<i64>, Vec<i64>, StatsSnapshot) {
-    let cfg = RuntimeConfig::new().random_scheduling(seed).quantum(7);
-    let mut rt = Runtime::with_config(cfg);
-    let n = kinds.len();
+/// The storm program: one server, one client per kind, every response
+/// code collected, then shutdown and drain.
+fn storm(kinds: &[ClientKind]) -> Io<(Vec<i64>, StatsSnapshot)> {
     let server_cfg = ServerConfig {
         read_timeout: 20_000,
         handler_timeout: 100_000,
         ..ServerConfig::default()
     };
-    let kinds2 = kinds.clone();
-    let prog = Listener::bind().and_then(move |l| {
+    let kinds = kinds.to_vec();
+    let n = kinds.len();
+    Listener::bind().and_then(move |l| {
         start(l, routes(), server_cfg).and_then(move |server| {
             Io::new_empty_mvar::<i64>().and_then(move |report| {
-                let kinds3 = kinds2.clone();
                 for_each(n as u64, move |i| {
-                    Io::fork(spawn_client(kinds3[i as usize], l, report))
+                    Io::fork(spawn_client(kinds[i as usize], l, report))
                 })
                 .then(sequence((0..n).map(|_| report.take()).collect()))
                 .and_then(move |codes| {
@@ -98,63 +98,99 @@ fn run_storm(kinds: Vec<ClientKind>, seed: u64) -> (Vec<i64>, Vec<i64>, StatsSna
                 })
             })
         })
+    })
+}
+
+/// Runs the storm of `kinds` on `samples` PCT-sampled schedules, all on
+/// one runtime (reset between runs), and checks the invariants on each.
+fn check_storm(kinds: &[ClientKind], samples: usize) {
+    let explorer = Explorer::with_config(ExploreConfig {
+        max_schedules: samples,
+        max_depth: 256,
+        step_budget: 2_000_000,
+        strategy: conch_explore::Strategy::Pct { depth: 3, seed: 11 },
+        ..ExploreConfig::default()
     });
-    let (codes, snap) = rt.run(prog).expect("server run must terminate");
-    let expect: Vec<i64> = kinds.iter().map(|k| expected_status(*k)).collect();
-    (codes, expect, snap)
+    let report = storm_check(&explorer, kinds);
+    assert_eq!(report.explored, samples, "{kinds:?}");
+}
+
+/// The storm of `kinds` under `explorer`, its invariants checked on
+/// every run.
+fn storm_check(explorer: &Explorer, kinds: &[ClientKind]) -> Report {
+    let mut expect: Vec<i64> = kinds.iter().map(|k| expected_status(*k)).collect();
+    expect.sort_unstable();
+    let result = explorer.check(|| {
+        let expect = expect.clone();
+        TestCase::new(
+            storm(kinds),
+            move |out: &RunOutcome<(Vec<i64>, StatsSnapshot)>| {
+                let (codes, snap) = out
+                    .result
+                    .clone()
+                    .map_err(|e| format!("server run must terminate: {e}"))?;
+                // Every client answered with a well-formed response, and the
+                // multiset of status codes matches the client mix exactly
+                // (responses may arrive in any order).
+                let mut codes = codes;
+                codes.sort_unstable();
+                if codes != expect {
+                    return Err(format!("codes {codes:?}, expected {expect:?}"));
+                }
+                // No leaked workers, and the counter bookkeeping adds up.
+                let total = snap.served
+                    + snap.read_timeouts
+                    + snap.handler_timeouts
+                    + snap.handler_errors
+                    + snap.parse_errors;
+                match (snap.active, total) {
+                    (0, t) if t == expect.len() as i64 => Ok(()),
+                    _ => Err(format!("unbalanced counters: {snap:?}")),
+                }
+            },
+        )
+    });
+    result.expect_pass().clone()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn storm_invariants(
-        kinds in prop::collection::vec(kind_strategy(), 1..10),
-        seed in 0u64..10_000,
-    ) {
-        let (mut codes, mut expect, snap) = run_storm(kinds.clone(), seed);
-        // Every client answered with a well-formed response.
-        prop_assert_eq!(codes.len(), expect.len());
-        prop_assert!(codes.iter().all(|c| *c > 0), "garbled response: {:?}", codes);
-        // The multiset of status codes matches the client mix exactly
-        // (responses may arrive in any order).
-        codes.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(&codes, &expect, "kinds {:?} seed {}", kinds, seed);
-        // No leaked workers.
-        prop_assert_eq!(snap.active, 0);
-        // Counter bookkeeping adds up.
-        let total = snap.served + snap.read_timeouts + snap.handler_timeouts
-            + snap.handler_errors + snap.parse_errors;
-        prop_assert_eq!(total, kinds.len() as i64);
+    fn storm_invariants(kinds in prop::collection::vec(kind_strategy(), 1..10)) {
+        check_storm(&kinds, 2);
     }
+}
+
+/// A storm proptest once shrank a failure to: one crashing client. On
+/// every schedule without preemption, and every delivery point of the
+/// server's timeouts and kills (7 868 schedules; at one preemption it
+/// is 21 972, unbounded more than 200 000).
+#[test]
+fn a_lone_crashing_client_gets_its_500() {
+    let explorer = Explorer::with_config(ExploreConfig {
+        preemption_bound: Some(0),
+        step_budget: 2_000_000,
+        ..ExploreConfig::default()
+    });
+    let report = storm_check(&explorer, &[ClientKind::Crash]);
+    assert!(report.complete, "{report}");
 }
 
 #[test]
 fn large_storm_deterministic() {
     use ClientKind::*;
-    let kinds = vec![
+    let kinds = [
         Good, Crash, Stall, Trickle, Garbage, Work, Slow, Good, Good, Crash, Stall, Work, Trickle,
         Garbage, Good, Work, Good, Crash, Stall, Good,
     ];
-    let (mut codes, mut expect, snap) = run_storm(kinds, 42);
-    codes.sort_unstable();
-    expect.sort_unstable();
-    assert_eq!(codes, expect);
-    assert_eq!(snap.active, 0);
+    check_storm(&kinds, 1);
 }
 
 #[test]
 fn server_survives_repeated_storms_in_one_runtime() {
-    // Reusing a Runtime across runs: each run is a fresh server.
-    for seed in 0..5 {
-        use ClientKind::*;
-        let (codes, expect, snap) = run_storm(vec![Good, Crash, Garbage, Stall], seed);
-        let mut c = codes;
-        let mut e = expect;
-        c.sort_unstable();
-        e.sort_unstable();
-        assert_eq!(c, e, "seed {seed}");
-        assert_eq!(snap.active, 0);
-    }
+    // The explorer reuses one runtime across its runs: each run is a
+    // fresh server.
+    use ClientKind::*;
+    check_storm(&[Good, Crash, Garbage, Stall], 5);
 }

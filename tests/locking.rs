@@ -2,11 +2,12 @@
 //!
 //! The formal level (model checker) proves the naive pattern racy and
 //! the safe pattern race-free by exhaustive exploration; the runtime
-//! level reproduces the same dichotomy statistically across hundreds of
-//! seeded schedules. Together they show the paper's central worked
-//! example holds in this reproduction.
+//! level reproduces the same dichotomy with the schedule explorer,
+//! on every schedule and delivery point of the kill. Together they show
+//! the paper's central worked example holds in this reproduction.
 
 use conch_combinators::{modify_mvar, modify_mvar_naive};
+use conch_explore::{CheckResult, Explorer, RunOutcome, Strategy, TestCase};
 use conch_runtime::prelude::*;
 use conch_semantics::engine::{ExploreConfig, Lts, Safety, State};
 use conch_semantics::programs::{lock_scenario, naive_lock_update, safe_lock_update};
@@ -106,47 +107,53 @@ fn safe_locking_state_space_is_larger_but_safe() {
 // Runtime level
 // ------------------------------------------------------------------
 
-/// Runs one locking trial; returns whether the MVar survived full.
-fn runtime_trial(seed: u64, safe: bool, work: u64) -> bool {
-    let cfg = RuntimeConfig::new().random_scheduling(seed).quantum(2);
-    let mut rt = Runtime::with_config(cfg);
-    let prog = Io::new_mvar(0_i64).and_then(move |m| {
-        let body = move |n: i64| Io::compute(work).then(Io::pure(n + 1));
-        let update = if safe {
-            modify_mvar(m, body)
-        } else {
-            modify_mvar_naive(m, body)
-        };
-        let worker = update.catch(|_| Io::unit());
-        Io::fork(worker).and_then(move |w| {
-            Io::throw_to(w, Exception::kill_thread())
-                .then(Io::sleep(1_000_000))
-                .then(m.try_take())
-                .map(|v| v.is_some())
-        })
+/// The locking trial on every schedule and delivery point: a worker
+/// updates the cell while main kills it; the property is that the MVar
+/// is full again afterwards. The safe space needs depth 128 to finish.
+fn runtime_trial(safe: bool, work: u64) -> CheckResult {
+    let explorer = Explorer::with_config(conch_explore::ExploreConfig {
+        max_depth: 128,
+        ..conch_explore::ExploreConfig::default()
     });
-    rt.run(prog).unwrap()
+    explorer.check(|| {
+        let prog = Io::new_mvar(0_i64).and_then(move |m| {
+            let body = move |n: i64| Io::compute(work).then(Io::pure(n + 1));
+            let update = if safe {
+                modify_mvar(m, body)
+            } else {
+                modify_mvar_naive(m, body)
+            };
+            let worker = update.catch(|_| Io::unit());
+            Io::fork(worker).and_then(move |w| {
+                Io::throw_to(w, Exception::kill_thread())
+                    .then(Io::sleep(1_000_000))
+                    .then(m.try_take())
+                    .map(|v| v.is_some())
+            })
+        });
+        TestCase::new(prog, |out: &RunOutcome<bool>| match out.result {
+            Ok(true) => Ok(()),
+            ref other => Err(format!("lock lost: {other:?}")),
+        })
+    })
 }
 
 #[test]
 fn runtime_reproduces_the_naive_race() {
-    let lost = (0..300)
-        .filter(|&seed| !runtime_trial(seed, false, 20))
-        .count();
-    assert!(
-        lost > 0,
-        "expected at least one schedule to lose the lock with the naive pattern"
-    );
+    let failure = runtime_trial(false, 20);
+    let failure = failure.expect_fail();
+    // The worker takes the lock and the kill lands before its `catch`
+    // is in place: two steps of the worker's, shrunk from the third
+    // schedule explored.
+    assert_eq!(failure.schedule.to_string(), "t1.t1");
+    assert_eq!(failure.report.explored, 3);
 }
 
 #[test]
 fn runtime_safe_pattern_never_loses_the_lock() {
-    for seed in 0..300 {
-        assert!(
-            runtime_trial(seed, true, 20),
-            "seed {seed}: safe pattern lost the lock"
-        );
-    }
+    let result = runtime_trial(true, 20);
+    let report = result.expect_pass();
+    assert!(report.complete, "{report}");
 }
 
 #[test]
@@ -154,9 +161,13 @@ fn contended_safe_locking_is_exception_safe() {
     // Several workers hammer one counter while a killer sprays
     // exceptions; at quiescence the MVar is full and holds a value
     // consistent with "every completed update applied exactly once".
-    for seed in 0..25 {
-        let cfg = RuntimeConfig::new().random_scheduling(seed).quantum(3);
-        let mut rt = Runtime::with_config(cfg);
+    // Three workers are too many to enumerate: PCT-sample the space.
+    let explorer = Explorer::with_config(conch_explore::ExploreConfig {
+        max_schedules: 200,
+        strategy: Strategy::Pct { depth: 3, seed: 1 },
+        ..conch_explore::ExploreConfig::default()
+    });
+    let result = explorer.check(|| {
         let prog = Io::new_mvar(0_i64).and_then(move |m| {
             let spawn_worker = move || {
                 let w =
@@ -178,10 +189,11 @@ fn contended_safe_locking_is_exception_safe() {
                 })
             })
         });
-        let v = rt.run(prog).unwrap();
-        match v {
-            Some(n) => assert!((0..=3).contains(&n), "seed {seed}: impossible count {n}"),
-            None => panic!("seed {seed}: lock lost under contention"),
-        }
-    }
+        TestCase::new(prog, |out: &RunOutcome<Option<i64>>| match out.result {
+            Ok(Some(n)) if (0..=3).contains(&n) => Ok(()),
+            Ok(Some(n)) => Err(format!("impossible count {n}")),
+            ref other => Err(format!("lock lost under contention: {other:?}")),
+        })
+    });
+    assert_eq!(result.expect_pass().explored, 200);
 }

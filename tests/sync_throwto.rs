@@ -13,45 +13,53 @@
 //!    special case the semantics would need);
 //! 5. throwing to a finished thread trivially succeeds in both designs.
 
+use conch_explore::{props, Explorer, RunOutcome, TestCase};
 use conch_runtime::prelude::*;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// Claim 1: after `throw_to_sync` returns, the target has the exception.
+///
+/// The victim stays receptive until the exception arrives: a short
+/// unmasked computation, then a wait on a cell nobody fills. On some
+/// schedules the exception lands mid-computation (Receive), on others
+/// it interrupts the wait (Interrupt); on none can the victim finish
+/// without it.
 #[test]
 fn sync_throwto_guarantees_receipt() {
-    for seed in 0..25 {
-        let cfg = RuntimeConfig::new().random_scheduling(seed).quantum(3);
-        let mut rt = Runtime::with_config(cfg);
-        let received = Rc::new(RefCell::new(false));
+    let result = Explorer::new().check(|| {
+        let received = Rc::new(Cell::new(false));
         let r2 = Rc::clone(&received);
         let prog = Io::new_empty_mvar::<i64>().and_then(move |done| {
-            let r3 = Rc::clone(&r2);
-            let victim = Io::<()>::unblock(Io::compute(1_000_000))
-                .catch(move |_| {
-                    Io::effect(move || {
-                        *r3.borrow_mut() = true;
-                    })
+            Io::new_empty_mvar::<i64>().and_then(move |never| {
+                let r3 = Rc::clone(&r2);
+                let victim = Io::<i64>::unblock(Io::compute(5).then(never.take()))
+                    .catch(move |_| Io::effect(move || r3.set(true)).map(|_| 0))
+                    .then(done.put(1));
+                Io::<ThreadId>::block(Io::fork(victim)).and_then(move |v| {
+                    let r4 = Rc::clone(&r2);
+                    Io::throw_to_sync(v, Exception::kill_thread())
+                        // At this exact moment the exception must have
+                        // been received (the handler may still be running,
+                        // but the *delivery* — the raise — has happened).
+                        .then(Io::effect(move || r4.get()))
+                        .and_then(move |seen| done.take().map(move |_| seen))
                 })
-                .then(done.put(1));
-            Io::<ThreadId>::block(Io::fork(victim)).and_then(move |v| {
-                let r4 = Rc::clone(&r2);
-                Io::throw_to_sync(v, Exception::kill_thread())
-                    // At this exact moment the exception must have been
-                    // received (the handler may still be running, but the
-                    // *delivery* — the raise — has happened).
-                    .then(Io::effect(move || *r4.borrow()))
-                    .and_then(move |seen| done.take().map(move |_| seen))
             })
         });
-        let _seen_at_return = rt.run(prog).unwrap();
-        // Delivery means the raise replaced the victim's continuation;
-        // the handler effect itself may run a step later. What is
-        // guaranteed observable: at least one delivery happened before
-        // throw_to_sync returned.
-        assert!(rt.stats().total_deliveries() >= 1, "seed {seed}");
-        assert!(*received.borrow(), "seed {seed}: exception never handled");
-    }
+        TestCase::new(prog, move |out: &RunOutcome<bool>| {
+            // Delivery means the raise replaced the victim's
+            // continuation; the handler effect itself may run a step
+            // later. What is guaranteed observable: at least one
+            // delivery happened before throw_to_sync returned.
+            match (&out.result, out.stats().total_deliveries(), received.get()) {
+                (Ok(_), 1.., true) => Ok(()),
+                other => Err(format!("exception never handled: {other:?}")),
+            }
+        })
+    });
+    let report = result.expect_pass();
+    assert!(report.complete, "{report}");
 }
 
 /// Claims 1 and 2 together: the caller *waits* on an unreceptive target
@@ -97,9 +105,7 @@ fn async_derivable_from_sync() {
     fn async_via_fork(t: ThreadId, e: Exception) -> Io<()> {
         Io::fork(Io::throw_to_sync(t, e)).map(|_| ())
     }
-    for seed in 0..25 {
-        let cfg = RuntimeConfig::new().random_scheduling(seed).quantum(3);
-        let mut rt = Runtime::with_config(cfg);
+    let result = Explorer::new().check(|| {
         let prog = Io::new_empty_mvar::<String>().and_then(|out| {
             let victim = Io::new_empty_mvar::<i64>()
                 .and_then(|hole| hole.take())
@@ -112,8 +118,10 @@ fn async_derivable_from_sync() {
                     .then(out.take())
             })
         });
-        assert_eq!(rt.run(prog).unwrap(), "got Derived", "seed {seed}");
-    }
+        TestCase::new(prog, props::returns("got Derived".to_owned()))
+    });
+    let report = result.expect_pass();
+    assert!(report.complete, "{report}");
 }
 
 /// Claim 4: self-throw raises immediately.
