@@ -8,7 +8,7 @@
 //! * [`Mailbox<M>`] — bounded typed FIFO with backpressure, whose
 //!   single-cell masked transactions make capacity unleakable and
 //!   whose `recv` closes the take→deliver window against asynchronous
-//!   kills (see the module docs for the pre-fix `recv_racy` bug the
+//!   kills (see the module docs for the pre-fix lost-message bug the
 //!   explorer regression test exhibits).
 //! * [`spawn_actor`] / [`ActorRef<M>`] — a thread wrapped in a masked
 //!   shell that classifies every termination into an

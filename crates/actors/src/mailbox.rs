@@ -18,10 +18,11 @@
 //!   the message there is no interruptible point left before `recv`
 //!   returns, so an asynchronous exception can only land while the
 //!   receiver is still *waiting* — before anything was dequeued.
-//!   [`Mailbox::recv_racy`] keeps the pre-fix shape (dequeue, then an
-//!   unmasked step, then return) so the schedule explorer can exhibit
-//!   the lost-message interleaving the fix closes; the regression test
-//!   in `tests/explore_actors.rs` proves `recv` has no such schedule.
+//!   `tests/explore_actors.rs` builds the pre-fix shape from
+//!   [`Mailbox::try_recv`] (dequeue, then an unmasked step, then
+//!   return) so the schedule explorer can exhibit the lost-message
+//!   interleaving the fix closes, and proves `recv` has no such
+//!   schedule.
 //!
 //! Waiting is by polling: a full `send` / empty `recv` sleeps
 //! [`POLL_INTERVAL`] virtual microseconds and retries. Polling costs
@@ -179,24 +180,6 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     /// its own mask, as the actor shell does.
     pub fn recv(&self) -> Io<M> {
         Io::block(recv_loop(self.state)).map(M::from_value_or_panic)
-    }
-
-    /// The pre-fix `recv`: dequeues in a transaction but yields —
-    /// unmasked — before handing the message over. On the schedule
-    /// where a `KillThread` lands in that yield, the message has left
-    /// the mailbox and dies with the receiver: the lost-message bug
-    /// the masked window in [`recv`](Self::recv) closes. Kept (hidden)
-    /// so the explorer regression test can exhibit the bug it guards
-    /// against, like `modify_mvar_naive`.
-    #[doc(hidden)]
-    pub fn recv_racy(&self) -> Io<M> {
-        fn racy_loop(state: MVar<MailboxState>) -> Io<Value> {
-            modify_mvar_pure(state, |st| st.queue.pop_front()).and_then(move |got| match got {
-                Some(v) => Io::yield_now().map(move |_| v),
-                None => Io::sleep(POLL_INTERVAL).then(racy_loop(state)),
-            })
-        }
-        racy_loop(self.state).map(M::from_value_or_panic)
     }
 
     /// Dequeues the oldest message if there is one, never waiting.

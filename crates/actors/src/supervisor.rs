@@ -307,6 +307,9 @@ pub fn supervisor_child(spec: SupervisorSpec) -> ChildSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conch_explore::{
+        self as explore, ExploreConfig, Explorer, Reduction, RunOutcome, TestCase,
+    };
     use conch_runtime::exception::ExitReason;
     use conch_runtime::scheduler::Runtime;
     use conch_runtime::value::{FromValue, IntoValue};
@@ -525,7 +528,7 @@ mod tests {
                 None => Io::sleep(20).then(exited(a, polls - 1)),
             })
         }
-        for quantum in 1..=5 {
+        let case = || {
             let spec = SupervisorSpec::new(Strategy::OneForOne)
                 .child(busy_child())
                 .child(busy_child());
@@ -542,14 +545,21 @@ mod tests {
                             .and_then(move |a| exited(kids[1], 100).map(move |b| vec![a, b]))
                     })
             });
-            let cfg = conch_runtime::RuntimeConfig::new().quantum(quantum);
-            let reaped = Runtime::with_config(cfg).run(prog).unwrap();
-            assert_eq!(
-                reaped,
-                vec![1, 1],
-                "quantum {quantum}: a child was orphaned"
-            );
-        }
+            TestCase::new(prog, |out: &RunOutcome<Vec<i64>>| match &out.result {
+                Ok(v) if v == &vec![1, 1] => Ok(()),
+                other => Err(format!("a child was orphaned: {other:?}")),
+            })
+        };
+        let explorer = Explorer::with_config(ExploreConfig {
+            max_depth: 256,
+            preemption_bound: Some(2),
+            step_budget: 200_000,
+            strategy: explore::Strategy::Exhaustive(Reduction::SleepSets),
+            ..ExploreConfig::default()
+        });
+        let result = explorer.check(case);
+        let report = result.expect_pass();
+        assert_eq!((report.explored, report.complete), (464, true), "{report}");
     }
 
     #[test]

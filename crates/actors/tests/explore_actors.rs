@@ -6,8 +6,8 @@
 //! * **no lost messages** — an asynchronous `KillThread` landing
 //!   anywhere in `Mailbox::recv` leaves the message either still
 //!   queued or fully delivered (`len + delivered == sent`); the
-//!   companion test shows the pre-fix [`Mailbox::recv_racy`] *does*
-//!   have a lost-message schedule, which the explorer finds and
+//!   companion test shows the pre-fix `recv`, rebuilt here as
+//!   [`recv_racy`], *does* have a lost-message schedule, which the explorer finds and
 //!   shrinks — the regression certificate for the masked take→deliver
 //!   window;
 //! * **monitors fire exactly once** — even when registration races the
@@ -27,6 +27,7 @@
 use conch_actors::{
     child_spec, link, monitor, spawn_actor, spawn_actor_on, spawn_supervisor, supervisor_child,
     ActorRef, ChildSpec, Down, Mailbox, Signal, Strategy, Supervisor, SupervisorSpec,
+    POLL_INTERVAL,
 };
 use conch_combinators::Chan;
 use conch_explore::{
@@ -116,6 +117,15 @@ fn recv_no_loss_space() -> Io<Vec<i64>> {
     })
 }
 
+/// The pre-fix `Mailbox::recv`, from public calls: dequeue in a
+/// transaction, then an unmasked yield, then return the message.
+fn recv_racy(mb: Mailbox<i64>) -> Io<i64> {
+    mb.try_recv().and_then(move |got| match got {
+        Some(v) => Io::yield_now().map(move |_| v),
+        None => Io::sleep(POLL_INTERVAL).then(recv_racy(mb)),
+    })
+}
+
 /// The pre-fix shape: dequeue, then an unmasked step, then record. On
 /// the schedule where the kill lands in that window the message is
 /// neither queued nor delivered.
@@ -123,7 +133,7 @@ fn recv_racy_space() -> Io<Vec<i64>> {
     Mailbox::<i64>::new(1).and_then(|mb| {
         Io::new_mvar(0_i64).and_then(move |sink| {
             mb.send(7).then(
-                Io::fork(mb.recv_racy().and_then(move |_: i64| {
+                Io::fork(recv_racy(mb).and_then(move |_: i64| {
                     Io::block(sink.take().and_then(move |n| sink.put(n + 1)))
                 }))
                 .and_then(move |tid| {

@@ -395,8 +395,8 @@ mod tests {
 
     /// Main holds the cell, so the masked victim's transaction waits at
     /// its `take`; each synchronous kill returns once it has interrupted
-    /// that wait. Returns (attempts made, commits visible).
-    fn interrupted(kills: u64, quantum: u64) -> (usize, i64) {
+    /// that wait. Passes if `kills + 1` attempts made one commit.
+    fn interrupted(kills: u64) -> TestCase<i64> {
         let attempts = Rc::new(Cell::new(0));
         let count = Rc::clone(&attempts);
         let prog = Io::new_mvar(Tally(0)).and_then(move |cell| {
@@ -418,21 +418,24 @@ mod tests {
                 })
             })
         });
-        let mut rt = Runtime::with_config(RuntimeConfig::new().quantum(quantum));
-        let commits = rt.run(prog).unwrap();
-        (attempts.get(), commits)
+        TestCase::new(prog, move |out: &RunOutcome<i64>| {
+            match (attempts.get(), &out.result) {
+                (n, Ok(1)) if n == kills as usize + 1 => Ok(()),
+                other => Err(format!("(attempts, commits) = {other:?}")),
+            }
+        })
     }
 
     #[test]
     fn an_attempt_interrupted_n_times_commits_exactly_once() {
-        for kills in 1..=3 {
-            for quantum in 1..=5 {
-                assert_eq!(
-                    interrupted(kills, quantum),
-                    (kills as usize + 1, 1),
-                    "{kills} kills at quantum {quantum}"
-                );
-            }
+        for (kills, schedules) in [(1, 80), (2, 480), (3, 2_880)] {
+            let result = Explorer::new().check(|| interrupted(kills));
+            let report = result.expect_pass();
+            assert_eq!(
+                (report.explored, report.complete),
+                (schedules, true),
+                "{kills} kills: {report}"
+            );
         }
     }
 

@@ -194,7 +194,7 @@ pub struct ExploreConfig {
     pub step_budget: u64,
     /// Base runtime configuration. `max_steps` is forced to
     /// `step_budget`, and the explorer's installed decider makes every
-    /// scheduling decision (so `quantum` has no effect).
+    /// scheduling decision, one step at a time.
     pub runtime: RuntimeConfig,
     /// How schedules are picked: exhaustive enumeration under a
     /// [`Reduction`], or seeded sampling (default
@@ -389,9 +389,8 @@ impl Explorer {
     ///
     /// # Panics
     ///
-    /// If the configuration is unusable — mirroring the runtime's
-    /// `quantum >= 1` validation rather than exploring nothing and
-    /// reporting `complete = true`:
+    /// If the configuration is unusable, rather than exploring nothing
+    /// and reporting `complete = true`:
     /// * `max_schedules == 0` (documented as unsupported);
     /// * `Strategy::Pct { depth: 0, .. }` (PCT needs at least one
     ///   priority level);
@@ -895,7 +894,7 @@ mod tests {
     #[should_panic(expected = "max_schedules")]
     fn zero_schedule_budget_is_rejected_at_construction() {
         // Previously accepted silently: explored nothing, reported
-        // complete = true. Mirrors the runtime's quantum >= 1 check.
+        // complete = true.
         let _ = Explorer::with_config(ExploreConfig {
             max_schedules: 0,
             ..ExploreConfig::default()

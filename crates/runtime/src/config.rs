@@ -13,12 +13,12 @@
 //! * [`RuntimeConfig::fork_inherits_mask`] — GHC's `forkIO` versus the
 //!   paper-exact (Fork) rule (C1).
 //!
-//! The rest bound a run (`quantum`, `max_steps`, `stack_limit`) or
-//! record it (`record_sched_events`). What no experiment varies is not
-//! a setting: every deadlock ends the run in
+//! The rest bound a run (`max_steps`, `stack_limit`) or record it
+//! (`record_sched_events`). What no experiment varies is not a setting:
+//! every deadlock ends the run in
 //! [`RunError::Deadlock`](crate::error::RunError::Deadlock), and the
-//! scheduler is deterministic round-robin with a fixed quantum. A test
-//! that varies the schedule installs a
+//! scheduler is deterministic round-robin with a fixed slice of 11
+//! steps. A test that varies the schedule installs a
 //! [`Decider`](crate::decide::Decider) instead — in practice the
 //! schedule explorer (`conch-explore`), which enumerates or samples
 //! both of the semantics' choices: which thread steps next, and when a
@@ -58,10 +58,6 @@ pub struct RuntimeConfig {
     /// Delivery mode for asynchronous exceptions. Default: `FullyAsync`;
     /// ablation B3 selects the `Polling` baseline.
     pub delivery: DeliveryMode,
-    /// Steps a thread runs before preemption. Default: 11 (a prime, so
-    /// round-robin interleavings don't accidentally synchronize with
-    /// loop bodies).
-    pub quantum: u64,
     /// Apply the §8.1 adjacent block/unblock frame-collapse optimization.
     /// Default: `true`; ablation B1 disables it.
     pub collapse_mask_frames: bool,
@@ -92,11 +88,13 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// The default configuration (the paper's design on every axis).
+    /// The default configuration: the paper's design on every axis but
+    /// one. `fork_inherits_mask` is `true`, GHC's `forkIO` rather than
+    /// the paper's (Fork) rule, so that §7.2's `either` can install its
+    /// child-side handlers without a race; C1 sets it `false`.
     pub fn new() -> Self {
         RuntimeConfig {
             delivery: DeliveryMode::FullyAsync,
-            quantum: 11,
             collapse_mask_frames: true,
             max_steps: None,
             stack_limit: None,
@@ -108,17 +106,6 @@ impl RuntimeConfig {
     /// Sets the delivery mode.
     pub fn delivery_mode(mut self, mode: DeliveryMode) -> Self {
         self.delivery = mode;
-        self
-    }
-
-    /// Sets the preemption quantum (in interpreter steps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero.
-    pub fn quantum(mut self, quantum: u64) -> Self {
-        assert!(quantum > 0, "quantum must be at least 1 step");
-        self.quantum = quantum;
         self
     }
 
@@ -176,26 +163,21 @@ mod tests {
         let cfg = RuntimeConfig::default();
         assert_eq!(cfg.delivery, DeliveryMode::FullyAsync);
         assert!(cfg.collapse_mask_frames);
+        // The one GHC axis: children inherit the mask so §7.2's `either`
+        // installs its child-side handlers without a race.
+        assert!(cfg.fork_inherits_mask);
     }
 
     #[test]
     fn builder_chains() {
         let cfg = RuntimeConfig::new()
             .delivery_mode(DeliveryMode::Polling)
-            .quantum(3)
             .collapse_mask_frames(false)
             .max_steps(1000)
             .stack_limit(64);
         assert_eq!(cfg.delivery, DeliveryMode::Polling);
-        assert_eq!(cfg.quantum, 3);
         assert!(!cfg.collapse_mask_frames);
         assert_eq!(cfg.max_steps, Some(1000));
         assert_eq!(cfg.stack_limit, Some(64));
-    }
-
-    #[test]
-    #[should_panic(expected = "quantum")]
-    fn zero_quantum_rejected() {
-        let _ = RuntimeConfig::new().quantum(0);
     }
 }

@@ -236,22 +236,6 @@ pub trait Decider {
     }
 }
 
-/// A trivial [`Decider`]: always the first runnable thread, one step at
-/// a time, always deliver pending exceptions immediately. Gives the
-/// same behaviour as round-robin with a quantum of 1.
-#[derive(Debug, Default, Clone)]
-pub struct FirstRunnable;
-
-impl Decider for FirstRunnable {
-    fn choose_thread(&mut self, _runnable: &[ThreadView], _previous: Option<ThreadId>) -> Pick {
-        Pick::visible(0)
-    }
-
-    fn deliver_now(&mut self, _view: ThreadView) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

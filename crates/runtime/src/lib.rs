@@ -73,7 +73,7 @@ pub mod trace;
 pub mod value;
 
 pub use crate::config::{DeliveryMode, RuntimeConfig};
-pub use crate::decide::{Decider, FirstRunnable, Pick, StepFootprint, ThreadView};
+pub use crate::decide::{Decider, Pick, StepFootprint, ThreadView};
 pub use crate::error::RunError;
 pub use crate::exception::{ArithError, Exception, ExceptionKind, ExitReason};
 pub use crate::ids::{MVarId, ThreadId};

@@ -443,11 +443,6 @@ impl MultiRuntime {
         MultiRuntime { config }
     }
 
-    /// The configuration this multi-runtime was built with.
-    pub fn config(&self) -> &MultiConfig {
-        &self.config
-    }
-
     /// Runs one program per shard to completion and returns the
     /// per-shard reports plus the global drain log. Bit-identical for
     /// any `os_threads`.

@@ -129,6 +129,11 @@ struct Slot {
     thread: Option<Box<Thread>>,
 }
 
+/// Steps a thread runs before round-robin preempts it: a prime, so
+/// interleavings do not synchronize with loop bodies. A test that needs
+/// other interleavings installs a [`Decider`] instead.
+const QUANTUM: u64 = 11;
+
 /// Cap on recycled thread boxes kept for reuse.
 const THREAD_POOL_MAX: usize = 256;
 
@@ -204,20 +209,7 @@ impl Runtime {
     }
 
     /// A runtime with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.quantum` is 0. The [`RuntimeConfig::quantum`]
-    /// builder rejects 0 up front, but the field is `pub`, so a struct
-    /// literal could otherwise smuggle in a quantum that would make the
-    /// scheduler spin forever. Validating here covers both construction
-    /// paths.
     pub fn with_config(config: RuntimeConfig) -> Self {
-        assert!(
-            config.quantum >= 1,
-            "RuntimeConfig.quantum must be at least 1 interpreter step, got 0 \
-             (a zero quantum would never execute any thread)"
-        );
         Runtime {
             config,
             threads: Vec::new(),
@@ -385,7 +377,6 @@ impl Runtime {
                 self.stats.context_switches += 1;
                 self.last_scheduled = Some(tid);
             }
-            let mut steps_left = self.quantum_for().min(allowance);
             self.yielded = false;
             // The running thread lives outside the table for its whole
             // quantum, so the helpers a step calls on *other* threads
@@ -397,6 +388,7 @@ impl Runtime {
                 .take()
                 .expect("scheduled thread exists");
             debug_assert_eq!(th.status, Status::Runnable);
+            let mut steps_left = self.quantum_for().min(allowance);
             let requeue = loop {
                 if let Step::Ended = self.step(&mut th) {
                     self.retire_thread(th);
@@ -458,11 +450,6 @@ impl Runtime {
     /// Panics if nothing has been run yet.
     pub fn main_thread_id(&self) -> ThreadId {
         self.main_tid.expect("no run has started yet")
-    }
-
-    /// The configuration this runtime was built with.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
     }
 
     // ------------------------------------------------------------------
@@ -554,7 +541,7 @@ impl Runtime {
             // but those inside an invisible run it announced itself.
             return 1;
         }
-        self.config.quantum
+        QUANTUM
     }
 
     /// An invisible run (see [`Decider::choose_thread`]) is one quantum:

@@ -2,23 +2,26 @@
 //! slices a run into clock-capped pumps: same program, same everything.
 
 use super::*;
+use crate::decide::Pick;
 use crate::io::for_each;
 
 /// A program that leaves its quantum every way a thread can: quantum
 /// exhausted (compute chunks, bind chains), finished and died (fork +
 /// exit, an uncaught exception in a child), blocked (`take`, `sleep`),
-/// yielded, and receiving a masked and an unmasked `throwTo`.
-fn every_exit() -> Io<i64> {
-    Io::new_empty_mvar::<i64>().and_then(|m| {
-        let worker = for_each(5, |i| Io::compute(7 + i))
+/// yielded, and receiving a masked and an unmasked `throwTo`. `stretch`
+/// lengthens every compute chunk, so quantum ends land at other offsets.
+fn every_exit(stretch: u64) -> Io<i64> {
+    Io::new_empty_mvar::<i64>().and_then(move |m| {
+        let worker = for_each(5, move |i| Io::compute(7 + stretch + i))
             .then(Io::sleep(30))
             .then(m.put(5));
         let yielder = for_each(4, |_| Io::put_char('y').then(Io::yield_now()));
-        let crasher = Io::compute(5).then(Io::<()>::throw(Exception::error_call("child")));
+        let crasher =
+            Io::compute(5 + stretch).then(Io::<()>::throw(Exception::error_call("child")));
         let unmasked = Io::compute(u64::MAX);
         // Forked under `block`, so the kill below waits for the
         // `unblock` window: the 'm' is always written.
-        let masked = Io::compute(40)
+        let masked = Io::compute(40 + stretch)
             .then(Io::put_char('m'))
             .then(Io::<()>::unblock(Io::compute(u64::MAX)));
         // The virtual clock only moves when nothing is runnable, so
@@ -39,10 +42,31 @@ fn every_exit() -> Io<i64> {
     })
 }
 
-fn config(quantum: u64) -> RuntimeConfig {
-    RuntimeConfig::new()
-        .quantum(quantum)
-        .record_sched_events(true)
+fn config() -> RuntimeConfig {
+    RuntimeConfig::new().record_sched_events(true)
+}
+
+/// The first runnable thread, one step per pick, every pending
+/// exception delivered at once: round-robin with a slice of one step.
+struct OneStep;
+
+impl Decider for OneStep {
+    fn choose_thread(&mut self, _runnable: &[ThreadView], _previous: Option<ThreadId>) -> Pick {
+        Pick::visible(0)
+    }
+
+    fn deliver_now(&mut self, _view: ThreadView) -> bool {
+        true
+    }
+}
+
+/// A runtime under round-robin, or under [`OneStep`] if `one_step`.
+fn runtime(one_step: bool) -> Runtime {
+    let mut rt = Runtime::with_config(config());
+    if one_step {
+        rt.set_decider(Box::new(OneStep));
+    }
+    rt
 }
 
 /// Live threads are exactly the table's occupants: nothing a pump
@@ -55,35 +79,37 @@ fn assert_live_threads_resolve(rt: &Runtime) {
 
 #[test]
 fn a_sliced_run_equals_an_uncapped_run() {
-    for quantum in [1, 3, 11] {
-        let mut whole = Runtime::with_config(config(quantum));
-        let expected = whole.run(every_exit());
-        assert_eq!(expected, Ok(5));
-        assert_eq!(whole.output(), "yyyym.");
-        for epoch in [1, 3, 11, 64] {
-            let mut rt = Runtime::with_config(config(quantum));
-            rt.begin_run(every_exit().action);
-            let mut cap = epoch - 1;
-            let result = loop {
-                match rt.pump(cap) {
-                    PumpOutcome::Finished(res) => break res,
-                    PumpOutcome::Idle { next_wake } => {
-                        assert!(next_wake.is_some(), "idle with no sleeper left");
-                        assert_live_threads_resolve(&rt);
-                        cap += epoch;
+    for one_step in [false, true] {
+        for stretch in 0..QUANTUM {
+            let mut whole = runtime(one_step);
+            let expected = whole.run(every_exit(stretch));
+            assert_eq!(expected, Ok(5));
+            assert_eq!(whole.output(), "yyyym.");
+            for epoch in [1, 3, 11, 64] {
+                let mut rt = runtime(one_step);
+                rt.begin_run(every_exit(stretch).action);
+                let mut cap = epoch - 1;
+                let result = loop {
+                    match rt.pump(cap) {
+                        PumpOutcome::Finished(res) => break res,
+                        PumpOutcome::Idle { next_wake } => {
+                            assert!(next_wake.is_some(), "idle with no sleeper left");
+                            assert_live_threads_resolve(&rt);
+                            cap += epoch;
+                        }
                     }
-                }
-            };
-            let label = format!("quantum {quantum}, epoch {epoch}");
-            assert_eq!(result.map(i64::from_value_or_panic), expected, "{label}");
-            assert_eq!(rt.output(), whole.output(), "{label}");
-            assert_eq!(
-                advances_merged(rt.io_trace()),
-                advances_merged(whole.io_trace()),
-                "{label}"
-            );
-            assert_eq!(rt.stats(), whole.stats(), "{label}");
-            assert_eq!(rt.clock(), whole.clock(), "{label}");
+                };
+                let label = format!("one step {one_step}, stretch {stretch}, epoch {epoch}");
+                assert_eq!(result.map(i64::from_value_or_panic), expected, "{label}");
+                assert_eq!(rt.output(), whole.output(), "{label}");
+                assert_eq!(
+                    advances_merged(rt.io_trace()),
+                    advances_merged(whole.io_trace()),
+                    "{label}"
+                );
+                assert_eq!(rt.stats(), whole.stats(), "{label}");
+                assert_eq!(rt.clock(), whole.clock(), "{label}");
+            }
         }
     }
 }
@@ -127,7 +153,7 @@ fn advance_sum(rt: &Runtime) -> u64 {
 /// Runs [`unfired_timeout`] up to an epoch ending at t=60, between
 /// the stale tick and the live one.
 fn pumped_to_the_stale_tick() -> Runtime {
-    let mut rt = Runtime::with_config(config(11));
+    let mut rt = Runtime::with_config(config());
     rt.begin_run(unfired_timeout().action);
     let idle = rt.pump(60);
     assert!(
@@ -147,7 +173,7 @@ fn pumped_to_the_stale_tick() -> Runtime {
 
 #[test]
 fn an_all_stale_tick_splits_a_capped_advance_and_nothing_else() {
-    let mut whole = Runtime::with_config(config(11));
+    let mut whole = Runtime::with_config(config());
     assert_eq!(whole.run(unfired_timeout()), Ok(()));
     assert_eq!(
         (whole.output(), whole.clock(), advance_sum(&whole)),

@@ -699,36 +699,30 @@ fn an_installed_decider_answers_every_pick_and_delivery() {
     };
     // Two runs on one runtime, with a reset between them: each run's
     // result, output, steps, and the picks and deliveries it was asked.
-    let runs = |config: RuntimeConfig| {
-        let picks = std::rc::Rc::default();
-        let deliveries = std::rc::Rc::default();
-        let mut rt = Runtime::with_config(config);
-        rt.set_decider(Box::new(Counting {
-            picks: std::rc::Rc::clone(&picks),
-            deliveries: std::rc::Rc::clone(&deliveries),
-        }));
-        let once = |rt: &mut Runtime| {
-            picks.set(0);
-            deliveries.set(0);
-            let result = rt.run(prog());
-            let steps = rt.stats().steps;
-            assert_eq!(picks.get(), steps, "one pick per step");
-            assert!(
-                deliveries.get() > 0,
-                "the pending throw was never asked about"
-            );
-            (result, rt.output().to_owned(), steps, deliveries.get())
-        };
-        let first = once(&mut rt);
-        rt.reset();
-        let second = once(&mut rt);
-        assert_eq!(first, second, "reset kept the decider");
-        first
+    let picks = std::rc::Rc::default();
+    let deliveries = std::rc::Rc::default();
+    let mut rt = Runtime::new();
+    rt.set_decider(Box::new(Counting {
+        picks: std::rc::Rc::clone(&picks),
+        deliveries: std::rc::Rc::clone(&deliveries),
+    }));
+    let once = |rt: &mut Runtime| {
+        picks.set(0);
+        deliveries.set(0);
+        let result = rt.run(prog());
+        let steps = rt.stats().steps;
+        assert_eq!(picks.get(), steps, "one pick per step");
+        assert!(
+            deliveries.get() > 0,
+            "the pending throw was never asked about"
+        );
+        (result, rt.output().to_owned(), steps, deliveries.get())
     };
-    let answered = runs(RuntimeConfig::new());
-    assert_eq!((&answered.0, &*answered.1), (&Ok(7), "bac"));
-    // The quantum is round-robin's: a decider takes one step at a time.
-    assert_eq!(runs(RuntimeConfig::new().quantum(2)), answered);
+    let first = once(&mut rt);
+    rt.reset();
+    let second = once(&mut rt);
+    assert_eq!(first, second, "reset kept the decider");
+    assert_eq!((&first.0, &*first.1), (&Ok(7), "bac"));
 }
 
 #[test]

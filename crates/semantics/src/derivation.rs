@@ -128,22 +128,6 @@ pub fn derive_first(init: &State, config: &RuleConfig, max_steps: usize) -> Deri
     derive(init, config, max_steps, |_| 0)
 }
 
-/// [`derive()`] with seeded-random choices: a uniformly random enabled
-/// transition at each step, the same walk for the same seed.
-pub fn derive_random(init: &State, config: &RuleConfig, max_steps: usize, seed: u64) -> Derivation {
-    // SplitMix64 — the generator the schedule explorer's sampler draws
-    // from — seeded with `seed ^ 0x9E37_79B9_7F4A_7C15`: a private
-    // copy, because this crate does not depend on the explorer.
-    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-    derive(init, config, max_steps, move |menu| {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % menu.len() as u64) as usize
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,68 +162,6 @@ mod tests {
         let d = derive_first(&State::new(prog, ""), &RuleConfig::default(), 50);
         assert!(d.deadlocked);
         assert!(d.render().contains('⊥'));
-    }
-
-    #[test]
-    fn random_derivations_replayable() {
-        let prog = seq(
-            fork(put_char(ch('a'))),
-            seq(put_char(ch('b')), put_char(ch('c'))),
-        );
-        let mk = || State::new(prog.clone(), "");
-        let cfg = RuleConfig::default();
-        let d1 = derive_random(&mk(), &cfg, 200, 5);
-        let d2 = derive_random(&mk(), &cfg, 200, 5);
-        assert_eq!(d1.rules(), d2.rules());
-        assert_eq!(d1.observables(), d2.observables());
-    }
-
-    #[test]
-    fn derive_random_is_deterministic_per_seed() {
-        let prog = seq(
-            fork(put_char(ch('a'))),
-            seq(fork(put_char(ch('b'))), put_char(ch('c'))),
-        );
-        let mk = || State::new(prog.clone(), "");
-        let cfg = RuleConfig::default();
-        let r1 = derive_random(&mk(), &cfg, 500, 99);
-        let r2 = derive_random(&mk(), &cfg, 500, 99);
-        assert_eq!(r1.steps, r2.steps);
-        // The walk itself is pinned, not just its repeatability: a seed
-        // must name the same derivation on every version.
-        let walk = |seed| {
-            let d = derive_random(&mk(), &cfg, 500, seed);
-            let tids: Vec<String> = d
-                .steps
-                .iter()
-                .map(|s| s.tid.map_or("-".into(), |t| t.to_string()))
-                .collect();
-            let out: String = d
-                .observables()
-                .iter()
-                .map(|l| match l {
-                    Label::Put(c) => *c,
-                    other => panic!("unexpected label {other}"),
-                })
-                .collect();
-            (tids.join(","), out)
-        };
-        assert_eq!(
-            walk(0),
-            ("t0,t1,t0,t1,t0,t0,t0,t2,t0,t2,t0,t0".into(), "abc".into())
-        );
-        assert_eq!(
-            walk(1),
-            ("t0,t1,t0,t0,t1,t0,t0,t0,t0,t2,t2,t0".into(), "acb".into())
-        );
-    }
-
-    #[test]
-    fn derive_random_reports_deadlock() {
-        let prog = bind(new_empty_mvar(), lam("m", take_mvar(var("m"))));
-        let r = derive_random(&State::new(prog, ""), &RuleConfig::default(), 100, 1);
-        assert!(r.deadlocked);
-        assert!(!r.terminated);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod programs;
 pub mod rules;
 pub mod term;
 
-pub use crate::derivation::{derive, derive_first, derive_random, DerivStep, Derivation};
+pub use crate::derivation::{derive, derive_first, DerivStep, Derivation};
 pub use crate::engine::{ExploreConfig, Lts, Obs, Safety, State, Truncated};
 pub use crate::equiv::trace_equivalent;
 pub use crate::process::{Mark, ProcTerm, Soup};

@@ -1,14 +1,13 @@
 //! Property tests for Figure 3's structural-congruence laws (experiment
 //! F3) over randomly generated process terms, and structural invariants
-//! of the transition rules (F4/F5) over random walks.
+//! of the transition rules (F4/F5) over every reachable state.
 
 use std::rc::Rc;
 
 use conch_semantics::congruence::{congruent, to_soup};
-use conch_semantics::derivation::derive_random;
-use conch_semantics::engine::State;
+use conch_semantics::engine::{ExploreConfig, Lts, Safety, State};
 use conch_semantics::process::{Mark, ProcTerm};
-use conch_semantics::rules::{enabled_transitions, RuleConfig};
+use conch_semantics::rules::enabled_transitions;
 use conch_semantics::term::build as tb;
 use conch_semantics::term::{Exc, MVarName, Term, TidName};
 use proptest::prelude::*;
@@ -180,43 +179,28 @@ fn program_strategy() -> impl Strategy<Value = Rc<Term>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Random walks through the LTS preserve well-formedness: every
-    /// in-flight exception targets a known thread, thread names are
-    /// unique by construction (BTreeMap), and a terminal state is
-    /// exactly "main is dead".
+    /// Every state the LTS reaches is well-formed: every in-flight
+    /// exception targets a known thread, and a terminal state ("main is
+    /// dead") holds no thread, `MVar` or in-flight exception and enables
+    /// no transition. Thread names are unique by construction (BTreeMap).
     #[test]
-    fn random_walks_preserve_wellformedness(
-        prog in program_strategy(),
-        seed in 0u64..10_000,
-    ) {
-        let init = State::new(prog, "xyz");
-        let cfg = RuleConfig::default();
-        let run = derive_random(&init, &cfg, 300, seed);
-        let soup = &run.state.soup;
-        for (target, _) in &soup.inflight {
-            prop_assert!(
-                soup.threads.contains_key(target),
-                "in-flight exception to unknown thread {target}"
-            );
+    fn every_reachable_state_is_wellformed(prog in program_strategy()) {
+        let cfg = ExploreConfig::default();
+        let lts = Lts::explore(&State::new(prog, "xyz"), &cfg);
+        let ill_formed = |s: &State| {
+            let soup = &s.soup;
+            let dangling = soup.inflight.iter().any(|(target, _)| !soup.threads.contains_key(target));
+            let leftover = !soup.threads.is_empty()
+                || !soup.mvars.is_empty()
+                || !soup.inflight.is_empty()
+                || !enabled_transitions(soup, &s.input, &cfg.rules).is_empty();
+            dangling || s.is_terminal() && leftover
+        };
+        match lts.check_safety(ill_formed) {
+            Ok(Safety::Safe { .. }) => {}
+            Ok(Safety::Violation(d)) => panic!("an ill-formed state is reachable:\n{}", d.render()),
+            Err(t) => panic!("the state graph is not complete: {t:?}"),
         }
-        if run.terminated {
-            prop_assert!(soup.threads.is_empty());
-            prop_assert!(soup.mvars.is_empty());
-            prop_assert!(soup.inflight.is_empty());
-        }
-        // Enumeration from the final state must not panic and must be
-        // empty iff terminal or deadlocked.
-        let succ = enabled_transitions(&soup.clone(), &run.state.input, &cfg);
-        if run.terminated || run.deadlocked {
-            prop_assert!(succ.is_empty());
-        }
-    }
-
-    /// Determinism: the same seed yields the same walk.
-    #[test]
-    fn random_walks_deterministic(prog in program_strategy(), seed in 0u64..1_000) {
-        let a = derive_random(&State::new(prog.clone(), "x"), &RuleConfig::default(), 100, seed);
-        let b = derive_random(&State::new(prog, "x"), &RuleConfig::default(), 100, seed);
-        prop_assert_eq!(a.steps, b.steps);
+        prop_assert!(lts.complete().is_ok());
     }
 }

@@ -138,11 +138,10 @@ proptest! {
 /// statistics alike.
 #[test]
 fn runtime_reuse_is_clean() {
-    let cfg = RuntimeConfig::new().quantum(5);
-    let mut fresh = Runtime::with_config(cfg.clone());
+    let mut fresh = Runtime::new();
     let expected = fresh.run(tangle(4, 6)).expect("run completes");
     assert!((0..=4).contains(&expected));
-    let mut rt = Runtime::with_config(cfg);
+    let mut rt = Runtime::new();
     for run in 0..5 {
         assert_eq!(rt.run(tangle(4, 6)), Ok(expected), "run {run}");
         assert_eq!(rt.stats(), fresh.stats(), "run {run}");

@@ -184,36 +184,6 @@ proptest! {
         on_sampled_schedules(|| nested_timeouts(inner_budget, outer_budget, work));
     }
 
-    /// Deterministic programs produce identical results under every
-    /// schedule and quantum (scheduler-independence of sequential code).
-    #[test]
-    fn sequential_programs_are_schedule_independent(q in 1u64..40) {
-        let prog = || Io::get_char().and_then(|c1| {
-            Io::put_char(c1)
-                .then(Io::compute(50))
-                .then(Io::get_char())
-                .and_then(move |c2| Io::put_char(c2).then(Io::pure((c1, c2))))
-        });
-        let run = |cfg: RuntimeConfig| {
-            let mut rt = Runtime::with_config(cfg);
-            rt.feed_input("abc");
-            let r = rt.run(prog()).unwrap();
-            (r, rt.output().to_owned())
-        };
-        let base = run(RuntimeConfig::new());
-        prop_assert_eq!(&base, &run(RuntimeConfig::new().quantum(q)));
-        on_every_schedule(None, || {
-            let base = base.clone();
-            TestCase::new(prog(), move |out: &RunOutcome<(char, char)>| {
-                match (&out.result, &out.output) {
-                    (Ok(r), o) if (*r, o.clone()) == base => Ok(()),
-                    other => Err(format!("{other:?} differs from {base:?}")),
-                }
-            })
-            .input("abc")
-        });
-    }
-
     /// Mask nesting is idempotent (§5.2: "no counting of scopes"):
     /// `block (block m)` observes the same masking states as `block m`.
     #[test]
@@ -229,6 +199,33 @@ proptest! {
             on_every_schedule(None, || TestCase::new(build(n), props::returns((true, false))));
         }
     }
+}
+
+/// Deterministic programs produce identical results under every
+/// schedule (scheduler-independence of sequential code).
+#[test]
+fn sequential_programs_are_schedule_independent() {
+    let prog = || {
+        Io::get_char().and_then(|c1| {
+            Io::put_char(c1)
+                .then(Io::compute(50))
+                .then(Io::get_char())
+                .and_then(move |c2| Io::put_char(c2).then(Io::pure((c1, c2))))
+        })
+    };
+    let mut rt = Runtime::new();
+    rt.feed_input("abc");
+    let base = (rt.run(prog()).unwrap(), rt.output().to_owned());
+    on_every_schedule(None, || {
+        let base = base.clone();
+        TestCase::new(prog(), move |out: &RunOutcome<(char, char)>| {
+            match (&out.result, &out.output) {
+                (Ok(r), o) if (*r, o.clone()) == base => Ok(()),
+                other => Err(format!("{other:?} differs from {base:?}")),
+            }
+        })
+        .input("abc")
+    });
 }
 
 /// E5: the outer timeout's verdict depends only on the outer budget vs.

@@ -1,10 +1,6 @@
 //! Regression tests pinning runtime edge cases that the slot-reclaiming,
 //! footprint-caching scheduler must preserve:
 //!
-//! * `RuntimeConfig.quantum == 0` is rejected on **both** construction
-//!   paths (the builder method and a raw struct literal handed to
-//!   `Runtime::with_config`) — a zero quantum would never execute any
-//!   thread.
 //! * The sleeper `BinaryHeap` is purged of stale entries, so a server
 //!   pattern of repeated timeout-then-kill cycles runs in bounded
 //!   memory instead of accumulating one dead entry per cycle.
@@ -28,34 +24,6 @@
 
 use conch_runtime::io::for_each;
 use conch_runtime::prelude::*;
-
-// ---------------------------------------------------------------------
-// Quantum validation (both construction paths)
-// ---------------------------------------------------------------------
-
-#[test]
-#[should_panic(expected = "quantum must be at least 1")]
-fn quantum_zero_is_rejected_by_the_builder() {
-    let _ = RuntimeConfig::new().quantum(0);
-}
-
-#[test]
-#[should_panic(expected = "quantum must be at least 1")]
-fn quantum_zero_in_a_raw_struct_literal_is_rejected_by_with_config() {
-    // The fields are public, so a struct literal can bypass the builder;
-    // `Runtime::with_config` must catch it anyway.
-    let config = RuntimeConfig {
-        quantum: 0,
-        ..RuntimeConfig::new()
-    };
-    let _ = Runtime::with_config(config);
-}
-
-#[test]
-fn quantum_one_is_accepted() {
-    let mut rt = Runtime::with_config(RuntimeConfig::new().quantum(1));
-    assert_eq!(rt.run(Io::pure(5_i64)).unwrap(), 5);
-}
 
 // ---------------------------------------------------------------------
 // Sleeper-heap compaction
@@ -382,7 +350,7 @@ fn step_limit_mid_quantum_leaves_the_interrupted_thread_runnable() {
     // Main spends steps 1-11 (bind, fork, return, compute...), the child
     // 12-22, and main is 8 steps into its second quantum of 11 when step
     // 30 trips the limit.
-    let config = RuntimeConfig::new().quantum(11).max_steps(30);
+    let config = RuntimeConfig::new().max_steps(30);
     let mut rt = Runtime::with_config(config);
     let prog = Io::fork(Io::compute(u64::MAX)).then(Io::compute(u64::MAX));
     assert_eq!(rt.run(prog), Err(RunError::StepLimitExceeded { limit: 30 }));
