@@ -124,6 +124,11 @@ host_value!(Supervisor, Children);
 
 impl Supervisor {
     /// The current child incarnations, in spec-index order.
+    ///
+    /// A restarted incarnation can run before it is listed: a restart
+    /// removes the old incarnation, then spawns, monitors and records
+    /// the new one, so in between the list lacks that index. An audit
+    /// that needs the restarted child polls until it is named.
     pub fn child_refs(&self) -> Io<Vec<ActorRef<Value>>> {
         modify_mvar_pure(self.children_cell, |kids| {
             kids.0.iter().map(|(_, c)| *c).collect()
@@ -552,9 +557,10 @@ mod tests {
         };
         let explorer = Explorer::with_config(ExploreConfig {
             max_depth: 256,
-            preemption_bound: Some(2),
             step_budget: 200_000,
-            strategy: explore::Strategy::Exhaustive(Reduction::SleepSets),
+            strategy: explore::Strategy::Exhaustive(Reduction::SleepSets {
+                preemption_bound: Some(2),
+            }),
             ..ExploreConfig::default()
         });
         let result = explorer.check(case);

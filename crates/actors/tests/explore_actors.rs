@@ -1,7 +1,9 @@
 //! Supervision invariants, proved on every schedule.
 //!
 //! Each test explores a small actor program under `conch-explore` and
-//! checks an invariant on *every* schedule of the (bounded) space:
+//! checks an invariant on *every* schedule of the space within
+//! preemption bound 2, under sleep sets (each search completes, and its
+//! schedule count is pinned):
 //!
 //! * **no lost messages** — an asynchronous `KillThread` landing
 //!   anywhere in `Mailbox::recv` leaves the message either still
@@ -42,25 +44,18 @@ type Space = fn() -> Io<Vec<i64>>;
 type Check = fn(&RunOutcome<Vec<i64>>) -> Result<(), String>;
 
 fn explore(space: Space, check: Check, workers: usize) -> CheckResult {
-    explore_with(Reduction::Dpor, space, check, workers)
-}
-
-fn config(reduction: Reduction, preemption_bound: usize) -> ExploreConfig {
-    ExploreConfig {
+    // Preemption bound 2 keeps the schedule dimension tractable while
+    // exception-delivery points still branch fully, so kill placement
+    // is exhaustive within the bound.
+    let explorer = Explorer::with_config(ExploreConfig {
         max_schedules: 100_000,
         max_depth: 512,
         step_budget: 100_000,
-        preemption_bound: Some(preemption_bound),
-        strategy: conch_explore::Strategy::Exhaustive(reduction),
+        strategy: conch_explore::Strategy::Exhaustive(Reduction::SleepSets {
+            preemption_bound: Some(2),
+        }),
         ..ExploreConfig::default()
-    }
-}
-
-fn explore_with(reduction: Reduction, space: Space, check: Check, workers: usize) -> CheckResult {
-    // Same bounds as the httpd fault spaces: preemption bound 2 keeps
-    // the schedule dimension tractable while exception-delivery points
-    // still branch fully, so kill placement is exhaustive.
-    let explorer = Explorer::with_config(config(reduction, 2));
+    });
     if workers == 1 {
         explorer.check(move || TestCase::new(space(), check))
     } else {
@@ -70,6 +65,16 @@ fn explore_with(reduction: Reduction, space: Space, check: Check, workers: usize
 
 fn explore_pass(space: Space, check: Check, workers: usize) -> Report {
     explore(space, check, workers).expect_pass().clone()
+}
+
+/// The search covered every schedule within the bound, and is the same
+/// search as ever.
+fn assert_complete(report: &Report, explored: usize) {
+    assert!(
+        report.complete,
+        "exploration must be exhaustive: {report:?}"
+    );
+    assert_eq!(report.explored, explored, "{report:?}");
 }
 
 fn reason_code(r: &ExitReason) -> i64 {
@@ -163,11 +168,7 @@ fn message_conserved(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn recv_never_loses_a_message_on_any_schedule() {
     let report = explore_pass(recv_no_loss_space, message_conserved, 1);
-    assert!(
-        report.complete,
-        "exploration must be exhaustive: {report:?}"
-    );
-    assert!(report.explored >= 2, "{report:?}");
+    assert_complete(&report, 34);
 }
 
 #[test]
@@ -181,8 +182,9 @@ fn recv_racy_has_a_lost_message_schedule() {
         "unexpected failure: {}",
         failure.message
     );
-    assert!(
-        !failure.schedule.is_empty(),
+    assert_eq!(
+        failure.schedule.to_string(),
+        "t0.d-",
         "shrinking must leave a replayable schedule"
     );
 }
@@ -216,17 +218,8 @@ fn monitor_fired_once(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn monitor_fires_exactly_once_under_registration_death_race() {
     let report = explore_pass(monitor_once_space, monitor_fired_once, 1);
-    assert!(
-        report.complete,
-        "exploration must be exhaustive: {report:?}"
-    );
-    // DPOR may prove the registration/death orders independent (that
-    // independence *is* the exactly-once property) and collapse them,
-    // but the race must at least have been examined.
-    assert!(
-        report.explored + report.pruned >= 2,
-        "the registration/death race must be in the space: {report:?}"
-    );
+    // Both sides of the registration/death race.
+    assert_complete(&report, 3);
 }
 
 // -- links cascade; trap-exits observe -------------------------------------
@@ -255,10 +248,7 @@ fn cascaded(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn link_cascades_on_every_schedule() {
     let report = explore_pass(link_cascade_space, cascaded, 1);
-    assert!(
-        report.complete,
-        "exploration must be exhaustive: {report:?}"
-    );
+    assert_complete(&report, 15);
 }
 
 /// Same crash, but `b` traps: it converts the signal to a message,
@@ -301,10 +291,7 @@ fn trapped(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn trap_exit_observes_and_survives_on_every_schedule() {
     let report = explore_pass(trap_exit_space, trapped, 1);
-    assert!(
-        report.complete,
-        "exploration must be exhaustive: {report:?}"
-    );
+    assert_complete(&report, 14);
 }
 
 // -- supervised restart preserves state; shutdown reaps --------------------
@@ -340,7 +327,9 @@ fn wait_counter(state: MVar<i64>, at_least: i64) -> Io<i64> {
 /// restarted incarnation shares mailbox and state cell, so on every
 /// schedule the counter reaches 4 — no update lost to the crash, no
 /// message lost to the restart. Then the supervisor is killed and the
-/// audit waits for the child to be reaped. Returns
+/// audit waits for the child to be reaped. The counter can reach 4
+/// before the supervisor has listed the restarted incarnation, so the
+/// audit polls for it ([`only_child`]). Returns
 /// `[counter, child exit code]`.
 fn restart_state_space() -> Io<Vec<i64>> {
     Io::new_mvar(0_i64).and_then(|state| {
@@ -355,8 +344,7 @@ fn restart_state_space() -> Io<Vec<i64>> {
                     .then(inbox.send(1))
                     .then(wait_counter(state, 4))
                     .and_then(move |n| {
-                        sup.child_refs().and_then(move |kids| {
-                            let kid = kids[0];
+                        only_child(sup).and_then(move |kid| {
                             sup.shutdown_sync()
                                 .then(wait_dead_code(kid))
                                 .map(move |code| vec![n, code])
@@ -380,10 +368,7 @@ fn restarted_and_reaped(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn supervised_restart_preserves_state_and_shutdown_reaps() {
     let report = explore_pass(restart_state_space, restarted_and_reaped, 1);
-    assert!(
-        report.complete,
-        "exploration must be exhaustive: {report:?}"
-    );
+    assert_complete(&report, 103);
     assert!(
         report.stats.kill_thread_deaths > 0,
         "the shutdown path must actually kill: {report:?}"
@@ -447,45 +432,8 @@ fn both_reaped(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 
 #[test]
 fn a_second_kill_mid_sweep_orphans_no_child_on_any_schedule() {
-    // Sleep sets: bounded DPOR collapses this space to one schedule
-    // (ROADMAP, "bounded DPOR under-explores").
-    let result = explore_with(Reduction::SleepSets, double_kill_space, both_reaped, 1);
-    let report = result.expect_pass();
-    assert!(
-        report.complete,
-        "exploration must be exhaustive: {report:?}"
-    );
-    assert!(report.explored > 1_000, "{report:?}");
-}
-
-#[test]
-fn bounded_dpor_collapses_the_double_kill_space_to_one_schedule() {
-    // A known gap, pinned so it cannot move unnoticed: under a
-    // preemption bound DPOR explores one schedule of this space and
-    // calls it complete, where sleep sets branch. Both see the one
-    // outcome `[1, 1]`, so the outcome-based `KNOWN_BPOR_GAPS` sweep in
-    // `tests/dpor_equiv.rs` cannot list it. ROADMAP's BPOR item
-    // (bounded DPOR under-explores) must flip this test.
-    for (bound, sleep_sets) in [(0, 20), (1, 228), (2, 1_112)] {
-        let search = |reduction| {
-            Explorer::with_config(config(reduction, bound))
-                .check(|| TestCase::new(double_kill_space(), both_reaped))
-                .expect_pass()
-                .clone()
-        };
-        let dpor = search(Reduction::Dpor);
-        assert_eq!(
-            (dpor.explored, dpor.complete),
-            (1, true),
-            "bound {bound}: {dpor:?}"
-        );
-        let sleep = search(Reduction::SleepSets);
-        assert_eq!(
-            (sleep.explored, sleep.complete),
-            (sleep_sets, true),
-            "bound {bound}: {sleep:?}"
-        );
-    }
+    let report = explore_pass(double_kill_space, both_reaped, 1);
+    assert_complete(&report, 1_112);
 }
 
 // -- determinism: worker counts must not change coverage -------------------

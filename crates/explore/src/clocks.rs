@@ -65,7 +65,7 @@ pub(crate) struct ExecEvent {
     pub(crate) fp: StepFootprint,
     /// Index into the run's branch-point record when this step was
     /// chosen at a branch point; `None` for forced steps (sole runnable
-    /// thread, preemption-bound or depth-budget forcing).
+    /// thread, depth-budget forcing).
     pub(crate) point: Option<u32>,
     /// For a `throwTo` step only: the target was not runnable when the
     /// throw executed. The eager (Interrupt) rule may then cancel the

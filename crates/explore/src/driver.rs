@@ -22,9 +22,10 @@
 //!   some step *dependent* on `a`'s (per [`StepFootprint::independent`])
 //!   executes, because until then `b…a` reaches the same state as the
 //!   already-explored `a…b`.
-//! * **Preemption bounding** — optionally, once a run has used its
-//!   budget of preemptions (choosing against a still-runnable previous
-//!   thread), the previous thread is forced, CHESS-style.
+//! * **Preemption bounding** — under sleep sets, optionally, once a run
+//!   has used its budget of preemptions (choosing against a
+//!   still-runnable previous thread), the previous thread is forced,
+//!   CHESS-style. DPOR and the samplers never carry a bound.
 //!
 //! Crucially, *which* step boundaries count as branch points is a
 //! deterministic function of the executed path alone — never of the
@@ -172,8 +173,7 @@ pub(crate) struct DriverState {
     /// certificate replay, where unscripted choices fall back to the
     /// deterministic defaults as ever. The policy only ever substitutes
     /// for a default choice — the forced paths (single runnable,
-    /// invisible-move fast-forward, preemption forcing, depth budget)
-    /// stay ahead of it, so which step boundaries become branch points
+    /// invisible-move fast-forward, depth budget) stay ahead of it, so which step boundaries become branch points
     /// is the same function of the executed path under sampling as
     /// under enumeration. That is what makes a sampled certificate
     /// byte-compatible with an exhaustive one.

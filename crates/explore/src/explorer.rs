@@ -24,21 +24,38 @@ const MAX_SHRINK_RUNS: usize = 512;
 
 /// Which schedule-space reduction the explorer applies.
 ///
-/// Both modes explore the same *behaviours* (every reachable outcome
-/// of every program, at the configured bounds); they differ only in
-/// how many redundant interleavings they execute to get there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Unbounded, both modes explore the same *behaviours* (every
+/// reachable outcome of every program, at the configured depth and
+/// step budgets); they differ only in how many redundant interleavings
+/// they execute to get there. Only sleep sets take a preemption bound:
+/// DPOR's backtrack sets assume every race can be reversed, and a
+/// bound that forbids the reversal drops behaviours while the search
+/// still reports `complete`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reduction {
     /// Sleep sets plus invisible-move fast-forwarding — the historical
-    /// default.
-    #[default]
-    SleepSets,
+    /// default (unbounded).
+    SleepSets {
+        /// CHESS-style bound on preemptive context switches per run
+        /// (`None` = unbounded): once a run has used it, a
+        /// still-runnable previous thread is forced. A bounded search
+        /// that completes has covered every schedule within the bound.
+        preemption_bound: Option<usize>,
+    },
     /// Dynamic partial-order reduction: vector-clock happens-before
     /// race detection over each executed run, with backtrack flags
     /// installed only where a race proves the reversal matters (see
     /// the `dpor` module). Typically explores far fewer schedules than
     /// sleep sets on programs with many independent threads.
     Dpor,
+}
+
+impl Default for Reduction {
+    fn default() -> Self {
+        Reduction::SleepSets {
+            preemption_bound: None,
+        }
+    }
 }
 
 /// How the explorer picks the schedules it executes.
@@ -61,7 +78,7 @@ pub enum Reduction {
 pub enum Strategy {
     /// Enumerate the bounded space under the given reduction — the
     /// historical behaviour, and the default
-    /// (`Exhaustive(Reduction::SleepSets)`).
+    /// (`Exhaustive(Reduction::default())`, unbounded sleep sets).
     Exhaustive(Reduction),
     /// Probabilistic concurrency testing: random thread priorities at
     /// first sight plus `depth − 1` random priority-change points per
@@ -183,9 +200,6 @@ pub struct ExploreConfig {
     /// Maximum branch points per run; beyond it choices are forced to
     /// defaults and the run counts as truncated.
     pub max_depth: usize,
-    /// CHESS-style bound on preemptive context switches per run
-    /// (`None` = unbounded).
-    pub preemption_bound: Option<usize>,
     /// Step budget per run. A run that exhausts it counts as truncated
     /// (so the search is not `complete`), and its property still sees
     /// it: the outcome's `result` is
@@ -198,7 +212,8 @@ pub struct ExploreConfig {
     pub runtime: RuntimeConfig,
     /// How schedules are picked: exhaustive enumeration under a
     /// [`Reduction`], or seeded sampling (default
-    /// `Exhaustive(Reduction::SleepSets)`).
+    /// `Exhaustive(Reduction::default())`). A preemption bound, when
+    /// wanted, is a field of [`Reduction::SleepSets`].
     pub strategy: Strategy,
 }
 
@@ -207,7 +222,6 @@ impl Default for ExploreConfig {
         ExploreConfig {
             max_schedules: 10_000,
             max_depth: 64,
-            preemption_bound: None,
             step_budget: 20_000,
             runtime: RuntimeConfig::new(),
             strategy: Strategy::default(),
@@ -528,7 +542,7 @@ impl Explorer {
                 report.stats.backtracks_installed = trie.backtracks();
                 report
             }
-            Strategy::Exhaustive(Reduction::SleepSets) => {
+            Strategy::Exhaustive(Reduction::SleepSets { .. }) => {
                 fan_out(&|w, factory| sleep_set_worker(w, factory));
                 frontier.report()
             }
@@ -1018,7 +1032,9 @@ mod tests {
     #[test]
     fn preemption_bound_zero_still_finds_non_preemptive_schedules() {
         let cfg = ExploreConfig {
-            preemption_bound: Some(0),
+            strategy: Strategy::Exhaustive(Reduction::SleepSets {
+                preemption_bound: Some(0),
+            }),
             ..ExploreConfig::default()
         };
         let seen = Rc::new(RefCell::new(BTreeSet::new()));

@@ -18,8 +18,9 @@
 //! a deterministic [`Runtime`](conch_runtime::scheduler::Runtime) — one
 //! per worker, reset to pristine before every schedule — and walks the
 //! choice tree depth-first, subject to
-//! bounds (schedule count, branch-point depth, preemption budget, step
-//! budget — see [`ExploreConfig`]). Sleep-set pruning skips
+//! bounds (schedule count, branch-point depth, step budget — see
+//! [`ExploreConfig`]; sleep sets also take a preemption budget, see
+//! [`Reduction`]). Sleep-set pruning skips
 //! interleavings that only reorder *independent* steps (different
 //! `MVar`s, disjoint effects — see
 //! [`StepFootprint`](conch_runtime::decide::StepFootprint)), so the

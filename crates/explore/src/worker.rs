@@ -22,7 +22,7 @@ use conch_runtime::trace::IoEvent;
 use conch_runtime::value::FromValue;
 
 use crate::driver::{DriverState, ScriptedDecider};
-use crate::explorer::{ExploreConfig, RunOutcome, TestCase};
+use crate::explorer::{ExploreConfig, Reduction, RunOutcome, Strategy, TestCase};
 use crate::frontier::Frontier;
 use crate::schedule::Schedule;
 
@@ -43,8 +43,12 @@ pub(crate) struct Runner {
 impl Runner {
     pub(crate) fn new(config: &ExploreConfig) -> Self {
         let runtime = config.runtime.clone().max_steps(config.step_budget);
+        let preemption_bound = match config.strategy {
+            Strategy::Exhaustive(Reduction::SleepSets { preemption_bound }) => preemption_bound,
+            _ => None,
+        };
         let state = Rc::new(RefCell::new(DriverState::new(
-            config.preemption_bound,
+            preemption_bound,
             config.max_depth,
         )));
         let decider = ScriptedDecider(Rc::clone(&state));
@@ -341,7 +345,7 @@ mod tests {
         wrong: fn(&RunOutcome<T>) -> bool,
         fails: bool,
     ) {
-        for reduction in [Reduction::SleepSets, Reduction::Dpor] {
+        for reduction in [Reduction::default(), Reduction::Dpor] {
             let (result, runs, questions, steps) = search(reduction, false, program, wrong);
             let (asked, asked_runs, every_step, _) = search(reduction, true, program, wrong);
             let at = format!("{name} under {reduction:?}");

@@ -10,8 +10,9 @@
 //! point**, not a random event. Each injection site is an
 //! [`Io::choose`](conch_runtime::io::Io::choose) oracle, which
 //! `conch-explore` enumerates exactly like a scheduling decision — so
-//! `Explorer::check` walks the full *fault × schedule* product space,
-//! DPOR prunes it, and the parallel engine reports bit-identical
+//! `Explorer::check` walks the full *fault × schedule* product space
+//! (exhaustively where a sound search finishes it, by PCT sampling
+//! where none does), and the parallel engine reports bit-identical
 //! coverage counters at any worker count. Outside exploration nobody
 //! decides, every choice takes arm `0`, and the program runs healthy.
 //!

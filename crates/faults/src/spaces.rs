@@ -206,7 +206,7 @@ pub fn supervised_pool_space() -> Io<(i64, i64, StatsSnapshot)> {
 /// unaffected) and checks the conservation law on the **quiescent
 /// aggregate** (`shutdown_sync` over every acceptor, `drain` until
 /// every shard's `active` is zero, then the per-shard snapshots summed)
-/// — the sharded observation protocol, certified on every schedule.
+/// — the sharded observation protocol, checked on every explored run.
 pub fn sharded_pipeline_space() -> Io<(i64, i64, StatsSnapshot)> {
     let cfg = ShardConfig {
         read_timeout: 1_000,
@@ -375,8 +375,9 @@ pub fn holds_actor_invariants(out: &[i64]) -> Result<(), String> {
 /// plane a kill crosses shards as a channel message and is delivered
 /// by the destination runtime at its next epoch barrier — a step
 /// boundary, exactly like a host-side `throwTo`. This space models
-/// that drain protocol with explorer-visible pieces so DPOR can close
-/// the schedule space the real OS-thread plane cannot enumerate:
+/// that drain protocol with explorer-visible pieces so sleep sets can
+/// close the schedule space (within preemption bound 2) that the real
+/// OS-thread plane cannot enumerate:
 ///
 /// * the **victim** is a worker on the "destination shard" — it arms
 ///   itself (bit 16), works (a sleep), and records completion (bit 1),

@@ -236,7 +236,7 @@ mod tests {
     use crate::core::StatsSnapshot;
     use crate::http::{Request, Response};
     use crate::server::handler;
-    use conch_explore::{ExploreConfig, Explorer, RunOutcome, TestCase};
+    use conch_explore::{ExploreConfig, Explorer, Reduction, RunOutcome, Strategy, TestCase};
     use conch_runtime::prelude::*;
 
     fn hello() -> Handler {
@@ -305,8 +305,10 @@ mod tests {
     #[test]
     fn two_kills_at_the_acceptor_leave_queue_and_active_in_agreement() {
         let explorer = Explorer::with_config(ExploreConfig {
-            preemption_bound: Some(4),
             max_depth: 256,
+            strategy: Strategy::Exhaustive(Reduction::SleepSets {
+                preemption_bound: Some(4),
+            }),
             ..ExploreConfig::default()
         });
         let result = explorer.check(|| {

@@ -4,7 +4,7 @@
 //! enabled transitions. [`Lts::explore`] searches them once, breadth
 //! first, interning every reachable state up to a budget; every question
 //! about a program is then a query on that graph (a single run, scripted
-//! or seeded-random, is a [`Derivation`]):
+//! or first-choice, is a [`Derivation`]):
 //!
 //! * [`Lts::check_safety`] — model checking: a derivation to the first
 //!   reachable state satisfying a "bad" predicate. Used to *prove* the

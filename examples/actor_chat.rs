@@ -20,8 +20,9 @@
 //!   shutdown at the end delivers exactly one `Down{Killed}` to it —
 //!   no orphan room outlives its supervisor.
 //!
-//! Under `--explore`, exhaustive exploration (DPOR, preemption bound 3,
-//! exception-delivery points branching fully) checks on every schedule
+//! Under `--explore`, exhaustive exploration (sleep sets, preemption
+//! bound 3, exception-delivery points branching fully; 3 959 schedules)
+//! checks on every schedule
 //! that both subscribers receive the pre-crash broadcast, both receive
 //! the post-restart broadcast, and the shutdown reaps the room with a
 //! single `Down` — then re-explores on the 4-worker engine and asserts
@@ -199,8 +200,9 @@ fn explore(workers: usize) -> Report {
         max_schedules: 100_000,
         max_depth: 512,
         step_budget: 100_000,
-        preemption_bound: Some(3),
-        strategy: conch::explore::Strategy::Exhaustive(Reduction::Dpor),
+        strategy: conch::explore::Strategy::Exhaustive(Reduction::SleepSets {
+            preemption_bound: Some(3),
+        }),
         ..ExploreConfig::default()
     });
     let result = if workers == 1 {
@@ -223,16 +225,16 @@ fn main() {
         println!("== actor chat under exhaustive exploration ==");
         let sequential = explore(1);
         assert!(
-            sequential.complete,
-            "exploration must be exhaustive: {sequential:?}"
+            sequential.complete && sequential.explored == 3_959,
+            "exploration must be exhaustive, and the same as ever: {sequential:?}"
         );
         println!(
             "  explored {} schedules ({} pruned), complete: {}",
             sequential.explored, sequential.pruned, sequential.complete
         );
-        println!("  on every schedule: both subscribers saw broadcast 1, the poison");
-        println!("  crash was restarted with roster and queue intact, both saw");
-        println!("  broadcast 2, and shutdown delivered exactly one Down(Killed).");
+        println!("  on every schedule within preemption bound 3: both subscribers saw");
+        println!("  broadcast 1, the poison crash was restarted with roster and queue");
+        println!("  intact, both saw broadcast 2, and shutdown delivered exactly one Down.");
         let parallel = explore(4);
         assert_eq!(
             sequential, parallel,

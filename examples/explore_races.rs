@@ -70,7 +70,7 @@ struct Cli {
 /// the command line.
 fn cli_args() -> Cli {
     let mut workers = 0;
-    let mut reduction = Reduction::SleepSets;
+    let mut reduction = Reduction::default();
     let mut sample: Option<String> = None;
     let mut samples = 2048;
     let mut seed = 0xC0FFEE_u64;
@@ -92,7 +92,7 @@ fn cli_args() -> Cli {
             "--seed" => seed = number(&mut args, "--seed"),
             "--reduction" => {
                 reduction = match args.next().as_deref() {
-                    Some("sleep") => Reduction::SleepSets,
+                    Some("sleep") => Reduction::default(),
                     Some("dpor") => Reduction::Dpor,
                     other => {
                         eprintln!("--reduction needs 'sleep' or 'dpor', got {other:?}");
@@ -164,7 +164,7 @@ fn main() {
             if cli.strategy == Strategy::Exhaustive(Reduction::Dpor) {
                 // Run the sleep-set baseline on the same program so the
                 // summary can state the reduction directly.
-                let baseline = explorer_for(Strategy::Exhaustive(Reduction::SleepSets), 0)
+                let baseline = explorer_for(Strategy::default(), 0)
                     .check_parallel(cli.workers, || {
                         TestCase::new(
                             under_fire(proper_bracket()),

@@ -1,10 +1,14 @@
-//! Exhaustively exploring a fault × schedule space against the httpd
-//! server, and proving it recovers on every branch of both.
+//! Sampling a fault × schedule space against the httpd server, and
+//! checking it recovers on every sampled run.
 //!
 //! Run with `cargo run --release --example fault_storm`.
 //!
-//! Two canonical spaces from [`conch::faults::spaces`] are explored to
-//! completion under DPOR with preemption bound 2:
+//! Two canonical spaces from [`conch::faults::spaces`] are sampled
+//! with PCT (128 runs at depth 3 each). Neither finishes under an
+//! exhaustive search: sleep sets at preemption bound 2 leave the
+//! connection space incomplete at 100 000 schedules. A sample
+//! certifies only the runs it drew, so the reports say `complete:
+//! false`; a violation would come with a replayable certificate.
 //!
 //! * **connection faults** — one client visit where the injector
 //!   chooses, as an explorer branch point, between a healthy request,
@@ -14,8 +18,8 @@
 //!   then the explorer decides where a `throwTo KillThread` storm
 //!   lands.
 //!
-//! On *every* schedule of *every* fault arm, three invariants are
-//! checked after the quiescent audit (`shutdown_sync → drain →
+//! On every sampled run, whichever fault arm it took, three invariants
+//! are checked after the quiescent audit (`shutdown_sync → drain →
 //! snapshot`):
 //!
 //! 1. **still serving** — a healthy probe sent after the fault episode
@@ -26,12 +30,12 @@
 //!    aborted + killed + shed`: every accepted connection gets exactly
 //!    one outcome, wherever the kill landed.
 //!
-//! Each space is then re-explored on the 4-worker work-stealing engine
-//! and the coverage reports are asserted bit-identical — determinism
-//! extended over fault branch points.
+//! Each space is then re-sampled on 4 workers and the reports are
+//! asserted bit-identical — sample `i` is a pure function of the seed
+//! and `i`, whatever the worker count.
 
 use conch::explore::{
-    CheckResult, ExploreConfig, Explorer, Reduction, Report, RunOutcome, Strategy, TestCase,
+    CheckResult, ExploreConfig, Explorer, Report, RunOutcome, Strategy, TestCase,
 };
 use conch::faults::spaces::{conn_fault_space, holds_invariants, storm_space};
 use conch::httpd::server::StatsSnapshot;
@@ -47,17 +51,14 @@ fn check(out: &RunOutcome<(i64, i64, StatsSnapshot)>) -> Result<(), String> {
 }
 
 fn explore(space: Space, workers: usize) -> Report {
-    // Preemption bound 2 keeps the schedule dimension tractable while
-    // fault arms and delivery points still branch fully (only
-    // preemptive switches are rationed), so fault coverage is
-    // exhaustive; unbounded, the conn space runs past 400k schedules
-    // without converging.
     let explorer = Explorer::with_config(ExploreConfig {
-        max_schedules: 100_000,
+        max_schedules: 128,
         max_depth: 512,
         step_budget: 100_000,
-        preemption_bound: Some(2),
-        strategy: Strategy::Exhaustive(Reduction::Dpor),
+        strategy: Strategy::Pct {
+            depth: 3,
+            seed: 0xC0FFEE,
+        },
         ..ExploreConfig::default()
     });
     let result = if workers == 1 {
@@ -83,18 +84,18 @@ fn main() {
         println!("== {name} ==");
         let sequential = explore(space, 1);
         assert!(
-            sequential.complete,
-            "exploration must be exhaustive: {sequential:?}"
+            !sequential.complete,
+            "a sample certifies no schedule it did not draw: {sequential:?}"
         );
         assert!(
             sequential.faults_injected > 0,
             "the fault arms must actually be visited: {sequential:?}"
         );
         println!(
-            "  explored {} schedules ({} pruned, {} faults injected), complete: {}",
-            sequential.explored, sequential.pruned, sequential.faults_injected, sequential.complete,
+            "  sampled {} schedules ({} faults injected), complete: {}",
+            sequential.explored, sequential.faults_injected, sequential.complete,
         );
-        println!("  invariants held on every schedule: still serving (probe answered 200),");
+        println!("  invariants held on every sampled run: still serving (probe answered 200),");
         println!("  no leaked workers or connections (drained to active == 0),");
         println!("  counters conserved (accepted == outcomes).");
 
@@ -105,5 +106,5 @@ fn main() {
         );
         println!("  4-worker engine: identical report, bit for bit.\n");
     }
-    println!("both fault × schedule spaces verified exhaustively.");
+    println!("both fault × schedule spaces sampled with no violation.");
 }

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use conch_combinators::{bracket, finally, modify_mvar, timeout};
-use conch_explore::{props, ExploreConfig, Explorer, RunOutcome, Strategy, TestCase};
+use conch_explore::{props, ExploreConfig, Explorer, Reduction, RunOutcome, Strategy, TestCase};
 use conch_runtime::prelude::*;
 use conch_runtime::value::FromValue;
 use proptest::prelude::*;
@@ -33,7 +33,9 @@ type After = Box<dyn FnOnce() -> Result<(), String>>;
 /// given preemption bound), asserting the search complete.
 fn on_every_schedule<T: FromValue>(bound: Option<usize>, case: impl FnMut() -> TestCase<T>) {
     let explorer = Explorer::with_config(ExploreConfig {
-        preemption_bound: bound,
+        strategy: Strategy::Exhaustive(Reduction::SleepSets {
+            preemption_bound: bound,
+        }),
         ..ExploreConfig::default()
     });
     let report = explorer.check(case).expect_pass().clone();

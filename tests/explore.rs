@@ -23,7 +23,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use conch_combinators::{both, bracket, race, Either};
-use conch_explore::{props, ExploreConfig, Explorer, RunOutcome, Schedule, TestCase};
+use conch_explore::{
+    props, ExploreConfig, Explorer, Reduction, RunOutcome, Schedule, Strategy, TestCase,
+};
 use conch_runtime::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -296,52 +298,68 @@ fn either_always_commits_to_one_winner() {
 /// Returns (racer outcome, bystander token). The bystander must deliver
 /// its token on every schedule — if a stale re-throw could land, the
 /// bystander dies, the token never arrives, and the run deadlocks.
+///
+/// A forked thread starts unmasked, so a poke can land before the
+/// racer's first step, outside its `catch`; the racer would then die
+/// without reporting, and main would wait on `done` forever. The racer
+/// therefore says `ready` from inside its `catch`, and main pokes only
+/// after hearing it.
 fn stale_redelivery_program() -> Io<(i64, i64)> {
     Io::new_empty_mvar::<i64>().and_then(|done| {
         Io::new_empty_mvar::<i64>().and_then(move |token| {
-            // The poke may land anywhere in the racer — inside the race
-            // or between the race and the `done.put` — so the catch
-            // covers the put too and reports via the non-blocking
-            // `try_put` (a no-op if the result already made it out).
-            let racer = race(Io::pure(1_i64), Io::pure(2_i64))
-                .map(|r| match r {
-                    Either::Left(v) | Either::Right(v) => v,
-                })
-                .and_then(move |v| done.put(v))
-                .catch(move |e| {
-                    if e == Exception::custom("poke") {
-                        done.try_put(-1).map(|_| ())
-                    } else {
-                        Io::throw(e)
-                    }
-                });
-            Io::fork(racer).and_then(move |racer_id| {
-                // Forked after the racer, so whenever the race's children
-                // are already dead this thread takes over a freed slot.
-                // The sleep keeps it alive (and killable) through the
-                // poke window.
-                let bystander = Io::sleep(50).then(token.put(42));
-                Io::fork(bystander).and_then(move |_| {
-                    Io::throw_to(racer_id, Exception::custom("poke"))
-                        .then(done.take())
-                        .and_then(move |r| token.take().map(move |t| (r, t)))
-                })
-            })
+            Io::new_empty_mvar::<()>().and_then(move |ready| stale_redelivery(done, token, ready))
+        })
+    })
+}
+
+fn stale_redelivery(done: MVar<i64>, token: MVar<i64>, ready: MVar<()>) -> Io<(i64, i64)> {
+    // The poke may land anywhere in the racer — inside the race
+    // or between the race and the `done.put` — so the catch
+    // covers the put too and reports via the non-blocking
+    // `try_put` (a no-op if the result already made it out).
+    let racer = ready
+        .put(())
+        .then(race(Io::pure(1_i64), Io::pure(2_i64)))
+        .map(|r| match r {
+            Either::Left(v) | Either::Right(v) => v,
+        })
+        .and_then(move |v| done.put(v))
+        .catch(move |e| {
+            if e == Exception::custom("poke") {
+                done.try_put(-1).map(|_| ())
+            } else {
+                Io::throw(e)
+            }
+        });
+    Io::fork(racer).and_then(move |racer_id| {
+        // Forked after the racer, so whenever the race's children
+        // are already dead this thread takes over a freed slot.
+        // The sleep keeps it alive (and killable) through the
+        // poke window.
+        let bystander = Io::sleep(50).then(token.put(42));
+        Io::fork(bystander).and_then(move |_| {
+            ready
+                .take()
+                .then(Io::throw_to(racer_id, Exception::custom("poke")))
+                .then(done.take())
+                .and_then(move |r| token.take().map(move |t| (r, t)))
         })
     })
 }
 
 #[test]
 fn stale_redelivery_to_reused_slot_is_a_noop_on_every_schedule() {
-    // DPOR plus a preemption bound keeps the space tractable without
-    // losing the hazard: reaching "children dead, slot reused, poke
-    // mid-wait" needs a single preemption of the main thread (all other
-    // switches happen at blocking points, which are free), and
+    // Sleep sets at preemption bound 2 keep the space tractable
+    // (7 647 schedules; unbounded DPOR does not finish in 200 000)
+    // without losing the hazard: reaching "children dead, slot reused,
+    // poke mid-wait" needs a single preemption of the main thread (all
+    // other switches happen at blocking points, which are free), and
     // exception-delivery points branch fully whatever the bound.
     let cfg = ExploreConfig {
         max_schedules: 200_000,
-        preemption_bound: Some(2),
-        strategy: conch_explore::Strategy::Exhaustive(conch_explore::Reduction::Dpor),
+        strategy: Strategy::Exhaustive(Reduction::SleepSets {
+            preemption_bound: Some(2),
+        }),
         ..ExploreConfig::default()
     };
     let result = Explorer::with_config(cfg).check(|| {
@@ -358,7 +376,7 @@ fn stale_redelivery_to_reused_slot_is_a_noop_on_every_schedule() {
     });
     let report = result.expect_pass();
     assert!(
-        report.complete,
+        report.complete && report.explored == 7_647,
         "stale-redelivery check must be exhaustive: {report}"
     );
 }
@@ -465,9 +483,9 @@ fn a_kill_landing_on_live_code_drops_it_exactly_once() {
 
 #[test]
 fn preemption_bound_trades_coverage_for_speed() {
-    let run = |bound: Option<usize>| {
+    let run = |preemption_bound: Option<usize>| {
         let cfg = ExploreConfig {
-            preemption_bound: bound,
+            strategy: Strategy::Exhaustive(Reduction::SleepSets { preemption_bound }),
             ..ExploreConfig::default()
         };
         let result = Explorer::with_config(cfg)

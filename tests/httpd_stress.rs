@@ -9,7 +9,7 @@
 //! * after shutdown + drain no worker is still active;
 //! * the server process itself never wedges (the run terminates).
 
-use conch_explore::{ExploreConfig, Explorer, Report, RunOutcome, TestCase};
+use conch_explore::{ExploreConfig, Explorer, Reduction, Report, RunOutcome, TestCase};
 use conch_httpd::client::{garbage_client, good_client, stalling_client, trickling_client};
 use conch_httpd::http::Response;
 use conch_httpd::net::Listener;
@@ -169,8 +169,10 @@ proptest! {
 #[test]
 fn a_lone_crashing_client_gets_its_500() {
     let explorer = Explorer::with_config(ExploreConfig {
-        preemption_bound: Some(0),
         step_budget: 2_000_000,
+        strategy: conch_explore::Strategy::Exhaustive(Reduction::SleepSets {
+            preemption_bound: Some(0),
+        }),
         ..ExploreConfig::default()
     });
     let report = storm_check(&explorer, &[ClientKind::Crash]);

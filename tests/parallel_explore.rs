@@ -208,10 +208,9 @@ fn oversubscribed_workers_are_deterministic() {
 // explorer enumerates, not noise.
 
 /// An exhaustive explorer with room for the largest pinned space.
-fn space(reduction: Reduction, preemption_bound: Option<usize>) -> Explorer {
+fn space(reduction: Reduction) -> Explorer {
     Explorer::with_config(ExploreConfig {
         max_schedules: 2_000_000,
-        preemption_bound,
         strategy: Strategy::Exhaustive(reduction),
         ..ExploreConfig::default()
     })
@@ -244,35 +243,32 @@ fn three_thread_mvar_throwto() -> Io<i64> {
 
 #[test]
 fn pinned_b9_counts_hold_for_every_reduction_bound_and_worker_count() {
-    for (reduction, bound, explored, pruned) in [
-        (Reduction::SleepSets, None, 4_223, 1_791),
-        (Reduction::SleepSets, Some(2), 218, 89),
-        (Reduction::SleepSets, Some(0), 16, 0),
-        (Reduction::Dpor, None, 355, 212),
+    let sleep_sets = |preemption_bound| Reduction::SleepSets { preemption_bound };
+    for (reduction, explored, pruned) in [
+        (sleep_sets(None), 4_223, 1_791),
+        (sleep_sets(Some(2)), 218, 89),
+        (sleep_sets(Some(0)), 16, 0),
+        (Reduction::Dpor, 355, 212),
     ] {
-        let sequential = space(reduction, bound)
+        let sequential = space(reduction)
             .check(|| any_outcome(three_thread_mvar_throwto))
             .expect_pass()
             .clone();
         let counts = (sequential.explored, sequential.pruned, sequential.truncated);
-        assert_eq!(
-            counts,
-            (explored, pruned, 0),
-            "{reduction:?} bound {bound:?}"
-        );
-        assert!(sequential.complete, "{reduction:?} bound {bound:?}");
+        assert_eq!(counts, (explored, pruned, 0), "{reduction:?}");
+        assert!(sequential.complete, "{reduction:?}");
         if reduction == Reduction::Dpor {
             assert!(sequential.stats.races_detected > 0);
             assert!(sequential.stats.backtracks_installed > 0);
         }
         for workers in WORKER_COUNTS {
-            let parallel = space(reduction, bound)
+            let parallel = space(reduction)
                 .check_parallel(workers, || any_outcome(three_thread_mvar_throwto))
                 .expect_pass()
                 .clone();
             assert_eq!(
                 parallel, sequential,
-                "{reduction:?} bound {bound:?} diverged at workers={workers}"
+                "{reduction:?} diverged at workers={workers}"
             );
         }
     }
@@ -376,7 +372,7 @@ fn pipeline(stages: u64) -> Io<i64> {
 
 /// `(explored, pruned, races, backtracks)` of one complete exploration.
 fn complete_counts(reduction: Reduction, program: fn() -> Io<i64>) -> (usize, usize, u64, u64) {
-    let result = space(reduction, None).check(|| any_outcome(program));
+    let result = space(reduction).check(|| any_outcome(program));
     let report = result.expect_pass();
     assert!(report.complete && report.truncated == 0, "{report}");
     (
@@ -390,7 +386,7 @@ fn complete_counts(reduction: Reduction, program: fn() -> Io<i64>) -> (usize, us
 #[test]
 #[ignore = "release"]
 fn pinned_x1_log_fanin_five_threads() {
-    let sleep = complete_counts(Reduction::SleepSets, || log_fanin(4, 4));
+    let sleep = complete_counts(Reduction::default(), || log_fanin(4, 4));
     let dpor = complete_counts(Reduction::Dpor, || log_fanin(4, 4));
     assert_eq!(sleep, (806_534, 67_665, 0, 0));
     assert_eq!(dpor, (50_983, 25_297, 396_951, 58_843));
@@ -400,7 +396,7 @@ fn pinned_x1_log_fanin_five_threads() {
 #[test]
 #[ignore = "release"]
 fn pinned_x1_accept_loop_two_clients() {
-    let sleep = complete_counts(Reduction::SleepSets, || accept_loop(2));
+    let sleep = complete_counts(Reduction::default(), || accept_loop(2));
     let dpor = complete_counts(Reduction::Dpor, || accept_loop(2));
     assert_eq!(sleep, (926_204, 492_531, 0, 0));
     assert_eq!(dpor, (20_024, 26_867, 217_037, 23_604));
@@ -640,7 +636,7 @@ fn panic_on_first_run(config: ExploreConfig) -> (String, usize) {
 #[test]
 fn a_panicking_worker_stops_every_engine() {
     for strategy in [
-        Strategy::Exhaustive(Reduction::SleepSets),
+        Strategy::default(),
         Strategy::Exhaustive(Reduction::Dpor),
         Strategy::Pct { depth: 2, seed: 1 },
     ] {
