@@ -38,7 +38,14 @@
 //! * `Terminal` of a non-main thread ends that thread and wakes its
 //!   sync-throw notifiers: dependent on the steps of any thread that
 //!   ever threw at it, and on nothing else. The *main* thread's
-//!   terminal stops the world — dependent on everything.
+//!   terminal ends the program and freezes its output: what DPOR
+//!   preserves is main's result and the console output, so the exit is
+//!   dependent on console steps (and, like any step, on `Effect` steps
+//!   and throws at main) — where any other step lands relative to it
+//!   cannot be observed. This is sound only because DPOR's scripted
+//!   decider runs the exit last (DESIGN.md §3.5): every console step
+//!   another thread can reach before main exits is then in the log,
+//!   raced against the exit.
 //! * Everything else falls back to the same-resource conflicts of the
 //!   footprint relation.
 //!
@@ -85,6 +92,14 @@ pub(crate) struct Birth {
     /// fork. `None` (no creation edge, which only *over*-approximates
     /// concurrency and so over-explores, never under-explores) otherwise.
     pub(crate) parent_event: Option<u32>,
+}
+
+/// The main thread of a run: the first thread with a recorded birth.
+/// Its terminal is the program's exit, which the race analysis treats
+/// as dependent on console steps only and DPOR's default choice runs
+/// last.
+pub(crate) fn main_tid(births: &[Birth]) -> Option<u64> {
+    births.first().map(|b| b.tid)
 }
 
 /// A reversible race: the branch point of the earlier step, and the
@@ -134,7 +149,7 @@ fn join(into: &mut Clock, other: &Clock) {
 /// Must over-approximate true non-commutation, or reversals get lost;
 /// must stay sharp, or the search degenerates toward full enumeration.
 ///
-/// `main` is the main thread's id (its terminal stops the world);
+/// `main` is the main thread's id (its terminal freezes the output);
 /// `a_res`/`b_res` name the wait resource a blocked-target throw may
 /// cancel (see [`ExecEvent::blocked_target`]).
 fn events_dependent(
@@ -171,14 +186,16 @@ fn events_dependent(
             return true;
         }
     }
-    // The main thread's terminal stops the world: whether another step
-    // lands before or after it is observable. A non-main terminal is
+    // The main thread's terminal freezes the output: a console step
+    // before it is observed, one after it never happens. Any other
+    // step's side of the exit is unobservable. A non-main terminal is
     // dependent only with its own thread's history and with throws at
-    // it — both covered by the rules above: a thrower's post-wake
-    // events are physically ordered after the terminal that woke it,
-    // and its pre-throw events conflict (if at all) through their own
-    // resources.
-    if (a.fp == Terminal && a.tid == main) || (b.fp == Terminal && b.tid == main) {
+    // it. All of that is covered by the rules above: a thrower's
+    // post-wake events are physically ordered after the terminal that
+    // woke it, and its pre-throw events conflict (if at all) through
+    // their own resources.
+    let exit = |e: &ExecEvent| e.fp == Terminal && e.tid == main;
+    if (exit(a) && b.fp == Console) || (exit(b) && a.fp == Console) {
         return true;
     }
     match (a.fp, b.fp) {
@@ -210,10 +227,7 @@ pub(crate) fn analyze(events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
         return analysis;
     }
 
-    // The main thread is the first ever observed; its terminal stops
-    // the world. Collect (target, thrower) pairs for the terminal-wake
-    // rule of `events_dependent`.
-    let main = births.first().map(|b| b.tid).unwrap_or(0);
+    let main = main_tid(births).unwrap_or(0);
 
     // The wait resource a blocked-target throw may cancel: the target's
     // last logged event before the throw is the blocking operation
@@ -397,13 +411,17 @@ fn fp_class(fp: StepFootprint) -> Option<usize> {
     use StepFootprint::*;
     match fp {
         Alloc => Some(0),
-        Console => Some(1),
+        Console => Some(CONSOLE_CLASS),
         Time => Some(2),
         Fork => Some(3),
         MVar(x) => Some(4 + x.index() as usize),
         _ => None,
     }
 }
+
+/// [`fp_class`] of `Console`, whose list also holds the main thread's
+/// exit.
+const CONSOLE_CLASS: usize = 1;
 
 /// The list at `key`, if one was ever pushed to.
 fn list_at(lists: &[Vec<u32>], key: usize) -> &[u32] {
@@ -450,8 +468,9 @@ fn truncate_list(list: &mut Vec<u32>, limit: u32) {
 /// `e`'s thread, (for a throw) the target's events, its other throwers
 /// and all blocked-target throws, (for a terminal) the blocked-target
 /// throws, (for a blocked-target throw) its wait resource's list plus
-/// all throws and terminals, and the `always` list (`Effect` steps,
-/// the main thread's terminal, unnameable waits) — a transcription of
+/// all throws and terminals, (for the main thread's terminal, which is
+/// indexed with them) the console steps, and the `always` list
+/// (`Effect` steps and unnameable waits) — a transcription of
 /// [`events_dependent`], case by case, into list membership, checked
 /// by the unit tests against the exhaustive scan. The union is a
 /// *superset* of every possibly-dependent event; each candidate is
@@ -511,7 +530,7 @@ impl RaceState {
             .take_while(|(a, b)| a == b)
             .count();
         self.rollback(keep);
-        let main = births.first().map(|b| b.tid).unwrap_or(0);
+        let main = main_tid(births).unwrap_or(0);
         for e in &events[keep..] {
             self.push_event(*e, births, main);
         }
@@ -606,12 +625,11 @@ impl RaceState {
             self.tids.len() - 1
         });
 
-        // Candidates, descending and deduped. An `Effect` step, the
-        // main thread's terminal, and an unnameable cancelled wait are
-        // dependent with everything — fall back to the full prefix.
-        let full_walk = e.fp == StepFootprint::Effect
-            || (e.fp == StepFootprint::Terminal && e.tid == main)
-            || w == Some(StepFootprint::Effect);
+        // Candidates, descending and deduped. An `Effect` step and an
+        // unnameable cancelled wait are dependent with everything — fall
+        // back to the full prefix.
+        let full_walk = e.fp == StepFootprint::Effect || w == Some(StepFootprint::Effect);
+        let exit = e.fp == StepFootprint::Terminal && e.tid == main;
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         if full_walk {
@@ -632,6 +650,9 @@ impl RaceState {
             }
             if e.fp == StepFootprint::Terminal {
                 scratch.extend_from_slice(&self.blocked);
+            }
+            if exit {
+                scratch.extend_from_slice(list_at(&self.res_lists, CONSOLE_CLASS));
             }
             if let Some(res) = w {
                 // `res != Effect` here (that took the full-walk path):
@@ -704,8 +725,10 @@ impl RaceState {
             }
             StepFootprint::Terminal => {
                 self.terminals.push(n);
-                if e.tid == main {
-                    self.always.push(n);
+                // The exit conflicts with console steps: a later one
+                // finds it on their list.
+                if exit {
+                    push_at(&mut self.res_lists, CONSOLE_CLASS, n);
                 }
             }
             StepFootprint::Effect => self.always.push(n),
@@ -920,6 +943,26 @@ mod tests {
         ];
         let a = analyze(&log, &[]);
         assert_eq!(a.races, 1);
+    }
+
+    #[test]
+    fn main_exit_races_console_steps_only() {
+        // The child writes an MVar and prints; main exits. Only the
+        // print decides what the exit cuts off.
+        let log = [
+            ev(1, StepFootprint::MVar(MVarId::from_index(1)), Some(0)),
+            ev(1, StepFootprint::Console, Some(1)),
+            ev(1, StepFootprint::Time, Some(2)),
+            ev(0, StepFootprint::Terminal, None),
+        ];
+        let births = [0, 1].map(|tid| Birth {
+            tid,
+            parent_event: None,
+        });
+        let a = analyze(&log, &births);
+        assert_eq!(a.races, 1);
+        assert_eq!(a.flags.len(), 1);
+        assert!(has_flag(&a, 1, 0));
     }
 
     // --------------------------------------------------- incremental

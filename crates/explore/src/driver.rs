@@ -27,6 +27,11 @@
 //!   still-runnable previous thread), the previous thread is forced,
 //!   CHESS-style. DPOR and the samplers never carry a bound.
 //!
+//! Under DPOR (`trace_exec` on) the default choice at a branch point
+//! also runs main's exit last: it picks main's terminal step only when
+//! no other awake thread can run, so a run logs every console step the
+//! other threads reach before main exits (see [`crate::clocks`]).
+//!
 //! Crucially, *which* step boundaries count as branch points is a
 //! deterministic function of the executed path alone — never of the
 //! sleep sets — so a bare list of choices ([`crate::Schedule`]) is
@@ -42,7 +47,7 @@ use std::rc::Rc;
 use conch_runtime::decide::{Decider, Pick, StepFootprint, ThreadView};
 use conch_runtime::ids::ThreadId;
 
-use crate::clocks::{Birth, ExecEvent};
+use crate::clocks::{main_tid, Birth, ExecEvent};
 use crate::inline::InlineVec;
 use crate::sample::SamplePolicy;
 use crate::schedule::Choice;
@@ -350,7 +355,18 @@ impl DriverState {
             alts.push(alt);
         }
 
-        let default_index = || alts.iter().position(|a| !a.asleep).unwrap_or(0);
+        // Under DPOR the default runs main's exit last: while any other
+        // awake thread can move, the exit is not the default, so every
+        // console step the others can reach is logged and raced against
+        // it (see `clocks::events_dependent`). Births are recorded only
+        // under DPOR, so elsewhere there is no main to defer.
+        let main = main_tid(&self.births);
+        let exit = |a: &Alt| a.fp == StepFootprint::Terminal && Some(a.tid()) == main;
+        let default_index = || {
+            (alts.iter().position(|a| !a.asleep && !exit(a)))
+                .or_else(|| alts.iter().position(|a| !a.asleep))
+                .unwrap_or(0)
+        };
         let index = match scripted {
             Some(Choice::Thread(t)) => alts
                 .iter()

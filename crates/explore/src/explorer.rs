@@ -24,13 +24,13 @@ const MAX_SHRINK_RUNS: usize = 512;
 
 /// Which schedule-space reduction the explorer applies.
 ///
-/// Unbounded, both modes explore the same *behaviours* (every
-/// reachable outcome of every program, at the configured depth and
-/// step budgets); they differ only in how many redundant interleavings
-/// they execute to get there. Only sleep sets take a preemption bound:
-/// DPOR's backtrack sets assume every race can be reversed, and a
-/// bound that forbids the reversal drops behaviours while the search
-/// still reports `complete`.
+/// Unbounded, both modes explore the same *behaviours* — every
+/// reachable (result, console output) pair of every program, at the
+/// configured depth and step budgets; they differ only in how many
+/// redundant interleavings they execute to get there. Only sleep sets
+/// take a preemption bound: DPOR's backtrack sets assume every race can
+/// be reversed, and a bound that forbids the reversal drops behaviours
+/// while the search still reports `complete`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reduction {
     /// Sleep sets plus invisible-move fast-forwarding — the historical
@@ -47,6 +47,13 @@ pub enum Reduction {
     /// installed only where a race proves the reversal matters (see
     /// the `dpor` module). Typically explores far fewer schedules than
     /// sleep sets on programs with many independent threads.
+    ///
+    /// What DPOR preserves is main's result and the console output,
+    /// and nothing else: two schedules it treats as equivalent may
+    /// differ in [`RunOutcome::stats`] and [`RunOutcome::trace`], which
+    /// are telemetry. A property that reads them must use sleep sets.
+    /// Main's exit runs last in every DPOR run, so a thread that never
+    /// blocks or ends runs the run into the step budget.
     Dpor,
 }
 
@@ -118,7 +125,10 @@ impl Strategy {
     }
 }
 
-/// Everything observable about one driven execution.
+/// One driven execution: its result and console output — what a
+/// program's behaviour is, and all that [`Reduction::Dpor`] preserves —
+/// plus the run's statistics, I/O trace and schedule, which are
+/// telemetry of the one schedule taken.
 #[derive(Debug)]
 pub struct RunOutcome<T> {
     /// What `Runtime::run` returned.

@@ -21,7 +21,8 @@
 //! The rest (nested timeouts, the actor layer, `Chan` and `Sem` under
 //! kills) are checked under sleep sets at preemption bound 2, which
 //! completes; where unbounded DPOR completes too, its outcome set must
-//! contain the bounded one.
+//! contain the bounded one. Where a brute-force search that prunes
+//! nothing finishes, both reductions' outcome sets must equal its own.
 //!
 //! The corpus covers the paper's load-bearing cases: the §5.3
 //! `block(takeMVar)` atomicity argument, §7.1 `bracket` (plus a
@@ -315,7 +316,8 @@ fn assert_one_run_per_schedule<T: FromValue + Debug + 'static>(
 fn the_factory_runs_once_per_reported_run() {
     // Unbounded sleep sets and DPOR where both complete; bound 2, and
     // unbounded DPOR where it completes in under 5 000 schedules, for
-    // the rest.
+    // the rest. Outer_tight's 88 746 DPOR schedules are checked in
+    // release, by `corpus_nested_timeout_outer_tight_dpor`.
     let both = &[Reduction::default(), Reduction::Dpor];
     let bounded = &[BOUND_2];
     let bounded_and_dpor = &[BOUND_2, Reduction::Dpor];
@@ -330,14 +332,150 @@ fn the_factory_runs_once_per_reported_run() {
     assert_one_run_per_schedule("masked_delivery", both, masked_delivery);
     assert_one_run_per_schedule("kill_blocked_worker", both, kill_blocked_worker);
     assert_one_run_per_schedule("timeout_zero", both, timeout_zero);
-    assert_one_run_per_schedule("outer_tight", bounded_and_dpor, nested_timeout_outer_tight);
+    assert_one_run_per_schedule("outer_tight", bounded, nested_timeout_outer_tight);
     assert_one_run_per_schedule("inner_wins", bounded, nested_timeout_inner_wins);
     assert_one_run_per_schedule("actor_mailbox_race", bounded_and_dpor, actor_mailbox_race);
     assert_one_run_per_schedule("actor_monitor_race", bounded_and_dpor, actor_monitor_race);
-    assert_one_run_per_schedule("actor_link_cascade", bounded, actor_link_cascade);
+    assert_one_run_per_schedule("actor_link_cascade", bounded_and_dpor, actor_link_cascade);
     assert_one_run_per_schedule("chan_ends_under_kill", bounded, chan_ends_under_kill);
     assert_one_run_per_schedule("chan_send_visible", both, chan_send_is_visible_on_return);
     assert_one_run_per_schedule("sem_under_kill", bounded, sem_under_kill);
+}
+
+// ------------------------------------------------- brute-force ground truth
+//
+// Sleep sets and DPOR both prune, each by its own dependence relation,
+// so their agreement shows only that they prune alike. `BruteForce`
+// prunes nothing: every step is a decision (`Pick::visible`, no
+// fast-forward), and every runnable thread, both delivery arms and
+// every oracle arm is a branch the search takes. Its outcome set is the
+// reference both engines' sets must equal wherever it finishes under a
+// run cap.
+
+/// The decisions of the brute-force search: the alternative taken and
+/// how many there were, at every decision of the current path. A run
+/// replays the path and takes alternative 0 past its end.
+#[derive(Default)]
+struct BrutePath {
+    path: Vec<(usize, usize)>,
+    pos: usize,
+}
+
+impl BrutePath {
+    fn decide(&mut self, of: usize) -> usize {
+        if self.pos == self.path.len() {
+            self.path.push((0, of));
+        }
+        self.pos += 1;
+        self.path[self.pos - 1].0
+    }
+
+    /// Move to the next path: take the next alternative at the deepest
+    /// decision that has one, and forget what came after it. `false`
+    /// once every path has been run.
+    fn advance(&mut self) -> bool {
+        self.pos = 0;
+        while let Some((taken, of)) = self.path.pop() {
+            if taken + 1 < of {
+                self.path.push((taken + 1, of));
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Every runnable thread, both delivery arms and every oracle arm.
+struct BruteForce(Rc<RefCell<BrutePath>>);
+
+impl Decider for BruteForce {
+    fn choose_thread(&mut self, runnable: &[ThreadView], _: Option<ThreadId>) -> Pick {
+        Pick::visible(self.0.borrow_mut().decide(runnable.len()))
+    }
+
+    fn deliver_now(&mut self, _: ThreadView) -> bool {
+        self.0.borrow_mut().decide(2) == 0
+    }
+
+    fn choose_arm(&mut self, _: ThreadView, arms: u8) -> u8 {
+        self.0.borrow_mut().decide(usize::from(arms)) as u8
+    }
+}
+
+/// The brute-force run cap: a program with more paths is listed as cut.
+const BRUTE_CAP: usize = 200_000;
+
+/// Every `result | output` of `program` on every path, in the corpus's
+/// outcome format and under its step budget; `None` when the paths
+/// outnumber [`BRUTE_CAP`].
+fn brute_force_outcomes<T: FromValue + Debug>(program: fn() -> Io<T>) -> Option<BTreeSet<String>> {
+    let path = Rc::new(RefCell::new(BrutePath::default()));
+    let mut rt = Runtime::with_config(RuntimeConfig::new().max_steps(100_000));
+    rt.set_decider(Box::new(BruteForce(Rc::clone(&path))));
+    let mut outcomes = BTreeSet::new();
+    for _ in 0..BRUTE_CAP {
+        rt.reset();
+        let result = rt.run(program());
+        outcomes.insert(format!("{result:?} | {:?}", rt.output()));
+        if !path.borrow_mut().advance() {
+            return Some(outcomes);
+        }
+    }
+    None
+}
+
+/// Assert that unbounded sleep sets and DPOR both complete on `program`
+/// and see exactly the outcomes the brute-force search sees.
+fn assert_ground_truth<T: FromValue + Debug + 'static>(name: &str, program: fn() -> Io<T>) {
+    let truth = brute_force_outcomes(program)
+        .unwrap_or_else(|| panic!("{name}: more than {BRUTE_CAP} brute-force paths"));
+    for reduction in [Reduction::default(), Reduction::Dpor] {
+        let mode = run_mode(reduction, 500_000, program, no_failure);
+        assert!(mode.complete, "{name}: {reduction:?} must complete");
+        assert_eq!(
+            mode.outcomes, truth,
+            "{name}: {reduction:?} outcomes differ from brute force"
+        );
+    }
+}
+
+#[test]
+fn both_reductions_see_exactly_the_brute_force_outcomes() {
+    assert_ground_truth("output_race", output_race);
+    assert_ground_truth("three_way_race", three_way_race);
+    assert_ground_truth("independent_pairs", independent_pairs);
+    assert_ground_truth("block_take", block_take);
+    assert_ground_truth("good_bracket", good_bracket_under_kill);
+    assert_ground_truth("broken_bracket", broken_bracket_under_kill);
+    assert_ground_truth("masked_delivery", masked_delivery);
+    assert_ground_truth("late_output_after_handoff", late_output_after_handoff);
+    assert_ground_truth("late_output_after_fork", late_output_after_fork);
+}
+
+/// The rest of the corpus has more than [`BRUTE_CAP`] paths (EXPERIMENTS.md
+/// X1 lists them): a program that comes under the cap belongs in the
+/// test above.
+#[test]
+#[ignore = "release"]
+fn the_brute_force_cap_cuts_the_rest_of_the_corpus() {
+    fn assert_cut<T: FromValue + Debug>(name: &str, program: fn() -> Io<T>) {
+        assert!(
+            brute_force_outcomes(program).is_none(),
+            "{name} has at most {BRUTE_CAP} brute-force paths"
+        );
+    }
+    assert_cut("both", both_pair);
+    assert_cut("either", either_race);
+    assert_cut("kill_blocked_worker", kill_blocked_worker);
+    assert_cut("timeout_zero", timeout_zero);
+    assert_cut("chan_send_visible", chan_send_is_visible_on_return);
+    assert_cut("outer_tight", nested_timeout_outer_tight);
+    assert_cut("inner_wins", nested_timeout_inner_wins);
+    assert_cut("actor_mailbox_race", actor_mailbox_race);
+    assert_cut("actor_monitor_race", actor_monitor_race);
+    assert_cut("actor_link_cascade", actor_link_cascade);
+    assert_cut("chan_ends_under_kill", chan_ends_under_kill);
+    assert_cut("sem_under_kill", sem_under_kill);
 }
 
 // ------------------------------------------- sampling detection harness
@@ -720,18 +858,39 @@ fn nested_timeout_outer_tight() -> Io<Option<Option<i64>>> {
     timeout(5, timeout(50, Io::sleep(10).map(|_| 7_i64)))
 }
 
+fn outer_fires_first(out: &RunOutcome<Option<Option<i64>>>) -> Option<String> {
+    match &out.result {
+        Ok(None) => None,
+        other => Some(format!("outer timeout must fire first, got {other:?}")),
+    }
+}
+
 #[test]
 fn corpus_nested_timeout_outer_tight() {
+    assert_bounded(
+        "nested_timeout_outer_tight",
+        149,
+        nested_timeout_outer_tight,
+        outer_fires_first,
+    );
+}
+
+/// The DPOR half of the test above: its killed timeout threads run
+/// before main's exit, and no sound rule can know they never print, so
+/// unbounded DPOR takes 88 746 schedules, too many for a debug run. The
+/// same 88 746 must each be executed exactly once.
+#[test]
+#[ignore = "release"]
+fn corpus_nested_timeout_outer_tight_dpor() {
     assert_dpor_covers_bounded(
         "nested_timeout_outer_tight",
         149,
-        98,
+        88_746,
         nested_timeout_outer_tight,
-        |out| match &out.result {
-            Ok(None) => None,
-            other => Some(format!("outer timeout must fire first, got {other:?}")),
-        },
+        outer_fires_first,
     );
+    let dpor = &[Reduction::Dpor];
+    assert_one_run_per_schedule("outer_tight", dpor, nested_timeout_outer_tight);
 }
 
 /// 14. §7.3 nested timeouts, equal budgets (a == b) with an instant
@@ -756,6 +915,45 @@ fn corpus_nested_timeout_inner_wins() {
     );
 }
 
+/// 15. A child that prints after main hands it its last value: main's
+///     exit can land before or after the child's `putChar`, so the
+///     output is `""` or `"x"`. The exit cuts the child's pending step
+///     off; DPOR sees the race only if the child's print is in the log,
+///     i.e. if its runs take the child as far as it can go first.
+fn late_output_after_handoff() -> Io<i64> {
+    Io::new_empty_mvar::<i64>().and_then(|m| {
+        Io::fork(m.take().then(Io::put_char('x')))
+            .then(m.put(1))
+            .map(|_| 7)
+    })
+}
+
+#[test]
+fn corpus_late_output_after_handoff() {
+    assert_late_output("late_output_after_handoff", late_output_after_handoff);
+}
+
+/// 16. A child forked just before main returns, which allocates a cell
+///     and then prints: whether it prints depends only on whether it
+///     gets that far before main's exit.
+fn late_output_after_fork() -> Io<i64> {
+    Io::fork(Io::new_empty_mvar::<i64>().then(Io::put_char('x'))).map(|_| 7)
+}
+
+#[test]
+fn corpus_late_output_after_fork() {
+    assert_late_output("late_output_after_fork", late_output_after_fork);
+}
+
+/// [`assert_equiv`] on a late-output program, and DPOR's outcomes are
+/// exactly main returning 7 with and without the child's `x`.
+fn assert_late_output(name: &str, program: fn() -> Io<i64>) {
+    assert_equiv(name, 10_000, program, no_failure);
+    let dpor = run_mode(Reduction::Dpor, 10_000, program, no_failure);
+    let late = ["Ok(7) | \"\"", "Ok(7) | \"x\""].map(String::from);
+    assert_eq!(dpor.outcomes, BTreeSet::from(late), "{name}");
+}
+
 // ----------------------------------------------------- actor-layer corpus
 //
 // The `conch-actors` programs fork actor shells with polling mailboxes,
@@ -776,7 +974,7 @@ fn actor_exit_code(a: ActorRef<Value>) -> Io<i64> {
     })
 }
 
-/// 15. Mailbox backpressure race: two producers into a capacity-1
+/// 17. Mailbox backpressure race: two producers into a capacity-1
 ///     mailbox — the loser polls for the free slot — and the consumer
 ///     drains both. Both messages must arrive on every schedule,
 ///     whichever producer wins the slot.
@@ -794,7 +992,7 @@ fn corpus_actor_mailbox_race() {
     assert_dpor_covers_bounded(
         "actor_mailbox_race",
         12,
-        3_916,
+        880,
         actor_mailbox_race,
         |out| match &out.result {
             Ok(3) => None,
@@ -803,7 +1001,7 @@ fn corpus_actor_mailbox_race() {
     );
 }
 
-/// 16. Monitor registration racing the target's death: the actor exits
+/// 18. Monitor registration racing the target's death: the actor exits
 ///     immediately, so `monitor` may find it alive (Down delivered on
 ///     death) or already dead (Down delivered retroactively). Either
 ///     way exactly one Down with the caller's reference arrives.
@@ -820,7 +1018,7 @@ fn corpus_actor_monitor_race() {
     assert_dpor_covers_bounded(
         "actor_monitor_race",
         3,
-        35,
+        10,
         actor_monitor_race,
         |out| match &out.result {
             Ok(11) => None,
@@ -829,7 +1027,7 @@ fn corpus_actor_monitor_race() {
     );
 }
 
-/// 17. Link cascade: `a` crashes while `b` is blocked in `recv`; the
+/// 19. Link cascade: `a` crashes while `b` is blocked in `recv`; the
 ///     link turns `a`'s crash into an exit signal, so `b` dies
 ///     crashed-by-signal (code 2) on every schedule — whichever side of
 ///     the link registration the crash lands on.
@@ -847,7 +1045,7 @@ fn corpus_actor_link_cascade() {
     assert_dpor_covers_bounded(
         "actor_link_cascade",
         15,
-        15_353,
+        4_588,
         actor_link_cascade,
         |out| match &out.result {
             Ok(2) => None,
@@ -886,7 +1084,7 @@ fn send_and_tell(ch: Chan<i64>, v: u8) -> Io<()> {
     ch.send(i64::from(v)).then(Io::put_char((b'0' + v) as char))
 }
 
-/// 18. Main kills a sender (items 1 then 2, each announced once its
+/// 20. Main kills a sender (items 1 then 2, each announced once its
 ///     `send` returns) and a receiver (two items, each logged under the
 ///     same mask as its `recv`, so the receiver cannot die holding one)
 ///     at every step of both; when all is quiet it sends 99 and reads
@@ -944,7 +1142,7 @@ fn corpus_chan_ends_under_kill() {
     );
 }
 
-/// 19. Two senders and nobody else receiving: a forked one (item 1,
+/// 21. Two senders and nobody else receiving: a forked one (item 1,
 ///     killed by main at every step) races main (item 2). The moment
 ///     main's own `send` has returned, a `try_recv` must find an item —
 ///     whatever the other sender is in the middle of. Returns that
@@ -999,7 +1197,7 @@ fn corpus_chan_send_is_visible_on_return() {
 // under preemption bound 2 like the Chan program above (unbounded DPOR
 // does not finish it in 300 000 schedules either).
 
-/// 20. Main is the holder: it takes the one unit of `Sem::new(1)` before
+/// 22. Main is the holder: it takes the one unit of `Sem::new(1)` before
 ///     anyone else runs. A waiter queues for it and a signaller hands it
 ///     back on main's behalf; each notes success in a cell of its own
 ///     under the same mask as the operation, so neither can die between

@@ -248,7 +248,7 @@ fn pinned_b9_counts_hold_for_every_reduction_bound_and_worker_count() {
         (sleep_sets(None), 4_223, 1_791),
         (sleep_sets(Some(2)), 218, 89),
         (sleep_sets(Some(0)), 16, 0),
-        (Reduction::Dpor, 355, 212),
+        (Reduction::Dpor, 190, 280),
     ] {
         let sequential = space(reduction)
             .check(|| any_outcome(three_thread_mvar_throwto))
@@ -389,7 +389,7 @@ fn pinned_x1_log_fanin_five_threads() {
     let sleep = complete_counts(Reduction::default(), || log_fanin(4, 4));
     let dpor = complete_counts(Reduction::Dpor, || log_fanin(4, 4));
     assert_eq!(sleep, (806_534, 67_665, 0, 0));
-    assert_eq!(dpor, (50_983, 25_297, 396_951, 58_843));
+    assert_eq!(dpor, (127, 920, 508, 204));
     assert!(sleep.0 >= 15 * dpor.0);
 }
 
@@ -399,7 +399,7 @@ fn pinned_x1_accept_loop_two_clients() {
     let sleep = complete_counts(Reduction::default(), || accept_loop(2));
     let dpor = complete_counts(Reduction::Dpor, || accept_loop(2));
     assert_eq!(sleep, (926_204, 492_531, 0, 0));
-    assert_eq!(dpor, (20_024, 26_867, 217_037, 23_604));
+    assert_eq!(dpor, (6_706, 40_797, 69_223, 10_316));
 }
 
 /// DPOR only: sleep sets do not finish this space inside the 2 M cap,
@@ -408,7 +408,7 @@ fn pinned_x1_accept_loop_two_clients() {
 #[ignore = "release"]
 fn pinned_x1_pipeline_three_stages() {
     let dpor = complete_counts(Reduction::Dpor, || pipeline(3));
-    assert_eq!(dpor, (34_037, 46_840, 284_008, 46_924));
+    assert_eq!(dpor, (1_752, 10_581, 9_421, 2_100));
 }
 
 // ---------------------------------------------------------------------
