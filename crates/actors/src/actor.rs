@@ -328,13 +328,17 @@ impl<M: FromValue + IntoValue + 'static> ActorRef<M> {
         self.mailbox.send(m)
     }
 
-    /// The recorded exit reason, or `None` while the actor lives.
-    /// "Dead" here means the shell has *committed* its exit — the
-    /// strongest fact the no-orphan audits poll for.
-    pub fn exit_reason(&self) -> Io<Option<ExitReason>> {
-        modify_mvar_pure(self.ctl, |state| match state {
-            Ctl::Alive(_) => None,
-            Ctl::Dead(reason) => Some(reason.clone()),
+    /// Waits for the actor's exit and returns its reason: a [`monitor`]
+    /// into a fresh one-slot mailbox, then one blocking `recv`. The
+    /// `Down` is sent once the shell has *committed* the exit, so an
+    /// actor that never exits leaves its joiner blocked — a deadlock the
+    /// runtime names — not polling.
+    pub fn join(&self) -> Io<ExitReason> {
+        let me = *self;
+        Mailbox::<Down>::new(1).and_then(move |watcher| {
+            monitor(&me, watcher, 0)
+                .then(watcher.recv())
+                .map(|down| down.reason)
         })
     }
 
@@ -395,17 +399,9 @@ mod tests {
         );
     }
 
-    /// Polls until the actor records an exit reason (tests only).
-    fn wait_dead<M: FromValue + IntoValue + 'static>(a: ActorRef<M>) -> Io<ExitReason> {
-        a.exit_reason().and_then(move |r| match r {
-            Some(r) => Io::pure(r),
-            None => Io::sleep(10).then(wait_dead(a)),
-        })
-    }
-
     #[test]
     fn normal_exit_records_reason() {
-        let got = run(spawn_actor(1, |_mb: Mailbox<i64>| Io::unit()).and_then(wait_dead));
+        let got = run(spawn_actor(1, |_mb: Mailbox<i64>| Io::unit()).and_then(|a| a.join()));
         assert_eq!(got, ExitReason::Normal);
     }
 
@@ -414,7 +410,7 @@ mod tests {
         let got = run(spawn_actor(1, |_mb: Mailbox<i64>| {
             Io::throw(Exception::error_call("boom"))
         })
-        .and_then(wait_dead));
+        .and_then(|a| a.join()));
         assert_eq!(
             got,
             ExitReason::Crashed(Box::new(Exception::error_call("boom")))
@@ -424,7 +420,7 @@ mod tests {
     #[test]
     fn kill_records_killed() {
         let got = run(spawn_actor(1, |mb: Mailbox<i64>| mb.recv().map(|_| ()))
-            .and_then(|a| a.kill_sync().then(wait_dead(a))));
+            .and_then(|a| a.kill_sync().then(a.join())));
         assert_eq!(got, ExitReason::Killed);
     }
 
@@ -449,9 +445,7 @@ mod tests {
         let got = run(Mailbox::<Down>::new(2).and_then(|watcher| {
             spawn_actor(1, |_mb: Mailbox<i64>| Io::unit()).and_then(move |a| {
                 // Wait until the exit has committed, then register.
-                wait_dead(a)
-                    .then(monitor(&a, watcher, 7))
-                    .then(watcher.recv())
+                a.join().then(monitor(&a, watcher, 7)).then(watcher.recv())
             })
         }));
         assert_eq!(
@@ -472,7 +466,7 @@ mod tests {
                 spawn_actor(1, |_mb: Mailbox<i64>| {
                     Io::throw(Exception::error_call("crash"))
                 })
-                .and_then(move |a| link(&a, &b).then(wait_dead(b)))
+                .and_then(move |a| link(&a, &b).then(b.join()))
             }),
         );
         match got {
@@ -493,7 +487,7 @@ mod tests {
         })
         .and_then(|b| {
             spawn_actor(1, |_mb: Mailbox<i64>| Io::throw(Exception::error_call("x")))
-                .and_then(move |a| link(&a, &b).then(wait_dead(b)))
+                .and_then(move |a| link(&a, &b).then(b.join()))
         }));
         // The trapping actor observed the signal and finished normally.
         assert_eq!(got, ExitReason::Normal);
@@ -505,10 +499,10 @@ mod tests {
             spawn_actor(1, |mb: Mailbox<i64>| mb.recv().map(|_| ())).and_then(|b| {
                 spawn_actor(1, |_mb: Mailbox<i64>| Io::unit()).and_then(move |a| {
                     link(&a, &b)
-                        .then(wait_dead(a))
+                        .then(a.join())
                         // b must still be alive and serviceable.
                         .then(b.send(1))
-                        .then(wait_dead(b))
+                        .then(b.join())
                 })
             }),
         );

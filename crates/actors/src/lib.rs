@@ -37,7 +37,7 @@ pub mod mailbox;
 pub mod supervisor;
 
 pub use actor::{link, monitor, spawn_actor, spawn_actor_on, ActorRef, Down, Signal};
-pub use mailbox::{Mailbox, POLL_INTERVAL};
+pub use mailbox::Mailbox;
 pub use supervisor::{
     child_spec, spawn_supervisor, supervisor_child, ChildSpec, Strategy, Supervisor, SupervisorSpec,
 };

@@ -1,8 +1,8 @@
 //! Typed bounded mailboxes.
 //!
 //! A [`Mailbox<M>`] is the actor layer's message queue: a bounded FIFO
-//! whose *entire* state — queue contents and capacity — lives in one
-//! `MVar`, manipulated only by §7.4 masked take→mutate→put
+//! whose *entire* state — queue contents, capacity and waiter counts —
+//! lives in one `MVar`, manipulated only by §7.4 masked take→mutate→put
 //! transactions ([`modify_mvar_pure`]). That single-cell design is what
 //! makes the mailbox kill-safe:
 //!
@@ -24,30 +24,39 @@
 //!   interleaving the fix closes, and proves `recv` has no such
 //!   schedule.
 //!
-//! Waiting is by polling: a full `send` / empty `recv` sleeps
-//! [`POLL_INTERVAL`] virtual microseconds and retries. Polling costs
-//! nothing in virtual time (the clock only advances when every thread
-//! is blocked) and dodges the abandoned-waiter-cell pathologies of
-//! real wait queues under `KillThread` storms; the trade-off is that a
-//! sleeping poller holds no claim at all, so a kill landing in the
-//! sleep loses neither messages nor capacity.
+//! Waiting blocks. A full `send` or an empty `recv` counts itself in
+//! the state (`senders` / `receivers`), takes a signal `MVar` —
+//! `nonfull` or `nonempty` — and tries again. A commit fills the signal
+//! of the other side when that side has a waiter counted, as the tail of
+//! its own masked section ([`modify_mvar_then`]), so no kill separates a
+//! commit from its wake-up. A signal holds one token, so wake-ups that
+//! land before their waiter takes them collapse into one; a commit that
+//! still leaves messages (or room) behind for a counted waiter fills the
+//! signal again. A waiter killed between taking the token and committing
+//! puts it back; one killed while it waits stays counted, which costs
+//! nothing but a spare token later. A spare token only costs its taker
+//! one more try. So a receiver that nothing will ever send to is
+//! blocked, not polling, and a program wedged that way ends in
+//! `RunError::Deadlock` with the receiver named.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 
-use conch_combinators::modify_mvar_pure;
+use conch_combinators::{modify_mvar_pure, modify_mvar_then};
 use conch_runtime::exception::ExceptionKind;
 use conch_runtime::host_value;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::{FromValue, IntoValue, Value};
+use conch_runtime::RaiseOrigin;
 
 use crate::actor::Signal;
 
-/// Virtual microseconds between polls of a full (send) or empty
-/// (recv) mailbox. Large relative to a scheduler step so explored
-/// programs spend few branch points idling, irrelevant to wall time.
-pub const POLL_INTERVAL: u64 = 25;
+/// Kept for `crates/benchmark`'s `httpd_keepalive` makespan check
+/// (`per_shard·gap + POLL_INTERVAL`), its one reader. No mailbox polls
+/// any more: a receiver blocks, and the last connection is taken at
+/// once.
+pub const POLL_INTERVAL: u64 = 0;
 
 /// A bounded multi-producer multi-consumer FIFO mailbox carrying
 /// messages of type `M`.
@@ -103,20 +112,73 @@ impl<M> PartialEq for Mailbox<M> {
 struct MailboxState {
     queue: VecDeque<Value>,
     capacity: i64,
+    /// Filled for a waiting receiver: a message may be queued.
+    nonempty: MVar<()>,
+    /// Filled for a waiting sender: a slot may be free.
+    nonfull: MVar<()>,
+    /// Receivers that found the queue empty and have not tried again.
+    receivers: i64,
+    /// Senders that found the queue full and have not tried again.
+    senders: i64,
 }
 
 host_value!(MailboxState);
 host_value!(<M> Mailbox<M>);
 
+/// Who runs a transaction: a `try_` call, which never waits, or a
+/// waiting call, on its first try or woken by a signal.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Caller {
+    Try,
+    First,
+    Woken,
+}
+
+/// The signal cells a commit must fill.
+type Wake = [Option<MVar<()>>; 2];
+
 impl MailboxState {
-    /// Pushes `v` if there is room; a full mailbox hands it back.
-    fn offer(&mut self, v: Value) -> Option<Value> {
-        if self.free_slots() > 0 {
-            self.queue.push_back(v);
-            None
-        } else {
-            Some(v)
+    /// Pushes `v` if there is room and says whom to wake: a receiver if
+    /// one waits, and the next sender if one waits and room is left. A
+    /// full mailbox hands `v` back with the signal to wait on, and
+    /// counts a waiting caller in.
+    fn offer(&mut self, v: Value, caller: Caller) -> Result<Wake, (Value, MVar<()>)> {
+        self.senders -= i64::from(caller == Caller::Woken);
+        if self.free_slots() == 0 {
+            self.senders += i64::from(caller != Caller::Try);
+            return Err((v, self.nonfull));
         }
+        self.queue.push_back(v);
+        Ok(self.wake(
+            self.receivers > 0,
+            self.senders > 0 && self.free_slots() > 0,
+        ))
+    }
+
+    /// Pops the oldest message and says whom to wake: the next receiver
+    /// if one waits and messages are left, and a sender if one waits. An
+    /// empty mailbox gives the signal to wait on, and counts a waiting
+    /// caller in.
+    fn pop(&mut self, caller: Caller) -> Result<(Value, Wake), MVar<()>> {
+        self.receivers -= i64::from(caller == Caller::Woken);
+        let Some(v) = self.queue.pop_front() else {
+            self.receivers += i64::from(caller != Caller::Try);
+            return Err(self.nonempty);
+        };
+        Ok((
+            v,
+            self.wake(
+                self.receivers > 0 && !self.queue.is_empty(),
+                self.senders > 0,
+            ),
+        ))
+    }
+
+    fn wake(&self, receiver: bool, sender: bool) -> Wake {
+        [
+            receiver.then_some(self.nonempty),
+            sender.then_some(self.nonfull),
+        ]
     }
 
     fn free_slots(&self) -> i64 {
@@ -124,17 +186,41 @@ impl MailboxState {
     }
 }
 
-fn send_loop(state: MVar<MailboxState>, v: Value) -> Io<()> {
-    modify_mvar_pure(state, move |st| st.offer(v)).and_then(move |rejected| match rejected {
-        None => Io::unit(),
-        Some(v) => Io::sleep(POLL_INTERVAL).then(send_loop(state, v)),
+/// Fills the signals a commit owes, then runs `rest`: the tail of the
+/// committing masked section ([`modify_mvar_then`]), so no kill
+/// separates a commit from its wake-up.
+fn wake<T: 'static>(owed: Wake, rest: Io<T>) -> Io<T> {
+    let fill = |rest: Io<T>, signal: MVar<()>| signal.try_put(()).then(rest);
+    owed.into_iter().flatten().rev().fold(rest, fill)
+}
+
+/// Takes the token from `signal`, then runs `retry`. An exception that
+/// lands in `retry` before its commit puts the token back for the next
+/// waiter and is re-raised as it came.
+fn await_signal<T: 'static>(signal: MVar<()>, retry: impl FnOnce() -> Io<T> + 'static) -> Io<T> {
+    signal.take().and_then(move |_| {
+        retry().catch_info(move |e, origin: RaiseOrigin| {
+            signal.try_put(()).then(Io::rethrow(e, origin))
+        })
     })
 }
 
-fn recv_loop(state: MVar<MailboxState>) -> Io<Value> {
-    modify_mvar_pure(state, |st| st.queue.pop_front()).and_then(move |got| match got {
-        Some(v) => Io::pure(v),
-        None => Io::sleep(POLL_INTERVAL).then(recv_loop(state)),
+/// One masked send: commit and wake, or wait on `nonfull` and try again.
+fn send_value(state: MVar<MailboxState>, v: Value, caller: Caller) -> Io<()> {
+    let offer = move |st: &mut MailboxState| st.offer(v, caller);
+    modify_mvar_then(state, offer, move |r| match r {
+        Ok(owed) => wake(owed, Io::unit()),
+        Err((v, nonfull)) => await_signal(nonfull, move || send_value(state, v, Caller::Woken)),
+    })
+}
+
+/// One masked receive: commit and wake, or wait on `nonempty` and try
+/// again.
+fn recv_value(state: MVar<MailboxState>, caller: Caller) -> Io<Value> {
+    let pop = move |st: &mut MailboxState| st.pop(caller);
+    modify_mvar_then(state, pop, move |got| match got {
+        Ok((v, owed)) => wake(owed, Io::pure(v)),
+        Err(nonempty) => await_signal(nonempty, move || recv_value(state, Caller::Woken)),
     })
 }
 
@@ -142,13 +228,21 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     /// Creates a mailbox holding at most `capacity` messages
     /// (clamped to at least 1).
     pub fn new(capacity: i64) -> Io<Mailbox<M>> {
-        let empty = MailboxState {
-            queue: VecDeque::new(),
-            capacity: capacity.max(1),
-        };
-        Io::new_mvar(empty).map(|state| Mailbox {
-            state,
-            marker: PhantomData,
+        Io::new_empty_mvar().and_then(move |nonempty| {
+            Io::new_empty_mvar().and_then(move |nonfull| {
+                let empty = MailboxState {
+                    queue: VecDeque::new(),
+                    capacity: capacity.max(1),
+                    nonempty,
+                    nonfull,
+                    receivers: 0,
+                    senders: 0,
+                };
+                Io::new_mvar(empty).map(|state| Mailbox {
+                    state,
+                    marker: PhantomData,
+                })
+            })
         })
     }
 
@@ -157,14 +251,18 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     /// so a kill landing mid-`send` either left the message out
     /// entirely or delivered it entirely.
     pub fn send(&self, m: M) -> Io<()> {
-        send_loop(self.state, m.into_value())
+        send_value(self.state, m.into_value(), Caller::First)
     }
 
     /// Enqueues `m` if there is room, never waiting. Returns whether
     /// the message was accepted — `false` is the signal to shed load.
     pub fn try_send(&self, m: M) -> Io<bool> {
         let v = m.into_value();
-        modify_mvar_pure(self.state, move |st| st.offer(v).is_none())
+        let offer = move |st: &mut MailboxState| st.offer(v, Caller::Try);
+        modify_mvar_then(self.state, offer, |r| match r {
+            Ok(owed) => wake(owed, Io::pure(true)),
+            Err(_) => Io::pure(false),
+        })
     }
 
     /// Dequeues the oldest message, waiting while the mailbox is
@@ -174,18 +272,22 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     /// the message to the caller — runs inside one `block` section:
     /// the masked take→deliver window. An asynchronous exception can
     /// only land while the receiver still waits (transaction take
-    /// blocked, or sleeping between polls), in which case the message
-    /// is still in the mailbox. A caller that must also protect the
+    /// blocked, or blocked on the `nonempty` signal), in which case the
+    /// message is still in the mailbox. A caller that must also protect the
     /// first step of *processing* runs `recv().and_then(handle)` under
     /// its own mask, as the actor shell does.
     pub fn recv(&self) -> Io<M> {
-        Io::block(recv_loop(self.state)).map(M::from_value_or_panic)
+        recv_value(self.state, Caller::First).map(M::from_value_or_panic)
     }
 
     /// Dequeues the oldest message if there is one, never waiting.
     pub fn try_recv(&self) -> Io<Option<M>> {
-        modify_mvar_pure(self.state, |st| st.queue.pop_front())
-            .map(|got: Option<Value>| got.map(M::from_value_or_panic))
+        let pop = |st: &mut MailboxState| st.pop(Caller::Try);
+        modify_mvar_then(self.state, pop, |got| match got {
+            Ok((v, owed)) => wake(owed, Io::pure(Some(v))),
+            Err(_) => Io::pure(None),
+        })
+        .map(|got: Option<Value>| got.map(M::from_value_or_panic))
     }
 
     /// Like [`recv`](Self::recv), but converts an
@@ -197,7 +299,7 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     /// inside this catch. `KillThread` is not trapped; like Erlang's
     /// `exit(Pid, kill)` it always terminates.
     pub fn recv_trapping(&self) -> Io<Signal<M>> {
-        Io::block(recv_loop(self.state))
+        recv_value(self.state, Caller::First)
             .map(|v| Signal::Msg(M::from_value_or_panic(v)))
             .catch(|e| {
                 if let ExceptionKind::ExitSignal { from, reason } = e.kind() {
@@ -236,9 +338,41 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
 mod tests {
     use super::*;
     use conch_runtime::scheduler::Runtime;
+    use conch_runtime::{RunError, RuntimeConfig};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn run<T: FromValue + IntoValue + 'static>(io: Io<T>) -> T {
         Runtime::new().run(io).unwrap()
+    }
+
+    /// A receiver that nothing will ever send to is blocked, not
+    /// polling: the run ends in `RunError::Deadlock`, and the stuck set
+    /// names the receiver, blocked in a `takeMVar`.
+    /// (A receiver that slept and retried would run into the step
+    /// budget instead.)
+    #[test]
+    fn a_receiver_nothing_sends_to_is_a_named_deadlock() {
+        let seen = Rc::new(Cell::new(None));
+        let note = Rc::clone(&seen);
+        let prog = Mailbox::<i64>::new(1).and_then(move |mb| {
+            Io::new_empty_mvar::<i64>().and_then(move |out| {
+                Io::fork(mb.recv().and_then(move |v| out.put(v))).and_then(move |receiver| {
+                    Io::effect(move || note.set(Some(receiver))).then(out.take())
+                })
+            })
+        });
+        let mut rt = Runtime::with_config(RuntimeConfig::default().max_steps(100_000));
+        let result = rt.run(prog);
+        let receiver = seen.get().expect("the receiver was forked");
+        let Err(RunError::Deadlock { stuck }) = result else {
+            panic!("expected a deadlock, got {result:?}");
+        };
+        let why = stuck.iter().find(|(t, _)| *t == receiver);
+        assert!(
+            why.is_some_and(|(_, why)| why.starts_with("blocked in takeMVar")),
+            "{stuck:?}"
+        );
     }
 
     #[test]

@@ -128,7 +128,8 @@ impl Supervisor {
     /// A restarted incarnation can run before it is listed: a restart
     /// removes the old incarnation, then spawns, monitors and records
     /// the new one, so in between the list lacks that index. An audit
-    /// that needs the restarted child polls until it is named.
+    /// that needs the restarted child has the child's start announce it
+    /// instead.
     pub fn child_refs(&self) -> Io<Vec<ActorRef<Value>>> {
         modify_mvar_pure(self.children_cell, |kids| {
             kids.0.iter().map(|(_, c)| *c).collect()
@@ -312,6 +313,7 @@ pub fn supervisor_child(spec: SupervisorSpec) -> ChildSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::spawn_actor_on;
     use conch_explore::{
         self as explore, ExploreConfig, Explorer, Reduction, RunOutcome, TestCase,
     };
@@ -323,71 +325,91 @@ mod tests {
         Runtime::new().run(io).unwrap()
     }
 
-    /// A counter worker: `Inc` (any message) adds 2 to the shared cell
-    /// in one masked transaction; message `-1` makes it crash.
-    fn counter_child(state: MVar<i64>, inbox: Mailbox<i64>) -> ChildSpec {
+    /// A counter worker: any message adds 2 to the shared cell and fills
+    /// `bumped` for the test thread, its one waiter, in one masked
+    /// section; message `-1` makes it crash. Each incarnation announces
+    /// itself and its spec index on `born` as it starts.
+    fn counter_child(
+        state: MVar<i64>,
+        bumped: MVar<()>,
+        inbox: Mailbox<i64>,
+        born: Mailbox<(i64, ActorRef<Value>)>,
+        idx: i64,
+    ) -> ChildSpec {
         child_spec(move || {
-            spawn_actor_on(inbox, move |mb: Mailbox<i64>| counter_loop(mb, state))
-                .map(|a| a.erase())
+            spawn_actor_on(inbox, move |mb: Mailbox<i64>| {
+                counter_loop(mb, state, bumped)
+            })
+            .and_then(move |a| born.send((idx, a.erase())).map(move |_| a.erase()))
         })
     }
 
-    fn counter_loop(mb: Mailbox<i64>, state: MVar<i64>) -> Io<()> {
+    fn counter_loop(mb: Mailbox<i64>, state: MVar<i64>, bumped: MVar<()>) -> Io<()> {
         mb.recv().and_then(move |msg| {
             if msg < 0 {
                 Io::throw(Exception::error_call("poison"))
             } else {
-                Io::block(state.take().and_then(move |n| state.put(n + 2)))
-                    .then(counter_loop(mb, state))
+                let bump = state.take().and_then(move |n| state.put(n + 2));
+                Io::block(bump.then(bumped.try_put(()))).then(counter_loop(mb, state, bumped))
             }
         })
     }
 
-    fn wait_counter(state: MVar<i64>, at_least: i64) -> Io<i64> {
+    /// Blocks until the counter reaches `at_least`.
+    fn wait_counter(state: MVar<i64>, bumped: MVar<()>, at_least: i64) -> Io<i64> {
         Io::block(state.take().and_then(move |n| state.put(n).map(move |_| n))).and_then(move |n| {
             if n >= at_least {
                 Io::pure(n)
             } else {
-                Io::sleep(20).then(wait_counter(state, at_least))
+                bumped.take().then(wait_counter(state, bumped, at_least))
             }
         })
     }
 
-    use crate::actor::spawn_actor_on;
+    /// Runs `body` with a fresh counter, its signal, and a `born` box.
+    fn with_counter<T: FromValue + IntoValue + 'static>(
+        body: impl FnOnce(MVar<i64>, MVar<()>, Mailbox<(i64, ActorRef<Value>)>) -> Io<T> + 'static,
+    ) -> T {
+        run(Io::new_mvar(0_i64).and_then(|state| {
+            Io::new_empty_mvar().and_then(move |bumped| {
+                Mailbox::new(8).and_then(move |born| body(state, bumped, born))
+            })
+        }))
+    }
 
     #[test]
     fn one_for_one_restarts_crashed_child_and_keeps_state() {
-        let got = run(Io::new_mvar(0_i64).and_then(|state| {
+        let got = with_counter(|state, bumped, born| {
             Mailbox::<i64>::new(8).and_then(move |inbox| {
                 let spec = SupervisorSpec::new(Strategy::OneForOne)
                     .intensity(5, 1_000_000)
-                    .child(counter_child(state, inbox));
+                    .child(counter_child(state, bumped, inbox, born, 0));
                 spawn_supervisor(spec).and_then(move |sup| {
                     inbox
                         .send(1) // +2
                         .then(inbox.send(-1)) // crash
                         .then(inbox.send(1)) // +2, served by the restart
-                        .then(wait_counter(state, 4))
+                        .then(wait_counter(state, bumped, 4))
                         .and_then(move |n| sup.shutdown_sync().map(move |_| n))
                 })
             })
-        }));
+        });
         assert_eq!(got, 4);
     }
 
     #[test]
     fn give_up_after_intensity_exceeded() {
-        let got = run(Io::new_mvar(0_i64).and_then(|state| {
+        let got = with_counter(|state, bumped, born| {
             Mailbox::<i64>::new(8).and_then(move |inbox| {
                 let spec = SupervisorSpec::new(Strategy::OneForOne)
                     .intensity(1, 1_000_000)
-                    .child(counter_child(state, inbox));
+                    .child(counter_child(state, bumped, inbox, born, 0));
                 spawn_supervisor(spec).and_then(move |sup| {
                     // Two crashes within the window exceed a budget of 1.
-                    inbox.send(-1).then(inbox.send(-1)).then(wait_sup_dead(sup))
+                    inbox.send(-1).then(inbox.send(-1)).then(sup.actor.join())
                 })
             })
-        }));
+        });
         match got {
             ExitReason::Crashed(e) => {
                 assert_eq!(
@@ -399,65 +421,65 @@ mod tests {
         }
     }
 
-    fn wait_sup_dead(sup: Supervisor) -> Io<ExitReason> {
-        sup.actor.exit_reason().and_then(move |r| match r {
-            Some(r) => Io::pure(r),
-            None => Io::sleep(20).then(wait_sup_dead(sup)),
-        })
+    /// Takes announcements off `born` into `seqs` (the thread at each
+    /// spec index) until `done` holds of them and of how many it took.
+    fn births(
+        born: Mailbox<(i64, ActorRef<Value>)>,
+        mut seqs: Vec<i64>,
+        took: usize,
+        done: impl Fn(&[i64], usize) -> bool + 'static,
+    ) -> Io<Vec<i64>> {
+        if done(&seqs, took) {
+            return Io::pure(seqs);
+        }
+        born.recv()
+            .and_then(move |(idx, child): (i64, ActorRef<Value>)| {
+                seqs[idx as usize] = child.tid().index() as i64;
+                births(born, seqs, took + 1, done)
+            })
     }
 
-    fn incarnation_seqs(sup: Supervisor) -> Io<Vec<i64>> {
-        sup.child_refs()
-            .map(|refs| refs.iter().map(|c| c.tid().index() as i64).collect())
-    }
-
-    fn wait_children(sup: Supervisor, n: usize) -> Io<Vec<i64>> {
-        incarnation_seqs(sup).and_then(move |seqs| {
-            if seqs.len() == n {
-                Io::pure(seqs)
-            } else {
-                Io::sleep(20).then(wait_children(sup, n))
-            }
-        })
-    }
-
-    /// Crashes the child at `idx` (via its own mailbox poison) and
-    /// waits until every child slot holds a live, *settled* pool.
+    /// Crashes the child at index 1 (via its own mailbox poison) and
+    /// returns the incarnations before and after. The restart round is
+    /// over once child 1 is reborn and the supervisor waits again, which
+    /// is where `shutdown_sync` can first reach it; the births it
+    /// announced by then are the round's.
     fn seq_change_matrix(strategy: Strategy) -> (Vec<i64>, Vec<i64>) {
-        run(Io::new_mvar(0_i64).and_then(move |state| {
-            Mailbox::<i64>::new(4).and_then(move |poison_box| {
-                // Three children, each with its own mailbox; child 1
-                // gets the poison.
-                Mailbox::<i64>::new(4).and_then(move |mb0| {
-                    Mailbox::<i64>::new(4).and_then(move |mb2| {
+        with_counter(move |state, bumped, born| {
+            let mailboxes = [Mailbox::<i64>::new(4), Mailbox::new(4), Mailbox::new(4)];
+            let [mb0, poison_box, mb2] = mailboxes;
+            mb0.and_then(move |mb0| {
+                poison_box.and_then(move |poison_box| {
+                    mb2.and_then(move |mb2| {
                         let spec = SupervisorSpec::new(strategy)
                             .intensity(5, 1_000_000)
-                            .child(counter_child(state, mb0))
-                            .child(counter_child(state, poison_box))
-                            .child(counter_child(state, mb2));
+                            .child(counter_child(state, bumped, mb0, born, 0))
+                            .child(counter_child(state, bumped, poison_box, born, 1))
+                            .child(counter_child(state, bumped, mb2, born, 2));
                         spawn_supervisor(spec).and_then(move |sup| {
-                            wait_children(sup, 3).and_then(move |before| {
-                                poison_box.send(-1).then(
-                                    wait_restart(sup, before.clone())
-                                        .map(move |after| (before, after)),
-                                )
-                            })
+                            births(born, vec![0; 3], 0, |_, took| took == 3).and_then(
+                                move |before| {
+                                    let old = before[1];
+                                    let reborn = move |seqs: &[i64], _| seqs[1] != old;
+                                    poison_box
+                                        .send(-1)
+                                        .then(births(born, before.clone(), 0, reborn))
+                                        .and_then(move |after| {
+                                            sup.shutdown_sync()
+                                                .then(born.len())
+                                                .and_then(move |late| {
+                                                    let seen =
+                                                        move |_: &[i64], took| took as i64 == late;
+                                                    births(born, after, 0, seen)
+                                                })
+                                                .map(move |after| (before, after))
+                                        })
+                                },
+                            )
                         })
                     })
                 })
             })
-        }))
-    }
-
-    /// Waits until child 1's incarnation differs from `before[1]` and
-    /// three children are live again.
-    fn wait_restart(sup: Supervisor, before: Vec<i64>) -> Io<Vec<i64>> {
-        incarnation_seqs(sup).and_then(move |after| {
-            if after.len() == 3 && after[1] != before[1] {
-                Io::pure(after)
-            } else {
-                Io::sleep(20).then(wait_restart(sup, before))
-            }
         })
     }
 
@@ -487,72 +509,62 @@ mod tests {
 
     #[test]
     fn shutdown_leaves_no_orphans() {
-        let got = run(Io::new_mvar(0_i64).and_then(|state| {
+        let got = with_counter(|state, bumped, born| {
             Mailbox::<i64>::new(4).and_then(move |inbox| {
-                let spec =
-                    SupervisorSpec::new(Strategy::OneForOne).child(counter_child(state, inbox));
+                let spec = SupervisorSpec::new(Strategy::OneForOne)
+                    .child(counter_child(state, bumped, inbox, born, 0));
                 spawn_supervisor(spec).and_then(move |sup| {
-                    wait_children(sup, 1).and_then(move |_| {
-                        sup.child_refs().and_then(move |kids| {
-                            let kid = kids[0];
-                            sup.shutdown_sync().then(wait_ref_dead(kid))
+                    born.recv()
+                        .and_then(move |(_, kid): (i64, ActorRef<Value>)| {
+                            sup.shutdown_sync().then(kid.join())
                         })
-                    })
                 })
             })
-        }));
+        });
         assert_eq!(got, ExitReason::Killed);
-    }
-
-    fn wait_ref_dead(a: ActorRef<Value>) -> Io<ExitReason> {
-        a.exit_reason().and_then(move |r| match r {
-            Some(r) => Io::pure(r),
-            None => Io::sleep(20).then(wait_ref_dead(a)),
-        })
     }
 
     /// ROADMAP's reproduction of the orphaned-children bug: the exit
     /// guard's sweep is stuck in a `kill_sync` — its target is masked
     /// and computing — when a second kill strikes the supervisor. The
-    /// retry must still find, and kill, every child.
+    /// retry must still find, and kill, every child: an orphan would
+    /// leave its `join` blocked for ever, a deadlock.
     #[test]
     fn a_second_kill_mid_sweep_orphans_no_child() {
-        fn busy_child() -> ChildSpec {
-            child_spec(|| {
+        /// Starts masked and computing, so a `kill_sync` aimed at it has
+        /// to wait; its start announces it on `born`.
+        fn busy_child(born: Mailbox<ActorRef<Value>>) -> ChildSpec {
+            child_spec(move || {
                 spawn_actor(1, |mb: Mailbox<i64>| {
-                    Io::compute(400).then(mb.recv().map(|_| ()))
+                    Io::compute(40).then(mb.recv().map(|_| ()))
                 })
-                .map(|a| a.erase())
-            })
-        }
-        /// 1 once `a` has recorded an exit, 0 if it never does.
-        fn exited(a: ActorRef<Value>, polls: u32) -> Io<i64> {
-            a.exit_reason().and_then(move |r| match r {
-                Some(_) => Io::pure(1),
-                None if polls == 0 => Io::pure(0),
-                None => Io::sleep(20).then(exited(a, polls - 1)),
+                .and_then(move |a| born.send(a.erase()).map(move |_| a.erase()))
             })
         }
         let case = || {
-            let spec = SupervisorSpec::new(Strategy::OneForOne)
-                .child(busy_child())
-                .child(busy_child());
-            let prog = spawn_supervisor(spec).and_then(|sup| {
-                wait_children(sup, 2)
-                    .then(sup.child_refs())
-                    .and_then(move |kids| {
-                        sup.shutdown_sync()
-                            .then(Io::yield_now())
-                            .then(Io::yield_now())
-                            .then(Io::yield_now())
-                            .then(Io::throw_to(sup.actor.tid(), Exception::kill_thread()))
-                            .then(exited(kids[0], 100))
-                            .and_then(move |a| exited(kids[1], 100).map(move |b| vec![a, b]))
+            let prog = Mailbox::new(2).and_then(|born| {
+                let spec = SupervisorSpec::new(Strategy::OneForOne)
+                    .child(busy_child(born))
+                    .child(busy_child(born));
+                spawn_supervisor(spec).and_then(move |sup| {
+                    born.recv().and_then(move |a| {
+                        born.recv().and_then(move |b| {
+                            sup.shutdown_sync()
+                                .then(Io::yield_now())
+                                .then(Io::yield_now())
+                                .then(Io::yield_now())
+                                .then(Io::throw_to(sup.actor.tid(), Exception::kill_thread()))
+                                .then(a.join())
+                                .and_then(move |a| b.join().map(move |b| vec![a, b]))
+                        })
                     })
+                })
             });
-            TestCase::new(prog, |out: &RunOutcome<Vec<i64>>| match &out.result {
-                Ok(v) if v == &vec![1, 1] => Ok(()),
-                other => Err(format!("a child was orphaned: {other:?}")),
+            TestCase::new(prog, |out: &RunOutcome<Vec<ExitReason>>| {
+                match &out.result {
+                    Ok(v) if v == &vec![ExitReason::Killed, ExitReason::Killed] => Ok(()),
+                    other => Err(format!("a child was orphaned: {other:?}")),
+                }
             })
         };
         let explorer = Explorer::with_config(ExploreConfig {
@@ -565,7 +577,11 @@ mod tests {
         });
         let result = explorer.check(case);
         let report = result.expect_pass();
-        assert_eq!((report.explored, report.complete), (464, true), "{report}");
+        assert_eq!(
+            (report.explored, report.complete),
+            (1_192, true),
+            "{report}"
+        );
     }
 
     #[test]
@@ -573,29 +589,29 @@ mod tests {
         // Root supervises a child supervisor which supervises a
         // counter. Killing the mid supervisor restarts the subtree and
         // service resumes on the same mailbox.
-        let got = run(Io::new_mvar(0_i64).and_then(|state| {
+        let got = with_counter(|state, bumped, born| {
             Mailbox::<i64>::new(8).and_then(move |inbox| {
                 let mid = SupervisorSpec::new(Strategy::OneForOne)
                     .intensity(5, 1_000_000)
-                    .child(counter_child(state, inbox));
+                    .child(counter_child(state, bumped, inbox, born, 0));
                 let root_spec = SupervisorSpec::new(Strategy::OneForOne)
                     .intensity(5, 1_000_000)
                     .child(supervisor_child(mid));
                 spawn_supervisor(root_spec).and_then(move |root| {
-                    inbox.send(1).then(wait_counter(state, 2)).then(
+                    inbox.send(1).then(wait_counter(state, bumped, 2)).then(
                         // Kill the mid supervisor (root's only child).
                         root.child_refs().and_then(move |kids| {
                             kids[0].kill_sync().then(
                                 inbox
                                     .send(1)
-                                    .then(wait_counter(state, 4))
+                                    .then(wait_counter(state, bumped, 4))
                                     .and_then(move |n| root.shutdown_sync().map(move |_| n)),
                             )
                         }),
                     )
                 })
             })
-        }));
+        });
         assert_eq!(got, 4);
     }
 }

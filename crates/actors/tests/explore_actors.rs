@@ -28,14 +28,14 @@
 
 use conch_actors::{
     child_spec, link, monitor, spawn_actor, spawn_actor_on, spawn_supervisor, supervisor_child,
-    ActorRef, ChildSpec, Down, Mailbox, Signal, Strategy, Supervisor, SupervisorSpec,
-    POLL_INTERVAL,
+    ActorRef, ChildSpec, Down, Mailbox, Signal, Strategy, SupervisorSpec,
 };
 use conch_combinators::Chan;
 use conch_explore::{
     CheckResult, ExploreConfig, Explorer, Reduction, Report, RunOutcome, TestCase,
 };
 use conch_runtime::exception::{Exception, ExitReason};
+use conch_runtime::ids::ThreadId;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::Value;
@@ -86,12 +86,9 @@ fn reason_code(r: &ExitReason) -> i64 {
     }
 }
 
-/// Polls until the actor commits an exit reason.
-fn wait_dead_code(a: conch_actors::ActorRef<Value>) -> Io<i64> {
-    a.exit_reason().and_then(move |r| match r {
-        Some(r) => Io::pure(reason_code(&r)),
-        None => Io::sleep(25).then(wait_dead_code(a)),
-    })
+/// Waits for the actor to commit an exit reason.
+fn wait_dead_code(a: ActorRef<Value>) -> Io<i64> {
+    a.join().map(|r| reason_code(&r))
 }
 
 // -- satellite: recv must not lose a dequeued message ----------------------
@@ -123,11 +120,13 @@ fn recv_no_loss_space() -> Io<Vec<i64>> {
 }
 
 /// The pre-fix `Mailbox::recv`, from public calls: dequeue in a
-/// transaction, then an unmasked yield, then return the message.
+/// transaction, then an unmasked yield, then return the message. It
+/// keeps the pre-fix wait too, a sleep and a retry: only public calls
+/// reach the mailbox here.
 fn recv_racy(mb: Mailbox<i64>) -> Io<i64> {
     mb.try_recv().and_then(move |got| match got {
         Some(v) => Io::yield_now().map(move |_| v),
-        None => Io::sleep(POLL_INTERVAL).then(recv_racy(mb)),
+        None => Io::sleep(25).then(recv_racy(mb)),
     })
 }
 
@@ -168,7 +167,7 @@ fn message_conserved(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn recv_never_loses_a_message_on_any_schedule() {
     let report = explore_pass(recv_no_loss_space, message_conserved, 1);
-    assert_complete(&report, 34);
+    assert_complete(&report, 32);
 }
 
 #[test]
@@ -219,7 +218,7 @@ fn monitor_fired_once(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 fn monitor_fires_exactly_once_under_registration_death_race() {
     let report = explore_pass(monitor_once_space, monitor_fired_once, 1);
     // Both sides of the registration/death race.
-    assert_complete(&report, 3);
+    assert_complete(&report, 8);
 }
 
 // -- links cascade; trap-exits observe -------------------------------------
@@ -248,7 +247,7 @@ fn cascaded(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn link_cascades_on_every_schedule() {
     let report = explore_pass(link_cascade_space, cascaded, 1);
-    assert_complete(&report, 15);
+    assert_complete(&report, 31);
 }
 
 /// Same crash, but `b` traps: it converts the signal to a message,
@@ -291,65 +290,77 @@ fn trapped(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn trap_exit_observes_and_survives_on_every_schedule() {
     let report = explore_pass(trap_exit_space, trapped, 1);
-    assert_complete(&report, 14);
+    assert_complete(&report, 23);
 }
 
 // -- supervised restart preserves state; shutdown reaps --------------------
 
-fn counter_loop(mb: Mailbox<i64>, state: MVar<i64>) -> Io<()> {
+/// Any message adds 2 to the shared counter in one masked transaction,
+/// and the bump that makes it 4 announces itself on `four`; `-1`
+/// crashes.
+fn counter_loop(mb: Mailbox<i64>, state: MVar<i64>, four: MVar<()>) -> Io<()> {
     mb.recv().and_then(move |msg| {
         if msg < 0 {
             Io::throw(Exception::error_call("poison"))
         } else {
-            Io::block(state.take().and_then(move |n| state.put(n + 2)))
-                .then(counter_loop(mb, state))
+            Io::block(
+                state
+                    .take()
+                    .and_then(move |n| state.put(n + 2).map(move |_| n + 2)),
+            )
+            .and_then(move |n| if n == 4 { four.put(()) } else { Io::unit() })
+            .then(counter_loop(mb, state, four))
         }
     })
 }
 
-fn counter_child(state: MVar<i64>, inbox: Mailbox<i64>) -> ChildSpec {
+/// A counter incarnation on `inbox`, announced on `born` as it starts.
+fn counter_child(
+    state: MVar<i64>,
+    four: MVar<()>,
+    inbox: Mailbox<i64>,
+    born: MVar<ActorRef<Value>>,
+) -> ChildSpec {
     child_spec(move || {
-        spawn_actor_on(inbox, move |mb: Mailbox<i64>| counter_loop(mb, state)).map(|a| a.erase())
-    })
-}
-
-fn wait_counter(state: MVar<i64>, at_least: i64) -> Io<i64> {
-    Io::block(state.take().and_then(move |n| state.put(n).map(move |_| n))).and_then(move |n| {
-        if n >= at_least {
-            Io::pure(n)
-        } else {
-            Io::sleep(25).then(wait_counter(state, at_least))
-        }
+        spawn_actor_on(inbox, move |mb: Mailbox<i64>| counter_loop(mb, state, four))
+            .and_then(move |a| born.put(a.erase()).map(move |_| a.erase()))
     })
 }
 
 /// A supervised counter receives `+2`, poison (crash), `+2`. The
 /// restarted incarnation shares mailbox and state cell, so on every
 /// schedule the counter reaches 4 — no update lost to the crash, no
-/// message lost to the restart. Then the supervisor is killed and the
-/// audit waits for the child to be reaped. The counter can reach 4
-/// before the supervisor has listed the restarted incarnation, so the
-/// audit polls for it ([`only_child`]). Returns
+/// message lost to the restart. Then the supervisor is killed, the
+/// audit waits for the child to be reaped — the second incarnation
+/// announced on `born` — and reads the counter. Returns
 /// `[counter, child exit code]`.
 fn restart_state_space() -> Io<Vec<i64>> {
     Io::new_mvar(0_i64).and_then(|state| {
-        Mailbox::<i64>::new(8).and_then(move |inbox| {
-            let spec = SupervisorSpec::new(Strategy::OneForOne)
-                .intensity(5, 1_000_000)
-                .child(counter_child(state, inbox));
-            spawn_supervisor(spec).and_then(move |sup| {
-                inbox
-                    .send(1)
-                    .then(inbox.send(-1))
-                    .then(inbox.send(1))
-                    .then(wait_counter(state, 4))
-                    .and_then(move |n| {
-                        only_child(sup).and_then(move |kid| {
-                            sup.shutdown_sync()
-                                .then(wait_dead_code(kid))
-                                .map(move |code| vec![n, code])
-                        })
+        Io::new_empty_mvar().and_then(move |four| {
+            Io::new_empty_mvar().and_then(move |born| {
+                Mailbox::<i64>::new(8).and_then(move |inbox| {
+                    let spec = SupervisorSpec::new(Strategy::OneForOne)
+                        .intensity(5, 1_000_000)
+                        .child(counter_child(state, four, inbox, born));
+                    spawn_supervisor(spec).and_then(move |sup| {
+                        inbox
+                            .send(1)
+                            .then(inbox.send(-1))
+                            .then(inbox.send(1))
+                            .then(four.take())
+                            .then(born.take())
+                            .then(born.take())
+                            .and_then(move |kid| {
+                                sup.shutdown_sync().then(wait_dead_code(kid)).and_then(
+                                    move |code| {
+                                        Io::block(state.take().and_then(move |n| {
+                                            state.put(n).map(move |_| vec![n, code])
+                                        }))
+                                    },
+                                )
+                            })
                     })
+                })
             })
         })
     })
@@ -368,7 +379,7 @@ fn restarted_and_reaped(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn supervised_restart_preserves_state_and_shutdown_reaps() {
     let report = explore_pass(restart_state_space, restarted_and_reaped, 1);
-    assert_complete(&report, 103);
+    assert_complete(&report, 90);
     assert!(
         report.stats.kill_thread_deaths > 0,
         "the shutdown path must actually kill: {report:?}"
@@ -378,21 +389,17 @@ fn supervised_restart_preserves_state_and_shutdown_reaps() {
 // -- a second kill mid-sweep orphans no child ------------------------------
 
 /// A child that starts masked and *running*, so a `kill_sync` aimed at
-/// it has to wait for its `recv`; it announces itself on `born`.
-fn busy_child(born: Chan<ActorRef<Value>>) -> ChildSpec {
+/// it has to wait for its `recv`; its start announces it, with the
+/// supervisor that started it, on `born`.
+fn busy_child(born: Chan<(ActorRef<Value>, ThreadId)>) -> ChildSpec {
     child_spec(move || {
         spawn_actor(1, |mb: Mailbox<i64>| {
             Io::compute(2).then(mb.recv().map(|_| ()))
         })
-        .and_then(move |a| born.send(a.erase()).map(move |_| a.erase()))
-    })
-}
-
-/// Polls until the supervisor has recorded its only child.
-fn only_child(sup: Supervisor) -> Io<ActorRef<Value>> {
-    sup.child_refs().and_then(move |kids| match kids.first() {
-        Some(kid) => Io::pure(*kid),
-        None => Io::sleep(25).then(only_child(sup)),
+        .and_then(move |a| {
+            Io::my_thread_id()
+                .and_then(move |sup| born.send((a.erase(), sup)).map(move |_| a.erase()))
+        })
     })
 }
 
@@ -407,17 +414,17 @@ fn double_kill_space() -> Io<Vec<i64>> {
         let root = SupervisorSpec::new(Strategy::OneForOne)
             .intensity(0, 1_000_000)
             .child(supervisor_child(mid));
-        spawn_supervisor(root).and_then(move |root| {
-            born.recv().and_then(move |first| {
-                born.recv().and_then(move |second| {
-                    only_child(root).and_then(move |mid| {
-                        mid.kill_sync()
-                            .then(Io::throw_to(mid.tid(), Exception::kill_thread()))
-                            .then(wait_dead_code(first))
-                            .and_then(move |a| wait_dead_code(second).map(move |b| vec![a, b]))
-                    })
+        spawn_supervisor(root).and_then(move |_root| {
+            born.recv()
+                .and_then(move |(first, mid): (ActorRef<Value>, ThreadId)| {
+                    born.recv()
+                        .and_then(move |(second, _): (ActorRef<Value>, ThreadId)| {
+                            Io::throw_to_sync(mid, Exception::kill_thread())
+                                .then(Io::throw_to(mid, Exception::kill_thread()))
+                                .then(wait_dead_code(first))
+                                .and_then(move |a| wait_dead_code(second).map(move |b| vec![a, b]))
+                        })
                 })
-            })
         })
     })
 }
@@ -433,7 +440,7 @@ fn both_reaped(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn a_second_kill_mid_sweep_orphans_no_child_on_any_schedule() {
     let report = explore_pass(double_kill_space, both_reaped, 1);
-    assert_complete(&report, 1_112);
+    assert_complete(&report, 6_040);
 }
 
 // -- determinism: worker counts must not change coverage -------------------

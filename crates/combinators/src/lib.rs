@@ -14,8 +14,10 @@
 //!   [`with_mvar`], [`modify_mvar_masked`], plus the deliberately racy
 //!   [`modify_mvar_naive`] baseline, and [`modify_mvar_pure`] — the
 //!   §7.4 masked transaction with a pure body that the layers above
-//!   build their single-cell structures from — with
-//!   [`retry_interrupted`] for a commit that must survive a storm;
+//!   build their single-cell structures from, and [`modify_mvar_then`],
+//!   the same transaction with a masked tail for a commit that wakes or
+//!   waits — with [`retry_interrupted`] for a commit that must survive a
+//!   storm;
 //! * the datatypes §4 says are buildable from MVars: [`Chan`] and
 //!   [`Sem`];
 //! * paper-adjacent extensions: [`Thunk`] (§8's thunk treatment),
@@ -64,8 +66,8 @@ pub use crate::bracket::{
 pub use crate::chan::Chan;
 pub use crate::either::Either;
 pub use crate::locking::{
-    modify_mvar, modify_mvar_masked, modify_mvar_naive, modify_mvar_pure, modify_mvar_with,
-    retry_interrupted, with_mvar,
+    modify_mvar, modify_mvar_masked, modify_mvar_naive, modify_mvar_pure, modify_mvar_then,
+    modify_mvar_with, retry_interrupted, with_mvar,
 };
 pub use crate::race::{both, race, timeout};
 pub use crate::sem::Sem;

@@ -164,13 +164,43 @@ where
     R: IntoValue + 'static,
     F: FnOnce(&mut T) -> R + 'static,
 {
+    modify_mvar_then(m, f, Io::pure)
+}
+
+/// [`modify_mvar_pure`] that goes on, still masked, with `k` applied to
+/// what `f` returned:
+///
+/// ```haskell
+/// block (do s <- takeMVar m
+///           let r = f (&mut s)
+///           putMVar m s
+///           k r)
+/// ```
+///
+/// No asynchronous exception can separate `k` from the commit — the
+/// shape for a commit that must wake a waiter (a signal `MVar` filled
+/// with a `try_put`, which cannot wait), or for a caller that must wait
+/// before it tries again (a blocking `take` is interruptible, and then
+/// the commit is whole). [`modify_mvar_pure`] is the case `k = return`.
+///
+/// # Panics
+///
+/// As [`modify_mvar_pure`].
+pub fn modify_mvar_then<T, R, U, F, K>(m: MVar<T>, f: F, k: K) -> Io<U>
+where
+    T: HostValue + FromValue + IntoValue,
+    R: 'static,
+    U: 'static,
+    F: FnOnce(&mut T) -> R + 'static,
+    K: FnOnce(R) -> Io<U> + 'static,
+{
     let cell: MVar<Value> = m.cast();
     Io::block(cell.take().and_then(move |mut s| {
         let r = match s.host_mut() {
             Some(state) => f(state),
             None => cell_confusion(std::any::type_name::<T>(), &s),
         };
-        cell.put(s).map(move |_| r)
+        cell.put(s).and_then(move |_| k(r))
     }))
 }
 

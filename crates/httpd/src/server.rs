@@ -100,7 +100,7 @@ fn handle_connection(
     h: Handler,
     config: ServerConfig,
     stats: ServerStats,
-) -> Io<()> {
+) -> Io<bool> {
     // Runs masked when forked by the acceptor (mask inheritance), and
     // the catch is installed while still masked: a catch handler runs
     // at its *saved* mask. Only serve_one runs unblocked. Anything
@@ -139,7 +139,6 @@ pub(crate) fn serve_one(conn: Connection, h: Handler, config: ServerConfig) -> I
 mod tests {
     use super::*;
     use crate::http::Request;
-    use conch_combinators::modify_mvar;
     use conch_runtime::prelude::*;
 
     fn hello_handler() -> Handler {
@@ -191,34 +190,25 @@ mod tests {
         let prog = Listener::bind().and_then(move |l| {
             start(l, hello_handler(), ServerConfig::default()).and_then(move |server| {
                 // n clients, each on its own thread, each reporting success.
-                Io::new_mvar(0_i64).and_then(move |done| {
+                Io::new_empty_mvar().and_then(move |done| {
                     conch_runtime::io::for_each(n as u64, move |i| {
                         let client = l.connect().and_then(move |conn| {
                             conn.send_text(Request::get(format!("/{i}")).render())
                                 .then(conn.read_response())
                                 .and_then(move |resp| {
                                     assert!(resp.contains("200"), "got {resp}");
-                                    modify_mvar(done, |d| Io::pure(d + 1))
+                                    done.put(())
                                 })
                         });
                         Io::fork(client)
                     })
-                    .then(wait_for(done, n))
+                    .then(conch_runtime::io::for_each(n as u64, move |_| done.take()))
                     .then(server.shutdown())
                     .then(server.drain())
                     .then(server.stats.snapshot())
                 })
             })
         });
-        fn wait_for(done: MVar<i64>, n: i64) -> Io<()> {
-            conch_combinators::with_mvar(done, Io::pure).and_then(move |d| {
-                if d >= n {
-                    Io::unit()
-                } else {
-                    Io::sleep(50).then(wait_for(done, n))
-                }
-            })
-        }
         let snap = rt.run(prog).unwrap();
         assert_eq!(snap.served, n);
         assert_eq!(snap.active, 0);

@@ -138,9 +138,9 @@ impl ShardedServer {
     }
 
     /// [`Server::drain`] on every shard. Shards quiesce independently;
-    /// polling them in order is fine because `active` never rises again
-    /// after [`shutdown_sync`](Self::shutdown_sync) has returned and
-    /// the shard's own queue has drained.
+    /// waiting for them in order is fine because `active` never rises
+    /// again after [`shutdown_sync`](Self::shutdown_sync) has returned
+    /// and the shard's own queue has drained.
     pub fn drain(&self) -> Io<()> {
         let drain = |io: Io<()>, sh: &Server| io.then(sh.drain());
         self.shards.iter().fold(Io::unit(), drain)

@@ -94,18 +94,18 @@ fn assert_sweep_row(clients: usize, pins: [f64; 3]) -> [(f64, usize, usize); 3] 
     row
 }
 
-/// The sleeper queue's high-water is 5 / 20 / 80 entries at every
+/// The sleeper queue's high-water is 3 / 12 / 48 entries at every
 /// client count: like the thread slots, it grows with the shards only.
 #[test]
 fn sharded_sweep_1k_clients() {
-    let row = assert_sweep_row(1_000, [99_975.0, 399_600.4, 1_581_027.7]);
-    assert_eq!(row.map(|(_, _, sleepers)| sleepers), [5, 20, 80]);
+    let row = assert_sweep_row(1_000, [100_000.0, 400_000.0, 1_587_301.6]);
+    assert_eq!(row.map(|(_, _, sleepers)| sleepers), [3, 12, 48]);
 }
 
 #[test]
 #[ignore = "release"]
 fn sharded_sweep_10k_clients() {
-    assert_sweep_row(10_000, [99_997.5, 399_960.0, 1_599_360.3]);
+    assert_sweep_row(10_000, [100_000.0, 400_000.0, 1_600_000.0]);
 }
 
 /// A million requests a point. Throughput in virtual time scales with
@@ -115,8 +115,8 @@ fn sharded_sweep_10k_clients() {
 #[test]
 #[ignore = "release"]
 fn sharded_sweep_100k_clients() {
-    let row = assert_sweep_row(100_000, [99_999.8, 399_996.0, 1_599_936.0]);
+    let row = assert_sweep_row(100_000, [100_000.0, 400_000.0, 1_600_000.0]);
     assert!(row[2].0 / row[0].0 >= 3.0);
     assert_eq!(row.map(|(_, slots, _)| slots), [7, 25, 97]);
-    assert_eq!(row.map(|(_, _, sleepers)| sleepers), [5, 20, 80]);
+    assert_eq!(row.map(|(_, _, sleepers)| sleepers), [3, 12, 48]);
 }

@@ -89,7 +89,7 @@ pub struct Stats {
     /// asked the search to explore. Zero for plain runs.
     pub backtracks_installed: u64,
     /// Schedules drawn by a schedule explorer's sampling strategy
-    /// (PCT or swarm). Zero for plain runs and for exhaustive
+    /// (PCT). Zero for plain runs and for exhaustive
     /// exploration; under sampling it equals the explored count.
     pub sampled: u64,
     /// Distinct schedules among the sampled ones, read off a shared

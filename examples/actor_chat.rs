@@ -21,7 +21,7 @@
 //!   no orphan room outlives its supervisor.
 //!
 //! Under `--explore`, exhaustive exploration (sleep sets, preemption
-//! bound 3, exception-delivery points branching fully; 3 959 schedules)
+//! bound 3, exception-delivery points branching fully; 10 355 schedules)
 //! checks on every schedule
 //! that both subscribers receive the pre-crash broadcast, both receive
 //! the post-restart broadcast, and the shutdown reaps the room with a
@@ -92,9 +92,15 @@ fn room_loop(mb: Mailbox<RoomMsg>, roster: Roster) -> Io<()> {
     })
 }
 
-fn room_child(inbox: Mailbox<RoomMsg>, roster: Roster) -> ChildSpec {
+/// A room incarnation on `inbox`, announced on `born` as it starts.
+fn room_child(
+    inbox: Mailbox<RoomMsg>,
+    roster: Roster,
+    born: Mailbox<ActorRef<Value>>,
+) -> ChildSpec {
     child_spec(move || {
-        spawn_actor_on(inbox, move |mb: Mailbox<RoomMsg>| room_loop(mb, roster)).map(|a| a.erase())
+        spawn_actor_on(inbox, move |mb: Mailbox<RoomMsg>| room_loop(mb, roster))
+            .and_then(move |a| born.send(a.erase()).map(move |_| a.erase()))
     })
 }
 
@@ -107,11 +113,11 @@ fn down_code(r: &ExitReason) -> i64 {
     }
 }
 
-/// Polls until the supervisor has a live child and returns it.
-fn current_room(sup: conch::actors::Supervisor) -> Io<ActorRef<Value>> {
-    sup.child_refs().and_then(move |kids| match kids.first() {
-        Some(kid) => Io::pure(*kid),
-        None => Io::sleep(25).then(current_room(sup)),
+/// The latest room incarnation announced on `born` so far, after `kid`.
+fn latest_room(born: Mailbox<ActorRef<Value>>, kid: ActorRef<Value>) -> Io<ActorRef<Value>> {
+    born.try_recv().and_then(move |next| match next {
+        Some(kid) => latest_room(born, kid),
+        None => Io::pure(kid),
     })
 }
 
@@ -125,38 +131,40 @@ fn current_room(sup: conch::actors::Supervisor) -> Io<ActorRef<Value>> {
 fn chat_scenario() -> Io<Vec<i64>> {
     Io::new_mvar(Vec::new()).and_then(|roster: Roster| {
         Mailbox::<RoomMsg>::new(8).and_then(move |lobby| {
-            let spec = SupervisorSpec::new(Strategy::OneForOne)
-                .intensity(3, 1_000_000)
-                .child(room_child(lobby, roster));
-            spawn_supervisor(spec).and_then(move |sup| {
-                Mailbox::<i64>::new(8).and_then(move |alice| {
-                    Mailbox::<i64>::new(8).and_then(move |bob| {
-                        lobby
-                            .send(RoomMsg::Join(alice))
-                            .then(lobby.send(RoomMsg::Join(bob)))
-                            .then(lobby.send(RoomMsg::Say(1)))
-                            .then(alice.recv())
-                            .and_then(move |a1: i64| {
-                                bob.recv().and_then(move |b1: i64| {
-                                    // The troll's poison races Say(2) into the
-                                    // room's FIFO. Whichever order they land,
-                                    // the supervisor restarts the room on the
-                                    // same inbox and roster, so broadcast 2
-                                    // reaches both subscribers exactly once.
-                                    Io::fork(lobby.send(RoomMsg::Say(-1)))
-                                        .then(lobby.send(RoomMsg::Say(2)))
-                                        .then(alice.recv())
-                                        .and_then(move |a2: i64| {
-                                            bob.recv().and_then(move |b2: i64| {
-                                                finale(sup).map(move |tail| {
-                                                    let mut v = vec![a1, b1, a2, b2];
-                                                    v.extend(tail);
-                                                    v
+            Mailbox::new(2).and_then(move |born| {
+                let spec = SupervisorSpec::new(Strategy::OneForOne)
+                    .intensity(3, 1_000_000)
+                    .child(room_child(lobby, roster, born));
+                spawn_supervisor(spec).and_then(move |sup| {
+                    Mailbox::<i64>::new(8).and_then(move |alice| {
+                        Mailbox::<i64>::new(8).and_then(move |bob| {
+                            lobby
+                                .send(RoomMsg::Join(alice))
+                                .then(lobby.send(RoomMsg::Join(bob)))
+                                .then(lobby.send(RoomMsg::Say(1)))
+                                .then(alice.recv())
+                                .and_then(move |a1: i64| {
+                                    bob.recv().and_then(move |b1: i64| {
+                                        // The troll's poison races Say(2) into the
+                                        // room's FIFO. Whichever order they land,
+                                        // the supervisor restarts the room on the
+                                        // same inbox and roster, so broadcast 2
+                                        // reaches both subscribers exactly once.
+                                        Io::fork(lobby.send(RoomMsg::Say(-1)))
+                                            .then(lobby.send(RoomMsg::Say(2)))
+                                            .then(alice.recv())
+                                            .and_then(move |a2: i64| {
+                                                bob.recv().and_then(move |b2: i64| {
+                                                    finale(sup, born).map(move |tail| {
+                                                        let mut v = vec![a1, b1, a2, b2];
+                                                        v.extend(tail);
+                                                        v
+                                                    })
                                                 })
                                             })
-                                        })
+                                    })
                                 })
-                            })
+                        })
                     })
                 })
             })
@@ -164,22 +172,25 @@ fn chat_scenario() -> Io<Vec<i64>> {
     })
 }
 
-/// Monitors the current room incarnation, shuts the supervisor down,
+/// Monitors the latest room incarnation announced so far (the first
+/// one, if the poison has not restarted it yet), shuts the supervisor down,
 /// and collects the single `Down` the reaping must deliver — plus
 /// whatever else is in the watcher mailbox after a settling sleep (any
 /// double delivery would queue there). Returns `[mref, code, extra]`.
-fn finale(sup: conch::actors::Supervisor) -> Io<Vec<i64>> {
+fn finale(sup: conch::actors::Supervisor, born: Mailbox<ActorRef<Value>>) -> Io<Vec<i64>> {
     Mailbox::<Down>::new(2).and_then(move |watcher| {
-        current_room(sup).and_then(move |kid| {
-            monitor(&kid, watcher, 7)
-                .then(sup.shutdown_sync())
-                .then(watcher.recv())
-                .and_then(move |down: Down| {
-                    Io::sleep(50)
-                        .then(watcher.len())
-                        .map(move |extra| vec![down.mref, down_code(&down.reason), extra])
-                })
-        })
+        born.recv()
+            .and_then(move |first| latest_room(born, first))
+            .and_then(move |kid| {
+                monitor(&kid, watcher, 7)
+                    .then(sup.shutdown_sync())
+                    .then(watcher.recv())
+                    .and_then(move |down: Down| {
+                        Io::sleep(50)
+                            .then(watcher.len())
+                            .map(move |extra| vec![down.mref, down_code(&down.reason), extra])
+                    })
+            })
     })
 }
 
@@ -225,7 +236,7 @@ fn main() {
         println!("== actor chat under exhaustive exploration ==");
         let sequential = explore(1);
         assert!(
-            sequential.complete && sequential.explored == 3_959,
+            sequential.complete && sequential.explored == 10_355,
             "exploration must be exhaustive, and the same as ever: {sequential:?}"
         );
         println!(

@@ -9,7 +9,7 @@
 //! (default: sleep sets); with `dpor` the sleep-set baseline is run
 //! too and the reduction ratio is printed.
 //!
-//! Pass `--sample {pct,swarm}` to *draw* schedules instead of
+//! Pass `--sample pct` to *draw* schedules instead of
 //! enumerating them (`--samples N` for the budget, default 2048;
 //! `--seed S` for the stream, default 0xC0FFEE). Sampling is the tool
 //! for spaces too large to enumerate; here it demonstrates that a
@@ -66,12 +66,12 @@ struct Cli {
 
 /// `--workers N` (0, the default, lets `check_parallel` pick the
 /// machine's available parallelism), `--reduction {sleep,dpor}`,
-/// `--sample {pct,swarm}`, `--samples N` and `--seed S` from
+/// `--sample pct`, `--samples N` and `--seed S` from
 /// the command line.
 fn cli_args() -> Cli {
     let mut workers = 0;
     let mut reduction = Reduction::default();
-    let mut sample: Option<String> = None;
+    let mut sample = false;
     let mut samples = 2048;
     let mut seed = 0xC0FFEE_u64;
     let mut args = std::env::args().skip(1);
@@ -101,22 +101,19 @@ fn cli_args() -> Cli {
                 };
             }
             "--sample" => match args.next().as_deref() {
-                Some(name @ ("pct" | "swarm")) => sample = Some(name.to_owned()),
+                Some("pct") => sample = true,
                 other => {
-                    eprintln!("--sample needs 'pct' or 'swarm', got {other:?}");
+                    eprintln!("--sample needs 'pct', got {other:?}");
                     std::process::exit(2);
                 }
             },
             _ => {}
         }
     }
-    let strategy = match sample.as_deref() {
-        None => Strategy::Exhaustive(reduction),
-        Some("pct") => Strategy::Pct { depth: 3, seed },
-        // Four PCT streams, one per seed, each with its own depth.
-        Some(_) => Strategy::Swarm {
-            seeds: (0..4).map(|i| seed.wrapping_add(i)).collect(),
-        },
+    let strategy = if sample {
+        Strategy::Pct { depth: 3, seed }
+    } else {
+        Strategy::Exhaustive(reduction)
     };
     Cli {
         workers,

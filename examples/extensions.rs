@@ -69,7 +69,7 @@ fn semaphore_pool() {
     let prog = Sem::new(3).and_then(|sem| {
         Io::new_mvar(0_i64).and_then(move |inside| {
             Io::new_mvar(0_i64).and_then(move |peak| {
-                Io::new_mvar(0_i64).and_then(move |done| {
+                Io::new_empty_mvar().and_then(move |done| {
                     for_each(10, move |i| {
                         let job = sem.with(move || {
                             conch_combinators::modify_mvar(inside, |n| Io::pure(n + 1))
@@ -83,11 +83,9 @@ fn semaphore_pool() {
                                 .then(conch_combinators::modify_mvar(inside, |n| Io::pure(n - 1)))
                                 .then(Io::pure(0_i64))
                         });
-                        Io::fork(
-                            job.then(conch_combinators::modify_mvar(done, |d| Io::pure(d + 1))),
-                        )
+                        Io::fork(job.then(done.put(())))
                     })
-                    .then(wait_for(done, 10))
+                    .then(for_each(10, move |_| done.take()))
                     .then(peak.take())
                     .and_then(move |p| sem.available().map(move |a| (p, a)))
                 })
@@ -100,16 +98,6 @@ fn semaphore_pool() {
     );
     assert!(peak <= 3);
     assert_eq!(available, 3);
-}
-
-fn wait_for(done: MVar<i64>, n: i64) -> Io<()> {
-    conch_combinators::with_mvar(done, Io::pure).and_then(move |d| {
-        if d >= n {
-            Io::unit()
-        } else {
-            Io::sleep(20).then(wait_for(done, n))
-        }
-    })
 }
 
 /// §11: a flaky service under supervision — restarted through its own

@@ -58,7 +58,7 @@ struct ModeResult {
 }
 
 /// The corpus's bounds. Depth and step budgets are raised above the
-/// defaults for the actor-layer programs, whose polling mailboxes run
+/// defaults for the actor-layer programs, whose actor shells run
 /// longer threads; programs that fit the defaults explore identically
 /// (the limits only matter when hit, and every passing corpus run is
 /// `complete`).
@@ -211,7 +211,7 @@ fn assert_equiv<T: FromValue + Debug + 'static>(
 
 /// Sleep sets at preemption bound 2: the space the programs whose
 /// unbounded sleep-set space is intractable (five threads for the
-/// nested timeouts, polling mailboxes for the actors) are checked in.
+/// nested timeouts, actor shells and mailboxes for the actors) are checked in.
 /// Exception-delivery points branch fully whatever the bound, so the
 /// asynchronous-exception dimension stays exhaustive within it.
 const BOUND_2: Reduction = Reduction::SleepSets {
@@ -580,36 +580,6 @@ fn pct_detects_broken_bracket_leak() {
     );
 }
 
-#[test]
-fn swarm_detects_the_seeded_bugs_too() {
-    // Swarm runs interleaved PCT streams at varied depths; at a pinned
-    // seed vector it must still land on both corpus bugs within the
-    // same order-of-magnitude budget.
-    let strategies = Strategy::Swarm {
-        seeds: vec![0xC0FFEE, 0xC0FFEF, 0xC0FFF0, 0xC0FFF1],
-    };
-    let sampled = Explorer::with_config(ExploreConfig {
-        max_schedules: 256,
-        max_depth: 512,
-        step_budget: 100_000,
-        strategy: strategies,
-        ..ExploreConfig::default()
-    })
-    .check(|| {
-        TestCase::new(broken_bracket_under_kill(), |out: &RunOutcome<i64>| {
-            let a = out.output.matches('a').count();
-            let r = out.output.matches('r').count();
-            if a != r {
-                Err(format!("leak: acquired {a}, released {r}"))
-            } else {
-                Ok(())
-            }
-        })
-    });
-    let failure = sampled.expect_fail();
-    assert!(failure.report.first_failing_sample.is_some());
-}
-
 // --------------------------------------------------------------- corpus
 
 /// 1. The classic two-thread console race.
@@ -956,26 +926,25 @@ fn assert_late_output(name: &str, program: fn() -> Io<i64>) {
 
 // ----------------------------------------------------- actor-layer corpus
 //
-// The `conch-actors` programs fork actor shells with polling mailboxes,
+// The `conch-actors` programs fork actor shells with blocking mailboxes,
 // so their unbounded sleep-set spaces are intractable; like the nested
 // timeouts they are checked under preemption bound 2 (exception
 // delivery and mailbox hand-offs still branch fully), and their
 // unbounded DPOR spaces complete.
 
-/// Polls until the actor commits an exit reason, coded as an integer
+/// Waits for the actor to commit an exit reason, coded as an integer
 /// (0 normal, 1 killed, 2 crashed by exit signal, 3 crashed).
 fn actor_exit_code(a: ActorRef<Value>) -> Io<i64> {
-    a.exit_reason().and_then(move |r| match r {
-        Some(ExitReason::Normal) => Io::pure(0),
-        Some(ExitReason::Killed) => Io::pure(1),
-        Some(ExitReason::Crashed(e)) if e.is_exit_signal() => Io::pure(2),
-        Some(ExitReason::Crashed(_)) => Io::pure(3),
-        None => Io::sleep(25).then(actor_exit_code(a)),
+    a.join().map(|r| match r {
+        ExitReason::Normal => 0,
+        ExitReason::Killed => 1,
+        ExitReason::Crashed(e) if e.is_exit_signal() => 2,
+        ExitReason::Crashed(_) => 3,
     })
 }
 
 /// 17. Mailbox backpressure race: two producers into a capacity-1
-///     mailbox — the loser polls for the free slot — and the consumer
+///     mailbox — the loser blocks for the free slot — and the consumer
 ///     drains both. Both messages must arrive on every schedule,
 ///     whichever producer wins the slot.
 fn actor_mailbox_race() -> Io<i64> {
@@ -991,8 +960,8 @@ fn actor_mailbox_race() -> Io<i64> {
 fn corpus_actor_mailbox_race() {
     assert_dpor_covers_bounded(
         "actor_mailbox_race",
-        12,
-        880,
+        47,
+        1_750,
         actor_mailbox_race,
         |out| match &out.result {
             Ok(3) => None,
@@ -1017,8 +986,8 @@ fn actor_monitor_race() -> Io<i64> {
 fn corpus_actor_monitor_race() {
     assert_dpor_covers_bounded(
         "actor_monitor_race",
-        3,
-        10,
+        8,
+        14,
         actor_monitor_race,
         |out| match &out.result {
             Ok(11) => None,
@@ -1044,8 +1013,8 @@ fn actor_link_cascade() -> Io<i64> {
 fn corpus_actor_link_cascade() {
     assert_dpor_covers_bounded(
         "actor_link_cascade",
-        15,
-        4_588,
+        31,
+        13_633,
         actor_link_cascade,
         |out| match &out.result {
             Ok(2) => None,
