@@ -1,10 +1,10 @@
 //! Typed bounded mailboxes.
 //!
 //! A [`Mailbox<M>`] is the actor layer's message queue: a bounded FIFO
-//! whose *entire* state — queue contents, capacity and waiter counts —
-//! lives in one `MVar`, manipulated only by §7.4 masked take→mutate→put
-//! transactions ([`modify_mvar_pure`]). That single-cell design is what
-//! makes the mailbox kill-safe:
+//! whose *entire* state — queue contents, capacity and the two signal
+//! cells its waiters block on — lives in one `MVar`, manipulated only
+//! by §7.4 masked take→mutate→put transactions ([`modify_mvar_pure`]).
+//! That single-cell design is what makes the mailbox kill-safe:
 //!
 //! * **No separate capacity tokens.** A semaphore-based bound would
 //!   leak a slot whenever an asynchronous exception tears down a
@@ -24,31 +24,28 @@
 //!   interleaving the fix closes, and proves `recv` has no such
 //!   schedule.
 //!
-//! Waiting blocks. A full `send` or an empty `recv` counts itself in
-//! the state (`senders` / `receivers`), takes a signal `MVar` —
-//! `nonfull` or `nonempty` — and tries again. A commit fills the signal
-//! of the other side when that side has a waiter counted, as the tail of
-//! its own masked section ([`modify_mvar_then`]), so no kill separates a
-//! commit from its wake-up. A signal holds one token, so wake-ups that
-//! land before their waiter takes them collapse into one; a commit that
-//! still leaves messages (or room) behind for a counted waiter fills the
-//! signal again. A waiter killed between taking the token and committing
-//! puts it back; one killed while it waits stays counted, which costs
-//! nothing but a spare token later. A spare token only costs its taker
-//! one more try. So a receiver that nothing will ever send to is
-//! blocked, not polling, and a program wedged that way ends in
-//! `RunError::Deadlock` with the receiver named.
+//! Waiting blocks. A full `send` or an empty `recv` takes a signal
+//! `MVar` — `nonfull` or `nonempty` — and tries again
+//! ([`await_signal`]). Every committed send fills `nonempty` and every
+//! committed receive fills `nonfull`, in the masked tail of the same
+//! section ([`modify_mvar_then`]), so no kill separates a commit from
+//! its wake-up; a commit that still leaves a message (or a slot) behind
+//! fills its own side's signal too, for the next waiter there. A token
+//! only says the state may have changed: one left with no waiter costs
+//! the next caller that finds the mailbox empty (or full) one more try.
+//! So a receiver that nothing will ever send to is blocked, not
+//! polling, and a program wedged that way ends in `RunError::Deadlock`
+//! with the receiver named.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 
-use conch_combinators::{modify_mvar_pure, modify_mvar_then};
+use conch_combinators::{await_signal, modify_mvar_pure, modify_mvar_then};
 use conch_runtime::exception::ExceptionKind;
 use conch_runtime::host_value;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::value::{FromValue, IntoValue, Value};
-use conch_runtime::RaiseOrigin;
 
 use crate::actor::Signal;
 
@@ -112,73 +109,40 @@ impl<M> PartialEq for Mailbox<M> {
 struct MailboxState {
     queue: VecDeque<Value>,
     capacity: i64,
-    /// Filled for a waiting receiver: a message may be queued.
+    /// Filled by every commit that leaves a message queued.
     nonempty: MVar<()>,
-    /// Filled for a waiting sender: a slot may be free.
+    /// Filled by every commit that leaves a slot free.
     nonfull: MVar<()>,
-    /// Receivers that found the queue empty and have not tried again.
-    receivers: i64,
-    /// Senders that found the queue full and have not tried again.
-    senders: i64,
 }
 
 host_value!(MailboxState);
 host_value!(<M> Mailbox<M>);
 
-/// Who runs a transaction: a `try_` call, which never waits, or a
-/// waiting call, on its first try or woken by a signal.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Caller {
-    Try,
-    First,
-    Woken,
-}
-
-/// The signal cells a commit must fill.
-type Wake = [Option<MVar<()>>; 2];
+/// The signal cells a commit fills.
+type Signals = [Option<MVar<()>>; 2];
 
 impl MailboxState {
-    /// Pushes `v` if there is room and says whom to wake: a receiver if
-    /// one waits, and the next sender if one waits and room is left. A
-    /// full mailbox hands `v` back with the signal to wait on, and
-    /// counts a waiting caller in.
-    fn offer(&mut self, v: Value, caller: Caller) -> Result<Wake, (Value, MVar<()>)> {
-        self.senders -= i64::from(caller == Caller::Woken);
+    /// Pushes `v` if there is room, and gives the signals the commit
+    /// fills: `nonempty`, and `nonfull` too if room is left. A full
+    /// mailbox hands `v` back with the signal to wait on.
+    fn offer(&mut self, v: Value) -> Result<Signals, (Value, MVar<()>)> {
         if self.free_slots() == 0 {
-            self.senders += i64::from(caller != Caller::Try);
             return Err((v, self.nonfull));
         }
         self.queue.push_back(v);
-        Ok(self.wake(
-            self.receivers > 0,
-            self.senders > 0 && self.free_slots() > 0,
-        ))
+        let room = self.free_slots() > 0;
+        Ok([Some(self.nonempty), room.then_some(self.nonfull)])
     }
 
-    /// Pops the oldest message and says whom to wake: the next receiver
-    /// if one waits and messages are left, and a sender if one waits. An
-    /// empty mailbox gives the signal to wait on, and counts a waiting
-    /// caller in.
-    fn pop(&mut self, caller: Caller) -> Result<(Value, Wake), MVar<()>> {
-        self.receivers -= i64::from(caller == Caller::Woken);
+    /// Pops the oldest message, and gives the signals the commit fills:
+    /// `nonfull`, and `nonempty` too if messages are left. An empty
+    /// mailbox gives the signal to wait on.
+    fn pop(&mut self) -> Result<(Value, Signals), MVar<()>> {
         let Some(v) = self.queue.pop_front() else {
-            self.receivers += i64::from(caller != Caller::Try);
             return Err(self.nonempty);
         };
-        Ok((
-            v,
-            self.wake(
-                self.receivers > 0 && !self.queue.is_empty(),
-                self.senders > 0,
-            ),
-        ))
-    }
-
-    fn wake(&self, receiver: bool, sender: bool) -> Wake {
-        [
-            receiver.then_some(self.nonempty),
-            sender.then_some(self.nonfull),
-        ]
+        let left = !self.queue.is_empty();
+        Ok((v, [Some(self.nonfull), left.then_some(self.nonempty)]))
     }
 
     fn free_slots(&self) -> i64 {
@@ -186,41 +150,29 @@ impl MailboxState {
     }
 }
 
-/// Fills the signals a commit owes, then runs `rest`: the tail of the
-/// committing masked section ([`modify_mvar_then`]), so no kill
-/// separates a commit from its wake-up.
-fn wake<T: 'static>(owed: Wake, rest: Io<T>) -> Io<T> {
-    let fill = |rest: Io<T>, signal: MVar<()>| signal.try_put(()).then(rest);
-    owed.into_iter().flatten().rev().fold(rest, fill)
+/// Fills the signals a commit owes — `try_put`s, which never wait —
+/// then runs `rest`.
+fn fill<T: 'static>(signals: Signals, rest: Io<T>) -> Io<T> {
+    let put = |rest: Io<T>, signal: MVar<()>| signal.try_put(()).then(rest);
+    signals.into_iter().flatten().rev().fold(rest, put)
 }
 
-/// Takes the token from `signal`, then runs `retry`. An exception that
-/// lands in `retry` before its commit puts the token back for the next
-/// waiter and is re-raised as it came.
-fn await_signal<T: 'static>(signal: MVar<()>, retry: impl FnOnce() -> Io<T> + 'static) -> Io<T> {
-    signal.take().and_then(move |_| {
-        retry().catch_info(move |e, origin: RaiseOrigin| {
-            signal.try_put(()).then(Io::rethrow(e, origin))
-        })
-    })
-}
-
-/// One masked send: commit and wake, or wait on `nonfull` and try again.
-fn send_value(state: MVar<MailboxState>, v: Value, caller: Caller) -> Io<()> {
-    let offer = move |st: &mut MailboxState| st.offer(v, caller);
-    modify_mvar_then(state, offer, move |r| match r {
-        Ok(owed) => wake(owed, Io::unit()),
-        Err((v, nonfull)) => await_signal(nonfull, move || send_value(state, v, Caller::Woken)),
-    })
-}
-
-/// One masked receive: commit and wake, or wait on `nonempty` and try
+/// One masked send: commit and signal, or wait on `nonfull` and try
 /// again.
-fn recv_value(state: MVar<MailboxState>, caller: Caller) -> Io<Value> {
-    let pop = move |st: &mut MailboxState| st.pop(caller);
-    modify_mvar_then(state, pop, move |got| match got {
-        Ok((v, owed)) => wake(owed, Io::pure(v)),
-        Err(nonempty) => await_signal(nonempty, move || recv_value(state, Caller::Woken)),
+fn send_value(state: MVar<MailboxState>, v: Value) -> Io<()> {
+    let offer = move |st: &mut MailboxState| st.offer(v);
+    modify_mvar_then(state, offer, move |r| match r {
+        Ok(signals) => fill(signals, Io::unit()),
+        Err((v, nonfull)) => await_signal(nonfull, move || send_value(state, v)),
+    })
+}
+
+/// One masked receive: commit and signal, or wait on `nonempty` and try
+/// again.
+fn recv_value(state: MVar<MailboxState>) -> Io<Value> {
+    modify_mvar_then(state, MailboxState::pop, move |got| match got {
+        Ok((v, signals)) => fill(signals, Io::pure(v)),
+        Err(nonempty) => await_signal(nonempty, move || recv_value(state)),
     })
 }
 
@@ -235,8 +187,6 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
                     capacity: capacity.max(1),
                     nonempty,
                     nonfull,
-                    receivers: 0,
-                    senders: 0,
                 };
                 Io::new_mvar(empty).map(|state| Mailbox {
                     state,
@@ -251,16 +201,16 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     /// so a kill landing mid-`send` either left the message out
     /// entirely or delivered it entirely.
     pub fn send(&self, m: M) -> Io<()> {
-        send_value(self.state, m.into_value(), Caller::First)
+        send_value(self.state, m.into_value())
     }
 
     /// Enqueues `m` if there is room, never waiting. Returns whether
     /// the message was accepted — `false` is the signal to shed load.
     pub fn try_send(&self, m: M) -> Io<bool> {
         let v = m.into_value();
-        let offer = move |st: &mut MailboxState| st.offer(v, Caller::Try);
+        let offer = move |st: &mut MailboxState| st.offer(v);
         modify_mvar_then(self.state, offer, |r| match r {
-            Ok(owed) => wake(owed, Io::pure(true)),
+            Ok(signals) => fill(signals, Io::pure(true)),
             Err(_) => Io::pure(false),
         })
     }
@@ -277,14 +227,13 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     /// first step of *processing* runs `recv().and_then(handle)` under
     /// its own mask, as the actor shell does.
     pub fn recv(&self) -> Io<M> {
-        recv_value(self.state, Caller::First).map(M::from_value_or_panic)
+        recv_value(self.state).map(M::from_value_or_panic)
     }
 
     /// Dequeues the oldest message if there is one, never waiting.
     pub fn try_recv(&self) -> Io<Option<M>> {
-        let pop = |st: &mut MailboxState| st.pop(Caller::Try);
-        modify_mvar_then(self.state, pop, |got| match got {
-            Ok((v, owed)) => wake(owed, Io::pure(Some(v))),
+        modify_mvar_then(self.state, MailboxState::pop, |got| match got {
+            Ok((v, signals)) => fill(signals, Io::pure(Some(v))),
             Err(_) => Io::pure(None),
         })
         .map(|got: Option<Value>| got.map(M::from_value_or_panic))
@@ -299,7 +248,7 @@ impl<M: FromValue + IntoValue + 'static> Mailbox<M> {
     /// inside this catch. `KillThread` is not trapped; like Erlang's
     /// `exit(Pid, kill)` it always terminates.
     pub fn recv_trapping(&self) -> Io<Signal<M>> {
-        recv_value(self.state, Caller::First)
+        recv_value(self.state)
             .map(|v| Signal::Msg(M::from_value_or_panic(v)))
             .catch(|e| {
                 if let ExceptionKind::ExitSignal { from, reason } = e.kind() {

@@ -579,7 +579,7 @@ mod tests {
         let report = result.expect_pass();
         assert_eq!(
             (report.explored, report.complete),
-            (1_192, true),
+            (1_223, true),
             "{report}"
         );
     }

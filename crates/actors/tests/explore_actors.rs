@@ -167,7 +167,7 @@ fn message_conserved(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn recv_never_loses_a_message_on_any_schedule() {
     let report = explore_pass(recv_no_loss_space, message_conserved, 1);
-    assert_complete(&report, 32);
+    assert_complete(&report, 34);
 }
 
 #[test]
@@ -218,7 +218,7 @@ fn monitor_fired_once(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 fn monitor_fires_exactly_once_under_registration_death_race() {
     let report = explore_pass(monitor_once_space, monitor_fired_once, 1);
     // Both sides of the registration/death race.
-    assert_complete(&report, 8);
+    assert_complete(&report, 6);
 }
 
 // -- links cascade; trap-exits observe -------------------------------------
@@ -379,7 +379,7 @@ fn restarted_and_reaped(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn supervised_restart_preserves_state_and_shutdown_reaps() {
     let report = explore_pass(restart_state_space, restarted_and_reaped, 1);
-    assert_complete(&report, 90);
+    assert_complete(&report, 91);
     assert!(
         report.stats.kill_thread_deaths > 0,
         "the shutdown path must actually kill: {report:?}"
@@ -440,7 +440,7 @@ fn both_reaped(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn a_second_kill_mid_sweep_orphans_no_child_on_any_schedule() {
     let report = explore_pass(double_kill_space, both_reaped, 1);
-    assert_complete(&report, 6_040);
+    assert_complete(&report, 6_174);
 }
 
 // -- determinism: worker counts must not change coverage -------------------

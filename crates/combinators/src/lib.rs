@@ -16,8 +16,8 @@
 //!   §7.4 masked transaction with a pure body that the layers above
 //!   build their single-cell structures from, and [`modify_mvar_then`],
 //!   the same transaction with a masked tail for a commit that wakes or
-//!   waits — with [`retry_interrupted`] for a commit that must survive a
-//!   storm;
+//!   waits, and [`await_signal`] for the wait — with
+//!   [`retry_interrupted`] for a commit that must survive a storm;
 //! * the datatypes §4 says are buildable from MVars: [`Chan`] and
 //!   [`Sem`];
 //! * paper-adjacent extensions: [`Thunk`] (§8's thunk treatment),
@@ -66,8 +66,8 @@ pub use crate::bracket::{
 pub use crate::chan::Chan;
 pub use crate::either::Either;
 pub use crate::locking::{
-    modify_mvar, modify_mvar_masked, modify_mvar_naive, modify_mvar_pure, modify_mvar_then,
-    modify_mvar_with, retry_interrupted, with_mvar,
+    await_signal, modify_mvar, modify_mvar_masked, modify_mvar_naive, modify_mvar_pure,
+    modify_mvar_then, modify_mvar_with, retry_interrupted, with_mvar,
 };
 pub use crate::race::{both, race, timeout};
 pub use crate::sem::Sem;

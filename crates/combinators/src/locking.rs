@@ -22,7 +22,8 @@
 //!
 //! [`retry_interrupted`] is the other shape those structures share: a
 //! commit that must happen is attempted again whenever an asynchronous
-//! exception interrupts it.
+//! exception interrupts it. [`await_signal`] is how a caller of
+//! [`modify_mvar_then`] waits before it tries again.
 
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
@@ -202,6 +203,25 @@ where
         };
         cell.put(s).and_then(move |_| k(r))
     }))
+}
+
+/// Takes the token from `signal` — blocking until a commit fills it —
+/// then runs `retry`. An exception that lands in `retry` before its
+/// commit puts the token back for the next waiter and is re-raised as it
+/// came; one that lands while this caller still waits took nothing.
+///
+/// A token says only that something *may* have changed: whoever fills
+/// `signal` does so with a `try_put`, so tokens that land before a
+/// waiter takes them collapse into one, and a spare one costs its taker
+/// one more try of `retry`.
+pub fn await_signal<T, F>(signal: MVar<()>, retry: F) -> Io<T>
+where
+    T: 'static,
+    F: FnOnce() -> Io<T> + 'static,
+{
+    signal.take().and_then(move |_| {
+        retry().catch_info(move |e, origin| signal.try_put(()).then(Io::rethrow(e, origin)))
+    })
 }
 
 /// The panic of a transaction on a cell that holds no `expected`: cold,

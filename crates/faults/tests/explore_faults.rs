@@ -307,7 +307,25 @@ fn queued_is_accounted(snap: &StatsSnapshot) -> Result<(), String> {
 fn two_kills_at_the_pooled_acceptor_lose_no_queued_connection_on_any_schedule() {
     let space = pooled_acceptor_two_kill_space;
     let report = explore(space, queued_is_accounted, sleep_sets(1), 1);
-    assert_exhaustive(&report, (19_718, 2_659, 0));
+    assert_exhaustive(&report, (31_854, 3_202, 0));
+}
+
+/// The bound at which the space reached the second kill landing in the
+/// acceptor's guard while the guard sat on the accounting: with a guard
+/// that accounted again only once it failed where bounds 1 and 2
+/// passed (217 431 schedules). The guard now sits on the enqueue, and
+/// nothing in this space holds the queue cell while the acceptor
+/// enqueues, so the space no longer reaches it — and at bound 3 it no
+/// longer completes within the 1 000 000-schedule cap, so this test
+/// fails until the space is rebuilt to contend the queue cell.
+/// `cargo test --release -p conch-faults --test explore_faults --
+/// --ignored`, as CI does.
+#[test]
+#[ignore = "217k schedules: run in release; fails, see its doc"]
+fn two_kills_at_the_pooled_acceptor_at_the_bound_that_reaches_the_guard() {
+    let space = pooled_acceptor_two_kill_space;
+    let report = explore(space, queued_is_accounted, sleep_sets(3), 1);
+    assert_exhaustive(&report, (217_431, 52_489, 0));
 }
 
 /// Satellite of the sharded-plane PR: a `KillThread` between two
@@ -336,7 +354,7 @@ fn sharded_pipeline_space_reports_identically_at_any_worker_count() {
 fn actor_space_holds_invariants_on_every_schedule() {
     // Four episode arms: nothing, poison, kill, wedge then kill.
     let report = explore(actor_space, actor_outcome, BOUNDED, 1);
-    assert_exhaustive(&report, (649, 3_411, 581));
+    assert_exhaustive(&report, (791, 4_400, 698));
 }
 
 #[test]

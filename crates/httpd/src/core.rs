@@ -31,7 +31,8 @@
 use std::rc::Rc;
 
 use conch_combinators::{
-    kill_thread, modify_mvar_pure, modify_mvar_then, retry_interrupted, timeout, with_mvar, Either,
+    await_signal, kill_thread, modify_mvar_pure, modify_mvar_then, retry_interrupted, timeout,
+    with_mvar, Either,
 };
 use conch_runtime::exception::Exception;
 use conch_runtime::host_value;
@@ -259,12 +260,11 @@ impl ServerStats {
 /// An admitted unit's single commit point: record its outcome and lower
 /// the active count, atomically; the commit that brings `active` to 0
 /// also fills the `idle` signal a [`Server::drain`] waits on, in the
-/// same masked section, so no kill separates the two. Returns whether
-/// it did. If a `KillThread` lands while the transaction's `take` is
-/// still blocked (the cell is contended — by a snapshot, say), nothing
-/// was committed yet: retry with the *same* outcome
-/// ([`retry_interrupted`]).
-pub(crate) fn finish(stats: ServerStats, outcome: Outcome) -> Io<bool> {
+/// same masked section, so no kill separates the two. If a
+/// `KillThread` lands while the transaction's `take` is still blocked
+/// (the cell is contended — by a snapshot, say), nothing was committed
+/// yet: retry with the *same* outcome ([`retry_interrupted`]).
+pub(crate) fn finish(stats: ServerStats, outcome: Outcome) -> Io<()> {
     retry_interrupted(move || {
         let commit = move |c: &mut Counters| {
             let s = &mut c.snap;
@@ -274,8 +274,8 @@ pub(crate) fn finish(stats: ServerStats, outcome: Outcome) -> Io<bool> {
             (s.active == 0).then_some(c.idle)
         };
         modify_mvar_then(stats.cell, commit, |idle| match idle {
-            Some(idle) => idle.try_put(()),
-            None => Io::pure(false),
+            Some(idle) => idle.try_put(()).map(drop),
+            None => Io::unit(),
         })
     })
 }
@@ -383,8 +383,8 @@ impl Server {
     /// an outcome is recorded in the *same transaction* as its active
     /// decrement, `drain` returning means every finished unit's outcome
     /// is already visible. A drainer passes the signal on when it
-    /// returns, and puts it back if a kill lands before it has read
-    /// again, so concurrent drainers all wake. A worker wedged for ever
+    /// returns, and [`await_signal`] puts it back if a kill lands before
+    /// it has read again, so concurrent drainers all wake. A worker wedged for ever
     /// leaves the drainer blocked: a deadlock the runtime names.
     pub fn drain(&self) -> Io<()> {
         let server = *self;
@@ -394,11 +394,7 @@ impl Server {
                 // Pass the signal on to any other drainer.
                 idle.try_put(()).map(drop)
             } else {
-                let again = server.drain();
-                idle.take().then(
-                    again
-                        .catch_info(move |e, origin| idle.try_put(()).then(Io::rethrow(e, origin))),
-                )
+                await_signal(idle, move || server.drain())
             }
         })
     }

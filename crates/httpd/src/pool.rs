@@ -196,12 +196,7 @@ fn worker_loop(
 /// queue. The fork plane's worker absorbs the kill instead; a pool
 /// worker must re-raise so its shell reports the true exit reason and
 /// the restart machinery engages.
-fn serve_guarded(
-    conn: Connection,
-    h: Handler,
-    config: ServerConfig,
-    stats: ServerStats,
-) -> Io<bool> {
+fn serve_guarded(conn: Connection, h: Handler, config: ServerConfig, stats: ServerStats) -> Io<()> {
     Io::unblock(serve_one(conn, h, config))
         .and_then(move |outcome| finish(stats, outcome))
         .catch_info(move |e, origin| finish(stats, Outcome::Killed).then(Io::rethrow(e, origin)))
@@ -296,19 +291,19 @@ mod tests {
 
     /// The acceptor alone, no workers: what it queued stays queued, so
     /// the queue's length is the number of connections that must be
-    /// `active`. A contender keeps the queue cell busy, so on some
+    /// `active`. A contender reads the queue cell, so on some
     /// schedules the first kill finds the enqueue's `take` blocked and
     /// the second finds the guard's. Main reads both cells once the
     /// acceptor has settled: `throw_to_sync` returns when the second
     /// kill is received, which may be inside the guard's retry, before
-    /// its commit. Sleep sets at preemption bound 5 (9 913 schedules),
+    /// its commit. Sleep sets at preemption bound 4 (5 508 schedules),
     /// the smallest bound that catches a guard that retries only once.
     #[test]
     fn two_kills_at_the_acceptor_leave_queue_and_active_in_agreement() {
         let explorer = Explorer::with_config(ExploreConfig {
             max_depth: 256,
             strategy: Strategy::Exhaustive(Reduction::SleepSets {
-                preemption_bound: Some(5),
+                preemption_bound: Some(4),
             }),
             ..ExploreConfig::default()
         });
@@ -318,8 +313,7 @@ mod tests {
                     Mailbox::<Connection>::new(4).and_then(move |queue| {
                         let accept = pool_accept_loop(l, queue, ServerConfig::default(), stats);
                         Io::fork(accept).and_then(move |acceptor| {
-                            let contend = conch_runtime::io::for_each(2, move |_| queue.len());
-                            Io::fork(contend)
+                            Io::fork(queue.len())
                                 .then(l.connect())
                                 .then(Io::throw_to(acceptor, Exception::kill_thread()))
                                 .then(Io::throw_to_sync(acceptor, Exception::kill_thread()))

@@ -100,7 +100,7 @@ fn handle_connection(
     h: Handler,
     config: ServerConfig,
     stats: ServerStats,
-) -> Io<bool> {
+) -> Io<()> {
     // Runs masked when forked by the acceptor (mask inheritance), and
     // the catch is installed while still masked: a catch handler runs
     // at its *saved* mask. Only serve_one runs unblocked. Anything

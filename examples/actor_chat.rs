@@ -21,7 +21,7 @@
 //!   no orphan room outlives its supervisor.
 //!
 //! Under `--explore`, exhaustive exploration (sleep sets, preemption
-//! bound 3, exception-delivery points branching fully; 10 355 schedules)
+//! bound 3, exception-delivery points branching fully; 8 746 schedules)
 //! checks on every schedule
 //! that both subscribers receive the pre-crash broadcast, both receive
 //! the post-restart broadcast, and the shutdown reaps the room with a
@@ -236,7 +236,7 @@ fn main() {
         println!("== actor chat under exhaustive exploration ==");
         let sequential = explore(1);
         assert!(
-            sequential.complete && sequential.explored == 10_355,
+            sequential.complete && sequential.explored == 8_746,
             "exploration must be exhaustive, and the same as ever: {sequential:?}"
         );
         println!(

@@ -960,8 +960,8 @@ fn actor_mailbox_race() -> Io<i64> {
 fn corpus_actor_mailbox_race() {
     assert_dpor_covers_bounded(
         "actor_mailbox_race",
-        47,
-        1_750,
+        50,
+        2_830,
         actor_mailbox_race,
         |out| match &out.result {
             Ok(3) => None,
@@ -986,8 +986,8 @@ fn actor_monitor_race() -> Io<i64> {
 fn corpus_actor_monitor_race() {
     assert_dpor_covers_bounded(
         "actor_monitor_race",
-        8,
-        14,
+        6,
+        26,
         actor_monitor_race,
         |out| match &out.result {
             Ok(11) => None,
@@ -1014,7 +1014,7 @@ fn corpus_actor_link_cascade() {
     assert_dpor_covers_bounded(
         "actor_link_cascade",
         31,
-        13_633,
+        13_669,
         actor_link_cascade,
         |out| match &out.result {
             Ok(2) => None,
