@@ -317,6 +317,7 @@ mod tests {
     use conch_explore::{
         self as explore, ExploreConfig, Explorer, Reduction, RunOutcome, TestCase,
     };
+    use conch_pins as pins;
     use conch_runtime::exception::ExitReason;
     use conch_runtime::scheduler::Runtime;
     use conch_runtime::value::{FromValue, IntoValue};
@@ -579,7 +580,7 @@ mod tests {
         let report = result.expect_pass();
         assert_eq!(
             (report.explored, report.complete),
-            (1_223, true),
+            (pins::SUPERVISOR_SECOND_KILL_MID_SWEEP, true),
             "{report}"
         );
     }

@@ -34,6 +34,7 @@ use conch_combinators::Chan;
 use conch_explore::{
     CheckResult, ExploreConfig, Explorer, Reduction, Report, RunOutcome, TestCase,
 };
+use conch_pins as pins;
 use conch_runtime::exception::{Exception, ExitReason};
 use conch_runtime::ids::ThreadId;
 use conch_runtime::io::Io;
@@ -167,7 +168,7 @@ fn message_conserved(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn recv_never_loses_a_message_on_any_schedule() {
     let report = explore_pass(recv_no_loss_space, message_conserved, 1);
-    assert_complete(&report, 34);
+    assert_complete(&report, pins::ACTORS_RECV_NEVER_LOSES);
 }
 
 #[test]
@@ -247,7 +248,7 @@ fn cascaded(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn link_cascades_on_every_schedule() {
     let report = explore_pass(link_cascade_space, cascaded, 1);
-    assert_complete(&report, 31);
+    assert_complete(&report, pins::ACTORS_LINK_CASCADES);
 }
 
 /// Same crash, but `b` traps: it converts the signal to a message,
@@ -290,7 +291,7 @@ fn trapped(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn trap_exit_observes_and_survives_on_every_schedule() {
     let report = explore_pass(trap_exit_space, trapped, 1);
-    assert_complete(&report, 23);
+    assert_complete(&report, pins::ACTORS_TRAP_EXIT);
 }
 
 // -- supervised restart preserves state; shutdown reaps --------------------
@@ -379,7 +380,7 @@ fn restarted_and_reaped(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn supervised_restart_preserves_state_and_shutdown_reaps() {
     let report = explore_pass(restart_state_space, restarted_and_reaped, 1);
-    assert_complete(&report, 91);
+    assert_complete(&report, pins::ACTORS_SUPERVISED_RESTART);
     assert!(
         report.stats.kill_thread_deaths > 0,
         "the shutdown path must actually kill: {report:?}"
@@ -440,7 +441,7 @@ fn both_reaped(out: &RunOutcome<Vec<i64>>) -> Result<(), String> {
 #[test]
 fn a_second_kill_mid_sweep_orphans_no_child_on_any_schedule() {
     let report = explore_pass(double_kill_space, both_reaped, 1);
-    assert_complete(&report, 6_174);
+    assert_complete(&report, pins::ACTORS_SECOND_KILL_MID_SWEEP);
 }
 
 // -- determinism: worker counts must not change coverage -------------------

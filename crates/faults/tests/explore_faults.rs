@@ -45,6 +45,7 @@ use conch_httpd::http::Response;
 use conch_httpd::net::Listener;
 use conch_httpd::pool::{start_pooled, PoolConfig};
 use conch_httpd::server::{handler, StatsSnapshot};
+use conch_pins as pins;
 use conch_runtime::error::RunError;
 use conch_runtime::io::Io;
 use conch_runtime::value::FromValue;
@@ -307,25 +308,26 @@ fn queued_is_accounted(snap: &StatsSnapshot) -> Result<(), String> {
 fn two_kills_at_the_pooled_acceptor_lose_no_queued_connection_on_any_schedule() {
     let space = pooled_acceptor_two_kill_space;
     let report = explore(space, queued_is_accounted, sleep_sets(1), 1);
-    assert_exhaustive(&report, (31_854, 3_202, 0));
+    assert_exhaustive(&report, pins::FAULTS_POOLED_TWO_KILLS_BOUND_1);
 }
 
 /// The bound at which the space reached the second kill landing in the
 /// acceptor's guard while the guard sat on the accounting: with a guard
 /// that accounted again only once it failed where bounds 1 and 2
-/// passed (217 431 schedules). The guard now sits on the enqueue, and
-/// nothing in this space holds the queue cell while the acceptor
-/// enqueues, so the space no longer reaches it — and at bound 3 it no
-/// longer completes within the 1 000 000-schedule cap, so this test
-/// fails until the space is rebuilt to contend the queue cell.
-/// `cargo test --release -p conch-faults --test explore_faults --
-/// --ignored`, as CI does.
+/// passed. The guard now sits on the enqueue, and nothing in this space
+/// holds the queue cell while the acceptor enqueues, so the space no
+/// longer reaches it — and at bound 3 it no longer completes within the
+/// 1 000 000-schedule cap, so this test fails. A forked read of the
+/// queue cell as a second contender does not rescue it: a retry-once
+/// guard still passes at bound 2, the last bound that completes
+/// (EXPERIMENTS.md X2). `cargo test --release -p conch-faults --test
+/// explore_faults -- --ignored`, as CI does.
 #[test]
-#[ignore = "217k schedules: run in release; fails, see its doc"]
+#[ignore = "release; fails, see its doc"]
 fn two_kills_at_the_pooled_acceptor_at_the_bound_that_reaches_the_guard() {
     let space = pooled_acceptor_two_kill_space;
     let report = explore(space, queued_is_accounted, sleep_sets(3), 1);
-    assert_exhaustive(&report, (217_431, 52_489, 0));
+    assert_exhaustive(&report, pins::FAULTS_POOLED_TWO_KILLS_BOUND_3);
 }
 
 /// Satellite of the sharded-plane PR: a `KillThread` between two
@@ -354,7 +356,7 @@ fn sharded_pipeline_space_reports_identically_at_any_worker_count() {
 fn actor_space_holds_invariants_on_every_schedule() {
     // Four episode arms: nothing, poison, kill, wedge then kill.
     let report = explore(actor_space, actor_outcome, BOUNDED, 1);
-    assert_exhaustive(&report, (791, 4_400, 698));
+    assert_exhaustive(&report, pins::FAULTS_ACTOR_SPACE);
 }
 
 #[test]
@@ -371,7 +373,7 @@ fn cross_shard_kill_space_holds_invariants_on_every_schedule() {
     // Three episode arms: the no-kill drain, the racing kill, and the
     // stale kill to a dead slot.
     let report = explore(cross_shard_kill_space, relay_outcome, BOUNDED, 1);
-    assert_exhaustive(&report, (333, 641, 312));
+    assert_exhaustive(&report, pins::FAULTS_CROSS_SHARD_KILL_SPACE);
 }
 
 #[test]

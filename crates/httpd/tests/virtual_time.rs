@@ -11,6 +11,7 @@ use conch_httpd::http::Response;
 use conch_httpd::net::Listener;
 use conch_httpd::server::{start, ServerConfig};
 use conch_httpd::shard::{sharded_load, LoadConfig};
+use conch_pins as pins;
 use conch_runtime::io::{for_each, sequence};
 use conch_runtime::prelude::*;
 
@@ -40,7 +41,7 @@ fn serve_paced(n: u64, gap_us: u64) -> Io<()> {
 fn fifty_paced_requests_take_4900_virtual_microseconds() {
     let mut rt = Runtime::new();
     rt.run(serve_paced(50, 100)).expect("server run");
-    assert_eq!(rt.clock(), 4_900);
+    assert_eq!(rt.clock(), pins::PACED_FIFTY_CLOCK);
 }
 
 /// One point of the sharded sweep: `clients` keep-alive connections of
@@ -94,18 +95,18 @@ fn assert_sweep_row(clients: usize, pins: [f64; 3]) -> [(f64, usize, usize); 3] 
     row
 }
 
-/// The sleeper queue's high-water is 3 / 12 / 48 entries at every
-/// client count: like the thread slots, it grows with the shards only.
+/// The sleeper queue's high-water is the same at every client count:
+/// like the thread slots, it grows with the shards only.
 #[test]
 fn sharded_sweep_1k_clients() {
-    let row = assert_sweep_row(1_000, [100_000.0, 400_000.0, 1_587_301.6]);
-    assert_eq!(row.map(|(_, _, sleepers)| sleepers), [3, 12, 48]);
+    let row = assert_sweep_row(1_000, pins::SWEEP_1K_PER_VIRTUAL_SEC);
+    assert_eq!(row.map(|(_, _, sleepers)| sleepers), pins::SWEEP_SLEEPERS);
 }
 
 #[test]
 #[ignore = "release"]
 fn sharded_sweep_10k_clients() {
-    assert_sweep_row(10_000, [100_000.0, 400_000.0, 1_600_000.0]);
+    assert_sweep_row(10_000, pins::SWEEP_10K_100K_PER_VIRTUAL_SEC);
 }
 
 /// A million requests a point. Throughput in virtual time scales with
@@ -115,8 +116,8 @@ fn sharded_sweep_10k_clients() {
 #[test]
 #[ignore = "release"]
 fn sharded_sweep_100k_clients() {
-    let row = assert_sweep_row(100_000, [100_000.0, 400_000.0, 1_600_000.0]);
+    let row = assert_sweep_row(100_000, pins::SWEEP_10K_100K_PER_VIRTUAL_SEC);
     assert!(row[2].0 / row[0].0 >= 3.0);
-    assert_eq!(row.map(|(_, slots, _)| slots), [7, 25, 97]);
-    assert_eq!(row.map(|(_, _, sleepers)| sleepers), [3, 12, 48]);
+    assert_eq!(row.map(|(_, slots, _)| slots), pins::SWEEP_THREAD_SLOTS);
+    assert_eq!(row.map(|(_, _, sleepers)| sleepers), pins::SWEEP_SLEEPERS);
 }

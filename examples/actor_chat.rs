@@ -21,7 +21,8 @@
 //!   no orphan room outlives its supervisor.
 //!
 //! Under `--explore`, exhaustive exploration (sleep sets, preemption
-//! bound 3, exception-delivery points branching fully; 8 746 schedules)
+//! bound 3, exception-delivery points branching fully;
+//! `pins::ACTOR_CHAT_EXPLORED` schedules)
 //! checks on every schedule
 //! that both subscribers receive the pre-crash broadcast, both receive
 //! the post-restart broadcast, and the shutdown reaps the room with a
@@ -39,6 +40,7 @@ use conch::explore::{
 use conch::prelude::*;
 use conch::runtime::exception::ExitReason;
 use conch::runtime::value::Value;
+use conch_pins as pins;
 
 /// What a chat room understands.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,7 +238,7 @@ fn main() {
         println!("== actor chat under exhaustive exploration ==");
         let sequential = explore(1);
         assert!(
-            sequential.complete && sequential.explored == 8_746,
+            sequential.complete && sequential.explored == pins::ACTOR_CHAT_EXPLORED,
             "exploration must be exhaustive, and the same as ever: {sequential:?}"
         );
         println!(

@@ -7,6 +7,7 @@
 //! wall-clock side of the same operations is the benchmark's probes.
 
 use conch_combinators::{modify_mvar, modify_mvar_naive, timeout};
+use conch_pins as pins;
 use conch_runtime::io::replicate;
 use conch_runtime::prelude::*;
 use conch_runtime::{FromValue, Stats};
@@ -51,8 +52,16 @@ fn b1_mask_loop_holds_one_frame_collapsed_and_two_per_level_uncollapsed() {
         assert_eq!(on.mask_frames_collapsed, n, "n={n}");
         assert_eq!(off.mask_frames_collapsed, 0, "n={n}");
         // A frame never pushed is never popped: two steps an iteration.
-        assert_eq!(on.steps, 5 * n + 2, "n={n}");
-        assert_eq!(off.steps, 7 * n + 2, "n={n}");
+        assert_eq!(
+            on.steps,
+            pins::B1_STEPS_PER_LEVEL_COLLAPSED * n + 2,
+            "n={n}"
+        );
+        assert_eq!(
+            off.steps,
+            pins::B1_STEPS_PER_LEVEL_UNCOLLAPSED * n + 2,
+            "n={n}"
+        );
     }
 }
 
@@ -102,8 +111,9 @@ fn sync_via_fork(v: ThreadId, e: Exception) -> Io<()> {
 fn b2_kill_and_confirm_costs_the_same_steps_in_both_designs() {
     let asynchronous = run(RuntimeConfig::new(), kill_and_confirm(Io::throw_to)).1;
     let synchronous = run(RuntimeConfig::new(), kill_and_confirm(Io::throw_to_sync)).1;
-    assert_eq!((asynchronous.steps, asynchronous.forks), (23, 1));
-    assert_eq!((synchronous.steps, synchronous.forks), (23, 1));
+    let steps = pins::B2_KILL_AND_CONFIRM_STEPS;
+    assert_eq!((asynchronous.steps, asynchronous.forks), (steps, 1));
+    assert_eq!((synchronous.steps, synchronous.forks), (steps, 1));
 }
 
 /// Fire-and-forget is where the designs part: encoding it on the
@@ -111,7 +121,7 @@ fn b2_kill_and_confirm_costs_the_same_steps_in_both_designs() {
 /// against 22, and `n` extra forks.
 #[test]
 fn b2_fire_and_forget_via_sync_costs_a_fork_and_five_steps_per_throw() {
-    for (n, async_steps, sync_steps) in [(10, 171, 236), (100, 1_701, 2_216)] {
+    for (n, (async_steps, sync_steps)) in [10, 100].into_iter().zip(pins::B2_SPRAY_STEPS) {
         let asynchronous = run(RuntimeConfig::new(), spray(n, Io::throw_to)).1;
         let via_fork = run(RuntimeConfig::new(), spray(n, sync_via_fork)).1;
         assert_eq!((asynchronous.steps, asynchronous.forks), (async_steps, 1));
@@ -162,9 +172,11 @@ fn b3_delivery_latency_is_flat_when_asynchronous_and_the_interval_when_polled() 
         stats.mean_delivery_latency().expect("one delivery")
     };
     let fully_async = RuntimeConfig::new;
-    assert_eq!(latency(fully_async(), kill_and_confirm(Io::throw_to)), 3.0);
-    for (interval, polled) in [(10, 6.0), (100, 96.0), (1_000, 996.0), (10_000, 9_996.0)] {
-        assert_eq!(latency(fully_async(), polled_victim_round(interval)), 3.0);
+    let flat = pins::B3_ASYNC_LATENCY_STEPS;
+    assert_eq!(latency(fully_async(), kill_and_confirm(Io::throw_to)), flat);
+    let intervals = [10, 100, 1_000, 10_000];
+    for (interval, polled) in intervals.into_iter().zip(pins::B3_POLLED_LATENCY_STEPS) {
+        assert_eq!(latency(fully_async(), polled_victim_round(interval)), flat);
         assert_eq!(latency(polling(), polled_victim_round(interval)), polled);
     }
 }
@@ -177,7 +189,10 @@ fn b3_polling_taxes_pure_computation_five_steps_per_safe_point() {
     const TOTAL: u64 = 100_000;
     let unpolled = run(RuntimeConfig::new(), Io::compute(TOTAL)).1;
     assert_eq!(unpolled.steps, TOTAL + 1);
-    for (chunk, total) in [(10, 150_002), (100, 105_002), (1_000, 100_502)] {
+    for (chunk, total) in [10, 100, 1_000]
+        .into_iter()
+        .zip(pins::B3_POLLED_COMPUTE_STEPS)
+    {
         assert_eq!(run(polling(), polled_compute(TOTAL, chunk)).1.steps, total);
         assert_eq!(total, TOTAL + 2 + 5 * (TOTAL / chunk));
     }
@@ -195,12 +210,12 @@ fn updates(n: u64, update: Update) -> Io<i64> {
 /// §5.2-safe `block` + `catch` + `unblock`.
 #[test]
 fn b4_safe_update_costs_fifteen_steps_against_six_raw_and_eleven_naive() {
-    let styles: [(Update, u64); 3] = [
-        (|m| m.take().and_then(move |v| m.put(v + 1)), 6),
-        (|m| modify_mvar_naive(m, |v| Io::pure(v + 1)), 11),
-        (|m| modify_mvar(m, |v| Io::pure(v + 1)), 15),
+    let styles: [Update; 3] = [
+        |m| m.take().and_then(move |v| m.put(v + 1)),
+        |m| modify_mvar_naive(m, |v| Io::pure(v + 1)),
+        |m| modify_mvar(m, |v| Io::pure(v + 1)),
     ];
-    for (update, per_update) in styles {
+    for (update, per_update) in styles.into_iter().zip(pins::B4_STEPS_PER_UPDATE) {
         let (value, stats) = run(RuntimeConfig::new(), updates(1_000, update));
         assert_eq!(value, 1_000);
         assert_eq!(stats.steps, 8 + 1_000 * per_update);
@@ -223,7 +238,12 @@ fn b5_each_timeout_level_costs_the_same_forty_six_steps() {
     for depth in [0, 1, 2, 4, 8] {
         let (value, stats) = run(RuntimeConfig::new(), nested_timeouts(depth, 1_000));
         assert_eq!(value, 7);
-        assert_eq!(stats.steps, 1_001 + 46 * u64::from(depth), "depth={depth}");
+        let per_level = pins::B5_STEPS_PER_TIMEOUT_LEVEL;
+        assert_eq!(
+            stats.steps,
+            1_001 + per_level * u64::from(depth),
+            "depth={depth}"
+        );
         assert_eq!(stats.forks, 2 * u64::from(depth), "depth={depth}");
     }
 }

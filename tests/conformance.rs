@@ -13,6 +13,7 @@
 //! the paper's (Fork) rule exactly (see DESIGN.md).
 
 use conch_explore::{Explorer, RunOutcome, TestCase};
+use conch_pins as pins;
 use conch_runtime::io::Io;
 use conch_runtime::mvar::MVar;
 use conch_runtime::prelude::*;
@@ -403,7 +404,7 @@ fn scenario(name: &str) -> (Prog, &'static str) {
 fn run_scenario(name: &str) {
     let (prog, input) = scenario(name);
     let (explored, outcomes) = assert_conformance(&prog, input);
-    let pin = CURATED_SCHEDULES.iter().find(|(n, ..)| *n == name);
+    let pin = pins::C1_RUNTIME_SCHEDULES.iter().find(|(n, ..)| *n == name);
     assert_eq!(pin, Some(&(name, explored, outcomes)), "{name}");
 }
 
@@ -472,54 +473,9 @@ fn kill_a_sleeper_conforms() {
     run_scenario("kill_a_sleeper_conforms");
 }
 
-/// C1's curated scenarios as (scenario, distinct states, distinct
-/// outcomes): the graph each scenario's traces are checked against,
-/// complete at the default budget.
-const CURATED: [(&str, usize, usize); 13] = [
-    ("put_sequence", 17, 1),
-    ("echo_conforms", 20, 1),
-    ("throw_and_catch", 21, 1),
-    ("uncaught_throw", 11, 1),
-    ("forked_puts_interleave", 80, 10),
-    ("mvar_rendezvous", 64, 1),
-    ("deadlocked_take_is_an_admissible_prefix", 11, 1),
-    ("kill_between_puts", 98, 6),
-    ("masked_child_kill", 131, 3),
-    ("unblock_window_inside_block", 197, 10),
-    ("catch_of_async_exception_conforms", 134, 5),
-    ("sleeping_threads_conform", 138, 3),
-    ("kill_a_sleeper_conforms", 107, 3),
-];
-
-/// C1's curated scenarios on the runtime side, as (scenario, schedules
-/// explored, distinct runtime outcomes): each scenario's test asserts
-/// its row. Against `CURATED`'s outcome count, the last column is the
-/// refinement gap — how much of what the semantics allows the runtime
-/// ever does. It exceeds it twice: in `masked_child_kill` and
-/// `catch_of_async_exception_conforms` the runtime also ends `!z`
-/// wedged. With `fork_inherits_mask(false)` a child starts unmasked and
-/// takes a step to enter its `block` or `catch`, and the kill can land
-/// in that step; a semantics thread is inside its evaluation context
-/// from the start. The trace is still an admitted prefix.
-const CURATED_SCHEDULES: [(&str, usize, usize); 13] = [
-    ("put_sequence", 1, 1),
-    ("echo_conforms", 1, 1),
-    ("throw_and_catch", 1, 1),
-    ("uncaught_throw", 1, 1),
-    ("forked_puts_interleave", 20, 10),
-    ("mvar_rendezvous", 7, 1),
-    ("deadlocked_take_is_an_admissible_prefix", 1, 1),
-    ("kill_between_puts", 135, 6),
-    ("masked_child_kill", 172, 4),
-    ("unblock_window_inside_block", 784, 10),
-    ("catch_of_async_exception_conforms", 160, 6),
-    ("sleeping_threads_conform", 6, 1),
-    ("kill_a_sleeper_conforms", 13, 1),
-];
-
 #[test]
 fn curated_state_graphs_are_pinned() {
-    for (name, states, outcomes) in CURATED {
+    for (name, states, outcomes) in pins::C1_STATE_GRAPHS {
         let (prog, input) = scenario(name);
         let lts = semantics_graph(&prog, input);
         assert_eq!(lts.complete(), Ok(()), "{name}");
@@ -547,7 +503,7 @@ fn device_stuckness_adds_outcomes_only_where_a_masked_put_is_killed() {
             EndState::Wedged,
         )
     };
-    for (name, _, _) in CURATED {
+    for (name, _, _) in pins::C1_STATE_GRAPHS {
         let (prog, input) = scenario(name);
         let init = State::new(semantics_program(prog), input);
         let off = Lts::explore(&init, &ExploreConfig::default()).trace_set();

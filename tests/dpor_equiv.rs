@@ -32,6 +32,7 @@
 //! `conch-actors` layer (mailbox backpressure, monitor
 //! registration/death races, link cascades).
 
+use conch_pins as pins;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt::Debug;
@@ -316,8 +317,8 @@ fn assert_one_run_per_schedule<T: FromValue + Debug + 'static>(
 fn the_factory_runs_once_per_reported_run() {
     // Unbounded sleep sets and DPOR where both complete; bound 2, and
     // unbounded DPOR where it completes in under 5 000 schedules, for
-    // the rest. Outer_tight's 88 746 DPOR schedules are checked in
-    // release, by `corpus_nested_timeout_outer_tight_dpor`.
+    // the rest. Outer_tight's DPOR schedules are checked in release, by
+    // `corpus_nested_timeout_outer_tight_dpor`.
     let both = &[Reduction::default(), Reduction::Dpor];
     let bounded = &[BOUND_2];
     let bounded_and_dpor = &[BOUND_2, Reduction::Dpor];
@@ -604,7 +605,7 @@ fn corpus_output_race_failing() {
 }
 
 /// 3. The G5 golden workload: two MVar writers racing a reader plus an
-///    async kill (448 schedules under sleep sets).
+///    async kill (`pins::G5_EXPLORED` schedules under sleep sets).
 fn three_way_race() -> Io<i64> {
     Io::new_empty_mvar::<i64>().and_then(|m| {
         Io::fork(m.put(1))
@@ -839,7 +840,7 @@ fn outer_fires_first(out: &RunOutcome<Option<Option<i64>>>) -> Option<String> {
 fn corpus_nested_timeout_outer_tight() {
     assert_bounded(
         "nested_timeout_outer_tight",
-        149,
+        pins::CORPUS_OUTER_TIGHT_BOUND_2,
         nested_timeout_outer_tight,
         outer_fires_first,
     );
@@ -847,15 +848,15 @@ fn corpus_nested_timeout_outer_tight() {
 
 /// The DPOR half of the test above: its killed timeout threads run
 /// before main's exit, and no sound rule can know they never print, so
-/// unbounded DPOR takes 88 746 schedules, too many for a debug run. The
-/// same 88 746 must each be executed exactly once.
+/// unbounded DPOR takes too many schedules for a debug run. Each must
+/// be executed exactly once.
 #[test]
 #[ignore = "release"]
 fn corpus_nested_timeout_outer_tight_dpor() {
     assert_dpor_covers_bounded(
         "nested_timeout_outer_tight",
-        149,
-        88_746,
+        pins::CORPUS_OUTER_TIGHT_BOUND_2,
+        pins::CORPUS_OUTER_TIGHT_DPOR,
         nested_timeout_outer_tight,
         outer_fires_first,
     );
@@ -876,7 +877,7 @@ fn corpus_nested_timeout_inner_wins() {
     // Unbounded DPOR does not finish this space in 300 000 schedules.
     assert_bounded(
         "nested_timeout_inner_wins",
-        514,
+        pins::CORPUS_INNER_WINS_BOUND_2,
         nested_timeout_inner_wins,
         |out| match &out.result {
             Ok(Some(Some(7))) => None,
@@ -960,8 +961,8 @@ fn actor_mailbox_race() -> Io<i64> {
 fn corpus_actor_mailbox_race() {
     assert_dpor_covers_bounded(
         "actor_mailbox_race",
-        50,
-        2_830,
+        pins::CORPUS_ACTOR_MAILBOX_RACE_BOUND_2,
+        pins::CORPUS_ACTOR_MAILBOX_RACE_DPOR,
         actor_mailbox_race,
         |out| match &out.result {
             Ok(3) => None,
@@ -986,8 +987,8 @@ fn actor_monitor_race() -> Io<i64> {
 fn corpus_actor_monitor_race() {
     assert_dpor_covers_bounded(
         "actor_monitor_race",
-        6,
-        26,
+        pins::CORPUS_ACTOR_MONITOR_RACE_BOUND_2,
+        pins::CORPUS_ACTOR_MONITOR_RACE_DPOR,
         actor_monitor_race,
         |out| match &out.result {
             Ok(11) => None,
@@ -1013,8 +1014,8 @@ fn actor_link_cascade() -> Io<i64> {
 fn corpus_actor_link_cascade() {
     assert_dpor_covers_bounded(
         "actor_link_cascade",
-        31,
-        13_669,
+        pins::CORPUS_ACTOR_LINK_CASCADE_BOUND_2,
+        pins::CORPUS_ACTOR_LINK_CASCADE_DPOR,
         actor_link_cascade,
         |out| match &out.result {
             Ok(2) => None,
@@ -1089,7 +1090,7 @@ fn chan_ends_under_kill() -> Io<(Vec<i64>, Vec<i64>)> {
 fn corpus_chan_ends_under_kill() {
     assert_bounded(
         "chan_ends_under_kill",
-        9_168,
+        pins::CORPUS_CHAN_ENDS_UNDER_KILL_BOUND_2,
         chan_ends_under_kill,
         |out| match &out.result {
             Ok((got, rest)) => {
@@ -1219,20 +1220,25 @@ fn sem_under_kill() -> Io<(i64, bool, bool, bool)> {
 
 #[test]
 fn corpus_sem_under_kill() {
-    assert_bounded("sem_under_kill", 4_720, sem_under_kill, |out| {
-        match out.result {
-            // One unit, wherever it is — banked, with the waiter, or
-            // still with the holder — and it can be had again.
-            Ok((available, got, given, fresh)) => {
-                let held = i64::from(got) + i64::from(!given);
-                (available + held != 1 || !fresh).then(|| {
-                    format!(
-                        "available {available}, waiter holds {got}, signal happened {given}, \
+    assert_bounded(
+        "sem_under_kill",
+        pins::CORPUS_SEM_UNDER_KILL_BOUND_2,
+        sem_under_kill,
+        |out| {
+            match out.result {
+                // One unit, wherever it is — banked, with the waiter, or
+                // still with the holder — and it can be had again.
+                Ok((available, got, given, fresh)) => {
+                    let held = i64::from(got) + i64::from(!given);
+                    (available + held != 1 || !fresh).then(|| {
+                        format!(
+                            "available {available}, waiter holds {got}, signal happened {given}, \
                          fresh wait succeeded {fresh}"
-                    )
-                })
+                        )
+                    })
+                }
+                Err(ref e) => Some(e.to_string()),
             }
-            Err(ref e) => Some(e.to_string()),
-        }
-    });
+        },
+    );
 }

@@ -26,6 +26,7 @@ use conch_combinators::{both, bracket, race, Either};
 use conch_explore::{
     props, ExploreConfig, Explorer, Reduction, RunOutcome, Schedule, Strategy, TestCase,
 };
+use conch_pins as pins;
 use conch_runtime::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -350,7 +351,8 @@ fn stale_redelivery(done: MVar<i64>, token: MVar<i64>, ready: MVar<()>) -> Io<(i
 #[test]
 fn stale_redelivery_to_reused_slot_is_a_noop_on_every_schedule() {
     // Sleep sets at preemption bound 2 keep the space tractable
-    // (7 647 schedules; unbounded DPOR does not finish in 200 000)
+    // (`pins::STALE_REDELIVERY_BOUND_2` schedules; unbounded DPOR does
+    // not finish in 200 000)
     // without losing the hazard: reaching "children dead, slot reused,
     // poke mid-wait" needs a single preemption of the main thread (all
     // other switches happen at blocking points, which are free), and
@@ -376,7 +378,7 @@ fn stale_redelivery_to_reused_slot_is_a_noop_on_every_schedule() {
     });
     let report = result.expect_pass();
     assert!(
-        report.complete && report.explored == 7_647,
+        report.complete && report.explored == pins::STALE_REDELIVERY_BOUND_2,
         "stale-redelivery check must be exhaustive: {report}"
     );
 }

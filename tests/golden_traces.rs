@@ -19,6 +19,7 @@
 
 use conch_combinators::timeout;
 use conch_explore::{ExploreConfig, Explorer, RunOutcome, TestCase};
+use conch_pins as pins;
 use conch_runtime::prelude::*;
 use conch_runtime::trace::render_trace;
 use std::cell::RefCell;
@@ -236,7 +237,6 @@ const G2_TRACE: &str = "[t0+t1][t0*sleep]?h!h$3?i!i!!";
 const G2_OUTPUT: &str = "hi!";
 const G2_STEPS: u64 = 19;
 
-const G3_EXPLORED: usize = 99;
 const G3_OUTCOMES: &[(i64, &str)] = &[
     (3, "[t0+t1][t0+t2][t0*sleep]$1000"),
     (3, "[t0+t1][t0+t2][t0*sleep][t1*takeMVar]$1000"),
@@ -249,16 +249,9 @@ const G3_OUTCOMES: &[(i64, &str)] = &[
 
 const G4_SCHEDULE: &str = "";
 const G4_MESSAGE: &str = "child won the race";
-const G4_EXPLORED: usize = 1;
-const G4_SHRINK_RUNS: usize = 1;
 
 const G4B_SCHEDULE: &str = "t0";
 const G4B_ORIGINAL: &str = "t0.t1.t0";
-const G4B_EXPLORED: usize = 4;
-const G4B_SHRINK_RUNS: usize = 3;
-
-const G5_EXPLORED: usize = 448;
-const G5_PRUNED: usize = 8;
 
 const G6_TRACE: &str =
     "$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5$5";
@@ -285,7 +278,7 @@ fn g2_console_echo_is_byte_identical() {
 #[test]
 fn g3_counter_race_outcomes_are_byte_identical() {
     let (explored, outcomes) = g3_golden();
-    assert_eq!(explored, G3_EXPLORED);
+    assert_eq!(explored, pins::G3_EXPLORED);
     let outcomes: Vec<_> = outcomes.iter().map(|(n, t)| (*n, t.as_str())).collect();
     assert_eq!(outcomes, G3_OUTCOMES);
 }
@@ -295,8 +288,8 @@ fn g4_shrunk_explorer_certificate_is_byte_identical() {
     let (schedule, message, explored, shrink_runs, complete) = g4_golden();
     assert_eq!(schedule, G4_SCHEDULE);
     assert_eq!(message, G4_MESSAGE);
-    assert_eq!(explored, G4_EXPLORED);
-    assert_eq!(shrink_runs, G4_SHRINK_RUNS);
+    assert_eq!(explored, pins::G4_EXPLORED);
+    assert_eq!(shrink_runs, pins::G4_SHRINK_RUNS);
     assert!(!complete, "a failure stops exploration early");
     // The certificate replays to the same failing outcome.
     let schedule: conch_explore::Schedule = schedule.parse().expect("certificate parses");
@@ -312,8 +305,8 @@ fn g4b_nonempty_certificate_is_byte_identical() {
     let (schedule, original, explored, shrink_runs) = g4b_golden();
     assert_eq!(schedule, G4B_SCHEDULE);
     assert_eq!(original, G4B_ORIGINAL);
-    assert_eq!(explored, G4B_EXPLORED);
-    assert_eq!(shrink_runs, G4B_SHRINK_RUNS);
+    assert_eq!(explored, pins::G4B_EXPLORED);
+    assert_eq!(shrink_runs, pins::G4B_SHRINK_RUNS);
     // The certificate replays to the same failing outcome.
     let schedule: conch_explore::Schedule = schedule.parse().expect("certificate parses");
     let (outcome, _) = Explorer::new().replay(
@@ -326,8 +319,8 @@ fn g4b_nonempty_certificate_is_byte_identical() {
 #[test]
 fn g5_schedule_space_is_exactly_reproduced() {
     let (explored, pruned, truncated, complete) = g5_golden();
-    assert_eq!(explored, G5_EXPLORED);
-    assert_eq!(pruned, G5_PRUNED);
+    assert_eq!(explored, pins::G5_EXPLORED);
+    assert_eq!(pruned, pins::G5_PRUNED);
     assert_eq!(truncated, 0);
     assert!(complete);
 }
@@ -340,7 +333,8 @@ fn g6_timeout_churn_is_byte_identical() {
     assert_eq!(g.clock, G6_CLOCK);
 }
 
-/// Prints the current values of every golden in paste-ready form.
+/// Prints the current values of every golden in paste-ready form; the
+/// `pub const` lines are explorer counts and go to `crates/pins`.
 #[test]
 #[ignore = "generator: run with --ignored --nocapture to re-capture"]
 fn print_golden_values() {
@@ -360,7 +354,7 @@ fn print_golden_values() {
     println!("const G2_OUTPUT: &str = {:?};", g2.output);
     println!("const G2_STEPS: u64 = {};", g2.steps);
     println!();
-    println!("const G3_EXPLORED: usize = {};", g3.0);
+    println!("pub const G3_EXPLORED: usize = {};", g3.0);
     println!(
         "const G3_OUTCOMES: &[(i64, &str)] = &{:?};",
         g3.1.iter().collect::<Vec<_>>()
@@ -368,16 +362,16 @@ fn print_golden_values() {
     println!();
     println!("const G4_SCHEDULE: &str = {g4s:?};");
     println!("const G4_MESSAGE: &str = {g4m:?};");
-    println!("const G4_EXPLORED: usize = {g4e};");
-    println!("const G4_SHRINK_RUNS: usize = {g4sr};");
+    println!("pub const G4_EXPLORED: usize = {g4e};");
+    println!("pub const G4_SHRINK_RUNS: usize = {g4sr};");
     println!();
     println!("const G4B_SCHEDULE: &str = {g4bs:?};");
     println!("const G4B_ORIGINAL: &str = {g4bo:?};");
-    println!("const G4B_EXPLORED: usize = {g4be};");
-    println!("const G4B_SHRINK_RUNS: usize = {g4bsr};");
+    println!("pub const G4B_EXPLORED: usize = {g4be};");
+    println!("pub const G4B_SHRINK_RUNS: usize = {g4bsr};");
     println!();
-    println!("const G5_EXPLORED: usize = {g5e};");
-    println!("const G5_PRUNED: usize = {g5p};");
+    println!("pub const G5_EXPLORED: usize = {g5e};");
+    println!("pub const G5_PRUNED: usize = {g5p};");
     println!();
     println!("const G6_TRACE: &str = {:?};", g6.trace);
     println!("const G6_STEPS: u64 = {};", g6.steps);

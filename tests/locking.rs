@@ -8,6 +8,7 @@
 
 use conch_combinators::{modify_mvar, modify_mvar_naive};
 use conch_explore::{CheckResult, Explorer, RunOutcome, Strategy, TestCase};
+use conch_pins as pins;
 use conch_runtime::prelude::*;
 use conch_semantics::engine::{ExploreConfig, Lts, Safety, State};
 use conch_semantics::programs::{lock_scenario, naive_lock_update, safe_lock_update};
@@ -83,7 +84,11 @@ fn model_checker_finds_the_naive_race() {
 #[test]
 fn model_checker_proves_safe_locking() {
     match lock_graph(safe_lock_update, 2).check_safety(lost_lock) {
-        Ok(Safety::Safe { states }) => assert_eq!(states, 248, "the E1 state space moved"),
+        Ok(Safety::Safe { states }) => assert_eq!(
+            states,
+            pins::E1_LOCK_GRAPH_STATES[1].1,
+            "the E1 state space moved"
+        ),
         Ok(Safety::Violation(d)) => panic!("safe locking raced:\n{}", d.render()),
         Err(e) => panic!("{e}"),
     }
@@ -99,8 +104,7 @@ fn safe_locking_state_space_is_larger_but_safe() {
             lock_graph(safe_lock_update, steps).states(),
         )
     };
-    assert_eq!(sizes(1), (229, 230));
-    assert_eq!(sizes(2), (247, 248));
+    assert_eq!([sizes(1), sizes(2)], pins::E1_LOCK_GRAPH_STATES);
 }
 
 // ------------------------------------------------------------------
@@ -146,7 +150,7 @@ fn runtime_reproduces_the_naive_race() {
     // is in place: two steps of the worker's, shrunk from the third
     // schedule explored.
     assert_eq!(failure.schedule.to_string(), "t1.t1");
-    assert_eq!(failure.report.explored, 3);
+    assert_eq!(failure.report.explored, pins::E1_NAIVE_RACE_EXPLORED);
 }
 
 #[test]

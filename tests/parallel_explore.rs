@@ -9,6 +9,7 @@
 use conch_explore::{
     ExploreConfig, Explorer, Reduction, Report, RunOutcome, Schedule, Strategy, TestCase,
 };
+use conch_pins as pins;
 use conch_runtime::exception::Exception;
 use conch_runtime::io::{for_each, Io};
 use conch_runtime::mvar::MVar;
@@ -18,7 +19,8 @@ use conch_runtime::mvar::MVar;
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The G5 golden workload (see `tests/golden_traces.rs`): two MVar
-/// writers racing a reader, plus an async kill — 448 schedules.
+/// writers racing a reader, plus an async kill (`pins::G5_EXPLORED`
+/// schedules).
 fn three_way_race() -> Io<i64> {
     Io::new_empty_mvar::<i64>().and_then(|m| {
         Io::fork(m.put(1))
@@ -100,8 +102,8 @@ fn passing_counts_identical_for_every_worker_count() {
 fn pinned_g5_counts_hold_under_parallelism() {
     for workers in WORKER_COUNTS {
         let report = passing_report(workers, three_way_race);
-        assert_eq!(report.explored, 448, "workers={workers}");
-        assert_eq!(report.pruned, 8, "workers={workers}");
+        assert_eq!(report.explored, pins::G5_EXPLORED, "workers={workers}");
+        assert_eq!(report.pruned, pins::G5_PRUNED, "workers={workers}");
         assert_eq!(report.truncated, 0, "workers={workers}");
         assert!(report.complete, "workers={workers}");
     }
@@ -243,11 +245,11 @@ fn three_thread_mvar_throwto() -> Io<i64> {
 #[test]
 fn pinned_b9_counts_hold_for_every_reduction_bound_and_worker_count() {
     let sleep_sets = |preemption_bound| Reduction::SleepSets { preemption_bound };
-    for (reduction, explored, pruned) in [
-        (sleep_sets(None), 4_223, 1_791),
-        (sleep_sets(Some(2)), 218, 89),
-        (sleep_sets(Some(0)), 16, 0),
-        (Reduction::Dpor, 190, 280),
+    for (reduction, (explored, pruned)) in [
+        (sleep_sets(None), pins::B9_SLEEP_SETS),
+        (sleep_sets(Some(2)), pins::B9_SLEEP_SETS_BOUND_2),
+        (sleep_sets(Some(0)), pins::B9_SLEEP_SETS_BOUND_0),
+        (Reduction::Dpor, pins::B9_DPOR),
     ] {
         let sequential = space(reduction)
             .check(|| any_outcome(three_thread_mvar_throwto))
@@ -392,8 +394,8 @@ fn complete_counts(reduction: Reduction, program: fn() -> Io<i64>) -> (usize, us
 fn pinned_x1_log_fanin_five_threads() {
     let sleep = complete_counts(Reduction::default(), || log_fanin(4, 4));
     let dpor = complete_counts(Reduction::Dpor, || log_fanin(4, 4));
-    assert_eq!(sleep, (806_534, 67_665, 0, 0));
-    assert_eq!(dpor, (127, 920, 508, 204));
+    assert_eq!(sleep, pins::X1_LOG_FANIN_SLEEP_SETS);
+    assert_eq!(dpor, pins::X1_LOG_FANIN_DPOR);
     assert!(sleep.0 >= 15 * dpor.0);
 }
 
@@ -402,8 +404,8 @@ fn pinned_x1_log_fanin_five_threads() {
 fn pinned_x1_accept_loop_two_clients() {
     let sleep = complete_counts(Reduction::default(), || accept_loop(2));
     let dpor = complete_counts(Reduction::Dpor, || accept_loop(2));
-    assert_eq!(sleep, (308_177, 101_229, 0, 0));
-    assert_eq!(dpor, (2_815, 16_049, 18_722, 3_143));
+    assert_eq!(sleep, pins::X1_ACCEPT_LOOP_SLEEP_SETS);
+    assert_eq!(dpor, pins::X1_ACCEPT_LOOP_DPOR);
 }
 
 /// DPOR only: sleep sets do not finish this space inside the 2 M cap,
@@ -412,7 +414,7 @@ fn pinned_x1_accept_loop_two_clients() {
 #[ignore = "release"]
 fn pinned_x1_pipeline_three_stages() {
     let dpor = complete_counts(Reduction::Dpor, || pipeline(3));
-    assert_eq!(dpor, (1_752, 10_581, 9_421, 2_100));
+    assert_eq!(dpor, pins::X1_PIPELINE_DPOR);
 }
 
 // ---------------------------------------------------------------------
