@@ -262,6 +262,7 @@ where
 mod tests {
     use super::*;
     use conch_explore::{ExploreConfig, Explorer, RunOutcome, TestCase};
+    use conch_pins as pins;
     use conch_runtime::io::for_each;
     use conch_runtime::prelude::*;
     use conch_runtime::RaiseOrigin;
@@ -478,7 +479,7 @@ mod tests {
 
     #[test]
     fn an_attempt_interrupted_n_times_commits_exactly_once() {
-        for (kills, schedules) in [(1, 80), (2, 480), (3, 2_880)] {
+        for (kills, schedules) in (1..).zip(pins::LOCKING_RETRY_UNDER_KILLS) {
             let result = Explorer::new().check(|| interrupted(kills));
             let report = result.expect_pass();
             assert_eq!(

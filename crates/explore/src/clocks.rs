@@ -216,10 +216,8 @@ fn events_dependent(
 /// against (in every debug-build DPOR run and by the unit-test fuzzer),
 /// not a mode anyone can select.
 ///
-/// This is a deterministic function of the log alone — the cornerstone
-/// of the parallel determinism argument in `DESIGN.md`: two workers
-/// replaying the same choice prefix produce the same log, hence the
-/// same flags, for any interleaving of workers.
+/// This is a deterministic function of the log alone: two runs of the
+/// same choice prefix produce the same log, hence the same flags.
 #[cfg(any(test, debug_assertions))]
 pub(crate) fn analyze(events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
     let mut analysis = RaceAnalysis::default();

@@ -29,19 +29,12 @@ use crate::worker::{Run, Worker};
 
 /// Run one worker to completion: pull items, walk each subtree depth
 /// first, donate when peers starve, stop on global caps or search end.
-/// The engine supplies the two decisions that differ:
-///
-/// * `known(item, stack)` — is what lies under the script the stack
-///   denotes known without executing it? If so the engine has pushed
-///   whatever of it is still to be walked, leaving the stack on a
-///   schedule that needs no run.
-/// * `visit(worker, run, scripted, stack)` — a finished run: account
-///   what it contributes and push its branch points past the first
-///   `scripted` as new nodes. `false` abandons the rest of the item.
+/// The engine supplies what differs, `visit(worker, run, scripted,
+/// stack)`: account a finished run and push its branch points past the
+/// first `scripted` as new nodes. `false` abandons the rest of the item.
 pub(crate) fn walk<T: FromValue>(
     w: &mut Worker<'_>,
     factory: &mut dyn FnMut() -> TestCase<T>,
-    mut known: impl FnMut(&WorkItem, &mut Vec<Node>) -> bool,
     mut visit: impl FnMut(&mut Worker<'_>, Run<T>, usize, &mut Vec<Node>) -> bool,
 ) {
     let frontier = w.frontier;
@@ -50,7 +43,10 @@ pub(crate) fn walk<T: FromValue>(
         stack.clear();
         stack.extend(item.node.clone());
         while !frontier.is_stopped() {
-            if !known(&item, &mut stack) {
+            // Once some worker holds a failing run, subtrees strictly
+            // DFS-later than it can't change the verdict: skip them.
+            let later = frontier.has_failure() && frontier.prune_later(&prefix_key(&item, &stack));
+            if !later {
                 load_script(w.state(), &item, &stack);
                 let run = w.run(factory);
                 if !visit(w, run, item.prefix.len() + stack.len(), &mut stack) {
@@ -60,7 +56,7 @@ pub(crate) fn walk<T: FromValue>(
             if frontier.starving() > 0 {
                 donate(frontier, &item, &mut stack);
             }
-            if !backtrack(&mut stack) || w.over_caps() {
+            if !backtrack(&mut stack, frontier) || w.over_caps() {
                 break;
             }
         }
@@ -73,32 +69,24 @@ pub(crate) fn sleep_set_worker<T: FromValue>(
     w: &mut Worker<'_>,
     factory: &mut dyn FnMut() -> TestCase<T>,
 ) {
-    let frontier = w.frontier;
-    walk(
-        w,
-        factory,
-        // Once some worker holds a failing run, subtrees strictly
-        // DFS-later than it can't change the verdict: skip them.
-        |item, stack| frontier.has_failure() && frontier.prune_later(&prefix_key(item, stack)),
-        |w, run, scripted, stack| {
-            // A failing run stops this item (everything left in it is
-            // DFS-later) but lets the search drain: other items may
-            // hold a DFS-earlier failure that should win.
-            if w.account(run, |st| dfs_key(&st.record)) {
-                return false;
-            }
-            // Newly discovered branch points below the scripted prefix
-            // become fresh DFS nodes. Draining (rather than taking) the
-            // record keeps its buffer capacity for the next run.
-            let mut pruned = 0;
-            for point in w.state().borrow_mut().record.drain(scripted..) {
-                pruned += point.alts.iter().filter(|a| a.asleep).count();
-                stack.push(Node::from_point(point));
-            }
-            frontier.add_pruned(pruned);
-            true
-        },
-    );
+    walk(w, factory, |w, run, scripted, stack| {
+        // A failing run stops this item (everything left in it is
+        // DFS-later) but lets the search drain: other items may
+        // hold a DFS-earlier failure that should win.
+        if w.account(run, |st| dfs_key(&st.record)) {
+            return false;
+        }
+        // Newly discovered branch points below the scripted prefix
+        // become fresh DFS nodes. Draining (rather than taking) the
+        // record keeps its buffer capacity for the next run.
+        let mut pruned = 0;
+        for point in w.state().borrow_mut().record.drain(scripted..) {
+            pruned += point.alts.iter().filter(|a| a.asleep).count();
+            stack.push(Node::from_point(point));
+        }
+        w.frontier.add_pruned(pruned);
+        true
+    });
 }
 
 /// Refill the driver's script and sleep entries for the schedule the
@@ -122,9 +110,10 @@ fn prefix_key(item: &WorkItem, stack: &[Node]) -> Vec<u32> {
     key
 }
 
-/// Advance the deepest advanceable node; `false` when the item's
-/// subtree is exhausted.
-fn backtrack(stack: &mut Vec<Node>) -> bool {
+/// Advance the deepest advanceable node, popping exhausted ones and
+/// counting what they never took; `false` when the item's subtree is
+/// exhausted.
+fn backtrack(stack: &mut Vec<Node>, frontier: &Frontier) -> bool {
     loop {
         match stack.last_mut() {
             None => return false,
@@ -132,6 +121,7 @@ fn backtrack(stack: &mut Vec<Node>) -> bool {
                 if node.advance() {
                     return true;
                 }
+                frontier.add_pruned(node.pruned());
                 stack.pop();
             }
         }

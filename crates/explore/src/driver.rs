@@ -94,8 +94,8 @@ impl Default for Alt {
 }
 
 /// The candidate list of a branch point, in run-queue order. A run
-/// records one per scheduling point and the DPOR trie hands one back
-/// per recalled node; up to four threads it is plain inline data.
+/// records one per scheduling point; up to four threads it is plain
+/// inline data.
 pub(crate) type Alts = InlineVec<Alt, 4>;
 
 /// A branch point recorded during a run.
@@ -109,18 +109,6 @@ pub(crate) struct Point {
     /// For oracle points ([`Io::choose`](conch_runtime::io::Io::choose)):
     /// the number of arms. Zero for scheduling and delivery points.
     pub(crate) arms: u8,
-}
-
-impl Point {
-    /// How many alternatives the search may take here: both delivery
-    /// arms, every oracle arm, every candidate thread.
-    pub(crate) fn candidates(&self) -> u32 {
-        match self.chosen {
-            Choice::Deliver(_) => 2,
-            Choice::Arm(_) => self.arms as u32,
-            Choice::Thread(_) => self.alts.len() as u32,
-        }
-    }
 }
 
 /// Mutable driver state for one run, shared between the [`Decider`]

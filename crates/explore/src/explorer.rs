@@ -3,8 +3,6 @@
 //! [`Strategy`] into an engine (`dfs`, `dpor`, `sample`) on one or
 //! many workers, then replay and greedy schedule shrinking.
 
-use std::sync::Mutex;
-
 use conch_runtime::config::RuntimeConfig;
 use conch_runtime::error::RunError;
 use conch_runtime::io::Io;
@@ -13,8 +11,8 @@ use conch_runtime::trace::IoEvent;
 use conch_runtime::value::FromValue;
 
 use crate::dfs::sleep_set_worker;
-use crate::dpor::{round_worker, Trie};
-use crate::frontier::{lock, Frontier};
+use crate::dpor::dpor_worker;
+use crate::frontier::Frontier;
 use crate::sample::{sample_index, sample_worker, Samples};
 use crate::schedule::Schedule;
 use crate::worker::{Runner, Worker};
@@ -54,6 +52,10 @@ pub enum Reduction {
     /// are telemetry. A property that reads them must use sleep sets.
     /// Main's exit runs last in every DPOR run, so a thread that never
     /// blocks or ends runs the run into the step budget.
+    ///
+    /// DPOR is one sequential search: its backtrack sets grow on the
+    /// DFS stack, so [`Explorer::check_parallel`] runs it on one
+    /// thread, as [`Explorer::check`] does.
     Dpor,
 }
 
@@ -239,8 +241,7 @@ impl Default for ExploreConfig {
 pub struct Timing {
     /// Seconds spent executing schedules, summed across workers: the
     /// [`Report::explored`] runs and nothing else (shrink replays are
-    /// not timed; a DPOR round reads a registered path back from its
-    /// trie without running it).
+    /// not timed).
     pub replay_seconds: f64,
     /// Seconds spent in vector-clock race analysis, summed across
     /// workers.
@@ -264,7 +265,8 @@ pub struct Report {
     /// candidate, in `shrink_runs`).
     pub explored: usize,
     /// Alternatives skipped by the sleep-set rule (each would have
-    /// re-reached an already-explored state).
+    /// re-reached an already-explored state); under DPOR, the
+    /// alternatives of each branch point that no run took.
     pub pruned: usize,
     /// Runs cut short by the depth or step budget.
     pub truncated: usize,
@@ -427,7 +429,9 @@ impl Explorer {
 
     /// Explore the schedule space of the program produced by `factory`,
     /// checking each execution's property. On failure the schedule is
-    /// shrunk to a minimal failing certificate.
+    /// shrunk to a minimal failing certificate. Under
+    /// [`Reduction::Dpor`] this is also what
+    /// [`check_parallel`](Explorer::check_parallel) runs.
     pub fn check<T, F>(&self, mut factory: F) -> CheckResult
     where
         T: FromValue,
@@ -443,6 +447,10 @@ impl Explorer {
     /// spawned, whatever the host — counters and certificates are
     /// worker-count-independent, so oversubscribing a small machine
     /// costs wall-clock time, never a result.
+    ///
+    /// Under [`Reduction::Dpor`] `workers` is ignored: the search is
+    /// [`Explorer::check`]'s, on the calling thread, because DPOR grows
+    /// its backtrack sets on the stack of one depth-first search.
     ///
     /// Each worker owns its own runtime and driver and builds fresh
     /// `TestCase`s from `factory` (which is why, unlike `check`, the
@@ -489,6 +497,11 @@ impl Explorer {
         shared: Option<&(dyn Fn() -> TestCase<T> + Sync)>,
     ) -> CheckResult {
         type Engine<'e, T> = dyn Fn(&mut Worker<'_>, &mut dyn FnMut() -> TestCase<T>) + Sync + 'e;
+        // DPOR grows its backtrack sets on the stack of one DFS.
+        let workers = match self.config.strategy {
+            Strategy::Exhaustive(Reduction::Dpor) => 1,
+            _ => workers,
+        };
         let frontier = Frontier::new(workers);
         let mut fan_out = |engine: &Engine<'_, T>| {
             let work = |factory: &mut dyn FnMut() -> TestCase<T>| {
@@ -514,26 +527,8 @@ impl Explorer {
         };
         let report = match &self.config.strategy {
             Strategy::Exhaustive(Reduction::Dpor) => {
-                let trie = Mutex::new(Trie::default());
-                // One fan-out per round: the round barrier needs every
-                // worker drained before the backtrack sets may change.
-                loop {
-                    fan_out(&|w, factory| round_worker(w, factory, &trie));
-                    if frontier.is_stopped() || !lock(&trie).apply_pending() {
-                        break;
-                    }
-                    frontier.start_round();
-                }
-                // Under DPOR "pruned" is read off the final run trie
-                // (the alternatives no registered run took) and the
-                // backtrack count is the total size of the final
-                // backtrack sets — both deterministic functions of the
-                // fixpoint.
-                let trie = lock(&trie);
-                let mut report = frontier.report();
-                report.pruned = trie.pruned();
-                report.stats.backtracks_installed = trie.backtracks();
-                report
+                fan_out(&|w, factory| dpor_worker(w, factory));
+                frontier.report()
             }
             Strategy::Exhaustive(Reduction::SleepSets { .. }) => {
                 fan_out(&|w, factory| sleep_set_worker(w, factory));

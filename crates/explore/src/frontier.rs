@@ -48,56 +48,95 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One node of a DFS stack: a branch point whose `chosen` is the
 /// alternative currently being explored below it.
 ///
-/// A node may carry a *restriction*: an explicit child order (the
-/// DPOR backtrack set, default choice first) that replaces "every
-/// alternative in `alts` order". Restricted nodes are how each DPOR
-/// round walks only the subtree its backtrack sets justify while
-/// reusing the whole DFS machinery — sleep entries, donation, keys.
+/// Under DPOR a scheduling node carries a [`Backtrack`] set: an
+/// explicit child order that replaces "every alternative in `alts`
+/// order". It starts as the default choice alone and grows while the
+/// node is on the stack, as later runs find races it must reverse.
 #[derive(Debug, Clone)]
 pub(crate) struct Node {
     pub(crate) point: Point,
-    /// Under DPOR, the run-trie node this branch point sits at — the
-    /// stack's cursor into [`crate::dpor::Trie`], which travels with a
-    /// donated node. Unused (0) by the sleep-set engine.
-    pub(crate) at: u32,
-    /// The explicit child order (thread ids) and the position of the
-    /// current child in it; `None` explores all of `alts`.
-    restrict: Option<(InlineVec<u64, 4>, usize)>,
+    /// `None` explores all of `alts`.
+    backtrack: Option<Backtrack>,
     /// The node's remaining alternatives were donated to another worker
     /// as a [`WorkItem`]; locally it is exhausted.
     pub(crate) sealed: bool,
+}
+
+/// The backtrack set of a DPOR scheduling node.
+#[derive(Debug, Clone)]
+struct Backtrack {
+    /// Thread ids in exploration order: the default choice, then each
+    /// entry in order of arrival.
+    order: InlineVec<u64, 4>,
+    /// Position of the current child in `order`.
+    pos: usize,
+    /// Some race asked for the default thread, which heads `order`
+    /// anyway: an entry, counted once and explored once.
+    default_asked: bool,
 }
 
 impl Node {
     pub(crate) fn from_point(point: Point) -> Self {
         Node {
             point,
-            at: 0,
-            restrict: None,
+            backtrack: None,
             sealed: false,
         }
     }
 
-    /// A node of a DPOR round, at trie node `at`. A scheduling point is
-    /// restricted to its default choice (the one `point` took) followed
-    /// by the node's backtrack set as of this round in canonical order
-    /// — `backtrack` yields it latest entry first. Delivery and oracle
-    /// points take no restriction: they branch all their alternatives
-    /// in every round (a delivery is dependent on every step of its
+    /// A node of the DPOR search. A scheduling point gets an empty
+    /// backtrack set: its default choice (the one `point` took) is its
+    /// only child until [`add_backtrack`](Node::add_backtrack) adds
+    /// more. Delivery and oracle points get none: they branch all their
+    /// alternatives (a delivery is dependent on every step of its
     /// target, and an oracle's arms are first-class behaviours).
-    pub(crate) fn in_round(point: Point, at: u32, backtrack: impl Iterator<Item = u64>) -> Self {
+    pub(crate) fn dpor(point: Point) -> Self {
         let mut node = Node::from_point(point);
-        node.at = at;
         if let Choice::Thread(default) = node.point.chosen {
             let mut order = InlineVec::new();
             order.push(default);
-            backtrack
-                .filter(|&t| t != default)
-                .for_each(|t| order.push(t));
-            order[1..].reverse();
-            node.restrict = Some((order, 0));
+            node.backtrack = Some(Backtrack {
+                order,
+                pos: 0,
+                default_asked: false,
+            });
         }
         node
+    }
+
+    /// Add thread `tid` to this DPOR node's backtrack set; `true` iff
+    /// it was not in the set yet. The entry is explored after every
+    /// child the node has already taken or been given, with those
+    /// children asleep.
+    pub(crate) fn add_backtrack(&mut self, tid: u64) -> bool {
+        let set = self
+            .backtrack
+            .as_mut()
+            .expect("backtrack entries go to scheduling points");
+        if tid == set.order[0] {
+            !std::mem::replace(&mut set.default_asked, true)
+        } else if set.order.contains(&tid) {
+            false
+        } else {
+            set.order.push(tid);
+            true
+        }
+    }
+
+    /// The alternatives this exhausted DPOR node never took: its
+    /// candidates minus its children. A backtrack entry that is asleep
+    /// here was never taken. Zero for a node without a backtrack set:
+    /// the sleep-set engine counts its pruned alternatives when it
+    /// creates the node.
+    pub(crate) fn pruned(&self) -> usize {
+        let Some(set) = &self.backtrack else {
+            return 0;
+        };
+        let taken = 1 + set.order[1..]
+            .iter()
+            .filter(|&&tid| awake(&self.point, tid))
+            .count();
+        self.point.alts.len() - taken
     }
 
     /// Visit the alternatives already explored at this node (to be
@@ -107,14 +146,14 @@ impl Node {
         let Choice::Thread(_) = self.point.chosen else {
             return;
         };
-        match &self.restrict {
+        match &self.backtrack {
             None => {
                 for alt in &self.point.alts[..point_key(&self.point) as usize] {
                     f(alt.entry());
                 }
             }
-            Some((order, pos)) => {
-                for &tid in &order[..*pos] {
+            Some(set) => {
+                for &tid in &set.order[..set.pos] {
                     if let Some(i) = alt_index(&self.point, tid) {
                         f(self.point.alts[i].entry());
                     }
@@ -130,20 +169,18 @@ impl Node {
             return false;
         }
         let point = &mut self.point;
-        let next = match (point.chosen, &mut self.restrict) {
+        let next = match (point.chosen, &mut self.backtrack) {
             // Deliver-now is explored first; defer second; then done.
             (Choice::Deliver(now), _) => now.then_some(Choice::Deliver(false)),
             // Arms are explored in ascending order, 0 first.
             (Choice::Arm(a), _) => (a + 1 < point.arms).then_some(Choice::Arm(a + 1)),
-            // A backtrack member that is asleep here, or was never a
-            // candidate, is skipped at exploration time.
-            (Choice::Thread(_), Some((order, pos))) => loop {
-                *pos += 1;
-                match order.get(*pos) {
+            // A backtrack entry that is asleep here is skipped at
+            // exploration time.
+            (Choice::Thread(_), Some(set)) => loop {
+                set.pos += 1;
+                match set.order.get(set.pos) {
                     None => break None,
-                    Some(&tid) if alt_index(point, tid).is_some_and(|i| !point.alts[i].asleep) => {
-                        break Some(Choice::Thread(tid));
-                    }
+                    Some(&tid) if awake(point, tid) => break Some(Choice::Thread(tid)),
                     Some(_) => {}
                 }
             },
@@ -167,11 +204,17 @@ pub(crate) fn alt_index(point: &Point, tid: u64) -> Option<usize> {
     point.alts.iter().position(|a| a.tid() == tid)
 }
 
+/// Thread `tid` is a candidate of `point` and was awake when the point
+/// was first recorded.
+fn awake(point: &Point, tid: u64) -> bool {
+    alt_index(point, tid).is_some_and(|i| !point.alts[i].asleep)
+}
+
 /// Position of the taken alternative in `p`'s exploration order. The
 /// DFS visits smaller positions first, so concatenating them along a
 /// path yields a key that orders whole runs by sequential visit order
 /// (see [`dfs_key`]) — by full-`alts` position even under a DPOR
-/// restriction, so failure keys stay comparable across reductions.
+/// backtrack set, so failure keys stay comparable across reductions.
 pub(crate) fn point_key(p: &Point) -> u32 {
     match p.chosen {
         Choice::Deliver(now) => !now as u32,
@@ -231,7 +274,7 @@ struct QueueState {
 /// Shared state of one (possibly parallel) exploration — what every
 /// engine needs: the work queue, the run counters and the earliest
 /// failure. What only one engine reads lives with that engine
-/// ([`crate::dpor::Trie`], [`crate::sample::Samples`]).
+/// ([`crate::sample::Samples`]).
 pub(crate) struct Frontier {
     workers: usize,
     queue: Mutex<QueueState>,
@@ -357,17 +400,6 @@ impl Frontier {
 
     pub(crate) fn is_stopped(&self) -> bool {
         self.stopped.load(Ordering::Acquire)
-    }
-
-    /// Reset the work queue for the next DPOR round: the whole
-    /// (grown) tree is re-walked from the root. Counters, the failure
-    /// candidate, and the stop flag all persist.
-    pub(crate) fn start_round(&self) {
-        let mut q = lock(&self.queue);
-        debug_assert_eq!(q.busy, 0, "a round must be fully drained first");
-        q.items = vec![WorkItem::root()];
-        drop(q);
-        self.available.notify_all();
     }
 
     /// Record one executed run. `choices` is the run's full schedule,

@@ -38,6 +38,8 @@
 //! same DFS out over OS threads with prefix-based work stealing, with
 //! coverage counts and certificates bit-identical to the sequential
 //! search for any worker count (see `DESIGN.md` for the argument).
+//! [`Reduction::Dpor`] is the exception: its backtrack sets grow on the
+//! stack of one DFS, so it is always that one sequential search.
 //!
 //! When the space is too large to enumerate, a sampling [`Strategy`]
 //! (PCT priority sampling — see [`Strategy::Pct`]) draws seeded

@@ -240,6 +240,7 @@ mod tests {
     use crate::http::{Request, Response};
     use crate::server::handler;
     use conch_explore::{ExploreConfig, Explorer, Reduction, RunOutcome, Strategy, TestCase};
+    use conch_pins as pins;
     use conch_runtime::prelude::*;
 
     fn hello() -> Handler {
@@ -296,8 +297,8 @@ mod tests {
     /// the second finds the guard's. Main reads both cells once the
     /// acceptor has settled: `throw_to_sync` returns when the second
     /// kill is received, which may be inside the guard's retry, before
-    /// its commit. Sleep sets at preemption bound 4 (5 508 schedules),
-    /// the smallest bound that catches a guard that retries only once.
+    /// its commit. Sleep sets at preemption bound 4, the smallest bound
+    /// that catches a guard that retries only once.
     #[test]
     fn two_kills_at_the_acceptor_leave_queue_and_active_in_agreement() {
         let explorer = Explorer::with_config(ExploreConfig {
@@ -335,6 +336,7 @@ mod tests {
         });
         let report = result.expect_pass();
         assert!(report.complete, "{report}");
+        assert_eq!(report.explored, pins::POOL_TWO_KILLS_AT_THE_ACCEPTOR);
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn serve_paced(n: u64, gap_us: u64) -> Io<()> {
 }
 
 #[test]
-fn fifty_paced_requests_take_4900_virtual_microseconds() {
+fn paced_requests_end_at_the_pinned_virtual_clock() {
     let mut rt = Runtime::new();
     rt.run(serve_paced(50, 100)).expect("server run");
     assert_eq!(rt.clock(), pins::PACED_FIFTY_CLOCK);

@@ -7,7 +7,8 @@
 //! identical for every `N`; only the wall-clock time changes. Pass
 //! `--reduction {sleep,dpor}` to pick the schedule-space reduction
 //! (default: sleep sets); with `dpor` the sleep-set baseline is run
-//! too and the reduction ratio is printed.
+//! too and the reduction ratio is printed. DPOR is one sequential
+//! search whatever `N` is; the baseline still uses `N` threads.
 //!
 //! Pass `--sample pct` to *draw* schedules instead of
 //! enumerating them (`--samples N` for the budget, default 2048;

@@ -206,10 +206,10 @@ fn updates(n: u64, update: Update) -> Io<i64> {
     Io::new_mvar(0_i64).and_then(move |m| replicate(n, move || update(m)).then(m.take()))
 }
 
-/// Steps per update: 6 raw, 11 with the naive `catch`, 15 with the
+/// Steps per update: raw, with the naive `catch`, and with the
 /// §5.2-safe `block` + `catch` + `unblock`.
 #[test]
-fn b4_safe_update_costs_fifteen_steps_against_six_raw_and_eleven_naive() {
+fn b4_steps_per_update_raw_naive_and_safe() {
     let styles: [Update; 3] = [
         |m| m.take().and_then(move |v| m.put(v + 1)),
         |m| modify_mvar_naive(m, |v| Io::pure(v + 1)),
@@ -231,10 +231,10 @@ fn nested_timeouts(depth: u32, work: u64) -> Io<i64> {
     })
 }
 
-/// 46 steps and two forks per level at every depth: linear, no
+/// The same steps and two forks per level at every depth: linear, no
 /// interference, and the timed computation itself is untouched.
 #[test]
-fn b5_each_timeout_level_costs_the_same_forty_six_steps() {
+fn b5_each_timeout_level_costs_the_same_steps() {
     for depth in [0, 1, 2, 4, 8] {
         let (value, stats) = run(RuntimeConfig::new(), nested_timeouts(depth, 1_000));
         assert_eq!(value, 7);

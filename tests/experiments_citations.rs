@@ -263,7 +263,8 @@ struct Pin {
     /// The value's numbers of ≥ 3 digits, written as [`number_token`]
     /// writes them.
     numbers: Vec<String>,
-    /// Read by CI's "Pin interpreter layer counts" step.
+    /// Read by CI's "Pin interpreter layer counts" step (doc line
+    /// `` `measure` `` or `` `measure --smoke` ``).
     measured: bool,
 }
 
@@ -279,7 +280,7 @@ fn pins() -> Vec<Pin> {
         pins.push(Pin {
             name: name.to_owned(),
             numbers: numbers(value),
-            measured: doc_line.starts_with("/// `measure` "),
+            measured: doc_line.starts_with("/// `measure"),
         });
     }
     assert!(pins.len() > 50, "{PINS} has only {} pins", pins.len());
@@ -381,7 +382,7 @@ fn every_pin_has_a_reader() {
         }
     }
     let ci = read(CI);
-    let ci_reads_pins = ci.contains(PINS) && ci.contains("/// `measure` ");
+    let ci_reads_pins = ci.contains(PINS) && ci.contains("/// `measure");
     let unread: Vec<String> = pins()
         .into_iter()
         .filter(|p| !(read_in_code.contains(&p.name) || (p.measured && ci_reads_pins)))

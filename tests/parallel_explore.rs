@@ -259,8 +259,11 @@ fn pinned_b9_counts_hold_for_every_reduction_bound_and_worker_count() {
         assert_eq!(counts, (explored, pruned, 0), "{reduction:?}");
         assert!(sequential.complete, "{reduction:?}");
         if reduction == Reduction::Dpor {
+            // One search whatever the worker count: see
+            // `dpor_check_parallel_is_check`.
             assert!(sequential.stats.races_detected > 0);
             assert!(sequential.stats.backtracks_installed > 0);
+            continue;
         }
         for workers in WORKER_COUNTS {
             let parallel = space(reduction)
@@ -418,10 +421,9 @@ fn pinned_x1_pipeline_three_stages() {
 }
 
 // ---------------------------------------------------------------------
-// The same determinism contract must hold under DPOR: each round's
-// tree is fixed, insertions are a commutative union, so counters and
-// certificates are functions of the schedule space alone (see
-// crates/explore/src/dpor.rs).
+// DPOR is one sequential search: its backtrack sets grow on the DFS
+// stack, so `check_parallel` runs it as `check` does, on the calling
+// thread, whatever the worker count.
 // ---------------------------------------------------------------------
 
 fn dpor_explorer() -> Explorer {
@@ -433,37 +435,20 @@ fn dpor_explorer() -> Explorer {
 }
 
 #[test]
-fn dpor_counts_identical_for_every_worker_count() {
-    for program in [three_way_race as fn() -> Io<i64>, independent_pairs] {
-        // The sequential engine is the reference; every worker count
-        // must reproduce its report bit for bit (`Report` is `Eq`; the
-        // wall-clock `timing` field is excluded from equality).
-        let sequential = dpor_explorer()
-            .check(|| {
-                TestCase::new(program(), |out: &RunOutcome<i64>| match out.result {
-                    Ok(_) => Ok(()),
-                    Err(ref e) => Err(e.to_string()),
-                })
-            })
-            .expect_pass()
-            .clone();
-        assert!(sequential.complete);
-        for workers in WORKER_COUNTS {
-            let parallel = dpor_explorer()
-                .check_parallel(workers, || {
-                    TestCase::new(program(), |out: &RunOutcome<i64>| match out.result {
-                        Ok(_) => Ok(()),
-                        Err(ref e) => Err(e.to_string()),
-                    })
-                })
-                .expect_pass()
-                .clone();
-            assert_eq!(
-                parallel, sequential,
-                "DPOR report diverged at workers={workers}"
-            );
-        }
-    }
+fn dpor_check_parallel_is_check() {
+    let any_result = || any_outcome(three_way_race);
+    let sequential = dpor_explorer().check(any_result);
+    let parallel = dpor_explorer().check_parallel(4, any_result);
+    assert!(sequential.expect_pass().complete);
+    assert_eq!(parallel.expect_pass(), sequential.expect_pass());
+
+    let sequential = dpor_explorer().check(racy_case);
+    let parallel = dpor_explorer().check_parallel(4, racy_case);
+    let (s, p) = (sequential.expect_fail(), parallel.expect_fail());
+    assert_eq!(
+        (&p.schedule, &p.original, &p.message, &p.report),
+        (&s.schedule, &s.original, &s.message, &s.report)
+    );
 }
 
 #[test]
@@ -487,35 +472,6 @@ fn dpor_explores_fewer_schedules_than_sleep_sets_on_g5() {
     );
     assert!(dpor.stats.races_detected > 0);
     assert!(dpor.stats.backtracks_installed > 0);
-}
-
-#[test]
-fn dpor_failure_certificates_identical_for_every_worker_count() {
-    let check = || {
-        Explorer::with_config(ExploreConfig {
-            max_schedules: 100_000,
-            strategy: Strategy::Exhaustive(Reduction::Dpor),
-            ..ExploreConfig::default()
-        })
-    };
-    let reference = check().check(racy_case);
-    let reference = reference.expect_fail();
-    for workers in WORKER_COUNTS {
-        let result = check().check_parallel(workers, racy_case);
-        let failure = result.expect_fail();
-        assert_eq!(
-            failure.schedule, reference.schedule,
-            "DPOR shrunk certificate diverged at workers={workers}"
-        );
-        assert_eq!(failure.original, reference.original);
-        assert_eq!(failure.message, reference.message);
-        // DPOR drains its whole fixpoint before shrinking, so even the
-        // coverage counters of a failing search are deterministic.
-        assert_eq!(
-            failure.report, reference.report,
-            "DPOR failing report diverged at workers={workers}"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
