@@ -36,8 +36,9 @@
 //!   already coarsened to `Effect` at the source — the eager
 //!   (Interrupt) rule may then cancel a wait on an arbitrary resource.)
 //! * `Terminal` of a non-main thread ends that thread and wakes its
-//!   sync-throw notifiers: dependent on the steps of any thread that
-//!   ever threw at it, and on nothing else. The *main* thread's
+//!   sync-throw notifiers: dependent on the throws at it, and otherwise
+//!   only on what every step is dependent on (`Effect` steps, and a
+//!   throw whose target was blocked, see below). The *main* thread's
 //!   terminal ends the program and freezes its output: what DPOR
 //!   preserves is main's result and the console output, so the exit is
 //!   dependent on console steps (and, like any step, on `Effect` steps
@@ -46,6 +47,12 @@
 //!   decider runs the exit last (DESIGN.md §3.5): every console step
 //!   another thread can reach before main exits is then in the log,
 //!   raced against the exit.
+//! * A blocking `takeMVar` and a blocking `putMVar` on one cell commute
+//!   when neither thread has an exception pending
+//!   ([`ExecEvent::op`]): under the runtime's FIFO hand-off both orders
+//!   serve the same waiter and leave the same cell and queues
+//!   (DESIGN.md §3.5). Two takes, two puts, and any pair with a
+//!   `tryTakeMVar` or `tryPutMVar` stay dependent.
 //! * Everything else falls back to the same-resource conflicts of the
 //!   footprint relation.
 //!
@@ -59,7 +66,7 @@
 //! run), so the search can install a backtrack entry there instead of
 //! branching on every enabled alternative everywhere.
 
-use conch_runtime::decide::StepFootprint;
+use conch_runtime::decide::{MVarOp, StepFootprint};
 
 use crate::inline::InlineVec;
 
@@ -81,6 +88,13 @@ pub(crate) struct ExecEvent {
     /// event (the blocking operation itself, since blocking operations
     /// are never local).
     pub(crate) blocked_target: bool,
+    /// For a blocking `takeMVar` / `putMVar` step by a thread with no
+    /// exception pending: which of the two. `None` for every other
+    /// step, and for one taken with an exception pending — such a step
+    /// may be interrupted instead of blocking (§5.3), or take from a
+    /// full cell with no delivery point, so its order against a put or
+    /// take on the same cell is observable.
+    pub(crate) op: Option<MVarOp>,
 }
 
 /// A thread observed for the first time, with the event that created it.
@@ -205,7 +219,12 @@ fn events_dependent(
         // the explicit arm branch point), but treat them as confined to
         // their thread should one ever appear.
         (Local | Mask | Raise | Oracle, _) | (_, Local | Mask | Raise | Oracle) => false,
-        (MVar(x), MVar(y)) => x == y,
+        // Under FIFO hand-off a blocking take and a blocking put on one
+        // cell reach the same state in either order (DESIGN.md §3.5).
+        (MVar(x), MVar(y)) => {
+            let take_and_put = matches!((a.op, b.op), (Some(p), Some(q)) if p != q);
+            x == y && !take_and_put
+        }
         (Alloc, Alloc) | (Console, Console) | (Time, Time) | (Fork, Fork) => true,
         _ => false,
     }
@@ -794,7 +813,7 @@ impl RaceState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conch_runtime::ids::MVarId;
+    use conch_runtime::ids::{MVarId, ThreadId};
 
     fn ev(tid: u64, fp: StepFootprint, point: Option<u32>) -> ExecEvent {
         ExecEvent {
@@ -802,6 +821,7 @@ mod tests {
             fp,
             point,
             blocked_target: false,
+            op: None,
         }
     }
 
@@ -844,6 +864,47 @@ mod tests {
         ];
         let a = analyze(&log, &[]);
         assert_eq!(a.races, 0);
+    }
+
+    /// The `MVar` rows of [`events_dependent`]: only a blocking take
+    /// against a blocking put on the same cell commutes, and only when
+    /// both carry their operation — the driver drops it from a step
+    /// taken with an exception pending.
+    #[test]
+    fn only_a_take_and_a_put_on_one_cell_commute() {
+        let m1 = StepFootprint::MVar(MVarId::from_index(1));
+        let m2 = StepFootprint::MVar(MVarId::from_index(2));
+        let (take, put) = (Some(MVarOp::Take), Some(MVarOp::Put));
+        let on = |tid, fp, op| ExecEvent {
+            op,
+            ..ev(tid, fp, None)
+        };
+        let dependent = |a: &ExecEvent, b: &ExecEvent| {
+            let there = events_dependent(a, b, None, None, 9);
+            assert_eq!(there, events_dependent(b, a, None, None, 9));
+            there
+        };
+        // `None` is a `tryTakeMVar` / `tryPutMVar`, or a blocking
+        // operation taken with an exception pending.
+        for (x, y, same_cell) in [
+            (take, take, true),
+            (put, put, true),
+            (take, put, false),
+            (take, None, true),
+            (put, None, true),
+            (None, None, true),
+        ] {
+            let (a, b) = (on(0, m1, x), on(1, m1, y));
+            assert_eq!(dependent(&a, &b), same_cell, "{x:?} / {y:?}");
+            assert!(!dependent(&a, &on(1, m2, y)), "{x:?} / {y:?} apart");
+        }
+        // A throw at a blocked taker cancels its wait: that conflicts
+        // with a put on the cell, whatever the put's operation.
+        let throw = ExecEvent {
+            blocked_target: true,
+            ..ev(2, StepFootprint::Throw(ThreadId::from_index(0)), None)
+        };
+        assert!(events_dependent(&throw, &on(1, m1, put), Some(m1), None, 9));
     }
 
     #[test]
@@ -981,11 +1042,12 @@ mod tests {
 
     /// A random event over a palette covering every footprint class the
     /// candidate indices distinguish: same-resource classes, throws
-    /// (runnable and blocked targets), terminals, effects, locals.
+    /// (runnable and blocked targets), terminals, effects, locals. An
+    /// `MVar` step is a blocking take, a blocking put, or neither, so
+    /// the hand-off rule thins the same-cell candidate lists.
     /// `MVar` indices reach far past a fresh class list's length, and a
     /// throw may aim at a thread that never logs a step.
     fn random_event(rng: &mut Lcg, threads: u64, next_point: &mut u32) -> ExecEvent {
-        use conch_runtime::ids::ThreadId;
         let tid = rng.next(threads);
         let fp = match rng.next(12) {
             0 => StepFootprint::Local,
@@ -1001,6 +1063,11 @@ mod tests {
             _ => StepFootprint::Throw(ThreadId::from_index(rng.next(threads + 3))),
         };
         let blocked_target = matches!(fp, StepFootprint::Throw(_)) && rng.next(2) == 0;
+        let op = match (fp, rng.next(3)) {
+            (StepFootprint::MVar(_), 1) => Some(MVarOp::Take),
+            (StepFootprint::MVar(_), 2) => Some(MVarOp::Put),
+            _ => None,
+        };
         let point = if rng.next(3) > 0 {
             *next_point += 1;
             Some(*next_point - 1)
@@ -1012,6 +1079,7 @@ mod tests {
             fp,
             point,
             blocked_target,
+            op,
         }
     }
 

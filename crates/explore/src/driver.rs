@@ -251,6 +251,8 @@ impl DriverState {
     /// the eager (Interrupt) rule then cancels its wait — an effect on
     /// whatever resource (MVar, console, clock) the target was waiting
     /// on, which the analyzer recovers from the target's own event log.
+    /// A blocking take or put carries its [`ExecEvent::op`] only when
+    /// the thread has no exception pending.
     fn log_exec(&mut self, view: &ThreadView, point: Option<u32>, runnable: &[ThreadView]) -> bool {
         if !self.trace_exec {
             return false;
@@ -272,6 +274,7 @@ impl DriverState {
             fp,
             point,
             blocked_target,
+            op: view.mvar_op.filter(|_| view.pending == 0),
         });
         true
     }

@@ -48,20 +48,20 @@ pub const B9_SLEEP_SETS_BOUND_2: (usize, usize) = (218, 89);
 /// B9 under sleep sets at preemption bound 0.
 pub const B9_SLEEP_SETS_BOUND_0: (usize, usize) = (16, 0);
 /// B9 under DPOR.
-pub const B9_DPOR: (usize, usize) = (190, 280);
+pub const B9_DPOR: (usize, usize) = (193, 399);
 
 /// X1 `(explored, pruned, races, backtracks)`: log fan-in, four
 /// producers into four logs, under unbounded sleep sets (release).
 pub const X1_LOG_FANIN_SLEEP_SETS: (usize, usize, u64, u64) = (806_534, 67_665, 0, 0);
 /// X1 log fan-in under DPOR.
-pub const X1_LOG_FANIN_DPOR: (usize, usize, u64, u64) = (127, 920, 508, 204);
+pub const X1_LOG_FANIN_DPOR: (usize, usize, u64, u64) = (1, 12, 0, 0);
 /// X1 accept loop, two clients, under unbounded sleep sets (release).
 pub const X1_ACCEPT_LOOP_SLEEP_SETS: (usize, usize, u64, u64) = (308_177, 101_229, 0, 0);
 /// X1 accept loop under DPOR.
-pub const X1_ACCEPT_LOOP_DPOR: (usize, usize, u64, u64) = (2_815, 16_049, 18_722, 3_143);
+pub const X1_ACCEPT_LOOP_DPOR: (usize, usize, u64, u64) = (806, 4_593, 3_337, 887);
 /// X1 three-stage pipeline under DPOR (release; sleep sets do not
 /// finish it).
-pub const X1_PIPELINE_DPOR: (usize, usize, u64, u64) = (1_553, 8_744, 8_273, 1_769);
+pub const X1_PIPELINE_DPOR: (usize, usize, u64, u64) = (107, 644, 239, 38);
 
 // ------------------------------------------- tests/dpor_equiv.rs
 
@@ -69,21 +69,21 @@ pub const X1_PIPELINE_DPOR: (usize, usize, u64, u64) = (1_553, 8_744, 8_273, 1_7
 /// preemption bound 2.
 pub const CORPUS_OUTER_TIGHT_BOUND_2: usize = 149;
 /// Corpus 13 under unbounded DPOR (release).
-pub const CORPUS_OUTER_TIGHT_DPOR: usize = 88_746;
+pub const CORPUS_OUTER_TIGHT_DPOR: usize = 53_604;
 /// Corpus 14, nested timeouts with equal budgets: bound 2.
 pub const CORPUS_INNER_WINS_BOUND_2: usize = 514;
 /// Corpus 17, mailbox backpressure race: bound 2.
 pub const CORPUS_ACTOR_MAILBOX_RACE_BOUND_2: usize = 50;
 /// Corpus 17 under unbounded DPOR.
-pub const CORPUS_ACTOR_MAILBOX_RACE_DPOR: usize = 2_830;
+pub const CORPUS_ACTOR_MAILBOX_RACE_DPOR: usize = 2_490;
 /// Corpus 18, monitor registration racing the target's death: bound 2.
 pub const CORPUS_ACTOR_MONITOR_RACE_BOUND_2: usize = 6;
 /// Corpus 18 under unbounded DPOR.
-pub const CORPUS_ACTOR_MONITOR_RACE_DPOR: usize = 26;
+pub const CORPUS_ACTOR_MONITOR_RACE_DPOR: usize = 21;
 /// Corpus 19, link cascade: bound 2.
 pub const CORPUS_ACTOR_LINK_CASCADE_BOUND_2: usize = 31;
 /// Corpus 19 under unbounded DPOR.
-pub const CORPUS_ACTOR_LINK_CASCADE_DPOR: usize = 13_669;
+pub const CORPUS_ACTOR_LINK_CASCADE_DPOR: usize = 7_687;
 /// Corpus 20, a `Chan` sender and receiver killed at every step: bound 2.
 pub const CORPUS_CHAN_ENDS_UNDER_KILL_BOUND_2: usize = 9_168;
 /// Corpus 22, a `Sem` waiter and signaller killed at every step: bound 2.
@@ -276,15 +276,15 @@ pub const CHAN_ITEM_STEPS: f64 = 27.0;
 /// `measure` mvar_sched `httpd.net.probe.frame_roundtrip_steps` ==
 pub const FRAME_ROUNDTRIP_STEPS: f64 = 60.0;
 /// `measure` explore_dpor `explore.schedules_explored` ==
-pub const DPOR_BENCH_EXPLORED: f64 = 718.0;
+pub const DPOR_BENCH_EXPLORED: f64 = 353.0;
 /// `measure` explore_dpor `explore.schedules_pruned` ==
-pub const DPOR_BENCH_PRUNED: f64 = 2_915.0;
+pub const DPOR_BENCH_PRUNED: f64 = 1_156.0;
 /// `measure` explore_dpor `explore.steps_per_schedule` ==
-pub const DPOR_BENCH_STEPS_PER_SCHEDULE: f64 = 51.71448467966574;
+pub const DPOR_BENCH_STEPS_PER_SCHEDULE: f64 = 43.43342776203966;
 /// `measure` explore_dpor `explore.races_per_schedule` ==
-pub const DPOR_BENCH_RACES_PER_SCHEDULE: f64 = 4.388579387186629;
+pub const DPOR_BENCH_RACES_PER_SCHEDULE: f64 = 3.1643059490084986;
 /// `measure` explore_dpor `explore.backtracks_installed` ==
-pub const DPOR_BENCH_BACKTRACKS: f64 = 639.0;
+pub const DPOR_BENCH_BACKTRACKS: f64 = 155.0;
 /// `measure` explore_dpor `explore.shrink_runs` ==
 pub const DPOR_BENCH_SHRINK_RUNS: f64 = 11.0;
 
@@ -304,7 +304,7 @@ pub const STORM_ALLOCS_MAX: f64 = 45.5;
 /// `measure` interp_pure `alloc.allocs_per_op` <=
 pub const PURE_ALLOCS_MAX: f64 = 0.2;
 /// `measure` explore_dpor `alloc.allocs_per_op` <=
-pub const DPOR_BENCH_ALLOCS_MAX: f64 = 4_100.0;
+pub const DPOR_BENCH_ALLOCS_MAX: f64 = 1_750.0;
 /// `measure` httpd_churn `alloc.bytes_per_op` <=
 pub const CHURN_BYTES_MAX: f64 = 12_900.0;
 /// `measure` httpd_keepalive `alloc.bytes_per_op` <=
@@ -314,17 +314,17 @@ pub const MVAR_SCHED_BYTES_MAX: f64 = 470.0;
 /// `measure` async_storm `alloc.bytes_per_op` <=
 pub const STORM_BYTES_MAX: f64 = 2_870.0;
 /// `measure` explore_dpor `alloc.bytes_per_op` <=
-pub const DPOR_BENCH_BYTES_MAX: f64 = 335_000.0;
+pub const DPOR_BENCH_BYTES_MAX: f64 = 160_000.0;
 /// `measure` httpd_keepalive `alloc.reallocs_per_op` <=
 pub const KEEPALIVE_REALLOCS_MAX: f64 = 0.3;
 /// `measure` explore_dpor `alloc.reallocs_per_op` <=
-pub const DPOR_BENCH_REALLOCS_MAX: f64 = 34.0;
+pub const DPOR_BENCH_REALLOCS_MAX: f64 = 30.0;
 /// DPOR keeps only its DFS stack and the race analysis of one run
 /// live. Read at `--smoke`'s fixed rep count: at `--seconds 1` the
 /// reading steps up with the reps the second fits.
 ///
 /// `measure --smoke` explore_dpor `alloc.peak_live_mib` <=
-pub const DPOR_BENCH_PEAK_LIVE_MAX: f64 = 0.08;
+pub const DPOR_BENCH_PEAK_LIVE_MAX: f64 = 0.07;
 /// A blocked thread waits in its own state, so no cell keeps a queue
 /// buffer.
 ///

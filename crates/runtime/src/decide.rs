@@ -157,6 +157,23 @@ pub struct ThreadView {
     pub pending: usize,
     /// Whether delivery is currently masked (`block`).
     pub masked: bool,
+    /// Which blocking `MVar` operation the next step is: `Some` for a
+    /// `takeMVar` or `putMVar` (whose footprint is
+    /// [`StepFootprint::MVar`]), `None` for every other step,
+    /// `tryTakeMVar` and `tryPutMVar` included. Under FIFO hand-off a
+    /// blocking take and a blocking put on one cell commute when
+    /// neither thread has an exception pending, which the footprint
+    /// alone cannot say.
+    pub mvar_op: Option<MVarOp>,
+}
+
+/// A blocking `MVar` operation, as reported by [`ThreadView::mvar_op`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MVarOp {
+    /// `takeMVar`.
+    Take,
+    /// `putMVar`.
+    Put,
 }
 
 /// A [`Decider::choose_thread`] answer: which thread steps next, and

@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 
 use crate::config::RuntimeConfig;
 use crate::console::BufferConsole;
-use crate::decide::{Decider, StepFootprint, ThreadView};
+use crate::decide::{Decider, MVarOp, StepFootprint, ThreadView};
 use crate::error::RunError;
 use crate::exception::Exception;
 use crate::ids::{MVarId, ThreadId};
@@ -730,6 +730,11 @@ fn view(th: &Thread, footprint: StepFootprint) -> ThreadView {
         footprint,
         pending: th.pending.len(),
         masked: th.mask == MaskState::Blocked,
+        mvar_op: match (th.mode, &th.code) {
+            (Mode::Run, Action::TakeMVar(_)) => Some(MVarOp::Take),
+            (Mode::Run, Action::PutMVar(..)) => Some(MVarOp::Put),
+            _ => None,
+        },
     }
 }
 

@@ -391,6 +391,8 @@ fn both_reductions_see_exactly_the_brute_force_outcomes() {
     assert_ground_truth("masked_delivery", masked_delivery);
     assert_ground_truth("late_output_after_handoff", late_output_after_handoff);
     assert_ground_truth("late_output_after_fork", late_output_after_fork);
+    assert_ground_truth("steal", steal);
+    assert_ground_truth("masked_taker_killed", masked_taker_killed);
 }
 
 /// The rest of the corpus has more than [`BRUTE_CAP`] paths (EXPERIMENTS.md
@@ -417,6 +419,10 @@ fn the_brute_force_cap_cuts_the_rest_of_the_corpus() {
     assert_cut("actor_link_cascade", actor_link_cascade);
     assert_cut("chan_ends_under_kill", chan_ends_under_kill);
     assert_cut("sem_under_kill", sem_under_kill);
+    assert_cut(
+        "masked_taker_between_two_cells",
+        masked_taker_between_two_cells,
+    );
 }
 
 // ------------------------------------------- sampling detection harness
@@ -1180,5 +1186,79 @@ fn corpus_sem_under_kill() {
                 Err(ref e) => Some(e.to_string()),
             }
         },
+    );
+}
+
+// ---------------------------------------------------- hand-off corpus
+//
+// DPOR takes a blocking `takeMVar` and a blocking `putMVar` on one cell
+// to commute when neither thread has an exception pending (DESIGN.md
+// §3.5). These programs sit on each edge of that rule: the first two
+// are checked against the brute-force search, the third (over its cap)
+// against sleep sets.
+
+/// 23. Two takers and one putter on one empty cell. A taker that comes
+///     after the put while the other waits cannot steal the value: the
+///     put hands it to the first waiter. The takes still race each
+///     other, so either taker may be the one that prints.
+fn steal() -> Io<i64> {
+    Io::new_empty_mvar::<i64>().and_then(|m| {
+        Io::fork(m.take().and_then(|_| Io::put_char('a')))
+            .then(Io::fork(m.take().and_then(|_| Io::put_char('b'))))
+            .then(m.put(1))
+            .then(Io::sleep(1))
+            .map(|_| 0)
+    })
+}
+
+/// 24. A masked taker killed while it waits:
+///     `catch (block (take m >> putChar 'b')) (\_ -> putChar 'k')`,
+///     with main's `throwTo` and then `put m`. Once the throw has
+///     landed, the taker's take no longer commutes with the put: before
+///     it, the take is interrupted; after it, the masked take succeeds
+///     with no delivery point and `b` is printed.
+fn masked_taker_killed() -> Io<i64> {
+    Io::new_empty_mvar::<i64>().and_then(|m| {
+        Io::fork(Io::block(m.take().then(Io::put_char('b'))).catch(|_| Io::put_char('k')))
+            .and_then(move |t| Io::throw_to(t, Exception::kill_thread()))
+            .then(m.put(1))
+            .map(|_| 0)
+    })
+}
+
+/// 25. The taker of corpus 24 with a second cell in front: it prints
+///     `a` between taking `s` and taking `m`, and main fills `s` only
+///     after its `throwTo`. So the taker reaches `m` only with the kill
+///     pending, and `"ak"` needs its take on the empty `m` to run
+///     before main's put: no blocked wait is interrupted on that path.
+///     Without the pending-exception exclusion DPOR takes the two to
+///     commute and never sees `"ak"`.
+fn masked_taker_between_two_cells() -> Io<i64> {
+    Io::new_empty_mvar::<i64>().and_then(|s| {
+        Io::new_empty_mvar::<i64>().and_then(move |m| {
+            let taker = s.take().then(Io::put_char('a')).then(m.take());
+            Io::fork(Io::block(taker.then(Io::put_char('b'))).catch(|_| Io::put_char('k')))
+                .and_then(move |t| Io::throw_to(t, Exception::kill_thread()))
+                .then(s.put(0))
+                .then(m.put(1))
+                .map(|_| 0)
+        })
+    })
+}
+
+#[test]
+fn corpus_masked_taker_between_two_cells() {
+    let name = "masked_taker_between_two_cells";
+    assert_equiv(name, 10_000, masked_taker_between_two_cells, no_failure);
+    let dpor = run_mode(
+        Reduction::Dpor,
+        10_000,
+        masked_taker_between_two_cells,
+        no_failure,
+    );
+    assert!(
+        dpor.outcomes.contains("Ok(0) | \"ak\""),
+        "{name}: {:?}",
+        dpor.outcomes
     );
 }
