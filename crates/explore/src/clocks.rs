@@ -81,13 +81,10 @@ pub(crate) struct ExecEvent {
     /// chosen at a branch point; `None` for forced steps (sole runnable
     /// thread, depth-budget forcing).
     pub(crate) point: Option<u32>,
-    /// For a `throwTo` step only: the target was not runnable when the
-    /// throw executed. The eager (Interrupt) rule may then cancel the
-    /// target's wait — an effect on whatever resource it was blocked
-    /// on, which the analyzer recovers from the target's last logged
-    /// event (the blocking operation itself, since blocking operations
-    /// are never local).
-    pub(crate) blocked_target: bool,
+    /// For a `throwTo` at a stuck target: the wait the eager
+    /// (Interrupt) rule cancels, as the runtime reports it
+    /// ([`ThreadView::cancels`](conch_runtime::decide::ThreadView::cancels)).
+    pub(crate) cancels: Option<StepFootprint>,
     /// For a blocking `takeMVar` / `putMVar` step by a thread with no
     /// exception pending: which of the two. `None` for every other
     /// step, and for one taken with an exception pending — such a step
@@ -163,16 +160,8 @@ fn join(into: &mut Clock, other: &Clock) {
 /// Must over-approximate true non-commutation, or reversals get lost;
 /// must stay sharp, or the search degenerates toward full enumeration.
 ///
-/// `main` is the main thread's id (its terminal freezes the output);
-/// `a_res`/`b_res` name the wait resource a blocked-target throw may
-/// cancel (see [`ExecEvent::blocked_target`]).
-fn events_dependent(
-    a: &ExecEvent,
-    b: &ExecEvent,
-    a_res: Option<StepFootprint>,
-    b_res: Option<StepFootprint>,
-    main: u64,
-) -> bool {
+/// `main` is the main thread's id (its terminal freezes the output).
+fn events_dependent(a: &ExecEvent, b: &ExecEvent, main: u64) -> bool {
     use StepFootprint::*;
     debug_assert_ne!(a.tid, b.tid);
     if a.fp == Effect || b.fp == Effect {
@@ -188,14 +177,14 @@ fn events_dependent(
             return true;
         }
     }
-    // A throw at a blocked target may cancel the target's wait on
-    // `res`: it conflicts with any step touching that resource.
-    if let Some(res) = a_res {
+    // A throw at a stuck target cancels the target's wait on `res`: it
+    // conflicts with any step touching that resource.
+    if let Some(res) = a.cancels {
         if !res.independent(b.fp) {
             return true;
         }
     }
-    if let Some(res) = b_res {
+    if let Some(res) = b.cancels {
         if !res.independent(a.fp) {
             return true;
         }
@@ -246,36 +235,6 @@ pub(crate) fn analyze(events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
 
     let main = main_tid(births).unwrap_or(0);
 
-    // The wait resource a blocked-target throw may cancel: the target's
-    // last logged event before the throw is the blocking operation
-    // itself (blocking operations are never local). A dead target
-    // (Terminal) makes the throw a no-op — no extra dependence; an
-    // unnameable wait falls back to Effect (dependent on everything).
-    let wait_res: Vec<Option<StepFootprint>> = events
-        .iter()
-        .enumerate()
-        .map(|(n, e)| {
-            if !e.blocked_target {
-                return None;
-            }
-            let StepFootprint::Throw(t) = e.fp else {
-                return None;
-            };
-            let target = t.index();
-            match events[..n].iter().rev().find(|p| p.tid == target) {
-                Some(p) => match p.fp {
-                    StepFootprint::Terminal => None,
-                    fp
-                    @ (StepFootprint::MVar(_) | StepFootprint::Console | StepFootprint::Time) => {
-                        Some(fp)
-                    }
-                    _ => Some(StepFootprint::Effect),
-                },
-                None => Some(StepFootprint::Effect),
-            }
-        })
-        .collect();
-
     // Dense thread indices, in order of first appearance in the log.
     let mut tids: Vec<u64> = Vec::new();
     let thread_index = |tids: &mut Vec<u64>, tid: u64| -> usize {
@@ -324,7 +283,7 @@ pub(crate) fn analyze(events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
         let mut acc = thread_clock[t].clone();
         for i in (0..n).rev() {
             let ei = &events[i];
-            if ei.tid == e.tid || !events_dependent(ei, e, wait_res[i], wait_res[n], main) {
+            if ei.tid == e.tid || !events_dependent(ei, e, main) {
                 continue;
             }
             let ti = thread_index(&mut tids, ei.tid);
@@ -483,11 +442,11 @@ fn truncate_list(list: &mut Vec<u32>, limit: u32) {
 /// candidates from per-object lists instead of the whole prefix: the
 /// same-resource list of `e`'s footprint class, the throws aimed at
 /// `e`'s thread, (for a throw) the target's events, its other throwers
-/// and all blocked-target throws, (for a terminal) the blocked-target
-/// throws, (for a blocked-target throw) its wait resource's list plus
-/// all throws and terminals, (for the main thread's terminal, which is
-/// indexed with them) the console steps, and the `always` list
-/// (`Effect` steps and unnameable waits) — a transcription of
+/// and all throws at stuck targets, (for a terminal) the throws at
+/// stuck targets, (for a throw at a stuck target) its cancelled wait's
+/// list plus all throws and terminals, (for the main thread's terminal,
+/// which is indexed with them) the console steps, and the `always`
+/// list (`Effect` steps and cancelled sync-throw waits) — a transcription of
 /// [`events_dependent`], case by case, into list membership, checked
 /// by the unit tests against the exhaustive scan. The union is a
 /// *superset* of every possibly-dependent event; each candidate is
@@ -498,7 +457,6 @@ fn truncate_list(list: &mut Vec<u32>, limit: u32) {
 #[derive(Default)]
 pub(crate) struct RaceState {
     events: Vec<ExecEvent>,
-    wait_res: Vec<Option<StepFootprint>>,
     /// Dense thread indices, in order of first appearance: the threads
     /// with at least one event in the log.
     tids: Vec<u64>,
@@ -573,7 +531,6 @@ impl RaceState {
     /// Truncate the state to the first `keep` events.
     fn rollback(&mut self, keep: usize) {
         self.events.truncate(keep);
-        self.wait_res.truncate(keep);
         self.thread_of.truncate(keep);
         self.post.truncate(keep);
         self.seq.truncate(keep);
@@ -602,38 +559,13 @@ impl RaceState {
         self.tids.iter().position(|&x| x == tid)
     }
 
-    /// The wait resource a blocked-target throw may cancel — the
-    /// reference analyzer's backwards log scan, answered from the
-    /// per-thread index instead.
-    fn wait_res_of(&self, e: &ExecEvent) -> Option<StepFootprint> {
-        if !e.blocked_target {
-            return None;
-        }
-        let StepFootprint::Throw(t) = e.fp else {
-            return None;
-        };
-        let last = self
-            .thread_index(t.index())
-            .and_then(|t2| self.by_thread[t2].last().copied());
-        match last {
-            Some(p) => match self.events[p as usize].fp {
-                StepFootprint::Terminal => None,
-                fp @ (StepFootprint::MVar(_) | StepFootprint::Console | StepFootprint::Time) => {
-                    Some(fp)
-                }
-                _ => Some(StepFootprint::Effect),
-            },
-            None => Some(StepFootprint::Effect),
-        }
-    }
-
     /// Extend the state by one event: gather the candidate earlier
     /// events from the per-object indices, run the newest-first
     /// accumulator walk over them, commit the event's clock and index
     /// entries, and turn the branchable races it closed into flags.
     fn push_event(&mut self, e: ExecEvent, births: &[Birth], main: u64) {
         let n = self.events.len() as u32;
-        let w = self.wait_res_of(&e);
+        let w = e.cancels;
         let t = self.thread_index(e.tid).unwrap_or_else(|| {
             self.tids.push(e.tid);
             if self.by_thread.len() < self.tids.len() {
@@ -642,8 +574,8 @@ impl RaceState {
             self.tids.len() - 1
         });
 
-        // Candidates, descending and deduped. An `Effect` step and an
-        // unnameable cancelled wait are dependent with everything — fall
+        // Candidates, descending and deduped. An `Effect` step and a
+        // cancelled sync-throw wait are dependent with everything — fall
         // back to the full prefix.
         let full_walk = e.fp == StepFootprint::Effect || w == Some(StepFootprint::Effect);
         let exit = e.fp == StepFootprint::Terminal && e.tid == main;
@@ -705,7 +637,7 @@ impl RaceState {
         self.new_pairs.clear();
         for &i in &scratch {
             let ei = &self.events[i as usize];
-            if ei.tid == e.tid || !events_dependent(ei, &e, self.wait_res[i as usize], w, main) {
+            if ei.tid == e.tid || !events_dependent(ei, &e, main) {
                 continue;
             }
             if component(&acc, self.thread_of[i as usize]) < self.seq[i as usize] {
@@ -765,7 +697,6 @@ impl RaceState {
             None => {}
         }
         self.events.push(e);
-        self.wait_res.push(w);
         self.flag_new_pairs(n);
     }
 
@@ -820,7 +751,7 @@ mod tests {
             tid,
             fp,
             point,
-            blocked_target: false,
+            cancels: None,
             op: None,
         }
     }
@@ -880,8 +811,8 @@ mod tests {
             ..ev(tid, fp, None)
         };
         let dependent = |a: &ExecEvent, b: &ExecEvent| {
-            let there = events_dependent(a, b, None, None, 9);
-            assert_eq!(there, events_dependent(b, a, None, None, 9));
+            let there = events_dependent(a, b, 9);
+            assert_eq!(there, events_dependent(b, a, 9));
             there
         };
         // `None` is a `tryTakeMVar` / `tryPutMVar`, or a blocking
@@ -901,10 +832,10 @@ mod tests {
         // A throw at a blocked taker cancels its wait: that conflicts
         // with a put on the cell, whatever the put's operation.
         let throw = ExecEvent {
-            blocked_target: true,
+            cancels: Some(m1),
             ..ev(2, StepFootprint::Throw(ThreadId::from_index(0)), None)
         };
-        assert!(events_dependent(&throw, &on(1, m1, put), Some(m1), None, 9));
+        assert!(events_dependent(&throw, &on(1, m1, put), 9));
     }
 
     #[test]
@@ -1042,7 +973,7 @@ mod tests {
 
     /// A random event over a palette covering every footprint class the
     /// candidate indices distinguish: same-resource classes, throws
-    /// (runnable and blocked targets), terminals, effects, locals. An
+    /// (at runnable and at stuck targets), terminals, effects, locals. An
     /// `MVar` step is a blocking take, a blocking put, or neither, so
     /// the hand-off rule thins the same-cell candidate lists.
     /// `MVar` indices reach far past a fresh class list's length, and a
@@ -1062,7 +993,15 @@ mod tests {
             9 => StepFootprint::Effect,
             _ => StepFootprint::Throw(ThreadId::from_index(rng.next(threads + 3))),
         };
-        let blocked_target = matches!(fp, StepFootprint::Throw(_)) && rng.next(2) == 0;
+        // A throw at a stuck target cancels a wait on one of the
+        // resources a wait can name.
+        let cancels = match (fp, rng.next(6)) {
+            (StepFootprint::Throw(_), 1) => Some(StepFootprint::MVar(MVarId::from_index(1))),
+            (StepFootprint::Throw(_), 2) => Some(StepFootprint::Console),
+            (StepFootprint::Throw(_), 3) => Some(StepFootprint::Time),
+            (StepFootprint::Throw(_), 4) => Some(StepFootprint::Effect),
+            _ => None,
+        };
         let op = match (fp, rng.next(3)) {
             (StepFootprint::MVar(_), 1) => Some(MVarOp::Take),
             (StepFootprint::MVar(_), 2) => Some(MVarOp::Put),
@@ -1078,7 +1017,7 @@ mod tests {
             tid,
             fp,
             point,
-            blocked_target,
+            cancels,
             op,
         }
     }

@@ -246,14 +246,10 @@ impl DriverState {
     /// participate in a race; the explicit delivery branch points cover
     /// the only nondeterminism a pending queue adds).
     ///
-    /// A `throwTo` whose target is not currently runnable is marked
-    /// [`ExecEvent::blocked_target`]: the target may be *blocked*, and
-    /// the eager (Interrupt) rule then cancels its wait — an effect on
-    /// whatever resource (MVar, console, clock) the target was waiting
-    /// on, which the analyzer recovers from the target's own event log.
-    /// A blocking take or put carries its [`ExecEvent::op`] only when
-    /// the thread has no exception pending.
-    fn log_exec(&mut self, view: &ThreadView, point: Option<u32>, runnable: &[ThreadView]) -> bool {
+    /// A `throwTo` at a stuck target carries the wait it cancels
+    /// ([`ThreadView::cancels`]). A blocking take or put carries its
+    /// [`ExecEvent::op`] only when the thread has no exception pending.
+    fn log_exec(&mut self, view: &ThreadView, point: Option<u32>) -> bool {
         if !self.trace_exec {
             return false;
         }
@@ -265,15 +261,11 @@ impl DriverState {
             // engines always branch fully.
             return false;
         }
-        let blocked_target = match fp {
-            StepFootprint::Throw(target) => !runnable.iter().any(|v| v.tid == target),
-            _ => false,
-        };
         self.exec_log.push(ExecEvent {
             tid: view.tid.index(),
             fp,
             point,
-            blocked_target,
+            cancels: view.cancels,
             op: view.mvar_op.filter(|_| view.pending == 0),
         });
         true
@@ -313,7 +305,7 @@ impl DriverState {
         }
         if let Some(i) = forced {
             self.note_exec(runnable[i].tid.index(), runnable[i].footprint);
-            self.sched_logged = self.log_exec(&runnable[i], None, runnable);
+            self.sched_logged = self.log_exec(&runnable[i], None);
             return i;
         }
 
@@ -385,7 +377,7 @@ impl DriverState {
             arms: 0,
         });
         let point = (self.record.len() - 1) as u32;
-        self.sched_logged = self.log_exec(&runnable[index], Some(point), runnable);
+        self.sched_logged = self.log_exec(&runnable[index], Some(point));
         self.note_exec(chosen_tid, chosen_fp);
         index
     }
@@ -492,7 +484,7 @@ impl Decider for ScriptedDecider {
         if runnable.len() == 1 {
             let v = runnable[0];
             st.note_exec(v.tid.index(), v.footprint);
-            st.sched_logged = st.log_exec(&v, None, runnable);
+            st.sched_logged = st.log_exec(&v, None);
             return Pick {
                 index: 0,
                 invisible: v.pending == 0 && v.footprint.is_local(),

@@ -165,6 +165,14 @@ pub struct ThreadView {
     /// neither thread has an exception pending, which the footprint
     /// alone cannot say.
     pub mvar_op: Option<MVarOp>,
+    /// For a `throwTo` at a stuck thread: the wait the (Interrupt) rule
+    /// cancels — [`StepFootprint::MVar`] for a `takeMVar` / `putMVar`
+    /// on that cell, [`StepFootprint::Time`] for a sleep,
+    /// [`StepFootprint::Console`] for a `getChar`,
+    /// [`StepFootprint::Effect`] for a synchronous `throwTo`'s wait.
+    /// `None` for every other step, and for a throw whose target is
+    /// runnable or dead.
+    pub cancels: Option<StepFootprint>,
 }
 
 /// A blocking `MVar` operation, as reported by [`ThreadView::mvar_op`].

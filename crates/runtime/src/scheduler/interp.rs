@@ -2,7 +2,7 @@
 //! delivery per step of the running thread.
 
 use super::deliver::Delivery;
-use super::{lookup, view, Runtime, MAX_THREAD_SLOTS};
+use super::{lookup, Runtime, MAX_THREAD_SLOTS};
 use crate::config::DeliveryMode;
 use crate::decide::StepFootprint;
 use crate::error::RunError;
@@ -145,7 +145,7 @@ impl Runtime {
             && self.config.delivery == DeliveryMode::FullyAsync
             && th.mode != Mode::Raise
             && self
-                .with_decider(|_, d| d.deliver_now(view(th, footprint_of(th))))
+                .with_decider(|rt, d| d.deliver_now(rt.view(th, footprint_of(th))))
                 .unwrap_or(true);
         if deliver {
             let p = th.take_pending().expect("tried with one pending");
@@ -336,7 +336,7 @@ impl Runtime {
                 // the arm (the explorer records it as a branch point);
                 // without a decider the choice collapses to arm 0.
                 let arm = self
-                    .with_decider(|_, d| d.choose_arm(view(th, StepFootprint::Oracle), arms))
+                    .with_decider(|rt, d| d.choose_arm(rt.view(th, StepFootprint::Oracle), arms))
                     .unwrap_or(0);
                 assert!(
                     arm < arms,

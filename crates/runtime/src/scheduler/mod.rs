@@ -491,7 +491,33 @@ impl Runtime {
             footprint_of(th),
             "cached footprint went stale for {tid}"
         );
-        view(th, th.footprint)
+        self.view(th, th.footprint)
+    }
+
+    /// The decider's view of `th`, about to take a step with `footprint`.
+    pub(super) fn view(&self, th: &Thread, footprint: StepFootprint) -> ThreadView {
+        // A running or dead target is `None` to `lookup`: nothing waits.
+        let cancels = match footprint {
+            StepFootprint::Throw(target) => {
+                lookup(&self.threads, target).and_then(|t| match &t.status {
+                    Status::Stuck(reason) => Some(reason.wait()),
+                    Status::Runnable => None,
+                })
+            }
+            _ => None,
+        };
+        ThreadView {
+            tid: th.tid,
+            footprint,
+            pending: th.pending.len(),
+            masked: th.mask == MaskState::Blocked,
+            mvar_op: match (th.mode, &th.code) {
+                (Mode::Run, Action::TakeMVar(_)) => Some(MVarOp::Take),
+                (Mode::Run, Action::PutMVar(..)) => Some(MVarOp::Put),
+                _ => None,
+            },
+            cancels,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -720,21 +746,6 @@ impl Runtime {
             th.pending.clear();
             self.thread_pool.push(th);
         }
-    }
-}
-
-/// The decider's view of `th`, about to take a step with `footprint`.
-fn view(th: &Thread, footprint: StepFootprint) -> ThreadView {
-    ThreadView {
-        tid: th.tid,
-        footprint,
-        pending: th.pending.len(),
-        masked: th.mask == MaskState::Blocked,
-        mvar_op: match (th.mode, &th.code) {
-            (Mode::Run, Action::TakeMVar(_)) => Some(MVarOp::Take),
-            (Mode::Run, Action::PutMVar(..)) => Some(MVarOp::Put),
-            _ => None,
-        },
     }
 }
 

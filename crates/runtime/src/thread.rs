@@ -142,6 +142,20 @@ impl StuckReason {
         }
     }
 
+    /// The footprint of what a throw cancels here: the resource waited
+    /// on, or `Effect` for a synchronous throw's wait, whose end wakes
+    /// nobody in particular.
+    pub(crate) fn wait(&self) -> StepFootprint {
+        match self {
+            StuckReason::TakeMVar { m, .. } | StuckReason::PutMVar { m, .. } => {
+                StepFootprint::MVar(*m)
+            }
+            StuckReason::Sleep { .. } => StepFootprint::Time,
+            StuckReason::GetChar => StepFootprint::Console,
+            StuckReason::SyncThrow { .. } => StepFootprint::Effect,
+        }
+    }
+
     /// The kind of resource, as [`IoEvent::BlockedOn`](crate::trace::IoEvent)
     /// reports it.
     pub(crate) fn site(&self) -> BlockSite {
