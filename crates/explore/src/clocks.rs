@@ -1,7 +1,7 @@
 //! Vector-clock happens-before tracking and race detection over one
 //! executed run — the analysis half of dynamic partial-order reduction
-//! (Flanagan & Godefroid, POPL 2005), adapted to the runtime's
-//! [`StepFootprint`] dependence relation.
+//! (Flanagan & Godefroid, POPL 2005), over the explorer's one
+//! dependence relation ([`dependent`]).
 //!
 //! The driver logs every executed *non-invisible* step as an
 //! [`ExecEvent`]: thread-local steps commute with everything and can
@@ -14,47 +14,11 @@
 //! Happens-before is the transitive closure of
 //!
 //! * **program order** — consecutive steps of one thread,
-//! * **dependence** — logged steps that may not commute
-//!   ([`events_dependent`]), and
+//! * **dependence** — logged steps that may not commute ([`dependent`],
+//!   with main's exit dependent on console steps only: DPOR's default
+//!   choice runs it last, DESIGN.md §3.5), and
 //! * **creation** — a forked thread's first step follows its parent's
 //!   `fork` ([`Birth`]).
-//!
-//! # Why not just [`StepFootprint::dependent`]?
-//!
-//! The footprint relation is the right one for sleep sets, where a
-//! conservative answer only costs pruning. For DPOR the cost structure
-//! is inverted: every spurious dependence is a spurious race, every
-//! spurious race installs a backtrack flag, and every flag spawns a
-//! run — conservatism *multiplies* the schedule count instead of
-//! shaving the reduction. So the analyzer uses a sharper, tid-aware
-//! relation ([`events_dependent`]) that exploits what the log knows and
-//! the footprint lattice cannot express:
-//!
-//! * `Throw(t)` only touches `t`'s pending queue: it is dependent on
-//!   every step *of `t`* and on other throws at `t`, but commutes with
-//!   unrelated threads. (A throw whose target was not runnable is
-//!   already coarsened to `Effect` at the source — the eager
-//!   (Interrupt) rule may then cancel a wait on an arbitrary resource.)
-//! * `Terminal` of a non-main thread ends that thread and wakes its
-//!   sync-throw notifiers: dependent on the throws at it, and otherwise
-//!   only on what every step is dependent on (`Effect` steps, and a
-//!   throw whose target was blocked, see below). The *main* thread's
-//!   terminal ends the program and freezes its output: what DPOR
-//!   preserves is main's result and the console output, so the exit is
-//!   dependent on console steps (and, like any step, on `Effect` steps
-//!   and throws at main) — where any other step lands relative to it
-//!   cannot be observed. This is sound only because DPOR's scripted
-//!   decider runs the exit last (DESIGN.md §3.5): every console step
-//!   another thread can reach before main exits is then in the log,
-//!   raced against the exit.
-//! * A blocking `takeMVar` and a blocking `putMVar` on one cell commute
-//!   when neither thread has an exception pending
-//!   ([`ExecEvent::op`]): under the runtime's FIFO hand-off both orders
-//!   serve the same waiter and leave the same cell and queues
-//!   (DESIGN.md §3.5). Two takes, two puts, and any pair with a
-//!   `tryTakeMVar` or `tryPutMVar` stay dependent.
-//! * Everything else falls back to the same-resource conflicts of the
-//!   footprint relation.
 //!
 //! Two logged steps in different threads form a **race** when they are
 //! dependent but *not* happens-before ordered: executing them in the
@@ -66,32 +30,25 @@
 //! run), so the search can install a backtrack entry there instead of
 //! branching on every enabled alternative everywhere.
 
-use conch_runtime::decide::{MVarOp, StepFootprint};
+use conch_runtime::decide::StepFootprint;
 
 use crate::inline::InlineVec;
+use crate::step::{dependent, MainExit, Step};
 
 /// One logged step of an executed run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ExecEvent {
-    /// The thread that took the step.
-    pub(crate) tid: u64,
-    /// The step's footprint.
-    pub(crate) fp: StepFootprint,
+    pub(crate) step: Step,
     /// Index into the run's branch-point record when this step was
     /// chosen at a branch point; `None` for forced steps (sole runnable
     /// thread, depth-budget forcing).
     pub(crate) point: Option<u32>,
-    /// For a `throwTo` at a stuck target: the wait the eager
-    /// (Interrupt) rule cancels, as the runtime reports it
-    /// ([`ThreadView::cancels`](conch_runtime::decide::ThreadView::cancels)).
-    pub(crate) cancels: Option<StepFootprint>,
-    /// For a blocking `takeMVar` / `putMVar` step by a thread with no
-    /// exception pending: which of the two. `None` for every other
-    /// step, and for one taken with an exception pending — such a step
-    /// may be interrupted instead of blocking (§5.3), or take from a
-    /// full cell with no delivery point, so its order against a put or
-    /// take on the same cell is observable.
-    pub(crate) op: Option<MVarOp>,
+}
+
+impl ExecEvent {
+    fn tid(&self) -> u64 {
+        self.step.tid()
+    }
 }
 
 /// A thread observed for the first time, with the event that created it.
@@ -103,14 +60,6 @@ pub(crate) struct Birth {
     /// fork. `None` (no creation edge, which only *over*-approximates
     /// concurrency and so over-explores, never under-explores) otherwise.
     pub(crate) parent_event: Option<u32>,
-}
-
-/// The main thread of a run: the first thread with a recorded birth.
-/// Its terminal is the program's exit, which the race analysis treats
-/// as dependent on console steps only and DPOR's default choice runs
-/// last.
-pub(crate) fn main_tid(births: &[Birth]) -> Option<u64> {
-    births.first().map(|b| b.tid)
 }
 
 /// A reversible race: the branch point of the earlier step, and the
@@ -155,70 +104,6 @@ fn join(into: &mut Clock, other: &Clock) {
     }
 }
 
-/// The DPOR dependence relation over logged events of *different*
-/// threads (see the module docs for the case-by-case justification).
-/// Must over-approximate true non-commutation, or reversals get lost;
-/// must stay sharp, or the search degenerates toward full enumeration.
-///
-/// `main` is the main thread's id (its terminal freezes the output).
-fn events_dependent(a: &ExecEvent, b: &ExecEvent, main: u64) -> bool {
-    use StepFootprint::*;
-    debug_assert_ne!(a.tid, b.tid);
-    if a.fp == Effect || b.fp == Effect {
-        return true;
-    }
-    if let Throw(t) = a.fp {
-        if t.index() == b.tid || matches!(b.fp, Throw(u) if u.index() == t.index()) {
-            return true;
-        }
-    }
-    if let Throw(t) = b.fp {
-        if t.index() == a.tid {
-            return true;
-        }
-    }
-    // A throw at a stuck target cancels the target's wait on `res`: it
-    // conflicts with any step touching that resource.
-    if let Some(res) = a.cancels {
-        if !res.independent(b.fp) {
-            return true;
-        }
-    }
-    if let Some(res) = b.cancels {
-        if !res.independent(a.fp) {
-            return true;
-        }
-    }
-    // The main thread's terminal freezes the output: a console step
-    // before it is observed, one after it never happens. Any other
-    // step's side of the exit is unobservable. A non-main terminal is
-    // dependent only with its own thread's history and with throws at
-    // it. All of that is covered by the rules above: a thrower's
-    // post-wake events are physically ordered after the terminal that
-    // woke it, and its pre-throw events conflict (if at all) through
-    // their own resources.
-    let exit = |e: &ExecEvent| e.fp == Terminal && e.tid == main;
-    if (exit(a) && b.fp == Console) || (exit(b) && a.fp == Console) {
-        return true;
-    }
-    match (a.fp, b.fp) {
-        (Terminal, _) | (_, Terminal) => false,
-        (Throw(_), _) | (_, Throw(_)) => false,
-        // Oracle steps are never logged (their nondeterminism lives in
-        // the explicit arm branch point), but treat them as confined to
-        // their thread should one ever appear.
-        (Local | Mask | Raise | Oracle, _) | (_, Local | Mask | Raise | Oracle) => false,
-        // Under FIFO hand-off a blocking take and a blocking put on one
-        // cell reach the same state in either order (DESIGN.md §3.5).
-        (MVar(x), MVar(y)) => {
-            let take_and_put = matches!((a.op, b.op), (Some(p), Some(q)) if p != q);
-            x == y && !take_and_put
-        }
-        (Alloc, Alloc) | (Console, Console) | (Time, Time) | (Fork, Fork) => true,
-        _ => false,
-    }
-}
-
 /// Detect every race of one executed run, recomputing everything from
 /// the log — the *reference* the incremental [`RaceState`] is checked
 /// against (in every debug-build DPOR run and by the unit-test fuzzer),
@@ -227,13 +112,11 @@ fn events_dependent(a: &ExecEvent, b: &ExecEvent, main: u64) -> bool {
 /// This is a deterministic function of the log alone: two runs of the
 /// same choice prefix produce the same log, hence the same flags.
 #[cfg(any(test, debug_assertions))]
-pub(crate) fn analyze(events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
+pub(crate) fn analyze(events: &[ExecEvent], births: &[Birth], exit: MainExit) -> RaceAnalysis {
     let mut analysis = RaceAnalysis::default();
     if events.len() < 2 {
         return analysis;
     }
-
-    let main = main_tid(births).unwrap_or(0);
 
     // Dense thread indices, in order of first appearance in the log.
     let mut tids: Vec<u64> = Vec::new();
@@ -259,12 +142,12 @@ pub(crate) fn analyze(events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
     let mut race_pairs: Vec<(usize, usize)> = Vec::new();
 
     for (n, e) in events.iter().enumerate() {
-        let t = thread_index(&mut tids, e.tid);
+        let t = thread_index(&mut tids, e.tid());
         if t == thread_clock.len() {
             // First event of this thread: inherit the creating fork's
             // clock, if known.
             let mut c = Clock::new();
-            if let Some(b) = births.iter().find(|b| b.tid == e.tid) {
+            if let Some(b) = births.iter().find(|b| b.tid == e.tid()) {
                 if let Some(p) = b.parent_event {
                     if let Some(pc) = post.get(p as usize) {
                         c = pc.clone();
@@ -283,10 +166,10 @@ pub(crate) fn analyze(events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
         let mut acc = thread_clock[t].clone();
         for i in (0..n).rev() {
             let ei = &events[i];
-            if ei.tid == e.tid || !events_dependent(ei, e, main) {
+            if ei.tid() == e.tid() || !dependent(&ei.step, &e.step, exit) {
                 continue;
             }
-            let ti = thread_index(&mut tids, ei.tid);
+            let ti = thread_index(&mut tids, ei.tid());
             if acc.get(ti).copied().unwrap_or(0) < seq[i] {
                 analysis.races += 1;
                 if ei.point.is_some() {
@@ -317,7 +200,7 @@ pub(crate) fn analyze(events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
         let point = events[i]
             .point
             .expect("race pair recorded at a branch point");
-        let later_tid = events[n].tid;
+        let later_tid = events[n].tid();
         if analysis
             .flags
             .iter()
@@ -328,16 +211,16 @@ pub(crate) fn analyze(events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
         let mut witnesses = InlineVec::new();
         let mut seen: Vec<u64> = Vec::new();
         for (j, ej) in events.iter().enumerate().take(n + 1).skip(i + 1) {
-            if seen.contains(&ej.tid) {
+            if seen.contains(&ej.tid()) {
                 continue;
             }
-            seen.push(ej.tid);
+            seen.push(ej.tid());
             let tj = tids
                 .iter()
-                .position(|&t| t == ej.tid)
+                .position(|&t| t == ej.tid())
                 .expect("every logged thread has an index");
             if post[n].get(tj).copied().unwrap_or(0) >= seq[j] {
-                witnesses.push(ej.tid);
+                witnesses.push(ej.tid());
             }
         }
         analysis.flags.push(RaceFlag {
@@ -381,8 +264,8 @@ fn join_into(into: &mut VClock, other: &VClock) {
 /// `MVar` indices restart at 0 with every run, so the classes are
 /// dense. Footprints without a same-resource conflict class (`Local`,
 /// `Mask`, `Raise`, `Oracle`, `Throw`, `Terminal`, `Effect`) have none
-/// — their dependence arcs run through the dedicated
-/// throw/terminal/always lists instead.
+/// — their dependence arcs run through the per-thread, throw and
+/// always lists instead.
 fn fp_class(fp: StepFootprint) -> Option<usize> {
     use StepFootprint::*;
     match fp {
@@ -440,17 +323,17 @@ fn truncate_list(list: &mut Vec<u32>, limit: u32) {
 /// For a new event `e` the analyzer walks candidate earlier events
 /// newest-first exactly like the reference full scan, but gathers the
 /// candidates from per-object lists instead of the whole prefix: the
-/// same-resource list of `e`'s footprint class, the throws aimed at
-/// `e`'s thread, (for a throw) the target's events, its other throwers
-/// and all throws at stuck targets, (for a terminal) the throws at
-/// stuck targets, (for a throw at a stuck target) its cancelled wait's
-/// list plus all throws and terminals, (for the main thread's terminal,
-/// which is indexed with them) the console steps, and the `always`
-/// list (`Effect` steps and cancelled sync-throw waits) — a transcription of
-/// [`events_dependent`], case by case, into list membership, checked
-/// by the unit tests against the exhaustive scan. The union is a
-/// *superset* of every possibly-dependent event; each candidate is
-/// then re-checked with `events_dependent` itself, so the dependent
+/// same-resource list of `e`'s footprint class (which also holds the
+/// throws whose cancelled wait is on that resource, and for the console
+/// the main thread's exit), the throws aimed at `e`'s thread, (for a
+/// throw) the target's events and its other throwers, (for a throw at
+/// a stuck target) its cancelled wait's list, (for the main thread's
+/// exit) the console steps, and the `always` list (`Effect` steps and
+/// cancelled sync-throw waits) — a transcription of [`dependent`],
+/// case by case, into list membership, checked by the unit tests
+/// against the exhaustive scan. The union is a *superset* of every
+/// possibly-dependent event; each candidate is then re-checked with
+/// `dependent` itself, so the dependent
 /// subsequence — and with it the accumulator walk, the race count,
 /// the flags and their witness sets — is bit-identical to the
 /// reference analyzer's.
@@ -482,9 +365,6 @@ pub(crate) struct RaceState {
     by_thread: Vec<Vec<u32>>,
     res_lists: Vec<Vec<u32>>,
     throws_at: Vec<Vec<u32>>,
-    throws_all: Vec<u32>,
-    terminals: Vec<u32>,
-    blocked: Vec<u32>,
     always: Vec<u32>,
     scratch: Vec<u32>,
     /// Branchable races of the event being pushed: `(earlier event, its
@@ -496,8 +376,15 @@ impl RaceState {
     /// Analyze one run's event log, reusing the shared-prefix state of
     /// the previous call. Returns the run's race count; its flags are
     /// [`flags`](RaceState::flags) — together exactly what [`analyze`]
-    /// would return.
-    pub(crate) fn analyze(&mut self, events: &[ExecEvent], births: &[Birth]) -> u64 {
+    /// would return. `exit` is DPOR's: console steps only, which the
+    /// candidate indices assume.
+    pub(crate) fn analyze(
+        &mut self,
+        events: &[ExecEvent],
+        births: &[Birth],
+        exit: MainExit,
+    ) -> u64 {
+        debug_assert!(exit.console_only);
         let keep = self
             .events
             .iter()
@@ -505,14 +392,13 @@ impl RaceState {
             .take_while(|(a, b)| a == b)
             .count();
         self.rollback(keep);
-        let main = main_tid(births).unwrap_or(0);
         for e in &events[keep..] {
-            self.push_event(*e, births, main);
+            self.push_event(*e, births, exit);
         }
         let races = self.cum_races.last().copied().unwrap_or(0);
         #[cfg(debug_assertions)]
         {
-            let reference = analyze(events, births);
+            let reference = analyze(events, births, exit);
             assert_eq!(
                 (self.flags(), races),
                 (&reference.flags[..], reference.races),
@@ -540,13 +426,7 @@ impl RaceState {
         self.flags.truncate(self.flag_later.len());
         let lists = self.by_thread.iter_mut();
         let lists = lists.chain(&mut self.res_lists).chain(&mut self.throws_at);
-        let shared = [
-            &mut self.throws_all,
-            &mut self.terminals,
-            &mut self.blocked,
-            &mut self.always,
-        ];
-        for list in lists.chain(shared) {
+        for list in lists.chain([&mut self.always]) {
             truncate_list(list, limit);
         }
         // Threads are introduced in index order, so the ones left
@@ -563,11 +443,11 @@ impl RaceState {
     /// events from the per-object indices, run the newest-first
     /// accumulator walk over them, commit the event's clock and index
     /// entries, and turn the branchable races it closed into flags.
-    fn push_event(&mut self, e: ExecEvent, births: &[Birth], main: u64) {
+    fn push_event(&mut self, e: ExecEvent, births: &[Birth], rule: MainExit) {
         let n = self.events.len() as u32;
-        let w = e.cancels;
-        let t = self.thread_index(e.tid).unwrap_or_else(|| {
-            self.tids.push(e.tid);
+        let (fp, w) = (e.step.fp, e.step.cancels());
+        let t = self.thread_index(e.tid()).unwrap_or_else(|| {
+            self.tids.push(e.tid());
             if self.by_thread.len() < self.tids.len() {
                 self.by_thread.push(Vec::new());
             }
@@ -577,41 +457,31 @@ impl RaceState {
         // Candidates, descending and deduped. An `Effect` step and a
         // cancelled sync-throw wait are dependent with everything — fall
         // back to the full prefix.
-        let full_walk = e.fp == StepFootprint::Effect || w == Some(StepFootprint::Effect);
-        let exit = e.fp == StepFootprint::Terminal && e.tid == main;
+        let full_walk = fp == StepFootprint::Effect || w == Some(StepFootprint::Effect);
+        let exit = fp == StepFootprint::Terminal && e.tid() == rule.tid;
+        let exit_class = exit.then_some(CONSOLE_CLASS);
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         if full_walk {
             scratch.extend((0..n).rev());
         } else {
             scratch.extend_from_slice(&self.always);
-            scratch.extend_from_slice(list_at(&self.throws_at, e.tid as usize));
-            if let Some(class) = fp_class(e.fp) {
+            scratch.extend_from_slice(list_at(&self.throws_at, e.tid() as usize));
+            // The exit and a cancelled wait on a resource (`res !=
+            // Effect`: that took the full-walk path) conflict with
+            // that resource's steps.
+            for class in [fp_class(fp), exit_class, w.and_then(fp_class)]
+                .into_iter()
+                .flatten()
+            {
                 scratch.extend_from_slice(list_at(&self.res_lists, class));
             }
-            if let StepFootprint::Throw(target) = e.fp {
+            if let StepFootprint::Throw(target) = fp {
                 let target = target.index();
                 if let Some(t2) = self.thread_index(target) {
                     scratch.extend_from_slice(&self.by_thread[t2]);
                 }
                 scratch.extend_from_slice(list_at(&self.throws_at, target as usize));
-                scratch.extend_from_slice(&self.blocked);
-            }
-            if e.fp == StepFootprint::Terminal {
-                scratch.extend_from_slice(&self.blocked);
-            }
-            if exit {
-                scratch.extend_from_slice(list_at(&self.res_lists, CONSOLE_CLASS));
-            }
-            if let Some(res) = w {
-                // `res != Effect` here (that took the full-walk path):
-                // the cancelled wait conflicts with its resource's
-                // steps and with every throw and terminal.
-                if let Some(class) = fp_class(res) {
-                    scratch.extend_from_slice(list_at(&self.res_lists, class));
-                }
-                scratch.extend_from_slice(&self.throws_all);
-                scratch.extend_from_slice(&self.terminals);
             }
             scratch.sort_unstable_by(|a, b| b.cmp(a));
             scratch.dedup();
@@ -623,7 +493,7 @@ impl RaceState {
             Some(&last) => self.post[last as usize].clone(),
             None => births
                 .iter()
-                .find(|b| b.tid == e.tid)
+                .find(|b| b.tid == e.tid())
                 .and_then(|b| self.post.get(b.parent_event? as usize))
                 .cloned()
                 .unwrap_or_default(),
@@ -637,7 +507,7 @@ impl RaceState {
         self.new_pairs.clear();
         for &i in &scratch {
             let ei = &self.events[i as usize];
-            if ei.tid == e.tid || !events_dependent(ei, &e, main) {
+            if ei.tid() == e.tid() || !dependent(&ei.step, &e.step, rule) {
                 continue;
             }
             if component(&acc, self.thread_of[i as usize]) < self.seq[i as usize] {
@@ -664,37 +534,19 @@ impl RaceState {
 
         // Commit index entries.
         self.by_thread[t].push(n);
-        if let Some(class) = fp_class(e.fp) {
+        // A later step on a resource finds the exit (console) and a
+        // cancelled wait on that resource on the resource's list.
+        for class in [fp_class(fp), exit_class, w.and_then(fp_class)]
+            .into_iter()
+            .flatten()
+        {
             push_at(&mut self.res_lists, class, n);
         }
-        match e.fp {
-            StepFootprint::Throw(target) => {
-                push_at(&mut self.throws_at, target.index() as usize, n);
-                self.throws_all.push(n);
-            }
-            StepFootprint::Terminal => {
-                self.terminals.push(n);
-                // The exit conflicts with console steps: a later one
-                // finds it on their list.
-                if exit {
-                    push_at(&mut self.res_lists, CONSOLE_CLASS, n);
-                }
-            }
-            StepFootprint::Effect => self.always.push(n),
-            _ => {}
+        if let StepFootprint::Throw(target) = fp {
+            push_at(&mut self.throws_at, target.index() as usize, n);
         }
-        match w {
-            Some(StepFootprint::Effect) => {
-                self.always.push(n);
-                self.blocked.push(n);
-            }
-            Some(res) => {
-                self.blocked.push(n);
-                if let Some(class) = fp_class(res) {
-                    push_at(&mut self.res_lists, class, n);
-                }
-            }
-            None => {}
+        if full_walk {
+            self.always.push(n);
         }
         self.events.push(e);
         self.flag_new_pairs(n);
@@ -708,7 +560,7 @@ impl RaceState {
     /// commit; `n` always witnesses itself) — flag for flag what
     /// [`analyze`] builds from its race pairs after the pass.
     fn flag_new_pairs(&mut self, n: u32) {
-        let later_tid = self.events[n as usize].tid;
+        let later_tid = self.events[n as usize].tid();
         let clock = &self.post[n as usize];
         for &(i, point) in &self.new_pairs {
             if self
@@ -728,7 +580,7 @@ impl RaceState {
                 }
                 self.scratch.push(tj);
                 if component(clock, tj) >= self.seq[j as usize] {
-                    witnesses.push(self.events[j as usize].tid);
+                    witnesses.push(self.events[j as usize].tid());
                 }
             }
             self.flags.push(RaceFlag {
@@ -744,16 +596,24 @@ impl RaceState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conch_runtime::decide::{MVarOp, ThreadView};
     use conch_runtime::ids::{MVarId, ThreadId};
+
+    /// DPOR's exit rule, main being thread 0.
+    const EXIT: MainExit = MainExit {
+        tid: 0,
+        console_only: true,
+    };
 
     fn ev(tid: u64, fp: StepFootprint, point: Option<u32>) -> ExecEvent {
         ExecEvent {
-            tid,
-            fp,
+            step: Step::new(tid, fp),
             point,
-            cancels: None,
-            op: None,
         }
+    }
+
+    fn analyze(events: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
+        super::analyze(events, births, EXIT)
     }
 
     fn has_flag(a: &RaceAnalysis, point: u32, later_tid: u64) -> bool {
@@ -795,47 +655,6 @@ mod tests {
         ];
         let a = analyze(&log, &[]);
         assert_eq!(a.races, 0);
-    }
-
-    /// The `MVar` rows of [`events_dependent`]: only a blocking take
-    /// against a blocking put on the same cell commutes, and only when
-    /// both carry their operation — the driver drops it from a step
-    /// taken with an exception pending.
-    #[test]
-    fn only_a_take_and_a_put_on_one_cell_commute() {
-        let m1 = StepFootprint::MVar(MVarId::from_index(1));
-        let m2 = StepFootprint::MVar(MVarId::from_index(2));
-        let (take, put) = (Some(MVarOp::Take), Some(MVarOp::Put));
-        let on = |tid, fp, op| ExecEvent {
-            op,
-            ..ev(tid, fp, None)
-        };
-        let dependent = |a: &ExecEvent, b: &ExecEvent| {
-            let there = events_dependent(a, b, 9);
-            assert_eq!(there, events_dependent(b, a, 9));
-            there
-        };
-        // `None` is a `tryTakeMVar` / `tryPutMVar`, or a blocking
-        // operation taken with an exception pending.
-        for (x, y, same_cell) in [
-            (take, take, true),
-            (put, put, true),
-            (take, put, false),
-            (take, None, true),
-            (put, None, true),
-            (None, None, true),
-        ] {
-            let (a, b) = (on(0, m1, x), on(1, m1, y));
-            assert_eq!(dependent(&a, &b), same_cell, "{x:?} / {y:?}");
-            assert!(!dependent(&a, &on(1, m2, y)), "{x:?} / {y:?} apart");
-        }
-        // A throw at a blocked taker cancels its wait: that conflicts
-        // with a put on the cell, whatever the put's operation.
-        let throw = ExecEvent {
-            cancels: Some(m1),
-            ..ev(2, StepFootprint::Throw(ThreadId::from_index(0)), None)
-        };
-        assert!(events_dependent(&throw, &on(1, m1, put), 9));
     }
 
     #[test]
@@ -1013,19 +832,21 @@ mod tests {
         } else {
             None
         };
-        ExecEvent {
-            tid,
-            fp,
-            point,
+        let step = Step::of(&ThreadView {
+            tid: ThreadId::from_index(tid),
+            footprint: fp,
+            pending: 0,
+            masked: false,
+            mvar_op: op,
             cancels,
-            op,
-        }
+        });
+        ExecEvent { step, point }
     }
 
     /// What the incremental analyzer says of `log`, in the reference's
     /// shape.
     fn incremental(st: &mut RaceState, log: &[ExecEvent], births: &[Birth]) -> RaceAnalysis {
-        let races = st.analyze(log, births);
+        let races = st.analyze(log, births, EXIT);
         RaceAnalysis {
             flags: st.flags().to_vec(),
             races,

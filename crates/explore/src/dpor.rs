@@ -63,7 +63,8 @@ pub(crate) fn dpor_worker<T: FromValue>(
         if w.account(run, |st| dfs_key(&st.record)) {
             return false;
         }
-        w.stats.races_detected += w.analysis(|st| races.analyze(&st.exec_log, &st.births));
+        w.stats.races_detected +=
+            w.analysis(|st| races.analyze(&st.exec_log, &st.births, st.exit()));
         let mut st = w.state().borrow_mut();
         plan_inserts(&st, races.flags(), |point, tid| inserts.push((point, tid)));
         stack.extend(st.record.drain(scripted..).map(Node::dpor));
@@ -120,10 +121,10 @@ fn plan_inserts(st: &DriverState, flags: &[RaceFlag], mut insert: impl FnMut(usi
 #[cfg(test)]
 mod tests {
     use conch_runtime::decide::StepFootprint;
-    use conch_runtime::ids::ThreadId;
 
     use super::*;
     use crate::driver::{Alt, Alts, Point};
+    use crate::step::Step;
     use Choice::{Deliver, Thread};
 
     /// A scheduling point over threads `0..candidates` that took
@@ -131,7 +132,7 @@ mod tests {
     fn sched(chosen: u64, candidates: u64, sleeping: &[u64]) -> Point {
         let mut alts = Alts::new();
         for t in 0..candidates {
-            let mut alt = Alt::new(ThreadId::from_index(t), StepFootprint::Effect);
+            let mut alt = Alt::new(Step::new(t, StepFootprint::Effect));
             alt.asleep = sleeping.contains(&t);
             alts.push(alt);
         }
@@ -145,7 +146,7 @@ mod tests {
     /// The threads asleep at the start of the current child's subtree.
     fn asleep(node: &Node) -> Vec<u64> {
         let mut tids = Vec::new();
-        node.each_explored(|(tid, _)| tids.push(tid));
+        node.each_explored(|step| tids.push(step.tid()));
         tids
     }
 

@@ -19,8 +19,8 @@
 //! * **Sleep sets** — when the DFS has already explored running thread
 //!   `a` at a branch point and comes back to try sibling `b`, `a` is
 //!   put to sleep: in the `b` subtree `a` is not chosen again until
-//!   some step *dependent* on `a`'s (per [`StepFootprint::independent`])
-//!   executes, because until then `b…a` reaches the same state as the
+//!   some step *dependent* on `a`'s (per [`dependent`]) executes,
+//!   because until then `b…a` reaches the same state as the
 //!   already-explored `a…b`.
 //! * **Preemption bounding** — under sleep sets, optionally, once a run
 //!   has used its budget of preemptions (choosing against a
@@ -47,49 +47,33 @@ use std::rc::Rc;
 use conch_runtime::decide::{Decider, Pick, StepFootprint, ThreadView};
 use conch_runtime::ids::ThreadId;
 
-use crate::clocks::{main_tid, Birth, ExecEvent};
+use crate::clocks::{Birth, ExecEvent};
 use crate::inline::InlineVec;
 use crate::sample::SamplePolicy;
 use crate::schedule::Choice;
+use crate::step::{dependent, MainExit, Step};
 
-/// A sleep-set entry: a thread and the footprint of the step it was put
-/// to sleep with.
-pub(crate) type SleepEntry = (u64, StepFootprint);
-
-/// One candidate of a scheduling point: a runnable thread, the
-/// footprint of its next step, and whether it was asleep when the point
-/// was first created (a candidate the DFS will skip).
-#[derive(Debug, Clone, Copy)]
+/// One candidate of a scheduling point: a runnable thread's next step,
+/// and whether it was asleep when the point was first created (a
+/// candidate the DFS will skip).
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Alt {
-    /// The spawn sequence number [`ThreadId::index`] widens: kept at its
-    /// own width so an `Alt` is no larger than a [`SleepEntry`].
-    tid: u32,
+    /// The step, which is also the sleep-set entry that puts this
+    /// candidate to sleep.
+    pub(crate) step: Step,
     pub(crate) asleep: bool,
-    pub(crate) fp: StepFootprint,
 }
 
 impl Alt {
-    pub(crate) fn new(tid: ThreadId, fp: StepFootprint) -> Self {
+    pub(crate) fn new(step: Step) -> Self {
         Alt {
-            tid: tid.index() as u32,
+            step,
             asleep: false,
-            fp,
         }
     }
 
     pub(crate) fn tid(&self) -> u64 {
-        self.tid as u64
-    }
-
-    /// The sleep-set entry that puts this candidate to sleep.
-    pub(crate) fn entry(&self) -> SleepEntry {
-        (self.tid(), self.fp)
-    }
-}
-
-impl Default for Alt {
-    fn default() -> Self {
-        Alt::new(ThreadId::from_index(0), StepFootprint::Local)
+        self.step.tid()
     }
 }
 
@@ -125,7 +109,7 @@ pub(crate) struct DriverState {
     /// added to the sleep set there: `(script position, entry)` pairs in
     /// ascending position order (a flat list, not one `Vec` per point,
     /// so refilling it between runs allocates nothing once warm).
-    pub(crate) extra_sleep: Vec<(usize, SleepEntry)>,
+    pub(crate) extra_sleep: Vec<(usize, Step)>,
     /// Cursor into `extra_sleep`.
     extra_pos: usize,
     /// Next script position.
@@ -133,7 +117,9 @@ pub(crate) struct DriverState {
     /// Every branch point passed this run (scripted and frontier).
     pub(crate) record: Vec<Point>,
     /// The current sleep set.
-    sleep: Vec<SleepEntry>,
+    sleep: Vec<Step>,
+    /// The main thread: the one the run's first decision shows.
+    main: Option<u64>,
     /// Preemptions used so far this run.
     preemptions: usize,
     preemption_bound: Option<usize>,
@@ -184,6 +170,7 @@ impl DriverState {
             pos: 0,
             record: Vec::new(),
             sleep: Vec::new(),
+            main: None,
             preemptions: 0,
             preemption_bound,
             max_points,
@@ -207,6 +194,7 @@ impl DriverState {
         self.pos = 0;
         self.record.clear();
         self.sleep.clear();
+        self.main = None;
         self.preemptions = 0;
         self.depth_hit = false;
         self.exec_log.clear();
@@ -231,7 +219,7 @@ impl DriverState {
                 // step could also have executed and gone unlogged —
                 // but a local step cannot fork.)
                 let parent_event = match self.exec_log.last() {
-                    Some(e) if e.fp == StepFootprint::Fork => {
+                    Some(e) if e.step.fp == StepFootprint::Fork => {
                         Some((self.exec_log.len() - 1) as u32)
                     }
                     _ => None,
@@ -241,49 +229,48 @@ impl DriverState {
         }
     }
 
+    /// How main's exit relates to other steps: console steps only
+    /// under DPOR (`trace_exec`), every step under sleep sets.
+    pub(crate) fn exit(&self) -> MainExit {
+        MainExit {
+            tid: self.main.unwrap_or(0),
+            console_only: self.trace_exec,
+        }
+    }
+
     /// Log one executed step for the race analysis. Returns whether an
     /// event was actually pushed (local steps are skipped — they cannot
     /// participate in a race; the explicit delivery branch points cover
     /// the only nondeterminism a pending queue adds).
-    ///
-    /// A `throwTo` at a stuck target carries the wait it cancels
-    /// ([`ThreadView::cancels`]). A blocking take or put carries its
-    /// [`ExecEvent::op`] only when the thread has no exception pending.
-    fn log_exec(&mut self, view: &ThreadView, point: Option<u32>) -> bool {
+    fn log_exec(&mut self, step: Step, point: Option<u32>) -> bool {
         if !self.trace_exec {
             return false;
         }
-        let fp = view.footprint;
-        if fp.is_local() || fp == StepFootprint::Oracle {
+        if step.fp.is_local() || step.fp == StepFootprint::Oracle {
             // Local steps cannot race; an oracle step is confined to
             // its thread too — its nondeterminism is carried entirely
             // by the explicit `Choice::Arm` branch point, which the
             // engines always branch fully.
             return false;
         }
-        self.exec_log.push(ExecEvent {
-            tid: view.tid.index(),
-            fp,
-            point,
-            cancels: view.cancels,
-            op: view.mvar_op.filter(|_| view.pending == 0),
-        });
+        self.exec_log.push(ExecEvent { step, point });
         true
     }
 
-    /// A step by `tid` with footprint `fp` is about to execute: wake
-    /// every sleep entry that is dependent on it (and the thread itself,
-    /// should it somehow be asleep).
-    fn note_exec(&mut self, tid: u64, fp: StepFootprint) {
+    /// `step` is about to execute: wake every sleep entry that is
+    /// dependent on it (and its own thread, should it somehow be
+    /// asleep).
+    fn note_exec(&mut self, step: Step) {
         if self.sleep.is_empty() {
             return;
         }
+        let exit = self.exit();
         self.sleep
-            .retain(|&(q, qfp)| q != tid && fp.independent(qfp));
+            .retain(|q| q.tid() != step.tid() && !dependent(&step, q, exit));
     }
 
     fn is_asleep(&self, tid: u64) -> bool {
-        self.sleep.iter().any(|&(q, _)| q == tid)
+        self.sleep.iter().any(|q| q.tid() == tid)
     }
 
     /// The scheduling decision for a branch point with candidates
@@ -304,8 +291,9 @@ impl DriverState {
             forced = Some(0);
         }
         if let Some(i) = forced {
-            self.note_exec(runnable[i].tid.index(), runnable[i].footprint);
-            self.sched_logged = self.log_exec(&runnable[i], None);
+            let step = Step::of(&runnable[i]);
+            self.note_exec(step);
+            self.sched_logged = self.log_exec(step, None);
             return i;
         }
 
@@ -320,7 +308,7 @@ impl DriverState {
                 // point (possible only when replaying a spliced
                 // schedule) are skipped, exactly as the old
                 // position-indexed lookup never applied them.
-                if p == self.pos && !self.is_asleep(entry.0) {
+                if p == self.pos && !self.is_asleep(entry.tid()) {
                     self.sleep.push(entry);
                 }
             }
@@ -333,7 +321,7 @@ impl DriverState {
 
         let mut alts = Alts::new();
         for v in runnable {
-            let mut alt = Alt::new(v.tid, v.footprint);
+            let mut alt = Alt::new(Step::of(v));
             alt.asleep = self.is_asleep(alt.tid());
             alts.push(alt);
         }
@@ -341,10 +329,11 @@ impl DriverState {
         // Under DPOR the default runs main's exit last: while any other
         // awake thread can move, the exit is not the default, so every
         // console step the others can reach is logged and raced against
-        // it (see `clocks::events_dependent`). Births are recorded only
-        // under DPOR, so elsewhere there is no main to defer.
-        let main = main_tid(&self.births);
-        let exit = |a: &Alt| a.fp == StepFootprint::Terminal && Some(a.tid()) == main;
+        // it, the one kind of step the exit is dependent on there.
+        let rule = self.exit();
+        let exit = |a: &Alt| {
+            rule.console_only && a.step.fp == StepFootprint::Terminal && a.tid() == rule.tid
+        };
         let default_index = || {
             (alts.iter().position(|a| !a.asleep && !exit(a)))
                 .or_else(|| alts.iter().position(|a| !a.asleep))
@@ -370,15 +359,15 @@ impl DriverState {
                 self.preemptions += 1;
             }
         }
-        let (chosen_tid, chosen_fp) = alts[index].entry();
+        let step = alts[index].step;
         self.record.push(Point {
             alts,
-            chosen: Choice::Thread(chosen_tid),
+            chosen: Choice::Thread(step.tid()),
             arms: 0,
         });
         let point = (self.record.len() - 1) as u32;
-        self.sched_logged = self.log_exec(&runnable[index], Some(point));
-        self.note_exec(chosen_tid, chosen_fp);
+        self.sched_logged = self.log_exec(step, Some(point));
+        self.note_exec(step);
         index
     }
 
@@ -422,7 +411,7 @@ impl DriverState {
             // The delivered exception starts unwinding the target: a step
             // local to that thread, but conservatively wake everything
             // that was sleeping on the target's originally-intended step.
-            self.note_exec(view.tid.index(), StepFootprint::Effect);
+            self.note_exec(Step::new(view.tid.index(), StepFootprint::Effect));
         }
         self.record.push(Point {
             alts: Alts::new(),
@@ -477,14 +466,16 @@ pub(crate) struct ScriptedDecider(pub Rc<RefCell<DriverState>>);
 impl Decider for ScriptedDecider {
     fn choose_thread(&mut self, runnable: &[ThreadView], previous: Option<ThreadId>) -> Pick {
         let mut st = self.0.borrow_mut();
+        st.main.get_or_insert(runnable[0].tid.index());
         if st.trace_exec {
             st.note_views(runnable);
         }
         // Forced: only one thread can run.
         if runnable.len() == 1 {
             let v = runnable[0];
-            st.note_exec(v.tid.index(), v.footprint);
-            st.sched_logged = st.log_exec(&v, None);
+            let step = Step::of(&v);
+            st.note_exec(step);
+            st.sched_logged = st.log_exec(step, None);
             return Pick {
                 index: 0,
                 invisible: v.pending == 0 && v.footprint.is_local(),
@@ -499,7 +490,7 @@ impl Decider for ScriptedDecider {
             .filter(|(_, v)| v.pending == 0 && v.footprint.is_local())
             .min_by_key(|(_, v)| v.tid);
         if let Some((i, v)) = local {
-            st.note_exec(v.tid.index(), v.footprint);
+            st.note_exec(Step::of(v));
             // Never logged, and never followed by a delivery check
             // (fast-forwarding requires no pending exceptions).
             st.sched_logged = false;

@@ -32,10 +32,11 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 
 use conch_runtime::stats::Stats;
 
-use crate::driver::{Point, SleepEntry};
+use crate::driver::Point;
 use crate::explorer::{Report, Timing};
 use crate::inline::InlineVec;
 use crate::schedule::{Choice, Schedule};
+use crate::step::Step;
 
 /// Poison-tolerant lock: a worker that panicked has already flagged the
 /// search as stopped (see [`Frontier::request_stop`]), and the data
@@ -142,20 +143,20 @@ impl Node {
     /// Visit the alternatives already explored at this node (to be
     /// slept in sibling subtrees). Delivery and arm alternatives are
     /// not threads, so they contribute no sleep entries.
-    pub(crate) fn each_explored(&self, mut f: impl FnMut(SleepEntry)) {
+    pub(crate) fn each_explored(&self, mut f: impl FnMut(Step)) {
         let Choice::Thread(_) = self.point.chosen else {
             return;
         };
         match &self.backtrack {
             None => {
                 for alt in &self.point.alts[..point_key(&self.point) as usize] {
-                    f(alt.entry());
+                    f(alt.step);
                 }
             }
             Some(set) => {
                 for &tid in &set.order[..set.pos] {
                     if let Some(i) = alt_index(&self.point, tid) {
-                        f(self.point.alts[i].entry());
+                        f(self.point.alts[i].step);
                     }
                 }
             }
@@ -240,7 +241,7 @@ pub(crate) struct WorkItem {
     pub(crate) prefix: Vec<Choice>,
     /// Sleep-set entries accumulated along the prefix
     /// (`(script position, entry)` pairs, ascending).
-    pub(crate) base_sleep: Vec<(usize, SleepEntry)>,
+    pub(crate) base_sleep: Vec<(usize, Step)>,
     /// DFS key of the prefix (one entry per prefix choice).
     pub(crate) base_key: Vec<u32>,
     /// The branch point whose remaining alternatives this item covers;

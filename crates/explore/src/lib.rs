@@ -92,6 +92,7 @@ pub mod props;
 mod rng;
 mod sample;
 pub mod schedule;
+mod step;
 mod worker;
 
 pub use crate::explorer::{

@@ -287,10 +287,10 @@ mod tests {
         // decision 2, the leader of pick 1 is demoted below everyone
         // at pick 2 — the lead must transfer and then stay put.
         let alts = [0, 1].map(|t| {
-            Alt::new(
-                conch_runtime::ids::ThreadId::from_index(t),
+            Alt::new(crate::step::Step::new(
+                t,
                 conch_runtime::decide::StepFootprint::Local,
-            )
+            ))
         });
         let mut transfers = 0;
         for seed in 0..32 {

@@ -315,15 +315,12 @@ fn two_kills_at_the_pooled_acceptor_lose_no_queued_connection_on_any_schedule() 
 /// acceptor's guard while the guard sat on the accounting: with a guard
 /// that accounted again only once it failed where bounds 1 and 2
 /// passed. The guard now sits on the enqueue, and nothing in this space
-/// holds the queue cell while the acceptor enqueues, so the space no
-/// longer reaches it — and at bound 3 it no longer completes within the
-/// 1 000 000-schedule cap, so this test fails. A forked read of the
-/// queue cell as a second contender does not rescue it: a retry-once
-/// guard still passes at bound 2, the last bound that completes
-/// (EXPERIMENTS.md X2). `cargo test --release -p conch-faults --test
-/// explore_faults -- --ignored`, as CI does.
+/// holds the queue cell while the acceptor enqueues: the space completes
+/// at bound 3 but no longer reaches the guard, and a retry-once guard
+/// passes here (EXPERIMENTS.md X2). `cargo test --release -p
+/// conch-faults --test explore_faults -- --ignored`, as CI does.
 #[test]
-#[ignore = "release; fails, see its doc"]
+#[ignore = "release"]
 fn two_kills_at_the_pooled_acceptor_at_the_bound_that_reaches_the_guard() {
     let space = pooled_acceptor_two_kill_space;
     let report = explore(space, queued_is_accounted, sleep_sets(3), 1);

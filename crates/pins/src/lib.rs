@@ -23,7 +23,7 @@
 // ------------------------------------------- tests/golden_traces.rs
 
 /// G3: every schedule of the counter race.
-pub const G3_EXPLORED: usize = 99;
+pub const G3_EXPLORED: usize = 20;
 /// G4: the failing race is found on the first schedule …
 pub const G4_EXPLORED: usize = 1;
 /// … and its certificate shrinks in one replay.
@@ -34,66 +34,66 @@ pub const G4B_EXPLORED: usize = 4;
 pub const G4B_SHRINK_RUNS: usize = 3;
 /// G5: two `MVar` writers racing a reader plus an async kill, under
 /// unbounded sleep sets, at every worker count.
-pub const G5_EXPLORED: usize = 448;
+pub const G5_EXPLORED: usize = 148;
 /// G5's pruned alternatives.
-pub const G5_PRUNED: usize = 8;
+pub const G5_PRUNED: usize = 81;
 
 // ------------------------------------------- tests/parallel_explore.rs
 
 /// B9 `(explored, pruned)`: three threads, one `MVar` and a `throwTo`,
 /// under unbounded sleep sets.
-pub const B9_SLEEP_SETS: (usize, usize) = (4_223, 1_791);
+pub const B9_SLEEP_SETS: (usize, usize) = (1_287, 1_512);
 /// B9 under sleep sets at preemption bound 2.
-pub const B9_SLEEP_SETS_BOUND_2: (usize, usize) = (218, 89);
+pub const B9_SLEEP_SETS_BOUND_2: (usize, usize) = (101, 106);
 /// B9 under sleep sets at preemption bound 0.
 pub const B9_SLEEP_SETS_BOUND_0: (usize, usize) = (16, 0);
 /// B9 under DPOR.
-pub const B9_DPOR: (usize, usize) = (193, 399);
+pub const B9_DPOR: (usize, usize) = (141, 292);
 
 /// X1 `(explored, pruned, races, backtracks)`: log fan-in, four
 /// producers into four logs, under unbounded sleep sets (release).
-pub const X1_LOG_FANIN_SLEEP_SETS: (usize, usize, u64, u64) = (806_534, 67_665, 0, 0);
+pub const X1_LOG_FANIN_SLEEP_SETS: (usize, usize, u64, u64) = (512, 4_163, 0, 0);
 /// X1 log fan-in under DPOR.
 pub const X1_LOG_FANIN_DPOR: (usize, usize, u64, u64) = (1, 12, 0, 0);
 /// X1 accept loop, two clients, under unbounded sleep sets (release).
-pub const X1_ACCEPT_LOOP_SLEEP_SETS: (usize, usize, u64, u64) = (308_177, 101_229, 0, 0);
+pub const X1_ACCEPT_LOOP_SLEEP_SETS: (usize, usize, u64, u64) = (3_832, 7_516, 0, 0);
 /// X1 accept loop under DPOR.
-pub const X1_ACCEPT_LOOP_DPOR: (usize, usize, u64, u64) = (806, 4_593, 3_337, 887);
+pub const X1_ACCEPT_LOOP_DPOR: (usize, usize, u64, u64) = (18, 139, 66, 20);
 /// X1 three-stage pipeline under DPOR (release; sleep sets do not
 /// finish it).
-pub const X1_PIPELINE_DPOR: (usize, usize, u64, u64) = (107, 644, 239, 38);
+pub const X1_PIPELINE_DPOR: (usize, usize, u64, u64) = (68, 419, 144, 26);
 
 // ------------------------------------------- tests/dpor_equiv.rs
 
 /// Corpus 13, nested timeouts with the outer one tight: sleep sets at
 /// preemption bound 2.
-pub const CORPUS_OUTER_TIGHT_BOUND_2: usize = 149;
+pub const CORPUS_OUTER_TIGHT_BOUND_2: usize = 85;
 /// Corpus 13 under unbounded DPOR (release).
-pub const CORPUS_OUTER_TIGHT_DPOR: usize = 53_604;
+pub const CORPUS_OUTER_TIGHT_DPOR: usize = 888;
 /// Corpus 14, nested timeouts with equal budgets: bound 2.
-pub const CORPUS_INNER_WINS_BOUND_2: usize = 514;
+pub const CORPUS_INNER_WINS_BOUND_2: usize = 93;
 /// Corpus 17, mailbox backpressure race: bound 2.
-pub const CORPUS_ACTOR_MAILBOX_RACE_BOUND_2: usize = 50;
+pub const CORPUS_ACTOR_MAILBOX_RACE_BOUND_2: usize = 17;
 /// Corpus 17 under unbounded DPOR.
-pub const CORPUS_ACTOR_MAILBOX_RACE_DPOR: usize = 2_490;
+pub const CORPUS_ACTOR_MAILBOX_RACE_DPOR: usize = 550;
 /// Corpus 18, monitor registration racing the target's death: bound 2.
 pub const CORPUS_ACTOR_MONITOR_RACE_BOUND_2: usize = 6;
 /// Corpus 18 under unbounded DPOR.
 pub const CORPUS_ACTOR_MONITOR_RACE_DPOR: usize = 21;
 /// Corpus 19, link cascade: bound 2.
-pub const CORPUS_ACTOR_LINK_CASCADE_BOUND_2: usize = 31;
+pub const CORPUS_ACTOR_LINK_CASCADE_BOUND_2: usize = 18;
 /// Corpus 19 under unbounded DPOR.
-pub const CORPUS_ACTOR_LINK_CASCADE_DPOR: usize = 7_687;
+pub const CORPUS_ACTOR_LINK_CASCADE_DPOR: usize = 641;
 /// Corpus 20, a `Chan` sender and receiver killed at every step: bound 2.
-pub const CORPUS_CHAN_ENDS_UNDER_KILL_BOUND_2: usize = 9_168;
+pub const CORPUS_CHAN_ENDS_UNDER_KILL_BOUND_2: usize = 2_479;
 /// Corpus 22, a `Sem` waiter and signaller killed at every step: bound 2.
-pub const CORPUS_SEM_UNDER_KILL_BOUND_2: usize = 4_720;
+pub const CORPUS_SEM_UNDER_KILL_BOUND_2: usize = 1_051;
 
 // ------------------------------------------- tests/explore.rs
 
 /// The stale-redelivery program (four threads, one `race`, one poke):
 /// sleep sets at preemption bound 2.
-pub const STALE_REDELIVERY_BOUND_2: usize = 7_647;
+pub const STALE_REDELIVERY_BOUND_2: usize = 2_146;
 
 // ------------------------------------------- tests/ablations.rs
 
@@ -161,12 +161,12 @@ pub const C1_RUNTIME_SCHEDULES: [(&str, usize, usize); 13] = [
     ("echo_conforms", 1, 1),
     ("throw_and_catch", 1, 1),
     ("uncaught_throw", 1, 1),
-    ("forked_puts_interleave", 20, 10),
-    ("mvar_rendezvous", 7, 1),
+    ("forked_puts_interleave", 19, 10),
+    ("mvar_rendezvous", 4, 1),
     ("deadlocked_take_is_an_admissible_prefix", 1, 1),
-    ("kill_between_puts", 135, 6),
-    ("masked_child_kill", 172, 4),
-    ("unblock_window_inside_block", 784, 10),
+    ("kill_between_puts", 132, 6),
+    ("masked_child_kill", 169, 4),
+    ("unblock_window_inside_block", 781, 10),
     ("catch_of_async_exception_conforms", 160, 6),
     ("sleeping_threads_conform", 6, 1),
     ("kill_a_sleeper_conforms", 13, 1),
@@ -176,42 +176,40 @@ pub const C1_RUNTIME_SCHEDULES: [(&str, usize, usize); 13] = [
 
 /// `locking::tests`: schedules of one retried transaction under 1, 2
 /// and 3 kills, unbounded sleep sets.
-pub const LOCKING_RETRY_UNDER_KILLS: [usize; 3] = [80, 480, 2_880];
+pub const LOCKING_RETRY_UNDER_KILLS: [usize; 3] = [40, 240, 1_440];
 
 // ------------------------------------------- crates/actors
 
 /// `supervisor::tests`: a second kill mid-sweep, sleep sets at bound 2.
-pub const SUPERVISOR_SECOND_KILL_MID_SWEEP: usize = 1_223;
+pub const SUPERVISOR_SECOND_KILL_MID_SWEEP: usize = 321;
 /// `explore_actors`, sleep sets at bound 2: no lost mailbox message.
-pub const ACTORS_RECV_NEVER_LOSES: usize = 34;
+pub const ACTORS_RECV_NEVER_LOSES: usize = 22;
 /// `explore_actors`: a link cascades on every schedule.
-pub const ACTORS_LINK_CASCADES: usize = 31;
+pub const ACTORS_LINK_CASCADES: usize = 18;
 /// `explore_actors`: `trap_exit` observes and survives.
-pub const ACTORS_TRAP_EXIT: usize = 23;
+pub const ACTORS_TRAP_EXIT: usize = 17;
 /// `explore_actors`: a supervised restart keeps state, shutdown reaps.
-pub const ACTORS_SUPERVISED_RESTART: usize = 91;
+pub const ACTORS_SUPERVISED_RESTART: usize = 75;
 /// `explore_actors`: a second kill mid-sweep orphans no child.
-pub const ACTORS_SECOND_KILL_MID_SWEEP: usize = 6_174;
+pub const ACTORS_SECOND_KILL_MID_SWEEP: usize = 738;
 
 // ------------------------------------------- crates/faults
 
 /// `explore_faults` `(explored, pruned, faults injected)`: two kills at
 /// the pooled acceptor, sleep sets at bound 1.
-pub const FAULTS_POOLED_TWO_KILLS_BOUND_1: (usize, usize, u64) = (31_854, 3_202, 0);
-/// The same space at bound 3, read when the acceptor's guard sat on the
-/// accounting (release). The test fails: the space no longer completes
-/// at bound 3 (EXPERIMENTS.md X2).
-pub const FAULTS_POOLED_TWO_KILLS_BOUND_3: (usize, usize, u64) = (217_431, 52_489, 0);
+pub const FAULTS_POOLED_TWO_KILLS_BOUND_1: (usize, usize, u64) = (4_279, 4_179, 0);
+/// The same space at bound 3 (release).
+pub const FAULTS_POOLED_TWO_KILLS_BOUND_3: (usize, usize, u64) = (128_371, 171_304, 0);
 /// The actor fault space at bound 2.
-pub const FAULTS_ACTOR_SPACE: (usize, usize, u64) = (791, 4_400, 698);
+pub const FAULTS_ACTOR_SPACE: (usize, usize, u64) = (544, 3_158, 459);
 /// The cross-shard kill space at bound 2.
-pub const FAULTS_CROSS_SHARD_KILL_SPACE: (usize, usize, u64) = (333, 641, 312);
+pub const FAULTS_CROSS_SHARD_KILL_SPACE: (usize, usize, u64) = (146, 481, 129);
 
 // ------------------------------------------- crates/httpd
 
 /// `pool::tests`: two kills at the acceptor alone, sleep sets at
 /// preemption bound 4.
-pub const POOL_TWO_KILLS_AT_THE_ACCEPTOR: usize = 5_508;
+pub const POOL_TWO_KILLS_AT_THE_ACCEPTOR: usize = 1_436;
 
 // ------------------------------------------- crates/httpd/tests/virtual_time.rs
 
@@ -229,7 +227,7 @@ pub const SWEEP_SLEEPERS: [usize; 3] = [3, 12, 48];
 // ------------------------------------------- examples/actor_chat.rs
 
 /// `actor_chat --explore`: sleep sets at preemption bound 3.
-pub const ACTOR_CHAT_EXPLORED: usize = 8_746;
+pub const ACTOR_CHAT_EXPLORED: usize = 907;
 
 // ------------------------------------------- CI: layer counts
 
@@ -276,15 +274,15 @@ pub const CHAN_ITEM_STEPS: f64 = 27.0;
 /// `measure` mvar_sched `httpd.net.probe.frame_roundtrip_steps` ==
 pub const FRAME_ROUNDTRIP_STEPS: f64 = 60.0;
 /// `measure` explore_dpor `explore.schedules_explored` ==
-pub const DPOR_BENCH_EXPLORED: f64 = 353.0;
+pub const DPOR_BENCH_EXPLORED: f64 = 212.0;
 /// `measure` explore_dpor `explore.schedules_pruned` ==
-pub const DPOR_BENCH_PRUNED: f64 = 1_156.0;
+pub const DPOR_BENCH_PRUNED: f64 = 617.0;
 /// `measure` explore_dpor `explore.steps_per_schedule` ==
-pub const DPOR_BENCH_STEPS_PER_SCHEDULE: f64 = 43.43342776203966;
+pub const DPOR_BENCH_STEPS_PER_SCHEDULE: f64 = 39.79245283018868;
 /// `measure` explore_dpor `explore.races_per_schedule` ==
-pub const DPOR_BENCH_RACES_PER_SCHEDULE: f64 = 3.1643059490084986;
+pub const DPOR_BENCH_RACES_PER_SCHEDULE: f64 = 3.25;
 /// `measure` explore_dpor `explore.backtracks_installed` ==
-pub const DPOR_BENCH_BACKTRACKS: f64 = 155.0;
+pub const DPOR_BENCH_BACKTRACKS: f64 = 103.0;
 /// `measure` explore_dpor `explore.shrink_runs` ==
 pub const DPOR_BENCH_SHRINK_RUNS: f64 = 11.0;
 
@@ -304,7 +302,7 @@ pub const STORM_ALLOCS_MAX: f64 = 45.5;
 /// `measure` interp_pure `alloc.allocs_per_op` <=
 pub const PURE_ALLOCS_MAX: f64 = 0.2;
 /// `measure` explore_dpor `alloc.allocs_per_op` <=
-pub const DPOR_BENCH_ALLOCS_MAX: f64 = 1_750.0;
+pub const DPOR_BENCH_ALLOCS_MAX: f64 = 1_010.0;
 /// `measure` httpd_churn `alloc.bytes_per_op` <=
 pub const CHURN_BYTES_MAX: f64 = 12_900.0;
 /// `measure` httpd_keepalive `alloc.bytes_per_op` <=
@@ -314,7 +312,7 @@ pub const MVAR_SCHED_BYTES_MAX: f64 = 470.0;
 /// `measure` async_storm `alloc.bytes_per_op` <=
 pub const STORM_BYTES_MAX: f64 = 2_870.0;
 /// `measure` explore_dpor `alloc.bytes_per_op` <=
-pub const DPOR_BENCH_BYTES_MAX: f64 = 160_000.0;
+pub const DPOR_BENCH_BYTES_MAX: f64 = 104_000.0;
 /// `measure` httpd_keepalive `alloc.reallocs_per_op` <=
 pub const KEEPALIVE_REALLOCS_MAX: f64 = 0.3;
 /// `measure` explore_dpor `alloc.reallocs_per_op` <=

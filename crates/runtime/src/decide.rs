@@ -24,22 +24,21 @@
 //!
 //! Each runnable thread is presented as a [`ThreadView`] carrying a
 //! [`StepFootprint`] — a conservative summary of what its *next* step
-//! touches. Drivers use footprints for partial-order reduction: two
-//! steps whose footprints are independent commute, so schedules that
-//! differ only in their order need not both be explored.
+//! touches — and the facts a driver's dependence relation needs beyond
+//! it: the pending count, the blocking `MVar` operation, and the wait
+//! a throw at a stuck thread cancels. The runtime reports; deciding
+//! which steps commute is the driver's business.
 
 use crate::ids::{MVarId, ThreadId};
 
 /// What a thread's next small-step will touch, conservatively.
 ///
 /// Footprints exist so that exploration drivers can prune: a step
-/// classified [`StepFootprint::Local`] commutes with every step of every
-/// other thread (provided neither thread has pending asynchronous
-/// exceptions — a pending queue makes every step a potential delivery
-/// point, which is why [`ThreadView::pending`] must be consulted
-/// alongside the footprint). Anything the classifier is unsure about
-/// must map to a conservative variant such as [`StepFootprint::Effect`],
-/// which is treated as dependent on everything.
+/// classified [`StepFootprint::Local`] touches only its own thread (a
+/// pending queue still makes it a potential delivery point, which is
+/// why [`ThreadView::pending`] must be consulted alongside the
+/// footprint). Anything the classifier is unsure about must map to
+/// [`StepFootprint::Effect`], arbitrary host code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StepFootprint {
     /// A thread-local step: pushing/popping stack frames, pure
@@ -54,32 +53,29 @@ pub enum StepFootprint {
     Raise,
     /// The thread's next step completes it (normal return or uncaught
     /// exception at an empty stack). Terminal steps end threads, wake
-    /// sync-throw notifiers and — for the main thread — stop the world,
-    /// so they are dependent on everything.
+    /// sync-throw notifiers and — for the main thread — stop the world.
     Terminal,
     /// An operation on a specific `MVar`.
     MVar(MVarId),
-    /// Allocation of a fresh `MVar` (ids are allocated globally, so two
-    /// allocations conflict with each other but nothing else).
+    /// Allocation of a fresh `MVar` (ids are allocated globally).
     Alloc,
     /// Console input or output.
     Console,
     /// The virtual clock: `sleep` or reading `now`.
     Time,
-    /// Forking a thread (thread ids are allocated globally, so two forks
-    /// conflict with each other).
+    /// Forking a thread (thread ids are allocated globally).
     Fork,
-    /// `throwTo`/`throwToSync` aimed at the given thread. Mutates the
-    /// target's state, so dependent on everything the target does.
+    /// `throwTo`/`throwToSync` aimed at the given thread: it mutates
+    /// the target's pending queue, or — if the target is stuck —
+    /// cancels its wait ([`ThreadView::cancels`]).
     Throw(ThreadId),
     /// A native [`Io::effect`](crate::io::Io::effect) closure: arbitrary
-    /// observable side effects, dependent on everything.
+    /// observable side effects.
     Effect,
     /// A scheduler-visible nondeterministic choice
     /// ([`Io::choose`](crate::io::Io::choose)): the oracle the fault
     /// plane branches on. The step itself touches only the choosing
-    /// thread (the arm lands in its own continuation), so it commutes
-    /// with every other thread's non-exception step — but it is a real
+    /// thread (the arm lands in its own continuation), but it is a real
     /// branch point, never fast-forwarded: *which* arm was taken is a
     /// separate choice recorded by the driver.
     Oracle,
@@ -101,48 +97,6 @@ impl StepFootprint {
     /// moving the acquire inside `block`).
     pub fn is_local(self) -> bool {
         matches!(self, StepFootprint::Local)
-    }
-
-    /// Conservative independence: `true` only when the two steps
-    /// provably commute (run in either order, they reach the same
-    /// machine state up to run-queue order and produce the same
-    /// observable trace). Callers must additionally check that neither
-    /// thread has pending asynchronous exceptions.
-    pub fn independent(self, other: StepFootprint) -> bool {
-        use StepFootprint::*;
-        match (self, other) {
-            // Terminal / Throw / Effect conflict with everything — in
-            // particular a throw conflicts even with the target's local
-            // steps, since it opens a delivery point at the target.
-            (Terminal | Throw(_) | Effect, _) | (_, Terminal | Throw(_) | Effect) => false,
-            // Steps confined to their own thread commute with any other
-            // thread's non-exception step. An Oracle step is confined
-            // too: the chosen arm flows into the choosing thread's own
-            // continuation only (the choice itself is a driver-recorded
-            // branch point, not a shared-state effect).
-            (Local | Mask | Raise | Oracle, _) | (_, Local | Mask | Raise | Oracle) => true,
-            // Same-resource conflicts.
-            (MVar(a), MVar(b)) => a != b,
-            (Alloc, Alloc) => false,
-            (Console, Console) => false,
-            (Time, Time) => false,
-            (Fork, Fork) => false,
-            // Distinct resources commute.
-            (MVar(_) | Alloc | Console | Time | Fork, MVar(_) | Alloc | Console | Time | Fork) => {
-                true
-            }
-        }
-    }
-
-    /// The complement of [`independent`](StepFootprint::independent):
-    /// `true` when the two steps may not commute. This is the dependence
-    /// relation a happens-before race detector (dynamic partial-order
-    /// reduction) closes over: two executed steps are causally ordered
-    /// exactly when a chain of dependent steps connects them, and a
-    /// dependent, *unordered* pair is a race whose reversal must be
-    /// explored.
-    pub fn dependent(self, other: StepFootprint) -> bool {
-        !self.independent(other)
     }
 }
 
@@ -264,39 +218,6 @@ pub trait Decider {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::tid;
-
-    #[test]
-    fn locals_are_independent_of_non_exception_steps() {
-        let benign = [
-            StepFootprint::Local,
-            StepFootprint::Mask,
-            StepFootprint::Raise,
-            StepFootprint::MVar(MVarId(1)),
-            StepFootprint::Alloc,
-            StepFootprint::Console,
-            StepFootprint::Time,
-            StepFootprint::Fork,
-            StepFootprint::Oracle,
-        ];
-        for f in benign {
-            assert!(StepFootprint::Local.independent(f));
-            assert!(f.independent(StepFootprint::Local));
-            assert!(StepFootprint::Oracle.independent(f));
-            assert!(f.independent(StepFootprint::Oracle));
-        }
-        // But a throw conflicts even with local steps: it opens a
-        // delivery point at its target.
-        let throw = StepFootprint::Throw(tid(2));
-        for f in [
-            StepFootprint::Local,
-            StepFootprint::Mask,
-            StepFootprint::Raise,
-        ] {
-            assert!(!throw.independent(f));
-            assert!(!f.independent(throw));
-        }
-    }
 
     #[test]
     fn only_plain_local_steps_fast_forward() {
@@ -307,29 +228,5 @@ mod tests {
         // An oracle is confined to its thread but is a real branch
         // point: fast-forwarding it would hide the arm choice.
         assert!(!StepFootprint::Oracle.is_local());
-    }
-
-    #[test]
-    fn conflicts_are_symmetric_and_conservative() {
-        let m1 = StepFootprint::MVar(MVarId(1));
-        let m2 = StepFootprint::MVar(MVarId(2));
-        assert!(!m1.independent(m1));
-        assert!(m1.independent(m2));
-        assert!(m2.independent(m1));
-        assert!(!StepFootprint::Console.independent(StepFootprint::Console));
-        assert!(!StepFootprint::Effect.independent(m1));
-        assert!(!m1.independent(StepFootprint::Terminal));
-        assert!(!StepFootprint::Fork.independent(StepFootprint::Fork));
-        assert!(StepFootprint::Fork.independent(m1));
-    }
-
-    #[test]
-    fn dependent_is_the_complement_of_independent() {
-        let m1 = StepFootprint::MVar(MVarId(1));
-        let m2 = StepFootprint::MVar(MVarId(2));
-        assert!(m1.dependent(m1));
-        assert!(!m1.dependent(m2));
-        assert!(StepFootprint::Effect.dependent(StepFootprint::Local));
-        assert!(StepFootprint::Throw(tid(1)).dependent(StepFootprint::Mask));
     }
 }

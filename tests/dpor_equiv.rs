@@ -393,6 +393,10 @@ fn both_reductions_see_exactly_the_brute_force_outcomes() {
     assert_ground_truth("late_output_after_fork", late_output_after_fork);
     assert_ground_truth("steal", steal);
     assert_ground_truth("masked_taker_killed", masked_taker_killed);
+    assert_ground_truth(
+        "throw_and_exit_beside_a_third",
+        throw_and_exit_beside_a_third,
+    );
 }
 
 /// The rest of the corpus has more than [`BRUTE_CAP`] paths (EXPERIMENTS.md
@@ -1191,11 +1195,12 @@ fn corpus_sem_under_kill() {
 
 // ---------------------------------------------------- hand-off corpus
 //
-// DPOR takes a blocking `takeMVar` and a blocking `putMVar` on one cell
-// to commute when neither thread has an exception pending (DESIGN.md
-// §3.5). These programs sit on each edge of that rule: the first two
-// are checked against the brute-force search, the third (over its cap)
-// against sleep sets.
+// Both engines take a blocking `takeMVar` and a blocking `putMVar` on
+// one cell to commute when neither thread has an exception pending
+// (DESIGN.md §3.5). Corpus 23–25 sit on each edge of that rule: 23 and
+// 24 are checked against the brute-force search, 25 (over its cap)
+// against sleep sets. Corpus 26 is the brute-force row for the throw
+// and non-main exit rules.
 
 /// 23. Two takers and one putter on one empty cell. A taker that comes
 ///     after the put while the other waits cannot steal the value: the
@@ -1241,6 +1246,22 @@ fn masked_taker_between_two_cells() -> Io<i64> {
                 .and_then(move |t| Io::throw_to(t, Exception::kill_thread()))
                 .then(s.put(0))
                 .then(m.put(1))
+                .map(|_| 0)
+        })
+    })
+}
+
+/// 26. A throw at one thread and a non-main thread's exit, each beside
+///     a third thread's `MVar` steps and fork: main forks a victim that
+///     prints and a thrower that kills it, then puts to and takes from
+///     a cell. The victim's exit may come before or after main's
+///     second fork, the thrower's exit before or after main's put.
+fn throw_and_exit_beside_a_third() -> Io<i64> {
+    Io::new_empty_mvar::<i64>().and_then(|m| {
+        Io::fork(Io::put_char('v')).and_then(move |victim| {
+            Io::fork(Io::throw_to(victim, Exception::kill_thread()))
+                .then(m.put(1))
+                .then(m.take())
                 .map(|_| 0)
         })
     })
