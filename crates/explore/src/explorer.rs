@@ -37,7 +37,10 @@ pub enum Reduction {
         /// CHESS-style bound on preemptive context switches per run
         /// (`None` = unbounded): once a run has used it, a
         /// still-runnable previous thread is forced. A bounded search
-        /// that completes has covered every schedule within the bound.
+        /// that completes has covered every schedule within the bound
+        /// or one equivalent to it — which may need more preemptions
+        /// than the bound allows, so a bound covers less than it names
+        /// (DESIGN.md §3.5).
         preemption_bound: Option<usize>,
     },
     /// Dynamic partial-order reduction: vector-clock happens-before
@@ -49,7 +52,11 @@ pub enum Reduction {
     /// What DPOR preserves is main's result and the console output,
     /// and nothing else: two schedules it treats as equivalent may
     /// differ in [`RunOutcome::stats`] and [`RunOutcome::trace`], which
-    /// are telemetry. A property that reads them must use sleep sets.
+    /// are telemetry. A property that reads them must use sleep sets,
+    /// which keep main's exit dependent on every step — but take a
+    /// blocking take and put on one cell, and a fork and another
+    /// thread's exit, to commute as DPOR does, so a count such as
+    /// `Stats::blocks` is seen for one of the two orders.
     /// Main's exit runs last in every DPOR run, so a thread that never
     /// blocks or ends runs the run into the step budget.
     ///

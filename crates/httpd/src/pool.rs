@@ -297,14 +297,14 @@ mod tests {
     /// the second finds the guard's. Main reads both cells once the
     /// acceptor has settled: `throw_to_sync` returns when the second
     /// kill is received, which may be inside the guard's retry, before
-    /// its commit. Sleep sets at preemption bound 4, the smallest bound
+    /// its commit. Sleep sets at preemption bound 5, the smallest bound
     /// that catches a guard that retries only once.
     #[test]
     fn two_kills_at_the_acceptor_leave_queue_and_active_in_agreement() {
         let explorer = Explorer::with_config(ExploreConfig {
             max_depth: 256,
             strategy: Strategy::Exhaustive(Reduction::SleepSets {
-                preemption_bound: Some(4),
+                preemption_bound: Some(5),
             }),
             ..ExploreConfig::default()
         });

@@ -208,8 +208,8 @@ pub const FAULTS_CROSS_SHARD_KILL_SPACE: (usize, usize, u64) = (146, 481, 129);
 // ------------------------------------------- crates/httpd
 
 /// `pool::tests`: two kills at the acceptor alone, sleep sets at
-/// preemption bound 4.
-pub const POOL_TWO_KILLS_AT_THE_ACCEPTOR: usize = 1_436;
+/// preemption bound 5.
+pub const POOL_TWO_KILLS_AT_THE_ACCEPTOR: usize = 5_073;
 
 // ------------------------------------------- crates/httpd/tests/virtual_time.rs
 

@@ -38,7 +38,11 @@ const NOT_RESTATEMENTS: [(&str, &str, &str); 5] = [
         "the size of a `Thread` in bytes",
     ),
     ("400000", "tests/sync_throwto.rs", "a step budget"),
-    ("512", "", "the branch-point depth cap many explorations take"),
+    (
+        "512",
+        "",
+        "the branch-point depth cap many explorations take",
+    ),
     (
         "101",
         "crates/runtime/src/scheduler/tests.rs",

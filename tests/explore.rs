@@ -351,8 +351,9 @@ fn stale_redelivery(done: MVar<i64>, token: MVar<i64>, ready: MVar<()>) -> Io<(i
 #[test]
 fn stale_redelivery_to_reused_slot_is_a_noop_on_every_schedule() {
     // Sleep sets at preemption bound 2 keep the space tractable
-    // (`pins::STALE_REDELIVERY_BOUND_2` schedules; unbounded DPOR does
-    // not finish in 200 000)
+    // (`pins::STALE_REDELIVERY_BOUND_2` schedules; unbounded DPOR takes
+    // 896 222, 12 s in release, and unbounded sleep sets do not finish
+    // in 2 000 000)
     // without losing the hazard: reaching "children dead, slot reused,
     // poke mid-wait" needs a single preemption of the main thread (all
     // other switches happen at blocking points, which are free), and
