@@ -114,9 +114,9 @@ pub(crate) struct MainExit {
     pub(crate) tid: u64,
     /// DPOR preserves main's result and the console output only, and
     /// its default choice runs the exit last: the exit is dependent on
-    /// console steps alone. Sleep sets preserve each run's trace and
-    /// statistics too, which properties read: there the exit is
-    /// dependent on every step.
+    /// console steps alone. Under sleep sets the exit is dependent on
+    /// every step, so how far the other threads got shows in each
+    /// run's trace and statistics, which properties read.
     pub(crate) console_only: bool,
 }
 
